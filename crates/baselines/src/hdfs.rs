@@ -7,6 +7,7 @@
 //! number of entries.
 
 use common::clock::Nanos;
+use common::ctx::IoCtx;
 use common::{Error, Result};
 use parking_lot::Mutex;
 use simdisk::pool::{ExtentHandle, StoragePool};
@@ -51,7 +52,7 @@ impl MiniHdfs {
         for chunk in data.chunks(self.block_size as usize).filter(|c| !c.is_empty()) {
             // one materialized copy of the chunk, `replication` handles over it
             let replicas = vec![common::Bytes::copy_from_slice(chunk); self.replication];
-            let (handle, t) = self.pool.write_shards_at(&replicas, now)?;
+            let (handle, t) = self.pool.write_shards_ctx(&replicas, &IoCtx::new(now))?;
             finish = finish.max(t);
             blocks.push(handle);
         }
@@ -77,7 +78,7 @@ impl MiniHdfs {
         let mut out = Vec::with_capacity(entry.len as usize);
         let mut finish = now;
         for block in &entry.blocks {
-            let (replicas, t) = self.pool.read_shards_at(block, now);
+            let (replicas, t) = self.pool.read_shards_ctx(block, &IoCtx::new(now))?;
             finish = finish.max(t);
             let data = replicas
                 .into_iter()

@@ -8,6 +8,7 @@
 //! migration cost Fig 14(c) is about).
 
 use common::clock::Nanos;
+use common::ctx::IoCtx;
 use common::{Error, Result};
 use parking_lot::Mutex;
 use simdisk::pool::{ExtentHandle, StoragePool};
@@ -130,7 +131,7 @@ impl MiniKafka {
         let net = simdisk::Transport::Tcp.transfer_time(encoded.len() as u64);
         let encoded_len = encoded.len() as u64;
         let replicas = vec![encoded; self.replication];
-        let (handle, t) = self.pool.write_shards_at(&replicas, now + net)?;
+        let (handle, t) = self.pool.write_shards_ctx(&replicas, &IoCtx::new(now + net))?;
         part.segments.push(Segment {
             base_offset: part.buffer_base,
             count: part.buffer.len() as u64,
@@ -165,7 +166,7 @@ impl MiniKafka {
             if out.len() >= max || seg.base_offset + seg.count <= offset {
                 continue;
             }
-            let (replicas, t) = self.pool.read_shards_at(&seg.handle, now);
+            let (replicas, t) = self.pool.read_shards_ctx(&seg.handle, &IoCtx::new(now))?;
             finish = finish.max(t);
             let bytes = replicas
                 .into_iter()
@@ -240,10 +241,10 @@ impl MiniKafka {
                     continue;
                 }
                 // read + rewrite the moved share (RF copies)
-                let (_, t_read) = self.pool.read_shards_at(&seg.handle, now);
+                let (_, t_read) = self.pool.read_shards_ctx(&seg.handle, &IoCtx::new(now))?;
                 let data =
                     vec![common::Bytes::from_vec(vec![0u8; share as usize]); self.replication];
-                let (handle, t_write) = self.pool.write_shards_at(&data, t_read)?;
+                let (handle, t_write) = self.pool.write_shards_ctx(&data, &IoCtx::new(t_read))?;
                 self.pool.delete(&handle); // space settles back after the move
                 finish = finish.max(t_write);
                 migrated += share;

@@ -104,7 +104,7 @@ fn bench_transports(c: &mut Criterion) {
                 cfg.transport = transport;
                 let sl = streamlake::StreamLake::new(cfg);
                 sl.stream()
-                    .create_topic("t", stream::TopicConfig::with_streams(4))
+                    .create_topic("t", stream::TopicConfig::with_partitions(4))
                     .unwrap();
                 let mut p = sl.producer();
                 let mut last = 0u64;

@@ -5,16 +5,17 @@
 //! `std::time::Instant` (the `slint` R1 determinism rule exempts
 //! `crates/bench`, which measures the real host):
 //!
-//! * `replicate_append` — 3-way replicated PLog appends, MB/s of logical
-//!   payload;
-//! * `ec_append` — RS(10,2) erasure-coded PLog appends, MB/s;
-//! * `degraded_read` — reads of the EC store with `m` devices failed, i.e.
-//!   every read pays Reed–Solomon reconstruction, MB/s;
+//! * `replicate_append` — 3-way replicated PLog appends
+//!   (`append_to_shard_at`, `Bytes` payloads — the path every deployment
+//!   append takes), MB/s of logical payload;
+//! * `ec_append` — RS(10,2) erasure-coded PLog appends, same path, MB/s;
+//! * `degraded_read` — `read_at` on the EC store with `m` devices failed,
+//!   i.e. every read pays Reed–Solomon reconstruction, MB/s;
 //! * `gf256_mul_acc` — the `gf256::mul_acc_slice` fused multiply-add that
 //!   dominates RS encode/reconstruct, MB/s over a 1 MiB buffer;
 //! * `checksummed_append` — 3-way replicated appends including the per-shard
 //!   CRC32 computed into the index entry, MB/s;
-//! * `verified_read` — replicated reads with every touched shard
+//! * `verified_read` — replicated `read_at` with every touched shard
 //!   checksum-verified against the index CRCs, MB/s;
 //! * `partitioned_produce` — keyed produce across a 64-partition topic
 //!   (key hash → route → per-partition quota → worker → object), MB/s of
@@ -58,7 +59,9 @@ use common::json::Json;
 use common::size::MIB;
 use common::{Bytes, SimClock};
 use ec::Redundancy;
-use plog::{GroupCommitConfig, GroupCommitter, PlogConfig, PlogStore, WorkerPool};
+use plog::{
+    GroupCommitConfig, GroupCommitter, PlogAddress, PlogConfig, PlogStore, WorkerPool,
+};
 use simdisk::{MediaKind, StoragePool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,25 +148,32 @@ fn best_of<F: FnMut() -> u64>(name: &'static str, mut pass: F) -> BenchResult {
     BenchResult { name, bytes, nanos: best_nanos }
 }
 
+/// Append record `i` the way production does: routed by key, payload
+/// handed over as a `Bytes` clone (no per-record copy), under a ctx.
+fn append(s: &PlogStore, i: usize, record: &Bytes, ctx: &IoCtx) -> PlogAddress {
+    let shard = s.shard_of(&(i as u64).to_be_bytes());
+    s.append_to_shard_at(shard, record.clone(), ctx).expect("perf append").0
+}
+
 fn bench_replicate_append() -> BenchResult {
-    let record = payload(1, RECORD_BYTES);
+    let record = Bytes::from_vec(payload(1, RECORD_BYTES));
     best_of("replicate_append", || {
         let s = store(Redundancy::Replicate { copies: 3 }, 8);
+        let ctx = IoCtx::new(0);
         for i in 0..RECORDS {
-            let key = (i as u64).to_be_bytes();
-            s.append(&key, &record[..]).expect("perf append");
+            append(&s, i, &record, &ctx);
         }
         (RECORDS * RECORD_BYTES) as u64
     })
 }
 
 fn bench_ec_append() -> BenchResult {
-    let record = payload(2, RECORD_BYTES);
+    let record = Bytes::from_vec(payload(2, RECORD_BYTES));
     best_of("ec_append", || {
         let s = store(Redundancy::ErasureCode { k: 10, m: 2 }, 12);
+        let ctx = IoCtx::new(0);
         for i in 0..RECORDS {
-            let key = (i as u64).to_be_bytes();
-            s.append(&key, &record[..]).expect("perf append");
+            append(&s, i, &record, &ctx);
         }
         (RECORDS * RECORD_BYTES) as u64
     })
@@ -171,19 +181,16 @@ fn bench_ec_append() -> BenchResult {
 
 fn bench_degraded_read() -> BenchResult {
     // Build one EC store, fail m devices, then time reconstruction reads.
-    let record = payload(3, RECORD_BYTES);
+    let record = Bytes::from_vec(payload(3, RECORD_BYTES));
     let s = store(Redundancy::ErasureCode { k: 10, m: 2 }, 12);
-    let mut addrs = Vec::with_capacity(RECORDS);
-    for i in 0..RECORDS {
-        let key = (i as u64).to_be_bytes();
-        addrs.push(s.append(&key, &record[..]).expect("perf append"));
-    }
+    let ctx = IoCtx::new(0);
+    let addrs: Vec<PlogAddress> = (0..RECORDS).map(|i| append(&s, i, &record, &ctx)).collect();
     s.pool_for_tests().device(0).fail();
     s.pool_for_tests().device(1).fail();
     best_of("degraded_read", || {
         let mut total = 0u64;
         for addr in &addrs {
-            let data = s.read(addr).expect("degraded read within fault tolerance");
+            let (data, _) = s.read_at(addr, &ctx).expect("degraded read within fault tolerance");
             total += data.len() as u64;
         }
         total
@@ -234,17 +241,14 @@ fn bench_checksummed_append() -> BenchResult {
 fn bench_verified_read() -> BenchResult {
     // Replicated reads where every shard touched is verified against the
     // index CRC32s — the integrity tax on the read path.
-    let record = payload(7, RECORD_BYTES);
+    let record = Bytes::from_vec(payload(7, RECORD_BYTES));
     let s = store(Redundancy::Replicate { copies: 3 }, 8);
-    let mut addrs = Vec::with_capacity(RECORDS);
-    for i in 0..RECORDS {
-        let key = (i as u64).to_be_bytes();
-        addrs.push(s.append(&key, &record[..]).expect("perf append"));
-    }
+    let ctx = IoCtx::new(0);
+    let addrs: Vec<PlogAddress> = (0..RECORDS).map(|i| append(&s, i, &record, &ctx)).collect();
     best_of("verified_read", || {
         let mut total = 0u64;
         for addr in &addrs {
-            let data = s.read(addr).expect("verified read");
+            let (data, _) = s.read_at(addr, &ctx).expect("verified read");
             total += data.len() as u64;
         }
         total

@@ -71,7 +71,7 @@ fn check_atomic(sl: &StreamLake, committed: u32, probe: &mut u32, at: &str, ctx:
 
 fn run(seed: u64) -> Vec<u8> {
     let sl = StreamLake::new(StreamLakeConfig::small());
-    if let Err(e) = sl.stream().create_topic("events", stream::TopicConfig::with_streams(4)) {
+    if let Err(e) = sl.stream().create_topic("events", stream::TopicConfig::with_partitions(4)) {
         fail(format!("create_topic: {e}"));
     }
     let schema = match Schema::new(vec![

@@ -15,7 +15,7 @@ pub const T0: i64 = 1_656_806_400;
 pub fn seeded_deployment() -> StreamLake {
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
-        .create_topic("dpi", stream::TopicConfig::with_streams(2))
+        .create_topic("dpi", stream::TopicConfig::with_partitions(2))
         .expect("fresh deployment accepts the topic");
     let mut gen = PacketGen::new(1, T0, 500);
     let mut producer = sl.producer();

@@ -36,7 +36,7 @@ pub fn stream_load(offered_rate: u64, messages: u64, scm: bool) -> StreamPoint {
     cfg.scm_capacity = if scm { 64 * MIB } else { 0 };
     cfg.ssd_capacity = 2 * GIB;
     let sl = StreamLake::new(cfg);
-    let mut topic_cfg = stream::TopicConfig::with_streams(8);
+    let mut topic_cfg = stream::TopicConfig::with_partitions(8);
     topic_cfg.scm_cache = scm;
     topic_cfg.quota = u64::MAX / 2; // unthrottled: we measure the substrate
     sl.stream().create_topic("bench", topic_cfg).unwrap();
@@ -117,7 +117,7 @@ pub fn elasticity(from: u32, to: u32, preload_msgs: usize) -> ElasticityReport {
     cfg.ssd_capacity = 2 * GIB;
     let sl = StreamLake::new(cfg);
     sl.stream()
-        .create_topic("big", stream::TopicConfig::with_streams(from))
+        .create_topic("big", stream::TopicConfig::with_partitions(from))
         .unwrap();
     let mut p = sl.producer();
     for i in 0..preload_msgs {
@@ -259,7 +259,7 @@ pub const REQUIRED_PHASES: [&str; 4] = ["queue", "device", "wan", "meta"];
 pub fn phase_breakdown(messages: u64) -> Vec<(String, HistogramSummary)> {
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
-        .create_topic("bench", stream::TopicConfig::with_streams(4))
+        .create_topic("bench", stream::TopicConfig::with_partitions(4))
         .unwrap();
     let root = sl.root_ctx(QosClass::Foreground);
     let mut producer = sl.producer();

@@ -63,7 +63,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Reference byte-at-a-time CRC32 (single table). The wide kernel in
 /// [`Crc32::update`] must agree with this on every input; a proptest pins
 /// the two together. Does not count toward [`crc_hashed_bytes`].
-pub fn crc32_scalar(data: &[u8]) -> u32 {
+#[cfg(test)]
+fn crc32_scalar(data: &[u8]) -> u32 {
     let t = &tables()[0];
     let mut s = 0xFFFF_FFFFu32;
     for &b in data {

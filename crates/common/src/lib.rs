@@ -13,6 +13,8 @@
 //! * [`crc32`](checksum::crc32) and varint codecs used by the WAL and the
 //!   columnar file format;
 //! * a tiny [`metrics`] registry used by the benchmark harness;
+//! * [`bucket::NanoBucket`] — the exact integer token bucket behind stream
+//!   quotas and tenant admission;
 //! * [`IoCtx`] — the per-request context (deadline, QoS class, trace span)
 //!   threaded through every layer of the storage stack;
 //! * [`Chore`] — the budgeted-tick contract every background service
@@ -20,6 +22,7 @@
 //! * [`lockwitness`] — the debug-only runtime lock-order sanitizer that
 //!   corroborates the canonical hierarchy slint R9 checks statically.
 
+pub mod bucket;
 pub mod bytes;
 pub mod checksum;
 pub mod chore;

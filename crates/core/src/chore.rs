@@ -217,19 +217,7 @@ impl ChoreRuntime {
     /// windowed queue-phase and device-phase p99s for foreground-QoS
     /// spans. `None` when no foreground traffic has been observed.
     pub fn foreground_p99(&self) -> Option<Nanos> {
-        let window = self.backpressure.window;
-        let queue = self
-            .metrics
-            .histogram_tail(&format!("{QOS_PREFIX}{}.queue", QosClass::Foreground.name()), window);
-        let device = self
-            .metrics
-            .histogram_tail(&format!("{QOS_PREFIX}{}.device", QosClass::Foreground.name()), window);
-        match (queue, device) {
-            (Some(q), Some(d)) => Some(q.p99.max(d.p99)),
-            (Some(q), None) => Some(q.p99),
-            (None, Some(d)) => Some(d.p99),
-            (None, None) => None,
-        }
+        foreground_p99(&self.metrics, self.backpressure.window)
     }
 
     /// Current backpressure level (0 = unpressured).
@@ -356,13 +344,26 @@ impl ChoreRuntime {
     }
 }
 
+/// The foreground pressure sample shared by chore backpressure and
+/// front-door load shedding: the worse of the last-`window` queue-phase and
+/// device-phase p99s of foreground-QoS spans in `metrics`. `None` when no
+/// foreground traffic has been observed.
+pub(crate) fn foreground_p99(metrics: &Metrics, window: usize) -> Option<Nanos> {
+    let fg = QosClass::Foreground.name();
+    let queue = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.queue"), window);
+    let device = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.device"), window);
+    queue.into_iter().chain(device).map(|tail| tail.p99).max()
+}
+
 /// Deterministic jitter in `[0, span)`: an xorshift64* hash of
-/// `(seed, chore index, failure count)`. No wall clock, no global RNG —
-/// the backoff schedule is a pure function of the seed.
-fn seeded_jitter(seed: u64, chore_idx: u64, failures: u32, span: Nanos) -> Nanos {
+/// `(seed, stream index, attempt count)` — chore retry backoff keys it by
+/// (chore, consecutive failures), breaker probes by (breaker, trips). No
+/// wall clock, no global RNG: every schedule built on it is a pure
+/// function of the seed.
+pub(crate) fn seeded_jitter(seed: u64, idx: u64, attempt: u32, span: Nanos) -> Nanos {
     let mut x = seed
-        ^ chore_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ u64::from(failures).wrapping_mul(0xD1B5_4A32_D192_ED03)
+        ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03)
         | 1;
     x ^= x >> 12;
     x ^= x << 25;

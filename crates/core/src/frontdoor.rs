@@ -29,19 +29,17 @@
 //! determinism contract the SLO suite pins.
 
 use crate::access::{AccessController, Permission, Principal};
+use crate::chore::{foreground_p99, seeded_jitter};
 use crate::system::StreamLake;
+use common::bucket::NanoBucket;
 use common::clock::{millis, Nanos};
-use common::ctx::{IoCtx, QosClass, QOS_PREFIX};
+use common::ctx::IoCtx;
 use common::lockwitness::TrackedMutex;
 use common::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use stream::object::AppendAck;
 use stream::{ConsumedRecord, Consumer, Producer};
-
-/// Nano-tokens per token (shared with `stream::quota`): refill math stays
-/// in integers because `tokens/sec × elapsed_ns` *is* the nano-token count.
-const NANO: u128 = 1_000_000_000;
 
 /// Cap on the open-duration doubling exponent so repeated trips never
 /// overflow the clock.
@@ -284,53 +282,6 @@ impl Breaker {
     }
 }
 
-#[derive(Debug)]
-struct NanoBucket {
-    rate: u64,
-    burst_window: Nanos,
-    nano: u128,
-    last: Nanos,
-}
-
-impl NanoBucket {
-    fn new(rate: u64, burst_window: Nanos) -> Self {
-        let cap = Self::capacity(rate, burst_window);
-        NanoBucket { rate, burst_window, nano: cap, last: 0 }
-    }
-
-    /// Bucket depth in nano-tokens: `rate × burst_window`, floored at one
-    /// whole token so any nonzero rate can make progress. Rate 0 holds
-    /// nothing.
-    fn capacity(rate: u64, burst_window: Nanos) -> u128 {
-        if rate == 0 {
-            return 0;
-        }
-        (rate as u128 * burst_window as u128).max(NANO)
-    }
-
-    /// Admit `n` request-tokens at `now`, or the exact virtual-time wait
-    /// until the bucket will have refilled enough.
-    fn try_acquire(&mut self, n: u64, now: Nanos) -> std::result::Result<(), Nanos> {
-        if now > self.last {
-            let elapsed = (now - self.last) as u128;
-            let cap = Self::capacity(self.rate, self.burst_window);
-            self.nano = (self.nano + elapsed * self.rate as u128).min(cap);
-            self.last = now;
-        }
-        let need = n as u128 * NANO;
-        if self.nano >= need {
-            self.nano -= need;
-            Ok(())
-        } else if self.rate == 0 {
-            Err(Nanos::MAX)
-        } else {
-            let deficit = need - self.nano;
-            let wait = deficit.div_ceil(self.rate as u128);
-            Err(wait.min(Nanos::MAX as u128) as Nanos)
-        }
-    }
-}
-
 struct TenantState {
     bucket: NanoBucket,
     breaker: Breaker,
@@ -506,7 +457,7 @@ impl FrontDoor {
         };
         if let Err(retry_after) = tenant.bucket.try_acquire(cost, now) {
             tenant.rate_limited += 1;
-            let rate = tenant.bucket.rate;
+            let rate = tenant.bucket.rate();
             drop(st);
             self.push_admission(AdmissionEvent {
                 at: now,
@@ -755,18 +706,8 @@ impl FrontDoor {
     /// the admission threshold — the same signal the chore runtime's
     /// backpressure samples.
     fn foreground_pressured(&self) -> bool {
-        let window = self.config.admission.window;
-        let metrics = self.lake.metrics();
-        let fg = QosClass::Foreground.name();
-        let queue = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.queue"), window);
-        let device = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.device"), window);
-        let p99 = match (queue, device) {
-            (Some(q), Some(d)) => q.p99.max(d.p99),
-            (Some(q), None) => q.p99,
-            (None, Some(d)) => d.p99,
-            (None, None) => return false,
-        };
-        p99 > self.config.admission.p99_threshold
+        foreground_p99(self.lake.metrics(), self.config.admission.window)
+            .is_some_and(|p99| p99 > self.config.admission.p99_threshold)
     }
 
     /// Whether the hot pool's device health is past the breaker thresholds.
@@ -879,26 +820,12 @@ impl FrontDoor {
     }
 }
 
-/// Deterministic jitter in `[0, span)`: an xorshift64* hash of
-/// `(seed, breaker index, trip count)` — the same construction as the
-/// chore runtime's retry jitter, so probe schedules are pure functions of
-/// the seed.
-fn seeded_jitter(seed: u64, breaker_idx: u64, trips: u32, span: Nanos) -> Nanos {
-    let mut x = seed
-        ^ breaker_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ u64::from(trips).wrapping_mul(0xD1B5_4A32_D192_ED03)
-        | 1;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D) % span.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::{StreamLakeConfig};
     use common::clock::secs;
+    use common::ctx::QosClass;
     use stream::TopicConfig;
 
     fn door() -> FrontDoor {

@@ -19,7 +19,7 @@
 //!
 //! let sl = StreamLake::new(StreamLakeConfig::default());
 //! sl.stream()
-//!     .create_topic("topic_streamlake_test", stream::TopicConfig::with_streams(3))
+//!     .create_topic("topic_streamlake_test", stream::TopicConfig::with_partitions(3))
 //!     .unwrap();
 //! let ctx = sl.root_ctx(QosClass::Foreground);
 //! let mut producer = sl.producer();

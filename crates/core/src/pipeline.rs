@@ -90,7 +90,7 @@ impl StreamLakePipeline {
     ) -> Result<PipelineReport> {
         let sl = &self.sl;
         // --- collection: produce into the stream ------------------------
-        let mut cfg = TopicConfig::with_streams(3);
+        let mut cfg = TopicConfig::with_partitions(3);
         cfg.convert_2_table = ConvertToTable {
             table_schema: vec!["packet fields + label".into()],
             table_path: "/tables/dpi".into(),

@@ -408,7 +408,7 @@ mod tests {
         let sl = StreamLake::new(StreamLakeConfig::small());
         // stream side
         sl.stream()
-            .create_topic("t", TopicConfig::with_streams(2))
+            .create_topic("t", TopicConfig::with_partitions(2))
             .unwrap();
         let mut p = sl.producer();
         p.set_batch_size(1);

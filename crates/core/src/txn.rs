@@ -258,7 +258,7 @@ mod tests {
     fn setup() -> StreamLake {
         let sl = StreamLake::new(StreamLakeConfig::small());
         sl.stream()
-            .create_topic("events", TopicConfig::with_streams(2))
+            .create_topic("events", TopicConfig::with_partitions(2))
             .unwrap();
         let schema = Schema::new(vec![
             Field::new("k", DataType::Utf8),

@@ -184,13 +184,12 @@ mod tests {
     use stream::object::{CreateOptions, StreamObjectStore};
 
     fn object_store() -> StreamObjectStore {
-        let clock = SimClock::new();
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
             4,
             256 * MIB,
-            clock.clone(),
+            SimClock::new(),
         ));
         let plog = Arc::new(
             PlogStore::new(
@@ -203,7 +202,7 @@ mod tests {
             )
             .unwrap(),
         );
-        StreamObjectStore::new(plog, 0, clock)
+        StreamObjectStore::new(plog, 0)
     }
 
     /// value format: "url|start_time|province"

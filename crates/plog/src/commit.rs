@@ -6,17 +6,12 @@
 //! the next submit/flush) and every ticket resolves to its record's
 //! durable address and virtual completion time — or its own failure.
 //!
-//! One flush does the per-record work the sequential append path would
-//! have done (encode, checksum, reserve, stripe write) but pays the index
-//! once: a single batched put covering every success, which is one WAL
-//! frame instead of one per record. Encode + CRC fan across the store's
-//! worker pool when one is attached.
-//!
-//! Crash semantics: address space is reserved per record *immediately
-//! before* its stripe write, inside the flush, in submission order. A
-//! failed write therefore rolls back exactly its own reservation — no
-//! later record has reserved behind it yet — and earlier/later records in
-//! the group commit independently.
+//! The committer owns policy, tickets and group accounting only. The
+//! append itself — encode, checksum, reserve, stripe write, rollback, one
+//! batched index put (one WAL frame per group instead of one per record) —
+//! is the store's single append routine, the same one a lone
+//! `append_to_shard_at` runs with a group of one; its per-record rollback
+//! and timing contract is documented there.
 //!
 //! Determinism: groups are assembled and flushed under one lock
 //! (`plog.commit.state`, rank 59 — above the scrub cursor, below
@@ -24,12 +19,11 @@
 //! processed in ticket order; virtual timing of each record equals what
 //! the same `ctx` would have seen from `append_to_shard_at`.
 
-use crate::store::{coalesced_digests, encode_entry, PlogAddress, PlogStore};
+use crate::store::{PlogAddress, PlogStore};
 use common::clock::Nanos;
 use common::ctx::{IoCtx, Phase};
 use common::lockwitness::TrackedMutex;
-use common::{Bytes, Error, Result};
-use ec::{Redundancy, Stripe};
+use common::{Bytes, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -87,17 +81,6 @@ pub struct GroupCommitter {
     store: Arc<PlogStore>,
     config: GroupCommitConfig,
     state: TrackedMutex<CommitState>,
-}
-
-/// Encode + checksum one record: the pure, fannable half of an append.
-/// CRC fanning is disabled inside the job (`workers: None`) — the job may
-/// itself be running on a worker, and a nested scatter could deadlock a
-/// fully busy pool.
-fn encode_record(record: Bytes, redundancy: Redundancy) -> Result<(Stripe, Vec<u32>)> {
-    let stripe = Stripe::encode(record, redundancy)?;
-    let slots: Vec<Option<Bytes>> = stripe.shards.iter().map(|s| Some(s.clone())).collect();
-    let crcs = coalesced_digests(&slots, None).into_iter().map(|d| d.unwrap_or_default()).collect();
-    Ok((stripe, crcs))
 }
 
 impl GroupCommitter {
@@ -159,22 +142,6 @@ impl GroupCommitter {
         self.state.lock().done.remove(&ticket.0)
     }
 
-    /// Submit + flush + take in one call: the record commits in a group
-    /// with whatever else was pending.
-    pub fn append_now(
-        &self,
-        shard: u32,
-        record: impl Into<Bytes>,
-        ctx: &IoCtx,
-    ) -> Result<(PlogAddress, Nanos)> {
-        let ticket = self.submit(shard, record, ctx)?;
-        self.flush(ctx)?;
-        match self.take(ticket) {
-            Some(outcome) => outcome,
-            None => Err(Error::Io("group commit lost a ticket outcome".into())),
-        }
-    }
-
     fn flush_locked(&self, st: &mut CommitState, ctx: &IoCtx) -> Result<()> {
         if st.pending.is_empty() {
             return Ok(());
@@ -184,86 +151,22 @@ impl GroupCommitter {
         let opened_at = st.opened_at.take().unwrap_or(ctx.now);
         st.epoch += 1;
 
-        // Stage 1 — encode + checksum every record, fanned across records
-        // (worker results join in submission order, so the group stays
-        // deterministic).
-        let redundancy = self.store.config().redundancy;
-        let inline =
-            |group: &[Pending]| -> Vec<Result<(Stripe, Vec<u32>)>> {
-                group.iter().map(|p| encode_record(p.record.clone(), redundancy)).collect()
-            };
-        let encoded: Vec<Result<(Stripe, Vec<u32>)>> = match self.store.workers() {
-            Some(w) if group.len() >= 2 => {
-                let jobs: Vec<_> = group
-                    .iter()
-                    .map(|p| {
-                        let record = p.record.clone();
-                        move || encode_record(record, redundancy)
-                    })
-                    .collect();
-                match w.scatter(jobs) {
-                    Ok(v) => v,
-                    // A lost worker must not lose the group (tickets would
-                    // never resolve): redo the pure work inline.
-                    Err(_) => inline(&group),
-                }
-            }
-            _ => inline(&group),
-        };
+        let records: Vec<_> = group.iter().map(|p| (p.shard, p.record.clone(), &p.ctx)).collect();
+        let outcomes = self.store.append_group(&records);
 
-        // Stage 2 — reserve + write per record, in submission order. The
-        // reservation happens right before the write, so a failure undoes
-        // exactly its own address space and nothing else.
-        let mut successes: Vec<(PlogAddress, simdisk::pool::ExtentHandle, Vec<u32>)> = Vec::new();
-        let mut outcomes: Vec<(u64, Result<(PlogAddress, Nanos)>)> =
-            Vec::with_capacity(group.len());
-        let mut latest = opened_at;
-        for (p, enc) in group.iter().zip(encoded) {
-            let outcome = match enc {
-                Err(e) => Err(e),
-                Ok((stripe, crcs)) => match self.store.reserve(p.shard, p.record.len() as u64) {
-                    Err(e) => Err(e),
-                    Ok(addr) => match self.store.write_stripe_ctx(&stripe, &p.ctx) {
-                        Ok((handle, finish)) => {
-                            successes.push((addr, handle, crcs));
-                            latest = latest.max(finish);
-                            Ok((addr, finish))
-                        }
-                        Err(e) => {
-                            self.store.rollback_reservation(&addr);
-                            Err(e)
-                        }
-                    },
-                },
-            };
-            outcomes.push((p.ticket, outcome));
-        }
-
-        // Stage 3 — one batched index put covering every success: a single
-        // WAL frame for the whole group.
-        if !successes.is_empty() {
-            self.store.index().put_batch(
-                successes
-                    .iter()
-                    .map(|(addr, handle, crcs)| {
-                        (addr.index_key(), encode_entry(handle, addr.len, crcs))
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
-
-        // Stage 4 — group accounting: per-group latency span (Meta phase,
-        // open → last record finish) on the flushing ctx, plus counters.
+        // Group accounting: per-group latency span (Meta phase, open → last
+        // record finish) on the flushing ctx, plus counters.
         let metrics = self.store.metrics();
         metrics.incr("plog.commit.groups", 1);
         metrics.incr("plog.commit.records", outcomes.len() as u64);
-        let failures = outcomes.iter().filter(|(_, r)| r.is_err()).count() as u64;
+        let failures = outcomes.iter().filter(|r| r.is_err()).count() as u64;
         if failures > 0 {
             metrics.incr("plog.commit.failed_records", failures);
         }
-        ctx.record(Phase::Meta, opened_at, latest.saturating_sub(opened_at));
-        for (ticket, outcome) in outcomes {
-            st.done.insert(ticket, outcome);
+        let latest = outcomes.iter().flatten().map(|&(_, finish)| finish).fold(opened_at, Nanos::max);
+        ctx.record(Phase::Meta, opened_at, latest - opened_at);
+        for (p, outcome) in group.iter().zip(outcomes) {
+            st.done.insert(p.ticket, outcome);
         }
         Ok(())
     }
@@ -273,6 +176,9 @@ impl GroupCommitter {
 mod tests {
     use super::*;
     use crate::store::PlogConfig;
+    use crate::store::tests::get;
+    use common::Error;
+    use ec::Redundancy;
     use crate::workers::WorkerPool;
     use common::clock::secs;
     use common::size::MIB;
@@ -325,7 +231,7 @@ mod tests {
         let got: Vec<_> = tickets.iter().map(|&t| gc.take(t).unwrap().unwrap()).collect();
         assert_eq!(got, expected);
         for (addr, _) in &got {
-            assert_eq!(grp.read(addr).unwrap(), seq.read(addr).unwrap());
+            assert_eq!(get(&grp, addr).unwrap(), get(&seq, addr).unwrap());
         }
     }
 
@@ -334,12 +240,12 @@ mod tests {
         let store = plog(Redundancy::Replicate { copies: 2 }, 4);
         let gc = committer(&store, GroupCommitConfig::default());
         let ctx = IoCtx::new(0);
-        let frames_before = store.index().wal_frames();
+        let frames_before = store.index_for_tests().wal_frames();
         for i in 0..8u8 {
             gc.submit(0, vec![i; 1024], &ctx).unwrap();
         }
         gc.flush(&ctx).unwrap();
-        let frames = store.index().wal_frames() - frames_before;
+        let frames = store.index_for_tests().wal_frames() - frames_before;
         assert_eq!(frames, 1, "8-record group must log one WAL frame, logged {frames}");
         assert_eq!(store.record_count(), 8);
         assert_eq!(store.metrics().counter("plog.commit.groups"), 1);
@@ -424,8 +330,8 @@ mod tests {
         assert_eq!(store.shard_usage()[0], 2000);
         assert_eq!(store.record_count(), 2);
         assert_eq!(store.metrics().counter("plog.commit.failed_records"), 1);
-        assert_eq!(store.read(&addr_a).unwrap(), vec![1u8; 1000]);
-        assert_eq!(store.read(&addr_c).unwrap(), vec![3u8; 1000]);
+        assert_eq!(get(&store, &addr_a).unwrap(), vec![1u8; 1000]);
+        assert_eq!(get(&store, &addr_c).unwrap(), vec![3u8; 1000]);
     }
 
     #[test]
@@ -446,8 +352,9 @@ mod tests {
         assert_eq!(store.physical_bytes(), 0);
         // The shard is fully reusable after the pool heals.
         store.pool_for_tests().device(1).heal();
-        let (addr, _) = gc.append_now(0, b"recovered".as_slice(), &ctx).unwrap();
-        assert_eq!(addr.offset, 0);
+        let t = gc.submit(0, b"recovered".as_slice(), &ctx).unwrap();
+        gc.flush(&ctx).unwrap();
+        assert_eq!(gc.take(t).unwrap().unwrap().0.offset, 0);
     }
 
     #[test]
@@ -494,7 +401,7 @@ mod tests {
                 offset: (0..i).map(|j| records[j].len() as u64).sum(),
                 len: r.len() as u64,
             };
-            assert_eq!(fanned.read(&addr).unwrap().as_slice(), r.as_slice());
+            assert_eq!(get(&fanned, &addr).unwrap().as_slice(), r.as_slice());
         }
     }
 }

@@ -12,7 +12,7 @@
 //! * [`store`] — the [`PlogStore`]: per-shard append-only address spaces,
 //!   replication/erasure-coded writes into a [`simdisk::StoragePool`], a KV
 //!   index from addresses to physical extents with per-shard CRC32s,
-//!   checksum-verified degraded reads, and race-safe repair;
+//!   checksum-verified degraded reads, and race-safe healing;
 //! * [`scrub`] — the [`ScrubService`]: Maintenance-QoS background cycles
 //!   that verify every stored shard and restore full redundancy;
 //! * [`commit`] — the [`GroupCommitter`]: coalesces concurrent appends

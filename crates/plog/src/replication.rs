@@ -252,6 +252,7 @@ impl Chore for RemoteReplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::{get, put};
     use crate::PlogConfig;
     use common::clock::secs;
     use common::ctx::{QosClass, SpanSink};
@@ -294,7 +295,7 @@ mod tests {
         let remote = site("remote", 4);
         let mut addrs = Vec::new();
         for i in 0..20 {
-            addrs.push(primary.append(format!("k{i}").as_bytes(), &vec![i as u8; 500]).unwrap());
+            addrs.push(put(&primary, format!("k{i}").as_bytes(), &vec![i as u8; 500]).unwrap());
         }
         let rep = RemoteReplicator::new(primary.clone(), remote.clone());
         let r1 = rep.run(&IoCtx::new(0)).unwrap();
@@ -305,7 +306,7 @@ mod tests {
         let r2 = rep.run(&IoCtx::new(r1.finished_at)).unwrap();
         assert_eq!(r2.records_copied, 0);
         // incremental: new appends ship next cycle
-        primary.append(b"new", b"fresh record").unwrap();
+        put(&primary, b"new", b"fresh record").unwrap();
         let r3 = rep.run(&IoCtx::new(r2.finished_at)).unwrap();
         assert_eq!(r3.records_copied, 1);
         assert_eq!(rep.replicated_count(), 21);
@@ -316,7 +317,7 @@ mod tests {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
         for i in 0..12 {
-            primary.append(format!("k{i}").as_bytes(), vec![i as u8; 256]).unwrap();
+            put(&primary, format!("k{i}").as_bytes(), vec![i as u8; 256]).unwrap();
         }
         let rep = RemoteReplicator::new(primary.clone(), remote);
         let r1 = rep.run(&IoCtx::new(0)).unwrap();
@@ -328,7 +329,7 @@ mod tests {
         assert_eq!(r2.records_scanned, 0, "quiet cycle must not rescan the index");
         assert_eq!(r2.records_copied, 0);
         // One fresh append costs exactly one scanned record next cycle.
-        primary.append(b"new", b"fresh".to_vec()).unwrap();
+        put(&primary, b"new", b"fresh".to_vec()).unwrap();
         let r3 = rep.run(&IoCtx::new(r2.finished_at)).unwrap();
         assert_eq!(r3.records_scanned, 1);
         assert_eq!(r3.records_copied, 1);
@@ -339,7 +340,7 @@ mod tests {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
         for i in 0..10 {
-            primary.append(format!("k{i}").as_bytes(), vec![i as u8; 400]).unwrap();
+            put(&primary, format!("k{i}").as_bytes(), vec![i as u8; 400]).unwrap();
         }
         let rep = RemoteReplicator::new(primary, remote);
         let r1 = rep.tick(&IoCtx::new(0), ChoreBudget::new(u64::MAX, 3)).unwrap();
@@ -358,14 +359,14 @@ mod tests {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
         let payload = b"business critical".to_vec();
-        let addr = primary.append(b"k", &payload).unwrap();
+        let addr = put(&primary, b"k", &payload).unwrap();
         let rep = RemoteReplicator::new(primary.clone(), remote);
         rep.run(&IoCtx::new(0)).unwrap();
         // primary site burns down (both replicas lost)
         for i in 0..4 {
             primary_pool_fail(&primary, i);
         }
-        assert!(primary.read(&addr).is_err(), "primary must have lost the data");
+        assert!(get(&primary, &addr).is_err(), "primary must have lost the data");
         let (back, t) = rep.recover(&addr, &IoCtx::new(0)).unwrap();
         assert_eq!(back, payload);
         assert!(t > 0);
@@ -375,7 +376,7 @@ mod tests {
     fn recovery_of_unreplicated_record_fails_cleanly() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
-        let addr = primary.append(b"k", b"not yet shipped").unwrap();
+        let addr = put(&primary, b"k", b"not yet shipped").unwrap();
         let rep = RemoteReplicator::new(primary, remote);
         assert!(matches!(rep.recover(&addr, &IoCtx::new(0)), Err(Error::NotFound(_))));
     }
@@ -385,7 +386,7 @@ mod tests {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
         let payload = b"last line of defence".to_vec();
-        let addr = primary.append(b"k", &payload).unwrap();
+        let addr = put(&primary, b"k", &payload).unwrap();
         let rep = RemoteReplicator::new(primary.clone(), remote.clone());
         rep.run(&IoCtx::new(0)).unwrap();
         // Primary burns down AND the remote copy itself has rotted on one
@@ -404,7 +405,7 @@ mod tests {
         assert_eq!(back, payload);
         assert!(remote.metrics().counter("plog.corruptions_detected") >= 1);
         // The recovery read healed the rotten remote replica in passing.
-        let again = remote.read(&raddr).unwrap();
+        let again = get(&remote, &raddr).unwrap();
         assert_eq!(again, payload);
         let _ = entry_dev;
     }
@@ -413,7 +414,7 @@ mod tests {
     fn recovery_fails_loudly_when_every_remote_replica_is_rotten() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
-        let addr = primary.append(b"k", b"doomed twice over").unwrap();
+        let addr = put(&primary, b"k", b"doomed twice over").unwrap();
         let rep = RemoteReplicator::new(primary.clone(), remote.clone());
         rep.run(&IoCtx::new(0)).unwrap();
         for i in 0..4 {
@@ -434,7 +435,7 @@ mod tests {
     fn transient_remote_fault_is_retried_until_it_heals() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
-        primary.append(b"k", &vec![7u8; 1000]).unwrap();
+        put(&primary, b"k", &vec![7u8; 1000]).unwrap();
         // The whole remote site is unreachable for 3ms of virtual time: the
         // first attempt and the 1ms + 2ms backoff retries fail, the fourth
         // (at >= 3ms) lands.
@@ -449,7 +450,7 @@ mod tests {
         assert!(report.finished_at >= millis(3), "success only after the fault window");
         // deterministic: a fresh identical setup produces the same timings
         let primary2 = site("primary", 4);
-        primary2.append(b"k", &vec![7u8; 1000]).unwrap();
+        put(&primary2, b"k", &vec![7u8; 1000]).unwrap();
         let remote2 = site("remote", 4);
         fail_remote_until(&remote2, millis(3));
         let rep2 = RemoteReplicator::new(primary2, remote2);
@@ -462,7 +463,7 @@ mod tests {
     fn retry_exhaustion_respects_the_deadline_and_keeps_the_trail() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
-        primary.append(b"k", &vec![1u8; 1000]).unwrap();
+        put(&primary, b"k", &vec![1u8; 1000]).unwrap();
         fail_remote_until(&remote, secs(60)); // far past any budget
         let sink = Arc::new(SpanSink::new(Metrics::new()));
         let rep = RemoteReplicator::new(primary, remote);
@@ -486,7 +487,7 @@ mod tests {
     fn without_a_deadline_a_dead_remote_is_abandoned_not_fatal() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
-        primary.append(b"k", &vec![1u8; 1000]).unwrap();
+        put(&primary, b"k", &vec![1u8; 1000]).unwrap();
         fail_remote_until(&remote, secs(60));
         let rep = RemoteReplicator::new(primary, remote);
         let report = rep.run(&IoCtx::new(0)).unwrap();
@@ -511,7 +512,7 @@ mod tests {
         // virtual time (the old loop special-cased Error::Io; this pins the
         // is_retryable() contract instead).
         let primary = site("primary", 4);
-        primary.append(b"k", &vec![9u8; 1000]).unwrap();
+        put(&primary, b"k", &vec![9u8; 1000]).unwrap();
         let pool = Arc::new(StoragePool::new(
             "remote",
             MediaKind::NvmeSsd,

@@ -188,6 +188,7 @@ impl Chore for ScrubService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::{get, put};
     use crate::store::PlogConfig;
     use common::size::MIB;
     use common::SimClock;
@@ -215,7 +216,7 @@ mod tests {
     fn clean_store_scrubs_clean() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
         for i in 0..10u32 {
-            s.append(&i.to_be_bytes(), format!("record {i}").into_bytes()).unwrap();
+            put(&s, &i.to_be_bytes(), format!("record {i}").into_bytes()).unwrap();
         }
         let scrub = ScrubService::new(Arc::clone(&s));
         let report = scrub.run_cycle(&IoCtx::new(0)).unwrap();
@@ -230,7 +231,7 @@ mod tests {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
         let mut addrs = Vec::new();
         for i in 0..6u32 {
-            addrs.push(s.append(&i.to_be_bytes(), format!("payload-{i}").into_bytes()).unwrap());
+            addrs.push(put(&s, &i.to_be_bytes(), format!("payload-{i}").into_bytes()).unwrap());
         }
         // Rot one byte on two distinct devices.
         s.pool_for_tests().device(0).corrupt_stored_byte(0, 3, 0x10).unwrap();
@@ -243,7 +244,7 @@ mod tests {
         assert_eq!(total_healed, 2);
         assert!(reports.last().unwrap().is_clean(), "scrub must converge");
         for (i, addr) in addrs.iter().enumerate() {
-            assert_eq!(s.read(addr).unwrap(), format!("payload-{i}").as_bytes());
+            assert_eq!(get(&s, addr).unwrap(), format!("payload-{i}").as_bytes());
         }
         assert_eq!(s.metrics().counter("scrub.corruptions_detected"), 2);
         assert_eq!(s.metrics().counter("scrub.repairs"), 2);
@@ -253,7 +254,7 @@ mod tests {
     fn scrub_reencodes_records_hit_by_device_death() {
         let s = store(Redundancy::ErasureCode { k: 2, m: 1 }, 5);
         for i in 0..4u32 {
-            s.append(&i.to_be_bytes(), vec![i as u8; 4000]).unwrap();
+            put(&s, &i.to_be_bytes(), vec![i as u8; 4000]).unwrap();
         }
         s.pool_for_tests().device(1).fail();
         let scrub = ScrubService::new(Arc::clone(&s));
@@ -263,7 +264,7 @@ mod tests {
         assert!(reports.last().unwrap().is_clean());
         // Full redundancy restored: the dead device no longer matters.
         for addr in s.addresses() {
-            assert_eq!(s.read(&addr).unwrap().len(), 4000);
+            assert_eq!(get(&s, &addr).unwrap().len(), 4000);
         }
     }
 
@@ -271,7 +272,7 @@ mod tests {
     fn bounded_cycles_cover_the_index_across_cycles() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
         for i in 0..9u32 {
-            s.append(&i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
+            put(&s, &i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
         }
         let scrub = ScrubService::new(Arc::clone(&s)).with_cycle_budget(4);
         let mut scanned = 0;
@@ -289,7 +290,7 @@ mod tests {
     fn chore_tick_respects_the_op_budget_and_reports_backlog() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
         for i in 0..10u32 {
-            s.append(&i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
+            put(&s, &i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
         }
         let scrub = ScrubService::new(Arc::clone(&s));
         let r = scrub.tick(&IoCtx::new(0), ChoreBudget::new(u64::MAX, 4)).unwrap();
@@ -305,7 +306,7 @@ mod tests {
     #[test]
     fn unreadable_records_are_counted_not_fatal() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        s.append(b"a", b"too many faults").unwrap();
+        put(&s, b"a", b"too many faults").unwrap();
         for d in 0..3 {
             s.pool_for_tests().device(d).fail();
         }

@@ -45,7 +45,7 @@ impl Default for PlogConfig {
     }
 }
 
-/// A durable address returned by [`PlogStore::append`].
+/// A durable address returned by [`PlogStore::append_to_shard_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlogAddress {
     /// Logical shard holding the record.
@@ -73,8 +73,8 @@ struct ShardState {
 }
 
 /// A decoded index entry: where the record's shards live plus the CRC32 of
-/// each stored shard. `crcs` is empty for entries written before checksums
-/// existed; verification is skipped for those.
+/// each stored shard (`crcs.len() == handle.shards.len()`, enforced by
+/// `decode_entry`).
 #[derive(Debug, Clone)]
 struct IndexEntry {
     handle: ExtentHandle,
@@ -170,45 +170,97 @@ impl PlogStore {
         shard_for(routing_key, self.config.shard_count) as u32
     }
 
-    /// Append `record` under `routing_key`; returns its durable address.
-    /// Takes the payload by handle: passing an owned `Bytes`/`Vec<u8>` moves
-    /// it through encode and placement without a single payload copy.
-    pub fn append(&self, routing_key: &[u8], record: impl Into<Bytes>) -> Result<PlogAddress> {
-        let shard = self.shard_of(routing_key);
-        self.append_to_shard(shard, record)
+    /// Append `record` to `shard` (callers route by key with
+    /// [`shard_of`](Self::shard_of); stream objects own their shard
+    /// assignment): the redundancy shards are written concurrently under
+    /// `ctx` (deadline, QoS lane and span phases apply). Returns the durable
+    /// address and the completion time (latest shard finish). Takes the
+    /// payload by handle: passing an owned `Bytes`/`Vec<u8>` moves it
+    /// through encode and placement without a single payload copy.
+    ///
+    /// This is [`append_group`](Self::append_group) with a group of one.
+    pub fn append_to_shard_at(
+        &self,
+        shard: u32,
+        record: impl Into<Bytes>,
+        ctx: &IoCtx,
+    ) -> Result<(PlogAddress, Nanos)> {
+        self.append_group(&[(shard, record.into(), ctx)])
+            .pop()
+            .unwrap_or_else(|| Err(Error::Io("append produced no outcome".into())))
     }
 
-    /// Append directly to a known shard (used by stream objects, which own
-    /// their shard assignment).
-    pub fn append_to_shard(&self, shard: u32, record: impl Into<Bytes>) -> Result<PlogAddress> {
-        let record: Bytes = record.into();
-        let addr = self.reserve(shard, record.len() as u64)?;
-        let written = Stripe::encode(record, self.config.redundancy).and_then(|stripe| {
-            let crcs = self.stripe_crcs(&stripe);
-            self.pool.write_shards(&stripe.shards).map(|handle| (handle, crcs))
-        });
-        match written {
-            Ok((handle, crcs)) => {
-                self.index
-                    .put(addr.index_key(), encode_entry(&handle, addr.len, &crcs));
-                Ok(addr)
+    /// The append routine — the only place records enter the store. For
+    /// each `(shard, record, ctx)` of the group, in order: encode +
+    /// checksum, reserve address space, write the stripe, and on failure
+    /// roll the reservation back; then one batched index put covering every
+    /// success (a single WAL frame however large the group). Outcomes come
+    /// back in group order and fail independently.
+    ///
+    /// Address space is reserved per record *immediately before* its stripe
+    /// write, so a failed write undoes exactly its own reservation — no
+    /// later record has reserved behind it yet — and a rejected (e.g.
+    /// past-deadline or pool-full) append can be retried without leaking
+    /// the shard. Each record's virtual timing depends only on its own
+    /// `ctx`, never on what it was grouped with.
+    ///
+    /// Host-side fan-out with workers attached: a multi-record group
+    /// encodes its records across the pool (results join in group order); a
+    /// lone record fans its shards' CRCs instead. CRC fanning is off inside
+    /// a record job — the job may itself be on a worker, and a nested
+    /// scatter could deadlock a fully busy pool.
+    pub(crate) fn append_group(
+        &self,
+        group: &[(u32, Bytes, &IoCtx)],
+    ) -> Vec<Result<(PlogAddress, Nanos)>> {
+        let redundancy = self.config.redundancy;
+        let inline = || -> Vec<Result<(Stripe, Vec<u32>)>> {
+            group
+                .iter()
+                .map(|(_, record, _)| encode_record(record.clone(), redundancy, self.workers.as_deref()))
+                .collect()
+        };
+        let encoded = match &self.workers {
+            Some(w) if group.len() >= 2 => {
+                let jobs: Vec<_> = group
+                    .iter()
+                    .map(|(_, record, _)| {
+                        let record = record.clone();
+                        move || encode_record(record, redundancy, None)
+                    })
+                    .collect();
+                // A lost worker must not lose the group: redo the pure work
+                // inline.
+                w.scatter(jobs).unwrap_or_else(|_| inline())
             }
-            Err(e) => {
-                // Same roll-back as the `_at` variant: return the reserved
-                // address space if nothing was appended behind us, so a
-                // failed (e.g. pool-full) append does not leak the shard.
-                self.rollback_reservation(&addr);
-                Err(e)
-            }
+            _ => inline(),
+        };
+        let mut entries = Vec::with_capacity(group.len());
+        let mut outcomes = Vec::with_capacity(group.len());
+        for ((shard, record, ctx), enc) in group.iter().zip(encoded) {
+            outcomes.push(enc.and_then(|(stripe, crcs)| {
+                let addr = self.reserve(*shard, record.len() as u64)?;
+                match self.write_stripe_ctx(&stripe, ctx) {
+                    Ok((handle, finish)) => {
+                        entries.push((addr.index_key(), encode_entry(&handle, addr.len, &crcs)));
+                        Ok((addr, finish))
+                    }
+                    Err(e) => {
+                        self.rollback_reservation(&addr);
+                        Err(e)
+                    }
+                }
+            }));
         }
+        if !entries.is_empty() {
+            self.index.put_batch(entries);
+        }
+        outcomes
     }
 
     /// Reserve `len` bytes of address space on `shard` — the first half of
-    /// an append. Callers pair it with a stripe write plus index put on
-    /// success, or [`rollback_reservation`](Self::rollback_reservation) on
-    /// failure (the group committer assembles batched appends from the same
-    /// parts).
-    pub(crate) fn reserve(&self, shard: u32, len: u64) -> Result<PlogAddress> {
+    /// an append.
+    fn reserve(&self, shard: u32, len: u64) -> Result<PlogAddress> {
         let mut st = self.shards[shard as usize].lock();
         if st.next_offset + len > self.config.shard_capacity {
             return Err(Error::CapacityExhausted(format!(
@@ -223,46 +275,17 @@ impl PlogStore {
 
     /// Undo an address-space reservation after a failed write, if no later
     /// append has already extended the shard past it.
-    pub(crate) fn rollback_reservation(&self, addr: &PlogAddress) {
+    fn rollback_reservation(&self, addr: &PlogAddress) {
         let mut st = self.shards[addr.shard as usize].lock();
         if st.next_offset == addr.offset + addr.len {
             st.next_offset = addr.offset;
         }
     }
 
-    /// Parallel-timed append: the redundancy shards are written concurrently
-    /// under `ctx` (deadline, QoS lane and span phases apply); returns the
-    /// address and the completion time (latest shard finish). The shared
-    /// clock is not advanced.
-    pub fn append_to_shard_at(
-        &self,
-        shard: u32,
-        record: impl Into<Bytes>,
-        ctx: &IoCtx,
-    ) -> Result<(PlogAddress, common::clock::Nanos)> {
-        let record: Bytes = record.into();
-        let addr = self.reserve(shard, record.len() as u64)?;
-        let written = Stripe::encode(record, self.config.redundancy).and_then(|stripe| {
-            let crcs = self.stripe_crcs(&stripe);
-            self.write_stripe_ctx(&stripe, ctx).map(|(handle, finish)| (handle, finish, crcs))
-        });
-        match written {
-            Ok((handle, finish, crcs)) => {
-                self.index
-                    .put(addr.index_key(), encode_entry(&handle, addr.len, &crcs));
-                Ok((addr, finish))
-            }
-            Err(e) => {
-                // Return the reserved address space if nothing was appended
-                // behind us, so rejected (e.g. past-deadline) appends can be
-                // retried without leaking the shard.
-                self.rollback_reservation(&addr);
-                Err(e)
-            }
-        }
-    }
-
-    /// Parallel-timed read; returns the record and the completion time.
+    /// Read the record at `addr`; returns it with the completion time,
+    /// reconstructing from surviving redundancy shards when devices have
+    /// failed or stored bytes have rotted. Every shard read is
+    /// checksum-verified; corrupt shards never reach the caller.
     /// A blown `ctx` deadline surfaces as [`Error::DeadlineExceeded`];
     /// individual shard faults and checksum failures degrade to redundancy
     /// reconstruction (unrecoverable checksum damage is
@@ -281,30 +304,9 @@ impl PlogStore {
         }
         if !corrupt.is_empty() {
             let heal_ctx = ctx.at(finish).with_qos(QosClass::Maintenance).without_deadline();
-            self.heal_in_place(&entry, &corrupt, &data, Some(&heal_ctx));
+            self.heal_in_place(&entry, &corrupt, &data, &heal_ctx);
         }
         Ok((data, finish))
-    }
-
-    /// Read the record at `addr`, reconstructing from surviving redundancy
-    /// shards when devices have failed or stored bytes have rotted. Every
-    /// shard read is checksum-verified; corrupt shards never reach the
-    /// caller, and verified content is written back over them (best
-    /// effort) so one read heals the damage it found.
-    pub fn read(&self, addr: &PlogAddress) -> Result<Bytes> {
-        let entry = self.lookup_entry(addr)?;
-        let mut survivors = self.pool.read_shards(&entry.handle);
-        let corrupt = self.verify_shards(&entry, &mut survivors);
-        let missing = survivors.iter().filter(|s| s.is_none()).count();
-        let data = Stripe::decode(self.config.redundancy, addr.len as usize, &survivors)
-            .map_err(|e| corruption_or(e, &corrupt))?;
-        if missing > 0 {
-            self.metrics.incr("plog.fallback_reads", 1);
-        }
-        if !corrupt.is_empty() {
-            self.heal_in_place(&entry, &corrupt, &data, None);
-        }
-        Ok(data)
     }
 
     /// Delete the record at `addr`, returning the physical bytes freed.
@@ -334,51 +336,23 @@ impl PlogStore {
         Ok(self.config.redundancy.stored_bytes(len))
     }
 
-    /// Re-encode and rewrite the record at `addr` onto healthy devices,
-    /// restoring full redundancy after a device failure.
-    ///
-    /// Safe against a concurrent [`delete`](Self::delete): the new index
-    /// entry is committed under the shard lock only if the record still
-    /// exists; when it vanished mid-repair the freshly written extent is
-    /// rolled back instead of resurrecting the record.
-    pub fn repair(&self, addr: &PlogAddress) -> Result<()> {
-        self.repair_with_hook(addr, || {})
-    }
-
-    /// `repair` with a test hook running between the new extent's write and
-    /// the index commit — the window the old implementation lost the race
-    /// with `delete` in.
-    fn repair_with_hook(&self, addr: &PlogAddress, between: impl FnOnce()) -> Result<()> {
-        let data = self.read(addr)?;
-        let old = self.lookup_entry(addr)?;
-        let stripe = Stripe::encode(data, self.config.redundancy)?;
-        let crcs = self.stripe_crcs(&stripe);
-        let new_handle = self.pool.write_shards(&stripe.shards)?;
-        between();
-        if self.commit_reindex(addr, &new_handle, &crcs) {
-            self.pool.delete(&old.handle);
-            self.metrics.incr("plog.records_reencoded", 1);
-        } else {
-            self.pool.delete(&new_handle);
-        }
-        Ok(())
-    }
-
     /// Verify every shard of `addr` and restore full redundancy (the scrub
     /// work unit, Maintenance QoS expected on `ctx`).
     ///
     /// Checksum-failed shards on live devices are rewritten in place;
     /// missing shards (failed/unreachable devices) force a full re-encode
-    /// onto healthy devices, committed with the same delete-race guard as
-    /// [`repair`](Self::repair).
+    /// onto healthy devices. That re-place is safe against a concurrent
+    /// [`delete`](Self::delete): the new index entry is committed under the
+    /// shard lock only if the record still exists; when it vanished
+    /// mid-heal the freshly written extent is rolled back instead of
+    /// resurrecting the record.
     pub fn verify_and_heal(&self, addr: &PlogAddress, ctx: &IoCtx) -> Result<RecordHealth> {
         self.verify_and_heal_with_hook(addr, ctx, || {})
     }
 
     /// `verify_and_heal` with a test hook running between the re-encoded
-    /// extent's write and the index commit — the same delete-race window
-    /// `repair_with_hook` exposes, so scrub's re-place path gets the same
-    /// deterministic interleaving coverage.
+    /// extent's write and the index commit — the window a concurrent
+    /// `delete` can land in.
     fn verify_and_heal_with_hook(
         &self,
         addr: &PlogAddress,
@@ -401,10 +375,10 @@ impl PlogStore {
         }
         let data = Stripe::decode(self.config.redundancy, addr.len as usize, &survivors)
             .map_err(|e| corruption_or(e, &corrupt))?;
-        let stripe = Stripe::encode(data, self.config.redundancy)?;
         if health.missing > 0 {
             // Shards are gone, not just rotten: re-place the whole record.
-            let crcs = self.stripe_crcs(&stripe);
+            let (stripe, crcs) =
+                encode_record(data, self.config.redundancy, self.workers.as_deref())?;
             let (new_handle, wfinish) =
                 self.pool.write_shards_ctx(&stripe.shards, &ctx.at(health.finish))?;
             health.finish = wfinish;
@@ -417,19 +391,8 @@ impl PlogStore {
                 self.pool.delete(&new_handle);
             }
         } else {
-            let mut t = health.finish;
-            for &i in &corrupt {
-                let Some(shard) = stripe.shards.get(i) else { continue };
-                match self.pool.rewrite_shard_ctx(&entry.handle, i, shard.clone(), &ctx.at(health.finish)) {
-                    Ok(wfinish) => {
-                        t = t.max(wfinish);
-                        health.healed_in_place += 1;
-                        self.metrics.incr("plog.shards_healed", 1);
-                    }
-                    Err(_) => self.metrics.incr("plog.heal_failures", 1),
-                }
-            }
-            health.finish = t;
+            (health.healed_in_place, health.finish) =
+                self.heal_in_place(&entry, &corrupt, &data, &ctx.at(health.finish));
         }
         Ok(health)
     }
@@ -447,12 +410,8 @@ impl PlogStore {
 
     /// Verify surviving shards against the entry's CRCs; checksum-failed
     /// shards are demoted to `None` (attributed to their device, counted)
-    /// and their indices returned. Entries without stored CRCs skip
-    /// verification.
+    /// and their indices returned.
     fn verify_shards(&self, entry: &IndexEntry, survivors: &mut [Option<Bytes>]) -> Vec<usize> {
-        if entry.crcs.len() != survivors.len() {
-            return Vec::new();
-        }
         // One coalesced pass over the stripe: aliased replicas share one
         // digest, distinct shards hash in parallel when workers are
         // attached, and the per-slot checks below stay in slot order.
@@ -461,7 +420,7 @@ impl PlogStore {
         for (i, slot) in survivors.iter_mut().enumerate() {
             let Some(crc) = digests[i] else { continue };
             self.metrics.incr("plog.shards_verified", 1);
-            if crc != entry.crcs[i] {
+            if entry.crcs.get(i) != Some(&crc) {
                 self.metrics.incr("plog.corruptions_detected", 1);
                 self.pool.note_corruption(&entry.handle, i);
                 corrupt.push(i);
@@ -471,113 +430,100 @@ impl PlogStore {
         corrupt
     }
 
-    /// Per-shard CRC32s of an encoded stripe via the coalesced pass:
-    /// replication hashes the payload once and reuses the digest; erasure
-    /// coding hashes each distinct shard (fanned across workers when
-    /// attached and worthwhile).
-    pub(crate) fn stripe_crcs(&self, stripe: &Stripe) -> Vec<u32> {
-        let slots: Vec<Option<Bytes>> = stripe.shards.iter().map(|s| Some(s.clone())).collect();
-        coalesced_digests(&slots, self.workers.as_deref())
-            .into_iter()
-            .map(|d| d.unwrap_or_default())
-            .collect()
-    }
-
-    /// Write an encoded stripe under `ctx`: the sequential pool path when
-    /// no worker pool is attached (or the stripe is too small to be worth
-    /// fanning), otherwise a planned write with one job per shard.
+    /// Write an encoded stripe under `ctx`: plan the placement, run the
+    /// per-shard writes — inline in shard order, stopping at the first
+    /// failure, or as one job per shard when a worker pool is attached and
+    /// the stripe is big enough to be worth fanning — then one tail for
+    /// both: replay spans, roll back on failure.
     ///
-    /// Determinism: fan jobs run with span recording detached
+    /// Determinism: shard writes run with span recording detached
     /// ([`IoCtx::without_sink`]) and this thread replays each shard's
-    /// queue/device spans **in shard order** after the join, so the sink's
-    /// windowed histograms observe the exact sample sequence the
-    /// sequential path would have produced. Virtual timing is identical:
-    /// planned per-shard writes charge the same per-device queues as
-    /// `write_shards_ctx` from the same `ctx.now`.
-    pub(crate) fn write_stripe_ctx(
-        &self,
-        stripe: &Stripe,
-        ctx: &IoCtx,
-    ) -> Result<(ExtentHandle, Nanos)> {
+    /// queue/device spans **in shard order**, stopping at the first failing
+    /// shard, so the sink's windowed histograms observe one sample sequence
+    /// whichever way the writes ran. Virtual timing is identical too:
+    /// planned per-shard writes charge distinct per-device queues from the
+    /// same `ctx.now`.
+    fn write_stripe_ctx(&self, stripe: &Stripe, ctx: &IoCtx) -> Result<(ExtentHandle, Nanos)> {
+        let plan = self.pool.plan_shards(stripe.shards.len())?;
+        let quiet = ctx.clone().without_sink();
         let fan = self.workers.as_ref().filter(|w| {
             w.threads() > 1
                 && stripe.shards.len() >= 2
                 && stripe.shards.iter().map(|s| s.len()).max().unwrap_or(0) >= FAN_BYTES
         });
-        let Some(workers) = fan else {
-            return self.pool.write_shards_ctx(&stripe.shards, ctx);
+        let results = match fan {
+            Some(workers) => {
+                let jobs: Vec<_> = stripe
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| {
+                        let pool = Arc::clone(&self.pool);
+                        let plan = plan.clone();
+                        let s = s.clone();
+                        let ctx = quiet.clone();
+                        move || pool.write_planned_shard(&plan, i, s, &ctx)
+                    })
+                    .collect();
+                workers.scatter(jobs).unwrap_or_else(|e| vec![Err(e)])
+            }
+            None => {
+                let mut results = Vec::with_capacity(stripe.shards.len());
+                for (i, s) in stripe.shards.iter().enumerate() {
+                    results.push(self.pool.write_planned_shard(&plan, i, s.clone(), &quiet));
+                    if results.last().is_some_and(|r| r.is_err()) {
+                        break;
+                    }
+                }
+                results
+            }
         };
-        let plan = self.pool.plan_shards(stripe.shards.len())?;
-        let quiet = ctx.clone().without_sink();
-        let jobs: Vec<_> = stripe
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let pool = Arc::clone(&self.pool);
-                let plan = plan.clone();
-                let s = s.clone();
-                let ctx = quiet.clone();
-                move || pool.write_planned_shard(&plan, i, s, &ctx)
-            })
-            .collect();
-        let results = workers.scatter(jobs)?;
-        // Replay spans in shard order, stopping at the first failing shard
-        // so the recorded sequence matches what the sequential path (which
-        // stops there) would have emitted.
         let mut finish = ctx.now;
-        let mut failed: Option<Error> = None;
         for r in results {
             match r {
-                Ok(t) if failed.is_none() => {
+                Ok(t) => {
                     ctx.record(Phase::Queue, ctx.now, t.start.saturating_sub(ctx.now));
                     ctx.record(Phase::Device, t.start, t.finish.saturating_sub(t.start));
                     finish = finish.max(t.finish);
                 }
-                Ok(_) => {} // placed after the failing shard; rolled back below
                 Err(e) => {
-                    if failed.is_none() {
-                        failed = Some(e);
-                    }
+                    // Shards placed before (or, when fanned, after) the
+                    // failing one are rolled back with the plan.
+                    self.pool.delete(&plan.handle());
+                    return Err(e);
                 }
             }
-        }
-        if let Some(e) = failed {
-            self.pool.delete(&plan.handle());
-            return Err(e);
         }
         Ok((plan.handle(), finish))
     }
 
-    /// The record index (the group committer's batched put target).
-    pub(crate) fn index(&self) -> &SharedKv {
-        &self.index
-    }
-
-    /// The attached worker pool, if any.
-    pub(crate) fn workers(&self) -> Option<&Arc<WorkerPool>> {
-        self.workers.as_ref()
-    }
-
     /// Write verified content back over checksum-failed shards sitting on
-    /// live devices. Best effort: a failed heal is counted, never surfaced
-    /// — the reader already has its data and the scrubber will retry.
-    fn heal_in_place(&self, entry: &IndexEntry, corrupt: &[usize], data: &Bytes, ctx: Option<&IoCtx>) {
+    /// live devices; returns how many were healed and the latest rewrite
+    /// finish. Best effort: a failed heal is counted, never surfaced — the
+    /// reader already has its data and the scrubber will retry.
+    fn heal_in_place(
+        &self,
+        entry: &IndexEntry,
+        corrupt: &[usize],
+        data: &Bytes,
+        ctx: &IoCtx,
+    ) -> (u64, Nanos) {
+        let (mut healed, mut finish) = (0, ctx.now);
         let Ok(stripe) = Stripe::encode(data.clone(), self.config.redundancy) else {
-            return;
+            return (healed, finish);
         };
         for &i in corrupt {
             let Some(shard) = stripe.shards.get(i) else { continue };
-            let healed = match ctx {
-                Some(ctx) => self.pool.rewrite_shard_ctx(&entry.handle, i, shard.clone(), ctx).is_ok(),
-                None => self.pool.rewrite_shard(&entry.handle, i, shard.clone()).is_ok(),
-            };
-            if healed {
-                self.metrics.incr("plog.shards_healed", 1);
-            } else {
-                self.metrics.incr("plog.heal_failures", 1);
+            match self.pool.rewrite_shard_ctx(&entry.handle, i, shard.clone(), ctx) {
+                Ok(wfinish) => {
+                    finish = finish.max(wfinish);
+                    healed += 1;
+                    self.metrics.incr("plog.shards_healed", 1);
+                }
+                Err(_) => self.metrics.incr("plog.heal_failures", 1),
             }
         }
+        (healed, finish)
     }
 
     /// The backing storage pool (fault injection in tests).
@@ -656,6 +602,21 @@ impl PlogStore {
     }
 }
 
+/// Encode + checksum one record — the pure, fannable half of an append.
+/// Replication hashes the payload once and reuses the digest; erasure
+/// coding hashes each distinct shard, across `workers` when given.
+fn encode_record(
+    record: Bytes,
+    redundancy: Redundancy,
+    workers: Option<&WorkerPool>,
+) -> Result<(Stripe, Vec<u32>)> {
+    let stripe = Stripe::encode(record, redundancy)?;
+    let slots: Vec<Option<Bytes>> = stripe.shards.iter().map(|s| Some(s.clone())).collect();
+    let crcs =
+        coalesced_digests(&slots, workers).into_iter().map(|d| d.unwrap_or_default()).collect();
+    Ok((stripe, crcs))
+}
+
 /// One coalesced CRC pass over a set of shard slots: each *distinct*
 /// buffer is hashed exactly once and its digest reused for every slot
 /// aliasing it (replication clones one handle `copies` times; the device
@@ -663,7 +624,7 @@ impl PlogStore {
 /// identical by construction). Distinct buffers above [`FAN_BYTES`] are
 /// hashed across `workers` when a pool is attached; digests come back in
 /// slot order either way.
-pub(crate) fn coalesced_digests(
+fn coalesced_digests(
     slots: &[Option<Bytes>],
     workers: Option<&WorkerPool>,
 ) -> Vec<Option<u32>> {
@@ -723,9 +684,10 @@ fn corruption_or(e: Error, corrupt: &[usize]) -> Error {
 }
 
 /// Index entry frame: `varint(logical_len) ++ handle ++ crc32[shards] (4-byte
-/// LE each)`. Zero trailing bytes marks a pre-checksum (legacy) entry; any
-/// other trailing length that is not exactly `4 * shard_count` is corruption.
-pub(crate) fn encode_entry(h: &ExtentHandle, logical_len: u64, crcs: &[u32]) -> Vec<u8> {
+/// LE each)`. A checksum block of any length other than exactly
+/// `4 * shard_count` — including a missing one — is corruption: an entry
+/// without its CRCs would read back unverified.
+fn encode_entry(h: &ExtentHandle, logical_len: u64, crcs: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + h.shards.len() * 12 + crcs.len() * 4);
     common::varint::encode_u64(logical_len, &mut out);
     out.extend_from_slice(&encode_handle(h));
@@ -739,9 +701,6 @@ fn decode_entry(buf: &[u8]) -> Result<(ExtentHandle, u64, Vec<u32>)> {
     let (len, n) = common::varint::decode_u64(buf)?;
     let (handle, consumed) = decode_handle_inner(&buf[n..])?;
     let rest = &buf[n + consumed..];
-    if rest.is_empty() {
-        return Ok((handle, len, Vec::new()));
-    }
     if rest.len() != handle.shards.len() * 4 {
         return Err(Error::Corruption(format!(
             "index entry checksum block is {} bytes, want {} for {} shards",
@@ -791,7 +750,7 @@ fn decode_handle_inner(buf: &[u8]) -> Result<(ExtentHandle, usize)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use common::size::MIB;
     use common::SimClock;
@@ -812,11 +771,22 @@ mod tests {
         .unwrap()
     }
 
+    /// Key-routed append at virtual time zero, for tests (crate-wide) that
+    /// assert on content and counters rather than timing.
+    pub(crate) fn put(s: &PlogStore, key: &[u8], record: impl Into<Bytes>) -> Result<PlogAddress> {
+        s.append_to_shard_at(s.shard_of(key), record, &IoCtx::new(0)).map(|(addr, _)| addr)
+    }
+
+    /// Read-side twin of [`put`].
+    pub(crate) fn get(s: &PlogStore, addr: &PlogAddress) -> Result<Bytes> {
+        s.read_at(addr, &IoCtx::new(0)).map(|(data, _)| data)
+    }
+
     #[test]
     fn append_read_roundtrip_replicated() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
-        let addr = s.append(b"topic-a/slice-1", b"hello streamlake").unwrap();
-        assert_eq!(s.read(&addr).unwrap(), b"hello streamlake");
+        let addr = put(&s, b"topic-a/slice-1", b"hello streamlake").unwrap();
+        assert_eq!(get(&s, &addr).unwrap(), b"hello streamlake");
         assert_eq!(s.record_count(), 1);
     }
 
@@ -828,7 +798,7 @@ mod tests {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
         let payload = vec![7u8; 64 * 1024];
         let before = common::bytes::payload_copies();
-        s.append(b"hot/key", payload).unwrap();
+        put(&s, b"hot/key", payload).unwrap();
         let copies = common::bytes::payload_copies() - before;
         assert!(copies <= 1, "3-way replicated append made {copies} payload copies");
     }
@@ -836,9 +806,9 @@ mod tests {
     #[test]
     fn replicated_read_is_zero_copy() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
-        let addr = s.append(b"hot/key", vec![9u8; 32 * 1024]).unwrap();
+        let addr = put(&s, b"hot/key", vec![9u8; 32 * 1024]).unwrap();
         let before = common::bytes::payload_copies();
-        let back = s.read(&addr).unwrap();
+        let back = get(&s, &addr).unwrap();
         assert_eq!(
             common::bytes::payload_copies(),
             before,
@@ -851,44 +821,30 @@ mod tests {
     fn append_read_roundtrip_erasure_coded() {
         let s = store(Redundancy::ErasureCode { k: 3, m: 2 }, 6);
         let record = vec![42u8; 10_000];
-        let addr = s.append(b"key", &record).unwrap();
-        assert_eq!(s.read(&addr).unwrap(), record);
+        let addr = put(&s, b"key", &record).unwrap();
+        assert_eq!(get(&s, &addr).unwrap(), record);
     }
 
     #[test]
     fn survives_device_failures_up_to_ft() {
         let s = store(Redundancy::ErasureCode { k: 3, m: 2 }, 6);
         let record = b"durable payload".to_vec();
-        let addr = s.append(b"key", &record).unwrap();
+        let addr = put(&s, b"key", &record).unwrap();
         // Fail two devices — within fault tolerance.
         s.pool.device(0).fail();
         s.pool.device(1).fail();
-        assert_eq!(s.read(&addr).unwrap(), record);
+        assert_eq!(get(&s, &addr).unwrap(), record);
     }
 
     #[test]
     fn loses_data_beyond_ft() {
         let s = store(Redundancy::Replicate { copies: 2 }, 4);
-        let addr = s.append(b"key", b"fragile").unwrap();
+        let addr = put(&s, b"key", b"fragile").unwrap();
         // Fail every device holding a replica.
         for i in 0..4 {
             s.pool.device(i).fail();
         }
-        assert!(matches!(s.read(&addr), Err(Error::Unrecoverable(_))));
-    }
-
-    #[test]
-    fn repair_restores_redundancy() {
-        let s = store(Redundancy::ErasureCode { k: 2, m: 1 }, 5);
-        let record = b"repair me".to_vec();
-        let addr = s.append(b"key", &record).unwrap();
-        s.pool.device(0).fail();
-        // Degraded but readable; repair rewrites onto healthy devices.
-        s.repair(&addr).unwrap();
-        s.pool.device(0).heal();
-        // Now a different single failure must still be survivable.
-        s.pool.device(1).fail();
-        assert_eq!(s.read(&addr).unwrap(), record);
+        assert!(matches!(get(&s, &addr), Err(Error::Unrecoverable(_))));
     }
 
     #[test]
@@ -896,9 +852,9 @@ mod tests {
         let s = store(Redundancy::Replicate { copies: 1 }, 2);
         // shard_capacity is 8 MiB; append directly to one shard past it.
         let big = vec![0u8; 5 * MIB as usize];
-        s.append_to_shard(3, &big).unwrap();
+        s.append_to_shard_at(3, &big, &IoCtx::new(0)).unwrap();
         assert!(matches!(
-            s.append_to_shard(3, &big),
+            s.append_to_shard_at(3, &big, &IoCtx::new(0)),
             Err(Error::CapacityExhausted(_))
         ));
     }
@@ -908,7 +864,7 @@ mod tests {
         let s = store(Redundancy::Replicate { copies: 1 }, 2);
         for i in 0..200 {
             let key = format!("slice-{i}");
-            s.append(key.as_bytes(), &[0u8; 100]).unwrap();
+            put(&s, key.as_bytes(), &[0u8; 100]).unwrap();
         }
         let usage = s.shard_usage();
         let nonzero = usage.iter().filter(|&&u| u > 0).count();
@@ -919,9 +875,9 @@ mod tests {
     fn replication_stores_copies_ec_stores_less() {
         let logical = 30_000u64;
         let rep = store(Redundancy::Replicate { copies: 3 }, 4);
-        rep.append(b"k", &vec![1u8; logical as usize]).unwrap();
+        put(&rep, b"k", &vec![1u8; logical as usize]).unwrap();
         let ec = store(Redundancy::ErasureCode { k: 10, m: 2 }, 12);
-        ec.append(b"k", &vec![1u8; logical as usize]).unwrap();
+        put(&ec, b"k", &vec![1u8; logical as usize]).unwrap();
         assert!(rep.physical_bytes() >= 3 * logical);
         assert!(ec.physical_bytes() < 2 * logical);
     }
@@ -929,18 +885,18 @@ mod tests {
     #[test]
     fn delete_is_idempotent_and_reports_freed_bytes() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        let addr = s.append(b"k", b"bye").unwrap();
+        let addr = put(&s, b"k", b"bye").unwrap();
         assert_eq!(s.delete(&addr).unwrap(), 2 * 3); // two copies of "bye"
         assert_eq!(s.record_count(), 0);
         assert_eq!(s.physical_bytes(), 0);
         assert_eq!(s.delete(&addr).unwrap(), 0); // second delete: absent, Ok(0)
-        assert!(matches!(s.read(&addr), Err(Error::NotFound(_))));
+        assert!(matches!(get(&s, &addr), Err(Error::NotFound(_))));
     }
 
     #[test]
     fn delete_distinguishes_absent_from_undecodable() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        let addr = s.append(b"k", b"mangle me").unwrap();
+        let addr = put(&s, b"k", b"mangle me").unwrap();
         // Smash the index entry: present but undecodable is corruption, not
         // absence.
         s.index.put(addr.index_key(), vec![0xff; 3]);
@@ -962,29 +918,29 @@ mod tests {
     #[test]
     fn read_detects_bit_rot_falls_back_and_heals() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
-        let addr = s.append(b"k", b"precious payload").unwrap();
+        let addr = put(&s, b"k", b"precious payload").unwrap();
         let (dev, ext) = rot_one_replica(&s, &addr);
         // The read never returns the rotten bytes: it falls back to a clean
         // replica and writes the verified content back over the damage.
-        assert_eq!(s.read(&addr).unwrap(), b"precious payload");
+        assert_eq!(get(&s, &addr).unwrap(), b"precious payload");
         assert_eq!(s.metrics.counter("plog.corruptions_detected"), 1);
         assert_eq!(s.metrics.counter("plog.fallback_reads"), 1);
         assert_eq!(s.metrics.counter("plog.shards_healed"), 1);
         // Healed in place: the same extent now verifies clean.
-        let (raw, _) = s.pool.device(dev).read_extent(ext).unwrap();
+        let (raw, _) = s.pool.device(dev).read_extent_ctx(ext, &IoCtx::new(0)).unwrap();
         assert_eq!(raw.as_slice(), b"precious payload");
         let before = s.metrics.counter("plog.corruptions_detected");
-        assert_eq!(s.read(&addr).unwrap(), b"precious payload");
+        assert_eq!(get(&s, &addr).unwrap(), b"precious payload");
         assert_eq!(s.metrics.counter("plog.corruptions_detected"), before);
     }
 
     #[test]
     fn healed_replicated_read_stays_zero_copy_for_the_caller() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
-        let addr = s.append(b"k", vec![5u8; 16 * 1024]).unwrap();
+        let addr = put(&s, b"k", vec![5u8; 16 * 1024]).unwrap();
         rot_one_replica(&s, &addr);
         let before = common::bytes::payload_copies();
-        let back = s.read(&addr).unwrap();
+        let back = get(&s, &addr).unwrap();
         assert_eq!(
             common::bytes::payload_copies(),
             before,
@@ -996,14 +952,14 @@ mod tests {
     #[test]
     fn unrecoverable_checksum_damage_is_corruption() {
         let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        let addr = s.append(b"k", b"doomed bits").unwrap();
+        let addr = put(&s, b"k", b"doomed bits").unwrap();
         let entry = s.lookup_entry(&addr).unwrap();
         for &(dev, _) in &entry.handle.shards {
             s.pool.device(dev).corrupt_stored_byte(0, 5, 0x01).unwrap();
         }
         // Every replica checksum-fails: the caller must see Corruption, and
         // must never see the damaged bytes.
-        assert!(matches!(s.read(&addr), Err(Error::Corruption(_))));
+        assert!(matches!(get(&s, &addr), Err(Error::Corruption(_))));
         assert_eq!(s.metrics.counter("plog.corruptions_detected"), 2);
     }
 
@@ -1011,18 +967,18 @@ mod tests {
     fn ec_read_detects_bit_rot_in_a_data_shard() {
         let s = store(Redundancy::ErasureCode { k: 3, m: 2 }, 6);
         let record: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
-        let addr = s.append(b"k", &record).unwrap();
+        let addr = put(&s, b"k", &record).unwrap();
         let entry = s.lookup_entry(&addr).unwrap();
         let (dev, _) = entry.handle.shards[1];
         s.pool.device(dev).corrupt_stored_byte(0, 7, 0x80).unwrap();
-        assert_eq!(s.read(&addr).unwrap(), record, "EC must reconstruct around rot");
+        assert_eq!(get(&s, &addr).unwrap(), record, "EC must reconstruct around rot");
         assert!(s.metrics.counter("plog.corruptions_detected") >= 1);
     }
 
     #[test]
     fn verify_and_heal_reports_and_repairs() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
-        let addr = s.append(b"k", b"scrub target").unwrap();
+        let addr = put(&s, b"k", b"scrub target").unwrap();
         let clean = s.verify_and_heal(&addr, &IoCtx::new(0)).unwrap();
         assert!(clean.is_clean());
         assert_eq!(clean.shards, 3);
@@ -1038,7 +994,7 @@ mod tests {
     #[test]
     fn verify_and_heal_reencodes_around_a_dead_device() {
         let s = store(Redundancy::ErasureCode { k: 2, m: 1 }, 5);
-        let addr = s.append(b"k", b"re-place me").unwrap();
+        let addr = put(&s, b"k", b"re-place me").unwrap();
         let entry = s.lookup_entry(&addr).unwrap();
         s.pool.device(entry.handle.shards[0].0).fail();
         let h = s.verify_and_heal(&addr, &IoCtx::new(0)).unwrap();
@@ -1048,35 +1004,16 @@ mod tests {
         // failure among them is survivable.
         let now = s.lookup_entry(&addr).unwrap();
         s.pool.device(now.handle.shards[0].0).fail();
-        assert_eq!(s.read(&addr).unwrap(), b"re-place me");
-    }
-
-    #[test]
-    fn repair_loses_gracefully_to_a_concurrent_delete() {
-        // Deterministic interleaving of the historical race: delete lands in
-        // the window between repair's new-extent write and its index commit.
-        let s = store(Redundancy::ErasureCode { k: 2, m: 1 }, 5);
-        let addr = s.append(b"k", b"going away").unwrap();
-        s.pool.device(0).fail();
-        s.repair_with_hook(&addr, || {
-            s.delete(&addr).unwrap();
-        })
-        .unwrap();
-        // The record must stay deleted — repair must not resurrect it — and
-        // the repair's own extent must be rolled back, not leaked.
-        assert!(matches!(s.read(&addr), Err(Error::NotFound(_))));
-        assert_eq!(s.record_count(), 0);
-        assert_eq!(s.physical_bytes(), 0, "repair leaked its rolled-back extent");
-        assert_eq!(s.metrics.counter("plog.records_reencoded"), 0);
+        assert_eq!(get(&s, &addr).unwrap(), b"re-place me");
     }
 
     #[test]
     fn verify_and_heal_loses_gracefully_to_concurrent_delete() {
-        // Same historical race as `repair`, reached through scrub's
+        // Deterministic interleaving of the historical race on scrub's
         // re-place path: delete lands between the re-encoded extent's
         // write and the index commit.
         let s = store(Redundancy::ErasureCode { k: 2, m: 1 }, 5);
-        let addr = s.append(b"k", b"scrubbed away").unwrap();
+        let addr = put(&s, b"k", b"scrubbed away").unwrap();
         let entry = s.lookup_entry(&addr).unwrap();
         s.pool.device(entry.handle.shards[0].0).fail();
         let health = s
@@ -1087,7 +1024,7 @@ mod tests {
         assert_eq!(health.missing, 1);
         assert!(!health.reencoded, "a lost commit must not report re-encode");
         // The delete must win — no resurrection, no leaked extent.
-        assert!(matches!(s.read(&addr), Err(Error::NotFound(_))));
+        assert!(matches!(get(&s, &addr), Err(Error::NotFound(_))));
         assert_eq!(s.record_count(), 0);
         assert_eq!(s.physical_bytes(), 0, "heal leaked its rolled-back extent");
         assert_eq!(s.metrics.counter("plog.records_reencoded"), 0);
@@ -1119,29 +1056,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_untimed_append_returns_the_shard_address_space() {
-        let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        s.pool.device(1).fail();
-        s.pool.device(2).fail();
-        // One healthy device cannot hold two replicas: the pool write fails
-        // after the shard offset was already reserved.
-        let err = s.append_to_shard(0, b"doomed").unwrap_err();
-        assert!(matches!(err, Error::CapacityExhausted(_)), "{err:?}");
-        assert_eq!(s.shard_usage()[0], 0, "reserved offset must be rolled back");
-        assert_eq!(s.record_count(), 0);
-        // The shard stays usable once the pool heals.
-        s.pool.device(1).heal();
-        let addr = s.append_to_shard(0, b"ok").unwrap();
-        assert_eq!(addr.offset, 0);
-        assert_eq!(s.read(&addr).unwrap(), b"ok");
-    }
-
-    #[test]
     fn addresses_from_scans_only_the_requested_tail() {
         let s = store(Redundancy::Replicate { copies: 1 }, 2);
-        let a0 = s.append_to_shard(2, b"one").unwrap();
-        let a1 = s.append_to_shard(2, b"two").unwrap();
-        s.append_to_shard(3, b"other shard").unwrap();
+        let (a0, _) = s.append_to_shard_at(2, b"one", &IoCtx::new(0)).unwrap();
+        let (a1, _) = s.append_to_shard_at(2, b"two", &IoCtx::new(0)).unwrap();
+        s.append_to_shard_at(3, b"other shard", &IoCtx::new(0)).unwrap();
         assert_eq!(s.addresses_from(2, 0), vec![a0, a1]);
         assert_eq!(s.addresses_from(2, a0.offset + a0.len), vec![a1]);
         assert_eq!(s.addresses_from(2, a1.offset + a1.len), vec![]);
@@ -1156,7 +1075,7 @@ mod tests {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
         let n = 64 * 1024u64;
         let before = common::checksum::crc_hashed_bytes();
-        s.append(b"k", vec![3u8; n as usize]).unwrap();
+        put(&s, b"k", vec![3u8; n as usize]).unwrap();
         let hashed = common::checksum::crc_hashed_bytes() - before;
         assert!(hashed < 2 * n, "3-way replicated append hashed {hashed} bytes for {n} payload bytes");
     }
@@ -1165,9 +1084,9 @@ mod tests {
     fn verified_replicated_read_hashes_each_distinct_buffer_once() {
         let s = store(Redundancy::Replicate { copies: 3 }, 4);
         let n = 64 * 1024u64;
-        let addr = s.append(b"k", vec![4u8; n as usize]).unwrap();
+        let addr = put(&s, b"k", vec![4u8; n as usize]).unwrap();
         let before = common::checksum::crc_hashed_bytes();
-        s.read(&addr).unwrap();
+        get(&s, &addr).unwrap();
         let hashed = common::checksum::crc_hashed_bytes() - before;
         assert!(
             hashed < 2 * n,
@@ -1181,10 +1100,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_fanned_append_and_read_match_sequential_results() {
+    fn worker_fanned_append_and_read_match_inline_results() {
         // Attaching a worker pool is a host-side optimisation only: the
         // durable address, the virtual completion times and the returned
-        // bytes must be identical to the sequential path.
+        // bytes must be identical to inline execution.
         let record: Vec<u8> = (0..256 * 1024).map(|i| (i % 253) as u8).collect();
         let seq = store(Redundancy::ErasureCode { k: 3, m: 2 }, 6);
         let fan = store(Redundancy::ErasureCode { k: 3, m: 2 }, 6)
@@ -1200,19 +1119,75 @@ mod tests {
         assert_eq!(d0.as_slice(), record.as_slice());
     }
 
+    /// The two host-side executions of a stripe write: inline on the
+    /// caller's thread, and fanned across a worker pool.
+    fn both_executions(redundancy: Redundancy, devices: usize) -> [PlogStore; 2] {
+        [
+            store(redundancy, devices),
+            store(redundancy, devices).with_workers(Arc::new(WorkerPool::new(4, 5))),
+        ]
+    }
+
     #[test]
-    fn fanned_append_failure_rolls_back_extents_and_reservation() {
-        let s = store(Redundancy::Replicate { copies: 2 }, 3)
-            .with_workers(Arc::new(WorkerPool::new(4, 5)));
-        s.pool.device(1).fail();
-        s.pool.device(2).fail();
-        let err = s.append_to_shard_at(0, vec![1u8; 128 * 1024], &IoCtx::new(0)).unwrap_err();
-        assert!(matches!(err, Error::CapacityExhausted(_)), "{err:?}");
-        assert_eq!(s.shard_usage()[0], 0, "reserved offset must be rolled back");
-        assert_eq!(s.physical_bytes(), 0, "failed fanned write leaked extents");
-        s.pool.device(1).heal();
-        let (addr, _) = s.append_to_shard_at(0, vec![2u8; 128 * 1024], &IoCtx::new(0)).unwrap();
-        assert_eq!(addr.offset, 0);
+    fn unplaceable_append_returns_the_shard_address_space() {
+        for s in both_executions(Redundancy::Replicate { copies: 2 }, 3) {
+            s.pool.device(1).fail();
+            s.pool.device(2).fail();
+            // One healthy device cannot hold two replicas: placement fails
+            // after the shard offset was already reserved.
+            let err = s.append_to_shard_at(0, vec![1u8; 128 * 1024], &IoCtx::new(0)).unwrap_err();
+            assert!(matches!(err, Error::CapacityExhausted(_)), "{err:?}");
+            assert_eq!(s.shard_usage()[0], 0, "reserved offset must be rolled back");
+            assert_eq!(s.record_count(), 0);
+            assert_eq!(s.physical_bytes(), 0, "failed write leaked extents");
+            // The shard stays usable once the pool heals.
+            s.pool.device(1).heal();
+            let (addr, _) = s.append_to_shard_at(0, b"ok", &IoCtx::new(0)).unwrap();
+            assert_eq!(addr.offset, 0);
+            assert_eq!(get(&s, &addr).unwrap(), b"ok");
+        }
+    }
+
+    #[test]
+    fn mid_stripe_failure_has_one_outcome_inline_and_fanned() {
+        use common::ctx::SpanSink;
+        // Shard 2 of a 5-wide stripe hits a transiently dead device (which
+        // placement cannot see). Both executions must leave the same
+        // world behind: nothing stored, nothing reserved, the same spans
+        // recorded for the shards before the failure, the same error.
+        const FAILING_SHARD: usize = 2;
+        let record: Vec<u8> = (0..256 * 1024).map(|i| (i % 241) as u8).collect();
+        let outcomes = both_executions(Redundancy::ErasureCode { k: 3, m: 2 }, 6).map(|s| {
+            // A fresh pool ranks devices by index: shard i lands on device i.
+            s.pool.device(FAILING_SHARD).fail_until(common::clock::millis(1));
+            let sink = Arc::new(SpanSink::new(Metrics::new()));
+            let ctx = IoCtx::new(100).with_sink(Arc::clone(&sink));
+            let err = s.append_to_shard_at(1, record.clone(), &ctx).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{err:?}");
+            assert_eq!(s.physical_bytes(), 0, "placed shards must be deleted");
+            assert_eq!(s.shard_usage()[1], 0, "reservation must be returned");
+            assert_eq!(s.record_count(), 0);
+            let spans: Vec<_> =
+                sink.trail().into_iter().map(|r| (r.phase, r.start, r.duration)).collect();
+            assert_eq!(spans.len(), 2 * FAILING_SHARD, "queue + device per shard before the failure");
+            (err.to_string(), spans)
+        });
+        assert_eq!(outcomes[0], outcomes[1]);
+    }
+
+    #[test]
+    fn index_entry_without_its_crc_block_is_corruption_not_unverified_bytes() {
+        let s = store(Redundancy::Replicate { copies: 3 }, 4);
+        let addr = put(&s, b"k", b"verify me or refuse").unwrap();
+        // Chop the CRC block off the live entry: a truncated entry must not
+        // turn checksums off.
+        let key = addr.index_key();
+        let mut entry = s.index_for_tests().get(&key).unwrap();
+        entry.truncate(entry.len() - 3 * 4);
+        s.index_for_tests().put(key, entry);
+        assert!(matches!(s.read_at(&addr, &IoCtx::new(0)), Err(Error::Corruption(_))));
+        assert!(matches!(s.verify_and_heal(&addr, &IoCtx::new(0)), Err(Error::Corruption(_))));
+        assert_eq!(s.metrics.counter("plog.shards_verified"), 0, "no shard was read at all");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! virtual time, and a fault flag for failure-injection tests.
 
 use common::clock::{micros, millis, Nanos};
-use common::ctx::{IoCtx, Phase, QosClass};
-use common::{Bytes, Error, Result, SimClock};
+use common::ctx::{IoCtx, Phase};
+use common::{Bytes, Error, Result};
 use std::collections::BTreeMap;
 use common::lockwitness::TrackedMutex;
 
@@ -150,22 +150,23 @@ struct DeviceState {
 /// A simulated disk.
 ///
 /// Operations serialize on the device: each op begins at
-/// `max(now, busy_until)` and advances `busy_until` by its service time,
-/// modelling a single-queue disk. The shared clock is advanced to the
-/// completion time so callers observe end-to-end latency.
+/// `max(ctx.now, busy_until)` of its QoS lane and advances `busy_until` by
+/// its service time, modelling a single-queue disk. Virtual time comes in
+/// with each op's [`IoCtx`] and goes out as its [`OpTiming`]; the device
+/// never touches a shared clock, so ops on distinct devices issued at the
+/// same `ctx.now` overlap and the caller combines their finish times.
 #[derive(Debug)]
 pub struct Device {
     id: u64,
     kind: MediaKind,
     capacity: u64,
-    clock: SimClock,
     state: TrackedMutex<DeviceState>,
 }
 
 impl Device {
-    /// Create a device of `kind` with `capacity` bytes, charging time to `clock`.
-    pub fn new(id: u64, kind: MediaKind, capacity: u64, clock: SimClock) -> Self {
-        Device { id, kind, capacity, clock, state: TrackedMutex::new("simdisk.device.state", DeviceState::default()) }
+    /// Create a device of `kind` with `capacity` bytes.
+    pub fn new(id: u64, kind: MediaKind, capacity: u64) -> Self {
+        Device { id, kind, capacity, state: TrackedMutex::new("simdisk.device.state", DeviceState::default()) }
     }
 
     /// Device identifier (unique within its pool).
@@ -299,92 +300,6 @@ impl Device {
         self.state.lock().failed
     }
 
-    /// Write `data` as extent `extent_id` at explicit virtual time `now`,
-    /// without advancing the shared clock.
-    ///
-    /// This is the parallel-friendly variant: concurrent operations on
-    /// *different* devices issued at the same `now` overlap, and the caller
-    /// combines completion times (e.g. `max` across redundancy shards).
-    pub fn write_extent_at(
-        &self,
-        extent_id: u64,
-        data: impl Into<Bytes>,
-        now: Nanos,
-    ) -> Result<OpTiming> {
-        let data: Bytes = data.into();
-        let mut st = self.state.lock();
-        self.check_live(&mut st, now)?;
-        let old = st.extents.get(&extent_id).map_or(0, |e| e.len() as u64);
-        let len = data.len() as u64;
-        if st.used - old + len > self.capacity {
-            return Err(Error::CapacityExhausted(format!(
-                "device {}: {} + {} > {}",
-                self.id,
-                st.used,
-                data.len(),
-                self.capacity
-            )));
-        }
-        let data = self.maybe_tear(&mut st, data, now);
-        st.used = st.used - old + data.len() as u64;
-        st.extents.insert(extent_id, data);
-        st.writes += 1;
-        Ok(self.charge_at(&mut st, len, now))
-    }
-
-    /// Read extent `extent_id` at explicit virtual time `now`, without
-    /// advancing the shared clock.
-    pub fn read_extent_at(&self, extent_id: u64, now: Nanos) -> Result<(Bytes, OpTiming)> {
-        let mut st = self.state.lock();
-        self.check_live(&mut st, now)?;
-        let data = st
-            .extents
-            .get(&extent_id)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("extent {extent_id} on device {}", self.id)))?;
-        st.reads += 1;
-        let timing = self.charge_at(&mut st, data.len() as u64, now);
-        Ok((data, timing))
-    }
-
-    /// Write `data` as extent `extent_id`, replacing any previous content.
-    pub fn write_extent(&self, extent_id: u64, data: impl Into<Bytes>) -> Result<OpTiming> {
-        let data: Bytes = data.into();
-        let mut st = self.state.lock();
-        let now = self.clock.now();
-        self.check_live(&mut st, now)?;
-        let old = st.extents.get(&extent_id).map_or(0, |e| e.len() as u64);
-        let len = data.len() as u64;
-        if st.used - old + len > self.capacity {
-            return Err(Error::CapacityExhausted(format!(
-                "device {}: {} + {} > {}",
-                self.id,
-                st.used,
-                data.len(),
-                self.capacity
-            )));
-        }
-        let data = self.maybe_tear(&mut st, data, now);
-        st.used = st.used - old + data.len() as u64;
-        st.extents.insert(extent_id, data);
-        st.writes += 1;
-        Ok(self.charge(&mut st, len))
-    }
-
-    /// Read back extent `extent_id`.
-    pub fn read_extent(&self, extent_id: u64) -> Result<(Bytes, OpTiming)> {
-        let mut st = self.state.lock();
-        self.check_live(&mut st, self.clock.now())?;
-        let data = st
-            .extents
-            .get(&extent_id)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("extent {extent_id} on device {}", self.id)))?;
-        st.reads += 1;
-        let timing = self.charge(&mut st, data.len() as u64);
-        Ok((data, timing))
-    }
-
     /// Delete extent `extent_id`, freeing its space and returning the byte
     /// count reclaimed. Missing extents are a no-op (idempotent GC) that
     /// frees 0 bytes.
@@ -412,8 +327,7 @@ impl Device {
         (st.reads, st.writes)
     }
 
-    /// Write `data` as extent `extent_id` under a request context, without
-    /// advancing the shared clock.
+    /// Write `data` as extent `extent_id`, replacing any previous content.
     ///
     /// The context supplies the issue time, the QoS class used for queue
     /// placement, and the optional deadline: an op whose completion would
@@ -427,7 +341,7 @@ impl Device {
     ) -> Result<OpTiming> {
         let data: Bytes = data.into();
         let mut st = self.state.lock();
-        self.check_live_ctx(&mut st, ctx)?;
+        self.check_live(&mut st, ctx)?;
         let old = st.extents.get(&extent_id).map_or(0, |e| e.len() as u64);
         if st.used - old + data.len() as u64 > self.capacity {
             return Err(Error::CapacityExhausted(format!(
@@ -446,12 +360,11 @@ impl Device {
         Ok(timing)
     }
 
-    /// Read extent `extent_id` under a request context, without advancing
-    /// the shared clock. Deadline/QoS semantics as
+    /// Read back extent `extent_id`. Deadline/QoS semantics as
     /// [`write_extent_ctx`](Self::write_extent_ctx).
     pub fn read_extent_ctx(&self, extent_id: u64, ctx: &IoCtx) -> Result<(Bytes, OpTiming)> {
         let mut st = self.state.lock();
-        self.check_live_ctx(&mut st, ctx)?;
+        self.check_live(&mut st, ctx)?;
         let data = st
             .extents
             .get(&extent_id)
@@ -462,70 +375,33 @@ impl Device {
         Ok((data, timing))
     }
 
-    fn charge(&self, st: &mut DeviceState, bytes: u64) -> OpTiming {
-        let timing = self.charge_at(st, bytes, self.clock.now());
-        self.clock.advance_to(timing.finish);
-        timing
-    }
-
-    fn charge_at(&self, st: &mut DeviceState, bytes: u64, now: Nanos) -> OpTiming {
-        let start = self.queue_start(st, now, QosClass::Foreground);
-        self.commit_charge(st, start, bytes, QosClass::Foreground)
-    }
-
-    /// When an op of `qos` issued at `now` starts service: foreground ops
+    /// Queue admission: pick the start slot for `ctx.qos` (foreground ops
     /// wait only for the foreground lane; background/maintenance ops wait
-    /// for everything already accepted.
-    fn queue_start(&self, st: &DeviceState, now: Nanos, qos: QosClass) -> Nanos {
-        if qos.is_foreground() {
-            now.max(st.fg_busy_until)
-        } else {
-            now.max(st.busy_until)
+    /// for everything already accepted), stretch the media service time by
+    /// the gray-failure factor while that window is open, reject with
+    /// `Error::DeadlineExceeded` *before* mutating queue state when the op
+    /// cannot finish inside the deadline, then charge the queue and close
+    /// the `queue`/`device` spans.
+    fn charge_ctx(&self, st: &mut DeviceState, bytes: u64, ctx: &IoCtx) -> Result<OpTiming> {
+        let foreground = ctx.qos.is_foreground();
+        let start = ctx.now.max(if foreground { st.fg_busy_until } else { st.busy_until });
+        let degraded = start < st.degraded_until;
+        let mut service = self.kind.service_time(bytes);
+        if degraded {
+            service = service.saturating_mul(st.degrade_factor.max(1));
         }
-    }
-
-    /// Service time of an op starting at `start`: the media model, times
-    /// the gray-failure degradation factor while that window is open.
-    fn service_time_at(&self, st: &DeviceState, start: Nanos, bytes: u64) -> Nanos {
-        let base = self.kind.service_time(bytes);
-        if start < st.degraded_until {
-            base.saturating_mul(st.degrade_factor.max(1))
-        } else {
-            base
-        }
-    }
-
-    /// Accept an op: advance the queue state and return its timing.
-    fn commit_charge(
-        &self,
-        st: &mut DeviceState,
-        start: Nanos,
-        bytes: u64,
-        qos: QosClass,
-    ) -> OpTiming {
-        if start < st.degraded_until {
+        let finish = start + service;
+        ctx.check_deadline(finish)?;
+        if degraded {
             st.slow_ios += 1;
         }
-        let finish = start + self.service_time_at(st, start, bytes);
-        if qos.is_foreground() {
+        if foreground {
             st.fg_busy_until = finish;
         }
         st.busy_until = st.busy_until.max(finish);
-        OpTiming { start, finish }
-    }
-
-    /// Queue admission for a context-carrying op: pick the start slot for
-    /// `ctx.qos`, reject with `Error::DeadlineExceeded` *before* mutating
-    /// queue state when the op cannot finish inside the deadline, then
-    /// charge the queue and close the `queue`/`device` spans.
-    fn charge_ctx(&self, st: &mut DeviceState, bytes: u64, ctx: &IoCtx) -> Result<OpTiming> {
-        let start = self.queue_start(st, ctx.now, ctx.qos);
-        let finish = start + self.service_time_at(st, start, bytes);
-        ctx.check_deadline(finish)?;
-        let timing = self.commit_charge(st, start, bytes, ctx.qos);
-        ctx.record(Phase::Queue, ctx.now, start.saturating_sub(ctx.now));
-        ctx.record(Phase::Device, start, finish - start);
-        Ok(timing)
+        ctx.record(Phase::Queue, ctx.now, start - ctx.now);
+        ctx.record(Phase::Device, start, service);
+        Ok(OpTiming { start, finish })
     }
 
     /// Apply the torn-write window: a write issued inside it is acknowledged
@@ -541,30 +417,15 @@ impl Device {
         Bytes::from_vec(data.as_slice()[..keep].to_vec())
     }
 
-    fn check_live(&self, st: &mut DeviceState, at: Nanos) -> Result<()> {
-        if st.failed {
-            st.io_errors += 1;
-            return Err(Error::Io(format!("device {} failed", self.id)));
-        }
-        if at < st.failed_until {
-            st.io_errors += 1;
-            return Err(Error::Io(format!(
-                "device {} transiently unavailable until {}",
-                self.id, st.failed_until
-            )));
-        }
-        Ok(())
-    }
-
-    /// Fault/deadline precedence for context-carrying ops, kept consistent
-    /// across all of them: a budget already exhausted at issue time
-    /// (`ctx.now` past the deadline) beats fault state and returns
-    /// `Error::DeadlineExceeded`; otherwise an active fault beats deadline
-    /// math and returns retryable `Error::Io` — even when the deadline also
-    /// lands inside the fault window — so redundancy fallback and
-    /// virtual-time retry loops see the fault, and the retry loop converts
-    /// it to `DeadlineExceeded` exactly when the budget runs out.
-    fn check_live_ctx(&self, st: &mut DeviceState, ctx: &IoCtx) -> Result<()> {
+    /// Fault/deadline precedence, kept consistent across every op: a budget
+    /// already exhausted at issue time (`ctx.now` past the deadline) beats
+    /// fault state and returns `Error::DeadlineExceeded`; otherwise an
+    /// active fault beats deadline math and returns retryable `Error::Io` —
+    /// even when the deadline also lands inside the fault window — so
+    /// redundancy fallback and virtual-time retry loops see the fault, and
+    /// the retry loop converts it to `DeadlineExceeded` exactly when the
+    /// budget runs out.
+    fn check_live(&self, st: &mut DeviceState, ctx: &IoCtx) -> Result<()> {
         if let Some(d) = ctx.deadline {
             if ctx.now > d {
                 return Err(Error::DeadlineExceeded(format!(
@@ -573,18 +434,33 @@ impl Device {
                 )));
             }
         }
-        self.check_live(st, ctx.now)
+        if st.failed {
+            st.io_errors += 1;
+            return Err(Error::Io(format!("device {} failed", self.id)));
+        }
+        if ctx.now < st.failed_until {
+            st.io_errors += 1;
+            return Err(Error::Io(format!(
+                "device {} transiently unavailable until {}",
+                self.id, st.failed_until
+            )));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::ctx::QosClass;
     use common::size::MIB;
 
-    fn dev(kind: MediaKind) -> (Device, SimClock) {
-        let clock = SimClock::new();
-        (Device::new(0, kind, 64 * MIB, clock.clone()), clock)
+    fn dev(kind: MediaKind) -> Device {
+        Device::new(0, kind, 64 * MIB)
+    }
+
+    fn at(now: Nanos) -> IoCtx {
+        IoCtx::new(now)
     }
 
     #[test]
@@ -596,99 +472,87 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip_charges_time() {
-        let (d, clock) = dev(MediaKind::NvmeSsd);
-        let t0 = clock.now();
-        d.write_extent(1, b"hello").unwrap();
-        assert!(clock.now() > t0, "write must consume virtual time");
-        let (data, timing) = d.read_extent(1).unwrap();
+        let d = dev(MediaKind::NvmeSsd);
+        let w = d.write_extent_ctx(1, b"hello", &at(0)).unwrap();
+        assert!(w.finish > 0, "write must consume virtual time");
+        let (data, timing) = d.read_extent_ctx(1, &at(w.finish)).unwrap();
         assert_eq!(data, b"hello");
         assert!(timing.latency() >= MediaKind::NvmeSsd.base_latency());
     }
 
     #[test]
     fn capacity_enforced_and_overwrite_replaces() {
-        let clock = SimClock::new();
-        let d = Device::new(0, MediaKind::Scm, 10, clock);
-        d.write_extent(1, &[0u8; 8]).unwrap();
+        let d = Device::new(0, MediaKind::Scm, 10);
+        d.write_extent_ctx(1, &[0u8; 8], &at(0)).unwrap();
         assert!(matches!(
-            d.write_extent(2, &[0u8; 4]),
+            d.write_extent_ctx(2, &[0u8; 4], &at(0)),
             Err(Error::CapacityExhausted(_))
         ));
         // Overwriting extent 1 with a smaller payload frees space.
-        d.write_extent(1, &[0u8; 2]).unwrap();
+        d.write_extent_ctx(1, &[0u8; 2], &at(0)).unwrap();
         assert_eq!(d.used(), 2);
-        d.write_extent(2, &[0u8; 8]).unwrap();
+        d.write_extent_ctx(2, &[0u8; 8], &at(0)).unwrap();
         assert_eq!(d.used(), 10);
     }
 
     #[test]
     fn delete_is_idempotent_and_frees_space() {
-        let (d, _) = dev(MediaKind::Scm);
-        d.write_extent(7, &[1u8; 100]).unwrap();
+        let d = dev(MediaKind::Scm);
+        d.write_extent_ctx(7, &[1u8; 100], &at(0)).unwrap();
         assert_eq!(d.used(), 100);
         d.delete_extent(7).unwrap();
         assert_eq!(d.used(), 0);
         d.delete_extent(7).unwrap(); // no-op
-        assert!(matches!(d.read_extent(7), Err(Error::NotFound(_))));
+        assert!(matches!(d.read_extent_ctx(7, &at(0)), Err(Error::NotFound(_))));
     }
 
     #[test]
     fn failed_device_rejects_io_and_loses_data() {
-        let (d, _) = dev(MediaKind::NvmeSsd);
-        d.write_extent(1, b"data").unwrap();
+        let d = dev(MediaKind::NvmeSsd);
+        d.write_extent_ctx(1, b"data", &at(0)).unwrap();
         d.fail();
-        assert!(matches!(d.read_extent(1), Err(Error::Io(_))));
-        assert!(matches!(d.write_extent(2, b"x"), Err(Error::Io(_))));
+        assert!(matches!(d.read_extent_ctx(1, &at(0)), Err(Error::Io(_))));
+        assert!(matches!(d.write_extent_ctx(2, b"x", &at(0)), Err(Error::Io(_))));
         d.heal();
         // Data written before the failure is gone, as on a replaced disk.
-        assert!(matches!(d.read_extent(1), Err(Error::NotFound(_))));
+        assert!(matches!(d.read_extent_ctx(1, &at(0)), Err(Error::NotFound(_))));
         assert_eq!(d.used(), 0);
     }
 
     #[test]
     fn queueing_serializes_operations() {
-        let (d, clock) = dev(MediaKind::SasHdd);
-        let t1 = d.write_extent(1, &[0u8; 1024]).unwrap();
-        let t2 = d.write_extent(2, &[0u8; 1024]).unwrap();
-        assert!(t2.start >= t1.finish, "second op must wait for the first");
-        assert_eq!(clock.now(), t2.finish);
+        let d = dev(MediaKind::SasHdd);
+        let t1 = d.write_extent_ctx(1, &[0u8; 1024], &at(0)).unwrap();
+        // Issued while earlier ops are still in flight: each waits for
+        // everything already accepted on the lane.
+        let t2 = d.write_extent_ctx(2, &[0u8; 1024], &at(0)).unwrap();
+        assert_eq!(t2.start, t1.finish, "second op must wait for the first");
+        let (_, t3) = d.read_extent_ctx(1, &at(1000)).unwrap();
+        assert_eq!(t3.start, t2.finish);
     }
 
     #[test]
-    fn at_variants_do_not_advance_shared_clock() {
-        let (d, clock) = dev(MediaKind::NvmeSsd);
-        let t = d.write_extent_at(1, b"x", 1000).unwrap();
-        assert_eq!(clock.now(), 0);
-        assert!(t.start >= 1000 && t.finish > t.start);
-        let (_, t2) = d.read_extent_at(1, 0).unwrap();
-        // device is busy until t.finish, so a read issued at 0 queues
-        assert!(t2.start >= t.finish);
-        assert_eq!(clock.now(), 0);
-    }
-
-    #[test]
-    fn ops_on_different_devices_overlap_with_at() {
-        let clock = SimClock::new();
-        let a = Device::new(0, MediaKind::SasHdd, 64 * MIB, clock.clone());
-        let b = Device::new(1, MediaKind::SasHdd, 64 * MIB, clock.clone());
-        let ta = a.write_extent_at(1, &[0u8; 1024], 0).unwrap();
-        let tb = b.write_extent_at(1, &[0u8; 1024], 0).unwrap();
+    fn ops_on_different_devices_overlap() {
+        let a = Device::new(0, MediaKind::SasHdd, 64 * MIB);
+        let b = Device::new(1, MediaKind::SasHdd, 64 * MIB);
+        let ta = a.write_extent_ctx(1, &[0u8; 1024], &at(0)).unwrap();
+        let tb = b.write_extent_ctx(1, &[0u8; 1024], &at(0)).unwrap();
         assert_eq!(ta.start, 0);
         assert_eq!(tb.start, 0, "independent devices must serve in parallel");
     }
 
     #[test]
     fn op_counters_track_reads_and_writes() {
-        let (d, _) = dev(MediaKind::Scm);
-        d.write_extent(1, b"a").unwrap();
-        d.write_extent(2, b"b").unwrap();
-        d.read_extent(1).unwrap();
+        let d = dev(MediaKind::Scm);
+        d.write_extent_ctx(1, b"a", &at(0)).unwrap();
+        d.write_extent_ctx(2, b"b", &at(0)).unwrap();
+        d.read_extent_ctx(1, &at(0)).unwrap();
         assert_eq!(d.op_counts(), (1, 2));
     }
 
     #[test]
     fn foreground_bypasses_background_queue() {
-        let (d, _) = dev(MediaKind::SasHdd);
+        let d = dev(MediaKind::SasHdd);
         let bg = d
             .write_extent_ctx(1, &[0u8; MIB as usize], &IoCtx::new(0).with_qos(QosClass::Background))
             .unwrap();
@@ -706,7 +570,7 @@ mod tests {
 
     #[test]
     fn deadline_rejects_without_charging_queue() {
-        let (d, _) = dev(MediaKind::SasHdd);
+        let d = dev(MediaKind::SasHdd);
         // Saturate the foreground lane.
         let t1 = d.write_extent_ctx(1, &[0u8; MIB as usize], &IoCtx::new(0)).unwrap();
         // A queued op that cannot finish by its deadline is rejected …
@@ -720,7 +584,7 @@ mod tests {
 
     #[test]
     fn transient_fault_window_preserves_data() {
-        let (d, _) = dev(MediaKind::NvmeSsd);
+        let d = dev(MediaKind::NvmeSsd);
         d.write_extent_ctx(1, b"keep", &IoCtx::new(0)).unwrap();
         d.fail_until(millis(10));
         let before = d.read_extent_ctx(1, &IoCtx::new(millis(5)));
@@ -740,7 +604,7 @@ mod tests {
         // the deadline lands inside the fault window. Pool fallback and
         // replication retry loops depend on seeing the fault, not a
         // premature DeadlineExceeded.
-        let (d, _) = dev(MediaKind::NvmeSsd);
+        let d = dev(MediaKind::NvmeSsd);
         d.write_extent_ctx(1, b"x", &IoCtx::new(0)).unwrap();
         d.fail_until(millis(10));
         let ctx = IoCtx::new(millis(2)).with_deadline(millis(5));
@@ -754,7 +618,7 @@ mod tests {
     fn exhausted_budget_wins_over_an_active_fault() {
         // The other half of the contract: issued past the deadline, the op
         // is DeadlineExceeded regardless of the device's fault state.
-        let (d, _) = dev(MediaKind::NvmeSsd);
+        let d = dev(MediaKind::NvmeSsd);
         d.write_extent_ctx(1, b"x", &IoCtx::new(0)).unwrap();
         d.fail_until(millis(10));
         let ctx = IoCtx::new(millis(6)).with_deadline(millis(5));
@@ -771,8 +635,8 @@ mod tests {
 
     #[test]
     fn health_counts_faulted_io_and_suspect_trips() {
-        let (d, _) = dev(MediaKind::NvmeSsd);
-        d.write_extent(1, b"x").unwrap();
+        let d = dev(MediaKind::NvmeSsd);
+        d.write_extent_ctx(1, b"x", &at(0)).unwrap();
         d.fail_until(millis(10));
         assert!(!d.is_suspect());
         for t in 0..SUSPECT_FAULT_THRESHOLD {
@@ -788,50 +652,50 @@ mod tests {
 
     #[test]
     fn bit_rot_flips_exactly_one_stored_byte() {
-        let (d, _) = dev(MediaKind::NvmeSsd);
-        d.write_extent(5, vec![0u8; 64]).unwrap();
+        let d = dev(MediaKind::NvmeSsd);
+        d.write_extent_ctx(5, vec![0u8; 64], &at(0)).unwrap();
         let (ext, off) = d.corrupt_stored_byte(0, 9, 0x04).unwrap();
         assert_eq!((ext, off), (5, 9));
-        let (data, _) = d.read_extent(5).unwrap();
+        let (data, _) = d.read_extent_ctx(5, &at(0)).unwrap();
         let flipped: Vec<usize> =
             data.as_slice().iter().enumerate().filter(|(_, &b)| b != 0).map(|(i, _)| i).collect();
         assert_eq!(flipped, vec![9 % 64]);
         assert_eq!(data.as_slice()[9], 0x04);
         assert_eq!(d.health().corruptions, 0, "rot is silent until detected");
         // Rot on an empty device is a no-op, not an error.
-        let (e, _) = dev(MediaKind::NvmeSsd);
-        assert_eq!(e.corrupt_stored_byte(0, 0, 0xff), None);
+        assert_eq!(dev(MediaKind::NvmeSsd).corrupt_stored_byte(0, 0, 0xff), None);
     }
 
     #[test]
     fn torn_window_stores_a_prefix_but_acks_and_charges_fully() {
-        let (d, _) = dev(MediaKind::NvmeSsd);
+        let d = dev(MediaKind::NvmeSsd);
         d.tear_writes_until(millis(10));
-        let t = d.write_extent_at(1, vec![7u8; 1000], millis(1)).unwrap();
+        let t = d.write_extent_ctx(1, vec![7u8; 1000], &at(millis(1))).unwrap();
         let full = MediaKind::NvmeSsd.service_time(1000);
         assert_eq!(t.finish - t.start, full, "torn write still charges full length");
-        let (data, _) = d.read_extent_at(1, t.finish).unwrap();
+        let (data, _) = d.read_extent_ctx(1, &at(t.finish)).unwrap();
         assert_eq!(data.len(), 501, "only the prefix hit the media");
         assert_eq!(d.health().torn_writes, 1);
         // Outside the window writes are whole again.
-        let t2 = d.write_extent_at(2, vec![7u8; 1000], millis(10)).unwrap();
-        let (data2, _) = d.read_extent_at(2, t2.finish).unwrap();
+        let t2 = d.write_extent_ctx(2, vec![7u8; 1000], &at(millis(10))).unwrap();
+        let (data2, _) = d.read_extent_ctx(2, &at(t2.finish)).unwrap();
         assert_eq!(data2.len(), 1000);
     }
 
     #[test]
     fn gray_degradation_multiplies_service_time_and_counts_slow_ios() {
-        let (d, _) = dev(MediaKind::SasHdd);
-        let base = d.write_extent_at(1, vec![0u8; 4096], 0).unwrap();
+        let d = dev(MediaKind::SasHdd);
+        let base = d.write_extent_ctx(1, vec![0u8; 4096], &at(0)).unwrap();
         d.degrade_until(millis(100), 4);
-        let slow = d.write_extent_at(2, vec![0u8; 4096], base.finish).unwrap();
+        let slow = d.write_extent_ctx(2, vec![0u8; 4096], &at(base.finish)).unwrap();
         assert_eq!(
             slow.finish - slow.start,
             (base.finish - base.start) * 4,
             "gray window must multiply service time"
         );
         assert_eq!(d.health().slow_ios, 1);
-        let after = d.write_extent_at(3, vec![0u8; 4096], millis(100) + slow.finish).unwrap();
+        let after =
+            d.write_extent_ctx(3, vec![0u8; 4096], &at(millis(100) + slow.finish)).unwrap();
         assert_eq!(after.finish - after.start, base.finish - base.start);
     }
 
@@ -840,7 +704,7 @@ mod tests {
         use common::ctx::SpanSink;
         use common::metrics::Metrics;
         use std::sync::Arc;
-        let (d, _) = dev(MediaKind::NvmeSsd);
+        let d = dev(MediaKind::NvmeSsd);
         let sink = Arc::new(SpanSink::new(Metrics::new()));
         let ctx = IoCtx::new(0).with_sink(sink.clone());
         d.write_extent_ctx(1, &[0u8; 4096], &ctx).unwrap();

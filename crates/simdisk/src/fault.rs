@@ -286,6 +286,7 @@ mod tests {
     use super::*;
     use crate::device::MediaKind;
     use common::clock::millis;
+    use common::ctx::IoCtx;
     use common::size::MIB;
     use common::SimClock;
 
@@ -316,7 +317,7 @@ mod tests {
     #[test]
     fn injector_applies_each_event_once() {
         let p = pool(2);
-        p.device(0).write_extent(1, vec![0u8; 128]).unwrap();
+        p.device(0).write_extent_ctx(1, vec![0u8; 128], &IoCtx::new(0)).unwrap();
         let plan = FaultPlan::from_events(vec![
             FaultEvent { at: millis(1), device: 0, kind: FaultKind::BitRot { pick: 0, offset: 3, mask: 0x40 } },
             FaultEvent { at: millis(2), device: 1, kind: FaultKind::Transient { until: millis(9) } },
@@ -331,7 +332,7 @@ mod tests {
         let log = inj.log();
         assert_eq!(log.bit_rot_applied, 1);
         assert_eq!(log.transients, 1);
-        let (data, _) = p.device(0).read_extent_at(1, millis(10)).unwrap();
+        let (data, _) = p.device(0).read_extent_ctx(1, &IoCtx::new(millis(10))).unwrap();
         assert_eq!(data.as_slice()[3], 0x40, "bit rot must have landed");
     }
 

@@ -87,7 +87,7 @@ impl TieringService {
 
     /// Write sharded data under `key`; new data always lands hot.
     pub fn write(&self, key: u64, shards: &[Bytes]) -> Result<()> {
-        let handle = self.hot.write_shards(shards)?;
+        let handle = self.on_shared_timeline(|ctx| self.hot.write_shards_ctx(shards, ctx))?;
         let bytes = shards.iter().map(|s| s.len() as u64).sum();
         let mut map = self.extents.lock();
         if let Some(old) = map.insert(
@@ -107,10 +107,10 @@ impl TieringService {
             .get_mut(&key)
             .ok_or_else(|| Error::NotFound(format!("tiered extent {key}")))?;
         ext.last_access = self.clock.now();
-        let shards = self.pool_for(ext.tier).read_shards(&ext.handle);
+        let shards = self.on_shared_timeline(|ctx| self.pool_for(ext.tier).read_shards_ctx(&ext.handle, ctx))?;
         if ext.tier == Tier::Cold && self.promote_on_read {
             if let Some(full) = Self::all_present(&shards) {
-                let new_handle = self.hot.write_shards(&full)?;
+                let new_handle = self.on_shared_timeline(|ctx| self.hot.write_shards_ctx(&full, ctx))?;
                 self.cold.delete(&ext.handle);
                 ext.handle = new_handle;
                 ext.tier = Tier::Hot;
@@ -154,11 +154,14 @@ impl TieringService {
                 report.deferred += 1;
                 continue;
             }
-            let shards = self.hot.read_shards(&ext.handle);
-            let Some(full) = Self::all_present(&shards) else {
+            let Some(full) = self
+                .on_shared_timeline(|ctx| self.hot.read_shards_ctx(&ext.handle, ctx))
+                .ok()
+                .and_then(|shards| Self::all_present(&shards))
+            else {
                 continue; // degraded extent: leave for repair, not migration
             };
-            match self.cold.write_shards(&full) {
+            match self.on_shared_timeline(|ctx| self.cold.write_shards_ctx(&full, ctx)) {
                 Ok(new_handle) => {
                     report.bytes_reclaimed += self.hot.delete(&ext.handle);
                     ext.handle = new_handle;
@@ -192,6 +195,16 @@ impl TieringService {
         map.values()
             .map(|e| e.bytes as f64 * self.pool_for(e.tier).kind().cost_per_byte())
             .sum()
+    }
+
+    /// Tiering I/O runs on the shared timeline, whatever ctx the chore
+    /// runtime ticked it with: `op` gets a foreground-lane ctx minted at the
+    /// clock's current instant, and the clock is advanced to its finish.
+    fn on_shared_timeline<T>(&self, op: impl FnOnce(&IoCtx) -> Result<(T, Nanos)>) -> Result<T> {
+        // slint:allow(R10): known follow-up (DESIGN.md, request context): tiering ignores its chore ctx
+        let (out, finish) = op(&IoCtx::new(self.clock.now()))?;
+        self.clock.advance_to(finish);
+        Ok(out)
     }
 
     fn pool_for(&self, tier: Tier) -> &StoragePool {

@@ -25,9 +25,9 @@
 //! * **R6** — every `unsafe` block needs a `// SAFETY:` comment on the
 //!   same line or within the three lines above.
 //! * **R7** — outside `crates/common` and `crates/simdisk`, library code
-//!   must not call `SimClock::advance` / `advance_to` directly: upper
-//!   layers receive time through `common::ctx::IoCtx` and the `_at`
-//!   methods; only the device layer may move the shared clock.
+//!   must not call `SimClock::advance` / `advance_to` directly: every
+//!   layer receives time through `common::ctx::IoCtx` and returns finish
+//!   times; no storage operation moves the shared clock.
 //! * **R8** — background-service entry points (`run_policy`, `run_cycle`,
 //!   `run_to_convergence`, `maybe_archive`, `compact_all`) may only be
 //!   called from the owning service's own crate; everywhere else the work

@@ -166,11 +166,6 @@ impl TopicConfig {
         TopicConfig { stream_num: partitions, ..Default::default() }
     }
 
-    /// Paper-vocabulary alias for [`with_partitions`](Self::with_partitions).
-    pub fn with_streams(stream_num: u32) -> Self {
-        Self::with_partitions(stream_num)
-    }
-
     /// Number of partitions (the Fig 8 `stream_num`).
     pub fn partitions(&self) -> u32 {
         self.stream_num
@@ -326,7 +321,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let mut c = TopicConfig::with_streams(8);
+        let mut c = TopicConfig::with_partitions(8);
         c.scm_cache = true;
         c.archive.enabled = true;
         c.archive.external_archive_url = Some("s3://bucket/archive".into());

@@ -374,13 +374,12 @@ mod tests {
     use simdisk::{MediaKind, StoragePool};
 
     fn dispatcher(workers: usize) -> StreamDispatcher {
-        let clock = SimClock::new();
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
             4,
             256 * MIB,
-            clock.clone(),
+            SimClock::new(),
         ));
         let plog = Arc::new(
             PlogStore::new(
@@ -393,7 +392,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let store = Arc::new(StreamObjectStore::new(plog, 0, clock));
+        let store = Arc::new(StreamObjectStore::new(plog, 0));
         let d = StreamDispatcher::new(store);
         for i in 0..workers {
             d.register_worker(WorkerId(i as u64));

@@ -26,7 +26,7 @@ use common::clock::{Nanos, millis};
 use common::ctx::{IoCtx, QosClass};
 use common::metrics::Metrics;
 use common::{Error, ObjectId, Result};
-use plog::{GroupCommitter, PlogAddress, PlogStore, Ticket};
+use plog::{GroupCommitConfig, GroupCommitter, PlogAddress, PlogStore, Ticket};
 use simdisk::device::{Device, MediaKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +112,7 @@ pub struct StreamObject {
     slice_capacity: usize,
     scm: Option<Arc<Device>>,
     plog: Arc<PlogStore>,
-    committer: Option<Arc<GroupCommitter>>,
+    committer: Arc<GroupCommitter>,
     metrics: Metrics,
     state: TrackedMutex<ObjectState>,
 }
@@ -196,25 +196,24 @@ impl StreamObject {
             st.next_offset += 1;
             st.buffer.push(r.clone());
             if st.buffer.len() >= self.slice_capacity {
-                match &self.committer {
-                    // Batched path: every filled slice of this append joins
-                    // one group-commit submission instead of paying its own
-                    // index put; outcomes resolve in one flush below. SCM
-                    // staging keeps its per-slice early-ack path.
-                    Some(gc) if self.scm.is_none() => {
-                        let slice_records = std::mem::take(&mut st.buffer);
-                        let encoded = Record::encode_slice(&slice_records);
-                        let encoded_len = encoded.len() as u64;
-                        let ticket = gc.submit(self.shard, encoded, ctx)?;
-                        staged.push(StagedSlice {
-                            ticket,
-                            base_offset: st.buffer_base,
-                            records: slice_records,
-                            encoded_len,
-                        });
-                        st.buffer_base = st.next_offset;
-                    }
-                    _ => ack = ack.max(self.flush_locked(&mut st, ctx)?),
+                if self.scm.is_some() {
+                    // SCM staging keeps its per-slice early-ack path.
+                    ack = ack.max(self.flush_locked(&mut st, ctx)?);
+                } else {
+                    // Every filled slice of this append joins one
+                    // group-commit submission instead of paying its own
+                    // index put; outcomes resolve in one flush below.
+                    let slice_records = std::mem::take(&mut st.buffer);
+                    let encoded = Record::encode_slice(&slice_records);
+                    let encoded_len = encoded.len() as u64;
+                    let ticket = self.committer.submit(self.shard, encoded, ctx)?;
+                    staged.push(StagedSlice {
+                        ticket,
+                        base_offset: st.buffer_base,
+                        records: slice_records,
+                        encoded_len,
+                    });
+                    st.buffer_base = st.next_offset;
                 }
             }
         }
@@ -235,10 +234,9 @@ impl StreamObject {
         staged: Vec<StagedSlice>,
         ctx: &IoCtx,
     ) -> Result<Nanos> {
-        let gc: &GroupCommitter = match &self.committer {
-            Some(gc) => gc,
-            None => return Ok(ctx.now), // unreachable: callers stage only with a committer
-        };
+        // Typed binding on purpose: slint's lock-graph resolves `.flush` /
+        // `.take` by receiver type, and untyped they alias unrelated methods.
+        let gc: &GroupCommitter = &self.committer;
         gc.flush(ctx)?;
         let mut ack = ctx.now;
         let mut committed = 0u64;
@@ -479,7 +477,7 @@ impl StreamObject {
 pub struct StreamObjectStore {
     plog: Arc<PlogStore>,
     scm: Option<Arc<Device>>,
-    committer: Option<Arc<GroupCommitter>>,
+    committer: Arc<GroupCommitter>,
     metrics: Metrics,
     objects: TrackedMutex<BTreeMap<ObjectId, Arc<StreamObject>>>,
     next_id: AtomicU64,
@@ -487,25 +485,23 @@ pub struct StreamObjectStore {
 
 impl StreamObjectStore {
     /// Create a store over `plog`; `scm_capacity` provisions a shared SCM
-    /// staging device when nonzero (Set-2 hardware in §VII-C).
-    pub fn new(plog: Arc<PlogStore>, scm_capacity: u64, clock: common::SimClock) -> Self {
+    /// staging device when nonzero (Set-2 hardware in §VII-C). Filled-slice
+    /// flushes go through one group committer shared by every object of
+    /// the store: each `append_at` submits all of its filled slices as one
+    /// group-commit batch.
+    pub fn new(plog: Arc<PlogStore>, scm_capacity: u64) -> Self {
         let scm = (scm_capacity > 0)
-            .then(|| Arc::new(Device::new(u64::MAX, MediaKind::Scm, scm_capacity, clock)));
+            .then(|| Arc::new(Device::new(u64::MAX, MediaKind::Scm, scm_capacity)));
+        let committer =
+            Arc::new(GroupCommitter::new(plog.clone(), GroupCommitConfig::default()));
         StreamObjectStore {
             plog,
             scm,
-            committer: None,
+            committer,
             metrics: Metrics::new(),
             objects: TrackedMutex::new("stream.object.registry", BTreeMap::new()),
             next_id: AtomicU64::new(1),
         }
-    }
-
-    /// Route filled-slice flushes through `committer`: each `append_at`
-    /// submits all of its filled slices as one group-commit batch.
-    pub fn with_committer(mut self, committer: Arc<GroupCommitter>) -> Self {
-        self.committer = Some(committer);
-        self
     }
 
     /// Record stream counters (`stream.*`) into a shared registry.
@@ -603,13 +599,12 @@ mod tests {
     use simdisk::StoragePool;
 
     fn store(scm: bool) -> StreamObjectStore {
-        let clock = SimClock::new();
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
             4,
             256 * MIB,
-            clock.clone(),
+            SimClock::new(),
         ));
         let plog = Arc::new(
             PlogStore::new(
@@ -622,7 +617,7 @@ mod tests {
             )
             .unwrap(),
         );
-        StreamObjectStore::new(plog, if scm { 16 * MIB } else { 0 }, clock)
+        StreamObjectStore::new(plog, if scm { 16 * MIB } else { 0 })
     }
 
     fn at(t: Nanos) -> IoCtx {
@@ -780,63 +775,44 @@ mod tests {
         assert_eq!(got.len(), 3);
     }
 
-    fn batched_store() -> StreamObjectStore {
-        let clock = SimClock::new();
-        let pool = Arc::new(StoragePool::new(
-            "ssd",
-            MediaKind::NvmeSsd,
-            4,
-            256 * MIB,
-            clock.clone(),
-        ));
-        let plog = Arc::new(
-            PlogStore::new(
-                pool,
-                PlogConfig {
-                    shard_count: 8,
-                    redundancy: Redundancy::Replicate { copies: 2 },
-                    shard_capacity: 64 * MIB,
-                },
-            )
-            .unwrap(),
-        );
-        let committer = Arc::new(GroupCommitter::new(
-            plog.clone(),
-            plog::GroupCommitConfig::default(),
-        ));
-        StreamObjectStore::new(plog, 0, clock).with_committer(committer)
-    }
-
     #[test]
     fn batched_append_matches_per_slice_appends() {
-        // Same records, same virtual arrival: the group-committed object
-        // must produce identical slices, acks and read results — while
-        // paying one index WAL frame for the whole append instead of one
-        // per slice.
-        let plain = store(false);
-        let batched = batched_store();
-        let o1 = plain.create(CreateOptions { slice_capacity: 8, ..Default::default() }).unwrap();
-        let o2 = batched.create(CreateOptions { slice_capacity: 8, ..Default::default() }).unwrap();
+        // Same slices, same virtual arrival: the object's group-committed
+        // append must produce exactly the addresses and ack a twin PLog
+        // sees from one `append_to_shard_at` per slice — while paying one
+        // index WAL frame for the whole append instead of one per slice.
+        let batched = store(false);
+        let twin = store(false);
+        let obj = batched.create(CreateOptions { slice_capacity: 8, ..Default::default() }).unwrap();
+        let records = recs(24, 0);
+        let mut expected_ack = 0;
+        let mut expected_addrs = Vec::new();
+        for slice in records.chunks(8) {
+            let (addr, finish) = twin
+                .plog()
+                .append_to_shard_at(obj.shard(), Record::encode_slice(slice), &at(0))
+                .unwrap();
+            expected_addrs.push(addr);
+            expected_ack = finish.max(expected_ack);
+        }
         let frames_before = batched.plog().index_for_tests().wal_frames();
-        let a1 = o1.append_at(&recs(24, 0), &at(0)).unwrap();
-        let a2 = o2.append_at(&recs(24, 0), &at(0)).unwrap();
-        assert_eq!(a1, a2, "batched ack must match the per-slice ack exactly");
-        assert_eq!(o2.slice_count(), 3);
+        let ack = obj.append_at(&records, &at(0)).unwrap();
+        assert_eq!(ack, AppendAck { base_offset: Some(0), ack_time: expected_ack });
+        assert_eq!(batched.plog().addresses(), expected_addrs);
+        assert_eq!(obj.slice_count(), 3);
         assert_eq!(
             batched.plog().index_for_tests().wal_frames() - frames_before,
             1,
             "three filled slices must commit under one index WAL frame"
         );
         assert_eq!(batched.metrics.counter("stream.batched_appends"), 3);
-        let (r1, t1) = o1.read_at(0, ReadCtrl::default(), &at(a1.ack_time)).unwrap();
-        let (r2, t2) = o2.read_at(0, ReadCtrl::default(), &at(a2.ack_time)).unwrap();
-        assert_eq!(r1, r2);
-        assert_eq!(t1, t2);
+        let (got, _) = obj.read_at(0, ReadCtrl::default(), &at(ack.ack_time)).unwrap();
+        assert_eq!(got.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), records);
     }
 
     #[test]
     fn failed_batched_append_restores_the_buffer() {
-        let s = batched_store();
+        let s = store(false);
         let obj = s.create(CreateOptions { slice_capacity: 4, ..Default::default() }).unwrap();
         for d in 1..4 {
             s.plog().pool_for_tests().device(d).fail();

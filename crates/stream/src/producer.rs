@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn batching_flushes_at_threshold() {
         let svc = test_service(1, false);
-        svc.create_topic("t", TopicConfig::with_streams(1)).unwrap();
+        svc.create_topic("t", TopicConfig::with_partitions(1)).unwrap();
         let mut p = svc.producer();
         p.set_batch_size(4);
         for i in 0..3 {
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn explicit_flush_delivers_partial_batches() {
         let svc = test_service(1, false);
-        svc.create_topic("t", TopicConfig::with_streams(2)).unwrap();
+        svc.create_topic("t", TopicConfig::with_partitions(2)).unwrap();
         let mut p = svc.producer();
         p.set_batch_size(100);
         for i in 0..10 {
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn records_carry_monotonic_sequences() {
         let svc = test_service(1, false);
-        svc.create_topic("t", TopicConfig::with_streams(1)).unwrap();
+        svc.create_topic("t", TopicConfig::with_partitions(1)).unwrap();
         let mut p = svc.producer();
         p.set_batch_size(1);
         for _ in 0..5 {

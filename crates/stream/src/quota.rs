@@ -1,83 +1,51 @@
 //! Per-partition rate limiting.
 //!
 //! "The quota configuration sets the maximum processing rate for each
-//! stream" (§V-A). A token bucket over virtual time: capacity of one
-//! second's worth of tokens, refilled continuously.
-//!
-//! Arithmetic is exact: the bucket holds **nano-tokens** (one token =
-//! 10⁹ nano-tokens) in integers, and an elapsed span of `e` nanoseconds at
-//! `rate` tokens/second refills exactly `e × rate` nano-tokens — no
-//! floating point anywhere, so the same admission schedule produces the
-//! same decisions byte for byte on every run and every platform (a unit
-//! test pins this).
+//! stream" (§V-A): a [`NanoBucket`] over virtual time with a burst of one
+//! second's worth of tokens. The bucket's integer nano-token arithmetic
+//! makes the same admission schedule produce the same decisions byte for
+//! byte on every run and every platform (a unit test below pins this).
 
-use common::clock::Nanos;
+use common::bucket::NanoBucket;
+use common::clock::secs;
 use common::ctx::IoCtx;
 use common::{Error, Result};
-
-/// Nano-tokens per token: refill math stays in integers because
-/// `tokens/sec × elapsed_ns` *is* the nano-token count.
-const NANO: u128 = 1_000_000_000;
 
 /// Token-bucket limiter: at most `rate` messages per virtual second, with a
 /// burst of one second's allowance.
 #[derive(Debug)]
 pub struct QuotaLimiter {
-    rate_per_sec: u64,
-    /// Current allowance in nano-tokens; capacity is `rate_per_sec × NANO`.
-    nano_tokens: u128,
-    last_refill: Nanos,
+    bucket: NanoBucket,
 }
 
 impl QuotaLimiter {
     /// A limiter admitting `rate_per_sec` messages per second.
     pub fn new(rate_per_sec: u64) -> Self {
-        QuotaLimiter {
-            rate_per_sec,
-            nano_tokens: rate_per_sec as u128 * NANO,
-            last_refill: 0,
-        }
+        QuotaLimiter { bucket: NanoBucket::new(rate_per_sec, secs(1)) }
     }
 
     /// Configured rate.
     pub fn rate(&self) -> u64 {
-        self.rate_per_sec
+        self.bucket.rate()
     }
 
     /// Try to admit `n` messages at `ctx`'s virtual time; returns
     /// `QuotaExceeded` when the bucket is empty.
     pub fn try_acquire(&mut self, n: u64, ctx: &IoCtx) -> Result<()> {
-        self.refill(ctx.now);
-        let need = n as u128 * NANO;
-        if self.nano_tokens >= need {
-            self.nano_tokens -= need;
-            Ok(())
-        } else {
-            Err(Error::QuotaExceeded(format!(
+        self.bucket.try_acquire(n, ctx.now).map_err(|_wait| {
+            Error::QuotaExceeded(format!(
                 "requested {n}, {} tokens available at rate {}/s",
-                self.nano_tokens / NANO,
-                self.rate_per_sec
-            )))
-        }
-    }
-
-    fn refill(&mut self, t: Nanos) {
-        if t <= self.last_refill {
-            return;
-        }
-        let elapsed = (t - self.last_refill) as u128;
-        let cap = self.rate_per_sec as u128 * NANO;
-        // Exact: elapsed ns × (rate tokens/s) = elapsed × rate nano-tokens.
-        self.nano_tokens = (self.nano_tokens + elapsed * self.rate_per_sec as u128).min(cap);
-        self.last_refill = t;
+                self.bucket.available(),
+                self.bucket.rate()
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::clock::{millis, secs};
-    use common::ctx::IoCtx;
+    use common::clock::{millis, Nanos};
 
     #[test]
     fn admits_up_to_burst_then_rejects() {

@@ -22,7 +22,7 @@ use common::id::IdGen;
 use common::metrics::Metrics;
 use common::{Error, Result, SimClock, WorkerId};
 use kvstore::MvccStore;
-use plog::{GroupCommitConfig, GroupCommitter, PlogStore};
+use plog::PlogStore;
 use simdisk::{Bus, Transport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -82,14 +82,8 @@ impl StreamService {
     /// Build a service over an existing PLog store.
     pub fn new(plog: Arc<PlogStore>, clock: SimClock, opts: StreamServiceOptions) -> Arc<Self> {
         let metrics = Metrics::new();
-        let committer = Arc::new(GroupCommitter::new(
-            plog.clone(),
-            GroupCommitConfig::default(),
-        ));
         let objects = Arc::new(
-            StreamObjectStore::new(plog, opts.scm_capacity, clock.clone())
-                .with_committer(committer)
-                .with_metrics(metrics.clone()),
+            StreamObjectStore::new(plog, opts.scm_capacity).with_metrics(metrics.clone()),
         );
         let dispatcher = Arc::new(StreamDispatcher::with_metrics(
             objects.clone(),

@@ -213,13 +213,12 @@ mod tests {
     use simdisk::{MediaKind, StoragePool};
 
     fn object_store() -> StreamObjectStore {
-        let clock = SimClock::new();
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
             4,
             256 * MIB,
-            clock.clone(),
+            SimClock::new(),
         ));
         let plog = Arc::new(
             PlogStore::new(
@@ -232,7 +231,7 @@ mod tests {
             )
             .unwrap(),
         );
-        StreamObjectStore::new(plog, 0, clock)
+        StreamObjectStore::new(plog, 0)
     }
 
     fn txn_record(txn: TxnId, v: &[u8]) -> Record {

@@ -169,7 +169,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let store = StreamObjectStore::new(plog, 0, clock.clone());
+        let store = StreamObjectStore::new(plog, 0);
         let obj = store
             .create(CreateOptions { slice_capacity: 8, ..Default::default() })
             .unwrap();

@@ -15,7 +15,7 @@ fn main() {
 
     // --- message streaming (the Fig 7 API shape) -----------------------
     sl.stream()
-        .create_topic("topic_streamlake_test", stream::TopicConfig::with_streams(3))
+        .create_topic("topic_streamlake_test", stream::TopicConfig::with_partitions(3))
         .expect("create topic");
 
     let mut producer = sl.producer();

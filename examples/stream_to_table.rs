@@ -20,7 +20,7 @@ fn main() {
     let sl = StreamLake::new(StreamLakeConfig::small());
 
     // Topic with the Fig 8 conversion configuration (scaled down).
-    let mut cfg = stream::TopicConfig::with_streams(2);
+    let mut cfg = stream::TopicConfig::with_partitions(2);
     cfg.convert_2_table = ConvertToTable {
         table_schema: vec!["url:utf8".into(), "start_time:int64".into()],
         table_path: "/tables/tb_dpi_log_hours".into(),

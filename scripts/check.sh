@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The end-to-end benchmark is a package of its own (outside the workspace)
+# built against this repo's public API: build it so API drift fails here,
+# not in the benchmark driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Chaos suite: seeded fault schedules (bit-rot, deaths, torn writes, gray
 # failure) against the PLog stack — detection, scrub convergence, replay
 # determinism and the zero-copy healed-read guard. Includes the 8-seed sweep

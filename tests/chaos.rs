@@ -210,7 +210,7 @@ fn full_stack_deployment_detects_heals_and_reports() {
 
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
-        .create_topic("chaos-topic", stream::TopicConfig::with_streams(2))
+        .create_topic("chaos-topic", stream::TopicConfig::with_partitions(2))
         .unwrap();
     let ctx = sl.root_ctx(QosClass::Foreground);
     let mut p = sl.producer();

@@ -14,7 +14,7 @@ fn system() -> StreamLake {
 fn per_stream_order_is_strict() {
     let sl = system();
     sl.stream()
-        .create_topic("t", stream::TopicConfig::with_streams(4))
+        .create_topic("t", stream::TopicConfig::with_partitions(4))
         .unwrap();
     let mut p = sl.producer();
     p.set_batch_size(7); // batching must not reorder
@@ -38,7 +38,7 @@ fn per_stream_order_is_strict() {
 fn duplicate_producer_batches_are_dropped() {
     let sl = system();
     sl.stream()
-        .create_topic("t", stream::TopicConfig::with_streams(1))
+        .create_topic("t", stream::TopicConfig::with_partitions(1))
         .unwrap();
     let route = sl.stream().dispatcher().route("t", b"k").unwrap();
     let object = sl.stream().dispatcher().object_of(&route).unwrap();
@@ -63,10 +63,10 @@ fn duplicate_producer_batches_are_dropped() {
 fn exactly_once_across_two_topics() {
     let sl = system();
     sl.stream()
-        .create_topic("orders", stream::TopicConfig::with_streams(1))
+        .create_topic("orders", stream::TopicConfig::with_partitions(1))
         .unwrap();
     sl.stream()
-        .create_topic("payments", stream::TopicConfig::with_streams(1))
+        .create_topic("payments", stream::TopicConfig::with_partitions(1))
         .unwrap();
 
     // committed transaction: both sides visible
@@ -100,7 +100,7 @@ fn exactly_once_across_two_topics() {
 fn rescaling_workers_loses_no_messages() {
     let sl = system();
     sl.stream()
-        .create_topic("t", stream::TopicConfig::with_streams(6))
+        .create_topic("t", stream::TopicConfig::with_partitions(6))
         .unwrap();
     let mut p = sl.producer();
     for i in 0..120 {
@@ -123,7 +123,7 @@ fn rescaling_workers_loses_no_messages() {
 fn consumer_group_resume_is_exactly_once_per_group() {
     let sl = system();
     sl.stream()
-        .create_topic("t", stream::TopicConfig::with_streams(2))
+        .create_topic("t", stream::TopicConfig::with_partitions(2))
         .unwrap();
     let mut p = sl.producer();
     for i in 0..50 {

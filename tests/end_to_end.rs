@@ -35,7 +35,7 @@ fn convert_all(sl: &StreamLake, topic: &str, table: &str, now: u64) -> u64 {
 fn stream_to_table_to_query_lifecycle() {
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
-        .create_topic("dpi", stream::TopicConfig::with_streams(3))
+        .create_topic("dpi", stream::TopicConfig::with_partitions(3))
         .unwrap();
     sl.tables()
         .create_table(
@@ -185,7 +185,7 @@ fn archive_then_playback_preserves_messages() {
             row_2_col: false,
             enabled: true,
         },
-        ..stream::TopicConfig::with_streams(1)
+        ..stream::TopicConfig::with_partitions(1)
     };
     sl.stream().create_topic("t", cfg).unwrap();
     let mut gen = PacketGen::new(11, T0, 500);

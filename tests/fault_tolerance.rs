@@ -1,12 +1,12 @@
 //! Failure injection across the stack: device loss under replication and
-//! erasure coding, repair, and WAL-backed metadata recovery.
+//! erasure coding, scrub re-placement, and WAL-backed metadata recovery.
 
 use common::ctx::IoCtx;
 use common::size::MIB;
 use common::SimClock;
 use ec::Redundancy;
 use kvstore::KvStore;
-use plog::{PlogConfig, PlogStore};
+use plog::{PlogAddress, PlogConfig, PlogStore};
 use simdisk::{MediaKind, StoragePool};
 use std::sync::Arc;
 use streamlake::{StreamLake, StreamLakeConfig};
@@ -28,39 +28,49 @@ fn plog_on(devices: usize, redundancy: Redundancy) -> (Arc<StoragePool>, PlogSto
     (pool, plog)
 }
 
+/// Key-routed append at virtual time zero.
+fn put(plog: &PlogStore, key: &[u8], record: &[u8]) -> PlogAddress {
+    plog.append_to_shard_at(plog.shard_of(key), record, &IoCtx::new(0)).unwrap().0
+}
+
+fn get(plog: &PlogStore, addr: &PlogAddress) -> common::Result<common::Bytes> {
+    plog.read_at(addr, &IoCtx::new(0)).map(|(data, _)| data)
+}
+
 #[test]
-fn erasure_coded_data_survives_m_failures_and_repair_restores_margin() {
+fn erasure_coded_data_survives_m_failures_and_heal_restores_margin() {
     let (pool, plog) = plog_on(8, Redundancy::ErasureCode { k: 4, m: 2 });
     let payload = vec![0xABu8; 100_000];
-    let addr = plog.append(b"important", &payload).unwrap();
+    let addr = put(&plog, b"important", &payload);
 
     // lose exactly m devices
     pool.device(0).fail();
     pool.device(1).fail();
-    assert_eq!(plog.read(&addr).unwrap(), payload);
+    assert_eq!(get(&plog, &addr).unwrap(), payload);
 
-    // repair onto the surviving devices, then heal and fail two OTHERS
-    plog.repair(&addr).unwrap();
+    // re-place onto the surviving devices, then heal and fail two OTHERS
+    let health = plog.verify_and_heal(&addr, &IoCtx::new(0)).unwrap();
+    assert!(health.reencoded, "missing shards must force a re-place: {health:?}");
     pool.device(0).heal();
     pool.device(1).heal();
     pool.device(2).fail();
     pool.device(3).fail();
     assert_eq!(
-        plog.read(&addr).unwrap(),
+        get(&plog, &addr).unwrap(),
         payload,
-        "post-repair data must tolerate fresh failures"
+        "post-heal data must tolerate fresh failures"
     );
 }
 
 #[test]
 fn replication_loses_data_only_when_all_copies_fail() {
     let (pool, plog) = plog_on(3, Redundancy::Replicate { copies: 3 });
-    let addr = plog.append(b"k", b"three copies").unwrap();
+    let addr = put(&plog, b"k", b"three copies");
     pool.device(0).fail();
     pool.device(1).fail();
-    assert_eq!(plog.read(&addr).unwrap(), b"three copies");
+    assert_eq!(get(&plog, &addr).unwrap(), b"three copies");
     pool.device(2).fail();
-    assert!(plog.read(&addr).is_err());
+    assert!(get(&plog, &addr).is_err());
 }
 
 #[test]
@@ -110,7 +120,7 @@ fn kv_store_recovers_committed_state_from_wal_bytes() {
 fn stream_consumption_survives_failures_within_tolerance() {
     let sl = StreamLake::new(StreamLakeConfig::small()); // 2-way replication
     sl.stream()
-        .create_topic("t", stream::TopicConfig::with_streams(2))
+        .create_topic("t", stream::TopicConfig::with_partitions(2))
         .unwrap();
     let mut p = sl.producer();
     for i in 0..100 {

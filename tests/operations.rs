@@ -91,11 +91,11 @@ fn remote_replication_recovers_from_total_site_loss() {
     // a day's worth of appended records
     let mut addrs = Vec::new();
     for i in 0..50 {
-        addrs.push(
-            primary
-                .append(format!("rec-{i}").as_bytes(), format!("payload-{i}").as_bytes())
-                .unwrap(),
-        );
+        let shard = primary.shard_of(format!("rec-{i}").as_bytes());
+        let (addr, _) = primary
+            .append_to_shard_at(shard, format!("payload-{i}").into_bytes(), &IoCtx::new(0))
+            .unwrap();
+        addrs.push(addr);
     }
     let replicator = RemoteReplicator::new(primary.clone(), remote);
     let report = replicator.run(&IoCtx::new(0)).unwrap();

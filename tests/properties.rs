@@ -83,7 +83,7 @@ fn stream_delivery_is_complete_and_ordered_for_any_batching() {
         .run(&strategy, |(streams, batch, messages)| {
             let sl = StreamLake::new(StreamLakeConfig::small());
             sl.stream()
-                .create_topic("t", stream::TopicConfig::with_streams(streams as u32))
+                .create_topic("t", stream::TopicConfig::with_partitions(streams as u32))
                 .unwrap();
             let mut producer = sl.producer();
             producer.set_batch_size(batch);
@@ -222,7 +222,7 @@ fn single_failure_never_loses_acked_messages() {
         .run(&strategy, |(victim, messages)| {
             let sl = StreamLake::new(StreamLakeConfig::small());
             sl.stream()
-                .create_topic("t", stream::TopicConfig::with_streams(2))
+                .create_topic("t", stream::TopicConfig::with_partitions(2))
                 .unwrap();
             let mut producer = sl.producer();
             producer.set_batch_size(16);
