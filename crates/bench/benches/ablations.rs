@@ -47,13 +47,14 @@ fn bench_meta_flush_threshold(c: &mut Criterion) {
                     .unwrap(),
                 );
                 let store = lake::TableStore::new(plog, threshold);
+                let ctx = common::ctx::IoCtx::new(0);
                 store
-                    .create_table("t", workloads::packets::PacketGen::schema(), None, 10_000, 0)
+                    .create_table("t", workloads::packets::PacketGen::schema(), None, 10_000, &ctx)
                     .unwrap();
                 let mut gen = workloads::packets::PacketGen::new(1, 0, 1000);
                 for _ in 0..100 {
                     let rows: Vec<_> = gen.batch(5).iter().map(|p| p.to_row()).collect();
-                    store.insert("t", &rows, 0).unwrap();
+                    store.insert("t", &rows, &ctx).unwrap();
                 }
                 store
             })
@@ -109,9 +110,8 @@ fn bench_transports(c: &mut Criterion) {
                 let mut p = sl.producer();
                 let mut last = 0u64;
                 for i in 0..2_000u64 {
-                    if let Some(ack) =
-                        p.send("t", format!("k{i}"), vec![0u8; 512], i * 1_000).unwrap()
-                    {
+                    let ctx = common::ctx::IoCtx::new(i * 1_000);
+                    if let Some(ack) = p.send("t", format!("k{i}"), vec![0u8; 512], &ctx).unwrap() {
                         last = last.max(ack.ack_time);
                     }
                 }

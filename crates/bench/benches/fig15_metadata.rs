@@ -23,7 +23,7 @@ fn bench_metadata(c: &mut Criterion) {
                 testbed
                     .sl
                     .tables()
-                    .select("dpi_hours", &opts, i * common::clock::secs(100))
+                    .select("dpi_hours", &opts, &common::ctx::IoCtx::new(i * common::clock::secs(100)))
                     .unwrap()
             })
         });

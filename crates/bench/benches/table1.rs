@@ -17,8 +17,9 @@ fn bench_pipelines(c: &mut Criterion) {
                 let pipeline = streamlake::StreamLakePipeline::new(streamlake::StreamLake::new(
                     streamlake::StreamLakeConfig::evaluation(),
                 ));
+                let ctx = common::ctx::IoCtx::new(0);
                 pipeline
-                    .run(&packets, &url, bench::table1::T0, bench::table1::T0 + 86_400, 0)
+                    .run(&packets, &url, bench::table1::T0, bench::table1::T0 + 86_400, &ctx)
                     .unwrap()
             },
             BatchSize::LargeInput,

@@ -271,15 +271,31 @@ mod tests {
         let url = packets[0].url.clone();
         sl.sync(&sl.root_ctx(common::ctx::QosClass::Foreground)).unwrap(); // baseline needs persisted metadata files
         let q = Query::dau("dpi", &url, T0, T0 + 2);
-        // evaluate both at quiet, distinct virtual instants so device queues
-        // from loading have drained
-        let fast = QueryEngine::new()
-            .execute(sl.tables(), &q, &IoCtx::new(common::clock::secs(100)))
-            .unwrap();
-        let slow = QueryEngine::baseline()
-            .execute(sl.tables(), &q, &IoCtx::new(common::clock::secs(200)))
-            .unwrap();
-        assert_eq!(fast.groups, slow.groups, "pushdown must not change answers");
+        // Every pushdown × metadata-mode engine, each at a quiet, distinct
+        // virtual instant so device queues from loading have drained. The
+        // scan accounting is pinned to what the forked (pre-PR-13) scan loop
+        // charged: (files_scanned, bytes_scanned, metadata_time, data_time).
+        let engines = [
+            (QueryEngine::new(), (1, 554_255, 4_000, 338_095)),
+            (QueryEngine { pushdown: false, ..QueryEngine::new() }, (1, 554_255, 4_000, 338_095)),
+            (QueryEngine { pushdown: true, ..QueryEngine::baseline() }, (1, 554_255, 566_889, 338_095)),
+            (QueryEngine::baseline(), (1, 554_255, 566_889, 338_095)),
+        ];
+        let mut outs = Vec::new();
+        for (i, (engine, pinned)) in engines.iter().enumerate() {
+            let at = IoCtx::new(common::clock::secs(100 * (i as u64 + 1)));
+            let out = engine.execute(sl.tables(), &q, &at).unwrap();
+            let s = out.scan;
+            assert_eq!(
+                (s.files_scanned, s.bytes_scanned, s.metadata_time, s.data_time),
+                *pinned,
+                "engine {i}"
+            );
+            outs.push(out);
+        }
+        assert!(!outs[0].groups.is_empty());
+        assert!(outs.iter().all(|o| o.groups == outs[0].groups), "pushdown must not change answers");
+        let (fast, slow) = (&outs[0], &outs[3]);
         assert!(
             fast.elapsed < slow.elapsed,
             "pushdown {} must beat baseline {}",

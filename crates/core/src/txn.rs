@@ -9,20 +9,21 @@
 //! Mechanically both sides share one [`MvccStore`] transaction: stream
 //! participants are `s/` intents, the staged table metadata are `lake/`
 //! intents, and the single durable record flip in
-//! [`Transaction::decide`] is the commit point for both. A coordinator
-//! crash between decide and resolve is repaired by
-//! [`StreamLake::recover_transactions`], which replays the surviving
-//! intents — flipping stream visibility and republishing table metadata —
-//! before resolving them.
+//! [`Transaction::decide`] is the commit point for both. From there a
+//! transaction can only *roll forward*, and one function does it: the
+//! transaction's surviving intents are read back, the table side publishes
+//! the commits they carry, the stream side flips the participants they
+//! name, and the intents resolve. [`Transaction::resolve`] and — after a
+//! coordinator crash between decide and resolve —
+//! [`StreamLake::recover_transactions`] enter that same function.
 //!
 //! [`MvccStore`]: kvstore::MvccStore
 
 use crate::system::StreamLake;
 use common::ctx::IoCtx;
-use common::{Error, ObjectId, Result, TxnId};
+use common::{Error, Result, TxnId};
 use format::Row;
 use lake::{CommitInfo, StagedTableCommit};
-use stream::txn::{participant_object, PARTICIPANT_PREFIX};
 use stream::Producer;
 
 /// What [`StreamLake::recover_transactions`] repaired.
@@ -61,46 +62,35 @@ impl StreamLake {
         }
     }
 
-    /// Crash recovery for cross-subsystem transactions: replay every
-    /// decided transaction's intents (stream visibility flips, table
-    /// metadata publication) and resolve them; abort and clean every
-    /// orphaned pending transaction. Idempotent — after it returns, no
-    /// transaction is half-visible and no orphaned intent survives.
+    /// Roll a decided transaction forward from its surviving intents
+    /// (`writes`, all it needs): publish the table commits they carry,
+    /// flip the stream participants they name, resolve them. Every step is
+    /// idempotent, so a crash anywhere in here is repaired by running it
+    /// again.
+    fn roll_forward(
+        &self,
+        txn: TxnId,
+        writes: &[(Vec<u8>, Option<Vec<u8>>)],
+        ctx: &IoCtx,
+    ) -> Result<Vec<CommitInfo>> {
+        let infos = self.tables().publish(writes, ctx)?;
+        self.stream().txns().resolve(txn, writes)?;
+        Ok(infos)
+    }
+
+    /// Crash recovery for cross-subsystem transactions: roll every decided
+    /// transaction forward (the same function a live
+    /// [`Transaction::resolve`] runs); abort and clean every orphaned
+    /// pending transaction. Idempotent — after it returns, no transaction
+    /// is half-visible and no orphaned intent survives.
     pub fn recover_transactions(&self, ctx: &IoCtx) -> Result<TxnRecoveryReport> {
         let mut report = TxnRecoveryReport::default();
         for d in self.mvcc().decided()? {
-            for (key, value) in &d.writes {
-                if key.starts_with(PARTICIPANT_PREFIX) {
-                    let Some(obj) = value.as_deref().and_then(participant_object) else {
-                        continue;
-                    };
-                    if let Ok(o) = self.stream().objects().get(ObjectId(obj)) {
-                        o.commit_txn(d.txn); // idempotent flip
-                    }
-                } else if key.starts_with(lake::table::COMMIT_KEY_PREFIX.as_bytes())
-                    || key.starts_with(lake::table::HEAD_KEY_PREFIX.as_bytes())
-                    || key.starts_with(lake::table::LIVE_KEY_PREFIX.as_bytes())
-                {
-                    self.tables().apply_resolution(key, value.as_deref(), ctx)?;
-                }
-            }
-            self.mvcc().resolve_committed(d.txn)?;
-            self.stream().txns().forget(TxnId(d.txn));
+            self.roll_forward(TxnId(d.txn), &d.writes, ctx)?;
             report.committed_replayed += 1;
         }
         for p in self.mvcc().orphan_pending()? {
-            for key in &p.writes {
-                // The participant key embeds the object id in its tail.
-                if key.starts_with(PARTICIPANT_PREFIX) && key.len() >= 8 {
-                    if let Some(obj) = participant_object(&key[key.len() - 8..]) {
-                        if let Ok(o) = self.stream().objects().get(ObjectId(obj)) {
-                            o.abort_txn(p.txn); // idempotent flip
-                        }
-                    }
-                }
-            }
-            self.mvcc().abort(p.txn)?;
-            self.stream().txns().forget(TxnId(p.txn));
+            self.stream().txns().abort_orphan(TxnId(p.txn), &p.writes)?;
             report.aborted_cleaned += 1;
         }
         Ok(report)
@@ -133,7 +123,7 @@ impl Transaction<'_> {
     /// table per transaction.
     pub fn insert(&mut self, table: &str, rows: &[Row], ctx: &IoCtx) -> Result<()> {
         self.check_open()?;
-        if self.staged.iter().any(|s| s.table() == table) {
+        if self.staged.iter().any(|s| s.table == table) {
             return Err(Error::InvalidArgument(format!(
                 "transaction {} already stages a commit for table {table}",
                 self.id
@@ -171,9 +161,11 @@ impl Transaction<'_> {
         }
     }
 
-    /// Phase 2: publish staged table commits, flip stream participant
-    /// visibility, and resolve all intents. Requires a prior successful
-    /// [`decide`](Self::decide).
+    /// Phase 2: roll the decided transaction forward — publish staged
+    /// table commits, flip stream participant visibility, resolve all
+    /// intents. Requires a prior successful [`decide`](Self::decide).
+    /// Returns one [`CommitInfo`] per staged table commit, in table-name
+    /// order.
     pub fn resolve(&mut self, ctx: &IoCtx) -> Result<Vec<CommitInfo>> {
         if !self.decided || self.done {
             return Err(Error::InvalidArgument(format!(
@@ -181,11 +173,8 @@ impl Transaction<'_> {
                 self.id
             )));
         }
-        let mut infos = Vec::with_capacity(self.staged.len());
-        for staged in &self.staged {
-            infos.push(self.sl.tables().apply_staged(staged, ctx)?);
-        }
-        self.sl.stream().txns().resolve(self.id)?;
+        let writes = self.sl.mvcc().decided_writes(self.id.raw())?;
+        let infos = self.sl.roll_forward(self.id, &writes, ctx)?;
         self.done = true;
         Ok(infos)
     }

@@ -731,13 +731,14 @@ impl MvccStore {
     /// the decided timestamp and drop the record, in one atomic batch.
     /// Idempotent — resolving an already-resolved transaction is a no-op —
     /// and callable on a recovered store whose in-memory state is empty
-    /// (everything needed is in the record). Returns the `(key, value)`
-    /// pairs made visible so coordinators can apply their side effects.
-    pub fn resolve_committed(&self, txn: Ts) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
+    /// (everything needed is in the record). Returns how many intents it
+    /// made visible; coordinators apply their side effects *before*
+    /// resolving, from [`decided_writes`](Self::decided_writes).
+    pub fn resolve_committed(&self, txn: Ts) -> Result<u64> {
         let mut st = self.state.lock();
         let rec = match self.kv.get(&record_key(txn)) {
             Some(r) => r,
-            None => return Ok(Vec::new()), // already resolved
+            None => return Ok(0), // already resolved
         };
         let (status, commit_ts, _read_ts, writes) = decode_record(&rec)?;
         if status != STATUS_COMMITTED {
@@ -746,7 +747,6 @@ impl MvccStore {
             )));
         }
         let mut batch = WriteBatch::new();
-        let mut resolved = Vec::with_capacity(writes.len());
         let mut entries = Vec::with_capacity(writes.len());
         for key in &writes {
             let ik = intent_key(key);
@@ -761,7 +761,6 @@ impl MvccStore {
                         ts: commit_ts,
                         key: key.clone(),
                     });
-                    resolved.push((key.clone(), value));
                 }
             }
         }
@@ -770,6 +769,7 @@ impl MvccStore {
         st.active.remove(&txn);
         st.release_latches(txn);
         drop(st);
+        let resolved = entries.len() as u64;
         self.journal.lock().entries.extend(entries);
         Ok(resolved)
     }
@@ -826,21 +826,46 @@ impl MvccStore {
     pub fn decided(&self) -> Result<Vec<DecidedTxn>> {
         let mut out = Vec::new();
         for (txn, status, commit_ts, writes) in self.records()? {
-            if status != STATUS_COMMITTED {
-                continue;
+            if status == STATUS_COMMITTED {
+                out.push(DecidedTxn { txn, commit_ts, writes: self.surviving_intents(txn, writes)? });
             }
-            let mut pairs = Vec::with_capacity(writes.len());
-            for key in &writes {
-                if let Some(raw) = self.kv.get(&intent_key(key)) {
-                    let (owner, value) = decode_intent(&raw)?;
-                    if owner == txn {
-                        pairs.push((key.clone(), value));
-                    }
-                }
-            }
-            out.push(DecidedTxn { txn, commit_ts, writes: pairs });
         }
         Ok(out)
+    }
+
+    /// The surviving intents of one decided transaction, as `(user_key,
+    /// value)` pairs in key order (`None` is a delete) — the whole input of
+    /// a roll-forward, read from the transaction's own record instead of a
+    /// scan over every record. Empty once the transaction is resolved; an
+    /// undecided transaction is an error.
+    pub fn decided_writes(&self, txn: Ts) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
+        let Some(rec) = self.kv.get(&record_key(txn)) else {
+            return Ok(Vec::new()); // already resolved
+        };
+        let (status, _commit_ts, _read_ts, writes) = decode_record(&rec)?;
+        if status != STATUS_COMMITTED {
+            return Err(Error::InvalidArgument(format!(
+                "mvcc txn {txn} is not decided; only a decided transaction rolls forward"
+            )));
+        }
+        self.surviving_intents(txn, writes)
+    }
+
+    fn surviving_intents(
+        &self,
+        txn: Ts,
+        writes: BTreeSet<Vec<u8>>,
+    ) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
+        let mut pairs = Vec::with_capacity(writes.len());
+        for key in writes {
+            if let Some(raw) = self.kv.get(&intent_key(&key)) {
+                let (owner, value) = decode_intent(&raw)?;
+                if owner == txn {
+                    pairs.push((key, value));
+                }
+            }
+        }
+        Ok(pairs)
     }
 
     /// Pending records with no live coordinator (not in the active map), in
@@ -891,7 +916,7 @@ impl MvccStore {
     pub fn recover(&self) -> Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
         for d in self.decided()? {
-            report.intents_resolved += self.resolve_committed(d.txn)?.len() as u64;
+            report.intents_resolved += self.resolve_committed(d.txn)?;
             report.committed_resolved += 1;
         }
         for p in self.orphan_pending()? {
@@ -1140,6 +1165,32 @@ mod tests {
         assert!(matches!(m.get(999, b"k"), Err(Error::NotFound(_))));
         assert!(matches!(m.abort(999), Err(Error::NotFound(_))));
         assert!(matches!(m.commit_decide(999), Err(Error::NotFound(_))));
+    }
+
+    #[test]
+    fn decided_writes_are_one_transactions_surviving_intents() -> Result<()> {
+        let m = MvccStore::new();
+        let other = m.begin();
+        m.put(other.id, b"z", b"other")?;
+        m.commit_decide(other.id)?;
+        let t = m.begin();
+        m.put(t.id, b"b", b"2")?;
+        m.delete(t.id, b"a")?;
+        assert!(
+            matches!(m.decided_writes(t.id), Err(Error::InvalidArgument(_))),
+            "an undecided transaction cannot roll forward"
+        );
+        m.commit_decide(t.id)?;
+        m.forget(t.id); // nothing but the record and the intents is needed
+        let writes = m.decided_writes(t.id)?;
+        assert_eq!(writes, vec![(b"a".to_vec(), None), (b"b".to_vec(), Some(b"2".to_vec()))]);
+        let listed = m.decided()?;
+        assert_eq!(listed.len(), 2);
+        assert_eq!(listed[1].writes, writes, "decided() is the same read per record");
+        assert_eq!(m.resolve_committed(t.id)?, 2);
+        assert!(m.decided_writes(t.id)?.is_empty(), "resolved: nothing left");
+        assert_eq!(m.resolve_committed(t.id)?, 0, "resolution is idempotent");
+        Ok(())
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   Fig 15;
 //! * [`table`] — the [`TableStore`]: CREATE/INSERT/SELECT/UPDATE/DELETE/
 //!   DROP(soft|hard), optimistic concurrency, time travel, partition
-//!   pruning and stats-based data skipping with pushdown;
+//!   pruning and stats-based data skipping with pushdown (split into
+//!   `table/{stage,publish,scan}.rs` along a commit's life);
 //! * [`conversion`] — stream⇄table conversion (§V-B);
 //! * [`maintenance`] — binpack small-file compaction and snapshot
 //!   expiration, plus the block-utilization metric LakeBrain optimizes.

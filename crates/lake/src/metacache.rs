@@ -25,7 +25,7 @@ use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
 use kvstore::SharedKv;
 use plog::{PlogAddress, PlogStore};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
 
@@ -112,10 +112,12 @@ impl MetadataCache {
         Ok(finish)
     }
 
-    /// Record a snapshot in the cache.
-    pub fn put_snapshot(&self, table: &str, snapshot: &Snapshot, ctx: &IoCtx) -> Result<Nanos> {
-        self.kv
-            .put(snapshot_key(table, snapshot.id), snapshot.encode());
+    /// Record snapshot `id` in the cache from its encoding (`body ==
+    /// Snapshot::encode`). Taking bytes lets the publisher hand over what
+    /// the head intent carried: a snapshot lists every commit id of its
+    /// history, too much to decode just to store it again.
+    pub fn put_snapshot(&self, table: &str, id: u64, body: Vec<u8>, ctx: &IoCtx) -> Result<Nanos> {
+        self.kv.put(snapshot_key(table, id), body);
         ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
         Ok(ctx.now + KV_LOOKUP_COST)
     }
@@ -129,23 +131,16 @@ impl MetadataCache {
         // Maintenance-path scans stay on the cloning API: the loop bodies
         // call back into the store (get/put), which a borrowed scan's read
         // lock would forbid.
-        for (k, v) in self.kv.scan_prefix(commit_prefix(table).as_bytes()) {
-            if self.kv.get(&addr_key_for(&k)).is_some() {
-                continue; // already persisted
+        for prefix in [commit_prefix(table), snapshot_prefix(table)] {
+            for (k, v) in self.kv.scan_prefix(prefix.as_bytes()) {
+                if self.kv.get(&addr_key_for(&k)).is_some() {
+                    continue; // already persisted
+                }
+                let (addr, t) =
+                    self.plog.append_to_shard_at(self.plog.shard_of(&k), &v, ctx)?;
+                finish = finish.max(t);
+                self.kv.put(addr_key_for(&k), addr.encode());
             }
-            let (addr, t) =
-                self.plog.append_to_shard_at(self.plog.shard_of(&k), &v, ctx)?;
-            finish = finish.max(t);
-            self.kv.put(addr_key_for(&k), encode_addr(&addr));
-        }
-        for (k, v) in self.kv.scan_prefix(snapshot_prefix(table).as_bytes()) {
-            if self.kv.get(&addr_key_for(&k)).is_some() {
-                continue;
-            }
-            let (addr, t) =
-                self.plog.append_to_shard_at(self.plog.shard_of(&k), &v, ctx)?;
-            finish = finish.max(t);
-            self.kv.put(addr_key_for(&k), encode_addr(&addr));
         }
         self.pending.lock().insert(table.to_string(), 0);
         Ok(finish)
@@ -172,21 +167,7 @@ impl MetadataCache {
         mode: MetadataMode,
         ctx: &IoCtx,
     ) -> Result<(Snapshot, Nanos)> {
-        let key = snapshot_key(table, id);
-        match mode {
-            MetadataMode::Accelerated => {
-                let bytes = self
-                    .kv
-                    .get(key.as_bytes())
-                    .ok_or_else(|| Error::NotFound(format!("snapshot {id} of {table}")))?;
-                ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
-                Ok((Snapshot::decode(&bytes)?, ctx.now + KV_LOOKUP_COST))
-            }
-            MetadataMode::FileBased => {
-                let (bytes, t) = self.read_persisted(&key, ctx)?;
-                Ok((Snapshot::decode(&bytes)?, t))
-            }
-        }
+        self.get_entry(&snapshot_key(table, id), mode, ctx, Snapshot::decode)
     }
 
     /// Fetch a commit under the given mode.
@@ -197,19 +178,33 @@ impl MetadataCache {
         mode: MetadataMode,
         ctx: &IoCtx,
     ) -> Result<(Commit, Nanos)> {
-        let key = commit_key(table, id);
+        self.get_entry(&commit_key(table, id), mode, ctx, Commit::decode)
+    }
+
+    /// One decoded metadata entry: from the KV cache at SCM-class latency,
+    /// or from its persisted file at device latency.
+    fn get_entry<T>(
+        &self,
+        key: &str,
+        mode: MetadataMode,
+        ctx: &IoCtx,
+        decode: fn(&[u8]) -> Result<T>,
+    ) -> Result<(T, Nanos)> {
         match mode {
             MetadataMode::Accelerated => {
                 let bytes = self
                     .kv
                     .get(key.as_bytes())
-                    .ok_or_else(|| Error::NotFound(format!("commit {id} of {table}")))?;
+                    .ok_or_else(|| Error::NotFound(format!("metadata entry {key}")))?;
                 ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
-                Ok((Commit::decode(&bytes)?, ctx.now + KV_LOOKUP_COST))
+                Ok((decode(&bytes)?, ctx.now + KV_LOOKUP_COST))
             }
             MetadataMode::FileBased => {
-                let (bytes, t) = self.read_persisted(&key, ctx)?;
-                Ok((Commit::decode(&bytes)?, t))
+                let addr_bytes = self.kv.get(&addr_key_for(key.as_bytes())).ok_or_else(|| {
+                    Error::NotFound(format!("metadata file for {key} not persisted"))
+                })?;
+                let (bytes, t) = self.plog.read_at(&PlogAddress::decode(&addr_bytes)?, ctx)?;
+                Ok((decode(&bytes)?, t))
             }
         }
     }
@@ -246,21 +241,14 @@ impl MetadataCache {
                         false
                     }
                 };
-                match partitions {
-                    Some(parts) => {
-                        for p in parts {
-                            finish += KV_LOOKUP_COST;
-                            self.kv.scan_prefix_with(
-                                format!("{}{}/", live_prefix(table), p).as_bytes(),
-                                &mut collect,
-                            );
-                        }
-                    }
-                    None => {
-                        finish += KV_LOOKUP_COST;
-                        self.kv
-                            .scan_prefix_with(live_prefix(table).as_bytes(), &mut collect);
-                    }
+                // One KV scan per touched partition, or one over the table.
+                let prefixes = match partitions {
+                    Some(parts) => parts.iter().map(|p| live_key(table, p, "")).collect(),
+                    None => vec![live_prefix(table)],
+                };
+                for prefix in prefixes {
+                    finish += KV_LOOKUP_COST;
+                    self.kv.scan_prefix_with(prefix.as_bytes(), &mut collect);
                 }
                 if let Some(e) = decode_err {
                     return Err(e);
@@ -269,47 +257,27 @@ impl MetadataCache {
                 ctx.record(Phase::Meta, ctx.now, finish - ctx.now);
                 Ok((out, finish))
             }
-            MetadataMode::FileBased => {
-                let mut live: BTreeMap<String, DataFileMeta> = BTreeMap::new();
-                let mut t = ctx.now;
-                for &cid in &snapshot.commit_ids {
-                    let (commit, tc) =
-                        self.get_commit(table, cid, MetadataMode::FileBased, &ctx.at(t))?;
-                    t = tc;
-                    for f in commit.added {
-                        live.insert(f.path.clone(), f);
-                    }
-                    for r in &commit.removed {
-                        live.remove(r);
-                    }
-                }
-                let mut out: Vec<DataFileMeta> = live
-                    .into_values()
-                    .filter(|f| {
-                        partitions.is_none_or(|ps| ps.contains(&f.partition))
-                    })
-                    .collect();
-                out.sort_by(|a, b| a.path.cmp(&b.path));
-                Ok((out, t))
-            }
+            MetadataMode::FileBased => self.replay_commits(table, snapshot, partitions, mode, ctx),
         }
     }
 
-    /// Live files of a *historical* snapshot, reconstructed by replaying
-    /// its commits from the KV cache (time travel must not consult the
-    /// materialized index, which always reflects the current snapshot).
-    pub fn live_files_time_travel(
+    /// The live files of `snapshot` reconstructed by replaying its commits,
+    /// read under `mode`: from storage for the file-based path, from the KV
+    /// cache for time travel (a *historical* snapshot must not consult the
+    /// materialized index, which always reflects the current one). Cost is
+    /// linear in commits either way.
+    pub fn replay_commits(
         &self,
         table: &str,
         snapshot: &Snapshot,
         partitions: Option<&[String]>,
+        mode: MetadataMode,
         ctx: &IoCtx,
     ) -> Result<(Vec<DataFileMeta>, Nanos)> {
         let mut live: BTreeMap<String, DataFileMeta> = BTreeMap::new();
         let mut t = ctx.now;
         for &cid in &snapshot.commit_ids {
-            let (commit, tc) =
-                self.get_commit(table, cid, MetadataMode::Accelerated, &ctx.at(t))?;
+            let (commit, tc) = self.get_commit(table, cid, mode, &ctx.at(t))?;
             t = tc;
             for f in commit.added {
                 live.insert(f.path.clone(), f);
@@ -318,55 +286,66 @@ impl MetadataCache {
                 live.remove(r);
             }
         }
-        let mut out: Vec<DataFileMeta> = live
+        // BTreeMap values come out in path order already.
+        let out = live
             .into_values()
             .filter(|f| partitions.is_none_or(|ps| ps.contains(&f.partition)))
             .collect();
-        out.sort_by(|a, b| a.path.cmp(&b.path));
         Ok((out, t))
     }
 
     /// Remove a commit entry (cache + any persisted file). Used by snapshot
     /// expiration.
     pub fn remove_commit(&self, table: &str, id: u64) {
-        self.remove_entry(commit_key(table, id));
+        self.remove_entry(commit_key(table, id).as_bytes());
     }
 
     /// Remove a snapshot entry (cache + any persisted file).
     pub fn remove_snapshot(&self, table: &str, id: u64) {
-        self.remove_entry(snapshot_key(table, id));
+        self.remove_entry(snapshot_key(table, id).as_bytes());
     }
 
     /// Invalidate the persisted copy of a commit/snapshot after rewriting
     /// its cache entry, so the next MetaFresher flush re-persists it.
     pub fn invalidate_persisted(&self, table: &str, commit_id: u64) {
-        let key = addr_key_for(commit_key(table, commit_id).as_bytes());
-        if let Some(bytes) = self.kv.get(&key) {
-            if let Ok(addr) = decode_addr(&bytes) {
-                // Best-effort invalidation: the KV tombstone is authoritative;
-                // an orphaned PLog extent is scrub-reclaimed.
-                // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
-                let _ = self.plog.delete(&addr);
-            }
-            self.kv.delete(key);
-        }
-        let skey = addr_key_for(snapshot_key(table, commit_id).as_bytes());
-        if let Some(bytes) = self.kv.get(&skey) {
-            if let Ok(addr) = decode_addr(&bytes) {
-                // Best-effort invalidation: the KV tombstone is authoritative;
-                // an orphaned PLog extent is scrub-reclaimed.
-                // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
-                let _ = self.plog.delete(&addr);
-            }
-            self.kv.delete(skey);
-        }
+        self.forget_persisted(commit_key(table, commit_id).as_bytes());
+        self.forget_persisted(snapshot_key(table, commit_id).as_bytes());
     }
 
-    fn remove_entry(&self, key: String) {
-        self.kv.delete(key.as_bytes().to_vec());
-        let akey = addr_key_for(key.as_bytes());
+    /// Every data-file path a cached commit of `table` added, in path order
+    /// — what a hard drop must physically reclaim.
+    pub fn data_file_paths(&self, table: &str) -> Result<BTreeSet<String>> {
+        let mut paths = BTreeSet::new();
+        for (_, body) in self.kv.scan_prefix(commit_prefix(table).as_bytes()) {
+            paths.extend(Commit::decode(&body)?.added.into_iter().map(|f| f.path));
+        }
+        Ok(paths)
+    }
+
+    /// Drop every trace of `table` — live index, commit and snapshot
+    /// entries, pending-flush count — so a re-created table of the same
+    /// name cannot inherit the dead one's files (hard drop).
+    pub fn purge_table(&self, table: &str) {
+        for prefix in [live_prefix(table), commit_prefix(table), snapshot_prefix(table)] {
+            for (key, _) in self.kv.scan_prefix(prefix.as_bytes()) {
+                self.remove_entry(&key);
+            }
+        }
+        self.pending.lock().remove(table);
+    }
+
+    /// Cache entry first, then its persisted copy — the order the paper
+    /// calls out for dropping metadata.
+    fn remove_entry(&self, key: &[u8]) {
+        self.kv.delete(key.to_vec());
+        self.forget_persisted(key);
+    }
+
+    /// Drop the persisted copy of cache entry `key`, if it has one.
+    fn forget_persisted(&self, key: &[u8]) {
+        let akey = addr_key_for(key);
         if let Some(bytes) = self.kv.get(&akey) {
-            if let Ok(addr) = decode_addr(&bytes) {
+            if let Ok(addr) = PlogAddress::decode(&bytes) {
                 // Best-effort invalidation: the KV tombstone is authoritative;
                 // an orphaned PLog extent is scrub-reclaimed.
                 // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
@@ -385,15 +364,6 @@ impl MetadataCache {
     /// Bytes currently held in the cache KV (for capacity accounting).
     pub fn cache_entries(&self) -> usize {
         self.kv.len()
-    }
-
-    fn read_persisted(&self, key: &str, ctx: &IoCtx) -> Result<(common::Bytes, Nanos)> {
-        let addr_bytes = self
-            .kv
-            .get(&addr_key_for(key.as_bytes()))
-            .ok_or_else(|| Error::NotFound(format!("metadata file for {key} not persisted")))?;
-        let addr = decode_addr(&addr_bytes)?;
-        self.plog.read_at(&addr, ctx)
     }
 }
 
@@ -419,21 +389,6 @@ fn addr_key_for(key: &[u8]) -> Vec<u8> {
     let mut k = b"addr/".to_vec();
     k.extend_from_slice(key);
     k
-}
-
-fn encode_addr(addr: &PlogAddress) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20);
-    common::varint::encode_u64(addr.shard as u64, &mut out);
-    common::varint::encode_u64(addr.offset, &mut out);
-    common::varint::encode_u64(addr.len, &mut out);
-    out
-}
-
-fn decode_addr(buf: &[u8]) -> Result<PlogAddress> {
-    let (shard, a) = common::varint::decode_u64(buf)?;
-    let (offset, b) = common::varint::decode_u64(&buf[a..])?;
-    let (len, _) = common::varint::decode_u64(&buf[a + b..])?;
-    Ok(PlogAddress { shard: shard as u32, offset, len })
 }
 
 #[cfg(test)]
@@ -624,7 +579,7 @@ mod tests {
             total_rows: 5,
             total_files: 2,
         };
-        c.put_snapshot("t", &snap, &IoCtx::new(0)).unwrap();
+        c.put_snapshot("t", snap.id, snap.encode(), &IoCtx::new(0)).unwrap();
         let (got, _) = c.get_snapshot("t", 3, MetadataMode::Accelerated, &IoCtx::new(0)).unwrap();
         assert_eq!(got, snap);
         c.flush("t", &IoCtx::new(0)).unwrap();

@@ -57,6 +57,24 @@ pub struct PlogAddress {
 }
 
 impl PlogAddress {
+    /// Serialize for callers that keep addresses in their own KV indexes
+    /// (three varints: shard, offset, len).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(20);
+        common::varint::encode_u64(self.shard as u64, &mut out);
+        common::varint::encode_u64(self.offset, &mut out);
+        common::varint::encode_u64(self.len, &mut out);
+        out
+    }
+
+    /// Decode a buffer produced by [`encode`](Self::encode).
+    pub fn decode(buf: &[u8]) -> Result<PlogAddress> {
+        let (shard, a) = common::varint::decode_u64(buf)?;
+        let (offset, b) = common::varint::decode_u64(&buf[a..])?;
+        let (len, _) = common::varint::decode_u64(&buf[a + b..])?;
+        Ok(PlogAddress { shard: shard as u32, offset, len })
+    }
+
     pub(crate) fn index_key(&self) -> Vec<u8> {
         let mut k = Vec::with_capacity(16);
         k.extend_from_slice(b"plog/");
@@ -780,6 +798,16 @@ pub(crate) mod tests {
     /// Read-side twin of [`put`].
     pub(crate) fn get(s: &PlogStore, addr: &PlogAddress) -> Result<Bytes> {
         s.read_at(addr, &IoCtx::new(0)).map(|(data, _)| data)
+    }
+
+    #[test]
+    fn address_codec_roundtrips_and_rejects_truncation() {
+        let addr = PlogAddress { shard: 4095, offset: u64::MAX - 7, len: 1 << 40 };
+        let bytes = addr.encode();
+        assert_eq!(PlogAddress::decode(&bytes).unwrap(), addr);
+        for cut in 0..bytes.len() {
+            assert!(PlogAddress::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl StreamService {
             opts.group,
         ));
         let bus = Arc::new(Bus::new(opts.transport, clock.clone()));
+        let txns = TxnManager::new(objects.clone(), opts.txn_mvcc.unwrap_or_default());
         let svc = Arc::new(StreamService {
             clock,
             objects,
@@ -102,10 +103,7 @@ impl StreamService {
             groups,
             workers: TrackedRwLock::new("stream.service.workers", HashMap::new()),
             quotas: TrackedMutex::new("stream.service.quotas", BTreeMap::new()),
-            txns: opts
-                .txn_mvcc
-                .map(TxnManager::with_mvcc)
-                .unwrap_or_default(),
+            txns,
             bus,
             producer_ids: IdGen::new(),
             consumer_ids: IdGen::new(),

@@ -5,29 +5,31 @@
 //! actions and ensures that all results in a transaction are visible or
 //! invisible at the same time."
 //!
-//! The coordinator is now a thin layer over [`MvccStore`]: each stream
+//! The coordinator is a thin layer over [`MvccStore`]: each stream
 //! transaction is an MVCC transaction record, and each participant
 //! registration writes a provisional intent under `s/<txn>/<object>`.
 //! The durable commit point is the MVCC record flip ([`commit_decide`]
 //! writes one WAL frame); participant visibility flips happen during
-//! *resolution*, so a coordinator crash between decide and resolve can be
-//! recovered by replaying the surviving intents ([`MvccStore::decided`])
-//! — atomicity no longer depends on the coordinator staying alive.
+//! *resolution* and are driven by those surviving intents
+//! ([`MvccStore::decided_writes`]), not by coordinator memory — so
+//! [`TxnManager::resolve`] is the same call whether the coordinator lived
+//! through the decision or a recovering process found it in the store.
 //!
 //! [`commit_decide`]: MvccStore::commit_decide
 
-use crate::object::StreamObject;
-use common::{Error, Result, TxnId};
+use crate::object::{StreamObject, StreamObjectStore};
+use common::{Error, ObjectId, Result, TxnId};
 use kvstore::MvccStore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
 
 /// Key prefix for stream-participant intents in the MVCC keyspace.
-pub const PARTICIPANT_PREFIX: &[u8] = b"s/";
+const PARTICIPANT_PREFIX: &[u8] = b"s/";
 
-/// The MVCC user key recording that `txn` produced into `object`.
-pub fn participant_key(txn: u64, object: u64) -> Vec<u8> {
+/// The MVCC user key recording that `txn` produced into `object`; the
+/// intent's value repeats the object id.
+fn participant_key(txn: u64, object: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(PARTICIPANT_PREFIX.len() + 17);
     k.extend_from_slice(PARTICIPANT_PREFIX);
     k.extend_from_slice(&txn.to_be_bytes());
@@ -36,39 +38,28 @@ pub fn participant_key(txn: u64, object: u64) -> Vec<u8> {
     k
 }
 
-/// Extract the object id a participant-intent value points at.
-pub fn participant_object(value: &[u8]) -> Option<u64> {
-    Some(u64::from_be_bytes(value.try_into().ok()?))
-}
-
-#[derive(Debug, Default)]
-struct TxnState {
-    participants: Vec<Arc<StreamObject>>,
+/// The object a participant intent names: the id in its value, which is
+/// also the last eight bytes of its key.
+fn participant_object(id: &[u8]) -> Option<ObjectId> {
+    Some(ObjectId(u64::from_be_bytes(id.try_into().ok()?)))
 }
 
 /// The transaction coordinator.
 #[derive(Debug)]
 pub struct TxnManager {
+    objects: Arc<StreamObjectStore>,
     mvcc: Arc<MvccStore>,
-    active: TrackedMutex<BTreeMap<u64, TxnState>>,
-}
-
-impl Default for TxnManager {
-    fn default() -> Self {
-        TxnManager::new()
-    }
+    /// In-flight transactions and the participants registered so far.
+    active: TrackedMutex<BTreeMap<u64, Vec<Arc<StreamObject>>>>,
 }
 
 impl TxnManager {
-    /// A fresh coordinator over a private MVCC store.
-    pub fn new() -> Self {
-        TxnManager::with_mvcc(Arc::new(MvccStore::new()))
-    }
-
-    /// A coordinator over a shared MVCC store (so stream transactions can
-    /// atomically span other subsystems writing the same store).
-    pub fn with_mvcc(mvcc: Arc<MvccStore>) -> Self {
+    /// A coordinator for transactions over `objects`, keeping its records
+    /// and intents in `mvcc` (share the store so stream transactions can
+    /// atomically span other subsystems writing it).
+    pub fn new(objects: Arc<StreamObjectStore>, mvcc: Arc<MvccStore>) -> Self {
         TxnManager {
+            objects,
             mvcc,
             active: TrackedMutex::new("stream.txn.active", BTreeMap::new()),
         }
@@ -82,7 +73,7 @@ impl TxnManager {
     /// Begin a transaction: a durable PENDING record in the MVCC store.
     pub fn begin(&self) -> TxnId {
         let handle = self.mvcc.begin();
-        self.active.lock().insert(handle.id, TxnState::default());
+        self.active.lock().insert(handle.id, Vec::new());
         TxnId(handle.id)
     }
 
@@ -91,24 +82,16 @@ impl TxnManager {
     /// coordinator crash.
     pub fn register_participant(&self, txn: TxnId, object: Arc<StreamObject>) -> Result<()> {
         let mut active = self.active.lock();
-        let st = active
+        let participants = active
             .get_mut(&txn.raw())
             .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
-        if !st.participants.iter().any(|p| p.id() == object.id()) {
+        if !participants.iter().any(|p| p.id() == object.id()) {
             let key = participant_key(txn.raw(), object.id().raw());
             self.mvcc
                 .put(txn.raw(), &key, &object.id().raw().to_be_bytes())?;
-            st.participants.push(object);
+            participants.push(object);
         }
         Ok(())
-    }
-
-    /// Number of participants currently registered for `txn`.
-    pub fn participant_count(&self, txn: TxnId) -> usize {
-        self.active
-            .lock()
-            .get(&txn.raw())
-            .map_or(0, |s| s.participants.len())
     }
 
     /// Phase 1 + the commit point: prepare every participant, then flip the
@@ -116,80 +99,92 @@ impl TxnManager {
     /// Participant visibility does *not* change yet; callers follow up with
     /// [`resolve`](Self::resolve). Any prepare failure aborts everywhere.
     pub fn prepare_decide(&self, txn: TxnId) -> Result<u64> {
-        let participants = {
-            let active = self.active.lock();
-            let st = active
-                .get(&txn.raw())
-                .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
-            st.participants.clone()
-        };
+        let participants = self
+            .active
+            .lock()
+            .get(&txn.raw())
+            .cloned()
+            .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
         // Phase 1: prepare — every participant must still hold the txn open.
-        if !participants.iter().all(|p| p.prepared(txn.raw())) {
+        let decision = if participants.iter().all(|p| p.prepared(txn.raw())) {
+            self.mvcc.commit_decide(txn.raw()) // a failed decide aborts the record itself
+        } else {
+            self.mvcc.abort(txn.raw()).and(Err(Error::TxnAborted(format!(
+                "transaction {txn}: a participant failed to prepare"
+            ))))
+        };
+        if decision.is_err() {
+            // The MVCC record is aborted; mirror that on the participants
+            // and drop the coordinator entry.
             for p in &participants {
                 p.abort_txn(txn.raw());
             }
             self.active.lock().remove(&txn.raw());
-            self.mvcc.abort(txn.raw())?;
-            return Err(Error::TxnAborted(format!(
-                "transaction {txn}: a participant failed to prepare"
-            )));
         }
-        match self.mvcc.commit_decide(txn.raw()) {
-            Ok(commit_ts) => Ok(commit_ts),
-            Err(e) => {
-                // commit_decide already aborted the MVCC record; mirror that
-                // on the participants and drop the coordinator entry.
-                for p in &participants {
-                    p.abort_txn(txn.raw());
-                }
-                self.active.lock().remove(&txn.raw());
-                Err(e)
-            }
-        }
+        decision
     }
 
-    /// Phase 2: flip visibility on every participant, then resolve the MVCC
-    /// intents into committed versions and delete the record.
-    pub fn resolve(&self, txn: TxnId) -> Result<()> {
-        let st = self
-            .active
-            .lock()
-            .remove(&txn.raw())
-            .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
-        // The decision is durable; flips cannot fail (crash recovery would
-        // replay them from the surviving intents).
-        for p in &st.participants {
-            p.commit_txn(txn.raw());
+    /// Phase 2, the stream half of a roll-forward: flip visibility on every
+    /// participant named by an `s/` intent among the decided transaction's
+    /// surviving `writes` ([`MvccStore::decided_writes`]), then resolve the
+    /// intents and delete the record. Needs no coordinator memory, so live
+    /// commits and crash recovery make the same call.
+    pub fn resolve(&self, txn: TxnId, writes: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
+        for (key, value) in writes {
+            if let Some(o) = self.participant(key, value.as_deref()) {
+                o.commit_txn(txn.raw());
+            }
         }
         self.mvcc.resolve_committed(txn.raw())?;
+        self.active.lock().remove(&txn.raw());
         Ok(())
+    }
+
+    /// The live stream object an `s/` intent (`key`, and the id bytes it
+    /// carries) names; `None` for other keys and destroyed objects.
+    fn participant(&self, key: &[u8], id: Option<&[u8]>) -> Option<Arc<StreamObject>> {
+        if !key.starts_with(PARTICIPANT_PREFIX) {
+            return None;
+        }
+        self.objects.get(participant_object(id?)?).ok()
     }
 
     /// Two-phase commit. On any prepare failure the transaction is aborted
     /// everywhere and `TxnAborted` is returned.
     pub fn commit(&self, txn: TxnId) -> Result<()> {
         self.prepare_decide(txn)?;
-        self.resolve(txn)
+        self.resolve(txn, &self.mvcc.decided_writes(txn.raw())?)
     }
 
     /// Abort `txn` on every participant and clean its MVCC intents.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
-        let st = self
+        let participants = self
             .active
             .lock()
             .remove(&txn.raw())
             .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
-        for p in &st.participants {
+        for p in &participants {
             p.abort_txn(txn.raw());
         }
-        self.mvcc.abort(txn.raw())?;
-        Ok(())
+        self.mvcc.abort(txn.raw())
+    }
+
+    /// Abort an orphan — a pending transaction whose coordinator died
+    /// before deciding, found by [`MvccStore::orphan_pending`] with the
+    /// `keys` of its intents: the participants are the ones its `s/` keys
+    /// name (the object id is the key's tail).
+    pub fn abort_orphan(&self, txn: TxnId, keys: &[Vec<u8>]) -> Result<()> {
+        for key in keys {
+            if let Some(o) = self.participant(key, key.get(key.len().saturating_sub(8)..)) {
+                o.abort_txn(txn.raw());
+            }
+        }
+        self.active.lock().remove(&txn.raw());
+        self.mvcc.abort(txn.raw())
     }
 
     /// Drop the in-memory coordinator entry for `txn` without touching
-    /// participants or the MVCC record. Recovery uses this after replaying
-    /// a decided transaction's effects straight from its intents — the
-    /// coordinator entry (if this process survived) is stale by then.
+    /// participants or the MVCC record — the crash-injection seam.
     pub fn forget(&self, txn: TxnId) {
         self.active.lock().remove(&txn.raw());
     }
@@ -204,7 +199,7 @@ impl TxnManager {
 mod tests {
     use super::*;
     use common::ctx::IoCtx;
-    use crate::object::{CreateOptions, ReadCtrl, StreamObjectStore};
+    use crate::object::{CreateOptions, ReadCtrl};
     use crate::record::Record;
     use common::size::MIB;
     use common::SimClock;
@@ -212,7 +207,7 @@ mod tests {
     use plog::{PlogConfig, PlogStore};
     use simdisk::{MediaKind, StoragePool};
 
-    fn object_store() -> StreamObjectStore {
+    fn object_store() -> Arc<StreamObjectStore> {
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
@@ -231,7 +226,7 @@ mod tests {
             )
             .unwrap(),
         );
-        StreamObjectStore::new(plog, 0)
+        Arc::new(StreamObjectStore::new(plog, 0))
     }
 
     fn txn_record(txn: TxnId, v: &[u8]) -> Record {
@@ -245,13 +240,12 @@ mod tests {
         let store = object_store();
         let a = store.create(CreateOptions::default()).unwrap();
         let b = store.create(CreateOptions::default()).unwrap();
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(store.clone(), Arc::default());
         let txn = mgr.begin();
         a.append_at(&[txn_record(txn, b"to-a")], &IoCtx::new(0)).unwrap();
         b.append_at(&[txn_record(txn, b"to-b")], &IoCtx::new(0)).unwrap();
         mgr.register_participant(txn, a.clone()).unwrap();
         mgr.register_participant(txn, b.clone()).unwrap();
-        assert_eq!(mgr.participant_count(txn), 2);
 
         let ctrl = ReadCtrl::default();
         assert!(a.read_at(0, ctrl, &IoCtx::new(0)).unwrap().0.is_empty());
@@ -270,7 +264,7 @@ mod tests {
         let store = object_store();
         let a = store.create(CreateOptions::default()).unwrap();
         let b = store.create(CreateOptions::default()).unwrap();
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(store.clone(), Arc::default());
         let txn = mgr.begin();
         a.append_at(&[txn_record(txn, b"x")], &IoCtx::new(0)).unwrap();
         b.append_at(&[txn_record(txn, b"y")], &IoCtx::new(0)).unwrap();
@@ -288,7 +282,7 @@ mod tests {
         let store = object_store();
         let a = store.create(CreateOptions::default()).unwrap();
         let b = store.create(CreateOptions::default()).unwrap();
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(store.clone(), Arc::default());
         let txn = mgr.begin();
         a.append_at(&[txn_record(txn, b"x")], &IoCtx::new(0)).unwrap();
         b.append_at(&[txn_record(txn, b"y")], &IoCtx::new(0)).unwrap();
@@ -306,7 +300,7 @@ mod tests {
 
     #[test]
     fn unknown_txn_operations_fail() {
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(object_store(), Arc::default());
         assert!(mgr.commit(TxnId(999)).is_err());
         assert!(mgr.abort(TxnId(999)).is_err());
     }
@@ -315,7 +309,7 @@ mod tests {
     fn double_commit_is_not_found() {
         let store = object_store();
         let a = store.create(CreateOptions::default()).unwrap();
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(store.clone(), Arc::default());
         let txn = mgr.begin();
         a.append_at(&[txn_record(txn, b"x")], &IoCtx::new(0)).unwrap();
         mgr.register_participant(txn, a).unwrap();
@@ -330,7 +324,7 @@ mod tests {
         // recoverable from the MVCC store.
         let store = object_store();
         let a = store.create(CreateOptions::default()).unwrap();
-        let mgr = TxnManager::new();
+        let mgr = TxnManager::new(store.clone(), Arc::default());
         let txn = mgr.begin();
         a.append_at(&[txn_record(txn, b"x")], &IoCtx::new(0)).unwrap();
         mgr.register_participant(txn, a.clone()).unwrap();
@@ -342,13 +336,11 @@ mod tests {
         assert_eq!(decided[0].txn, txn.raw());
         let (key, value) = &decided[0].writes[0];
         assert!(key.starts_with(PARTICIPANT_PREFIX));
-        assert_eq!(
-            participant_object(value.as_deref().unwrap()),
-            Some(a.id().raw())
-        );
-        // A recovering coordinator replays the flip, then resolves.
-        a.commit_txn(txn.raw());
-        mgr.resolve(txn).unwrap();
+        assert_eq!(participant_object(value.as_deref().unwrap()), Some(a.id()));
+        // A coordinator with no memory of the transaction still rolls it
+        // forward: the flip comes from the surviving intent.
+        mgr.forget(txn);
+        mgr.resolve(txn, &decided[0].writes).unwrap();
         assert_eq!(a.read_at(0, ReadCtrl::default(), &IoCtx::new(0)).unwrap().0.len(), 1);
         assert_eq!(mgr.mvcc().pending_intents(), 0);
     }

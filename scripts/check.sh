@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Benches and examples are outside tier-1: type-check every target so a
+# stale bench fails this gate, not whoever next runs `cargo bench`.
+cargo check --all-targets
 # The end-to-end benchmark is a package of its own (outside the workspace)
 # built against this repo's public API: build it so API drift fails here,
 # not in the benchmark driver.

@@ -212,3 +212,143 @@ fn orphaned_intent_cleanup_is_deterministic() {
     assert_eq!(state_a, state_b);
     assert!(!journal_a.is_empty());
 }
+
+// ---------------------------------------------------------------------------
+// 4. live ≡ recovered: one roll-forward serves both
+// ---------------------------------------------------------------------------
+
+mod live_equals_recovered {
+    use common::clock::{millis, Nanos};
+    use common::ctx::{IoCtx, Phase, SpanSink};
+    use format::{DataType, Field, Row, Schema, Value};
+    use lake::table::COMMIT_OVERHEAD;
+    use lake::{Commit, MetadataMode, ScanOptions, Snapshot};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use streamlake::{StreamLake, StreamLakeConfig};
+
+    const TABLES: [&str; 2] = ["dims", "facts"];
+
+    /// Everything a deployment publishes, as the comparison sees it.
+    #[derive(Debug, PartialEq)]
+    struct Published {
+        /// `finished_at` of every table commit, in publication order.
+        finished_at: Vec<Nanos>,
+        rows: Vec<Vec<Row>>,
+        heads: Vec<u64>,
+        metadata: Vec<(Commit, Snapshot)>,
+        stream_visible: usize,
+        journal: Vec<u8>,
+    }
+
+    /// Run the seeded schedule; `crash` kills every coordinator right
+    /// after its decision and lets recovery finish the job.
+    fn run(seed: u64, crash: bool) -> Published {
+        let sl = StreamLake::new(StreamLakeConfig::small());
+        sl.stream()
+            .create_topic("events", stream::TopicConfig::with_partitions(2))
+            .unwrap();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Utf8),
+            Field::new("n", DataType::Int64),
+        ])
+        .unwrap();
+        for t in TABLES {
+            sl.tables()
+                .create_table(t, schema.clone(), None, 1000, &IoCtx::new(0))
+                .unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut finished_at = Vec::new();
+        let mut two_table_rounds = 0;
+        for round in 0..24u64 {
+            // A sink of its own per round: its trail holds exactly the spans
+            // this round's roll-forward left behind.
+            let sink = Arc::new(SpanSink::default());
+            let ctx = IoCtx::new(millis(500) * (round + 1)).with_sink(sink.clone());
+            let mut txn = sl.transaction();
+            let first = rng.gen_range(0..2usize);
+            let both = rng.gen_range(0..3u32) == 0;
+            two_table_rounds += u32::from(both);
+            for table in [TABLES[first], TABLES[1 - first]].into_iter().take(1 + usize::from(both)) {
+                let rows: Vec<Row> = (0..rng.gen_range(1..4i64))
+                    .map(|i| vec![Value::from(format!("r{round}")), Value::Int(i)])
+                    .collect();
+                txn.insert(table, &rows, &ctx).unwrap();
+            }
+            if rng.gen_range(0..2u32) == 0 {
+                txn.send("events", format!("r{round}"), "payload", &ctx).unwrap();
+            }
+            txn.decide(&ctx).unwrap();
+            let commits = 1 + usize::from(both);
+            if crash {
+                txn.simulate_crash();
+                let report = sl.recover_transactions(&ctx).unwrap();
+                assert_eq!(report.committed_replayed, 1, "round {round}");
+            } else {
+                let infos = txn.resolve(&ctx).unwrap();
+                assert_eq!(infos.len(), commits, "round {round}");
+                // Live: the span and the returned info tell the same time.
+                let told: Vec<Nanos> = infos.iter().map(|i| i.finished_at).collect();
+                assert_eq!(told, overhead_spans(&sink), "round {round}");
+            }
+            // Recovered or live, every published commit leaves its
+            // coordination-cost span.
+            let spans = overhead_spans(&sink);
+            assert_eq!(spans.len(), commits, "round {round}: one COMMIT_OVERHEAD span per commit");
+            finished_at.extend(spans);
+        }
+        assert!(two_table_rounds > 0 && two_table_rounds < 24, "seed must mix both shapes");
+        assert_eq!(sl.mvcc().pending_intents(), 0);
+        assert_eq!(sl.stream().txns().active_count(), 0);
+
+        let end = IoCtx::new(millis(500) * 100);
+        let meta = sl.tables().meta();
+        let mut published = Published {
+            finished_at,
+            rows: Vec::new(),
+            heads: Vec::new(),
+            metadata: Vec::new(),
+            stream_visible: 0,
+            journal: sl.mvcc().journal_bytes(),
+        };
+        for t in TABLES {
+            let head = sl.tables().current_snapshot(t).unwrap();
+            published.heads.push(head);
+            published
+                .rows
+                .push(sl.tables().select(t, &ScanOptions::default(), &end).unwrap().rows);
+            for id in 1..=head {
+                let mode = MetadataMode::Accelerated;
+                published.metadata.push((
+                    meta.get_commit(t, id, mode, &end).unwrap().0,
+                    meta.get_snapshot(t, id, mode, &end).unwrap().0,
+                ));
+            }
+        }
+        let mut probe = sl.consumer("probe");
+        probe.subscribe("events").unwrap();
+        published.stream_visible = probe.poll(1000, &end).unwrap().len();
+        published
+    }
+
+    /// End times of the `COMMIT_OVERHEAD` spans in `sink`, in record order.
+    fn overhead_spans(sink: &SpanSink) -> Vec<Nanos> {
+        sink.trail()
+            .iter()
+            .filter(|s| s.phase == Phase::Meta && s.duration == COMMIT_OVERHEAD)
+            .map(|s| s.start + s.duration)
+            .collect()
+    }
+
+    #[test]
+    fn live_commit_and_crash_recovery_publish_identically() {
+        for seed in [11, 12] {
+            let live = run(seed, false);
+            let recovered = run(seed, true);
+            assert!(!live.finished_at.is_empty() && live.stream_visible > 0);
+            assert_eq!(live, recovered, "seed {seed}");
+        }
+    }
+}
