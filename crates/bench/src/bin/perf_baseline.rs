@@ -59,9 +59,7 @@ use common::json::Json;
 use common::size::MIB;
 use common::{Bytes, SimClock};
 use ec::Redundancy;
-use plog::{
-    GroupCommitConfig, GroupCommitter, PlogAddress, PlogConfig, PlogStore, WorkerPool,
-};
+use plog::{PlogAddress, PlogConfig, PlogStore, WorkerPool};
 use simdisk::{MediaKind, StoragePool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -215,24 +213,21 @@ fn bench_checksummed_append() -> BenchResult {
     // payload feeding the index entry), tracked separately so integrity
     // regressions are visible even if the generic append row drifts.
     //
-    // This row drives the group-commit front door: records enter as `Bytes`
-    // clones (no per-append payload copy), coalesce into commit groups, and
-    // pay one batched index put per group.
+    // This row drives `PlogStore::append_group` the way a stream object
+    // with several filled slices does: records enter as `Bytes` clones (no
+    // per-append payload copy) in groups of 16 and pay one batched index
+    // put per group.
     let record = Bytes::from_vec(payload(6, RECORD_BYTES));
     best_of("checksummed_append", || {
-        let s = Arc::new(store(Redundancy::Replicate { copies: 3 }, 8));
-        let gc = GroupCommitter::new(s.clone(), GroupCommitConfig::default());
+        let s = store(Redundancy::Replicate { copies: 3 }, 8);
         let ctx = IoCtx::new(0);
-        let mut tickets = Vec::with_capacity(RECORDS);
-        for i in 0..RECORDS {
-            let key = (i as u64).to_be_bytes();
-            tickets.push(
-                gc.submit(s.shard_of(&key), record.clone(), &ctx).expect("perf submit"),
-            );
-        }
-        gc.flush(&ctx).expect("perf flush");
-        for t in tickets {
-            gc.take(t).expect("group outcome").expect("perf append");
+        let shards: Vec<u32> =
+            (0..RECORDS).map(|i| s.shard_of(&(i as u64).to_be_bytes())).collect();
+        for group in shards.chunks(16) {
+            let appends: Vec<_> = group.iter().map(|&shard| (shard, record.clone(), &ctx)).collect();
+            for outcome in s.append_group(&appends) {
+                outcome.expect("perf append");
+            }
         }
         (RECORDS * RECORD_BYTES) as u64
     })

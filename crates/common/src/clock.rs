@@ -68,11 +68,6 @@ impl SimClock {
         }
         cur
     }
-
-    /// Current virtual time expressed in floating-point seconds.
-    pub fn now_secs_f64(&self) -> f64 {
-        self.now() as f64 / 1e9
-    }
 }
 
 /// A stopwatch over a [`SimClock`], for measuring virtual durations.

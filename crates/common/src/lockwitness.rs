@@ -17,70 +17,87 @@
 //!   the chaos/maintenance suites) or process-wide via the
 //!   `SL_LOCKWITNESS=1` environment variable (used by `scripts/check.sh`).
 //!
-//! The hierarchy table below must stay in lockstep with
-//! `slint::model::LOCK_HIERARCHY`; a slint unit test parses this file and
-//! fails if the two tables disagree.
+//! The hierarchy table below is the workspace's only one: `slint` R9 reads
+//! it (owner struct and field locate each class in source text), and a unit
+//! test here pins DESIGN.md's printed copy to it.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Canonical lock hierarchy: `(class, rank)`, outermost first. A thread may
-/// only acquire classes with strictly increasing ranks; classes absent from
-/// the table are tracked for edge recording but never violate by rank.
-///
-/// Keep in sync with `slint::model::LOCK_HIERARCHY` (checked by a test).
-pub const HIERARCHY: &[(&str, u32)] = &[
-    ("core.chore.runtime", 10),
+/// One lock class of the canonical hierarchy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LockClass {
+    /// Stable class name, as passed to [`acquire`] / [`TrackedMutex::new`].
+    pub name: &'static str,
+    /// Rank: acquisitions must happen in strictly increasing rank order.
+    pub rank: u32,
+    /// Struct that owns the lock field (how `slint` finds the class).
+    pub owner: &'static str,
+    /// Field name of the lock within `owner`.
+    pub field: &'static str,
+}
+
+const fn class(
+    name: &'static str,
+    rank: u32,
+    owner: &'static str,
+    field: &'static str,
+) -> LockClass {
+    LockClass { name, rank, owner, field }
+}
+
+/// Canonical lock hierarchy, outermost first. A thread may only acquire
+/// classes with strictly increasing ranks; classes absent from the table
+/// are tracked for edge recording but never violate by rank.
+pub const HIERARCHY: &[LockClass] = &[
+    class("core.chore.runtime", 10, "ChoreRuntime", "inner"),
     // frontdoor.state ranks below access.grants on purpose: admission
     // stage 1 (auth) runs and releases before the door state is locked,
     // and the door may hold its state while calling into stream/plog/
     // simdisk/metrics (all higher ranks). journal ranks just above state:
     // decisions are journaled while the state lock is still held.
-    ("core.frontdoor.state", 12),
-    ("core.frontdoor.journal", 13),
-    ("core.access.grants", 15),
-    ("stream.service.worker_ids", 20),
-    ("stream.service.workers", 21),
-    ("stream.service.quotas", 22),
+    class("core.frontdoor.state", 12, "FrontDoor", "state"),
+    class("core.frontdoor.journal", 13, "FrontDoor", "journal"),
+    class("core.access.grants", 15, "AccessController", "inner"),
+    class("stream.service.worker_ids", 20, "StreamService", "next_worker_id"),
+    class("stream.service.workers", 21, "StreamService", "workers"),
+    class("stream.service.quotas", 22, "StreamService", "quotas"),
     // group.state ranks below dispatcher.topo: rebalancing holds the
     // coordinator state while reading partition counts from the topology.
-    ("stream.group.state", 23),
-    ("stream.group.journal", 24),
-    ("stream.dispatcher.topo", 25),
-    ("stream.txn.active", 28),
-    ("stream.object.registry", 30),
-    ("stream.object.state", 35),
-    ("stream.worker.cache", 38),
-    ("stream.archive.entries", 40),
-    ("lake.compaction.trigger", 45),
-    ("lake.meta.pending", 50),
-    ("plog.repl.mapping", 55),
-    ("plog.repl.cursor", 56),
-    ("plog.scrub.cursor", 58),
-    // commit.state ranks above plog.shard: a group flush holds the
-    // committer state while reserving shard address space and writing.
-    ("plog.commit.state", 59),
-    ("plog.shard", 60),
-    ("simdisk.tier.extents", 65),
+    class("stream.group.state", 23, "GroupCoordinator", "state"),
+    class("stream.group.journal", 24, "GroupCoordinator", "journal"),
+    class("stream.dispatcher.topo", 25, "StreamDispatcher", "topo"),
+    class("stream.txn.active", 28, "TxnManager", "active"),
+    class("stream.object.registry", 30, "StreamObjectStore", "objects"),
+    class("stream.object.state", 35, "StreamObject", "state"),
+    class("stream.worker.cache", 38, "StreamWorker", "cache"),
+    class("stream.archive.entries", 40, "ArchiveService", "entries"),
+    class("lake.compaction.trigger", 45, "CompactionChore", "trigger"),
+    class("lake.meta.pending", 50, "MetadataCache", "pending"),
+    class("plog.repl.mapping", 55, "RemoteReplicator", "mapping"),
+    class("plog.repl.cursor", 56, "RemoteReplicator", "cursor"),
+    class("plog.scrub.cursor", 58, "ScrubService", "cursor"),
+    class("plog.shard", 60, "PlogStore", "shards"),
+    class("simdisk.tier.extents", 65, "TieringService", "extents"),
     // MVCC coordination state ranks below kv.index: the transaction layer
     // holds its state/journal locks while reading and batch-writing the
     // backing KV store (intents, records, resolutions).
-    ("kv.mvcc.state", 66),
-    ("kv.mvcc.journal", 67),
-    ("kv.index", 70),
+    class("kv.mvcc.state", 66, "MvccStore", "state"),
+    class("kv.mvcc.journal", 67, "MvccStore", "journal"),
+    class("kv.index", 70, "SharedKv", "inner"),
     // fault.state ranks below device.state: FaultInjector::advance_to
     // holds its schedule lock while applying events to devices.
-    ("simdisk.fault.state", 72),
-    ("simdisk.device.state", 75),
-    ("common.metrics", 85),
-    ("common.span.trail", 90),
+    class("simdisk.fault.state", 72, "FaultInjector", "state"),
+    class("simdisk.device.state", 75, "Device", "state"),
+    class("common.metrics", 85, "Metrics", "inner"),
+    class("common.span.trail", 90, "SpanSink", "trail"),
 ];
 
 /// Rank of `class` in the canonical hierarchy, if declared.
 pub fn rank(class: &str) -> Option<u32> {
-    HIERARCHY.iter().find(|(c, _)| *c == class).map(|&(_, r)| r)
+    HIERARCHY.iter().find(|c| c.name == class).map(|c| c.rank)
 }
 
 /// Monotonic id so guards can be dropped in any order.
@@ -368,12 +385,53 @@ mod tests {
     fn ranks_are_strictly_increasing_in_table_order() {
         for pair in HIERARCHY.windows(2) {
             assert!(
-                pair[0].1 < pair[1].1,
+                pair[0].rank < pair[1].rank,
                 "hierarchy table must be sorted by rank: {:?} before {:?}",
                 pair[0],
                 pair[1]
             );
         }
+    }
+
+    #[test]
+    fn frontdoor_ranks_sit_between_chore_and_access() {
+        // The front door locks its state before journaling a decision
+        // (state < journal) and may hold either while calling auth-free
+        // paths into stream/plog/simdisk/metrics — so both must rank
+        // below every data-path lock, and below access.grants (auth runs
+        // and releases before the state lock is taken).
+        let rank_of = |name: &str| rank(name).unwrap_or_else(|| panic!("{name} undeclared"));
+        let state = rank_of("core.frontdoor.state");
+        let journal = rank_of("core.frontdoor.journal");
+        assert!(state < journal, "decisions are journaled under the state lock");
+        assert!(rank_of("core.chore.runtime") < state);
+        assert!(journal < rank_of("core.access.grants"));
+        assert!(journal < rank_of("stream.service.worker_ids"));
+        assert!(journal < rank_of("simdisk.device.state"));
+        assert!(journal < rank_of("common.metrics"));
+    }
+
+    #[test]
+    fn design_doc_lists_exactly_this_hierarchy() {
+        // DESIGN.md prints the table for readers; this is its only guard.
+        // Rows look like `| 60 | `plog.shard` | ... |`, under the heading.
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split_once("### Canonical lock hierarchy")
+            .expect("DESIGN.md has the canonical lock hierarchy section")
+            .1;
+        let section = section.split("\n#").next().unwrap_or(section);
+        let listed: Vec<(String, u32)> = section
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.strip_prefix('|')?.split('|').map(str::trim);
+                let rank = cells.next()?.parse().ok()?;
+                Some((cells.next()?.trim_matches('`').to_string(), rank))
+            })
+            .collect();
+        let declared: Vec<(String, u32)> =
+            HIERARCHY.iter().map(|c| (c.name.to_string(), c.rank)).collect();
+        assert_eq!(listed, declared, "DESIGN.md's lock table drifted from HIERARCHY");
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct StreamLake {
     ssd: Arc<StoragePool>,
     hdd: Arc<StoragePool>,
     plog: Arc<PlogStore>,
-    replica: Arc<PlogStore>,
     stream: Arc<StreamService>,
     tables: Arc<TableStore>,
     archive: Arc<ArchiveService>,
@@ -206,7 +205,7 @@ impl StreamLake {
             // slint:allow(R4): same validated shape as the primary config
             .expect("valid replica plog config"),
         );
-        let replicator = Arc::new(RemoteReplicator::new(plog.clone(), replica.clone()));
+        let replicator = Arc::new(RemoteReplicator::new(plog.clone(), replica));
         let compaction = Arc::new(CompactionChore::new(
             tables.clone(),
             config.compaction_target_bytes,
@@ -250,7 +249,6 @@ impl StreamLake {
             ssd,
             hdd,
             plog,
-            replica,
             stream,
             tables,
             archive,
@@ -327,13 +325,7 @@ impl StreamLake {
         &self.replicator
     }
 
-    /// The remote replica PLog store (the replication chore's target).
-    pub fn replica_plog(&self) -> &Arc<PlogStore> {
-        &self.replica
-    }
-
-    /// The compaction chore (swap its trigger to put LakeBrain's DQN in
-    /// charge instead of the interval baseline).
+    /// The compaction chore.
     pub fn compaction(&self) -> &Arc<CompactionChore> {
         &self.compaction
     }

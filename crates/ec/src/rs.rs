@@ -43,16 +43,6 @@ impl ReedSolomon {
         Ok(ReedSolomon { k, m, encode_matrix })
     }
 
-    /// Number of data shards.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Number of parity shards.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Total shards produced by [`encode`](Self::encode).
     pub fn total_shards(&self) -> usize {
         self.k + self.m

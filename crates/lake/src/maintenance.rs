@@ -101,25 +101,6 @@ impl Compactor {
         Ok(map)
     }
 
-    /// Block utilization of one partition (1.0 when the partition is empty
-    /// or unknown).
-    pub fn partition_utilization(
-        &self,
-        store: &TableStore,
-        table: &str,
-        partition: &str,
-        ctx: &IoCtx,
-    ) -> Result<f64> {
-        let parts = self.partitions(store, table, ctx)?;
-        Ok(parts
-            .get(partition)
-            .map(|files| {
-                let sizes: Vec<u64> = files.iter().map(|f| f.bytes).collect();
-                block_utilization(&sizes, BLOCK_SIZE)
-            })
-            .unwrap_or(1.0))
-    }
-
     /// Compact one partition of `table` with binpack, committing the
     /// rewrite optimistically. Returns `Error::Conflict` when a concurrent
     /// commit invalidated the inputs (the failure case the RL reward
@@ -283,12 +264,6 @@ impl CompactionChore {
     /// The active trigger's name (for status reports).
     pub fn trigger_name(&self) -> &'static str {
         self.trigger.lock().name()
-    }
-
-    /// Swap the trigger — e.g. replace the interval baseline with a
-    /// trained LakeBrain policy adapter. Takes effect at the next tick.
-    pub fn set_trigger(&self, trigger: Box<dyn CompactionTrigger>) {
-        *self.trigger.lock() = trigger;
     }
 }
 

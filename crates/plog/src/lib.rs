@@ -12,24 +12,23 @@
 //! * [`store`] — the [`PlogStore`]: per-shard append-only address spaces,
 //!   replication/erasure-coded writes into a [`simdisk::StoragePool`], a KV
 //!   index from addresses to physical extents with per-shard CRC32s,
-//!   checksum-verified degraded reads, and race-safe healing;
+//!   checksum-verified degraded reads, and race-safe healing. Records
+//!   enter through one routine, [`PlogStore::append_group`]: a caller that
+//!   holds several records (a stream object with several filled slices)
+//!   passes them as one group and pays a single batched index put (one WAL
+//!   frame) for the lot; `append_to_shard_at` is the group of one;
 //! * [`scrub`] — the [`ScrubService`]: Maintenance-QoS background cycles
 //!   that verify every stored shard and restore full redundancy;
-//! * [`commit`] — the [`GroupCommitter`]: coalesces concurrent appends
-//!   into one commit group per flush epoch, paying a single batched index
-//!   put (one WAL frame) per group;
 //! * [`workers`] — the [`WorkerPool`]: a small fixed thread pool with
 //!   deterministic scatter/join that fans per-shard encode, CRC and
 //!   device-write work on the hot path.
 
-pub mod commit;
 pub mod placement;
 pub mod replication;
 pub mod scrub;
 pub mod store;
 pub mod workers;
 
-pub use commit::{GroupCommitConfig, GroupCommitter, Ticket};
 pub use placement::shard_for;
 pub use replication::RemoteReplicator;
 pub use scrub::{ScrubReport, ScrubService};

@@ -213,7 +213,9 @@ impl PlogStore {
     /// checksum, reserve address space, write the stripe, and on failure
     /// roll the reservation back; then one batched index put covering every
     /// success (a single WAL frame however large the group). Outcomes come
-    /// back in group order and fail independently.
+    /// back in group order and fail independently. A caller that holds
+    /// several records at once (a stream object whose append filled several
+    /// slices) passes them as one group; a lone record is a group of one.
     ///
     /// Address space is reserved per record *immediately before* its stripe
     /// write, so a failed write undoes exactly its own reservation — no
@@ -227,7 +229,7 @@ impl PlogStore {
     /// lone record fans its shards' CRCs instead. CRC fanning is off inside
     /// a record job — the job may itself be on a worker, and a nested
     /// scatter could deadlock a fully busy pool.
-    pub(crate) fn append_group(
+    pub fn append_group(
         &self,
         group: &[(u32, Bytes, &IoCtx)],
     ) -> Vec<Result<(PlogAddress, Nanos)>> {
@@ -1201,6 +1203,117 @@ pub(crate) mod tests {
             (err.to_string(), spans)
         });
         assert_eq!(outcomes[0], outcomes[1]);
+    }
+
+    /// One group over `records`, all under `ctx`, `shard_of(i)` routing
+    /// the i-th record.
+    fn append_all(
+        s: &PlogStore,
+        records: &[Vec<u8>],
+        shard_of: impl Fn(usize) -> u32,
+        ctx: &IoCtx,
+    ) -> Vec<Result<(PlogAddress, Nanos)>> {
+        let group: Vec<_> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (shard_of(i), Bytes::from(r.clone()), ctx))
+            .collect();
+        s.append_group(&group)
+    }
+
+    #[test]
+    fn grouped_appends_match_sequential_appends() {
+        // A group must produce exactly the addresses and virtual completion
+        // times the same records get from one `append_to_shard_at` each.
+        let seq = store(Redundancy::Replicate { copies: 2 }, 4);
+        let grp = store(Redundancy::Replicate { copies: 2 }, 4);
+        let ctx = IoCtx::new(1_000);
+        let records: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 4096]).collect();
+        let expected: Vec<_> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| seq.append_to_shard_at((i % 2) as u32, r.clone(), &ctx).unwrap())
+            .collect();
+        let got: Vec<_> = append_all(&grp, &records, |i| (i % 2) as u32, &ctx)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(got, expected);
+        for (addr, _) in &got {
+            assert_eq!(get(&grp, addr).unwrap(), get(&seq, addr).unwrap());
+        }
+    }
+
+    #[test]
+    fn group_pays_one_index_frame() {
+        let s = store(Redundancy::Replicate { copies: 2 }, 4);
+        let records: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 1024]).collect();
+        let frames_before = s.index.wal_frames();
+        let outcomes = append_all(&s, &records, |_| 0, &IoCtx::new(0));
+        assert!(outcomes.iter().all(|r| r.is_ok()));
+        let frames = s.index.wal_frames() - frames_before;
+        assert_eq!(frames, 1, "8-record group must log one WAL frame, logged {frames}");
+        assert_eq!(s.record_count(), 8);
+    }
+
+    #[test]
+    fn failed_record_rolls_back_only_its_own_address_space() {
+        // The grouped extension of the append leak regression: one record
+        // in the group blows its deadline; its neighbours on the same shard
+        // commit and its reservation vanishes exactly.
+        let s = store(Redundancy::Replicate { copies: 2 }, 4);
+        let ok = IoCtx::new(0).with_deadline(common::clock::secs(10));
+        let doomed = IoCtx::new(0).with_deadline(1); // NVMe latency alone blows this
+        let record = |b: u8| Bytes::from(vec![b; 1000]);
+        let mut outcomes =
+            s.append_group(&[(0, record(1), &ok), (0, record(2), &doomed), (0, record(3), &ok)]);
+        let (addr_c, _) = outcomes.pop().unwrap().unwrap();
+        let err = outcomes.pop().unwrap().unwrap_err();
+        assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
+        let (addr_a, _) = outcomes.pop().unwrap().unwrap();
+        // B's 1000 bytes were reclaimed: C sits directly behind A.
+        assert_eq!(addr_a.offset, 0);
+        assert_eq!(addr_c.offset, addr_a.len, "failed record leaked its reservation");
+        assert_eq!(s.shard_usage()[0], 2000);
+        assert_eq!(s.record_count(), 2);
+        assert_eq!(get(&s, &addr_a).unwrap(), vec![1u8; 1000]);
+        assert_eq!(get(&s, &addr_c).unwrap(), vec![3u8; 1000]);
+    }
+
+    #[test]
+    fn whole_group_pool_failure_rolls_back_every_reservation() {
+        let s = store(Redundancy::Replicate { copies: 2 }, 3);
+        s.pool.device(1).fail();
+        s.pool.device(2).fail();
+        let ctx = IoCtx::new(0);
+        let records: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 512]).collect();
+        assert!(append_all(&s, &records, |_| 0, &ctx).iter().all(|r| r.is_err()));
+        assert_eq!(s.shard_usage()[0], 0, "failed group leaked address space");
+        assert_eq!(s.record_count(), 0);
+        assert_eq!(s.physical_bytes(), 0);
+        // The shard is fully reusable after the pool heals.
+        s.pool.device(1).heal();
+        let (addr, _) = s.append_to_shard_at(0, b"recovered", &ctx).unwrap();
+        assert_eq!(addr.offset, 0);
+    }
+
+    #[test]
+    fn grouped_appends_match_sequential_with_workers_attached() {
+        // A ≥ 2-record group fans its encodes across the pool; addresses,
+        // timings and stored bytes must not notice.
+        let [seq, fanned] = both_executions(Redundancy::ErasureCode { k: 3, m: 2 }, 6);
+        let ctx = IoCtx::new(2_000);
+        let records: Vec<Vec<u8>> = (0..4usize)
+            .map(|i| (0..200 * 1024).map(|j| ((i * 31 + j) % 251) as u8).collect())
+            .collect();
+        let expected: Vec<_> =
+            records.iter().map(|r| seq.append_to_shard_at(3, r.clone(), &ctx).unwrap()).collect();
+        let got: Vec<_> =
+            append_all(&fanned, &records, |_| 3, &ctx).into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, expected);
+        for ((addr, _), r) in got.iter().zip(&records) {
+            assert_eq!(get(&fanned, addr).unwrap().as_slice(), r.as_slice());
+        }
     }
 
     #[test]

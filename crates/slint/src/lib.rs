@@ -40,7 +40,7 @@
 //!
 //! * **R9** — the inter-procedural lock-acquisition graph must be acyclic
 //!   and every `held → acquired` edge must respect the canonical lock
-//!   hierarchy ([`model::LOCK_HIERARCHY`]); direct same-class nesting is
+//!   hierarchy (`common::lockwitness::HIERARCHY`); direct same-class nesting is
 //!   flagged as a self-deadlock.
 //! * **R10** — functions in the data-path crates that can reach a timed
 //!   device operation must receive `&IoCtx` from their caller: minting a

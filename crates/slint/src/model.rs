@@ -25,7 +25,7 @@
 //!
 //! * **R9** — cycles in the lock graph (deadlock candidates), direct
 //!   same-class nested acquisition, and edges that invert the canonical
-//!   hierarchy declared in [`LOCK_HIERARCHY`];
+//!   hierarchy declared in `common::lockwitness::HIERARCHY`;
 //! * **R10** — fresh root contexts (`IoCtx::new`) minted inside data-path
 //!   functions that can reach a timed device operation, outside the
 //!   allowlisted root-minting boundaries.
@@ -40,81 +40,15 @@
 //! types, excluding [`NOISY_METHODS`]).
 //!
 //! The runtime counterpart `common::lockwitness` enforces the same
-//! hierarchy table dynamically in debug builds; a unit test keeps the two
-//! tables in lockstep.
+//! hierarchy dynamically in debug builds, and owns the table: there is one
+//! declaration, read by both.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use common::lockwitness::HIERARCHY;
+
 use crate::scanner::{self, CleanedSource};
 use crate::Rule;
-
-/// One lock class in the canonical hierarchy.
-#[derive(Debug, Clone)]
-pub struct LockClassSpec {
-    /// Stable class name, as used by `common::lockwitness::acquire`.
-    pub name: &'static str,
-    /// Rank: acquisitions must happen in strictly increasing rank order.
-    pub rank: u32,
-    /// Struct that owns the lock field.
-    pub owner: &'static str,
-    /// Field name of the lock.
-    pub field: &'static str,
-}
-
-macro_rules! class {
-    ($name:literal, $rank:literal, $owner:literal . $field:ident) => {
-        LockClassSpec { name: $name, rank: $rank, owner: $owner, field: stringify!($field) }
-    };
-}
-
-/// The canonical lock hierarchy, outermost first. Must match
-/// `common::lockwitness::HIERARCHY` (a unit test parses that file).
-pub const LOCK_HIERARCHY: &[LockClassSpec] = &[
-    class!("core.chore.runtime", 10, "ChoreRuntime".inner),
-    // frontdoor.state ranks below access.grants: auth runs and releases
-    // before the door state is locked, and the door holds its state while
-    // calling into stream/plog/simdisk/metrics (all higher ranks).
-    // journal sits just above state: decisions are journaled while the
-    // state lock is still held.
-    class!("core.frontdoor.state", 12, "FrontDoor".state),
-    class!("core.frontdoor.journal", 13, "FrontDoor".journal),
-    class!("core.access.grants", 15, "AccessController".inner),
-    class!("stream.service.worker_ids", 20, "StreamService".next_worker_id),
-    class!("stream.service.workers", 21, "StreamService".workers),
-    class!("stream.service.quotas", 22, "StreamService".quotas),
-    // group.state ranks below dispatcher.topo: rebalancing holds the
-    // coordinator state while reading partition counts from the topology.
-    class!("stream.group.state", 23, "GroupCoordinator".state),
-    class!("stream.group.journal", 24, "GroupCoordinator".journal),
-    class!("stream.dispatcher.topo", 25, "StreamDispatcher".topo),
-    class!("stream.txn.active", 28, "TxnManager".active),
-    class!("stream.object.registry", 30, "StreamObjectStore".objects),
-    class!("stream.object.state", 35, "StreamObject".state),
-    class!("stream.worker.cache", 38, "StreamWorker".cache),
-    class!("stream.archive.entries", 40, "ArchiveService".entries),
-    class!("lake.compaction.trigger", 45, "CompactionChore".trigger),
-    class!("lake.meta.pending", 50, "MetadataCache".pending),
-    class!("plog.repl.mapping", 55, "RemoteReplicator".mapping),
-    class!("plog.repl.cursor", 56, "RemoteReplicator".cursor),
-    class!("plog.scrub.cursor", 58, "ScrubService".cursor),
-    // commit.state ranks above plog.shard: a group flush holds the
-    // committer state while reserving shard address space and writing.
-    class!("plog.commit.state", 59, "GroupCommitter".state),
-    class!("plog.shard", 60, "PlogStore".shards),
-    class!("simdisk.tier.extents", 65, "TieringService".extents),
-    // MVCC coordination state ranks below kv.index: the transaction layer
-    // holds its state/journal locks while reading and batch-writing the
-    // backing KV store (intents, records, resolutions).
-    class!("kv.mvcc.state", 66, "MvccStore".state),
-    class!("kv.mvcc.journal", 67, "MvccStore".journal),
-    class!("kv.index", 70, "SharedKv".inner),
-    // fault.state ranks below device.state: FaultInjector::advance_to
-    // holds its schedule lock while applying events to devices.
-    class!("simdisk.fault.state", 72, "FaultInjector".state),
-    class!("simdisk.device.state", 75, "Device".state),
-    class!("common.metrics", 85, "Metrics".inner),
-    class!("common.span.trail", 90, "SpanSink".trail),
-];
 
 /// Files allowed to mint fresh root `IoCtx` values on the data path: the
 /// system facade (request entry points) and the chore runtime (background
@@ -154,7 +88,7 @@ pub struct ClassInfo {
     /// Class name (`plog.shard`, or `auto:<Owner>.<field>` when the field
     /// is a lock but absent from the declared hierarchy).
     pub name: String,
-    /// Declared rank, if the class is in [`LOCK_HIERARCHY`].
+    /// Declared rank, if the class is in [`HIERARCHY`].
     pub rank: Option<u32>,
     /// Owning struct.
     pub owner: String,
@@ -758,7 +692,7 @@ fn record_struct_field(model: &mut Model, owner: &str, line: &str) {
 /// Build the class table and the method/field indexes after pass 1.
 fn index_model(model: &mut Model) {
     // Declared classes first, in hierarchy order.
-    for spec in LOCK_HIERARCHY {
+    for spec in HIERARCHY {
         model.classes.push(ClassInfo {
             name: spec.name.to_string(),
             rank: Some(spec.rank),
@@ -1933,85 +1867,5 @@ impl Reader {
         let r10: Vec<_> = findings.iter().filter(|f| f.rule == Rule::R10).collect();
         assert_eq!(r10.len(), 1, "exactly the deep mint flags: {findings:?}");
         assert_eq!(r10[0].file, "crates/plog/src/reader.rs");
-    }
-
-    #[test]
-    fn hierarchy_table_matches_lockwitness() {
-        // The runtime witness table lives in common; parse its source so
-        // the two tables cannot drift apart silently.
-        let witness_src = include_str!("../../common/src/lockwitness.rs");
-        let start = witness_src
-            .find("HIERARCHY: &[(&str, u32)] = &[")
-            .expect("HIERARCHY table present in lockwitness.rs");
-        let table = &witness_src[start..];
-        let table = &table[..table.find("];").expect("table terminator")];
-        for spec in LOCK_HIERARCHY {
-            let entry = format!("(\"{}\", {})", spec.name, spec.rank);
-            assert!(
-                table.contains(&entry),
-                "lockwitness::HIERARCHY is missing `{entry}` — keep it in \
-                 lockstep with model::LOCK_HIERARCHY"
-            );
-        }
-        let declared = table.matches("(\"").count();
-        assert_eq!(
-            declared,
-            LOCK_HIERARCHY.len(),
-            "lockwitness::HIERARCHY has entries model::LOCK_HIERARCHY lacks"
-        );
-    }
-
-    #[test]
-    fn committer_rank_sits_between_scrub_and_shard_in_both_tables() {
-        // The group committer holds its state lock while reserving shard
-        // address space (plog.shard) and issuing the batched index put
-        // (kv.index): its rank must be strictly between the scrub cursor
-        // and the shard lock, and the runtime witness must agree.
-        let rank_of = |name: &str| {
-            LOCK_HIERARCHY
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("{name} missing from model::LOCK_HIERARCHY"))
-                .rank
-        };
-        let commit = rank_of("plog.commit.state");
-        assert!(rank_of("plog.scrub.cursor") < commit && commit < rank_of("plog.shard"));
-        assert!(commit < rank_of("kv.index") && commit < rank_of("simdisk.device.state"));
-        let witness_src = include_str!("../../common/src/lockwitness.rs");
-        assert!(
-            witness_src.contains(&format!("(\"plog.commit.state\", {commit})")),
-            "lockwitness must carry the committer rank at the same value"
-        );
-    }
-
-    #[test]
-    fn frontdoor_ranks_sit_between_chore_and_access_in_both_tables() {
-        // The front door locks its state before journaling a decision
-        // (state < journal) and may hold either while calling auth-free
-        // paths into stream/plog/simdisk/metrics — so both must rank
-        // below every data-path lock, and below access.grants (auth runs
-        // and releases before the state lock is taken).
-        let rank_of = |name: &str| {
-            LOCK_HIERARCHY
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("{name} missing from model::LOCK_HIERARCHY"))
-                .rank
-        };
-        let state = rank_of("core.frontdoor.state");
-        let journal = rank_of("core.frontdoor.journal");
-        assert!(state < journal, "decisions are journaled under the state lock");
-        assert!(rank_of("core.chore.runtime") < state);
-        assert!(journal < rank_of("core.access.grants"));
-        assert!(journal < rank_of("stream.service.worker_ids"));
-        assert!(journal < rank_of("simdisk.device.state"));
-        assert!(journal < rank_of("common.metrics"));
-        let witness_src = include_str!("../../common/src/lockwitness.rs");
-        for (name, rank) in [("core.frontdoor.state", state), ("core.frontdoor.journal", journal)] {
-            assert!(
-                witness_src.contains(&format!("(\"{name}\", {rank})")),
-                "lockwitness must carry {name} at rank {rank}"
-            );
-        }
     }
 }

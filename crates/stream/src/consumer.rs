@@ -62,11 +62,6 @@ impl Consumer {
         &self.group
     }
 
-    /// This member's id within the group.
-    pub fn member_id(&self) -> &str {
-        &self.member
-    }
-
     /// Subscribe to `topic`: joins (or updates) this member's group
     /// registration, triggering a cooperative rebalance. Partitions are
     /// owned only after the group settles — the next `poll` plays this

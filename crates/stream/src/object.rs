@@ -3,9 +3,15 @@
 //! A stream object stores one partition of a message stream "organized as a
 //! collection of data slices. Each slice contains up to 256 records." The
 //! operations mirror Fig 3: create/destroy, append (returning the starting
-//! offset) and offset-addressed reads. Appends buffer records until a slice
-//! fills, then persist the slice to the object's PLog shard under the
-//! store's redundancy policy.
+//! offset) and offset-addressed reads.
+//!
+//! Slices reach the PLog one way: records sit in the open buffer until
+//! their slice is durable, and `persist_locked` — behind both `append_at`
+//! (full slices) and `flush_at` (plus the open remainder) — cuts the buffer
+//! into slices, hands them to `PlogStore::append_group` in offset order,
+//! and moves exactly the persisted prefix into the slice list. A failed
+//! write therefore loses nothing and reorders nothing: everything from the
+//! failure on stays buffered for the next flush.
 //!
 //! Stream objects also carry the mechanics behind the paper's delivery
 //! guarantees (§V-A):
@@ -24,9 +30,8 @@
 use crate::record::Record;
 use common::clock::{Nanos, millis};
 use common::ctx::{IoCtx, QosClass};
-use common::metrics::Metrics;
-use common::{Error, ObjectId, Result};
-use plog::{GroupCommitConfig, GroupCommitter, PlogAddress, PlogStore, Ticket};
+use common::{Bytes, Error, ObjectId, Result};
+use plog::{PlogAddress, PlogStore};
 use simdisk::device::{Device, MediaKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,18 +117,7 @@ pub struct StreamObject {
     slice_capacity: usize,
     scm: Option<Arc<Device>>,
     plog: Arc<PlogStore>,
-    committer: Arc<GroupCommitter>,
-    metrics: Metrics,
     state: TrackedMutex<ObjectState>,
-}
-
-/// A filled slice staged with the group committer during one `append_at`
-/// call, awaiting its ticket's outcome.
-struct StagedSlice {
-    ticket: Ticket,
-    base_offset: u64,
-    records: Vec<Record>,
-    encoded_len: u64,
 }
 
 /// Outcome of an append.
@@ -166,14 +160,15 @@ impl StreamObject {
     ///
     /// Duplicate `(producer_id, sequence)` pairs are dropped (idempotence);
     /// a sequence gap is an error, as the broker cannot know what was lost.
+    /// Records accepted before a gap or a failed slice write keep their
+    /// offsets and stay in the open buffer, so a retry (dropped as
+    /// duplicates) plus a later flush loses nothing.
     pub fn append_at(&self, records: &[Record], ctx: &IoCtx) -> Result<AppendAck> {
         let mut st = self.state.lock();
         if st.destroyed {
             return Err(Error::NotFound(format!("stream object {} destroyed", self.id)));
         }
         let mut base: Option<u64> = None;
-        let mut ack = ctx.now;
-        let mut staged: Vec<StagedSlice> = Vec::new();
         for r in records {
             if let Some((pid, seq)) = r.producer_seq {
                 let last = st.producer_seqs.get(&pid).copied();
@@ -191,105 +186,12 @@ impl StreamObject {
             if let Some(t) = r.txn {
                 st.open_txns.insert(t);
             }
-            let offset = st.next_offset;
-            base.get_or_insert(offset);
+            base.get_or_insert(st.next_offset);
             st.next_offset += 1;
             st.buffer.push(r.clone());
-            if st.buffer.len() >= self.slice_capacity {
-                if self.scm.is_some() {
-                    // SCM staging keeps its per-slice early-ack path.
-                    ack = ack.max(self.flush_locked(&mut st, ctx)?);
-                } else {
-                    // Every filled slice of this append joins one
-                    // group-commit submission instead of paying its own
-                    // index put; outcomes resolve in one flush below.
-                    let slice_records = std::mem::take(&mut st.buffer);
-                    let encoded = Record::encode_slice(&slice_records);
-                    let encoded_len = encoded.len() as u64;
-                    let ticket = self.committer.submit(self.shard, encoded, ctx)?;
-                    staged.push(StagedSlice {
-                        ticket,
-                        base_offset: st.buffer_base,
-                        records: slice_records,
-                        encoded_len,
-                    });
-                    st.buffer_base = st.next_offset;
-                }
-            }
         }
-        if !staged.is_empty() {
-            ack = ack.max(self.commit_staged_locked(&mut st, staged, ctx)?);
-        }
-        Ok(AppendAck { base_offset: base, ack_time: ack })
-    }
-
-    /// Resolve the slices staged with the group committer during one
-    /// `append_at`: flush the open group, record successful slices in
-    /// offset order, and on failure restore every unpersisted slice to the
-    /// open buffer so `buffer_base + buffer.len() == next_offset` keeps
-    /// holding and a later flush retries them.
-    fn commit_staged_locked(
-        &self,
-        st: &mut ObjectState,
-        staged: Vec<StagedSlice>,
-        ctx: &IoCtx,
-    ) -> Result<Nanos> {
-        // Typed binding on purpose: slint's lock-graph resolves `.flush` /
-        // `.take` by receiver type, and untyped they alias unrelated methods.
-        let gc: &GroupCommitter = &self.committer;
-        gc.flush(ctx)?;
-        let mut ack = ctx.now;
-        let mut committed = 0u64;
-        let mut failed: Option<Error> = None;
-        let mut restage: Vec<StagedSlice> = Vec::new();
-        for s in staged {
-            let outcome = gc
-                .take(s.ticket)
-                .unwrap_or_else(|| Err(Error::Io("group commit lost a slice outcome".into())));
-            match outcome {
-                Ok((addr, finish)) if failed.is_none() => {
-                    st.persisted_bytes += s.encoded_len;
-                    st.slices.push(SliceMeta {
-                        base_offset: s.base_offset,
-                        count: s.records.len() as u64,
-                        addr,
-                    });
-                    ack = ack.max(finish);
-                    committed += 1;
-                }
-                Ok((addr, _)) => {
-                    // An earlier slice failed: keep the slice sequence
-                    // gap-free by rolling this one back and restaging it.
-                    // slint:allow(R11): best-effort rollback, orphan is scrub-reclaimed
-                    let _ = self.plog.delete(&addr);
-                    restage.push(s);
-                }
-                Err(e) => {
-                    if failed.is_none() {
-                        failed = Some(e);
-                    }
-                    restage.push(s);
-                }
-            }
-        }
-        if committed > 0 {
-            self.metrics.incr("stream.batched_appends", committed);
-        }
-        match failed {
-            None => Ok(ack),
-            Some(e) => {
-                let mut buffer = Vec::new();
-                let mut buffer_base = st.buffer_base;
-                for mut s in restage {
-                    buffer_base = buffer_base.min(s.base_offset);
-                    buffer.append(&mut s.records);
-                }
-                buffer.append(&mut st.buffer);
-                st.buffer = buffer;
-                st.buffer_base = buffer_base;
-                Err(e)
-            }
-        }
+        let ack_time = self.persist_locked(&mut st, false, ctx)?;
+        Ok(AppendAck { base_offset: base, ack_time })
     }
 
     /// Force-persist the open slice buffer (e.g. on shutdown or conversion).
@@ -298,56 +200,119 @@ impl StreamObject {
         if st.destroyed {
             return Err(Error::NotFound(format!("stream object {} destroyed", self.id)));
         }
-        self.flush_locked(&mut st, ctx)
+        self.persist_locked(&mut st, true, ctx)
     }
 
-    fn flush_locked(&self, st: &mut ObjectState, ctx: &IoCtx) -> Result<Nanos> {
-        if st.buffer.is_empty() {
+    /// The one slice-persist routine: cut the buffer into full slices (plus
+    /// the open remainder when `include_open`), persist them in offset
+    /// order, move the persisted *prefix* from the buffer into `slices`,
+    /// and leave everything from the first failure on buffered for the
+    /// next flush — `buffer_base + buffer.len() == next_offset` always.
+    /// Returns the latest acknowledgement time.
+    ///
+    /// Without SCM all slices reach the PLog as one append group (one index
+    /// WAL frame however many slices). With SCM each slice is a group of
+    /// its own: it is staged in SCM and drained to the PLog in the
+    /// background, and a drain starts only once the previous one finished.
+    fn persist_locked(
+        &self,
+        st: &mut ObjectState,
+        include_open: bool,
+        ctx: &IoCtx,
+    ) -> Result<Nanos> {
+        let cap = self.slice_capacity;
+        let end = if include_open { st.buffer.len() } else { st.buffer.len() / cap * cap };
+        if end == 0 {
             return Ok(ctx.now);
         }
-        let encoded = Record::encode_slice(&st.buffer);
-        let count = st.buffer.len() as u64;
-        let base_offset = st.buffer_base;
-        let ack = match &self.scm {
-            Some(scm) => {
-                // Stage in SCM: fast ack, background drain to the PLog.
-                let scm_ext = self.id.raw() * 1_000_003 + st.slices.len() as u64;
-                let t = scm.write_extent_ctx(scm_ext, &encoded, ctx)?;
-                let drain_start = t.finish.max(st.drain_backlog_until);
-                // The drain is background work: it keeps the request's trace
-                // and sink but must not inherit its deadline or foreground
-                // device lane.
-                let mut drain_ctx =
-                    ctx.at(drain_start).with_qos(QosClass::Background);
-                drain_ctx.deadline = None;
-                let (addr, plog_finish) =
-                    self.plog.append_to_shard_at(self.shard, &encoded, &drain_ctx)?;
-                st.drain_backlog_until = plog_finish;
-                // The slice is durable in the PLog by now; a failed SCM
-                // delete only delays persistent-memory reuse.
-                // slint:allow(R11): slice already durable in PLog
-                let _ = scm.delete_extent(scm_ext); // drained
-                st.slices.push(SliceMeta { base_offset, count, addr });
-                // Ack from SCM while the drain keeps up; once the backlog
-                // exceeds ~5 ms the PLog becomes the critical path — this is
-                // why persistent memory stops helping near saturation in
-                // Fig 14(a)/(b).
-                if plog_finish.saturating_sub(t.finish) > millis(5) {
-                    plog_finish
-                } else {
-                    t.finish
+        let encoded: Vec<(u64, Bytes)> = st.buffer[..end]
+            .chunks(cap)
+            .map(|c| (c.len() as u64, Record::encode_slice(c).into()))
+            .collect();
+        let mut ack = ctx.now;
+        let mut persisted = 0u64; // records made durable: a prefix of the buffer
+        let mut failed: Option<Error> = None;
+        let group_len = if self.scm.is_some() { 1 } else { encoded.len() };
+        for group in encoded.chunks(group_len) {
+            let scm_ext = self.id.raw() * 1_000_003 + st.slices.len() as u64;
+            let staged_at = match &self.scm {
+                Some(scm) => match scm.write_extent_ctx(scm_ext, &group[0].1, ctx) {
+                    Ok(t) => Some(t.finish),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                },
+                None => None,
+            };
+            // The drain is background work: it keeps the request's trace
+            // and sink but must not inherit its deadline or foreground
+            // device lane.
+            let drain_ctx = staged_at.map(|t| {
+                let drain = ctx.at(t.max(st.drain_backlog_until)).with_qos(QosClass::Background);
+                // slint:allow(R10): the SCM→PLog drain outlives the request SCM already acked
+                drain.without_deadline()
+            });
+            let group_ctx = drain_ctx.as_ref().unwrap_or(ctx);
+            let appends: Vec<_> =
+                group.iter().map(|(_, bytes)| (self.shard, bytes.clone(), group_ctx)).collect();
+            let outcomes = self.plog.append_group(&appends);
+            for (outcome, (count, bytes)) in outcomes.into_iter().zip(group) {
+                match outcome {
+                    Ok((addr, finish)) if failed.is_none() => {
+                        let base_offset = st.buffer_base + persisted;
+                        st.slices.push(SliceMeta { base_offset, count: *count, addr });
+                        st.persisted_bytes += bytes.len() as u64;
+                        persisted += count;
+                        ack = ack.max(self.retire_staging(st, scm_ext, staged_at, finish));
+                    }
+                    Ok((addr, _)) => {
+                        // An earlier slice failed: keep the slice sequence
+                        // gap-free by rolling this one back; its records
+                        // stay buffered behind the failed slice's.
+                        // slint:allow(R11): best-effort rollback, orphan is scrub-reclaimed
+                        let _ = self.plog.delete(&addr);
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
                 }
             }
-            None => {
-                let (addr, finish) = self.plog.append_to_shard_at(self.shard, &encoded, ctx)?;
-                st.slices.push(SliceMeta { base_offset, count, addr });
-                finish
+            if failed.is_some() {
+                break;
             }
+        }
+        st.buffer.drain(..persisted as usize);
+        st.buffer_base += persisted;
+        failed.map_or(Ok(ack), Err)
+    }
+
+    /// Close out a slice whose PLog write finished at `plog_finish` and
+    /// return when it is acknowledged: at PLog completion, or — staged in
+    /// SCM at `staged_at`, the staging extent now released — from SCM while
+    /// the drain keeps up. Once the drain backlog exceeds ~5 ms the PLog
+    /// becomes the critical path; this is why persistent memory stops
+    /// helping near saturation in Fig 14(a)/(b).
+    fn retire_staging(
+        &self,
+        st: &mut ObjectState,
+        scm_ext: u64,
+        staged_at: Option<Nanos>,
+        plog_finish: Nanos,
+    ) -> Nanos {
+        let (Some(scm), Some(staged_at)) = (&self.scm, staged_at) else {
+            return plog_finish;
         };
-        st.persisted_bytes += encoded.len() as u64;
-        st.buffer.clear();
-        st.buffer_base = st.next_offset;
-        Ok(ack)
+        st.drain_backlog_until = plog_finish;
+        // The slice is durable in the PLog by now; a failed SCM delete only
+        // delays persistent-memory reuse.
+        // slint:allow(R11): slice already durable in PLog
+        let _ = scm.delete_extent(scm_ext); // drained
+        if plog_finish.saturating_sub(staged_at) > millis(5) {
+            plog_finish
+        } else {
+            staged_at
+        }
     }
 
     /// Read up to `ctrl.max_records` records starting at `offset`.
@@ -477,37 +442,22 @@ impl StreamObject {
 pub struct StreamObjectStore {
     plog: Arc<PlogStore>,
     scm: Option<Arc<Device>>,
-    committer: Arc<GroupCommitter>,
-    metrics: Metrics,
     objects: TrackedMutex<BTreeMap<ObjectId, Arc<StreamObject>>>,
     next_id: AtomicU64,
 }
 
 impl StreamObjectStore {
     /// Create a store over `plog`; `scm_capacity` provisions a shared SCM
-    /// staging device when nonzero (Set-2 hardware in §VII-C). Filled-slice
-    /// flushes go through one group committer shared by every object of
-    /// the store: each `append_at` submits all of its filled slices as one
-    /// group-commit batch.
+    /// staging device when nonzero (Set-2 hardware in §VII-C).
     pub fn new(plog: Arc<PlogStore>, scm_capacity: u64) -> Self {
         let scm = (scm_capacity > 0)
             .then(|| Arc::new(Device::new(u64::MAX, MediaKind::Scm, scm_capacity)));
-        let committer =
-            Arc::new(GroupCommitter::new(plog.clone(), GroupCommitConfig::default()));
         StreamObjectStore {
             plog,
             scm,
-            committer,
-            metrics: Metrics::new(),
             objects: TrackedMutex::new("stream.object.registry", BTreeMap::new()),
             next_id: AtomicU64::new(1),
         }
-    }
-
-    /// Record stream counters (`stream.*`) into a shared registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// `CreateServerStreamObject`: allocate a new stream object.
@@ -527,8 +477,6 @@ impl StreamObjectStore {
             slice_capacity: options.slice_capacity,
             scm: options.scm_cache.then(|| self.scm.clone()).flatten(),
             plog: self.plog.clone(),
-            committer: self.committer.clone(),
-            metrics: self.metrics.clone(),
             state: TrackedMutex::new("stream.object.state", ObjectState::default()),
         });
         self.objects.lock().insert(id, obj.clone());
@@ -630,6 +578,16 @@ mod tests {
             .collect()
     }
 
+    /// Every record of `obj` from offset 0, asserted gap-free and in
+    /// append order (`recs` stamps record i with timestamp i).
+    fn assert_reads_back_in_order(obj: &StreamObject, want: usize) {
+        let (got, _) = obj.read_at(0, ReadCtrl::default(), &at(0)).unwrap();
+        assert_eq!(got.len(), want);
+        for (i, (off, r)) in got.iter().enumerate() {
+            assert_eq!((*off, r.timestamp), (i as u64, i as i64));
+        }
+    }
+
     #[test]
     fn append_assigns_contiguous_offsets() {
         let s = store(false);
@@ -649,12 +607,7 @@ mod tests {
             .unwrap();
         obj.append_at(&recs(40, 0), &at(0)).unwrap();
         assert_eq!(obj.slice_count(), 2, "two full slices persisted");
-        let (got, _) = obj.read_at(0, ReadCtrl::default(), &at(0)).unwrap();
-        assert_eq!(got.len(), 40);
-        for (i, (off, r)) in got.iter().enumerate() {
-            assert_eq!(*off, i as u64);
-            assert_eq!(r.timestamp, i as i64);
-        }
+        assert_reads_back_in_order(&obj, 40);
     }
 
     #[test]
@@ -777,10 +730,10 @@ mod tests {
 
     #[test]
     fn batched_append_matches_per_slice_appends() {
-        // Same slices, same virtual arrival: the object's group-committed
-        // append must produce exactly the addresses and ack a twin PLog
-        // sees from one `append_to_shard_at` per slice — while paying one
-        // index WAL frame for the whole append instead of one per slice.
+        // Same slices, same virtual arrival: the object's grouped append
+        // must produce exactly the addresses and ack a twin PLog sees from
+        // one `append_to_shard_at` per slice — while paying one index WAL
+        // frame for the whole append instead of one per slice.
         let batched = store(false);
         let twin = store(false);
         let obj = batched.create(CreateOptions { slice_capacity: 8, ..Default::default() }).unwrap();
@@ -805,7 +758,6 @@ mod tests {
             1,
             "three filled slices must commit under one index WAL frame"
         );
-        assert_eq!(batched.metrics.counter("stream.batched_appends"), 3);
         let (got, _) = obj.read_at(0, ReadCtrl::default(), &at(ack.ack_time)).unwrap();
         assert_eq!(got.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), records);
     }
@@ -819,23 +771,106 @@ mod tests {
         }
         // Two filled slices, both doomed: one healthy device cannot hold
         // two replicas.
+        let frames_before = s.plog().index_for_tests().wal_frames();
         assert!(obj.append_at(&recs(8, 0), &at(0)).is_err());
         assert_eq!(obj.slice_count(), 0);
         assert_eq!(obj.end_offset(), 8, "offsets stay assigned to the buffered records");
         assert_eq!(s.plog().physical_bytes(), 0, "failed group leaked extents");
-        assert_eq!(s.metrics.counter("stream.batched_appends"), 0);
+        assert_eq!(
+            s.plog().index_for_tests().wal_frames(),
+            frames_before,
+            "a group with no success must not log an index frame"
+        );
         // The records live on in the open buffer: once the pool heals, a
-        // flush persists them and reads see every offset.
+        // flush persists them — still cut at the slice capacity — and reads
+        // see every offset.
         for d in 1..4 {
             s.plog().pool_for_tests().device(d).heal();
         }
         obj.flush_at(&at(0)).unwrap();
-        let (got, _) = obj.read_at(0, ReadCtrl::default(), &at(0)).unwrap();
-        assert_eq!(got.len(), 8);
-        for (i, (off, r)) in got.iter().enumerate() {
-            assert_eq!(*off, i as u64);
-            assert_eq!(r.timestamp, i as i64);
+        assert_eq!(obj.slice_count(), 2, "no slice may exceed its capacity");
+        assert_reads_back_in_order(&obj, 8);
+    }
+
+    #[test]
+    fn sequence_gap_after_a_full_slice_loses_nothing() {
+        // Regression: the gap used to return early with the first slice
+        // parked in the group committer — never recorded, never readable —
+        // while the client's retry was dropped as duplicates.
+        for scm in [false, true] {
+            let s = store(scm);
+            let obj = s
+                .create(CreateOptions { slice_capacity: 8, scm_cache: scm, ..Default::default() })
+                .unwrap();
+            let mut batch = recs(12, 0);
+            for (i, r) in batch.iter_mut().enumerate() {
+                // Producer 7 sends sequences 1..=10, then skips ahead.
+                let seq = if i < 10 { i as u64 + 1 } else { i as u64 + 5 };
+                r.producer_seq = Some((7, seq));
+            }
+            assert!(obj.append_at(&batch, &at(0)).is_err(), "scm={scm}");
+            assert_eq!(obj.end_offset(), 10, "the ten records before the gap keep their offsets");
+            let retry = obj.append_at(&batch[..10], &at(0)).unwrap();
+            assert_eq!(retry.base_offset, None, "the retry is all duplicates");
+            obj.flush_at(&at(0)).unwrap();
+            assert_reads_back_in_order(&obj, 10);
+            assert_eq!(obj.slice_count(), 2, "one full slice and the two-record remainder");
         }
+    }
+
+    /// Arm device 2 so that the next write it takes fails *and* tips it
+    /// into suspect: placement cannot see the transient outage, so the
+    /// next stripe still lands on it, but later stripes steer around it.
+    fn fail_exactly_one_write_on_device_2(s: &StreamObjectStore) {
+        let dev = s.plog().pool_for_tests().device(2);
+        dev.fail_until(millis(1));
+        for _ in 1..simdisk::device::SUSPECT_FAULT_THRESHOLD {
+            dev.note_corruption();
+        }
+    }
+
+    #[test]
+    fn mid_group_failure_keeps_order_and_loses_nothing() {
+        let s = store(false);
+        let obj = s.create(CreateOptions { slice_capacity: 4, ..Default::default() }).unwrap();
+        // A fresh pool places by most-free, ties by index: slice 0 lands on
+        // devices (0, 1), slice 1 on (2, 3) and fails, slice 2 — device 2
+        // now suspect — on (3, 0) and succeeds behind the failure.
+        fail_exactly_one_write_on_device_2(&s);
+        let err = obj.append_at(&recs(12, 0), &at(0)).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err:?}");
+        assert_eq!(obj.slice_count(), 1, "only the slice before the failure is recorded");
+        assert_eq!(s.plog().record_count(), 1, "the third slice must be rolled back");
+        assert_eq!(s.plog().physical_bytes(), 2 * obj.persisted_bytes());
+        {
+            let st = obj.state.lock();
+            assert_eq!(st.buffer_base, 4);
+            assert_eq!(st.buffer_base + st.buffer.len() as u64, st.next_offset);
+        }
+        assert_reads_back_in_order(&obj, 12);
+        s.plog().pool_for_tests().device(2).heal();
+        obj.flush_at(&at(0)).unwrap();
+        assert!(obj.state.lock().buffer.is_empty());
+        assert_reads_back_in_order(&obj, 12);
+    }
+
+    #[test]
+    fn failed_scm_drain_keeps_the_slice_buffered() {
+        let s = store(true);
+        let obj = s
+            .create(CreateOptions { slice_capacity: 4, scm_cache: true, ..Default::default() })
+            .unwrap();
+        fail_exactly_one_write_on_device_2(&s);
+        // Slices drain one at a time: the second drain fails, the third
+        // slice is never attempted, and all twelve offsets stay assigned.
+        assert!(obj.append_at(&recs(12, 0), &at(0)).is_err());
+        assert_eq!(obj.slice_count(), 1);
+        assert_eq!(obj.end_offset(), 12);
+        assert_reads_back_in_order(&obj, 12);
+        s.plog().pool_for_tests().device(2).heal();
+        obj.flush_at(&at(0)).unwrap();
+        assert_eq!(obj.slice_count(), 3);
+        assert_reads_back_in_order(&obj, 12);
     }
 
     #[test]

@@ -40,19 +40,6 @@ impl Record {
         self.key.len() + self.value.len() + 24
     }
 
-    /// The stable 64-bit hash of this record's key — the value every
-    /// built-in [`crate::partition::Partitioner`] decision reduces, so
-    /// clients can predict (and tests can assert) where a record lands.
-    pub fn key_hash(&self) -> u64 {
-        crate::partition::stable_key_hash(&self.key)
-    }
-
-    /// The partition of a `partition_count`-partition topic this record
-    /// routes to under the default key-hash policy.
-    pub fn partition_of(&self, partition_count: u32) -> u32 {
-        crate::partition::partition_for_key(&self.key, partition_count)
-    }
-
     /// Serialize into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let mut flags = 0u8;

@@ -82,9 +82,7 @@ impl StreamService {
     /// Build a service over an existing PLog store.
     pub fn new(plog: Arc<PlogStore>, clock: SimClock, opts: StreamServiceOptions) -> Arc<Self> {
         let metrics = Metrics::new();
-        let objects = Arc::new(
-            StreamObjectStore::new(plog, opts.scm_capacity).with_metrics(metrics.clone()),
-        );
+        let objects = Arc::new(StreamObjectStore::new(plog, opts.scm_capacity));
         let dispatcher = Arc::new(StreamDispatcher::with_metrics(
             objects.clone(),
             metrics.clone(),

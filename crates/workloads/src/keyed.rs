@@ -7,7 +7,7 @@
 //! and per-key ordering can be exercised deterministically from one seed.
 
 use crate::zipf::Zipf;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// A deterministic stream of Zipf-skewed `(key, value)` messages.
 #[derive(Debug)]
@@ -29,11 +29,6 @@ impl KeyedWorkload {
             value_bytes,
             sent: 0,
         }
-    }
-
-    /// Distinct keys in the population.
-    pub fn key_space(&self) -> usize {
-        self.zipf.len()
     }
 
     /// Messages drawn so far.
@@ -81,11 +76,6 @@ pub fn producer_fleet(
             )
         })
         .collect()
-}
-
-/// Convenience: a uniform (unskewed) random payload of `n` bytes.
-pub fn random_payload(rng: &mut StdRng, n: usize) -> Vec<u8> {
-    (0..n).map(|_| rng.gen()).collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate: build everything, run tier-1 tests, enforce the slint
 # determinism/error-hygiene baseline. Mirrors what CI would run.
+#
+# For a refactor that must not move behaviour, also run
+# `scripts/oracle.sh [<ref>=HEAD~1]`: it builds <ref> in a git worktree under
+# target/oracle/ and fails if any of the six virtual-time smoke bins
+# (repro_all, phase_smoke, chore_soak, stream_scale, tenant_isolation,
+# txn_atomic) prints different bytes on this tree than on <ref>.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

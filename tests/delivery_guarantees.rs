@@ -175,7 +175,7 @@ fn a_group_of_n_consumers_delivers_each_record_exactly_once() {
         .collect();
 
     let mut seen = std::collections::HashMap::new();
-    let mut drain = |members: &mut Vec<stream::Consumer>,
+    let drain = |members: &mut Vec<stream::Consumer>,
                      seen: &mut std::collections::HashMap<(u32, u64), u32>| {
         for _ in 0..8 {
             for c in members.iter_mut() {
