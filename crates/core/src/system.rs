@@ -104,7 +104,6 @@ impl StreamLakeConfig {
 /// and the maintenance runtime all six background services run under.
 #[derive(Debug)]
 pub struct StreamLake {
-    mvcc: Arc<MvccStore>,
     clock: SimClock,
     metrics: Metrics,
     sink: Arc<SpanSink>,
@@ -165,10 +164,11 @@ impl StreamLake {
             ))),
         );
         let scrubber = Arc::new(ScrubService::new(plog.clone()));
-        // One MVCC store spans the stream transaction coordinator and the
-        // table commit path, so a single transaction can cover both
-        // ("archive these segments AND commit the snapshot").
-        let mvcc = Arc::new(MvccStore::new());
+        // Every service keeps its metadata in the PLog's KV index. The
+        // table store builds the one MVCC store over it, and the stream
+        // transaction coordinator shares it, so a single transaction can
+        // cover both ("archive these segments AND commit the snapshot").
+        let tables = Arc::new(TableStore::new(plog.clone(), config.meta_flush_threshold));
         let stream = StreamService::new(
             plog.clone(),
             clock.clone(),
@@ -176,12 +176,9 @@ impl StreamLake {
                 workers: config.workers,
                 scm_capacity: config.scm_capacity,
                 transport: config.transport,
-                txn_mvcc: Some(mvcc.clone()),
+                txn_mvcc: Some(tables.mvcc().clone()),
                 ..Default::default()
             },
-        );
-        let tables = Arc::new(
-            TableStore::new(plog.clone(), config.meta_flush_threshold).with_mvcc(mvcc.clone()),
         );
         let archive = Arc::new(ArchiveService::new(hdd.clone()));
         let tiering = Arc::new(TieringService::new(
@@ -237,12 +234,11 @@ impl StreamLake {
         // Appended last: registration order is part of the deterministic
         // schedule, so new chores must not displace existing ones.
         chores.register(
-            Arc::new(WalCompactionChore::new(mvcc.kv().clone(), metrics.clone())),
+            Arc::new(WalCompactionChore::new(plog.kv().clone(), metrics.clone())),
             ChoreConfig::every(secs(30)),
         );
 
         StreamLake {
-            mvcc,
             clock,
             metrics,
             sink,
@@ -296,7 +292,7 @@ impl StreamLake {
     /// The deployment-wide MVCC store coordinating stream and table
     /// transactions.
     pub fn mvcc(&self) -> &Arc<MvccStore> {
-        &self.mvcc
+        self.tables.mvcc()
     }
 
     /// The persistence-log store.

@@ -81,8 +81,9 @@ impl StreamLake {
     /// Crash recovery for cross-subsystem transactions: roll every decided
     /// transaction forward (the same function a live
     /// [`Transaction::resolve`] runs); abort and clean every orphaned
-    /// pending transaction. Idempotent — after it returns, no transaction
-    /// is half-visible and no orphaned intent survives.
+    /// pending transaction, discarding the data files it staged.
+    /// Idempotent — after it returns, no transaction is half-visible and no
+    /// orphaned intent survives.
     pub fn recover_transactions(&self, ctx: &IoCtx) -> Result<TxnRecoveryReport> {
         let mut report = TxnRecoveryReport::default();
         for d in self.mvcc().decided()? {
@@ -91,6 +92,7 @@ impl StreamLake {
         }
         for p in self.mvcc().orphan_pending()? {
             self.stream().txns().abort_orphan(TxnId(p.txn), &p.writes)?;
+            self.tables().discard_intents(&p.writes);
             report.aborted_cleaned += 1;
         }
         Ok(report)
@@ -145,8 +147,9 @@ impl Transaction<'_> {
         if let Err(e) = self.producer.flush(ctx) {
             self.done = true;
             // Flush failure aborts the whole transaction (stream intents,
-            // staged table metadata, the lot).
+            // staged table metadata and files, the lot).
             self.sl.stream().txns().abort(self.id)?;
+            self.discard_staged();
             return Err(e);
         }
         match self.sl.stream().txns().prepare_decide(self.id) {
@@ -155,7 +158,9 @@ impl Transaction<'_> {
                 Ok(ts)
             }
             Err(e) => {
-                self.done = true; // prepare_decide cleaned everything up
+                // prepare_decide cleaned up the intents; the files remain.
+                self.done = true;
+                self.discard_staged();
                 Err(e)
             }
         }
@@ -186,9 +191,9 @@ impl Transaction<'_> {
         self.resolve(ctx)
     }
 
-    /// Abort: discard buffered sends, stream intents and staged table
-    /// metadata. Fails once the transaction is decided (a durable decision
-    /// can only roll forward).
+    /// Abort: discard buffered sends, stream intents, staged table metadata
+    /// and the data files it staged. Fails once the transaction is decided
+    /// (a durable decision can only roll forward).
     pub fn abort(&mut self) -> Result<()> {
         if self.done {
             return Ok(());
@@ -200,7 +205,9 @@ impl Transaction<'_> {
             )));
         }
         self.done = true;
-        self.sl.stream().txns().abort(self.id)
+        self.sl.stream().txns().abort(self.id)?;
+        self.discard_staged();
+        Ok(())
     }
 
     /// Simulate a coordinator crash (tests, fault injection): drop all
@@ -211,6 +218,14 @@ impl Transaction<'_> {
         self.done = true;
         self.sl.stream().txns().forget(self.id);
         self.sl.mvcc().forget(self.id.raw());
+    }
+
+    /// Reclaim the data files of every table commit this transaction
+    /// staged; call once its intents are gone.
+    fn discard_staged(&self) {
+        for staged in &self.staged {
+            self.sl.tables().discard(&staged.files);
+        }
     }
 
     fn check_open(&self) -> Result<()> {
@@ -226,9 +241,10 @@ impl Transaction<'_> {
 
 impl Drop for Transaction<'_> {
     fn drop(&mut self) {
-        if !self.done && !self.decided {
-            // slint:allow(R11): best-effort cleanup, recover_transactions sweeps leftovers
-            let _ = self.sl.stream().txns().abort(self.id);
+        // Best-effort cleanup: if the abort fails, recover_transactions
+        // sweeps the leftovers (files included).
+        if !self.done && !self.decided && self.sl.stream().txns().abort(self.id).is_ok() {
+            self.discard_staged();
         }
         // A decided-but-unresolved transaction is intentionally left for
         // recovery to roll forward — aborting it here would be wrong.

@@ -1,13 +1,14 @@
 //! WAL compaction as a maintenance chore.
 //!
-//! The MVCC transaction layer turns the KV WAL into a hot log: every
-//! intent, record update and resolution appends a frame, and most of those
-//! frames are superseded minutes later when the transaction resolves.
-//! Left alone the log grows without bound; compacted inline it would stall
-//! a foreground commit. So compaction runs where all other background work
-//! runs — on the maintenance runtime, budgeted and at Maintenance QoS —
-//! rewriting the WAL as one batch of live state once enough dead frames
-//! accumulate.
+//! A deployment keeps all of its metadata in one KV store — the PLog's
+//! index — so its WAL is a hot log: every PLog index entry, topic and group
+//! update, catalog and metadata-cache write, and every MVCC intent, record
+//! update and resolution appends a frame, and most of those frames are
+//! superseded soon after. Left alone the log grows without bound;
+//! compacted inline it would stall a foreground commit. So compaction runs
+//! where all other background work runs — on the maintenance runtime,
+//! budgeted and at Maintenance QoS — rewriting the WAL as one batch of live
+//! state once enough dead frames accumulate.
 
 use crate::store::SharedKv;
 use common::chore::{Chore, ChoreBudget, TickReport};

@@ -363,8 +363,9 @@ pub struct DecidedTxn {
 pub struct PendingTxn {
     /// Transaction id.
     pub txn: Ts,
-    /// Keys holding its orphaned intents.
-    pub writes: Vec<Vec<u8>>,
+    /// Its orphaned intents as `(user_key, value)` pairs, as in
+    /// [`DecidedTxn::writes`] — what an abort throws away.
+    pub writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
 
 /// What [`MvccStore::recover`] did.
@@ -875,7 +876,7 @@ impl MvccStore {
         let mut out = Vec::new();
         for (txn, status, _commit_ts, writes) in self.records()? {
             if status == STATUS_PENDING && !st.active.contains_key(&txn) {
-                out.push(PendingTxn { txn, writes: writes.into_iter().collect() });
+                out.push(PendingTxn { txn, writes: self.surviving_intents(txn, writes)? });
             }
         }
         drop(st);

@@ -6,9 +6,10 @@
 //! key-value engine optimized for RDMA and Storage Class Memory (SCM) to
 //! ensure fast metadata access."
 //!
-//! Here the catalog lives in a [`kvstore::SharedKv`]; lookups are O(1) in
-//! the number of partitions — the property Fig 15(a) measures against a
-//! file-based catalog.
+//! Here the catalog lives in the deployment's metadata store (the PLog's
+//! [`kvstore::SharedKv`]) under `catalog/`; lookups are O(1) in the number
+//! of partitions — the property Fig 15(a) measures against a file-based
+//! catalog.
 
 use common::{Error, Result, TableId};
 use format::Schema;
@@ -171,9 +172,9 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog over its own KV store.
-    pub fn new() -> Self {
-        Catalog { kv: SharedKv::new(), next_id: AtomicU64::new(1) }
+    /// A catalog keeping its `catalog/` keys in `kv`.
+    pub fn new(kv: SharedKv) -> Self {
+        Catalog { kv, next_id: AtomicU64::new(1) }
     }
 
     /// Register a new table; fails if a live table with the name exists.
@@ -255,12 +256,6 @@ impl Catalog {
     }
 }
 
-impl Default for Catalog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 fn enc_str(s: &str, out: &mut Vec<u8>) {
     common::varint::encode_u64(s.len() as u64, out);
     out.extend_from_slice(s.as_bytes());
@@ -293,7 +288,7 @@ mod tests {
 
     #[test]
     fn create_get_roundtrip() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         let p = c
             .create("logs", schema(), Some(PartitionSpec::hourly("start_time")), 10_000, 42)
             .unwrap();
@@ -305,7 +300,7 @@ mod tests {
 
     #[test]
     fn duplicate_name_rejected_and_ids_unique() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         let a = c.create("a", schema(), None, 1000, 0).unwrap();
         let b = c.create("b", schema(), None, 1000, 0).unwrap();
         assert_ne!(a.id, b.id);
@@ -317,7 +312,7 @@ mod tests {
 
     #[test]
     fn partition_column_must_exist() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         assert!(c
             .create("bad", schema(), Some(PartitionSpec::identity("nope")), 1000, 0)
             .is_err());
@@ -325,7 +320,7 @@ mod tests {
 
     #[test]
     fn soft_delete_hides_but_get_any_finds() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         let mut p = c.create("t", schema(), None, 1000, 0).unwrap();
         p.soft_deleted = true;
         c.update(&p);
@@ -340,7 +335,7 @@ mod tests {
 
     #[test]
     fn hard_remove_clears_entry() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         c.create("t", schema(), None, 1000, 0).unwrap();
         c.remove("t");
         assert!(c.get_any("t").is_err());
@@ -373,7 +368,7 @@ mod tests {
 
     #[test]
     fn profile_encoding_roundtrips_all_variants() {
-        let c = Catalog::new();
+        let c = Catalog::new(SharedKv::new());
         for part in [
             None,
             Some(PartitionSpec::identity("url")),

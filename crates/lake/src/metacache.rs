@@ -23,7 +23,6 @@ use crate::meta::{Commit, DataFileMeta, Snapshot};
 use common::clock::{micros, Nanos};
 use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
-use kvstore::SharedKv;
 use plog::{PlogAddress, PlogStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -45,11 +44,11 @@ pub const KV_LOOKUP_COST: Nanos = micros(2);
 /// side (path + stats), used by the Fig 15(b) memory model.
 pub const PER_FILE_META_BYTES: u64 = 200;
 
-/// The metadata write cache + MetaFresher.
+/// The metadata write cache + MetaFresher. Its keys live in the PLog's KV
+/// index under `meta/`, `live/` and `addr/` (DESIGN.md, "One metadata home").
 #[derive(Debug)]
 pub struct MetadataCache {
     plog: Arc<PlogStore>,
-    kv: SharedKv,
     /// Pending (unflushed) commit/snapshot cache entries per table.
     pending: TrackedMutex<BTreeMap<String, u64>>,
     /// MetaFresher flush threshold (pending entries per table).
@@ -62,7 +61,6 @@ impl MetadataCache {
     pub fn new(plog: Arc<PlogStore>, flush_threshold: u64) -> Self {
         MetadataCache {
             plog,
-            kv: SharedKv::new(),
             pending: TrackedMutex::new("lake.meta.pending", BTreeMap::new()),
             flush_threshold: flush_threshold.max(1),
         }
@@ -72,11 +70,10 @@ impl MetadataCache {
     /// flushed by the MetaFresher when the buffer is full. Returns the
     /// virtual completion time of the (cache-resident) update.
     pub fn put_commit(&self, table: &str, commit: &Commit, ctx: &IoCtx) -> Result<Nanos> {
-        self.kv
-            .put(commit_key(table, commit.id), commit.encode());
+        self.plog.kv().put(commit_key(table, commit.id), commit.encode());
         // maintain the materialized per-partition live-file index
         for f in &commit.added {
-            self.kv.put(live_key(table, &f.partition, &f.path), {
+            self.plog.kv().put(live_key(table, &f.partition, &f.path), {
                 let mut buf = Vec::new();
                 f.encode(&mut buf);
                 buf
@@ -88,7 +85,8 @@ impl MetadataCache {
             // the doomed keys are materialized, never the values.
             let suffix = format!("/{path}");
             let mut doomed = Vec::new();
-            self.kv
+            self.plog
+                .kv()
                 .scan_prefix_with(live_prefix(table).as_bytes(), &mut |k, _| {
                     if k.ends_with(suffix.as_bytes()) {
                         doomed.push(k.to_vec());
@@ -96,7 +94,7 @@ impl MetadataCache {
                     true
                 });
             for k in doomed {
-                self.kv.delete(k);
+                self.plog.kv().delete(k);
             }
         }
         let mut pending = self.pending.lock();
@@ -117,7 +115,7 @@ impl MetadataCache {
     /// the head intent carried: a snapshot lists every commit id of its
     /// history, too much to decode just to store it again.
     pub fn put_snapshot(&self, table: &str, id: u64, body: Vec<u8>, ctx: &IoCtx) -> Result<Nanos> {
-        self.kv.put(snapshot_key(table, id), body);
+        self.plog.kv().put(snapshot_key(table, id), body);
         ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
         Ok(ctx.now + KV_LOOKUP_COST)
     }
@@ -132,14 +130,14 @@ impl MetadataCache {
         // call back into the store (get/put), which a borrowed scan's read
         // lock would forbid.
         for prefix in [commit_prefix(table), snapshot_prefix(table)] {
-            for (k, v) in self.kv.scan_prefix(prefix.as_bytes()) {
-                if self.kv.get(&addr_key_for(&k)).is_some() {
+            for (k, v) in self.plog.kv().scan_prefix(prefix.as_bytes()) {
+                if self.address(&k).is_some() {
                     continue; // already persisted
                 }
                 let (addr, t) =
                     self.plog.append_to_shard_at(self.plog.shard_of(&k), &v, ctx)?;
                 finish = finish.max(t);
-                self.kv.put(addr_key_for(&k), addr.encode());
+                self.set_address(&k, &addr);
             }
         }
         self.pending.lock().insert(table.to_string(), 0);
@@ -193,17 +191,18 @@ impl MetadataCache {
         match mode {
             MetadataMode::Accelerated => {
                 let bytes = self
-                    .kv
+                    .plog
+                    .kv()
                     .get(key.as_bytes())
                     .ok_or_else(|| Error::NotFound(format!("metadata entry {key}")))?;
                 ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
                 Ok((decode(&bytes)?, ctx.now + KV_LOOKUP_COST))
             }
             MetadataMode::FileBased => {
-                let addr_bytes = self.kv.get(&addr_key_for(key.as_bytes())).ok_or_else(|| {
+                let addr = self.address(key.as_bytes()).ok_or_else(|| {
                     Error::NotFound(format!("metadata file for {key} not persisted"))
                 })?;
-                let (bytes, t) = self.plog.read_at(&PlogAddress::decode(&addr_bytes)?, ctx)?;
+                let (bytes, t) = self.plog.read_at(&addr, ctx)?;
                 Ok((decode(&bytes)?, t))
             }
         }
@@ -248,7 +247,7 @@ impl MetadataCache {
                 };
                 for prefix in prefixes {
                     finish += KV_LOOKUP_COST;
-                    self.kv.scan_prefix_with(prefix.as_bytes(), &mut collect);
+                    self.plog.kv().scan_prefix_with(prefix.as_bytes(), &mut collect);
                 }
                 if let Some(e) = decode_err {
                     return Err(e);
@@ -316,7 +315,7 @@ impl MetadataCache {
     /// — what a hard drop must physically reclaim.
     pub fn data_file_paths(&self, table: &str) -> Result<BTreeSet<String>> {
         let mut paths = BTreeSet::new();
-        for (_, body) in self.kv.scan_prefix(commit_prefix(table).as_bytes()) {
+        for (_, body) in self.plog.kv().scan_prefix(commit_prefix(table).as_bytes()) {
             paths.extend(Commit::decode(&body)?.added.into_iter().map(|f| f.path));
         }
         Ok(paths)
@@ -327,7 +326,7 @@ impl MetadataCache {
     /// name cannot inherit the dead one's files (hard drop).
     pub fn purge_table(&self, table: &str) {
         for prefix in [live_prefix(table), commit_prefix(table), snapshot_prefix(table)] {
-            for (key, _) in self.kv.scan_prefix(prefix.as_bytes()) {
+            for (key, _) in self.plog.kv().scan_prefix(prefix.as_bytes()) {
                 self.remove_entry(&key);
             }
         }
@@ -337,33 +336,46 @@ impl MetadataCache {
     /// Cache entry first, then its persisted copy — the order the paper
     /// calls out for dropping metadata.
     fn remove_entry(&self, key: &[u8]) {
-        self.kv.delete(key.to_vec());
+        self.plog.kv().delete(key.to_vec());
         self.forget_persisted(key);
     }
 
     /// Drop the persisted copy of cache entry `key`, if it has one.
     fn forget_persisted(&self, key: &[u8]) {
+        // Best-effort invalidation: the KV tombstone is authoritative; an
+        // orphaned PLog extent is scrub-reclaimed.
+        // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
+        let _ = self.reclaim(key);
+    }
+
+    /// Record that `key` — a cache entry, or a table's data-file path — is
+    /// persisted at `addr`.
+    pub fn set_address(&self, key: &[u8], addr: &PlogAddress) {
+        self.plog.kv().put(addr_key_for(key), addr.encode());
+    }
+
+    /// Where `key` (a cache entry or a data-file path) is persisted, if it is.
+    pub fn address(&self, key: &[u8]) -> Option<PlogAddress> {
+        self.plog.kv().get(&addr_key_for(key)).and_then(|b| PlogAddress::decode(&b).ok())
+    }
+
+    /// Free `key`'s persisted copy and drop its address entry; a no-op when
+    /// it has none. An `Err` means the PLog record could not be freed (the
+    /// entry is gone either way; scrub reclaims orphans).
+    pub fn reclaim(&self, key: &[u8]) -> Result<()> {
         let akey = addr_key_for(key);
-        if let Some(bytes) = self.kv.get(&akey) {
-            if let Ok(addr) = PlogAddress::decode(&bytes) {
-                // Best-effort invalidation: the KV tombstone is authoritative;
-                // an orphaned PLog extent is scrub-reclaimed.
-                // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
-                let _ = self.plog.delete(&addr);
-            }
-            self.kv.delete(akey);
-        }
+        let Some(bytes) = self.plog.kv().get(&akey) else {
+            return Ok(());
+        };
+        let freed = PlogAddress::decode(&bytes).and_then(|addr| self.plog.delete(&addr));
+        self.plog.kv().delete(akey);
+        freed.map(|_| ())
     }
 
     /// Compute-side metadata footprint for holding `file_count` files'
     /// metadata in memory (the Fig 15(b) OOM model).
     pub fn metadata_footprint_bytes(file_count: u64) -> u64 {
         file_count * PER_FILE_META_BYTES
-    }
-
-    /// Bytes currently held in the cache KV (for capacity accounting).
-    pub fn cache_entries(&self) -> usize {
-        self.kv.len()
     }
 }
 
@@ -600,8 +612,8 @@ mod tests {
         let c = cache(100);
         c.put_commit("t", &commit(1, "h", "f"), &IoCtx::new(0)).unwrap();
         c.flush("t", &IoCtx::new(0)).unwrap();
-        let entries = c.cache_entries();
+        let entries = c.plog.kv().len();
         c.flush("t", &IoCtx::new(0)).unwrap(); // second flush persists nothing new
-        assert_eq!(c.cache_entries(), entries);
+        assert_eq!(c.plog.kv().len(), entries);
     }
 }

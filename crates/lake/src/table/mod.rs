@@ -8,31 +8,34 @@
 //! `lake/live/{table}/{path}` keys in the shared [`MvccStore`]; the durable
 //! record flip is the commit point, after which the transaction is rolled
 //! forward: its surviving intents are read back and published through the
-//! metadata acceleration cache. Concurrent writers surface as intent
-//! collisions or OCC validation failures on the head key and abort with the
-//! retryable [`Error::Conflict`]. Replace-commits (compaction, delete,
-//! update) additionally validate their input files against the
-//! `lake/live/` keyspace, so a commit that removed an input since the base
-//! snapshot conflicts. Time-travel reads replay a historical snapshot's
-//! commit chain.
+//! metadata acceleration cache; a stage that is given up instead has its
+//! data files discarded. Concurrent writers surface as intent collisions or
+//! OCC validation failures on the head key and abort with the retryable
+//! [`Error::Conflict`]. Replace-commits (compaction, delete, update)
+//! additionally validate their input files against the `lake/live/`
+//! keyspace, so a commit that removed an input since the base snapshot
+//! conflicts. Time-travel reads replay a historical snapshot's commit chain.
+//! The catalog, the cache and the MVCC store all keep their keys in the
+//! PLog's KV index — the deployment's one metadata home.
 //!
 //! Split along a commit's life: `stage.rs` (mutations up to the decision),
 //! `publish.rs` (the one publisher every decided transaction goes through,
-//! and snapshot expiry), `scan.rs` (SELECT); this file keeps the types, the
-//! MVCC keyspace and the table lifecycle (CREATE, DROP, restore).
+//! its mirror for given-up stages, and snapshot expiry), `scan.rs`
+//! (SELECT); this file keeps the types, the MVCC keyspace and the table
+//! lifecycle (CREATE, DROP, restore).
 
 mod publish;
 mod scan;
 mod stage;
 
 use crate::catalog::{Catalog, PartitionSpec, TableProfile};
-use crate::meta::Snapshot;
+use crate::meta::{DataFileMeta, Snapshot};
 use crate::metacache::{MetadataCache, MetadataMode};
 use common::clock::{millis, Nanos};
 use common::ctx::IoCtx;
 use common::{Error, Result};
 use format::{Expr, Row, Schema};
-use kvstore::{MvccStore, SharedKv};
+use kvstore::MvccStore;
 use plog::PlogStore;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -138,10 +141,16 @@ pub struct StagedTableCommit {
     pub table: String,
     /// The snapshot id the commit will publish.
     pub snapshot_id: u64,
+    /// The data files the stage wrote ([`TableStore::stage_insert`]): what
+    /// [`TableStore::discard`] reclaims if the transaction is given up.
+    pub files: Vec<DataFileMeta>,
 }
 
 /// Prefix of MVCC keys holding encoded commit bodies.
 const COMMIT_KEY_PREFIX: &str = "lake/commit/";
+
+/// Prefix of MVCC keys tracking file liveness; see [`live_mvcc_key`].
+const LIVE_KEY_PREFIX: &str = "lake/live/";
 
 fn commit_mvcc_key(table: &str, id: u64) -> Vec<u8> {
     format!("{COMMIT_KEY_PREFIX}{table}/{id:016}").into_bytes()
@@ -162,7 +171,7 @@ fn head_value(id: u64, snapshot: &Snapshot) -> Vec<u8> {
 
 /// MVCC key tracking one file's liveness for replace validation.
 fn live_mvcc_key(table: &str, path: &str) -> Vec<u8> {
-    format!("lake/live/{table}/{path}").into_bytes()
+    format!("{LIVE_KEY_PREFIX}{table}/{path}").into_bytes()
 }
 
 /// The lakehouse table store.
@@ -170,23 +179,22 @@ fn live_mvcc_key(table: &str, path: &str) -> Vec<u8> {
 pub struct TableStore {
     plog: Arc<PlogStore>,
     catalog: Catalog,
+    /// Also the data-file path → PLog address map (`addr/` + path).
     meta: MetadataCache,
-    /// data-file path → PLog address.
-    files: SharedKv,
     mvcc: Arc<MvccStore>,
     next_file_id: AtomicU64,
 }
 
 impl TableStore {
     /// Create a table store persisting through `plog`, flushing metadata
-    /// after `meta_flush_threshold` pending entries.
+    /// after `meta_flush_threshold` pending entries. Catalog, cache and MVCC
+    /// store all keep their keys in `plog`'s KV index.
     pub fn new(plog: Arc<PlogStore>, meta_flush_threshold: u64) -> Self {
         TableStore {
             meta: MetadataCache::new(plog.clone(), meta_flush_threshold),
+            catalog: Catalog::new(plog.kv().clone()),
+            mvcc: Arc::new(MvccStore::over(plog.kv().clone())),
             plog,
-            catalog: Catalog::new(),
-            files: SharedKv::new(),
-            mvcc: Arc::new(MvccStore::new()),
             next_file_id: AtomicU64::new(1),
         }
     }
@@ -256,7 +264,7 @@ impl TableStore {
             // what the current snapshot still lists.
             for path in self.meta.data_file_paths(name)? {
                 // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
-                let _ = self.reclaim_data_file(&path);
+                let _ = self.meta.reclaim(path.as_bytes());
             }
         }
         // … then metadata (cache first, then persisted copies — the ordering
@@ -276,15 +284,6 @@ impl TableStore {
         profile.modified_at = ctx.now;
         self.catalog.update(&profile);
         Ok(profile)
-    }
-
-    /// Physically reclaim one data file: its PLog extent, then its address
-    /// entry. An `Err` means the extent could not be freed (the entry is
-    /// gone either way; scrub reclaims orphans).
-    fn reclaim_data_file(&self, path: &str) -> Result<()> {
-        let freed = self.file_addr(path).map_or(Ok(0), |addr| self.plog.delete(&addr));
-        self.files.delete(path);
-        freed.map(|_| ())
     }
 }
 
@@ -551,16 +550,54 @@ pub(crate) mod tests {
         // restore brings the data back
         s.restore_table("t", &IoCtx::new(30))?;
         assert_eq!(s.select("t", &ScanOptions::default(), &IoCtx::new(40))?.rows.len(), 5);
-        // hard drop removes everything
+        // hard drop removes everything: the catalog entry, and every cache
+        // key of the table or its data files in the shared metadata store
+        let paths: Vec<String> =
+            s.live_files("t", &IoCtx::new(45))?.into_iter().map(|f| f.path).collect();
+        s.meta().flush("t", &IoCtx::new(45))?;
         s.drop_table("t", true, &IoCtx::new(50))?;
         assert!(s.catalog().get_any("t").is_err());
-        assert_eq!(s.meta().cache_entries(), 0, "hard drop purges the table's metadata");
+        let mut doomed = vec!["meta/t/".to_string(), "live/t/".into(), "addr/meta/t/".into()];
+        doomed.extend(paths.iter().map(|p| format!("addr/{p}")));
+        for prefix in &doomed {
+            let left = s.plog.kv().scan_prefix(prefix.as_bytes());
+            assert!(left.is_empty(), "hard drop left {prefix}* keys: {left:?}");
+        }
         // the name is reusable afterwards, and the new table inherits
         // nothing from the dead one
         s.create_table("t", log_schema(), None, 1000, &IoCtx::new(60))?;
         s.insert("t", &log_rows(3, T0), &IoCtx::new(70))?;
         assert_eq!(s.select("t", &ScanOptions::default(), &IoCtx::new(80))?.rows.len(), 3);
         assert_eq!(s.live_files("t", &IoCtx::new(80))?.len(), 1);
+        Ok(())
+    }
+
+    #[test]
+    fn failed_multi_file_write_discards_the_files_before_it() -> Result<()> {
+        // Three hourly partitions are written back to back under one
+        // deadline. Sweep it upwards: the attempts that fail part-way have
+        // written earlier files, and none of them may survive.
+        let s = test_store();
+        s.create_table("logs", log_schema(), Some(PartitionSpec::hourly("start_time")), 1000, &IoCtx::new(0))?;
+        let rows: Vec<Row> = (0..3).flat_map(|h| log_rows(10, T0 + h * 3600)).collect();
+        let empty = (s.plog.record_count(), s.plog.physical_bytes());
+        let mut failures = 0;
+        for step in 1..1_000 {
+            // A quiet instant per attempt: device queues have drained.
+            let now = step * common::clock::secs(1);
+            let ctx = IoCtx::new(now).with_deadline(now + step * 5_000);
+            match s.insert("logs", &rows, &ctx) {
+                Ok(info) => {
+                    assert_eq!(info.files_added, 3);
+                    break;
+                }
+                Err(Error::DeadlineExceeded(_)) => failures += 1,
+                Err(e) => return Err(e),
+            }
+            assert_eq!((s.plog.record_count(), s.plog.physical_bytes()), empty, "step {step}");
+        }
+        assert!(failures > 2, "the sweep must fail part-way, not only at the first file");
+        assert_eq!(s.live_files("logs", &IoCtx::new(0))?.len(), 3, "the sweep must end in success");
         Ok(())
     }
 

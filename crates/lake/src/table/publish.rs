@@ -2,10 +2,15 @@
 //! [`TableStore::publish`] is the only code that writes a commit or snapshot
 //! into the metadata cache for a decided transaction; its sole input is the
 //! transaction's surviving intents, so live commits, `Transaction::resolve`
-//! and crash recovery publish identically. Snapshot expiry — the one
-//! operation that rewrites published history — lives here too.
+//! and crash recovery publish identically. Its mirror,
+//! [`TableStore::discard`], reclaims the data files of a stage that will
+//! never be published. Snapshot expiry — the one operation that rewrites
+//! published history — lives here too.
 
-use super::{head_key, head_value, CommitInfo, TableStore, COMMIT_KEY_PREFIX, COMMIT_OVERHEAD};
+use super::{
+    head_key, head_value, CommitInfo, TableStore, COMMIT_KEY_PREFIX, COMMIT_OVERHEAD,
+    LIVE_KEY_PREFIX,
+};
 use crate::catalog::TableProfile;
 use crate::maintenance::ExpiryReport;
 use crate::meta::{Commit, DataFileMeta, Snapshot};
@@ -81,6 +86,31 @@ impl TableStore {
         let infos = self.publish(&self.mvcc.decided_writes(txn)?, ctx)?;
         self.mvcc.resolve_committed(txn)?;
         Ok(infos)
+    }
+
+    /// Give up a stage: reclaim every data file it wrote (PLog record and
+    /// address entry) — the mirror of [`publish`](Self::publish) for a
+    /// transaction that will never decide committed. Call it after the
+    /// stage's intents are gone; it never replaces a write, so virtual time
+    /// is untouched. Best effort: a record that cannot be freed is left for
+    /// scrub.
+    pub fn discard(&self, files: &[DataFileMeta]) {
+        for f in files {
+            // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
+            let _ = self.meta.reclaim(f.path.as_bytes());
+        }
+    }
+
+    /// [`discard`](Self::discard) for a transaction known only by its
+    /// surviving intents (a recovered orphan): the files its `lake/live/`
+    /// puts name. A `lake/live/` delete names a file the table still owns.
+    pub fn discard_intents(&self, writes: &[(Vec<u8>, Option<Vec<u8>>)]) {
+        let files: Vec<DataFileMeta> = writes
+            .iter()
+            .filter(|(key, _)| key.starts_with(LIVE_KEY_PREFIX.as_bytes()))
+            .filter_map(|(_, value)| Some(DataFileMeta::decode(value.as_deref()?).ok()?.0))
+            .collect();
+        self.discard(&files);
     }
 
     /// Expire snapshots whose timestamp is older than `retain_after`,
@@ -171,7 +201,7 @@ impl TableStore {
             }
         }
         for (path, meta) in &drop_candidates {
-            if self.reclaim_data_file(path).is_err() {
+            if self.meta.reclaim(path.as_bytes()).is_err() {
                 report.reclaim_failures += 1;
             }
             report.files_deleted += 1;

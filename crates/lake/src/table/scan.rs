@@ -9,7 +9,6 @@ use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Error, Result};
 use format::{CmpOp, Expr, LakeFileReader, Row, Schema, Value};
-use plog::PlogAddress;
 
 impl TableStore {
     /// SELECT: plan from catalog → snapshot → commits, prune, read, filter.
@@ -104,16 +103,11 @@ impl TableStore {
 
     fn open_data_file(&self, path: &str, ctx: &IoCtx) -> Result<(LakeFileReader, Nanos)> {
         let addr = self
-            .file_addr(path)
+            .meta
+            .address(path.as_bytes())
             .ok_or_else(|| Error::NotFound(format!("data file {path}")))?;
         let (bytes, t) = self.plog.read_at(&addr, ctx)?;
         Ok((LakeFileReader::open(bytes)?, t))
-    }
-
-    pub(super) fn file_addr(&self, path: &str) -> Option<PlogAddress> {
-        self.files
-            .get(path.as_bytes())
-            .and_then(|b| PlogAddress::decode(&b).ok())
     }
 
     fn resolve_snapshot(

@@ -27,7 +27,9 @@ impl TableStore {
     /// Stage an INSERT inside an existing MVCC transaction: write the
     /// partitioned data files, then stage their commit as `txn`'s write
     /// intents. The rows become visible only when the transaction decides
-    /// and is rolled forward.
+    /// and is rolled forward; the receipt lists the files, for
+    /// [`discard`](Self::discard) should it be given up instead. A stage
+    /// that fails discards its files itself.
     pub fn stage_insert(
         &self,
         txn: u64,
@@ -36,7 +38,13 @@ impl TableStore {
         ctx: &IoCtx,
     ) -> Result<StagedTableCommit> {
         let (added, t) = self.write_rows(name, rows, ctx)?;
-        self.stage_commit(txn, name, &added, &[], &ctx.at(t))
+        match self.stage_commit(txn, name, &added, &[], &ctx.at(t)) {
+            Ok(staged) => Ok(StagedTableCommit { files: added, ..staged }),
+            Err(e) => {
+                self.discard(&added);
+                Err(e)
+            }
+        }
     }
 
     /// DELETE: remove matching rows. Files whose rows all match are dropped
@@ -143,7 +151,8 @@ impl TableStore {
         ctx: &IoCtx,
     ) -> Result<CommitInfo> {
         let profile = self.catalog.get(name)?;
-        let (txn, t) = self.with_txn(|txn| {
+        let mut written = Vec::new();
+        let staged = self.with_txn(|txn| {
             // Re-read the head inside the transaction.
             if self.catalog.get(name)?.current_snapshot != base_snapshot {
                 // Concurrent commits happened; conflict when they removed any
@@ -161,9 +170,12 @@ impl TableStore {
                 }
             }
             let (added, t) = self.write_files(&profile, added, ctx)?;
-            self.stage_commit(txn, name, &added, &removed, &ctx.at(t))?;
+            written = added;
+            self.stage_commit(txn, name, &written, &removed, &ctx.at(t))?;
             Ok(t)
-        })?;
+        });
+        // A losing replace never publishes the files it wrote.
+        let (txn, t) = staged.inspect_err(|_| self.discard(&written))?;
         self.roll_forward_commit(txn, &ctx.at(t))
     }
 
@@ -200,7 +212,11 @@ impl TableStore {
                 Ok((txn, _)) => return self.roll_forward_commit(txn, ctx),
                 // raced another writer: restage on the new head
                 Err(Error::Conflict(_)) if attempt < ATTEMPTS => continue,
-                Err(e) => return Err(e),
+                // given up: the inserted files will never be published
+                Err(e) => {
+                    self.discard(added);
+                    return Err(e);
+                }
             }
         }
     }
@@ -287,7 +303,7 @@ impl TableStore {
         for path in removed {
             self.mvcc.delete(txn, &live_mvcc_key(name, path))?;
         }
-        Ok(StagedTableCommit { txn, table: name.to_string(), snapshot_id: new_id })
+        Ok(StagedTableCommit { txn, table: name.to_string(), snapshot_id: new_id, files: Vec::new() })
     }
 
     /// The file-writing body shared by `insert` and `stage_insert`.
@@ -304,7 +320,8 @@ impl TableStore {
         self.write_files(&profile, self.partition_rows(&profile, rows)?, ctx)
     }
 
-    /// Write one data file per `(partition, rows)` group, back to back.
+    /// Write one data file per `(partition, rows)` group, back to back. A
+    /// failure discards the files written before it.
     fn write_files(
         &self,
         profile: &TableProfile,
@@ -314,7 +331,9 @@ impl TableStore {
         let mut added = Vec::new();
         let mut t = ctx.now;
         for (partition, rows) in groups {
-            let (meta, tw) = self.write_data_file(profile, &partition, &rows, &ctx.at(t))?;
+            let (meta, tw) = self
+                .write_data_file(profile, &partition, &rows, &ctx.at(t))
+                .inspect_err(|_| self.discard(&added))?;
             t = tw;
             added.push(meta);
         }
@@ -366,8 +385,9 @@ impl TableStore {
         let (addr, t) = self
             .plog
             .append_to_shard_at(self.plog.shard_of(path.as_bytes()), &bytes, ctx)?;
-        // Paths embed unique file ids, so the bare path is a safe index key.
-        self.files.put(path.clone(), addr.encode());
+        // Paths embed unique file ids and start `data/` (cache entries start
+        // `meta/`), so `addr/` + path is a safe, collision-free key.
+        self.meta.set_address(path.as_bytes(), &addr);
         Ok((
             DataFileMeta {
                 path,

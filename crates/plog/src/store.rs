@@ -551,10 +551,10 @@ impl PlogStore {
         &self.pool
     }
 
-    /// The record index (corruption injection in tests: overwriting an
-    /// entry with garbage makes the next [`delete`](Self::delete) surface
-    /// `Error::Corruption`, the path integrity counters guard).
-    pub fn index_for_tests(&self) -> &SharedKv {
+    /// The deployment's one metadata store: this PLog's KV index, its own
+    /// entries under `plog/`, every service built over the PLog under a
+    /// prefix of its own (DESIGN.md, "One metadata home").
+    pub fn kv(&self) -> &SharedKv {
         &self.index
     }
 
@@ -563,9 +563,14 @@ impl PlogStore {
         self.shards.iter().map(|s| s.lock().next_offset).collect()
     }
 
-    /// Number of indexed records.
+    /// Number of indexed records (the `plog/` keys of the store).
     pub fn record_count(&self) -> usize {
-        self.index.len()
+        let mut n = 0;
+        self.index.scan_prefix_with(b"plog/", &mut |_, _| {
+            n += 1;
+            true
+        });
+        n
     }
 
     /// All indexed addresses, in (shard, offset) order. Used by the
@@ -1323,9 +1328,9 @@ pub(crate) mod tests {
         // Chop the CRC block off the live entry: a truncated entry must not
         // turn checksums off.
         let key = addr.index_key();
-        let mut entry = s.index_for_tests().get(&key).unwrap();
+        let mut entry = s.kv().get(&key).unwrap();
         entry.truncate(entry.len() - 3 * 4);
-        s.index_for_tests().put(key, entry);
+        s.kv().put(key, entry);
         assert!(matches!(s.read_at(&addr, &IoCtx::new(0)), Err(Error::Corruption(_))));
         assert!(matches!(s.verify_and_heal(&addr, &IoCtx::new(0)), Err(Error::Corruption(_))));
         assert_eq!(s.metrics.counter("plog.shards_verified"), 0, "no shard was read at all");

@@ -62,7 +62,6 @@ struct Topology {
 #[derive(Debug)]
 pub struct StreamDispatcher {
     objects: Arc<StreamObjectStore>,
-    kv: SharedKv,
     topo: TrackedMutex<Topology>,
     metrics: Metrics,
 }
@@ -77,7 +76,6 @@ impl StreamDispatcher {
     pub fn with_metrics(objects: Arc<StreamObjectStore>, metrics: Metrics) -> Self {
         StreamDispatcher {
             objects,
-            kv: SharedKv::new(),
             topo: TrackedMutex::new("stream.dispatcher.topo", Topology::default()),
             metrics,
         }
@@ -89,7 +87,7 @@ impl StreamDispatcher {
         let mut topo = self.topo.lock();
         if !topo.workers.contains(&id) {
             topo.workers.push(id);
-            self.kv.put(format!("worker/{}", id.raw()), b"up".to_vec());
+            self.metadata().put(format!("worker/{}", id.raw()), b"up".to_vec());
         }
     }
 
@@ -101,7 +99,7 @@ impl StreamDispatcher {
             return Err(Error::InvalidArgument("cannot remove the last worker".into()));
         }
         topo.workers.retain(|w| *w != id);
-        self.kv.delete(format!("worker/{}", id.raw()));
+        self.metadata().delete(format!("worker/{}", id.raw()));
         let workers = topo.workers.clone();
         let mut updates = 1u64;
         let mut rr = 0usize;
@@ -111,7 +109,7 @@ impl StreamDispatcher {
                     route.worker = workers[rr % workers.len()];
                     rr += 1;
                     updates += 1;
-                    self.kv.put(
+                    self.metadata().put(
                         route_key(topic, route.partition_idx),
                         encode_route(route),
                     );
@@ -154,11 +152,11 @@ impl StreamDispatcher {
             let worker = workers[topo.next_worker_rr % workers.len()];
             topo.next_worker_rr += 1;
             let route = PartitionRoute { partition_idx: idx, object_id: obj.id(), worker };
-            self.kv.put(route_key(name, idx), encode_route(&route));
+            self.metadata().put(route_key(name, idx), encode_route(&route));
             routes.push(route);
         }
         let updates = routes.len() as u64 + 1;
-        self.kv
+        self.metadata()
             .put(format!("topic/{name}/config"), config.to_json().into_bytes());
         topo.topics.insert(name.to_string(), routes);
         topo.configs.insert(name.to_string(), config);
@@ -193,12 +191,12 @@ impl StreamDispatcher {
                 Err(Error::NotFound(_)) => {}
                 Err(_) => destroy_failures += 1,
             }
-            self.kv.delete(route_key(name, r.partition_idx));
+            self.metadata().delete(route_key(name, r.partition_idx));
         }
         if destroy_failures > 0 {
             self.metrics.incr("stream.topic_destroy_failures", destroy_failures);
         }
-        self.kv.delete(format!("topic/{name}/config"));
+        self.metadata().delete(format!("topic/{name}/config"));
         Ok(())
     }
 
@@ -225,7 +223,7 @@ impl StreamDispatcher {
             let worker = workers[topo.next_worker_rr % workers.len()];
             topo.next_worker_rr += 1;
             let route = PartitionRoute { partition_idx: idx, object_id: obj.id(), worker };
-            self.kv.put(route_key(name, idx), encode_route(&route));
+            self.metadata().put(route_key(name, idx), encode_route(&route));
             topo.topics
                 .get_mut(name)
                 .ok_or_else(|| Error::NotFound(format!("topic {name}")))?
@@ -234,7 +232,7 @@ impl StreamDispatcher {
         }
         if let Some(c) = topo.configs.get_mut(name) {
             c.stream_num = new_partition_num;
-            self.kv
+            self.metadata()
                 .put(format!("topic/{name}/config"), c.to_json().into_bytes());
             updates += 1;
         }
@@ -321,7 +319,7 @@ impl StreamDispatcher {
     /// `partition_idx`. Unfenced low-level write — group-aware callers go
     /// through `GroupCoordinator::commit`, which checks ownership first.
     pub fn commit_offset(&self, group: &str, topic: &str, partition_idx: u32, offset: u64) {
-        self.kv.put(
+        self.metadata().put(
             format!("group/{group}/{topic}/{partition_idx}"),
             offset.to_be_bytes().to_vec(),
         );
@@ -329,14 +327,15 @@ impl StreamDispatcher {
 
     /// Fetch the committed offset for the partition in `group`.
     pub fn committed_offset(&self, group: &str, topic: &str, partition_idx: u32) -> Option<u64> {
-        self.kv
+        self.metadata()
             .get(format!("group/{group}/{topic}/{partition_idx}").as_bytes())
             .map(|b| u64::from_be_bytes(b.as_slice().try_into().unwrap_or([0; 8])))
     }
 
-    /// The metadata KV store (inspection / tests).
+    /// The metadata KV store: the PLog's, where the topology and group
+    /// keys live beside every other service's.
     pub fn metadata(&self) -> &SharedKv {
-        &self.kv
+        self.objects.plog().kv()
     }
 
     fn create_partition_object(
@@ -547,8 +546,8 @@ mod tests {
         // Corrupt every PLog index entry: destroys now hit
         // `Error::Corruption` when freeing slices.
         let plog = d.objects.plog();
-        for (key, _) in plog.index_for_tests().scan_prefix(b"plog/") {
-            plog.index_for_tests().put(key, vec![0xFF]);
+        for (key, _) in plog.kv().scan_prefix(b"plog/") {
+            plog.kv().put(key, vec![0xFF]);
         }
         assert_eq!(d.metrics.counter("stream.topic_destroy_failures"), 0);
         d.delete_topic("t").unwrap();

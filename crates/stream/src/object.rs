@@ -748,13 +748,13 @@ mod tests {
             expected_addrs.push(addr);
             expected_ack = finish.max(expected_ack);
         }
-        let frames_before = batched.plog().index_for_tests().wal_frames();
+        let frames_before = batched.plog().kv().wal_frames();
         let ack = obj.append_at(&records, &at(0)).unwrap();
         assert_eq!(ack, AppendAck { base_offset: Some(0), ack_time: expected_ack });
         assert_eq!(batched.plog().addresses(), expected_addrs);
         assert_eq!(obj.slice_count(), 3);
         assert_eq!(
-            batched.plog().index_for_tests().wal_frames() - frames_before,
+            batched.plog().kv().wal_frames() - frames_before,
             1,
             "three filled slices must commit under one index WAL frame"
         );
@@ -771,13 +771,13 @@ mod tests {
         }
         // Two filled slices, both doomed: one healthy device cannot hold
         // two replicas.
-        let frames_before = s.plog().index_for_tests().wal_frames();
+        let frames_before = s.plog().kv().wal_frames();
         assert!(obj.append_at(&recs(8, 0), &at(0)).is_err());
         assert_eq!(obj.slice_count(), 0);
         assert_eq!(obj.end_offset(), 8, "offsets stay assigned to the buffered records");
         assert_eq!(s.plog().physical_bytes(), 0, "failed group leaked extents");
         assert_eq!(
-            s.plog().index_for_tests().wal_frames(),
+            s.plog().kv().wal_frames(),
             frames_before,
             "a group with no success must not log an index frame"
         );

@@ -42,9 +42,10 @@ pub struct StreamServiceOptions {
     /// Consumer-group coordination (session timeout, assignment strategy,
     /// offset retention).
     pub group: GroupConfig,
-    /// MVCC store backing transaction records. `None` gives the service a
-    /// private store; pass a shared one to let stream transactions commit
-    /// atomically with other subsystems (e.g. lake table commits).
+    /// MVCC store backing transaction records. `None` builds one over the
+    /// PLog's KV index; pass the deployment's to let stream transactions
+    /// commit atomically with other subsystems (e.g. lake table commits) —
+    /// one keyspace must have one `MvccStore`.
     pub txn_mvcc: Option<Arc<MvccStore>>,
 }
 
@@ -82,6 +83,7 @@ impl StreamService {
     /// Build a service over an existing PLog store.
     pub fn new(plog: Arc<PlogStore>, clock: SimClock, opts: StreamServiceOptions) -> Arc<Self> {
         let metrics = Metrics::new();
+        let mvcc = opts.txn_mvcc.unwrap_or_else(|| Arc::new(MvccStore::over(plog.kv().clone())));
         let objects = Arc::new(StreamObjectStore::new(plog, opts.scm_capacity));
         let dispatcher = Arc::new(StreamDispatcher::with_metrics(
             objects.clone(),
@@ -93,7 +95,7 @@ impl StreamService {
             opts.group,
         ));
         let bus = Arc::new(Bus::new(opts.transport, clock.clone()));
-        let txns = TxnManager::new(objects.clone(), opts.txn_mvcc.unwrap_or_default());
+        let txns = TxnManager::new(objects.clone(), mvcc);
         let svc = Arc::new(StreamService {
             clock,
             objects,

@@ -170,12 +170,12 @@ impl TxnManager {
     }
 
     /// Abort an orphan — a pending transaction whose coordinator died
-    /// before deciding, found by [`MvccStore::orphan_pending`] with the
-    /// `keys` of its intents: the participants are the ones its `s/` keys
-    /// name (the object id is the key's tail).
-    pub fn abort_orphan(&self, txn: TxnId, keys: &[Vec<u8>]) -> Result<()> {
-        for key in keys {
-            if let Some(o) = self.participant(key, key.get(key.len().saturating_sub(8)..)) {
+    /// before deciding, found by [`MvccStore::orphan_pending`] with its
+    /// surviving `writes`: the participants are the ones its `s/` intents
+    /// name, exactly as in [`resolve`](Self::resolve).
+    pub fn abort_orphan(&self, txn: TxnId, writes: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
+        for (key, value) in writes {
+            if let Some(o) = self.participant(key, value.as_deref()) {
                 o.abort_txn(txn.raw());
             }
         }

@@ -25,10 +25,12 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # (`seed_sweep_never_returns_corrupt_bytes`). Already part of `cargo test -q`
 # above; re-run explicitly so a chaos regression is named in the gate output.
 cargo test -q --test chaos
-# Runtime lock-witness sanitizer: the chaos and maintenance suites carry
-# witness-armed tests; SL_LOCKWITNESS=1 additionally arms every thread in
-# debug builds so background chores are witnessed too.
-SL_LOCKWITNESS=1 cargo test -q --test chaos --test maintenance
+# Runtime lock-witness sanitizer over the whole workspace: SL_LOCKWITNESS=1
+# arms every thread in debug builds, background chores included. Every
+# metadata access takes the one store's `kv.index` lock, so a borrowed-scan
+# closure that calls back into the store is a self-deadlock; the armed
+# witness names it as a same-class re-entry.
+SL_LOCKWITNESS=1 cargo test -q
 cargo run -p slint
 # Cross-file analyses (slint v2): print the inter-procedural lock graph and
 # drop a machine-readable findings report next to the build artifacts.
