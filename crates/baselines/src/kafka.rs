@@ -97,7 +97,7 @@ impl MiniKafka {
         let parts = topics
             .get_mut(topic)
             .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?;
-        let pidx = (fnv(&msg.key) % parts.len() as u64) as usize;
+        let pidx = (common::checksum::fnv1a(&msg.key) % parts.len() as u64) as usize;
         let part = &mut parts[pidx];
         let offset = part.next_offset;
         part.next_offset += 1;
@@ -260,15 +260,6 @@ impl MiniKafka {
     pub fn physical_bytes(&self) -> u64 {
         self.pool.used()
     }
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn encode_batch(msgs: &[KafkaMessage]) -> Vec<u8> {

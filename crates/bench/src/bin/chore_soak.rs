@@ -10,6 +10,9 @@
 //! `cargo run --release -p bench --bin chore_soak`
 
 use common::clock::{secs, Nanos};
+use common::ctx::IoCtx;
+use streamlake::{StreamLake, StreamLakeConfig};
+use workloads::packets::PacketGen;
 
 /// Virtual soak horizon: four hours, long enough for thousands of ticks of
 /// the fastest chore and dozens of the slowest.
@@ -20,8 +23,40 @@ const HORIZON: Nanos = secs(4 * 3600);
 /// a transient failure tops out near 17 min, well inside this bound).
 const STARVATION_MARGIN: Nanos = secs(30 * 60);
 
+/// Packet-generator epoch of the soak workload.
+const T0: i64 = 1_656_806_400;
+
+/// One deterministic workload: a topic with produced records, a table with
+/// small files, and staged tiering extents — something for every chore.
+fn seeded_deployment() -> StreamLake {
+    let sl = StreamLake::new(StreamLakeConfig::small());
+    sl.stream()
+        .create_topic("dpi", stream::TopicConfig::with_partitions(2))
+        .expect("fresh deployment accepts the topic");
+    let mut gen = PacketGen::new(1, T0, 500);
+    let mut producer = sl.producer();
+    producer.set_batch_size(8);
+    for p in gen.batch(64) {
+        producer.send("dpi", p.key(), p.to_wire(), &IoCtx::new(0)).expect("append");
+    }
+    producer.flush(&IoCtx::new(0)).expect("flush");
+    sl.tables()
+        .create_table("t", PacketGen::schema(), None, 100_000, &IoCtx::new(0))
+        .expect("fresh deployment accepts the table");
+    for i in 0..6 {
+        let rows: Vec<_> = gen.batch(20).iter().map(|p| p.to_row()).collect();
+        sl.tables().insert("t", &rows, &IoCtx::new(secs(i))).expect("insert");
+    }
+    for key in 0..4u64 {
+        sl.tiering()
+            .write(key, &[common::Bytes::from_vec(vec![key as u8; 2048])])
+            .expect("stage tiering extent");
+    }
+    sl
+}
+
 fn main() {
-    let sl = bench::chores::seeded_deployment();
+    let sl = seeded_deployment();
     let events = sl.run_maintenance_until(HORIZON);
     let status = sl.chore_status();
 

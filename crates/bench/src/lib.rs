@@ -3,7 +3,7 @@
 //! Each module exposes a `run…` function returning structured rows and a
 //! `print…` helper producing the paper-style table. The `repro_*` binaries
 //! call these at full (laptop) scale to regenerate every number recorded in
-//! `EXPERIMENTS.md`; the criterion benches call them at reduced scale.
+//! `EXPERIMENTS.md`.
 //!
 //! Scale note: the paper's workloads (10M–1B packets, 100 TB–1 PB message
 //! volumes, TPC-H SF 2–100) are scaled down ~1000× so every experiment
@@ -11,7 +11,6 @@
 //! systems always run on identical simulated hardware — so the shapes
 //! (who wins, by what factor, where crossovers fall) carry over.
 
-pub mod chores;
 pub mod fig1;
 pub mod fig14;
 pub mod fig15;

@@ -1,6 +1,10 @@
-//! CRC32 (IEEE 802.3 polynomial), implemented from scratch.
+//! CRC32 (IEEE 802.3 polynomial) and FNV-1a, implemented from scratch.
 //!
-//! Used to frame WAL records in `kvstore`, PLog entries, and the footer of
+//! [`fnv1a`] is the workspace's one key hash: PLog shard placement, stream
+//! partition routing, the baseline Kafka's partitioner and the
+//! determinism journals' digests all go through it.
+//!
+//! CRC32 frames WAL records in `kvstore`, PLog entries, and the footer of
 //! the columnar lake file format. The hot path is a slice-by-8 kernel: the
 //! running state is folded into the first word of each 8-byte chunk and the
 //! new state is assembled from eight precomputed tables, so the inner loop
@@ -121,6 +125,48 @@ impl Default for Crc32 {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash of `data` in one shot.
+pub fn fnv1a(data: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(data);
+    h.finish()
+}
+
+/// Incremental FNV-1a for multi-part digests: feeding the parts in order
+/// equals [`fnv1a`] over their concatenation.
+#[derive(Debug, Clone)]
+pub struct Fnv1a {
+    state: u64,
+}
+
+impl Fnv1a {
+    /// Start at the offset basis.
+    pub fn new() -> Self {
+        Fnv1a { state: FNV_OFFSET }
+    }
+
+    /// Feed more bytes into the hash.
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.state = (self.state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +204,23 @@ mod tests {
         assert_eq!(crc_hashed_bytes() - before, 1000);
     }
 
+    #[test]
+    fn known_fnv_vector() {
+        // FNV-1a("") is the offset basis; FNV-1a("a") is a published vector.
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
     proptest! {
+        #[test]
+        fn fnv_parts_equal_the_whole(data in proptest::collection::vec(any::<u8>(), 0..512), split in 0usize..512) {
+            let split = split.min(data.len());
+            let mut h = Fnv1a::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            prop_assert_eq!(h.finish(), fnv1a(&data));
+        }
+
         #[test]
         fn wide_kernel_matches_scalar_reference(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
             prop_assert_eq!(crc32(&data), crc32_scalar(&data));

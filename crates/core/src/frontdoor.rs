@@ -32,6 +32,7 @@ use crate::access::{AccessController, Permission, Principal};
 use crate::chore::{foreground_p99, seeded_jitter};
 use crate::system::StreamLake;
 use common::bucket::NanoBucket;
+use common::checksum::Fnv1a;
 use common::clock::{millis, Nanos};
 use common::ctx::IoCtx;
 use common::lockwitness::TrackedMutex;
@@ -669,20 +670,12 @@ impl FrontDoor {
     /// FNV-1a digest over both journals — cheap byte-identity witness for
     /// high-volume harnesses that don't want to clone full journals.
     pub fn journal_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         let j = self.journal.lock();
         for e in &j.admissions {
-            eat(&e.at.to_le_bytes());
-            eat(e.tenant.as_deref().unwrap_or("?").as_bytes());
-            eat(e.kind.name().as_bytes());
+            h.update(&e.at.to_le_bytes());
+            h.update(e.tenant.as_deref().unwrap_or("?").as_bytes());
+            h.update(e.kind.name().as_bytes());
             let (tag, retry): (u8, Nanos) = match &e.decision {
                 Decision::Admitted { probe } => (u8::from(*probe), 0),
                 Decision::AuthDenied => (2, 0),
@@ -690,16 +683,16 @@ impl FrontDoor {
                 Decision::Shed { retry_after } => (4, *retry_after),
                 Decision::BreakerOpen { retry_after, .. } => (5, *retry_after),
             };
-            eat(&[tag]);
-            eat(&retry.to_le_bytes());
+            h.update(&[tag]);
+            h.update(&retry.to_le_bytes());
         }
         for t in &j.transitions {
-            eat(&t.at.to_le_bytes());
-            eat(t.breaker.as_bytes());
-            eat(t.from.name().as_bytes());
-            eat(t.to.name().as_bytes());
+            h.update(&t.at.to_le_bytes());
+            h.update(t.breaker.as_bytes());
+            h.update(t.from.name().as_bytes());
+            h.update(t.to.name().as_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Whether the windowed foreground p99 (queue or device phase) is over

@@ -315,12 +315,7 @@ impl ResolutionJournal {
 
     /// FNV-1a digest of [`encode`](ResolutionJournal::encode).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        common::checksum::fnv1a(&self.encode())
     }
 
     /// Number of recorded resolutions.

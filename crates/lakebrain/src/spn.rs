@@ -346,15 +346,8 @@ fn association(schema: &Schema, rows: &[Row], idx: &[usize], a: usize, b: usize)
             Value::Int(v) => *v as f64,
             Value::Float(v) => *v,
             Value::Bool(v) => *v as u8 as f64,
-            Value::Str(s) => {
-                // stable hash to pseudo-rank
-                let mut h: u64 = 0xcbf29ce484222325;
-                for byte in s.as_bytes() {
-                    h ^= *byte as u64;
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-                (h % 1000) as f64
-            }
+            // stable hash to pseudo-rank
+            Value::Str(s) => (common::checksum::fnv1a(s.as_bytes()) % 1000) as f64,
         }
     };
     let _ = schema;

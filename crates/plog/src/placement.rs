@@ -1,22 +1,14 @@
 //! Hash placement of data slices onto logical shards.
 //!
 //! The paper uses a distributed hash table "to ensure even data distribution
-//! for load-balance storage" (Fig 4-d). Placement here is FNV-1a over the
-//! routing key modulo the shard count; the tests verify the evenness claim
-//! directly.
+//! for load-balance storage" (Fig 4-d). Placement here is FNV-1a
+//! (`common::checksum::fnv1a`) over the routing key modulo the shard count;
+//! the tests verify the evenness claim directly.
+
+use common::checksum::fnv1a;
 
 /// Default shard count from the paper.
 pub const DEFAULT_SHARD_COUNT: usize = 4096;
-
-/// FNV-1a 64-bit hash.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// The logical shard that owns `routing_key` in a `shard_count`-shard table.
 pub fn shard_for(routing_key: &[u8], shard_count: usize) -> usize {
@@ -86,13 +78,6 @@ mod tests {
             counts[shard_for_partition("events", idx, shards)] += 1;
         }
         assert!(counts.iter().all(|&c| c <= 20), "{counts:?}");
-    }
-
-    #[test]
-    fn known_fnv_vector() {
-        // FNV-1a("") is the offset basis; FNV-1a("a") is a published vector.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     proptest! {

@@ -17,7 +17,6 @@ use crate::object::{ReadCtrl, StreamObject};
 use crate::record::Record;
 use crate::service::StreamService;
 use common::chore::{Chore, ChoreBudget, TickReport};
-use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Error, ObjectId, Result};
 use format::{DataType, Field, LakeFileReader, LakeFileWriter, Schema, Value};
@@ -112,8 +111,7 @@ impl ArchiveService {
             format::compress::compress(&Record::encode_slice(&payload))
         };
         let stored_bytes = encoded.len() as u64;
-        let handle = self
-            .on_shared_timeline(|ctx| self.pool.write_shards_ctx(&[encoded.into()], ctx))?;
+        let (handle, _) = self.pool.write_shards_ctx(&[encoded.into()], ctx)?;
         let entry = ArchiveEntry {
             object: object.id(),
             base_offset,
@@ -128,9 +126,11 @@ impl ArchiveService {
     }
 
     /// Read an archived batch back into records (data playback).
-    pub fn read_entry(&self, entry: &ArchiveEntry) -> Result<Vec<Record>> {
+    pub fn read_entry(&self, entry: &ArchiveEntry, ctx: &IoCtx) -> Result<Vec<Record>> {
         let bytes = self
-            .on_shared_timeline(|ctx| self.pool.read_shards_ctx(&entry.handle, ctx))?
+            .pool
+            .read_shards_ctx(&entry.handle, ctx)?
+            .0
             .pop()
             .flatten()
             .ok_or_else(|| Error::Io(format!("archived batch {:?} unreadable", entry.handle)))?;
@@ -149,18 +149,6 @@ impl ArchiveService {
         } else {
             Record::decode_slice(&format::compress::decompress(&bytes)?)
         }
-    }
-
-    /// Archive I/O runs on the shared timeline, not on the sweep's chore
-    /// ctx: `op` gets a foreground-lane ctx minted at the pool clock's
-    /// current instant, and the clock is advanced to its finish.
-    fn on_shared_timeline<T>(&self, op: impl FnOnce(&IoCtx) -> Result<(T, Nanos)>) -> Result<T> {
-        let clock = self.pool.clock();
-        // slint:allow(R10): known follow-up (DESIGN.md, request context): archive ignores its chore ctx
-        let (out, finish) = op(&IoCtx::new(clock.now()))?;
-        // slint:allow(R7): same follow-up — keeps the shared clock where untimed pool I/O left it
-        clock.advance_to(finish);
-        Ok(out)
     }
 
     /// All archive entries so far.
@@ -242,7 +230,7 @@ mod tests {
     use crate::object::{CreateOptions, StreamObjectStore};
     use common::size::MIB;
     use common::SimClock;
-    use common::ctx::IoCtx;
+    use common::ctx::{IoCtx, QosClass, SpanSink};
     use ec::Redundancy;
     use plog::{PlogConfig, PlogStore};
     use simdisk::MediaKind;
@@ -325,7 +313,7 @@ mod tests {
         assert_eq!(entry.count, 256);
         assert!(!entry.columnar);
         assert_eq!(obj.slice_count(), 0, "archived slices truncated");
-        let back = arch.read_entry(&entry).unwrap();
+        let back = arch.read_entry(&entry, &IoCtx::new(0)).unwrap();
         assert_eq!(back.len(), 256);
         assert_eq!(back[0].key, b"user-0");
     }
@@ -342,7 +330,7 @@ mod tests {
         // Columnar re-encoding (dictionaries on keys/values, delta
         // timestamps) must not lose data and should compete with the row
         // blob; its real win shows on the EC space accounting in Fig 14(d).
-        let back = arch.read_entry(&col).unwrap();
+        let back = arch.read_entry(&col, &IoCtx::new(0)).unwrap();
         assert_eq!(back.len(), 2048);
         assert_eq!(back[7].timestamp, 7);
         assert!(col.stored_bytes > 0 && row.stored_bytes > 0);
@@ -356,6 +344,33 @@ mod tests {
         arch.maybe_archive(&obj, &small_cfg(false), &IoCtx::new(0)).unwrap().unwrap();
         assert_eq!(arch.entries().len(), 1);
         assert!(arch.stored_bytes() > 0);
+    }
+
+    #[test]
+    fn archive_io_runs_on_the_callers_ctx_and_leaves_the_shared_clock() {
+        let (store, arch) = setup();
+        let obj = store.create(CreateOptions { slice_capacity: 64, ..Default::default() }).unwrap();
+        fill(&obj, 128);
+        let chore_ctx = |sink: &Arc<SpanSink>| {
+            IoCtx::new(0).with_qos(QosClass::Maintenance).with_sink(sink.clone())
+        };
+        let device_spans = |sink: &SpanSink| {
+            sink.metrics().histogram("qos.maintenance.device").map_or(0, |h| h.count)
+        };
+        // The sweep's own read of the object, recorded apart to subtract it.
+        let read_sink = Arc::new(SpanSink::default());
+        let all = ReadCtrl { max_records: usize::MAX, committed_only: true };
+        obj.read_at(0, all, &chore_ctx(&read_sink)).unwrap();
+
+        let clock = arch.pool.clock().clone();
+        let before = clock.now();
+        let sink = Arc::new(SpanSink::default());
+        let entry = arch.maybe_archive(&obj, &small_cfg(false), &chore_ctx(&sink)).unwrap().unwrap();
+        assert_eq!(device_spans(&sink), device_spans(&read_sink) + 1, "archive write spans the ctx");
+        let playback = Arc::new(SpanSink::default());
+        arch.read_entry(&entry, &chore_ctx(&playback)).unwrap();
+        assert_eq!(device_spans(&playback), 1, "playback read spans the ctx");
+        assert_eq!(clock.now(), before, "archive I/O must not move the shared clock");
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl fmt::Display for Partition {
 /// (FNV-1a, shared with PLog shard placement so one hash function governs
 /// the whole path from record key to shard).
 pub fn stable_key_hash(key: &[u8]) -> u64 {
-    plog::placement::fnv1a(key)
+    common::checksum::fnv1a(key)
 }
 
 /// The partition of a `partition_count`-partition topic that owns `key`

@@ -10,10 +10,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate must leave the tree as it found it: snapshot the working-tree
+# status (uncommitted work included) and fail at the end if any step wrote
+# into a tracked file.
+status_before="$(git status --porcelain)"
+
 cargo build --release
 cargo test -q
-# Benches and examples are outside tier-1: type-check every target so a
-# stale bench fails this gate, not whoever next runs `cargo bench`.
+# Examples are outside tier-1: type-check every target so a stale one fails
+# this gate.
 cargo check --all-targets
 # The end-to-end benchmark is a package of its own (outside the workspace)
 # built against this repo's public API: build it so API drift fails here,
@@ -56,7 +61,12 @@ cargo run --release -p bench --bin tenant_isolation
 # coordinator crashes at both crash points; fails on any partial-visibility
 # window, surviving intents, or a same-seed replay divergence.
 cargo run --release -p bench --bin txn_atomic
-# Wall-clock perf baseline: measure the hot kernels and validate the
-# trajectory file — a missing or malformed BENCH_PERF.json fails the gate.
-cargo run --release -p bench --bin perf_baseline
+# Wall-clock perf baseline for the paths slbench does not run: measure
+# them and fail if any sits below its floor in the committed
+# BENCH_PERF.json. Read-only; a bare `perf_baseline` run re-records the file.
 cargo run --release -p bench --bin perf_baseline -- --check
+if [ "$(git status --porcelain)" != "$status_before" ]; then
+    echo "check.sh: FAILED — the gate modified the working tree:" >&2
+    diff <(echo "$status_before") <(git status --porcelain) >&2 || true
+    exit 1
+fi

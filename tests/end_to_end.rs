@@ -211,7 +211,7 @@ fn archive_then_playback_preserves_messages() {
     assert_eq!(obj.slice_count(), 0, "archived slices truncated from hot tier");
     assert!(sl.hdd_pool().used() > 0, "archive lives in the cold pool");
 
-    let back = sl.archive().read_entry(&entries[0]).unwrap();
+    let back = sl.archive().read_entry(&entries[0], &IoCtx::new(0)).unwrap();
     assert_eq!(back.len(), 256);
     assert_eq!(back[0].key, packets[0].key());
     assert_eq!(back[255].value, packets[255].to_wire());
