@@ -5,68 +5,22 @@
 //! flushing (§VI) and LakeBrain-driven compaction (§VII) — all run *inside*
 //! the storage layer, competing with foreground traffic for the same
 //! devices. Instead of six bespoke loops, each service implements [`Chore`]:
-//! one budgeted, resumable unit of background work that a single scheduler
-//! (`core::chore`) can tick on the virtual clock, throttle when foreground
-//! latency spikes, and retry with deterministic backoff when it fails.
+//! one unit of background work that a single scheduler (`core::chore`) can
+//! tick on the virtual clock, defer when foreground latency spikes, and
+//! retry with deterministic backoff when it fails.
 //!
 //! The contract:
 //!
-//! * a tick is **bounded** — the service does at most [`ChoreBudget`] worth
-//!   of work and returns, parking a cursor if it has to stop mid-pass;
 //! * a tick is **honest** — [`TickReport::work_done`] is the work actually
 //!   performed and [`TickReport::backlog_hint`] is the service's estimate of
-//!   what remains, so the scheduler can tell an idle chore from a starved
-//!   one;
-//! * a tick is **deterministic** — the same `(ctx.now, budget, service
-//!   state)` produces the same report, byte for byte, which is what lets the
+//!   what it had to leave for a later tick;
+//! * a tick is **deterministic** — the same `(ctx.now, service state)`
+//!   produces the same report, byte for byte, which is what lets the
 //!   runtime replay whole maintenance schedules from a seed.
 
 use crate::clock::Nanos;
 use crate::ctx::IoCtx;
 use crate::error::Result;
-
-/// Token-style work allowance for one tick. Budgets are advisory caps, not
-/// reservations: a chore may finish under budget (nothing to do) and may
-/// overshoot by at most one indivisible unit (e.g. one record whose size is
-/// only known after it was read).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChoreBudget {
-    /// Payload bytes the tick may move (read + write of migrated/shipped
-    /// data). `u64::MAX` means unmetered.
-    pub bytes: u64,
-    /// Discrete operations the tick may perform (records scrubbed, extents
-    /// migrated, objects archived, tables flushed, partitions compacted).
-    pub ops: u64,
-}
-
-impl ChoreBudget {
-    /// An unmetered budget: the tick runs to its natural end.
-    pub const UNLIMITED: ChoreBudget = ChoreBudget { bytes: u64::MAX, ops: u64::MAX };
-
-    /// A budget of `bytes` payload bytes and `ops` operations.
-    pub fn new(bytes: u64, ops: u64) -> Self {
-        ChoreBudget { bytes, ops }
-    }
-
-    /// This budget with both axes halved (floor 1), the runtime's
-    /// backpressure response. Halving an [`UNLIMITED`](Self::UNLIMITED)
-    /// axis keeps it unlimited.
-    pub fn halved(self) -> Self {
-        let halve = |v: u64| if v == u64::MAX { v } else { (v / 2).max(1) };
-        ChoreBudget { bytes: halve(self.bytes), ops: halve(self.ops) }
-    }
-
-    /// Whether either axis is exhausted (zero left).
-    pub fn exhausted(self) -> bool {
-        self.bytes == 0 || self.ops == 0
-    }
-}
-
-impl Default for ChoreBudget {
-    fn default() -> Self {
-        ChoreBudget::UNLIMITED
-    }
-}
 
 /// What one tick accomplished, returned by [`Chore::tick`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,8 +29,8 @@ pub struct TickReport {
     /// tables, partitions). Zero means the tick found nothing to do.
     pub work_done: u64,
     /// The chore's estimate of work still pending after this tick. Zero
-    /// means caught up; nonzero tells the scheduler the budget ran out
-    /// before the backlog did.
+    /// means caught up; nonzero means the tick had to leave work behind
+    /// (e.g. records a remote site refused).
     pub backlog_hint: u64,
     /// When the chore next wants to run, if it knows better than the
     /// scheduler's fixed period (e.g. "nothing demotes before t"). `None`
@@ -96,8 +50,7 @@ impl TickReport {
 
 /// One background service as seen by the maintenance runtime.
 ///
-/// Implementations live in the service's own crate (the scrub loop knows
-/// how to park its cursor; the trait does not). The runtime guarantees the
+/// Implementations live in the service's own crate. The runtime guarantees the
 /// `ctx` it passes runs at `QosClass::Maintenance` with a span sink
 /// attached; implementations must not upgrade the class.
 pub trait Chore: Send + Sync {
@@ -105,36 +58,19 @@ pub trait Chore: Send + Sync {
     /// (`chore.<name>.*`).
     fn name(&self) -> &'static str;
 
-    /// Perform at most `budget` worth of work starting at `ctx.now`.
+    /// Perform one tick's work starting at `ctx.now`.
     ///
     /// Returns `Ok` with an honest [`TickReport`] — including when there was
     /// nothing to do — and `Err` only for failures the service could not
     /// absorb; the runtime answers an `Err` with deterministic jittered
     /// backoff, not with state rollback, so implementations must leave
     /// themselves re-tickable after any error.
-    fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> Result<TickReport>;
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn halving_floors_at_one_and_preserves_unlimited() {
-        let b = ChoreBudget::new(8, 3);
-        assert_eq!(b.halved(), ChoreBudget::new(4, 1));
-        assert_eq!(b.halved().halved(), ChoreBudget::new(2, 1));
-        assert_eq!(ChoreBudget::new(1, 1).halved(), ChoreBudget::new(1, 1));
-        let u = ChoreBudget::UNLIMITED.halved();
-        assert_eq!(u, ChoreBudget::UNLIMITED);
-    }
-
-    #[test]
-    fn exhaustion_is_any_axis_at_zero() {
-        assert!(ChoreBudget::new(0, 5).exhausted());
-        assert!(ChoreBudget::new(5, 0).exhausted());
-        assert!(!ChoreBudget::new(1, 1).exhausted());
-    }
 
     #[test]
     fn idle_report_carries_the_clock() {

@@ -17,7 +17,7 @@
 //!   quotas and tenant admission;
 //! * [`IoCtx`] — the per-request context (deadline, QoS class, trace span)
 //!   threaded through every layer of the storage stack;
-//! * [`Chore`] — the budgeted-tick contract every background service
+//! * [`Chore`] — the tick contract every background service
 //!   implements so `core::chore` can schedule them deterministically;
 //! * [`lockwitness`] — the debug-only runtime lock-order sanitizer that
 //!   corroborates the canonical hierarchy slint R9 checks statically.
@@ -37,7 +37,7 @@ pub mod size;
 pub mod varint;
 
 pub use bytes::Bytes;
-pub use chore::{Chore, ChoreBudget, TickReport};
+pub use chore::{Chore, TickReport};
 pub use clock::SimClock;
 pub use ctx::{IoCtx, Phase, QosClass, SpanRecord, SpanSink};
 pub use error::{Error, Result};

@@ -78,7 +78,6 @@ pub const HIERARCHY: &[LockClass] = &[
     class("lake.meta.pending", 50, "MetadataCache", "pending"),
     class("plog.repl.mapping", 55, "RemoteReplicator", "mapping"),
     class("plog.repl.cursor", 56, "RemoteReplicator", "cursor"),
-    class("plog.scrub.cursor", 58, "ScrubService", "cursor"),
     class("plog.shard", 60, "PlogStore", "shards"),
     class("simdisk.tier.extents", 65, "TieringService", "extents"),
     // MVCC coordination state ranks below kv.index: the transaction layer

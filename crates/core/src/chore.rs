@@ -9,76 +9,43 @@
 //!
 //! * **virtual-time scheduling** — ticks fire at per-chore due times on the
 //!   simulated clock; same seed + same schedule ⇒ byte-identical replays;
-//! * **budgets** — each tick carries a token-style byte/op allowance the
-//!   chore must respect ([`ChoreBudget`]);
 //! * **backpressure-aware admission** — the runtime samples the foreground
-//!   `qos.foreground.*` phase histograms and halves budgets (ultimately
-//!   deferring ticks) while foreground p99 exceeds a threshold, restoring
-//!   them when pressure clears;
+//!   `qos.foreground.*` phase histograms; each pressured admission raises
+//!   a pressure level by one (up to [`MAX_PRESSURE_LEVEL`]), each quiet one
+//!   lowers it by one, and a pressured admission at the top level defers
+//!   the tick by one period;
 //! * **deterministic retry** — a failing chore backs off exponentially with
 //!   seeded jitter, so failure schedules replay exactly;
 //! * **QoS isolation** — every tick runs under a [`QosClass::Maintenance`]
 //!   context minted from the deployment's span sink, so devices let
 //!   foreground I/O bypass maintenance I/O.
 
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::{millis, secs, Nanos};
 use common::ctx::{IoCtx, QosClass, SpanSink, QOS_PREFIX};
 use common::metrics::Metrics;
 use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
 
-/// Backpressure policy: when the foreground tail exceeds the threshold,
-/// maintenance budgets shrink; when it clears, they recover.
-#[derive(Debug, Clone, Copy)]
-pub struct BackpressureConfig {
-    /// Foreground p99 (queue or device phase) above this defers/starves
-    /// maintenance.
-    pub p99_threshold: Nanos,
-    /// How many recent foreground samples the p99 is computed over. A
-    /// windowed view is essential: a full-history p99 would remember a
-    /// burst forever and never let budgets recover.
-    pub window: usize,
-    /// Each pressured admission halves budgets once more, up to this many
-    /// times; at the maximum the tick is deferred outright.
-    pub max_shift: u32,
-}
+/// Foreground p99 (queue or device phase) above this is foreground
+/// pressure: chore admission ramps towards deferral and the front door
+/// sheds non-foreground requests.
+const FOREGROUND_P99_THRESHOLD: Nanos = millis(2);
 
-impl Default for BackpressureConfig {
-    fn default() -> Self {
-        BackpressureConfig { p99_threshold: millis(2), window: 256, max_shift: 3 }
-    }
-}
+/// How many recent foreground samples the p99 is computed over. A windowed
+/// view is essential: a full-history p99 would remember a burst forever and
+/// never let pressure clear.
+const FOREGROUND_WINDOW: usize = 256;
 
-/// Per-chore registration parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ChoreConfig {
-    /// Nominal tick period on the virtual clock (used whenever the chore
-    /// doesn't name its own `next_due`).
-    pub period: Nanos,
-    /// Budget handed to each tick before backpressure scaling.
-    pub budget: ChoreBudget,
-}
-
-impl ChoreConfig {
-    /// A period with unlimited budget.
-    pub fn every(period: Nanos) -> Self {
-        ChoreConfig { period: period.max(1), budget: ChoreBudget::UNLIMITED }
-    }
-
-    /// Replace the budget.
-    pub fn with_budget(mut self, budget: ChoreBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-}
+/// The pressure level at which a pressured admission defers the tick.
+pub const MAX_PRESSURE_LEVEL: u32 = 3;
 
 /// What happened when a chore came due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickOutcome {
     /// The chore ran and returned a report.
     Ticked(TickReport),
-    /// Admission deferred the tick (backpressure at maximum shift).
+    /// Admission deferred the tick (pressured at the top pressure level).
     Deferred,
     /// The chore failed; it retries at the recorded time.
     Failed {
@@ -87,17 +54,15 @@ pub enum TickOutcome {
     },
 }
 
-/// One journal entry: a chore coming due, with the budget it was offered
-/// and what happened. The journal is the determinism contract's witness —
-/// two same-seed runs must produce identical journals.
+/// One journal entry: a chore coming due and what happened. The journal is
+/// the determinism contract's witness — two same-seed runs must produce
+/// identical journals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickEvent {
     /// Which chore.
     pub chore: &'static str,
     /// Virtual time the tick fired.
     pub at: Nanos,
-    /// Budget offered after backpressure scaling.
-    pub budget: ChoreBudget,
     /// Outcome.
     pub outcome: TickOutcome,
 }
@@ -117,8 +82,6 @@ pub struct ChoreStatus {
     pub backlog_hint: u64,
     /// Consecutive failures (0 after any success).
     pub consecutive_failures: u32,
-    /// The budget the next tick will be offered (backpressure included).
-    pub current_budget: ChoreBudget,
     /// Ticks deferred by backpressure so far.
     pub deferred: u64,
     /// When the chore next comes due.
@@ -128,7 +91,6 @@ pub struct ChoreStatus {
 struct Registered {
     chore: Arc<dyn Chore>,
     period: Nanos,
-    base_budget: ChoreBudget,
     next_due: Nanos,
     last_tick: Option<Nanos>,
     ticks: u64,
@@ -140,9 +102,8 @@ struct Registered {
 
 struct RuntimeInner {
     chores: Vec<Registered>,
-    /// Current backpressure level: effective budgets are the base halved
-    /// this many times; at `max_shift` admission defers ticks instead.
-    budget_shift: u32,
+    /// Current backpressure level, 0 ..= [`MAX_PRESSURE_LEVEL`].
+    pressure_level: u32,
     journal: Vec<TickEvent>,
 }
 
@@ -157,7 +118,6 @@ pub struct ChoreRuntime {
     metrics: Metrics,
     sink: Arc<SpanSink>,
     seed: u64,
-    backpressure: BackpressureConfig,
     inner: TrackedMutex<RuntimeInner>,
 }
 
@@ -166,7 +126,7 @@ impl std::fmt::Debug for ChoreRuntime {
         let inner = self.inner.lock();
         f.debug_struct("ChoreRuntime")
             .field("chores", &inner.chores.iter().map(|r| r.chore.name()).collect::<Vec<_>>())
-            .field("budget_shift", &inner.budget_shift)
+            .field("pressure_level", &inner.pressure_level)
             .field("seed", &self.seed)
             .finish()
     }
@@ -175,34 +135,28 @@ impl std::fmt::Debug for ChoreRuntime {
 impl ChoreRuntime {
     /// A runtime sampling `metrics` for foreground pressure and minting
     /// tick contexts against `sink`.
-    pub fn new(
-        metrics: Metrics,
-        sink: Arc<SpanSink>,
-        seed: u64,
-        backpressure: BackpressureConfig,
-    ) -> Self {
+    pub fn new(metrics: Metrics, sink: Arc<SpanSink>, seed: u64) -> Self {
         ChoreRuntime {
             metrics,
             sink,
             seed,
-            backpressure,
             inner: TrackedMutex::new("core.chore.runtime", RuntimeInner {
                 chores: Vec::new(),
-                budget_shift: 0,
+                pressure_level: 0,
                 journal: Vec::new(),
             }),
         }
     }
 
-    /// Register a chore. Its first tick comes due one period after virtual
-    /// zero; registration order breaks same-instant ties, so registration
-    /// order is part of the deterministic schedule.
-    pub fn register(&self, chore: Arc<dyn Chore>, config: ChoreConfig) {
-        let period = config.period.max(1);
+    /// Register a chore ticking every `period` of virtual time (unless a
+    /// tick names its own `next_due`). Its first tick comes due one period
+    /// after virtual zero; registration order breaks same-instant ties, so
+    /// registration order is part of the deterministic schedule.
+    pub fn register(&self, chore: Arc<dyn Chore>, period: Nanos) {
+        let period = period.max(1);
         self.inner.lock().chores.push(Registered {
             chore,
             period,
-            base_budget: config.budget,
             next_due: period,
             last_tick: None,
             ticks: 0,
@@ -213,16 +167,9 @@ impl ChoreRuntime {
         });
     }
 
-    /// The foreground tail latency admission looks at: the worse of the
-    /// windowed queue-phase and device-phase p99s for foreground-QoS
-    /// spans. `None` when no foreground traffic has been observed.
-    pub fn foreground_p99(&self) -> Option<Nanos> {
-        foreground_p99(&self.metrics, self.backpressure.window)
-    }
-
     /// Current backpressure level (0 = unpressured).
-    pub fn budget_shift(&self) -> u32 {
-        self.inner.lock().budget_shift
+    pub fn pressure_level(&self) -> u32 {
+        self.inner.lock().pressure_level
     }
 
     /// Run every due tick up to and including virtual time `until`,
@@ -241,41 +188,34 @@ impl ChoreRuntime {
             }
             let Some((idx, now)) = next else { break };
 
-            // admission: sample foreground pressure, adjust the shift
-            let pressured = self
-                .foreground_p99()
-                .is_some_and(|p99| p99 > self.backpressure.p99_threshold);
-            inner.budget_shift = if pressured {
-                (inner.budget_shift + 1).min(self.backpressure.max_shift)
+            // admission: sample foreground pressure, step the level
+            let pressured = foreground_pressured(&self.metrics);
+            inner.pressure_level = if pressured {
+                (inner.pressure_level + 1).min(MAX_PRESSURE_LEVEL)
             } else {
-                inner.budget_shift.saturating_sub(1)
+                inner.pressure_level.saturating_sub(1)
             };
-            let shift = inner.budget_shift;
+            let level = inner.pressure_level;
 
             let reg = &mut inner.chores[idx];
-            if pressured && shift >= self.backpressure.max_shift {
-                // fully pressured: defer the tick a period
+            if pressured && level == MAX_PRESSURE_LEVEL {
+                // pressured at the top level: defer the tick a period
                 reg.deferred += 1;
                 reg.next_due = now.saturating_add(reg.period).max(now + 1);
                 let event = TickEvent {
                     chore: reg.chore.name(),
                     at: now,
-                    budget: ChoreBudget::new(0, 0),
                     outcome: TickOutcome::Deferred,
                 };
                 inner.journal.push(event);
                 continue;
             }
 
-            let mut budget = reg.base_budget;
-            for _ in 0..shift {
-                budget = budget.halved();
-            }
             let ctx = IoCtx::new(now)
                 .with_qos(QosClass::Maintenance)
                 .with_sink(self.sink.clone());
             let chore = reg.chore.clone();
-            let outcome = match chore.tick(&ctx, budget) {
+            let outcome = match chore.tick(&ctx) {
                 Ok(report) => {
                     reg.last_tick = Some(now);
                     reg.ticks += 1;
@@ -305,7 +245,7 @@ impl ChoreRuntime {
                     TickOutcome::Failed { retry_at: reg.next_due }
                 }
             };
-            let event = TickEvent { chore: reg.chore.name(), at: now, budget, outcome };
+            let event = TickEvent { chore: reg.chore.name(), at: now, outcome };
             inner.journal.push(event);
         }
         inner.journal[journal_start..].to_vec()
@@ -316,43 +256,42 @@ impl ChoreRuntime {
         self.inner.lock().journal.clone()
     }
 
-    /// Per-chore status: last tick, cumulative work, failure streak and
-    /// the budget the next tick would be offered under current pressure.
+    /// Per-chore status: last tick, cumulative work, failure streak,
+    /// deferrals and next due time.
     pub fn status(&self) -> Vec<ChoreStatus> {
         let inner = self.inner.lock();
         inner
             .chores
             .iter()
-            .map(|reg| {
-                let mut budget = reg.base_budget;
-                for _ in 0..inner.budget_shift {
-                    budget = budget.halved();
-                }
-                ChoreStatus {
-                    name: reg.chore.name(),
-                    last_tick: reg.last_tick,
-                    ticks: reg.ticks,
-                    work_done: reg.work_done,
-                    backlog_hint: reg.backlog_hint,
-                    consecutive_failures: reg.consecutive_failures,
-                    current_budget: budget,
-                    deferred: reg.deferred,
-                    next_due: reg.next_due,
-                }
+            .map(|reg| ChoreStatus {
+                name: reg.chore.name(),
+                last_tick: reg.last_tick,
+                ticks: reg.ticks,
+                work_done: reg.work_done,
+                backlog_hint: reg.backlog_hint,
+                consecutive_failures: reg.consecutive_failures,
+                deferred: reg.deferred,
+                next_due: reg.next_due,
             })
             .collect()
     }
 }
 
-/// The foreground pressure sample shared by chore backpressure and
-/// front-door load shedding: the worse of the last-`window` queue-phase and
-/// device-phase p99s of foreground-QoS spans in `metrics`. `None` when no
-/// foreground traffic has been observed.
-pub(crate) fn foreground_p99(metrics: &Metrics, window: usize) -> Option<Nanos> {
+/// The worse of the last-[`FOREGROUND_WINDOW`] queue-phase and device-phase
+/// p99s of foreground-QoS spans in `metrics`. `None` when no foreground
+/// traffic has been observed.
+fn foreground_p99(metrics: &Metrics) -> Option<Nanos> {
     let fg = QosClass::Foreground.name();
-    let queue = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.queue"), window);
-    let device = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.device"), window);
+    let queue = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.queue"), FOREGROUND_WINDOW);
+    let device = metrics.histogram_tail(&format!("{QOS_PREFIX}{fg}.device"), FOREGROUND_WINDOW);
     queue.into_iter().chain(device).map(|tail| tail.p99).max()
+}
+
+/// The one definition of foreground pressure, shared by chore admission
+/// and front-door load shedding: the windowed foreground p99 is over
+/// [`FOREGROUND_P99_THRESHOLD`].
+pub(crate) fn foreground_pressured(metrics: &Metrics) -> bool {
+    foreground_p99(metrics).is_some_and(|p99| p99 > FOREGROUND_P99_THRESHOLD)
 }
 
 /// Deterministic jitter in `[0, span)`: an xorshift64* hash of
@@ -378,31 +317,29 @@ mod tests {
     use common::Error;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A chore doing `backlog`-bounded unit work, failing on chosen ticks.
+    /// A chore working `per_tick` units of a `backlog` each tick, failing
+    /// on chosen ticks.
     struct TestChore {
         name: &'static str,
         backlog: AtomicU64,
+        per_tick: u64,
         fail_first: u32,
         calls: AtomicU64,
     }
 
     impl TestChore {
-        fn new(name: &'static str, backlog: u64) -> Self {
+        fn new(name: &'static str, backlog: u64, per_tick: u64) -> Self {
             TestChore {
                 name,
                 backlog: AtomicU64::new(backlog),
+                per_tick,
                 fail_first: 0,
                 calls: AtomicU64::new(0),
             }
         }
 
         fn failing(name: &'static str, fail_first: u32) -> Self {
-            TestChore {
-                name,
-                backlog: AtomicU64::new(u64::MAX),
-                fail_first,
-                calls: AtomicU64::new(0),
-            }
+            TestChore { fail_first, ..TestChore::new(name, u64::MAX, u64::MAX) }
         }
     }
 
@@ -411,13 +348,13 @@ mod tests {
             self.name
         }
 
-        fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> common::Result<TickReport> {
+        fn tick(&self, ctx: &IoCtx) -> common::Result<TickReport> {
             let call = self.calls.fetch_add(1, Ordering::Relaxed);
             if call < u64::from(self.fail_first) {
                 return Err(Error::Io(format!("{} induced failure {call}", self.name)));
             }
             let backlog = self.backlog.load(Ordering::Relaxed);
-            let done = backlog.min(budget.ops).min(budget.bytes);
+            let done = backlog.min(self.per_tick);
             let left = backlog - done;
             self.backlog.store(left, Ordering::Relaxed);
             Ok(TickReport {
@@ -432,15 +369,15 @@ mod tests {
     fn runtime(seed: u64) -> ChoreRuntime {
         let metrics = Metrics::new();
         let sink = Arc::new(SpanSink::new(metrics.clone()));
-        ChoreRuntime::new(metrics, sink, seed, BackpressureConfig::default())
+        ChoreRuntime::new(metrics, sink, seed)
     }
 
     #[test]
     fn ticks_fire_in_due_time_order_with_registration_tiebreak() {
         let rt = runtime(1);
-        rt.register(Arc::new(TestChore::new("fast", 100)), ChoreConfig::every(secs(1)));
-        rt.register(Arc::new(TestChore::new("slow", 100)), ChoreConfig::every(secs(3)));
-        rt.register(Arc::new(TestChore::new("tied", 100)), ChoreConfig::every(secs(1)));
+        rt.register(Arc::new(TestChore::new("fast", 100, 1)), secs(1));
+        rt.register(Arc::new(TestChore::new("slow", 100, 1)), secs(3));
+        rt.register(Arc::new(TestChore::new("tied", 100, 1)), secs(1));
         let events = rt.run_until(secs(3));
         let order: Vec<(&str, Nanos)> = events.iter().map(|e| (e.chore, e.at)).collect();
         assert_eq!(
@@ -461,11 +398,8 @@ mod tests {
     fn same_seed_runs_replay_byte_identically() {
         let build = || {
             let rt = runtime(42);
-            rt.register(Arc::new(TestChore::failing("flaky", 3)), ChoreConfig::every(secs(2)));
-            rt.register(
-                Arc::new(TestChore::new("steady", 1000)),
-                ChoreConfig::every(secs(1)).with_budget(ChoreBudget::new(u64::MAX, 7)),
-            );
+            rt.register(Arc::new(TestChore::failing("flaky", 3)), secs(2));
+            rt.register(Arc::new(TestChore::new("steady", 1000, 7)), secs(1));
             rt
         };
         let a = build();
@@ -479,7 +413,7 @@ mod tests {
     #[test]
     fn failure_backoff_is_exponential_jittered_and_reproducible() {
         let rt = runtime(7);
-        rt.register(Arc::new(TestChore::failing("flaky", 4)), ChoreConfig::every(secs(1)));
+        rt.register(Arc::new(TestChore::failing("flaky", 4)), secs(1));
         let events = rt.run_until(secs(60));
         let retries: Vec<Nanos> = events
             .iter()
@@ -503,12 +437,12 @@ mod tests {
         }
         // identical seed reproduces the exact sequence
         let rt2 = runtime(7);
-        rt2.register(Arc::new(TestChore::failing("flaky", 4)), ChoreConfig::every(secs(1)));
+        rt2.register(Arc::new(TestChore::failing("flaky", 4)), secs(1));
         let events2 = rt2.run_until(secs(60));
         assert_eq!(events, events2);
         // a different seed jitters differently
         let rt3 = runtime(8);
-        rt3.register(Arc::new(TestChore::failing("flaky", 4)), ChoreConfig::every(secs(1)));
+        rt3.register(Arc::new(TestChore::failing("flaky", 4)), secs(1));
         assert_ne!(events, rt3.run_until(secs(60)));
         // after the failures, success resets the streak
         let status = rt.status();
@@ -517,56 +451,51 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_halves_budgets_then_defers_then_recovers() {
+    fn backpressure_ramps_to_deferral_and_steps_back_down() {
         let metrics = Metrics::new();
         let sink = Arc::new(SpanSink::new(metrics.clone()));
-        let bp = BackpressureConfig { p99_threshold: millis(1), window: 8, max_shift: 2 };
-        let rt = ChoreRuntime::new(metrics.clone(), sink.clone(), 5, bp);
-        rt.register(
-            Arc::new(TestChore::new("worker", u64::MAX)),
-            ChoreConfig::every(secs(1)).with_budget(ChoreBudget::new(1024, 64)),
-        );
-
-        // quiet foreground: full budget
+        let rt = ChoreRuntime::new(metrics.clone(), sink.clone(), 5);
+        rt.register(Arc::new(TestChore::new("worker", u64::MAX, 1)), secs(1));
         let fg = IoCtx::new(0).with_sink(sink.clone());
-        fg.record(common::ctx::Phase::Queue, 0, micros(10));
-        let e = rt.run_until(secs(1));
-        assert_eq!(e[0].budget, ChoreBudget::new(1024, 64));
-        assert_eq!(rt.budget_shift(), 0);
+        let fill = |latency: Nanos| {
+            for _ in 0..FOREGROUND_WINDOW {
+                fg.record(common::ctx::Phase::Queue, 0, latency);
+            }
+        };
+        // (outcome is a tick, pressure level after the admission) per second
+        let step = |at: u64| {
+            let e = rt.run_until(secs(at));
+            assert_eq!(e.len(), 1, "one admission per second");
+            (matches!(e[0].outcome, TickOutcome::Ticked(_)), rt.pressure_level())
+        };
 
-        // burst: foreground queue p99 blows past the threshold
-        for _ in 0..8 {
-            fg.record(common::ctx::Phase::Queue, 0, millis(5));
-        }
-        let e = rt.run_until(secs(2));
-        assert_eq!(e[0].budget, ChoreBudget::new(512, 32), "first pressured tick halves");
-        let e = rt.run_until(secs(3));
-        assert_eq!(
-            e[0].outcome,
-            TickOutcome::Deferred,
-            "at max shift the tick is deferred outright"
-        );
-        assert_eq!(rt.status()[0].deferred, 1);
+        // quiet foreground: the tick runs at level 0
+        fill(micros(10));
+        assert_eq!(step(1), (true, 0));
 
-        // pressure clears: the window forgets the burst as fresh quiet
-        // samples displace it, and budgets step back up
-        for _ in 0..16 {
-            fg.record(common::ctx::Phase::Queue, 0, micros(10));
-        }
-        let e = rt.run_until(secs(4));
-        assert_eq!(e[0].budget, ChoreBudget::new(512, 32), "shift steps down, not jumps");
-        let e = rt.run_until(secs(5));
-        assert_eq!(e[0].budget, ChoreBudget::new(1024, 64), "full budget restored");
-        assert_eq!(rt.budget_shift(), 0);
+        // burst: each pressured admission raises the level by one, and
+        // the first one to reach the top level defers
+        fill(millis(5));
+        assert_eq!(step(2), (true, 1));
+        assert_eq!(step(3), (true, 2));
+        assert_eq!(step(4), (false, MAX_PRESSURE_LEVEL), "third pressured admission defers");
+        assert_eq!(step(5), (false, MAX_PRESSURE_LEVEL), "still pressured: still deferring");
+        assert_eq!(rt.status()[0].deferred, 2);
+        assert_eq!(rt.status()[0].next_due, secs(6), "a deferral waits one period");
+
+        // pressure clears: each quiet admission steps the level down by
+        // one, and ticks resume from the first of them
+        fill(micros(10));
+        assert_eq!(step(6), (true, 2));
+        assert_eq!(step(7), (true, 1));
+        assert_eq!(step(8), (true, 0));
+        assert_eq!(rt.status()[0].ticks, 6);
     }
 
     #[test]
     fn status_reports_cumulative_work_and_next_due() {
         let rt = runtime(3);
-        rt.register(
-            Arc::new(TestChore::new("worker", 10)),
-            ChoreConfig::every(secs(1)).with_budget(ChoreBudget::new(u64::MAX, 4)),
-        );
+        rt.register(Arc::new(TestChore::new("worker", 10, 4)), secs(1));
         rt.run_until(secs(2));
         let s = &rt.status()[0];
         assert_eq!(s.name, "worker");

@@ -29,7 +29,7 @@
 //! determinism contract the SLO suite pins.
 
 use crate::access::{AccessController, Permission, Principal};
-use crate::chore::{foreground_p99, seeded_jitter};
+use crate::chore::{foreground_pressured, seeded_jitter};
 use crate::system::StreamLake;
 use common::bucket::NanoBucket;
 use common::checksum::Fnv1a;
@@ -80,23 +80,8 @@ impl RequestKind {
     }
 }
 
-/// Admission-control (stage 3) policy.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Windowed foreground p99 (queue or device phase) above this sheds
-    /// non-foreground requests.
-    pub p99_threshold: Nanos,
-    /// Recent-sample window the p99 is computed over.
-    pub window: usize,
-    /// Retry-after hint attached to shed requests.
-    pub retry_after: Nanos,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig { p99_threshold: millis(2), window: 256, retry_after: millis(1) }
-    }
-}
+/// Retry-after hint attached to requests shed by admission control.
+const SHED_RETRY_AFTER: Nanos = millis(1);
 
 /// Circuit-breaker (stage 4) policy.
 #[derive(Debug, Clone, Copy)]
@@ -142,8 +127,6 @@ pub struct FrontDoorConfig {
     /// devices at one instant — the burst a tenant can ever land is
     /// `rate × burst_window`.
     pub burst_window: Nanos,
-    /// Stage-3 admission policy.
-    pub admission: AdmissionConfig,
     /// Stage-4 breaker policy.
     pub breaker: BreakerConfig,
 }
@@ -154,7 +137,6 @@ impl Default for FrontDoorConfig {
             seed: 42,
             default_rate: 1000,
             burst_window: millis(50),
-            admission: AdmissionConfig::default(),
             breaker: BreakerConfig::default(),
         }
     }
@@ -475,8 +457,8 @@ impl FrontDoor {
 
         // Stage 3: admission control — non-foreground traffic is shed
         // while the windowed foreground p99 is over threshold.
-        if !ctx.qos.is_foreground() && self.foreground_pressured() {
-            let retry_after = self.config.admission.retry_after;
+        if !ctx.qos.is_foreground() && foreground_pressured(self.lake.metrics()) {
+            let retry_after = SHED_RETRY_AFTER;
             tenant.shed += 1;
             drop(st);
             self.push_admission(AdmissionEvent {
@@ -693,14 +675,6 @@ impl FrontDoor {
             h.update(t.to.name().as_bytes());
         }
         h.finish()
-    }
-
-    /// Whether the windowed foreground p99 (queue or device phase) is over
-    /// the admission threshold — the same signal the chore runtime's
-    /// backpressure samples.
-    fn foreground_pressured(&self) -> bool {
-        foreground_p99(self.lake.metrics(), self.config.admission.window)
-            .is_some_and(|p99| p99 > self.config.admission.p99_threshold)
     }
 
     /// Whether the hot pool's device health is past the breaker thresholds.

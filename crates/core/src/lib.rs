@@ -40,12 +40,10 @@ pub mod system;
 pub mod txn;
 
 pub use access::{AccessController, Permission, Principal};
-pub use chore::{
-    BackpressureConfig, ChoreConfig, ChoreRuntime, ChoreStatus, TickEvent, TickOutcome,
-};
+pub use chore::{ChoreRuntime, ChoreStatus, TickEvent, TickOutcome};
 pub use frontdoor::{
-    AdmissionConfig, AdmissionEvent, BreakerConfig, BreakerPhase, BreakerTransition, Decision,
-    FrontDoor, FrontDoorConfig, Permit, RequestKind, TenantStats,
+    AdmissionEvent, BreakerConfig, BreakerPhase, BreakerTransition, Decision, FrontDoor,
+    FrontDoorConfig, Permit, RequestKind, TenantStats,
 };
 pub use pipeline::{PipelineReport, StreamLakePipeline};
 pub use query::{Aggregate, Query, QueryEngine, QueryOutput};

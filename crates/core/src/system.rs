@@ -1,6 +1,6 @@
 //! The [`StreamLake`] system handle.
 
-use crate::chore::{BackpressureConfig, ChoreConfig, ChoreRuntime, ChoreStatus, TickEvent};
+use crate::chore::{ChoreRuntime, ChoreStatus, TickEvent};
 use common::clock::{secs, Nanos};
 use common::ctx::{IoCtx, QosClass, SpanSink};
 use common::metrics::Metrics;
@@ -44,8 +44,6 @@ pub struct StreamLakeConfig {
     pub tier_demote_after_secs: u64,
     /// Seed for the maintenance runtime's deterministic retry jitter.
     pub maintenance_seed: u64,
-    /// Backpressure policy for maintenance admission.
-    pub backpressure: BackpressureConfig,
     /// Target output file size for the compaction chore.
     pub compaction_target_bytes: u64,
 }
@@ -67,7 +65,6 @@ impl Default for StreamLakeConfig {
             transport: Transport::Rdma,
             tier_demote_after_secs: 3600,
             maintenance_seed: 42,
-            backpressure: BackpressureConfig::default(),
             compaction_target_bytes: 64 * MIB,
         }
     }
@@ -212,30 +209,19 @@ impl StreamLake {
         // The maintenance runtime owns every background service. Periods
         // are part of the deterministic schedule: registration order
         // breaks same-instant ties, so this order is a contract too.
-        let chores = ChoreRuntime::new(
-            metrics.clone(),
-            sink.clone(),
-            config.maintenance_seed,
-            config.backpressure,
-        );
-        chores.register(scrubber.clone(), ChoreConfig::every(secs(30)));
-        chores.register(tiering.clone(), ChoreConfig::every(secs(60)));
-        chores.register(replicator.clone(), ChoreConfig::every(secs(10)));
-        chores.register(
-            Arc::new(ArchiveChore::new(stream.clone(), archive.clone())),
-            ChoreConfig::every(secs(10)),
-        );
-        chores.register(Arc::new(MetaFlushChore::new(tables.clone())), ChoreConfig::every(secs(5)));
-        chores.register(compaction.clone(), ChoreConfig::every(secs(30)));
-        chores.register(
-            Arc::new(OffsetRetentionChore::new(stream.groups().clone())),
-            ChoreConfig::every(secs(60)),
-        );
+        let chores = ChoreRuntime::new(metrics.clone(), sink.clone(), config.maintenance_seed);
+        chores.register(scrubber.clone(), secs(30));
+        chores.register(tiering.clone(), secs(60));
+        chores.register(replicator.clone(), secs(10));
+        chores.register(Arc::new(ArchiveChore::new(stream.clone(), archive.clone())), secs(10));
+        chores.register(Arc::new(MetaFlushChore::new(tables.clone())), secs(5));
+        chores.register(compaction.clone(), secs(30));
+        chores.register(Arc::new(OffsetRetentionChore::new(stream.groups().clone())), secs(60));
         // Appended last: registration order is part of the deterministic
         // schedule, so new chores must not displace existing ones.
         chores.register(
             Arc::new(WalCompactionChore::new(plog.kv().clone(), metrics.clone())),
-            ChoreConfig::every(secs(30)),
+            secs(30),
         );
 
         StreamLake {
@@ -339,7 +325,7 @@ impl StreamLake {
     }
 
     /// Per-chore status: last tick, cumulative work, failure streaks and
-    /// current (backpressure-scaled) budgets.
+    /// backpressure deferrals.
     pub fn chore_status(&self) -> Vec<ChoreStatus> {
         self.chores.status()
     }
@@ -451,6 +437,25 @@ mod tests {
             None,
             "expired group offsets must be swept"
         );
+    }
+
+    #[test]
+    fn stream_counters_reach_the_deployment_registry() {
+        let sl = StreamLake::new(StreamLakeConfig::small());
+        sl.stream()
+            .create_topic("t", TopicConfig::with_partitions(2))
+            .unwrap();
+        let mut p = sl.producer();
+        p.set_batch_size(1);
+        for i in 0..10 {
+            p.send("t", format!("k{i}"), format!("v{i}"), &IoCtx::new(0)).unwrap();
+        }
+        let mut c = sl.consumer("g");
+        c.subscribe("t").unwrap();
+        assert_eq!(c.poll(100, &IoCtx::new(0)).unwrap().len(), 10);
+        assert_eq!(sl.metrics().counter("produce.records"), 10);
+        assert_eq!(sl.metrics().counter("fetch.records"), 10);
+        assert!(sl.metrics().counter("stream.group.rebalances") > 0);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! update and resolution appends a frame, and most of those frames are
 //! superseded soon after. Left alone the log grows without bound;
 //! compacted inline it would stall a foreground commit. So compaction runs
-//! where all other background work runs — on the maintenance runtime,
-//! budgeted and at Maintenance QoS — rewriting the WAL as one batch of live
-//! state once enough dead frames accumulate.
+//! where all other background work runs — on the maintenance runtime, at
+//! Maintenance QoS — rewriting the WAL as one batch of live state once
+//! enough dead frames accumulate.
 
 use crate::store::SharedKv;
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::ctx::IoCtx;
 use common::metrics::Metrics;
 use common::Result;
@@ -23,7 +23,7 @@ pub const DEFAULT_FRAME_TRIGGER: u64 = 256;
 /// Compact once the WAL exceeds this many bytes regardless of frame count.
 pub const DEFAULT_BYTE_TRIGGER: u64 = 4 * 1024 * 1024;
 
-/// Budgeted maintenance chore compacting a [`SharedKv`]'s WAL.
+/// Maintenance chore compacting a [`SharedKv`]'s WAL.
 ///
 /// Metrics: `kvstore.wal.frames` / `kvstore.wal.bytes` (observed each
 /// tick) and `kvstore.wal.compactions` (incremented per rewrite).
@@ -31,26 +31,12 @@ pub const DEFAULT_BYTE_TRIGGER: u64 = 4 * 1024 * 1024;
 pub struct WalCompactionChore {
     kv: SharedKv,
     metrics: Metrics,
-    frame_trigger: u64,
-    byte_trigger: u64,
 }
 
 impl WalCompactionChore {
-    /// A chore compacting `kv` with the default triggers.
+    /// A chore compacting `kv` once either trigger is reached.
     pub fn new(kv: SharedKv, metrics: Metrics) -> Self {
-        WalCompactionChore {
-            kv,
-            metrics,
-            frame_trigger: DEFAULT_FRAME_TRIGGER,
-            byte_trigger: DEFAULT_BYTE_TRIGGER,
-        }
-    }
-
-    /// Override the frame/byte triggers (tests, aggressive deployments).
-    pub fn with_triggers(mut self, frames: u64, bytes: u64) -> Self {
-        self.frame_trigger = frames.max(2);
-        self.byte_trigger = bytes.max(1);
-        self
+        WalCompactionChore { kv, metrics }
     }
 }
 
@@ -59,22 +45,12 @@ impl Chore for WalCompactionChore {
         "kv-wal-compaction"
     }
 
-    fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> Result<TickReport> {
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let (frames, bytes) = self.kv.with_read(|kv| (kv.wal_frames(), kv.wal_bytes_len()));
         self.metrics.observe("kvstore.wal.frames", frames);
         self.metrics.observe("kvstore.wal.bytes", bytes);
-        let due = frames >= self.frame_trigger || bytes >= self.byte_trigger;
-        if !due {
+        if frames < DEFAULT_FRAME_TRIGGER && bytes < DEFAULT_BYTE_TRIGGER {
             return Ok(TickReport::idle(ctx.now));
-        }
-        if budget.exhausted() || budget.bytes < bytes {
-            // Not enough budget to rewrite the log this tick; report the
-            // backlog so the scheduler knows the chore is starved, not idle.
-            return Ok(TickReport {
-                backlog_hint: frames,
-                finished_at: ctx.now,
-                ..TickReport::default()
-            });
         }
         self.kv.with_mut(|kv| kv.compact_wal());
         self.metrics.incr("kvstore.wal.compactions", 1);
@@ -99,37 +75,22 @@ mod tests {
     fn compacts_when_triggered_and_reports_metrics() -> Result<()> {
         let kv = SharedKv::new();
         let metrics = Metrics::new();
-        let chore = WalCompactionChore::new(kv.clone(), metrics.clone()).with_triggers(8, u64::MAX);
+        let chore = WalCompactionChore::new(kv.clone(), metrics.clone());
         // Below trigger: idle.
         for i in 0..4u32 {
             kv.put(b"hot".to_vec(), i.to_le_bytes().to_vec());
         }
-        let r = chore.tick(&IoCtx::new(0), ChoreBudget::UNLIMITED)?;
+        let r = chore.tick(&IoCtx::new(0))?;
         assert_eq!(r.work_done, 0);
         assert_eq!(metrics.counter("kvstore.wal.compactions"), 0);
         // Over trigger: compacts down to one frame.
-        for i in 0..16u32 {
+        for i in 0..DEFAULT_FRAME_TRIGGER {
             kv.put(b"hot".to_vec(), i.to_le_bytes().to_vec());
         }
-        let r = chore.tick(&IoCtx::new(1), ChoreBudget::UNLIMITED)?;
-        assert!(r.work_done > 0);
+        let r = chore.tick(&IoCtx::new(1))?;
+        assert_eq!(r.work_done, 4 + DEFAULT_FRAME_TRIGGER - 1);
         assert_eq!(kv.wal_frames(), 1);
         assert_eq!(metrics.counter("kvstore.wal.compactions"), 1);
-        Ok(())
-    }
-
-    #[test]
-    fn starved_budget_defers_with_backlog() -> Result<()> {
-        let kv = SharedKv::new();
-        let chore =
-            WalCompactionChore::new(kv.clone(), Metrics::new()).with_triggers(2, u64::MAX);
-        for i in 0..8u32 {
-            kv.put(b"k".to_vec(), i.to_le_bytes().to_vec());
-        }
-        let r = chore.tick(&IoCtx::new(0), ChoreBudget::new(1, 1))?;
-        assert_eq!(r.work_done, 0);
-        assert!(r.backlog_hint > 0, "a starved tick must report its backlog");
-        assert!(kv.wal_frames() > 1, "no compaction without budget");
         Ok(())
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::meta::DataFileMeta;
 use crate::table::{CommitInfo, TableStore};
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::Nanos;
 use common::ctx::{IoCtx, QosClass};
 use common::size::div_ceil;
@@ -272,7 +272,7 @@ impl Chore for CompactionChore {
         "compaction"
     }
 
-    fn tick(&self, ctx: &IoCtx, mut budget: ChoreBudget) -> Result<TickReport> {
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let mut report = TickReport::idle(ctx.now);
         let mut trigger = self.trigger.lock();
         for table in self.store.catalog().list() {
@@ -312,18 +312,12 @@ impl Chore for CompactionChore {
                 if !trigger.should_compact(&table, &state, ctx.now) {
                     continue;
                 }
-                if budget.exhausted() {
-                    report.backlog_hint += 1;
-                    continue;
-                }
                 match self.compactor.compact_partition(&self.store, &table, partition, ctx) {
                     Ok(o) => {
                         report.work_done += o.files_compacted;
                         if let Some(commit) = &o.commit {
                             report.finished_at = report.finished_at.max(commit.finished_at);
                         }
-                        budget.ops = budget.ops.saturating_sub(1);
-                        budget.bytes = budget.bytes.saturating_sub(sizes.iter().sum());
                     }
                     Err(Error::Conflict(_)) => continue,
                     Err(e) => return Err(e),
@@ -356,17 +350,12 @@ impl Chore for MetaFlushChore {
         "meta-flush"
     }
 
-    fn tick(&self, ctx: &IoCtx, mut budget: ChoreBudget) -> Result<TickReport> {
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let mut report = TickReport::idle(ctx.now);
         for (table, pending) in self.store.meta().pending_tables() {
-            if budget.exhausted() {
-                report.backlog_hint += pending;
-                continue;
-            }
             let t = self.store.meta().flush(&table, ctx)?;
             report.work_done += pending;
             report.finished_at = report.finished_at.max(t);
-            budget.ops = budget.ops.saturating_sub(1);
         }
         Ok(report)
     }
@@ -520,48 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_chore_respects_budget_and_reports_backlog() {
-        let store = Arc::new(test_store());
-        store
-            .create_table(
-                "t",
-                log_schema(),
-                Some(crate::catalog::PartitionSpec::hourly("start_time")),
-                100_000,
-                &IoCtx::new(0),
-            )
-            .unwrap();
-        for h in 0..3i64 {
-            for _ in 0..5 {
-                store
-                    .insert("t", &log_rows(10, 1_656_806_400 + h * 3600), &IoCtx::new(0))
-                    .unwrap();
-            }
-        }
-        let chore = CompactionChore::new(
-            store.clone(),
-            64 * 1024 * 1024,
-            Box::new(IntervalTrigger::new(0)), // always fires
-        );
-        assert_eq!(chore.trigger_name(), "interval");
-        // ops budget 1: one of three eligible partitions compacts, the
-        // other two are deferred, not dropped
-        let r = chore
-            .tick(&IoCtx::new(common::clock::secs(100)), ChoreBudget::new(u64::MAX, 1))
-            .unwrap();
-        assert_eq!(r.work_done, 5, "one partition's five files merged");
-        assert_eq!(r.backlog_hint, 2, "two partitions deferred by the budget");
-        assert!(r.finished_at > common::clock::secs(100), "compaction cost charged");
-        // an unbudgeted follow-up drains the backlog
-        let r2 = chore
-            .tick(&IoCtx::new(common::clock::secs(200)), ChoreBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(r2.work_done, 10);
-        assert_eq!(r2.backlog_hint, 0);
-        assert_eq!(store.live_files("t", &IoCtx::new(common::clock::secs(300))).unwrap().len(), 3);
-    }
-
-    #[test]
     fn meta_flush_chore_flushes_pending_tables_in_order() {
         let store = Arc::new(test_store());
         store.create_table("b", log_schema(), None, 100_000, &IoCtx::new(0)).unwrap();
@@ -576,23 +523,15 @@ mod tests {
             "pending view is sorted by table name"
         );
         let chore = MetaFlushChore::new(store.clone());
-        // ops budget 1: only "a" (first in order) flushes this tick
-        let r = chore
-            .tick(&IoCtx::new(common::clock::secs(1)), ChoreBudget::new(u64::MAX, 1))
-            .unwrap();
-        assert_eq!(r.work_done, 2, "table a's two pending entries flushed");
-        assert_eq!(r.backlog_hint, 1, "table b's entry deferred");
-        assert_eq!(store.meta().pending_tables(), vec![("b".to_string(), 1)]);
-        // unbudgeted tick drains the rest; a further tick is a no-op
-        let r2 = chore
-            .tick(&IoCtx::new(common::clock::secs(2)), ChoreBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(r2.work_done, 1);
+        // one tick flushes every pending table, "a" first
+        let r = chore.tick(&IoCtx::new(common::clock::secs(1))).unwrap();
+        assert_eq!(r.work_done, 3, "a's two pending entries and b's one flushed");
+        assert_eq!(r.backlog_hint, 0);
+        assert!(r.finished_at > common::clock::secs(1), "flush I/O charged");
         assert!(store.meta().pending_tables().is_empty());
-        let r3 = chore
-            .tick(&IoCtx::new(common::clock::secs(3)), ChoreBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(r3, TickReport::idle(common::clock::secs(3)));
+        // a further tick is a no-op
+        let r2 = chore.tick(&IoCtx::new(common::clock::secs(3))).unwrap();
+        assert_eq!(r2, TickReport::idle(common::clock::secs(3)));
     }
 
     #[test]

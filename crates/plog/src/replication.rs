@@ -15,7 +15,7 @@
 //! after [`MAX_RETRY_ATTEMPTS`] tries and lets a later cycle pick it up.
 
 use crate::store::{PlogAddress, PlogStore};
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::{millis, Nanos};
 use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
@@ -92,14 +92,6 @@ impl RemoteReplicator {
     /// shipping time is attributed to [`Phase::Wan`]; retry backoff waits
     /// to [`Phase::Queue`].
     pub fn run(&self, ctx: &IoCtx) -> Result<ReplicationReport> {
-        self.run_bounded(ctx, ChoreBudget::UNLIMITED)
-    }
-
-    /// [`run`](Self::run) with a tick budget: stop shipping once `budget`
-    /// records (`ops`) or logical bytes are spent. Unshipped work stays in
-    /// the pending set for the next cycle, so a budgeted cycle forfeits
-    /// nothing — it just ships less now.
-    pub fn run_bounded(&self, ctx: &IoCtx, mut budget: ChoreBudget) -> Result<ReplicationReport> {
         let mut report = ReplicationReport { finished_at: ctx.now, ..Default::default() };
         let mut mapping = self.mapping.lock();
         let mut cursor = self.cursor.lock();
@@ -125,9 +117,6 @@ impl RemoteReplicator {
                 cursor.pending.remove(&addr);
                 continue;
             }
-            if budget.exhausted() {
-                break; // the rest stays pending for the next cycle
-            }
             let (data, t_read) = match self.primary.read_at(&addr, &ctx.at(t)) {
                 Ok(v) => v,
                 Err(e @ Error::DeadlineExceeded(_)) => return Err(e),
@@ -142,8 +131,6 @@ impl RemoteReplicator {
                     t = t_write;
                     report.records_copied += 1;
                     report.bytes_shipped += data.len() as u64;
-                    budget.ops = budget.ops.saturating_sub(1);
-                    budget.bytes = budget.bytes.saturating_sub(data.len() as u64);
                 }
                 None => report.records_abandoned += 1,
             }
@@ -235,11 +222,11 @@ impl Chore for RemoteReplicator {
         "replication"
     }
 
-    /// One budgeted shipping cycle. `work_done` counts records copied;
+    /// One shipping cycle. `work_done` counts records copied;
     /// `backlog_hint` is the pending set left for the next cycle (records
-    /// the budget cut off plus any abandoned after retry exhaustion).
-    fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> Result<TickReport> {
-        let report = self.run_bounded(ctx, budget)?;
+    /// abandoned after retry exhaustion or unreadable locally).
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
+        let report = self.run(ctx)?;
         Ok(TickReport {
             work_done: report.records_copied,
             backlog_hint: self.pending_count() as u64,
@@ -333,25 +320,6 @@ mod tests {
         let r3 = rep.run(&IoCtx::new(r2.finished_at)).unwrap();
         assert_eq!(r3.records_scanned, 1);
         assert_eq!(r3.records_copied, 1);
-    }
-
-    #[test]
-    fn budgeted_cycles_ship_incrementally_without_losing_work() {
-        let primary = site("primary", 4);
-        let remote = site("remote", 4);
-        for i in 0..10 {
-            put(&primary, format!("k{i}").as_bytes(), vec![i as u8; 400]).unwrap();
-        }
-        let rep = RemoteReplicator::new(primary, remote);
-        let r1 = rep.tick(&IoCtx::new(0), ChoreBudget::new(u64::MAX, 3)).unwrap();
-        assert_eq!(r1.work_done, 3);
-        assert_eq!(r1.backlog_hint, 7, "budget cut the cycle short, work stays pending");
-        let r2 = rep
-            .tick(&IoCtx::new(r1.finished_at), ChoreBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(r2.work_done, 7, "next tick drains the pending set");
-        assert_eq!(r2.backlog_hint, 0);
-        assert_eq!(rep.replicated_count(), 10);
     }
 
     #[test]

@@ -7,19 +7,14 @@
 //! checksum-failed shards in place, and re-encodes records whose devices
 //! died — so latent damage is found and repaired before a second fault
 //! turns it into data loss.
-//!
-//! Cycles are resumable: a bounded `cycle_budget` scans that many records
-//! and parks a cursor, so maintenance work can be spread over many small
-//! virtual-time slices instead of one monolithic pass.
 
-use crate::store::{PlogAddress, PlogStore, RecordHealth};
-use common::chore::{Chore, ChoreBudget, TickReport};
+use crate::store::{PlogStore, RecordHealth};
+use common::chore::{Chore, TickReport};
 use common::clock::Nanos;
 use common::ctx::{IoCtx, QosClass};
 use common::metrics::Metrics;
 use common::{Error, Result};
 use std::sync::Arc;
-use common::lockwitness::TrackedMutex;
 
 /// What one scrub cycle observed and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,52 +54,30 @@ impl ScrubReport {
 
 /// Background integrity scanner over a [`PlogStore`].
 ///
-/// Owns only a cursor; all verification and repair is delegated to
+/// Keeps no scan state: all verification and repair is delegated to
 /// [`PlogStore::verify_and_heal`], so scrub repairs carry the same
 /// delete-race guarantees as foreground repair.
 #[derive(Debug)]
 pub struct ScrubService {
     store: Arc<PlogStore>,
     metrics: Metrics,
-    cycle_budget: usize,
-    /// Resume point: the (shard, offset) *after* the last scanned record.
-    cursor: TrackedMutex<Option<(u32, u64)>>,
 }
 
 impl ScrubService {
     /// A scrubber whose every cycle walks the whole index.
     pub fn new(store: Arc<PlogStore>) -> Self {
         let metrics = store.metrics().clone();
-        ScrubService { store, metrics, cycle_budget: usize::MAX, cursor: TrackedMutex::new("plog.scrub.cursor", None) }
+        ScrubService { store, metrics }
     }
 
-    /// Cap each cycle at `budget` records (minimum 1); the next cycle
-    /// resumes where this one stopped.
-    pub fn with_cycle_budget(mut self, budget: usize) -> Self {
-        self.cycle_budget = budget.max(1);
-        self
-    }
-
-    /// Run one scrub cycle starting at `ctx.now`. QoS is forced to
+    /// Run one scrub cycle over the whole index, starting at `ctx.now`.
+    /// Records appended mid-cycle wait for the next one. QoS is forced to
     /// Maintenance regardless of what the caller's `ctx` carries: scrub
     /// I/O must never contend in a foreground lane.
     pub fn run_cycle(&self, ctx: &IoCtx) -> Result<ScrubReport> {
-        self.run_cycle_bounded(ctx, self.cycle_budget)
-    }
-
-    /// [`run_cycle`](Self::run_cycle) with the record cap further tightened
-    /// to `max_records` (the chore runtime's per-tick op budget).
-    fn run_cycle_bounded(&self, ctx: &IoCtx, max_records: usize) -> Result<ScrubReport> {
-        let limit = self.cycle_budget.min(max_records).max(1);
         let ctx = ctx.clone().with_qos(QosClass::Maintenance).without_deadline();
-        let addrs = self.scan_order();
         let mut report = ScrubReport { finished_at: ctx.now, ..Default::default() };
-        let mut next_cursor = None;
-        for (scanned, addr) in addrs.iter().enumerate() {
-            if scanned >= limit {
-                next_cursor = Some((addr.shard, addr.offset));
-                break;
-            }
+        for addr in &self.store.addresses() {
             report.records_scanned += 1;
             match self.store.verify_and_heal(addr, &ctx.at(report.finished_at)) {
                 Ok(h) => report.absorb(&h),
@@ -113,7 +86,6 @@ impl ScrubService {
                 Err(_) => report.records_unreadable += 1,
             }
         }
-        *self.cursor.lock() = next_cursor;
         self.metrics.incr("scrub.cycles", 1);
         self.metrics.incr("scrub.records_scanned", report.records_scanned);
         self.metrics.incr("scrub.corruptions_detected", report.corruptions_detected);
@@ -128,34 +100,18 @@ impl ScrubService {
     /// report is clean and covered every record.
     pub fn run_to_convergence(&self, ctx: &IoCtx, max_cycles: usize) -> Result<Vec<ScrubReport>> {
         let mut reports = Vec::new();
-        let mut clean_streak = 0u64;
         let mut t = ctx.now;
         for _ in 0..max_cycles {
             let report = self.run_cycle(&ctx.at(t))?;
             t = report.finished_at.max(t);
-            clean_streak = if report.is_clean() { clean_streak + report.records_scanned } else { 0 };
-            let done = clean_streak >= self.store.record_count() as u64
-                && self.cursor.lock().is_none();
+            let done = report.is_clean()
+                && report.records_scanned >= self.store.record_count() as u64;
             reports.push(report);
             if done {
                 break;
             }
         }
         Ok(reports)
-    }
-
-    /// The index in scan order, rotated so the parked cursor (if any) goes
-    /// first. Records appended mid-cycle simply wait for the next pass.
-    fn scan_order(&self) -> Vec<PlogAddress> {
-        let mut addrs = self.store.addresses();
-        if let Some((shard, offset)) = *self.cursor.lock() {
-            let at = addrs
-                .iter()
-                .position(|a| (a.shard, a.offset) >= (shard, offset))
-                .unwrap_or(0);
-            addrs.rotate_left(at);
-        }
-        addrs
     }
 }
 
@@ -164,21 +120,12 @@ impl Chore for ScrubService {
         "scrub"
     }
 
-    /// One bounded scrub cycle: `budget.ops` caps the records scanned (on
-    /// top of the service's own `cycle_budget`). `backlog_hint` is the
-    /// index remainder when the cursor parked mid-pass, so the runtime can
-    /// tell a finished sweep from a starved one.
-    fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> Result<TickReport> {
-        let cap = usize::try_from(budget.ops).unwrap_or(usize::MAX);
-        let report = self.run_cycle_bounded(ctx, cap)?;
-        let backlog = if self.cursor.lock().is_some() {
-            (self.store.record_count() as u64).saturating_sub(report.records_scanned)
-        } else {
-            0
-        };
+    /// One full scrub cycle; `work_done` counts the records scanned.
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
+        let report = self.run_cycle(ctx)?;
         Ok(TickReport {
             work_done: report.records_scanned,
-            backlog_hint: backlog,
+            backlog_hint: 0,
             next_due: None,
             finished_at: report.finished_at,
         })
@@ -266,41 +213,6 @@ mod tests {
         for addr in s.addresses() {
             assert_eq!(get(&s, &addr).unwrap().len(), 4000);
         }
-    }
-
-    #[test]
-    fn bounded_cycles_cover_the_index_across_cycles() {
-        let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        for i in 0..9u32 {
-            put(&s, &i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
-        }
-        let scrub = ScrubService::new(Arc::clone(&s)).with_cycle_budget(4);
-        let mut scanned = 0;
-        let mut t = 0;
-        for _ in 0..3 {
-            let r = scrub.run_cycle(&IoCtx::new(t)).unwrap();
-            scanned += r.records_scanned;
-            t = r.finished_at;
-        }
-        assert_eq!(scanned, 9 + 3, "three budget-4 cycles wrap past 9 records");
-        assert_eq!(s.metrics().counter("scrub.cycles"), 3);
-    }
-
-    #[test]
-    fn chore_tick_respects_the_op_budget_and_reports_backlog() {
-        let s = store(Redundancy::Replicate { copies: 2 }, 3);
-        for i in 0..10u32 {
-            put(&s, &i.to_be_bytes(), format!("r{i}").into_bytes()).unwrap();
-        }
-        let scrub = ScrubService::new(Arc::clone(&s));
-        let r = scrub.tick(&IoCtx::new(0), ChoreBudget::new(u64::MAX, 4)).unwrap();
-        assert_eq!(r.work_done, 4);
-        assert_eq!(r.backlog_hint, 6, "cursor parked with six records to go");
-        let r2 = scrub
-            .tick(&IoCtx::new(r.finished_at), ChoreBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(r2.work_done, 10, "full cycle resumes at the cursor and wraps the index");
-        assert_eq!(r2.backlog_hint, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! tiering).
 
 use crate::pool::{ExtentHandle, StoragePool};
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Bytes, Error, Result, SimClock};
@@ -46,9 +46,6 @@ pub struct MigrationReport {
     /// per-device space actually freed, as reported by extent deletion —
     /// with redundancy this exceeds the logical `bytes_demoted`).
     pub bytes_reclaimed: u64,
-    /// Hot extents that were already idle past the threshold but were left
-    /// behind because the run's budget ran out.
-    pub deferred: usize,
 }
 
 /// SSD↔HDD tiering with an idle-age demotion policy.
@@ -133,25 +130,15 @@ impl TieringService {
         self.extents.lock().get(&key).map(|e| e.tier)
     }
 
-    /// Run the demotion policy: move extents idle past the threshold to the
-    /// cold pool. Unbudgeted — migrates everything eligible right now.
-    pub fn run_policy(&self) -> MigrationReport {
-        self.run_policy_at(self.clock.now(), ChoreBudget::UNLIMITED)
-    }
-
-    /// Budgeted policy run at an explicit virtual time: demote idle hot
-    /// extents in key order until either the eligible set or `budget`
-    /// (bytes moved / extents migrated) is exhausted. Leftover eligible
-    /// extents are counted in [`MigrationReport::deferred`].
-    pub fn run_policy_at(&self, now: Nanos, mut budget: ChoreBudget) -> MigrationReport {
+    /// Run the demotion policy at virtual time `now`: move every hot extent
+    /// idle past the threshold to the cold pool, in key order. An extent
+    /// that cannot move (degraded, or the cold pool is full) stays hot and
+    /// eligible.
+    pub fn run_policy(&self, now: Nanos) -> MigrationReport {
         let mut report = MigrationReport::default();
         let mut map = self.extents.lock();
         for ext in map.values_mut() {
             if ext.tier != Tier::Hot || now.saturating_sub(ext.last_access) < self.demote_after {
-                continue;
-            }
-            if budget.exhausted() {
-                report.deferred += 1;
                 continue;
             }
             let Some(full) = self
@@ -168,8 +155,6 @@ impl TieringService {
                     ext.tier = Tier::Cold;
                     report.demoted += 1;
                     report.bytes_demoted += ext.bytes;
-                    budget.ops = budget.ops.saturating_sub(1);
-                    budget.bytes = budget.bytes.saturating_sub(ext.bytes);
                 }
                 Err(_) => continue, // cold pool full; try again next run
             }
@@ -226,20 +211,17 @@ impl Chore for TieringService {
         "tiering"
     }
 
-    /// One budgeted demotion pass at `ctx.now`. `work_done` counts extents
-    /// demoted; `backlog_hint` counts eligible extents the budget left
-    /// behind; `next_due` is the earliest future demotion eligibility so an
-    /// idle tier does not get polled at the base period.
-    fn tick(&self, ctx: &IoCtx, budget: ChoreBudget) -> Result<TickReport> {
-        let report = self.run_policy_at(ctx.now, budget);
+    /// One demotion pass at `ctx.now`. `work_done` counts extents demoted;
+    /// `next_due` is the earliest future demotion eligibility so an idle
+    /// tier does not get polled at the base period. An eligible extent the
+    /// pass had to leave behind is due now, so it makes the chore come back
+    /// one period later rather than on the next nanosecond.
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
+        let report = self.run_policy(ctx.now);
         Ok(TickReport {
             work_done: report.demoted as u64,
-            backlog_hint: report.deferred as u64,
-            next_due: if report.deferred > 0 {
-                None // backlog: come back at the base period
-            } else {
-                self.next_demotion_due(ctx.now)
-            },
+            backlog_hint: 0,
+            next_due: self.next_demotion_due(ctx.now).filter(|&due| due > ctx.now),
             finished_at: ctx.now,
         })
     }
@@ -287,7 +269,7 @@ mod tests {
         t.write(1, &[Bytes::from_vec(b"old".to_vec())]).unwrap();
         clock.advance(secs(120));
         t.write(2, &[Bytes::from_vec(b"new".to_vec())]).unwrap();
-        let report = t.run_policy();
+        let report = t.run_policy(clock.now());
         assert_eq!(report.demoted, 1);
         assert_eq!(t.tier_of(1), Some(Tier::Cold));
         assert_eq!(t.tier_of(2), Some(Tier::Hot));
@@ -298,7 +280,7 @@ mod tests {
         let (t, clock) = service(false);
         t.write(1, &[Bytes::from_vec(b"payload".to_vec())]).unwrap();
         clock.advance(secs(120));
-        t.run_policy();
+        t.run_policy(clock.now());
         let shards = t.read(1).unwrap();
         assert_eq!(shards[0].as_deref(), Some(b"payload".as_ref()));
         assert_eq!(t.tier_of(1), Some(Tier::Cold), "no promotion when disabled");
@@ -309,7 +291,7 @@ mod tests {
         let (t, clock) = service(true);
         t.write(1, &[Bytes::from_vec(b"hotagain".to_vec())]).unwrap();
         clock.advance(secs(120));
-        t.run_policy();
+        t.run_policy(clock.now());
         assert_eq!(t.tier_of(1), Some(Tier::Cold));
         t.read(1).unwrap();
         assert_eq!(t.tier_of(1), Some(Tier::Hot));
@@ -322,7 +304,7 @@ mod tests {
         clock.advance(secs(50));
         t.read(1).unwrap(); // refresh access time
         clock.advance(secs(50));
-        assert_eq!(t.run_policy().demoted, 0);
+        assert_eq!(t.run_policy(clock.now()).demoted, 0);
     }
 
     #[test]
@@ -331,7 +313,7 @@ mod tests {
         t.write(1, &[Bytes::from_vec(vec![0u8; 1024])]).unwrap();
         let hot_cost = t.storage_cost();
         clock.advance(secs(120));
-        t.run_policy();
+        t.run_policy(clock.now());
         assert!(
             t.storage_cost() < hot_cost,
             "cold media must be cheaper per byte"
@@ -343,7 +325,7 @@ mod tests {
         let (t, clock) = service(false);
         t.write(1, &[Bytes::from_vec(b"x".to_vec())]).unwrap();
         clock.advance(secs(120));
-        t.run_policy();
+        t.run_policy(clock.now());
         t.delete(1);
         assert!(t.read(1).is_err());
         assert_eq!(t.tier_of(1), None);
@@ -358,41 +340,37 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_run_defers_beyond_the_op_cap() {
-        let (t, clock) = service(false);
-        for k in 0..5 {
-            t.write(k, &[Bytes::from_vec(vec![k as u8; 64])]).unwrap();
-        }
-        clock.advance(secs(120));
-        let report = t.run_policy_at(clock.now(), ChoreBudget::new(u64::MAX, 2));
-        assert_eq!(report.demoted, 2);
-        assert_eq!(report.deferred, 3);
-        assert_eq!(report.bytes_reclaimed, 2 * 64, "hot-pool space freed by the demotions");
-        // A follow-up unbudgeted run drains the rest.
-        let rest = t.run_policy();
-        assert_eq!(rest.demoted, 3);
-        assert_eq!(rest.deferred, 0);
-    }
-
-    #[test]
-    fn chore_tick_reports_backlog_and_next_due() {
+    fn chore_tick_reports_next_due() {
         let (t, clock) = service(false);
         t.write(1, &[Bytes::from_vec(vec![1u8; 32])]).unwrap();
         t.write(2, &[Bytes::from_vec(vec![2u8; 32])]).unwrap();
         // Nothing eligible yet: idle tick, next_due = first eligibility.
-        let r = t.tick(&IoCtx::new(clock.now()), ChoreBudget::UNLIMITED).unwrap();
+        let r = t.tick(&IoCtx::new(clock.now())).unwrap();
         assert_eq!(r.work_done, 0);
         // Writes charge virtual time, so eligibility is 60s after each
         // extent's write instant, not exactly t=60s.
         let due = r.next_due.expect("hot extents imply a future demotion time");
         assert!(due >= secs(60) && due < secs(61), "due at {due}");
         clock.advance(secs(120));
-        let r = t
-            .tick(&IoCtx::new(clock.now()), ChoreBudget::new(u64::MAX, 1))
-            .unwrap();
-        assert_eq!(r.work_done, 1);
-        assert_eq!(r.backlog_hint, 1, "budget left one eligible extent behind");
-        assert_eq!(r.next_due, None, "backlog defers to the scheduler period");
+        t.write(3, &[Bytes::from_vec(vec![3u8; 32])]).unwrap();
+        let r = t.tick(&IoCtx::new(clock.now())).unwrap();
+        assert_eq!(r.work_done, 2);
+        let due = r.next_due.expect("the fresh extent is still hot");
+        assert!(due >= clock.now() + secs(59), "due at {due}");
+    }
+
+    #[test]
+    fn an_extent_left_behind_defers_to_the_scheduler_period() {
+        let (t, clock) = service(false);
+        t.write(1, &[Bytes::from_vec(vec![1u8; 32])]).unwrap();
+        clock.advance(secs(120));
+        for d in 0..3 {
+            t.hot.device(d).fail();
+        }
+        let r = t.tick(&IoCtx::new(clock.now())).unwrap();
+        assert_eq!(r.work_done, 0, "an unreadable hot extent cannot demote");
+        assert_eq!(t.tier_of(1), Some(Tier::Hot));
+        assert_eq!(r.next_due, None, "eligible-but-stuck comes back at the period");
     }
 
     #[test]

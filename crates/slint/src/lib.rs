@@ -32,7 +32,7 @@
 //!   `run_to_convergence`, `maybe_archive`, `compact_all`) may only be
 //!   called from the owning service's own crate; everywhere else the work
 //!   must be driven through the `core::chore` maintenance runtime, so one
-//!   scheduler owns budgets, backpressure and deterministic retry.
+//!   scheduler owns backpressure and deterministic retry.
 //!
 //! On top of the token rules, the [`model`] module builds workspace-wide
 //! facts (function definitions, call edges, lock-field acquisition sites,
@@ -583,7 +583,7 @@ fn check_unsafe_blocks(
 }
 
 /// R8: `(method-call token, owning crate prefix)`. Calling one of these
-/// outside the owner means bypassing the maintenance runtime's budgets,
+/// outside the owner means bypassing the maintenance runtime's
 /// backpressure and deterministic scheduling.
 const CHORE_ENTRY_POINTS: [(&str, &str); 5] = [
     (".run_policy(", "crates/simdisk/"),

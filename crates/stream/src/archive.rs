@@ -16,7 +16,7 @@ use crate::config::ArchiveConfig;
 use crate::object::{ReadCtrl, StreamObject};
 use crate::record::Record;
 use crate::service::StreamService;
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::ctx::IoCtx;
 use common::{Error, ObjectId, Result};
 use format::{DataType, Field, LakeFileReader, LakeFileWriter, Schema, Value};
@@ -183,11 +183,9 @@ impl Chore for ArchiveChore {
         "archive"
     }
 
-    /// One sweep. `budget.ops` caps batches archived and `budget.bytes`
-    /// caps archive-pool bytes written; objects still over threshold when
-    /// the budget runs out are counted in `backlog_hint` and picked up next
-    /// tick.
-    fn tick(&self, ctx: &IoCtx, mut budget: ChoreBudget) -> Result<TickReport> {
+    /// One sweep: every stream object over its topic's archive threshold
+    /// is archived; `work_done` counts the batches written.
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let dispatcher = self.service.dispatcher();
         let mut report = TickReport::idle(ctx.now);
         for topic in dispatcher.topics() {
@@ -207,16 +205,8 @@ impl Chore for ArchiveChore {
                 if object.persisted_bytes() < threshold {
                     continue;
                 }
-                if budget.exhausted() {
-                    report.backlog_hint += 1;
-                    continue;
-                }
-                if let Some(entry) =
-                    self.archive.maybe_archive(&object, &config.archive, ctx)?
-                {
+                if self.archive.maybe_archive(&object, &config.archive, ctx)?.is_some() {
                     report.work_done += 1;
-                    budget.ops = budget.ops.saturating_sub(1);
-                    budget.bytes = budget.bytes.saturating_sub(entry.stored_bytes);
                 }
             }
         }

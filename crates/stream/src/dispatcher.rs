@@ -172,9 +172,9 @@ impl StreamDispatcher {
     ///
     /// Destroys are best-effort — the route tombstone is what removes the
     /// mapping — but failures are no longer silent: every partition whose
-    /// backing object could not be (fully) reclaimed bumps
-    /// `stream.topic_destroy_failures`, so leaked extents show up in the
-    /// health report instead of vanishing.
+    /// backing object could not be (fully) reclaimed bumps the
+    /// `stream.topic_destroy_failures` counter, so leaked extents show up in
+    /// the service's metrics instead of vanishing.
     pub fn delete_topic(&self, name: &str) -> Result<()> {
         let mut topo = self.topo.lock();
         let routes = topo

@@ -29,7 +29,7 @@
 
 use crate::dispatcher::StreamDispatcher;
 use crate::partition::Partition;
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::{secs, Nanos};
 use common::ctx::IoCtx;
 use common::lockwitness::TrackedMutex;
@@ -689,7 +689,7 @@ impl Chore for OffsetRetentionChore {
         "offset-retention"
     }
 
-    fn tick(&self, ctx: &IoCtx, _budget: ChoreBudget) -> Result<TickReport> {
+    fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let expired = self.coordinator.expire_members(ctx);
         let dropped = self.coordinator.retention_sweep(ctx);
         let work = expired + dropped;
@@ -872,11 +872,11 @@ mod tests {
         c.leave("g", "a", &IoCtx::new(0)).unwrap();
         let chore = OffsetRetentionChore::new(c.clone());
         // Before retention elapses: nothing dropped.
-        let early = chore.tick(&IoCtx::new(secs(3600)), ChoreBudget::UNLIMITED).unwrap();
+        let early = chore.tick(&IoCtx::new(secs(3600))).unwrap();
         assert_eq!(early.work_done, 0);
         assert_eq!(c.committed("g", &Partition::new("t", 0)), Some(3));
         // After 24h of emptiness: offsets and group state are gone.
-        let late = chore.tick(&IoCtx::new(secs(24 * 3600)), ChoreBudget::UNLIMITED).unwrap();
+        let late = chore.tick(&IoCtx::new(secs(24 * 3600))).unwrap();
         assert_eq!(late.work_done, 1);
         assert_eq!(c.committed("g", &Partition::new("t", 0)), None);
         assert_eq!(c.generation("g"), 0, "group record dropped");

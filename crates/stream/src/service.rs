@@ -80,9 +80,11 @@ pub struct StreamService {
 }
 
 impl StreamService {
-    /// Build a service over an existing PLog store.
+    /// Build a service over an existing PLog store. Stream counters go to
+    /// the PLog's metrics registry, so in a deployment they land next to
+    /// every other layer's.
     pub fn new(plog: Arc<PlogStore>, clock: SimClock, opts: StreamServiceOptions) -> Arc<Self> {
-        let metrics = Metrics::new();
+        let metrics = plog.metrics().clone();
         let mvcc = opts.txn_mvcc.unwrap_or_else(|| Arc::new(MvccStore::over(plog.kv().clone())));
         let objects = Arc::new(StreamObjectStore::new(plog, opts.scm_capacity));
         let dispatcher = Arc::new(StreamDispatcher::with_metrics(
@@ -141,7 +143,7 @@ impl StreamService {
         &self.txns
     }
 
-    /// Service metrics.
+    /// Service metrics: the PLog store's registry.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

@@ -24,6 +24,11 @@ cargo check --all-targets
 # built against this repo's public API: build it so API drift fails here,
 # not in the benchmark driver.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# The benchmark's own tests: its schema-drift gate against BENCHMARK.json,
+# and every workload run with `--quick` plus its reference checks, so a
+# workload that would report `correct: false` fails here. Output lands in
+# the gitignored benchmark/out/.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Chaos suite: seeded fault schedules (bit-rot, deaths, torn writes, gray
 # failure) against the PLog stack — detection, scrub convergence, replay
 # determinism and the zero-copy healed-read guard. Includes the 8-seed sweep

@@ -2,13 +2,14 @@
 //! under a foreground burst, reproducible backoff, and the foreground-
 //! interference acceptance bound.
 
-use common::chore::{Chore, ChoreBudget, TickReport};
+use common::chore::{Chore, TickReport};
 use common::clock::{millis, secs, Nanos};
 use common::ctx::{IoCtx, Phase, QosClass};
 use common::Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use streamlake::{ChoreConfig, StreamLake, StreamLakeConfig, TickOutcome};
+use streamlake::chore::MAX_PRESSURE_LEVEL;
+use streamlake::{StreamLake, StreamLakeConfig, TickOutcome};
 use workloads::packets::PacketGen;
 
 const T0: i64 = 1_656_806_400;
@@ -63,33 +64,48 @@ fn same_seed_runs_replay_tick_journals_byte_identically() {
 }
 
 #[test]
-fn foreground_burst_shrinks_budgets_and_recovery_restores_them() {
+fn foreground_burst_ramps_to_deferral_and_quiet_admissions_step_back_down() {
     let sl = seeded_deployment();
-    let base_ops = sl.chore_status()[0].current_budget;
-    assert_eq!(base_ops, ChoreBudget::UNLIMITED);
+    assert_eq!(sl.maintenance().pressure_level(), 0);
 
     // synthetic foreground burst: queue-phase spans far past the 2 ms
-    // admission threshold
+    // pressure threshold
     let fg = sl.root_ctx(QosClass::Foreground);
     for _ in 0..512 {
         fg.record(Phase::Queue, 0, millis(8));
     }
-    sl.run_maintenance_until(secs(20));
-    assert!(
-        sl.maintenance().budget_shift() > 0,
-        "burst must raise the backpressure shift"
-    );
-    let deferred: u64 = sl.chore_status().iter().map(|s| s.deferred).sum();
-    assert!(deferred > 0, "at max shift, ticks must be deferred");
+    // each pressured admission raises the level by one; the one that
+    // reaches the top level is the first to defer, and every later one
+    // defers too while the burst fills the window
+    let burst = sl.run_maintenance_until(secs(20));
+    let deferred: Vec<bool> = burst.iter().map(|e| e.outcome == TickOutcome::Deferred).collect();
+    assert!(deferred.len() > MAX_PRESSURE_LEVEL as usize, "journal: {burst:?}");
+    let first = deferred.iter().position(|&d| d);
+    assert_eq!(first, Some(MAX_PRESSURE_LEVEL as usize - 1), "journal: {burst:?}");
+    assert!(deferred[MAX_PRESSURE_LEVEL as usize - 1..].iter().all(|&d| d));
+    assert_eq!(sl.maintenance().pressure_level(), MAX_PRESSURE_LEVEL);
+    let status_deferred: u64 = sl.chore_status().iter().map(|s| s.deferred).sum();
+    assert_eq!(status_deferred, deferred.iter().filter(|&&d| d).count() as u64);
 
     // pressure clears: enough quiet samples displace the burst from the
-    // sampling window, and budgets recover to the base
+    // sampling window; from the first quiet admission on ticks run again,
+    // and each quiet admission steps the level down by exactly one
     for _ in 0..512 {
         fg.record(Phase::Queue, 0, common::clock::micros(5));
     }
-    sl.run_maintenance_until(secs(60));
-    assert_eq!(sl.maintenance().budget_shift(), 0, "pressure cleared, shift reset");
-    assert_eq!(sl.chore_status()[0].current_budget, ChoreBudget::UNLIMITED);
+    let mut quiet_admissions = 0u32;
+    while sl.maintenance().pressure_level() > 0 {
+        let due = sl.chore_status().iter().map(|s| s.next_due).min().unwrap();
+        let events = sl.run_maintenance_until(due);
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|e| e.outcome != TickOutcome::Deferred), "{events:?}");
+        quiet_admissions += events.len() as u32;
+        assert_eq!(
+            sl.maintenance().pressure_level(),
+            MAX_PRESSURE_LEVEL.saturating_sub(quiet_admissions),
+            "the level steps down one per quiet admission"
+        );
+    }
 }
 
 /// A chore that fails its first `fail_first` ticks.
@@ -103,7 +119,7 @@ impl Chore for Flaky {
         "flaky"
     }
 
-    fn tick(&self, ctx: &IoCtx, _budget: ChoreBudget) -> common::Result<TickReport> {
+    fn tick(&self, ctx: &IoCtx) -> common::Result<TickReport> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         if call < u64::from(self.fail_first) {
             return Err(Error::Io(format!("induced failure {call}")));
@@ -115,10 +131,7 @@ impl Chore for Flaky {
 #[test]
 fn failing_chore_backoff_is_reproducible_across_deployments() {
     let retries = |sl: &StreamLake| -> Vec<Nanos> {
-        sl.maintenance().register(
-            Arc::new(Flaky { fail_first: 3, calls: AtomicU64::new(0) }),
-            ChoreConfig::every(secs(1)),
-        );
+        sl.maintenance().register(Arc::new(Flaky { fail_first: 3, calls: AtomicU64::new(0) }), secs(1));
         sl.run_maintenance_until(secs(30))
             .iter()
             .filter_map(|e| match e.outcome {
