@@ -61,8 +61,6 @@ pub const HIERARCHY: &[LockClass] = &[
     class("core.frontdoor.state", 12, "FrontDoor", "state"),
     class("core.frontdoor.journal", 13, "FrontDoor", "journal"),
     class("core.access.grants", 15, "AccessController", "inner"),
-    class("stream.service.worker_ids", 20, "StreamService", "next_worker_id"),
-    class("stream.service.workers", 21, "StreamService", "workers"),
     class("stream.service.quotas", 22, "StreamService", "quotas"),
     // group.state ranks below dispatcher.topo: rebalancing holds the
     // coordinator state while reading partition counts from the topology.
@@ -72,7 +70,6 @@ pub const HIERARCHY: &[LockClass] = &[
     class("stream.txn.active", 28, "TxnManager", "active"),
     class("stream.object.registry", 30, "StreamObjectStore", "objects"),
     class("stream.object.state", 35, "StreamObject", "state"),
-    class("stream.worker.cache", 38, "StreamWorker", "cache"),
     class("stream.archive.entries", 40, "ArchiveService", "entries"),
     class("lake.compaction.trigger", 45, "CompactionChore", "trigger"),
     class("lake.meta.pending", 50, "MetadataCache", "pending"),
@@ -405,7 +402,7 @@ mod tests {
         assert!(state < journal, "decisions are journaled under the state lock");
         assert!(rank_of("core.chore.runtime") < state);
         assert!(journal < rank_of("core.access.grants"));
-        assert!(journal < rank_of("stream.service.worker_ids"));
+        assert!(journal < rank_of("stream.service.quotas"));
         assert!(journal < rank_of("simdisk.device.state"));
         assert!(journal < rank_of("common.metrics"));
     }

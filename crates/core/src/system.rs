@@ -10,7 +10,7 @@ use ec::Redundancy;
 use kvstore::{MvccStore, WalCompactionChore};
 use lake::{CompactionChore, IntervalTrigger, MetaFlushChore, TableStore};
 use plog::{PlogConfig, PlogStore, RemoteReplicator, ScrubService};
-use simdisk::{DeviceHealth, MediaKind, StoragePool, TieringService, Transport};
+use simdisk::{DeviceHealth, MediaKind, StoragePool, TieringService};
 use stream::archive::{ArchiveChore, ArchiveService};
 use stream::group::OffsetRetentionChore;
 use stream::service::{StreamService, StreamServiceOptions};
@@ -38,8 +38,6 @@ pub struct StreamLakeConfig {
     pub workers: usize,
     /// Metadata write-cache flush threshold (pending entries).
     pub meta_flush_threshold: u64,
-    /// Data bus transport.
-    pub transport: Transport,
     /// Tiering: demote data idle longer than this many virtual seconds.
     pub tier_demote_after_secs: u64,
     /// Seed for the maintenance runtime's deterministic retry jitter.
@@ -62,7 +60,6 @@ impl Default for StreamLakeConfig {
             redundancy: Redundancy::ErasureCode { k: 10, m: 2 },
             workers: 3,
             meta_flush_threshold: 64,
-            transport: Transport::Rdma,
             tier_demote_after_secs: 3600,
             maintenance_seed: 42,
             compaction_target_bytes: 64 * MIB,
@@ -172,7 +169,6 @@ impl StreamLake {
             StreamServiceOptions {
                 workers: config.workers,
                 scm_capacity: config.scm_capacity,
-                transport: config.transport,
                 txn_mvcc: Some(tables.mvcc().clone()),
                 ..Default::default()
             },

@@ -122,11 +122,8 @@ impl ConversionTask {
         }
         // Make buffered records readable, then pull everything pending.
         let flush_t = self.object.flush_at(ctx)?;
-        let (records, t) = self.object.read_at(
-            self.converted_until,
-            ReadCtrl { max_records: usize::MAX, committed_only: true },
-            &ctx.at(flush_t),
-        )?;
+        let (records, t) =
+            self.object.read_at(self.converted_until, ReadCtrl::default(), &ctx.at(flush_t))?;
         let Some(last_offset) = records.last().map(|(off, _)| *off) else {
             return Ok(None);
         };
@@ -353,9 +350,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(n, 20);
-        let (records, _) = dst
-            .read_at(0, ReadCtrl { max_records: usize::MAX, committed_only: true }, &IoCtx::new(0))
-            .unwrap();
+        let (records, _) = dst.read_at(0, ReadCtrl::default(), &IoCtx::new(0)).unwrap();
         assert_eq!(records.len(), 20);
     }
 

@@ -7,8 +7,6 @@
 //! bandwidth on the same link.
 
 use common::clock::{micros, Nanos};
-use common::SimClock;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Transport used for a bus transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,47 +41,6 @@ impl Transport {
     }
 }
 
-/// A shared data bus between the data-service layer and the store layer.
-#[derive(Debug)]
-pub struct Bus {
-    transport: Transport,
-    clock: SimClock,
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl Bus {
-    /// Create a bus over the given transport.
-    pub fn new(transport: Transport, clock: SimClock) -> Self {
-        Bus { transport, clock, messages: AtomicU64::new(0), bytes: AtomicU64::new(0) }
-    }
-
-    /// The configured transport.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
-    /// Transfer one message of `bytes`, advancing virtual time; returns the
-    /// transfer latency.
-    pub fn transfer(&self, bytes: u64) -> Nanos {
-        let t = self.transport.transfer_time(bytes);
-        self.clock.advance(t);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        t
-    }
-
-    /// Total messages transferred.
-    pub fn message_count(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes transferred.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,18 +62,6 @@ mod tests {
         let aggregated = Transport::Tcp.transfer_time(64 * 1024);
         let separate = 64 * Transport::Tcp.transfer_time(1024);
         assert!(separate > 2 * aggregated);
-    }
-
-    #[test]
-    fn bus_accounts_messages_and_bytes() {
-        let clock = SimClock::new();
-        let bus = Bus::new(Transport::Rdma, clock.clone());
-        let t0 = clock.now();
-        bus.transfer(1000);
-        bus.transfer(2000);
-        assert_eq!(bus.message_count(), 2);
-        assert_eq!(bus.bytes_transferred(), 3000);
-        assert!(clock.now() > t0);
     }
 
     #[test]

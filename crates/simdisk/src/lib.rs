@@ -7,14 +7,14 @@
 //!
 //! * [`device::Device`] — a disk with capacity, a media-specific latency /
 //!   bandwidth model, a service queue (`busy_until`), and injectable faults;
+//!   `MediaKind::Scm` is the SCM staging device stream objects flush into;
 //! * [`pool::StoragePool`] — a named collection of devices with extent
 //!   allocation, redundancy-aware placement (distinct devices per shard) and
 //!   garbage collection;
 //! * [`tier::TieringService`] — the static/dynamic SSD↔HDD migration policy
 //!   from the data-service layer;
-//! * [`bus::Bus`] — the data exchange and interworking bus, with RDMA and
-//!   TCP transports;
-//! * [`cache::LruCache`] — the SCM cache used by stream-object clients;
+//! * [`bus::Transport`] — the data exchange and interworking bus's cost
+//!   model, RDMA against TCP;
 //! * [`fault::FaultInjector`] — seeded, virtual-time chaos schedules
 //!   (outages, death, silent bit-rot, torn writes, gray degradation).
 //!
@@ -22,14 +22,12 @@
 //! deterministic and independent of the host machine.
 
 pub mod bus;
-pub mod cache;
 pub mod device;
 pub mod fault;
 pub mod pool;
 pub mod tier;
 
-pub use bus::{Bus, Transport};
-pub use cache::LruCache;
+pub use bus::Transport;
 pub use device::{Device, DeviceHealth, MediaKind};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, InjectionLog};
 pub use pool::{ExtentHandle, PoolHealthSummary, StoragePool};

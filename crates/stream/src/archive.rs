@@ -80,11 +80,7 @@ impl ArchiveService {
         if object.persisted_bytes() < threshold_bytes {
             return Ok(None);
         }
-        let (records, _) = object.read_at(
-            0,
-            ReadCtrl { max_records: usize::MAX, committed_only: true },
-            ctx,
-        )?;
+        let (records, _) = object.read_at(0, ReadCtrl::default(), ctx)?;
         let (Some(base_offset), Some(last_offset)) = (
             records.first().map(|(off, _)| *off),
             records.last().map(|(off, _)| *off),
@@ -349,8 +345,7 @@ mod tests {
         };
         // The sweep's own read of the object, recorded apart to subtract it.
         let read_sink = Arc::new(SpanSink::default());
-        let all = ReadCtrl { max_records: usize::MAX, committed_only: true };
-        obj.read_at(0, all, &chore_ctx(&read_sink)).unwrap();
+        obj.read_at(0, ReadCtrl::default(), &chore_ctx(&read_sink)).unwrap();
 
         let clock = arch.pool.clock().clone();
         let before = clock.now();

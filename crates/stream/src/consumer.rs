@@ -119,10 +119,7 @@ impl Consumer {
                 break;
             }
             let route = self.svc.dispatcher().route_partition(&partition.topic, partition.idx)?;
-            let ctrl = ReadCtrl {
-                max_records: max_records - out.len(),
-                committed_only: true,
-            };
+            let ctrl = ReadCtrl { max_records: max_records - out.len() };
             let (records, _) = self.svc.fetch_from(&route, *pos, ctrl, ctx)?;
             for (offset, record) in records {
                 *pos = (*pos).max(offset + 1);

@@ -54,7 +54,10 @@ struct Topology {
     topics: BTreeMap<String, Vec<PartitionRoute>>,
     /// topic → config.
     configs: BTreeMap<String, TopicConfig>,
+    /// Live stream workers. A worker is nothing but this id and the routes
+    /// naming it: requests go straight from the service to the stream object.
     workers: Vec<WorkerId>,
+    next_worker_id: u64,
     next_worker_rr: usize,
 }
 
@@ -81,14 +84,15 @@ impl StreamDispatcher {
         }
     }
 
-    /// Register a stream worker; newly created partitions may be assigned
-    /// to it.
-    pub fn register_worker(&self, id: WorkerId) {
+    /// Register a new stream worker under the next id (monotonic from 0);
+    /// newly created partitions may be assigned to it.
+    pub fn register_worker(&self) -> WorkerId {
         let mut topo = self.topo.lock();
-        if !topo.workers.contains(&id) {
-            topo.workers.push(id);
-            self.metadata().put(format!("worker/{}", id.raw()), b"up".to_vec());
-        }
+        let id = WorkerId(topo.next_worker_id);
+        topo.next_worker_id += 1;
+        topo.workers.push(id);
+        self.metadata().put(format!("worker/{}", id.raw()), b"up".to_vec());
+        id
     }
 
     /// Deregister a worker, reassigning its partitions to the survivors.
@@ -394,7 +398,7 @@ mod tests {
         let store = Arc::new(StreamObjectStore::new(plog, 0));
         let d = StreamDispatcher::new(store);
         for i in 0..workers {
-            d.register_worker(WorkerId(i as u64));
+            assert_eq!(d.register_worker(), WorkerId(i as u64));
         }
         d
     }

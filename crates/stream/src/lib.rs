@@ -16,10 +16,9 @@
 //!   nano-tokens;
 //! * [`object`] — the stream object: slices of ≤256 records appended to
 //!   PLog shards, offset-addressed reads, transactional visibility;
-//! * [`worker`] — stream workers with I/O aggregation and an SCM read
-//!   cache;
 //! * [`dispatcher`] — KV-backed topology (topics → partitions → workers),
-//!   round-robin assignment, migration-free rescaling;
+//!   round-robin assignment, migration-free rescaling; a stream worker is
+//!   an id in this topology, not an object;
 //! * [`group`] — consumer groups: membership, deterministic cooperative
 //!   rebalancing, fenced offset commits, offset retention;
 //! * [`producer`] / [`consumer`] — the client APIs (idempotent produce,
@@ -28,7 +27,8 @@
 //!   commit;
 //! * [`archive`] — size-triggered archiving with optional row→column
 //!   conversion;
-//! * [`service`] — the [`StreamService`] facade wiring it all together.
+//! * [`service`] — the [`StreamService`] facade wiring it all together and
+//!   charging the RDMA bus hop of each produce and fetch.
 
 pub mod archive;
 pub mod config;
@@ -42,7 +42,6 @@ pub mod quota;
 pub mod record;
 pub mod service;
 pub mod txn;
-pub mod worker;
 
 pub use archive::{ArchiveChore, ArchiveEntry, ArchiveService};
 pub use config::TopicConfig;

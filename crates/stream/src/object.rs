@@ -18,8 +18,8 @@
 //!
 //! * *strict order* — offsets are assigned under the object lock;
 //! * *idempotent writes* — `(producer_id, sequence)` pairs dedup retries;
-//! * *exactly-once* — transactional records stay invisible to
-//!   `committed_only` readers until their transaction commits.
+//! * *exactly-once* — transactional records stay invisible to readers
+//!   until their transaction commits.
 //!
 //! With `scm_cache` enabled, slice flushes are acknowledged from a
 //! storage-class-memory staging device and drained to the PLog in the
@@ -77,13 +77,11 @@ impl Default for CreateOptions {
 pub struct ReadCtrl {
     /// Maximum records returned.
     pub max_records: usize,
-    /// Hide records of open or aborted transactions.
-    pub committed_only: bool,
 }
 
 impl Default for ReadCtrl {
     fn default() -> Self {
-        ReadCtrl { max_records: usize::MAX, committed_only: true }
+        ReadCtrl { max_records: usize::MAX }
     }
 }
 
@@ -338,20 +336,16 @@ impl StreamObject {
                 st.aborted_txns.clone(),
             )
         };
-        // Visibility under `committed_only` follows last-stable-offset
-        // semantics: the scan STOPS at the first record of a still-open
-        // transaction (so a later commit is not skipped over by consumers
-        // that already advanced), and records of aborted transactions are
-        // filtered out.
+        // Visibility follows last-stable-offset semantics: the scan STOPS at
+        // the first record of a still-open transaction (so a later commit is
+        // not skipped over by consumers that already advanced), and records
+        // of aborted transactions are filtered out.
         enum Vis {
             Deliver,
             Skip,
             Stop,
         }
         let classify = |r: &Record| -> Vis {
-            if !ctrl.committed_only {
-                return Vis::Deliver;
-            }
             match r.txn {
                 Some(t) if open.contains(&t) => Vis::Stop,
                 Some(t) if aborted.contains(&t) => Vis::Skip,
@@ -617,7 +611,7 @@ mod tests {
             .create(CreateOptions { slice_capacity: 8, ..Default::default() })
             .unwrap();
         obj.append_at(&recs(30, 0), &at(0)).unwrap();
-        let ctrl = ReadCtrl { max_records: 5, committed_only: true };
+        let ctrl = ReadCtrl { max_records: 5 };
         let (got, _) = obj.read_at(12, ctrl, &at(0)).unwrap();
         assert_eq!(got.len(), 5);
         assert_eq!(got[0].0, 12);
@@ -650,15 +644,14 @@ mod tests {
         obj.append_at(&[r], &at(0)).unwrap();
         obj.append_at(&recs(1, 99), &at(0)).unwrap(); // plain record after
 
-        let committed = ReadCtrl { max_records: usize::MAX, committed_only: true };
-        let all = ReadCtrl { max_records: usize::MAX, committed_only: false };
-        // LSO semantics: the committed read stops at the open transaction,
-        // hiding it AND everything after it.
-        assert_eq!(obj.read_at(0, committed, &at(0)).unwrap().0.len(), 0, "open txn blocks");
-        assert_eq!(obj.read_at(0, all, &at(0)).unwrap().0.len(), 2);
+        let ctrl = ReadCtrl::default();
+        // LSO semantics: the read stops at the open transaction, hiding it
+        // AND everything after it — though both records exist.
+        assert_eq!(obj.read_at(0, ctrl, &at(0)).unwrap().0.len(), 0, "open txn blocks");
+        assert_eq!(obj.end_offset(), 2);
 
         obj.commit_txn(42);
-        assert_eq!(obj.read_at(0, committed, &at(0)).unwrap().0.len(), 2, "commit reveals");
+        assert_eq!(obj.read_at(0, ctrl, &at(0)).unwrap().0.len(), 2, "commit reveals");
     }
 
     #[test]

@@ -1,9 +1,19 @@
 //! The stream service facade.
 //!
-//! Wires the dispatcher, workers, stream objects, per-partition quotas,
-//! the consumer-group coordinator and the transaction manager into the
-//! surface producers and consumers talk to (Fig 6: producers → stream
-//! workers → stream objects, coordinated by the stream dispatcher).
+//! Wires the dispatcher, stream objects, per-partition quotas, the
+//! consumer-group coordinator and the transaction manager into the surface
+//! producers and consumers talk to (Fig 6: producers → stream workers →
+//! stream objects, coordinated by the stream dispatcher).
+//!
+//! A stream worker (§V-A) is the data-service-layer endpoint serving a set
+//! of streams. Here it is a dispatcher route, not an object: the dispatcher
+//! assigns each partition a [`WorkerId`] and rescales the set without
+//! moving data, while the service carries each request straight to the
+//! partition's stream object and charges the RDMA bus hop itself. The
+//! paper's consumption cache ("a local cache is implemented at the stream
+//! object client to speed up message consumption") is not modelled: with
+//! one consumer group per workload every batch is read once, so it never
+//! hits.
 
 use crate::config::TopicConfig;
 use crate::consumer::Consumer;
@@ -15,30 +25,29 @@ use crate::producer::Producer;
 use crate::quota::QuotaLimiter;
 use crate::record::Record;
 use crate::txn::TxnManager;
-use crate::worker::StreamWorker;
 use common::clock::Nanos;
-use common::ctx::IoCtx;
+use common::ctx::{IoCtx, Phase};
 use common::id::IdGen;
 use common::metrics::Metrics;
-use common::{Error, Result, SimClock, WorkerId};
+use common::{Result, SimClock, WorkerId};
 use kvstore::MvccStore;
 use plog::PlogStore;
-use simdisk::{Bus, Transport};
-use std::collections::{BTreeMap, HashMap};
+use simdisk::Transport;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use common::lockwitness::{TrackedMutex, TrackedRwLock};
+use common::lockwitness::TrackedMutex;
+
+/// The bus between stream workers and stream objects: the paper's data
+/// bus runs RDMA, "which bypasses the CPU and L1 cache" (§III).
+const TRANSPORT: Transport = Transport::Rdma;
 
 /// Construction options for [`StreamService`].
 #[derive(Debug, Clone)]
 pub struct StreamServiceOptions {
     /// Initial number of stream workers.
     pub workers: usize,
-    /// Per-worker consumption-cache bytes.
-    pub worker_cache_bytes: u64,
     /// SCM staging capacity shared by scm-enabled topics (0 disables).
     pub scm_capacity: u64,
-    /// Bus transport between workers and stream objects.
-    pub transport: Transport,
     /// Consumer-group coordination (session timeout, assignment strategy,
     /// offset retention).
     pub group: GroupConfig,
@@ -53,9 +62,7 @@ impl Default for StreamServiceOptions {
     fn default() -> Self {
         StreamServiceOptions {
             workers: 3,
-            worker_cache_bytes: 4 * 1024 * 1024,
             scm_capacity: 0,
-            transport: Transport::Rdma,
             group: GroupConfig::default(),
             txn_mvcc: None,
         }
@@ -69,14 +76,11 @@ pub struct StreamService {
     objects: Arc<StreamObjectStore>,
     dispatcher: Arc<StreamDispatcher>,
     groups: Arc<GroupCoordinator>,
-    workers: TrackedRwLock<HashMap<WorkerId, Arc<StreamWorker>>>,
     quotas: TrackedMutex<BTreeMap<Partition, QuotaLimiter>>,
     txns: TxnManager,
-    bus: Arc<Bus>,
     producer_ids: IdGen,
     consumer_ids: IdGen,
     metrics: Metrics,
-    next_worker_id: TrackedMutex<u64>,
 }
 
 impl StreamService {
@@ -96,24 +100,20 @@ impl StreamService {
             metrics.clone(),
             opts.group,
         ));
-        let bus = Arc::new(Bus::new(opts.transport, clock.clone()));
         let txns = TxnManager::new(objects.clone(), mvcc);
         let svc = Arc::new(StreamService {
             clock,
             objects,
             dispatcher,
             groups,
-            workers: TrackedRwLock::new("stream.service.workers", HashMap::new()),
             quotas: TrackedMutex::new("stream.service.quotas", BTreeMap::new()),
             txns,
-            bus,
             producer_ids: IdGen::new(),
             consumer_ids: IdGen::new(),
             metrics,
-            next_worker_id: TrackedMutex::new("stream.service.worker_ids", 0),
         });
         for _ in 0..opts.workers.max(1) {
-            svc.add_worker(opts.worker_cache_bytes);
+            svc.add_worker();
         }
         svc
     }
@@ -149,26 +149,18 @@ impl StreamService {
     }
 
     /// Add a stream worker; returns its id. Rescaling is metadata-only.
-    pub fn add_worker(&self, cache_bytes: u64) -> WorkerId {
-        let mut next = self.next_worker_id.lock();
-        let id = WorkerId(*next);
-        *next += 1;
-        let worker = Arc::new(StreamWorker::new(id, self.bus.clone(), cache_bytes));
-        self.workers.write().insert(id, worker);
-        self.dispatcher.register_worker(id);
-        id
+    pub fn add_worker(&self) -> WorkerId {
+        self.dispatcher.register_worker()
     }
 
     /// Remove a worker, reassigning its partitions.
     pub fn remove_worker(&self, id: WorkerId, ctx: &IoCtx) -> Result<RescaleReport> {
-        let report = self.dispatcher.deregister_worker(id, ctx)?;
-        self.workers.write().remove(&id);
-        Ok(report)
+        self.dispatcher.deregister_worker(id, ctx)
     }
 
     /// Number of live workers.
     pub fn worker_count(&self) -> usize {
-        self.workers.read().len()
+        self.dispatcher.workers().len()
     }
 
     /// Create a topic; every partition gets its own quota bucket.
@@ -210,7 +202,13 @@ impl StreamService {
         Consumer::new(self.clone(), group, member)
     }
 
-    /// Internal produce path: per-partition quota → worker → stream object.
+    /// Internal produce path: per-partition quota → bus → stream object.
+    ///
+    /// The ack is only sent once the batch is persistent: the paper's
+    /// delivery guarantee eliminates "unreliable components like file
+    /// systems and page caches", so there is no in-memory-ack fast path.
+    /// The producer batch is the I/O aggregation unit (§V-A "Efficient
+    /// Transfer").
     pub(crate) fn produce_to(
         &self,
         topic: &str,
@@ -224,9 +222,16 @@ impl StreamService {
                 q.try_acquire(records.len() as u64, ctx)?;
             }
         }
-        let worker = self.worker_for(route)?;
         let object = self.dispatcher.object_of(route)?;
-        let ack = worker.produce(&object, records, ctx)?;
+        let bytes: u64 = records.iter().map(|r| r.size_bytes() as u64).sum();
+        let transfer = TRANSPORT.transfer_time(bytes);
+        ctx.record(Phase::Wan, ctx.now, transfer);
+        let appended = object.append_at(records, &ctx.at(ctx.now + transfer))?;
+        let durable = object.flush_at(&ctx.at(appended.ack_time))?;
+        let ack = AppendAck {
+            base_offset: appended.base_offset,
+            ack_time: durable.max(appended.ack_time),
+        };
         // Register transactional participants with the coordinator.
         for r in records {
             if let Some(t) = r.txn {
@@ -240,7 +245,7 @@ impl StreamService {
         Ok(ack)
     }
 
-    /// Internal fetch path through the owning worker.
+    /// Internal fetch path: stream object read, then the bus hop back.
     pub(crate) fn fetch_from(
         &self,
         route: &PartitionRoute,
@@ -248,26 +253,22 @@ impl StreamService {
         ctrl: ReadCtrl,
         ctx: &IoCtx,
     ) -> Result<(Vec<(u64, Record)>, Nanos)> {
-        let worker = self.worker_for(route)?;
         let object = self.dispatcher.object_of(route)?;
-        let out = worker.fetch(&object, offset, ctrl, ctx)?;
-        self.metrics.incr("fetch.records", out.0.len() as u64);
-        Ok(out)
-    }
-
-    fn worker_for(&self, route: &PartitionRoute) -> Result<Arc<StreamWorker>> {
-        self.workers
-            .read()
-            .get(&route.worker)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("stream worker {}", route.worker)))
+        let (records, finish) = object.read_at(offset, ctrl, ctx)?;
+        let bytes: u64 = records.iter().map(|(_, r)| r.size_bytes() as u64).sum();
+        let transfer = TRANSPORT.transfer_time(bytes);
+        ctx.record(Phase::Wan, finish, transfer);
+        self.metrics.incr("fetch.records", records.len() as u64);
+        Ok((records, finish + transfer))
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use common::ctx::{SpanRecord, SpanSink};
     use common::size::MIB;
+    use common::Error;
     use ec::Redundancy;
     use plog::PlogConfig;
     use simdisk::{MediaKind, StoragePool};
@@ -308,7 +309,7 @@ pub(crate) mod tests {
         let svc = test_service(2, false);
         assert_eq!(svc.worker_count(), 2);
         svc.create_topic("t", TopicConfig::with_partitions(4)).unwrap();
-        let id = svc.add_worker(MIB);
+        let id = svc.add_worker();
         assert_eq!(svc.worker_count(), 3);
         let report = svc.remove_worker(id, &IoCtx::new(0)).unwrap();
         assert_eq!(report.bytes_migrated, 0);
@@ -358,6 +359,57 @@ pub(crate) mod tests {
         svc.dispatcher().object_of(&route).unwrap().flush_at(&IoCtx::new(0)).unwrap();
         let (got, _) = svc.fetch_from(&route, 0, ReadCtrl::default(), &IoCtx::new(0)).unwrap();
         assert_eq!(got.len(), 5);
+        assert_eq!(svc.metrics().counter("fetch.records"), 5);
         assert_eq!(svc.metrics().counter("produce.records"), 5);
+    }
+
+    /// The `Phase::Wan` spans a request recorded into `sink`.
+    fn wan_spans(sink: &SpanSink) -> Vec<SpanRecord> {
+        sink.trail().into_iter().filter(|r| r.phase == Phase::Wan).collect()
+    }
+
+    #[test]
+    fn produce_and_fetch_each_charge_one_bus_hop() {
+        // Two identical deployments: one serves requests through the
+        // service, the twin replays the same stream-object calls by hand,
+        // so the bus charge's size and instants are pinned exactly.
+        let (svc, twin) = (test_service(1, false), test_service(1, false));
+        for s in [&svc, &twin] {
+            s.create_topic("t", TopicConfig::with_partitions(1)).unwrap();
+        }
+        let route = svc.dispatcher().route_partition("t", 0).unwrap();
+        let twin_obj = twin.dispatcher().object_of(&route).unwrap();
+        let records: Vec<Record> =
+            (0..8).map(|i| Record::new(b"k".to_vec(), vec![0u8; 32], i)).collect();
+        let transfer =
+            TRANSPORT.transfer_time(records.iter().map(|r| r.size_bytes() as u64).sum());
+
+        // Produce: bus hop at `now`, append after it, flush at the append ack.
+        let sink = Arc::new(SpanSink::default());
+        let t0 = 1_000;
+        let ack = svc
+            .produce_to("t", &route, &records, &IoCtx::new(t0).with_sink(sink.clone()))
+            .unwrap();
+        let wan = wan_spans(&sink);
+        assert_eq!(wan.len(), 1, "{wan:?}");
+        assert_eq!((wan[0].start, wan[0].duration), (t0, transfer));
+        let appended = twin_obj.append_at(&records, &IoCtx::new(t0 + transfer)).unwrap();
+        let durable = twin_obj.flush_at(&IoCtx::new(appended.ack_time)).unwrap();
+        assert_eq!(ack.base_offset, Some(0));
+        assert_eq!(ack.ack_time, durable.max(appended.ack_time), "the ack includes the hop");
+        assert!(ack.ack_time > t0 + transfer);
+
+        // Fetch: the storage read, then the bus hop from its finish.
+        let sink = Arc::new(SpanSink::default());
+        let t1 = ack.ack_time;
+        let (got, done) = svc
+            .fetch_from(&route, 0, ReadCtrl::default(), &IoCtx::new(t1).with_sink(sink.clone()))
+            .unwrap();
+        assert_eq!(got.len(), 8);
+        let (_, finish) = twin_obj.read_at(0, ReadCtrl::default(), &IoCtx::new(t1)).unwrap();
+        let wan = wan_spans(&sink);
+        assert_eq!(wan.len(), 1, "{wan:?}");
+        assert_eq!((wan[0].start, wan[0].duration), (finish, transfer));
+        assert_eq!(done, finish + transfer);
     }
 }

@@ -18,8 +18,15 @@ status_before="$(git status --porcelain)"
 cargo build --release
 cargo test -q
 # Examples are outside tier-1: type-check every target so a stale one fails
-# this gate.
-cargo check --all-targets
+# this gate. Any compiler warning fails it too, so an import or private
+# helper a deletion left behind cannot linger (cargo replays cached
+# warnings, so a no-op re-check still reports them).
+check_out="$(cargo check --all-targets 2>&1)"
+echo "$check_out"
+if grep -q '^warning' <<<"$check_out"; then
+    echo "check.sh: FAILED — cargo check --all-targets printed warnings" >&2
+    exit 1
+fi
 # The end-to-end benchmark is a package of its own (outside the workspace)
 # built against this repo's public API: build it so API drift fails here,
 # not in the benchmark driver.

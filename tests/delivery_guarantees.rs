@@ -109,7 +109,7 @@ fn rescaling_workers_loses_no_messages() {
     p.flush(&IoCtx::new(0)).unwrap();
 
     // scale up, then remove a worker: pure metadata operations
-    sl.stream().add_worker(1024 * 1024);
+    sl.stream().add_worker();
     let victim = sl.stream().dispatcher().workers()[0];
     let report = sl.stream().remove_worker(victim, &IoCtx::new(0)).unwrap();
     assert_eq!(report.bytes_migrated, 0);

@@ -196,6 +196,11 @@ fn archive_then_playback_preserves_messages() {
     }
     producer.flush(&IoCtx::new(0)).unwrap();
 
+    // A consumer reads every record while it is still in the hot tier.
+    let mut early = sl.consumer("early");
+    early.subscribe("t").unwrap();
+    assert_eq!(early.poll(1000, &IoCtx::new(0)).unwrap().len(), 256);
+
     // archival runs as a maintenance chore on the runtime
     let events = sl.run_maintenance_until(common::clock::secs(10));
     assert!(
@@ -210,6 +215,15 @@ fn archive_then_playback_preserves_messages() {
     let obj = sl.stream().dispatcher().object_of(route).unwrap();
     assert_eq!(obj.slice_count(), 0, "archived slices truncated from hot tier");
     assert!(sl.hdd_pool().used() > 0, "archive lives in the cold pool");
+
+    // A group that starts after the truncation sees exactly what the stream
+    // object holds — nothing — not the batch the early group read.
+    let (held, _) = obj.read_at(0, stream::ReadCtrl::default(), &IoCtx::new(0)).unwrap();
+    assert!(held.is_empty());
+    let mut late = sl.consumer("late");
+    late.subscribe("t").unwrap();
+    let got = late.poll(1000, &IoCtx::new(0)).unwrap();
+    assert_eq!(got.len(), held.len(), "truncated records must not be served again");
 
     let back = sl.archive().read_entry(&entries[0], &IoCtx::new(0)).unwrap();
     assert_eq!(back.len(), 256);
