@@ -10,7 +10,7 @@
 use common::clock::Nanos;
 use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
-use format::{Expr, Value};
+use format::{Batch, BatchColumn, Expr};
 use lake::table::ScanStats;
 use lake::{MetadataMode, ScanOptions, TableStore};
 use simdisk::Transport;
@@ -97,117 +97,140 @@ impl QueryEngine {
         }
     }
 
-    /// Execute `query` at the context's virtual time.
+    /// Execute `query` at the context's virtual time. The aggregate folds
+    /// straight over the scan's column batches; no row is built.
     pub fn execute(&self, store: &TableStore, query: &Query, ctx: &IoCtx) -> Result<QueryOutput> {
         // Columns the aggregate needs.
-        let mut projection: Vec<String> = Vec::new();
-        if let Some(g) = &query.group_by {
-            projection.push(g.clone());
+        let value = match &query.aggregate {
+            Aggregate::CountStar => None,
+            Aggregate::Sum(c) | Aggregate::Min(c) | Aggregate::Max(c) => Some(c),
+        };
+        let mut projection: Vec<String> = query.group_by.iter().cloned().collect();
+        if let Some(c) = value.filter(|c| !projection.contains(c)) {
+            projection.push(c.clone());
         }
-        match &query.aggregate {
-            Aggregate::CountStar => {}
-            Aggregate::Sum(c) | Aggregate::Min(c) | Aggregate::Max(c) => {
-                if !projection.contains(c) {
-                    projection.push(c.clone());
-                }
-            }
-        }
+        // With pushdown, only the needed columns leave storage and the batch
+        // holds them in projection order; without it, full rows ship to the
+        // compute engine and the batch holds every column.
+        let (group_col, value_col) = if self.pushdown {
+            (query.group_by.as_ref().map(|_| 0), value.map(|_| projection.len() - 1))
+        } else {
+            let schema = store.catalog().get(&query.table)?.schema;
+            let index = |c: &String| schema.index_of(c);
+            (query.group_by.as_ref().map(index).transpose()?, value.map(index).transpose()?)
+        };
         let opts = ScanOptions {
             predicate: query.predicate.clone(),
-            // With pushdown, only needed columns leave storage; without it,
-            // full rows ship to the compute engine.
-            projection: if self.pushdown && !projection.is_empty() {
-                Some(projection.clone())
-            } else {
-                None
-            },
+            projection: self.pushdown.then_some(projection),
             as_of: None,
             mode: self.metadata_mode,
             pushdown: self.pushdown,
             // conventional engines prune partitions too (Hive-style layouts)
             partition_pruning: true,
         };
-        let result = store.select(&query.table, &opts, ctx)?;
         // Aggregate (at storage when pushed down, at compute otherwise).
-        let profile = store.catalog().get(&query.table)?;
-        let group_idx = match (&query.group_by, self.pushdown && !projection.is_empty()) {
-            (Some(_), true) => Some(0),
-            (Some(g), false) => Some(profile.schema.index_of(g)?),
-            (None, _) => None,
-        };
-        let value_idx = match (&query.aggregate, self.pushdown && !projection.is_empty()) {
-            (Aggregate::CountStar, _) => None,
-            (Aggregate::Sum(_) | Aggregate::Min(_) | Aggregate::Max(_), true) => {
-                Some(projection.len() - 1)
+        let mut groups = Groups::new(&query.aggregate);
+        let mut transfer_bytes = 0u64;
+        let stats = store.select_batches(&query.table, &opts, ctx, &mut |b| {
+            if !self.pushdown {
+                // The baseline ships every matching row's bytes.
+                transfer_bytes += b
+                    .selection
+                    .iter()
+                    .map(|i| b.columns.iter().map(|c| c.encoded_len(i) as u64).sum::<u64>())
+                    .sum::<u64>();
             }
-            (Aggregate::Sum(c) | Aggregate::Min(c) | Aggregate::Max(c), false) => {
-                Some(profile.schema.index_of(c)?)
-            }
-        };
-        let mut groups: BTreeMap<String, f64> = BTreeMap::new();
-        for row in &result.rows {
-            let key = match group_idx {
-                Some(i) => match &row[i] {
-                    Value::Str(s) => s.clone(),
-                    other => other.to_string(),
-                },
-                None => String::new(),
-            };
-            let val = match value_idx {
-                None => 1.0,
-                Some(i) => match &row[i] {
-                    Value::Int(v) => *v as f64,
-                    Value::Float(v) => *v,
-                    other => {
-                        return Err(Error::InvalidArgument(format!(
-                            "cannot aggregate over {other}"
-                        )))
-                    }
-                },
-            };
-            let entry = groups.entry(key);
-            match &query.aggregate {
-                Aggregate::CountStar | Aggregate::Sum(_) => {
-                    *entry.or_insert(0.0) += val;
-                }
-                Aggregate::Min(_) => {
-                    let e = entry.or_insert(f64::INFINITY);
-                    *e = e.min(val);
-                }
-                Aggregate::Max(_) => {
-                    let e = entry.or_insert(f64::NEG_INFINITY);
-                    *e = e.max(val);
-                }
-            }
+            groups.fold(&b, group_col, value_col)
+        })?;
+        let groups = groups.finish();
+        // Compute-transfer leg: pushed-down queries ship only the aggregate.
+        if self.pushdown {
+            transfer_bytes = groups.len() as u64 * 24;
         }
-        // Compute-transfer leg: pushed-down queries ship only the aggregate;
-        // the baseline ships every matching row's bytes.
-        let transfer_bytes = if self.pushdown {
-            groups.len() as u64 * 24
-        } else {
-            result
-                .rows
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .map(|v| {
-                            let mut b = Vec::new();
-                            v.encode(&mut b);
-                            b.len() as u64
-                        })
-                        .sum::<u64>()
-                })
-                .sum()
-        };
         let transfer = self.transport.transfer_time(transfer_bytes);
-        ctx.record(
-            Phase::Wan,
-            ctx.now + result.stats.metadata_time + result.stats.data_time,
-            transfer,
-        );
-        let elapsed =
-            result.stats.metadata_time + result.stats.data_time + transfer;
-        Ok(QueryOutput { groups, scan: result.stats, elapsed })
+        ctx.record(Phase::Wan, ctx.now + stats.metadata_time + stats.data_time, transfer);
+        let elapsed = stats.metadata_time + stats.data_time + transfer;
+        Ok(QueryOutput { groups, scan: stats, elapsed })
+    }
+}
+
+/// Running aggregates keyed by group. Each group's accumulator folds its
+/// rows in scan order, so results equal a row-at-a-time fold bit for bit.
+struct Groups<'q> {
+    aggregate: &'q Aggregate,
+    /// Group key → index into `acc`; a key is allocated once, when its
+    /// first row arrives.
+    index: BTreeMap<String, usize>,
+    acc: Vec<f64>,
+}
+
+impl<'q> Groups<'q> {
+    fn new(aggregate: &'q Aggregate) -> Self {
+        Groups { aggregate, index: BTreeMap::new(), acc: Vec::new() }
+    }
+
+    /// The accumulator of group `key`, created empty on first use.
+    fn slot(&mut self, key: &str) -> usize {
+        if let Some(&i) = self.index.get(key) {
+            return i;
+        }
+        let i = self.acc.len();
+        self.acc.push(match self.aggregate {
+            Aggregate::CountStar | Aggregate::Sum(_) => 0.0,
+            Aggregate::Min(_) => f64::INFINITY,
+            Aggregate::Max(_) => f64::NEG_INFINITY,
+        });
+        self.index.insert(key.to_string(), i);
+        i
+    }
+
+    /// Fold the selected rows of `b`: `group` and `value` are the batch
+    /// columns holding the group key and the aggregated value.
+    fn fold(&mut self, b: &Batch, group: Option<usize>, value: Option<usize>) -> Result<()> {
+        let value = value.map(|v| &b.columns[v]);
+        let val = |i: usize| -> Result<f64> {
+            match value {
+                None => Ok(1.0),
+                Some(BatchColumn::Int(v)) => Ok(v[i] as f64),
+                Some(BatchColumn::Float(v)) => Ok(v[i]),
+                Some(other) => Err(Error::InvalidArgument(format!(
+                    "cannot aggregate over {}",
+                    other.value(i)
+                ))),
+            }
+        };
+        // A dictionary-coded group column resolves each code to its group
+        // once per batch.
+        let mut by_code: Vec<Option<usize>> = match group.map(|g| &b.columns[g]) {
+            Some(BatchColumn::Dict(dict, _)) => vec![None; dict.len()],
+            _ => Vec::new(),
+        };
+        for i in b.selection.iter() {
+            let slot = match group.map(|g| &b.columns[g]) {
+                None => self.slot(""),
+                Some(BatchColumn::Dict(dict, codes)) => {
+                    let code = codes[i] as usize;
+                    match by_code[code] {
+                        Some(s) => s,
+                        None => *by_code[code].insert(self.slot(dict.get(code))),
+                    }
+                }
+                Some(BatchColumn::Str(s)) => self.slot(s.get(i)),
+                Some(col) => self.slot(&col.value(i).to_string()),
+            };
+            let v = val(i)?;
+            let acc = &mut self.acc[slot];
+            *acc = match self.aggregate {
+                Aggregate::CountStar | Aggregate::Sum(_) => *acc + v,
+                Aggregate::Min(_) => acc.min(v),
+                Aggregate::Max(_) => acc.max(v),
+            };
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> BTreeMap<String, f64> {
+        self.index.into_iter().map(|(k, i)| (k, self.acc[i])).collect()
     }
 }
 
@@ -221,6 +244,7 @@ impl Default for QueryEngine {
 mod tests {
     use super::*;
     use crate::system::{StreamLake, StreamLakeConfig};
+    use format::Value;
     use lake::catalog::PartitionSpec;
     use workloads::packets::PacketGen;
 
@@ -338,6 +362,131 @@ mod tests {
         assert!(lo <= hi);
         assert!(s >= hi);
         assert!(s / 500.0 >= lo && s / 500.0 <= hi, "mean must lie in [min, max]");
+    }
+
+    /// The row-at-a-time aggregation the batch fold replaced, over the
+    /// full rows `select` returns.
+    fn reference(store: &TableStore, q: &Query) -> Result<BTreeMap<String, f64>> {
+        let schema = store.catalog().get(&q.table)?.schema;
+        let rows = store.select(&q.table, &ScanOptions::filtered(q.predicate.clone()), &IoCtx::new(0))?.rows;
+        let mut groups = BTreeMap::new();
+        for row in &rows {
+            let key = match &q.group_by {
+                Some(g) => match &row[schema.index_of(g)?] {
+                    Value::Str(s) => s.clone(),
+                    other => other.to_string(),
+                },
+                None => String::new(),
+            };
+            let (init, c): (f64, Option<&String>) = match &q.aggregate {
+                Aggregate::CountStar => (0.0, None),
+                Aggregate::Sum(c) => (0.0, Some(c)),
+                Aggregate::Min(c) => (f64::INFINITY, Some(c)),
+                Aggregate::Max(c) => (f64::NEG_INFINITY, Some(c)),
+            };
+            let v = match c.map(|c| schema.index_of(c)).transpose()?.map(|i| &row[i]) {
+                None => 1.0,
+                Some(Value::Int(v)) => *v as f64,
+                Some(Value::Float(v)) => *v,
+                Some(other) => return Err(Error::InvalidArgument(format!("{other}"))),
+            };
+            let e = groups.entry(key).or_insert(init);
+            *e = match &q.aggregate {
+                Aggregate::CountStar | Aggregate::Sum(_) => *e + v,
+                Aggregate::Min(_) => e.min(v),
+                Aggregate::Max(_) => e.max(v),
+            };
+        }
+        Ok(groups)
+    }
+
+    /// A table with a dictionary-coded and a plain string column, an int,
+    /// a float and a bool column, over several files and row groups.
+    fn mixed_table(seed: u64) -> StreamLake {
+        use format::{DataType, Field, Schema};
+        let sl = StreamLake::new(StreamLakeConfig::small());
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Utf8),
+            Field::new("u", DataType::Utf8),
+            Field::new("g", DataType::Int64),
+            Field::new("x", DataType::Float64),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        sl.tables().create_table("t", schema, None, 40, &IoCtx::new(0)).unwrap();
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for f in 0..3 {
+            let rows: Vec<_> = (0..90)
+                .map(|i| {
+                    vec![
+                        Value::from(["ab", "cd", "ef"][next(3) as usize]),
+                        Value::from(format!("u{}", next(1000))),
+                        Value::Int(next(7) as i64 - 3),
+                        Value::Float((next(2001) as f64 - 1000.0) / 7.0),
+                        Value::Bool((f + i) % 3 == 0),
+                    ]
+                })
+                .collect();
+            sl.tables().insert("t", &rows, &IoCtx::new(0)).unwrap();
+        }
+        sl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        #[test]
+        fn batch_aggregation_equals_the_row_reference(seed in proptest::prelude::any::<u64>()) {
+            check_aggregation(seed);
+        }
+    }
+
+    fn check_aggregation(seed: u64) {
+        use format::{CmpOp, Predicate};
+        let sl = mixed_table(seed);
+        let preds = [
+            Expr::True,
+            Expr::Pred(Predicate::cmp("k", CmpOp::Ne, "cd")),
+            Expr::all(vec![Predicate::cmp("g", CmpOp::Ge, 0i64), Predicate::cmp("x", CmpOp::Lt, 50.0)]),
+            Expr::Pred(Predicate::cmp("g", CmpOp::Gt, 99i64)),
+        ];
+        let aggregates = [
+            Aggregate::CountStar,
+            Aggregate::Sum("x".into()),
+            Aggregate::Sum("g".into()),
+            Aggregate::Min("x".into()),
+            Aggregate::Max("g".into()),
+            Aggregate::Sum("k".into()),
+        ];
+        let group_bys = [None, Some("k"), Some("u"), Some("g"), Some("b"), Some("x")];
+        for (i, predicate) in preds.iter().enumerate() {
+            for aggregate in &aggregates {
+                for group_by in group_bys {
+                    let q = Query {
+                        table: "t".into(),
+                        predicate: predicate.clone(),
+                        group_by: group_by.map(String::from),
+                        aggregate: aggregate.clone(),
+                    };
+                    let want = reference(sl.tables(), &q);
+                    for engine in [QueryEngine::new(), QueryEngine { pushdown: false, ..QueryEngine::new() }] {
+                        let got = engine.execute(sl.tables(), &q, &IoCtx::new(0));
+                        match (&got, &want) {
+                            (Ok(got), Ok(want)) => assert_eq!(&got.groups, want, "{q:?} pushdown {}", engine.pushdown),
+                            (Err(_), Err(_)) => {}
+                            _ => panic!("{q:?} pushdown {}: {got:?} vs {want:?}", engine.pushdown),
+                        }
+                    }
+                    // The empty selection aggregates to no group at all.
+                    if i == 3 {
+                        assert!(want.map_or(true, |w| w.is_empty()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

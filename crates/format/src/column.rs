@@ -1,7 +1,9 @@
 //! Typed column vectors.
 //!
 //! Rows arrive row-oriented from the stream side; the writer pivots them
-//! into [`Column`]s before encoding. Readers pivot back on demand.
+//! into [`Column`]s before encoding. Readers decode chunks into
+//! [`BatchColumn`](crate::batch::BatchColumn)s instead and build rows only
+//! at the API edge.
 
 use crate::schema::{DataType, Schema};
 use crate::value::{Row, Value};
@@ -109,15 +111,6 @@ pub fn rows_to_columns(schema: &Schema, rows: &[Row]) -> Result<Vec<Column>> {
     Ok(cols)
 }
 
-/// Pivot columns back into rows. All columns must share the same length.
-pub fn columns_to_rows(cols: &[Column]) -> Vec<Row> {
-    let n = cols.first().map_or(0, |c| c.len());
-    debug_assert!(cols.iter().all(|c| c.len() == n));
-    (0..n)
-        .map(|i| cols.iter().map(|c| c.value(i)).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +134,8 @@ mod tests {
         let cols = rows_to_columns(&s, &rows).unwrap();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[0].len(), 2);
-        assert_eq!(columns_to_rows(&cols), rows);
+        let back: Vec<Row> = (0..2).map(|i| cols.iter().map(|c| c.value(i)).collect()).collect();
+        assert_eq!(back, rows);
     }
 
     #[test]
@@ -163,7 +157,6 @@ mod tests {
         let s = schema();
         let cols = rows_to_columns(&s, &[]).unwrap();
         assert!(cols.iter().all(|c| c.is_empty()));
-        assert!(columns_to_rows(&cols).is_empty());
     }
 
     #[test]

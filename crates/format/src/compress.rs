@@ -77,35 +77,46 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a buffer produced by [`compress`].
+/// Decompress a buffer produced by [`compress`]. Hostile input is an
+/// error, never a panic or an allocation its bytes cannot back: no token
+/// expands past [`MAX_MATCH`] bytes, so a header claiming more than that
+/// per input byte is refused up front, and no token may overrun the header.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
     let (expected_len, mut off) = varint::decode_u64(input)?;
-    let mut out: Vec<u8> = Vec::with_capacity(expected_len as usize);
+    let expected = usize::try_from(expected_len)
+        .ok()
+        .filter(|&n| n <= input.len().saturating_mul(MAX_MATCH))
+        .ok_or_else(|| Error::Corruption(format!("implausible decompressed length {expected_len}")))?;
+    let mut out: Vec<u8> = Vec::with_capacity(expected);
     while off < input.len() {
         let tok = input[off];
         off += 1;
+        let (a, n) = varint::decode_u64(&input[off..])?;
+        off += n;
+        let a = usize::try_from(a).unwrap_or(usize::MAX);
         match tok {
             TOK_LITERAL => {
-                let (len, n) = varint::decode_u64(&input[off..])?;
-                off += n;
-                let bytes = input
-                    .get(off..off + len as usize)
+                let bytes = off
+                    .checked_add(a)
+                    .and_then(|end| input.get(off..end))
+                    .filter(|_| a <= expected - out.len())
                     .ok_or_else(|| Error::Corruption("truncated literal run".into()))?;
                 out.extend_from_slice(bytes);
-                off += len as usize;
+                off += a;
             }
             TOK_MATCH => {
-                let (dist, n) = varint::decode_u64(&input[off..])?;
-                off += n;
                 let (len, n) = varint::decode_u64(&input[off..])?;
                 off += n;
-                let dist = dist as usize;
-                let len = len as usize;
+                let dist = a;
+                let len = usize::try_from(len).unwrap_or(usize::MAX);
                 if dist == 0 || dist > out.len() {
                     return Err(Error::Corruption(format!(
                         "match distance {dist} out of range (have {})",
                         out.len()
                     )));
+                }
+                if len > MAX_MATCH || len > expected - out.len() {
+                    return Err(Error::Corruption(format!("match length {len} overruns the chunk")));
                 }
                 // Overlapping copies are legal (dist < len repeats a pattern).
                 let start = out.len() - dist;
@@ -117,7 +128,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
             other => return Err(Error::Corruption(format!("unknown token {other}"))),
         }
     }
-    if out.len() != expected_len as usize {
+    if out.len() != expected {
         return Err(Error::Corruption(format!(
             "decompressed {} bytes, header said {expected_len}",
             out.len()
@@ -195,6 +206,30 @@ mod tests {
         crafted.push(TOK_MATCH);
         common::varint::encode_u64(0, &mut crafted);
         common::varint::encode_u64(4, &mut crafted);
+        assert!(decompress(&crafted).is_err());
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_they_allocate() {
+        // A header claiming far more output than the tokens could make.
+        let mut crafted = Vec::new();
+        common::varint::encode_u64(u64::MAX >> 1, &mut crafted);
+        crafted.extend_from_slice(&[TOK_LITERAL, 1, b'a']);
+        assert!(decompress(&crafted).is_err());
+        // A match longer than the header leaves room for, or than any match
+        // the compressor writes.
+        for (header, len) in [(8u64, 1u64 << 40), (70_000, 65_537), (6, 6)] {
+            let mut crafted = Vec::new();
+            common::varint::encode_u64(header, &mut crafted);
+            crafted.extend_from_slice(&[TOK_LITERAL, 1, b'a', TOK_MATCH, 1]);
+            common::varint::encode_u64(len, &mut crafted);
+            assert!(decompress(&crafted).is_err(), "header {header}, match {len}");
+        }
+        // A literal run longer than its input.
+        let mut crafted = Vec::new();
+        common::varint::encode_u64(3, &mut crafted);
+        crafted.push(TOK_LITERAL);
+        common::varint::encode_u64(u64::MAX, &mut crafted);
         assert!(decompress(&crafted).is_err());
     }
 

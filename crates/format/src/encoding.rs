@@ -9,9 +9,11 @@
 //!   distinct values (provinces, URLs, labels);
 //! * booleans — bit-packed.
 //!
-//! Every encoded chunk begins with the row count, so decoding needs no
-//! external length.
+//! Every encoded chunk begins with its row count, which the decoder checks
+//! against the row group's; string chunks decode into
+//! [`Strs`](crate::batch::Strs) and dictionary chunks stay coded.
 
+use crate::batch::{BatchColumn, Strs};
 use crate::column::Column;
 use crate::schema::DataType;
 use common::varint;
@@ -88,19 +90,81 @@ pub fn encode_column(col: &Column) -> (Encoding, Vec<u8>) {
     }
 }
 
-/// Decode a chunk produced by [`encode_column`].
-pub fn decode_column(enc: Encoding, dtype: DataType, buf: &[u8]) -> Result<Column> {
+/// Decode a chunk produced by [`encode_column`] that must hold exactly
+/// `rows` values, its row group's row count. A chunk whose own count
+/// disagrees is corruption; no decoder sizes an allocation from a count
+/// before checking that the remaining bytes can hold that many values.
+pub fn decode_chunk(enc: Encoding, dtype: DataType, buf: &[u8], rows: usize) -> Result<BatchColumn> {
+    let (count, off) = varint::decode_u64(buf)?;
+    if count != rows as u64 {
+        return Err(Error::Corruption(format!(
+            "column chunk holds {count} values, its row group {rows}"
+        )));
+    }
+    let body = &buf[off..];
     match (enc, dtype) {
-        (Encoding::PlainInt, DataType::Int64) => decode_plain_int(buf).map(Column::Int),
-        (Encoding::DeltaInt, DataType::Int64) => decode_delta_int(buf).map(Column::Int),
-        (Encoding::PlainFloat, DataType::Float64) => decode_plain_float(buf).map(Column::Float),
-        (Encoding::PlainStr, DataType::Utf8) => decode_plain_str(buf).map(Column::Str),
-        (Encoding::DictStr, DataType::Utf8) => decode_dict_str(buf).map(Column::Str),
-        (Encoding::PackedBool, DataType::Bool) => decode_packed_bool(buf).map(Column::Bool),
+        (Encoding::PlainInt, DataType::Int64) => {
+            Ok(BatchColumn::Int(fixed8(body, rows)?.map(i64::from_le_bytes).collect()))
+        }
+        (Encoding::DeltaInt, DataType::Int64) => decode_delta_int(body, rows).map(BatchColumn::Int),
+        (Encoding::PlainFloat, DataType::Float64) => {
+            Ok(BatchColumn::Float(fixed8(body, rows)?.map(f64::from_le_bytes).collect()))
+        }
+        (Encoding::PlainStr, DataType::Utf8) => {
+            let mut off = 0;
+            decode_strs(body, &mut off, rows as u64).map(BatchColumn::Str)
+        }
+        (Encoding::DictStr, DataType::Utf8) => decode_dict_str(body, rows),
+        (Encoding::PackedBool, DataType::Bool) => {
+            let bytes = take(body, &mut 0, rows.div_ceil(8))?;
+            Ok(BatchColumn::Bool((0..rows).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()))
+        }
         (enc, dtype) => Err(Error::Corruption(format!(
             "encoding {enc:?} incompatible with column type {dtype:?}"
         ))),
     }
+}
+
+/// The next `len` bytes of `buf` at `*off`, advancing `off`.
+fn take<'a>(buf: &'a [u8], off: &mut usize, len: usize) -> Result<&'a [u8]> {
+    let bytes = off
+        .checked_add(len)
+        .and_then(|end| buf.get(*off..end))
+        .ok_or_else(|| Error::Corruption("column chunk truncated".into()))?;
+    *off += len;
+    Ok(bytes)
+}
+
+/// Fail unless `buf[off..]` has room for `n` values of at least one byte.
+fn room_for(buf: &[u8], off: usize, n: u64) -> Result<usize> {
+    if n > buf.len().saturating_sub(off) as u64 {
+        return Err(Error::Corruption(format!("column chunk too short for {n} values")));
+    }
+    Ok(n as usize)
+}
+
+/// `rows` little-endian 8-byte words from the front of `body`.
+fn fixed8(body: &[u8], rows: usize) -> Result<impl Iterator<Item = [u8; 8]> + '_> {
+    let bytes = take(body, &mut 0, rows.checked_mul(8).unwrap_or(usize::MAX))?;
+    Ok(bytes.chunks_exact(8).map(|c| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(c);
+        w
+    }))
+}
+
+/// `n` length-prefixed strings from `buf` at `*off`.
+fn decode_strs(buf: &[u8], off: &mut usize, n: u64) -> Result<Strs> {
+    let n = room_for(buf, *off, n)?;
+    let mut bytes = Vec::with_capacity(buf.len() - *off);
+    let mut ends = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (len, used) = varint::decode_u64(&buf[*off..])?;
+        *off += used;
+        bytes.extend_from_slice(take(buf, off, usize::try_from(len).unwrap_or(usize::MAX))?);
+        ends.push(bytes.len());
+    }
+    Strs::new(bytes, ends)
 }
 
 fn encode_plain_int(vals: &[i64]) -> Vec<u8> {
@@ -110,20 +174,6 @@ fn encode_plain_int(vals: &[i64]) -> Vec<u8> {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out
-}
-
-fn decode_plain_int(buf: &[u8]) -> Result<Vec<i64>> {
-    let (count, mut off) = varint::decode_u64(buf)?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let bytes: [u8; 8] = buf
-            .get(off..off + 8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| Error::Corruption("truncated plain int chunk".into()))?;
-        out.push(i64::from_le_bytes(bytes));
-        off += 8;
-    }
-    Ok(out)
 }
 
 fn encode_delta_int(vals: &[i64]) -> Vec<u8> {
@@ -137,12 +187,11 @@ fn encode_delta_int(vals: &[i64]) -> Vec<u8> {
     out
 }
 
-fn decode_delta_int(buf: &[u8]) -> Result<Vec<i64>> {
-    let (count, mut off) = varint::decode_u64(buf)?;
-    let mut out = Vec::with_capacity(count as usize);
-    let mut prev = 0i64;
-    for _ in 0..count {
-        let (d, n) = varint::decode_i64(&buf[off..])?;
+fn decode_delta_int(body: &[u8], rows: usize) -> Result<Vec<i64>> {
+    let mut out = Vec::with_capacity(room_for(body, 0, rows as u64)?);
+    let (mut off, mut prev) = (0, 0i64);
+    for _ in 0..rows {
+        let (d, n) = varint::decode_i64(&body[off..])?;
         off += n;
         prev = prev.wrapping_add(d);
         out.push(prev);
@@ -159,20 +208,6 @@ fn encode_plain_float(vals: &[f64]) -> Vec<u8> {
     out
 }
 
-fn decode_plain_float(buf: &[u8]) -> Result<Vec<f64>> {
-    let (count, mut off) = varint::decode_u64(buf)?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let bytes: [u8; 8] = buf
-            .get(off..off + 8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| Error::Corruption("truncated plain float chunk".into()))?;
-        out.push(f64::from_le_bytes(bytes));
-        off += 8;
-    }
-    Ok(out)
-}
-
 fn encode_plain_str(vals: &[String]) -> Vec<u8> {
     let total: usize = vals.iter().map(|s| s.len() + 2).sum();
     let mut out = Vec::with_capacity(total + 4);
@@ -182,24 +217,6 @@ fn encode_plain_str(vals: &[String]) -> Vec<u8> {
         out.extend_from_slice(s.as_bytes());
     }
     out
-}
-
-fn decode_plain_str(buf: &[u8]) -> Result<Vec<String>> {
-    let (count, mut off) = varint::decode_u64(buf)?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let (len, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let bytes = buf
-            .get(off..off + len as usize)
-            .ok_or_else(|| Error::Corruption("truncated string chunk".into()))?;
-        off += len as usize;
-        out.push(
-            String::from_utf8(bytes.to_vec())
-                .map_err(|_| Error::Corruption("string chunk not utf-8".into()))?,
-        );
-    }
-    Ok(out)
 }
 
 fn encode_dict_str(vals: &[String]) -> Vec<u8> {
@@ -225,33 +242,19 @@ fn encode_dict_str(vals: &[String]) -> Vec<u8> {
     out
 }
 
-fn decode_dict_str(buf: &[u8]) -> Result<Vec<String>> {
-    let (count, mut off) = varint::decode_u64(buf)?;
-    let (dict_len, n) = varint::decode_u64(&buf[off..])?;
-    off += n;
-    let mut dict = Vec::with_capacity(dict_len as usize);
-    for _ in 0..dict_len {
-        let (len, n) = varint::decode_u64(&buf[off..])?;
+fn decode_dict_str(body: &[u8], rows: usize) -> Result<BatchColumn> {
+    let (dict_len, mut off) = varint::decode_u64(body)?;
+    let dict = decode_strs(body, &mut off, dict_len)?;
+    let mut codes = Vec::with_capacity(room_for(body, off, rows as u64)?);
+    for _ in 0..rows {
+        let (code, n) = varint::decode_u64(&body[off..])?;
         off += n;
-        let bytes = buf
-            .get(off..off + len as usize)
-            .ok_or_else(|| Error::Corruption("truncated dictionary".into()))?;
-        off += len as usize;
-        dict.push(
-            String::from_utf8(bytes.to_vec())
-                .map_err(|_| Error::Corruption("dictionary entry not utf-8".into()))?,
-        );
+        if code >= dict_len {
+            return Err(Error::Corruption(format!("dictionary index {code} out of range")));
+        }
+        codes.push(u32::try_from(code).map_err(|_| Error::Corruption("dictionary too large".into()))?);
     }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let (idx, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let s = dict
-            .get(idx as usize)
-            .ok_or_else(|| Error::Corruption(format!("dictionary index {idx} out of range")))?;
-        out.push(s.clone());
-    }
-    Ok(out)
+    Ok(BatchColumn::Dict(dict, codes))
 }
 
 fn encode_packed_bool(vals: &[bool]) -> Vec<u8> {
@@ -273,25 +276,25 @@ fn encode_packed_bool(vals: &[bool]) -> Vec<u8> {
     out
 }
 
-fn decode_packed_bool(buf: &[u8]) -> Result<Vec<bool>> {
-    let (count, off) = varint::decode_u64(buf)?;
-    let needed = (count as usize).div_ceil(8);
-    let bytes = buf
-        .get(off..off + needed)
-        .ok_or_else(|| Error::Corruption("truncated bool chunk".into()))?;
-    Ok((0..count as usize)
-        .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn decode_column(enc: Encoding, dtype: DataType, buf: &[u8], rows: usize) -> Result<Column> {
+        Ok(match decode_chunk(enc, dtype, buf, rows)? {
+            BatchColumn::Int(v) => Column::Int(v),
+            BatchColumn::Float(v) => Column::Float(v),
+            BatchColumn::Bool(v) => Column::Bool(v),
+            c @ (BatchColumn::Str(_) | BatchColumn::Dict(..)) => {
+                Column::Str((0..c.len()).map(|i| c.str_at(i).unwrap().to_string()).collect())
+            }
+        })
+    }
+
     fn roundtrip(col: Column) {
         let (enc, buf) = encode_column(&col);
-        let back = decode_column(enc, col.dtype(), &buf).unwrap();
+        let back = decode_column(enc, col.dtype(), &buf, col.len()).unwrap();
         assert_eq!(back, col);
     }
 
@@ -363,7 +366,55 @@ mod tests {
     #[test]
     fn incompatible_encoding_dtype_rejected() {
         let (enc, buf) = encode_column(&Column::Int(vec![1, 2, 3]));
-        assert!(decode_column(enc, DataType::Utf8, &buf).is_err());
+        assert!(decode_column(enc, DataType::Utf8, &buf, 3).is_err());
+    }
+
+    #[test]
+    fn a_count_other_than_the_row_groups_is_corruption() {
+        let cols = [
+            Column::Int(vec![5, 9, 1 << 40]),
+            Column::Int(vec![1, 2, 3, 4, 5, 6]),
+            Column::Float(vec![1.0, 2.0]),
+            Column::Str(vec!["a".into(), "bb".into()]),
+            Column::Str(vec!["x".into(); 8]),
+            Column::Bool(vec![true, false, true]),
+        ];
+        for col in cols {
+            let (enc, buf) = encode_column(&col);
+            let n = col.len();
+            assert!(decode_column(enc, col.dtype(), &buf, n).is_ok());
+            for rows in [0, n - 1, n + 1, usize::MAX] {
+                assert!(
+                    matches!(decode_column(enc, col.dtype(), &buf, rows), Err(Error::Corruption(_))),
+                    "{enc:?} decoded as {rows} rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_fail_before_allocating() {
+        // A count that matches the row group but not the bytes: every
+        // decoder must refuse it without sizing a buffer from it.
+        let huge = u64::MAX >> 8;
+        for (enc, dtype) in [
+            (Encoding::PlainInt, DataType::Int64),
+            (Encoding::DeltaInt, DataType::Int64),
+            (Encoding::PlainFloat, DataType::Float64),
+            (Encoding::PlainStr, DataType::Utf8),
+            (Encoding::DictStr, DataType::Utf8),
+            (Encoding::PackedBool, DataType::Bool),
+        ] {
+            let mut buf = Vec::new();
+            varint::encode_u64(huge, &mut buf);
+            buf.extend_from_slice(&[1, 0, 0, 0]);
+            assert!(decode_column(enc, dtype, &buf, huge as usize).is_err(), "{enc:?}");
+        }
+        // A dictionary that claims more entries than it has bytes.
+        let mut buf = Vec::new();
+        varint::encode_u64(1, &mut buf);
+        varint::encode_u64(huge, &mut buf);
+        assert!(decode_column(Encoding::DictStr, DataType::Utf8, &buf, 1).is_err());
     }
 
     #[test]
@@ -381,7 +432,7 @@ mod tests {
         fn float_roundtrip(vals in proptest::collection::vec(any::<f64>(), 0..256)) {
             let col = Column::Float(vals);
             let (enc, buf) = encode_column(&col);
-            let back = decode_column(enc, DataType::Float64, &buf).unwrap();
+            let back = decode_column(enc, DataType::Float64, &buf, col.len()).unwrap();
             // NaN-safe comparison via bit patterns
             if let (Column::Float(a), Column::Float(b)) = (&col, &back) {
                 let a: Vec<u64> = a.iter().map(|f| f.to_bits()).collect();

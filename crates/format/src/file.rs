@@ -16,10 +16,17 @@
 //! Readers locate the footer from the trailer, verify its CRC, and then can
 //! read any projection of any row group independently — including skipping
 //! whole row groups whose statistics refute a pushdown predicate.
+//!
+//! The scan is columnar ([`LakeFileReader::scan_batches`]): per row group
+//! it decodes the columns the predicate names, evaluates the predicate
+//! over them into a selection, and decodes the projection only for a group
+//! with a selected row. [`LakeFileReader::scan`] builds rows from those
+//! batches for callers that want rows.
 
-use crate::column::{columns_to_rows, rows_to_columns, Column};
+use crate::batch::{Batch, BatchColumn, Selection};
+use crate::column::rows_to_columns;
 use crate::compress;
-use crate::encoding::{decode_column, encode_column, Encoding};
+use crate::encoding::{decode_chunk, encode_column, Encoding};
 use crate::predicate::Expr;
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
@@ -158,7 +165,8 @@ impl LakeFileReader {
         let (group_count, used) = varint::decode_u64(&footer[off..])?;
         off += used;
         let width = schema.width();
-        let mut groups = Vec::with_capacity(group_count as usize);
+        // Every group takes at least one footer byte: cap the allocation.
+        let mut groups = Vec::with_capacity((group_count as usize).min(footer.len()));
         for _ in 0..group_count {
             let (n_rows, used) = varint::decode_u64(&footer[off..])?;
             off += used;
@@ -220,42 +228,6 @@ impl LakeFileReader {
         Some(acc)
     }
 
-    /// Read the columns of row group `idx`; `projection` selects column
-    /// indices (in schema order) or all columns when `None`.
-    pub fn read_group(&self, idx: usize, projection: Option<&[usize]>) -> Result<Vec<Column>> {
-        let group = self
-            .groups
-            .get(idx)
-            .ok_or_else(|| Error::NotFound(format!("row group {idx}")))?;
-        let indices: Vec<usize> = match projection {
-            Some(p) => p.to_vec(),
-            None => (0..self.schema.width()).collect(),
-        };
-        let mut cols = Vec::with_capacity(indices.len());
-        for &ci in &indices {
-            let chunk = group
-                .chunks
-                .get(ci)
-                .ok_or_else(|| Error::InvalidArgument(format!("column index {ci}")))?;
-            let raw = self
-                .data
-                .as_slice()
-                .get(chunk.offset as usize..(chunk.offset + chunk.len) as usize)
-                .ok_or_else(|| Error::Corruption("chunk beyond file".into()))?;
-            // Uncompressed chunks decode straight out of the shared buffer;
-            // only compressed chunks materialize an intermediate allocation.
-            let decompressed;
-            let encoded: &[u8] = if chunk.compressed {
-                decompressed = compress::decompress(raw)?;
-                &decompressed
-            } else {
-                raw
-            };
-            cols.push(decode_column(chunk.encoding, self.schema.field(ci).dtype, encoded)?);
-        }
-        Ok(cols)
-    }
-
     /// Number of row groups whose statistics refute `expr` (skippable).
     pub fn skippable_groups(&self, expr: &Expr) -> usize {
         self.groups
@@ -264,28 +236,100 @@ impl LakeFileReader {
             .count()
     }
 
-    /// Scan the file with predicate pushdown and projection, skipping row
-    /// groups by statistics. Returns matching rows restricted to
-    /// `projection` (or full rows when `None`).
-    pub fn scan(&self, expr: &Expr, projection: Option<&[usize]>) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
+    /// The columnar scan: for every row group the statistics do not refute
+    /// and `expr` selects a row of, hand `visit` a [`Batch`] of the
+    /// `projection` columns (column indices in schema order; every column
+    /// when `None`) and the selected rows. Only the columns `expr` needs
+    /// are decoded before the selection is known.
+    pub fn scan_batches(
+        &self,
+        expr: &Expr,
+        projection: Option<&[usize]>,
+        mut visit: impl FnMut(Batch) -> Result<()>,
+    ) -> Result<()> {
+        let width = self.schema.width();
+        let all: Vec<usize>;
+        let projection = match projection {
+            Some(p) => p,
+            None => {
+                all = (0..width).collect();
+                &all
+            }
+        };
+        if let Some(&bad) = projection.iter().find(|&&i| i >= width) {
+            return Err(Error::InvalidArgument(format!("column index {bad}")));
+        }
+        if width == 0 {
+            return Ok(()); // no column to hold a row
+        }
+        // The first column the scan needs proves each group's row count
+        // before a selection is sized from it.
+        let anchor = expr
+            .predicates()
+            .iter()
+            .find_map(|p| self.schema.index_of(&p.column).ok())
+            .or(projection.first().copied())
+            .unwrap_or(0);
         for (gi, g) in self.groups.iter().enumerate() {
-            if !self.group_may_match(g, expr) {
+            if g.n_rows == 0 || !self.group_may_match(g, expr) {
                 continue;
             }
-            // Evaluate the predicate on full rows, then project.
-            let cols = self.read_group(gi, None)?;
-            let rows = columns_to_rows(&cols);
-            for row in rows {
-                if expr.eval_row(&self.schema, &row)? {
-                    match projection {
-                        Some(p) => out.push(p.iter().map(|&i| row[i].clone()).collect()),
-                        None => out.push(row),
-                    }
-                }
+            let mut cols = GroupColumns { reader: self, group: g, decoded: vec![None; width] };
+            let rows = cols.column(anchor)?.len();
+            let selection = expr.select(&Selection::all(rows), &mut cols)?;
+            if selection.is_empty() {
+                continue;
             }
+            let mut columns = Vec::with_capacity(projection.len());
+            for (k, &ci) in projection.iter().enumerate() {
+                cols.column(ci)?;
+                // The last use of a column takes it; earlier ones copy.
+                let slot = &mut cols.decoded[ci];
+                let col = if projection[k + 1..].contains(&ci) { slot.clone() } else { slot.take() };
+                columns.extend(col);
+            }
+            visit(Batch { group: gi, columns, selection })?;
         }
+        Ok(())
+    }
+
+    /// Scan the file with predicate pushdown and projection, skipping row
+    /// groups by statistics. Returns matching rows restricted to
+    /// `projection` (or full rows when `None`): the row-building edge of
+    /// [`LakeFileReader::scan_batches`].
+    pub fn scan(&self, expr: &Expr, projection: Option<&[usize]>) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        self.scan_batches(expr, projection, |b| {
+            b.push_rows(&mut out);
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    /// Decode column `ci` of row group `group`, which must hold exactly the
+    /// group's row count.
+    fn decode(&self, group: &RowGroupMeta, ci: usize) -> Result<BatchColumn> {
+        let chunk = group
+            .chunks
+            .get(ci)
+            .ok_or_else(|| Error::InvalidArgument(format!("column index {ci}")))?;
+        let raw = usize::try_from(chunk.offset)
+            .ok()
+            .zip(usize::try_from(chunk.len).ok())
+            .and_then(|(off, len)| self.data.as_slice().get(off..off.checked_add(len)?))
+            .ok_or_else(|| Error::Corruption("chunk beyond file".into()))?;
+        let rows = usize::try_from(group.n_rows)
+            .map_err(|_| Error::Corruption("row group too large".into()))?;
+        // Uncompressed chunks decode straight out of the shared buffer;
+        // only compressed chunks materialize an intermediate allocation.
+        let decompressed;
+        let encoded: &[u8] = if chunk.compressed {
+            decompressed = compress::decompress(raw)?;
+            &decompressed
+        } else {
+            raw
+        };
+        decode_chunk(chunk.encoding, self.schema.field(ci).dtype, encoded, rows)
     }
 
     fn group_may_match(&self, g: &RowGroupMeta, expr: &Expr) -> bool {
@@ -295,6 +339,30 @@ impl LakeFileReader {
                 .ok()
                 .and_then(|i| g.stats.get(i))
         })
+    }
+}
+
+/// One row group's columns, each decoded on first use.
+pub(crate) struct GroupColumns<'r> {
+    reader: &'r LakeFileReader,
+    group: &'r RowGroupMeta,
+    decoded: Vec<Option<BatchColumn>>,
+}
+
+impl GroupColumns<'_> {
+    /// Column `ci` in schema order.
+    fn column(&mut self, ci: usize) -> Result<&BatchColumn> {
+        match self.decoded.get_mut(ci) {
+            Some(Some(col)) => Ok(col),
+            Some(slot) => Ok(slot.insert(self.reader.decode(self.group, ci)?)),
+            None => Err(Error::InvalidArgument(format!("column index {ci}"))),
+        }
+    }
+
+    /// The column named `name`; an unknown name is the schema's error.
+    pub(crate) fn named(&mut self, name: &str) -> Result<&BatchColumn> {
+        let ci = self.reader.schema.index_of(name)?;
+        self.column(ci)
     }
 }
 
@@ -354,9 +422,15 @@ mod tests {
         let rows = sample_rows(100);
         let w = LakeFileWriter::new(schema(), 50).unwrap();
         let r = LakeFileReader::open(w.encode(&rows).unwrap()).unwrap();
-        let cols = r.read_group(0, Some(&[1])).unwrap();
-        assert_eq!(cols.len(), 1);
-        assert_eq!(cols[0].dtype(), DataType::Utf8);
+        let mut batches = Vec::new();
+        r.scan_batches(&Expr::True, Some(&[1]), |b| {
+            batches.push(b);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].columns.len(), 1);
+        assert!(batches[0].columns[0].str_at(0).is_some());
         let projected = r.scan(&Expr::True, Some(&[2, 0])).unwrap();
         assert_eq!(projected[0].len(), 2);
         assert_eq!(projected[0][1], rows[0][0]);
@@ -471,6 +545,177 @@ mod tests {
         let hits = r.scan(&expr, None).unwrap();
         assert_eq!(hits.len(), 50);
         assert!(hits.iter().all(|r| r[1] == Value::from("beijing")));
+    }
+
+    #[test]
+    fn a_chunk_count_other_than_the_groups_is_an_error_never_short_rows() {
+        let rows = sample_rows(8);
+        let good = LakeFileWriter::new(schema(), 8).unwrap().encode(&rows).unwrap();
+        let r = LakeFileReader::open(good.clone()).unwrap();
+        let preds = [
+            Expr::True,
+            Expr::Pred(Predicate::cmp("province", CmpOp::Ne, "nowhere")),
+            Expr::Pred(Predicate::cmp("bytes", CmpOp::Ge, 0.0)),
+        ];
+        for chunk in &r.row_groups()[0].chunks {
+            // Every single-byte count (or compressed length) but the true one.
+            for b in (0u8..0x80).filter(|&b| b != good[chunk.offset as usize]) {
+                let mut bad = good.clone();
+                bad[chunk.offset as usize] = b;
+                let r = LakeFileReader::open(bad).unwrap();
+                assert!(r.scan(&Expr::True, None).is_err(), "byte {b} at {}", chunk.offset);
+                for p in &preds {
+                    if let Ok(got) = r.scan(p, None) {
+                        panic!("byte {b} at {}: {} rows from a corrupt chunk", chunk.offset, got.len());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The columnar scan against the row-at-a-time reference: the same
+    /// groups skipped by statistics, then `Expr::eval_row` on every row of
+    /// every other group, erroring on the first row whose evaluation does.
+    fn reference_scan(r: &LakeFileReader, expr: &Expr, proj: Option<&[usize]>) -> Result<Vec<Row>> {
+        let all = r.scan(&Expr::True, None).unwrap();
+        let mut rows = all.iter();
+        let mut out = Vec::new();
+        for g in r.row_groups() {
+            let group: Vec<&Row> = rows.by_ref().take(g.n_rows as usize).collect();
+            if !expr.may_match(&|n: &str| r.schema().index_of(n).ok().and_then(|i| g.stats.get(i))) {
+                continue;
+            }
+            for row in group {
+                if expr.eval_row(r.schema(), row)? {
+                    out.push(match proj {
+                        Some(p) => p.iter().map(|&i| row[i].clone()).collect(),
+                        None => row.clone(),
+                    });
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// A splitmix64 stream, so one sampled seed drives a whole tree.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    const FLOATS: [f64; 5] = [-1.5, -0.0, 0.0, 2.0, f64::INFINITY];
+    const WORDS: [&str; 5] = ["", "a", "ab", "b", "ca"];
+
+    fn any_value(m: &mut Mix) -> Value {
+        match m.below(4) {
+            0 => Value::Int(m.below(9) as i64 - 4),
+            1 => Value::Float(FLOATS[m.below(5) as usize]),
+            2 => Value::from(WORDS[m.below(5) as usize]),
+            _ => Value::Bool(m.below(2) == 0),
+        }
+    }
+
+    /// A column's typed value most of the time, another type otherwise.
+    fn literal(m: &mut Mix, column: &str) -> Value {
+        match (column, m.below(5)) {
+            (_, 0) | ("missing", _) => any_value(m),
+            ("i", _) => Value::Int(m.below(9) as i64 - 4),
+            ("f", _) => Value::Float(FLOATS[m.below(5) as usize]),
+            ("d" | "p", _) => Value::from(WORDS[m.below(5) as usize]),
+            _ => Value::Bool(m.below(2) == 0),
+        }
+    }
+
+    fn any_expr(m: &mut Mix, depth: u32) -> Expr {
+        const OPS: [CmpOp; 8] =
+            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne, CmpOp::In, CmpOp::NotIn];
+        match m.below(if depth == 0 { 2 } else { 5 }) {
+            0 if m.below(4) == 0 => Expr::True,
+            0 | 1 | 2 => {
+                let column = ["i", "f", "d", "p", "b", "i", "d", "missing"][m.below(8) as usize];
+                let op = OPS[m.below(8) as usize];
+                let n = match op {
+                    CmpOp::In | CmpOp::NotIn => m.below(4),
+                    _ => 1,
+                };
+                let literals = (0..n).map(|_| literal(m, column)).collect();
+                Expr::Pred(Predicate { column: column.into(), op, literals })
+            }
+            3 => Expr::And(Box::new(any_expr(m, depth - 1)), Box::new(any_expr(m, depth - 1))),
+            _ => Expr::Or(Box::new(any_expr(m, depth - 1)), Box::new(any_expr(m, depth - 1))),
+        }
+    }
+
+    fn check_against_reference(seed: u64, n: usize, group: usize) {
+        let mut m = Mix(seed);
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("d", DataType::Utf8),
+            Field::new("p", DataType::Utf8),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        // `d` has three values (dictionary chunks), `p` mostly unique
+        // values (plain chunks) sharing the literal pool's words.
+        let rows: Vec<Row> = (0..n)
+            .map(|i| vec![
+                Value::Int(m.below(9) as i64 - 4),
+                Value::Float(FLOATS[m.below(5) as usize]),
+                Value::from(WORDS[1 + m.below(3) as usize]),
+                Value::from(if m.below(3) == 0 { WORDS[m.below(5) as usize].to_string() } else { format!("u{i}") }),
+                Value::Bool(m.below(2) == 0),
+            ])
+            .collect();
+        let r = LakeFileReader::open(LakeFileWriter::new(schema, group).unwrap().encode(&rows).unwrap()).unwrap();
+        let expr = any_expr(&mut m, 3);
+        let proj: Option<Vec<usize>> = match m.below(3) {
+            0 => None,
+            _ => Some((0..m.below(4)).map(|_| m.below(5) as usize).collect()),
+        };
+        let want = reference_scan(&r, &expr, proj.as_deref());
+        let got = r.scan(&expr, proj.as_deref());
+        assert_eq!(got.is_err(), want.is_err(), "{:?}", expr);
+        if let (Ok(got), Ok(want)) = (got, want) {
+            assert_eq!(got, want);
+        }
+        // Each batch's selection is exactly the group's matching rows.
+        let all = r.scan(&Expr::True, None).unwrap();
+        let starts: Vec<usize> = r.row_groups().iter().scan(0, |s, g| {
+            let start = *s;
+            *s += g.n_rows as usize;
+            Some(start)
+        }).collect();
+        let visited = r.scan_batches(&expr, proj.as_deref(), |b| {
+            let g = &r.row_groups()[b.group];
+            for i in 0..g.n_rows as usize {
+                let hit = expr.eval_row(r.schema(), &all[starts[b.group] + i]).unwrap_or(false);
+                assert_eq!(b.selection.contains(i), hit, "{expr:?} group {} row {i}", b.group);
+            }
+            assert!(!b.selection.is_empty());
+            assert_eq!(b.columns.len(), proj.as_ref().map_or(5, Vec::len));
+            Ok(())
+        });
+        assert_eq!(visited.is_err(), r.scan(&expr, None).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+        #[test]
+        fn batch_scan_matches_the_row_reference(
+            seed in any::<u64>(),
+            n in 1usize..200,
+            group in 1usize..80,
+        ) {
+            check_against_reference(seed, n, group);
+        }
     }
 
     proptest! {

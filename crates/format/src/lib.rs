@@ -8,15 +8,20 @@
 //! * [`schema`] — data types, fields, schemas;
 //! * [`value`] — dynamically-typed values and rows;
 //! * [`mod@column`] — typed column vectors built from rows;
+//! * [`batch`] — what a scan yields: a row group's decoded columns
+//!   (dictionary chunks kept as codes) plus a selection bitmap;
 //! * [`encoding`] — plain, delta-varint, dictionary and bit-packed column
 //!   encodings chosen per chunk;
 //! * [`compress`] — an LZ77-family byte compressor applied per chunk;
 //! * [`stats`] — per-column min/max statistics kept in the footer;
-//! * [`predicate`] — a pushdown predicate AST evaluated against rows *and*
+//! * [`predicate`] — a pushdown predicate AST evaluated over whole columns
+//!   into a selection, against rows (the reference semantics) *and*
 //!   against footer statistics (data skipping);
-//! * [`mod@file`] — the writer/reader with row groups, projected reads and
-//!   stats-based row-group skipping.
+//! * [`mod@file`] — the writer/reader with row groups, the columnar scan
+//!   (late materialization of the projection) and stats-based row-group
+//!   skipping.
 
+pub mod batch;
 pub mod column;
 pub mod compress;
 pub mod encoding;
@@ -26,7 +31,8 @@ pub mod schema;
 pub mod stats;
 pub mod value;
 
-pub use column::{columns_to_rows, rows_to_columns, Column};
+pub use batch::{Batch, BatchColumn, Selection, Strs};
+pub use column::{rows_to_columns, Column};
 pub use file::{LakeFileReader, LakeFileWriter};
 pub use predicate::{CmpOp, Expr, Predicate};
 pub use schema::{DataType, Field, Schema};

@@ -8,10 +8,14 @@
 //! `{<=, >=, <, >, =, IN}` (§VI-B).
 //!
 //! [`Predicate`] is one such comparison; [`Expr`] combines them with
-//! AND/OR. Both evaluate against concrete rows and, conservatively, against
+//! AND/OR. Both evaluate over whole decoded columns into a [`Selection`]
+//! (the scan path), against single rows (the reference semantics the
+//! column path is tested against) and, conservatively, against
 //! [`ColumnStats`] — the stats evaluation answers "may this chunk contain a
 //! matching row?", never producing false negatives.
 
+use crate::batch::{BatchColumn, Selection};
+use crate::file::GroupColumns;
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::value::{Row, Value};
@@ -111,20 +115,52 @@ impl Predicate {
                 .literals
                 .iter()
                 .any(|lit| v.partial_cmp_same_type(lit) == Some(Ordering::Equal)),
-            op => {
-                let Some(ord) = v.partial_cmp_same_type(&self.literals[0]) else {
-                    return false; // type mismatch never matches
-                };
-                match op {
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::Le => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::Ge => ord != Ordering::Less,
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::Ne => ord != Ordering::Equal,
-                    // handled by the outer match arms; never matches here
-                    CmpOp::In | CmpOp::NotIn => false,
-                }
+            // type mismatch never matches
+            op => v
+                .partial_cmp_same_type(&self.literals[0])
+                .is_some_and(|ord| accepts(op, ord)),
+        }
+    }
+
+    /// The rows of `care` whose value in `col` matches. Dictionary chunks
+    /// are tested once per dictionary entry, then looked up per row.
+    pub(crate) fn select(&self, col: &BatchColumn, care: &Selection) -> Selection {
+        fn as_str(l: &Value) -> Option<&str> {
+            match l {
+                Value::Str(x) => Some(x),
+                _ => None,
+            }
+        }
+        match col {
+            BatchColumn::Int(v) => {
+                let t = Test::new(self, |l| match l {
+                    Value::Int(x) => Some(x),
+                    _ => None,
+                });
+                care.filter(|i| t.accepts(&v[i], i64::cmp))
+            }
+            BatchColumn::Float(v) => {
+                let t = Test::new(self, |l| match l {
+                    Value::Float(x) => Some(x),
+                    _ => None,
+                });
+                care.filter(|i| t.accepts(&v[i], f64::total_cmp))
+            }
+            BatchColumn::Bool(v) => {
+                let t = Test::new(self, |l| match l {
+                    Value::Bool(x) => Some(x),
+                    _ => None,
+                });
+                care.filter(|i| t.accepts(&v[i], bool::cmp))
+            }
+            BatchColumn::Str(s) => {
+                let t = Test::new(self, as_str);
+                care.filter(|i| t.accepts(s.get(i), <str as Ord>::cmp))
+            }
+            BatchColumn::Dict(dict, codes) => {
+                let t = Test::new(self, as_str);
+                let hits: Vec<bool> = dict.iter().map(|e| t.accepts(e, <str as Ord>::cmp)).collect();
+                care.filter(|i| hits[codes[i] as usize])
             }
         }
     }
@@ -164,6 +200,47 @@ impl Predicate {
                         .iter()
                         .any(|lit| cmp_min(lit) == Some(Ordering::Equal)))
             }
+        }
+    }
+}
+
+/// Whether scalar operator `op` accepts a value ordered `ord` against its
+/// literal.
+fn accepts(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::Le => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::Ge => ord != Ordering::Less,
+        CmpOp::Eq | CmpOp::In => ord == Ordering::Equal,
+        CmpOp::Ne | CmpOp::NotIn => ord != Ordering::Equal,
+    }
+}
+
+/// One predicate's literals of one column type, ready to test that type's
+/// values with the semantics of [`Predicate::eval_value`].
+struct Test<'a, T: ?Sized> {
+    op: CmpOp,
+    lits: Vec<&'a T>,
+}
+
+impl<'a, T: ?Sized> Test<'a, T> {
+    /// The literals `typed` can view as `T`. A scalar operator only has its
+    /// first literal, and a mismatched one never matches.
+    fn new(p: &'a Predicate, typed: impl Fn(&'a Value) -> Option<&'a T>) -> Self {
+        let lits = match p.op {
+            CmpOp::In | CmpOp::NotIn => p.literals.iter().filter_map(typed).collect(),
+            _ => p.literals.first().and_then(typed).into_iter().collect(),
+        };
+        Test { op: p.op, lits }
+    }
+
+    fn accepts(&self, v: &T, cmp: impl Fn(&T, &T) -> Ordering) -> bool {
+        let member = || self.lits.iter().any(|l| cmp(v, l) == Ordering::Equal);
+        match self.op {
+            CmpOp::In => member(),
+            CmpOp::NotIn => !member(),
+            op => self.lits.first().is_some_and(|l| accepts(op, cmp(v, l))),
         }
     }
 }
@@ -217,6 +294,26 @@ impl Expr {
             Expr::And(a, b) => a.eval_row(schema, row)? && b.eval_row(schema, row)?,
             Expr::Or(a, b) => a.eval_row(schema, row)? || b.eval_row(schema, row)?,
         })
+    }
+
+    /// The rows of `care` the expression matches, evaluated over the group's
+    /// whole columns, which `cols` decodes on first use. A sub-expression
+    /// sees only the rows the row-at-a-time short circuit of
+    /// [`Expr::eval_row`] would evaluate it for: a missing column is an
+    /// error exactly when `eval_row` would reach it on some row of `care`,
+    /// and a column no remaining row needs is never decoded.
+    pub(crate) fn select(&self, care: &Selection, cols: &mut GroupColumns<'_>) -> Result<Selection> {
+        match self {
+            Expr::True => Ok(care.clone()),
+            Expr::Pred(_) if care.is_empty() => Ok(care.clone()),
+            Expr::Pred(p) => Ok(p.select(cols.named(&p.column)?, care)),
+            Expr::And(a, b) => b.select(&a.select(care, cols)?, cols),
+            Expr::Or(a, b) => {
+                let left = a.select(care, cols)?;
+                let right = b.select(&care.and_not(&left), cols)?;
+                Ok(left.or(&right))
+            }
+        }
     }
 
     /// Conservative stats evaluation: `stats_of` maps a column name to that

@@ -404,6 +404,67 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn time_bounds_at_the_ends_of_i64_prune_everything_without_overflow() -> Result<()> {
+        let s = test_store();
+        s.create_table("logs", log_schema(), Some(PartitionSpec::hourly("start_time")), 10_000, &IoCtx::new(0))?;
+        s.insert("logs", &log_rows(100, T0), &IoCtx::new(0))?;
+        for pred in [
+            Predicate::cmp("start_time", CmpOp::Lt, i64::MIN),
+            Predicate::cmp("start_time", CmpOp::Gt, i64::MAX),
+        ] {
+            let opts = ScanOptions::filtered(Expr::all(vec![pred.clone()]));
+            let r = s.select("logs", &opts, &IoCtx::new(0))?;
+            assert!(r.rows.is_empty(), "{pred}");
+            assert_eq!(r.stats.files_candidate, 0, "{pred} must prune every partition");
+            // The same bound under a wider conjunction stays empty.
+            let wide = Expr::all(vec![Predicate::cmp("start_time", CmpOp::Ge, i64::MIN), pred.clone()]);
+            let r = s.select("logs", &ScanOptions::filtered(wide), &IoCtx::new(0))?;
+            assert_eq!(r.stats.files_candidate, 0, "{pred}");
+        }
+        // The whole i64 range is too wide to enumerate: every partition.
+        let all = Expr::all(vec![
+            Predicate::cmp("start_time", CmpOp::Ge, i64::MIN),
+            Predicate::cmp("start_time", CmpOp::Le, i64::MAX),
+        ]);
+        assert_eq!(s.select("logs", &ScanOptions::filtered(all), &IoCtx::new(0))?.rows.len(), 100);
+        Ok(())
+    }
+
+    #[test]
+    fn select_batches_agree_with_select() -> Result<()> {
+        let s = test_store();
+        s.create_table("logs", log_schema(), Some(PartitionSpec::hourly("start_time")), 64, &IoCtx::new(0))?;
+        for h in 0..3 {
+            s.insert("logs", &log_rows(200, T0 + h * 3600), &IoCtx::new(0))?;
+        }
+        let preds = [
+            Expr::True,
+            Expr::Pred(Predicate::cmp("province", CmpOp::Eq, "beijing")),
+            Expr::all(vec![
+                Predicate::cmp("start_time", CmpOp::Ge, T0 + 3600 + 50),
+                Predicate::cmp("url", CmpOp::Ne, "http://app.example/3"),
+            ]),
+        ];
+        // Each scan at its own quiet instant, so device queues match.
+        let mut at = (1..).map(|k| IoCtx::new(common::clock::secs(100 * k)));
+        for pred in preds {
+            for projection in [None, Some(vec!["province".to_string(), "start_time".to_string()])] {
+                let opts = ScanOptions { predicate: pred.clone(), projection, ..Default::default() };
+                let want = s.select("logs", &opts, &at.next().unwrap())?;
+                let mut rows = Vec::new();
+                let stats = s.select_batches("logs", &opts, &at.next().unwrap(), &mut |b| {
+                    assert!(!b.selection.is_empty());
+                    b.push_rows(&mut rows);
+                    Ok(())
+                })?;
+                assert_eq!(rows, want.rows, "{pred:?}");
+                assert_eq!(stats, want.stats, "{pred:?}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
     fn pushdown_skips_files_by_stats() -> Result<()> {
         let s = test_store();
         s.create_table("logs", log_schema(), None, 10_000, &IoCtx::new(0))?;

@@ -1,5 +1,6 @@
 //! Scan: resolve a snapshot, plan its live files (partition pruning,
-//! stats-based skipping), read and filter them.
+//! stats-based skipping), read them and hand out column batches. Rows are
+//! built only by the row-returning [`TableStore::select`].
 
 use super::{ScanOptions, ScanResult, ScanStats, TableStore};
 use crate::catalog::{PartitionTransform, TableProfile};
@@ -8,15 +9,35 @@ use crate::metacache::MetadataMode;
 use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Error, Result};
-use format::{CmpOp, Expr, LakeFileReader, Row, Schema, Value};
+use format::{Batch, CmpOp, Expr, LakeFileReader, Row, Schema, Value};
 
 impl TableStore {
-    /// SELECT: plan from catalog → snapshot → commits, prune, read, filter.
+    /// SELECT: plan from catalog → snapshot → commits, prune, read, filter;
+    /// the matching rows, projected.
     pub fn select(&self, name: &str, opts: &ScanOptions, ctx: &IoCtx) -> Result<ScanResult> {
+        let mut rows = Vec::new();
+        let stats = self.select_batches(name, opts, ctx, &mut |b| {
+            b.push_rows(&mut rows);
+            Ok(())
+        })?;
+        Ok(ScanResult { rows, stats })
+    }
+
+    /// The columnar SELECT: plan, prune and read as [`TableStore::select`]
+    /// does, handing `visit` each row group with a matching row as a
+    /// [`Batch`] of the projected columns (in `opts.projection` order, every
+    /// column when `None`).
+    pub fn select_batches(
+        &self,
+        name: &str,
+        opts: &ScanOptions,
+        ctx: &IoCtx,
+        visit: &mut dyn FnMut(Batch) -> Result<()>,
+    ) -> Result<ScanStats> {
         let profile = self.catalog.get(name)?;
         let mut stats = ScanStats::default();
         if profile.current_snapshot == 0 {
-            return Ok(ScanResult { rows: Vec::new(), stats });
+            return Ok(stats);
         }
         // Resolve the snapshot (time travel walks the parent chain).
         let (snapshot, t_snap) = self.resolve_snapshot(&profile, opts.as_of, opts.mode, ctx)?;
@@ -47,7 +68,6 @@ impl TableStore {
             None => None,
         };
 
-        let mut rows = Vec::new();
         let mut t = t_meta;
         for f in &files {
             // `pushdown` gates data skipping only — the baseline reads every
@@ -61,10 +81,10 @@ impl TableStore {
             t = tr;
             stats.files_scanned += 1;
             stats.bytes_scanned += f.bytes;
-            rows.extend(reader.scan(&opts.predicate, projection_idx.as_deref())?);
+            reader.scan_batches(&opts.predicate, projection_idx.as_deref(), &mut *visit)?;
         }
         stats.data_time = t.saturating_sub(t_meta);
-        Ok(ScanResult { rows, stats })
+        Ok(stats)
     }
 
     /// All live files of the current snapshot (maintenance inspection).
@@ -101,7 +121,7 @@ impl TableStore {
             .live_files(&profile.name, &snapshot, partitions, mode, &ctx.at(t))
     }
 
-    fn open_data_file(&self, path: &str, ctx: &IoCtx) -> Result<(LakeFileReader, Nanos)> {
+    pub(super) fn open_data_file(&self, path: &str, ctx: &IoCtx) -> Result<(LakeFileReader, Nanos)> {
         let addr = self
             .meta
             .address(path.as_bytes())
@@ -165,7 +185,7 @@ pub(super) fn partitions_for_predicate(profile: &TableProfile, expr: &Expr) -> O
             }
             let b_lo = lo.div_euclid(width);
             let b_hi = hi.div_euclid(width);
-            if b_hi - b_lo > 100_000 {
+            if b_hi.saturating_sub(b_lo) > 100_000 {
                 return None; // range too wide to enumerate
             }
             Some(
@@ -191,6 +211,9 @@ pub(super) fn partitions_for_predicate(profile: &TableProfile, expr: &Expr) -> O
 }
 
 /// Collect `[lo, hi]` bounds on `column` from the top-level conjunction.
+/// A strict bound at the end of `i64` (`> i64::MAX`, `< i64::MIN`) admits
+/// no value: it makes the range the empty `[i64::MAX, i64::MIN]`, which no
+/// later bound widens.
 fn collect_bounds(expr: &Expr, column: &str, lo: &mut Option<i64>, hi: &mut Option<i64>) {
     match expr {
         Expr::And(a, b) => {
@@ -201,9 +224,15 @@ fn collect_bounds(expr: &Expr, column: &str, lo: &mut Option<i64>, hi: &mut Opti
             if let Some(Value::Int(v)) = p.literals.first() {
                 match p.op {
                     CmpOp::Ge => *lo = Some(lo.map_or(*v, |c: i64| c.max(*v))),
-                    CmpOp::Gt => *lo = Some(lo.map_or(v + 1, |c: i64| c.max(v + 1))),
+                    CmpOp::Gt => match v.checked_add(1) {
+                        Some(v) => *lo = Some(lo.map_or(v, |c: i64| c.max(v))),
+                        None => (*lo, *hi) = (Some(i64::MAX), Some(i64::MIN)),
+                    },
                     CmpOp::Le => *hi = Some(hi.map_or(*v, |c: i64| c.min(*v))),
-                    CmpOp::Lt => *hi = Some(hi.map_or(v - 1, |c: i64| c.min(v - 1))),
+                    CmpOp::Lt => match v.checked_sub(1) {
+                        Some(v) => *hi = Some(hi.map_or(v, |c: i64| c.min(v))),
+                        None => (*lo, *hi) = (Some(i64::MAX), Some(i64::MIN)),
+                    },
                     CmpOp::Eq => {
                         *lo = Some(lo.map_or(*v, |c: i64| c.max(*v)));
                         *hi = Some(hi.map_or(*v, |c: i64| c.min(*v)));

@@ -105,23 +105,30 @@ impl TableStore {
             if !file_may_match(&profile.schema, file, predicate) {
                 continue; // data skipping: untouched
             }
-            let (rows, tr) = self.read_file_rows(&file.path, &ctx.at(t))?;
+            let (reader, tr) = self.open_data_file(&file.path, &ctx.at(t))?;
             t = tr;
-            let mut out_rows = Vec::with_capacity(rows.len());
-            let mut changed = false;
-            for row in rows {
-                if predicate.eval_row(&profile.schema, &row)? {
-                    changed = true;
-                    if let Some(new_row) = f(&row) {
-                        out_rows.push(new_row);
-                    }
-                } else {
-                    out_rows.push(row);
-                }
-            }
-            if !changed {
+            // The selection first: a file with no matching row builds no rows.
+            let mut hits = Vec::new();
+            reader.scan_batches(predicate, Some(&[]), |b| {
+                hits.push(b);
+                Ok(())
+            })?;
+            if hits.is_empty() {
                 continue;
             }
+            let mut hits = hits.into_iter().peekable();
+            let mut out_rows = Vec::new();
+            reader.scan_batches(&Expr::True, None, |group| {
+                let hit = hits.next_if(|h| h.group == group.group).map(|h| h.selection);
+                for i in group.selection.iter() {
+                    let row = group.row(i);
+                    match &hit {
+                        Some(sel) if sel.contains(i) => out_rows.extend(f(&row)),
+                        _ => out_rows.push(row),
+                    }
+                }
+                Ok(())
+            })?;
             removed.push(file.path.clone());
             if !out_rows.is_empty() {
                 added.push((file.partition.clone(), out_rows));

@@ -433,9 +433,12 @@ impl PlogStore {
     /// and their indices returned.
     fn verify_shards(&self, entry: &IndexEntry, survivors: &mut [Option<Bytes>]) -> Vec<usize> {
         // One coalesced pass over the stripe: aliased replicas share one
-        // digest, distinct shards hash in parallel when workers are
-        // attached, and the per-slot checks below stay in slot order.
-        let digests = coalesced_digests(survivors, self.workers.as_deref());
+        // digest and the per-slot checks below stay in slot order. Reads
+        // hash inline: with the carry-less CRC kernel a 100 KB shard
+        // digests in microseconds, and scattering a stripe's shards over
+        // the worker pool measured slower end to end (EXPERIMENTS.md
+        // "Columnar lake reads").
+        let digests = coalesced_digests(survivors, None);
         let mut corrupt = Vec::new();
         for (i, slot) in survivors.iter_mut().enumerate() {
             let Some(crc) = digests[i] else { continue };
@@ -647,8 +650,8 @@ fn encode_record(
 /// aliasing it (replication clones one handle `copies` times; the device
 /// model's rot injection is copy-on-write, so aliased slots are byte-
 /// identical by construction). Distinct buffers above [`FAN_BYTES`] are
-/// hashed across `workers` when a pool is attached; digests come back in
-/// slot order either way.
+/// hashed across `workers` when a pool is given (the append path);
+/// digests come back in slot order either way.
 fn coalesced_digests(
     slots: &[Option<Bytes>],
     workers: Option<&WorkerPool>,

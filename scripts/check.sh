@@ -27,6 +27,15 @@ if grep -q '^warning' <<<"$check_out"; then
     echo "check.sh: FAILED — cargo check --all-targets printed warnings" >&2
     exit 1
 fi
+# The CRC kernel is the workspace's only unsafe code: fail on an `unsafe`
+# block, fn, impl or trait in the workspace's library, binary and example
+# sources (test-only `tests.rs` files aside) outside common::checksum.
+if grep -rnE --include='*.rs' --exclude=tests.rs \
+    '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' crates src shims examples |
+    grep -v '^crates/common/src/checksum\.rs:'; then
+    echo "check.sh: FAILED — unsafe code outside crates/common/src/checksum.rs" >&2
+    exit 1
+fi
 # The end-to-end benchmark is a package of its own (outside the workspace)
 # built against this repo's public API: build it so API drift fails here,
 # not in the benchmark driver.
