@@ -27,7 +27,7 @@ const STARVATION_MARGIN: Nanos = secs(30 * 60);
 const T0: i64 = 1_656_806_400;
 
 /// One deterministic workload: a topic with produced records, a table with
-/// small files, and staged tiering extents — something for every chore.
+/// small files — something for every chore.
 fn seeded_deployment() -> StreamLake {
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
@@ -46,11 +46,6 @@ fn seeded_deployment() -> StreamLake {
     for i in 0..6 {
         let rows: Vec<_> = gen.batch(20).iter().map(|p| p.to_row()).collect();
         sl.tables().insert("t", &rows, &IoCtx::new(secs(i))).expect("insert");
-    }
-    for key in 0..4u64 {
-        sl.tiering()
-            .write(key, &[common::Bytes::from_vec(vec![key as u8; 2048])])
-            .expect("stage tiering extent");
     }
     sl
 }

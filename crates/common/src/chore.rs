@@ -1,10 +1,10 @@
 //! The maintenance-chore contract every background service implements.
 //!
-//! The paper's storage-side services — media tiering (§IV), PLog
-//! scrub/repair, stream-to-table archival (§V), metadata write-cache
-//! flushing (§VI) and LakeBrain-driven compaction (§VII) — all run *inside*
-//! the storage layer, competing with foreground traffic for the same
-//! devices. Instead of six bespoke loops, each service implements [`Chore`]:
+//! The paper's storage-side services — PLog scrub/repair and remote
+//! replication (§IV), stream-to-table archival (§V), metadata write-cache
+//! flushing and small-file compaction (§VI) — all run *inside* the storage
+//! layer, competing with foreground traffic for the same devices. Instead
+//! of a bespoke loop per service, each implements [`Chore`]:
 //! one unit of background work that a single scheduler (`core::chore`) can
 //! tick on the virtual clock, defer when foreground latency spikes, and
 //! retry with deterministic backoff when it fails.

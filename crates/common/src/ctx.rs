@@ -10,8 +10,8 @@
 //! Field ↔ paper mapping:
 //!
 //! * [`IoCtx::now`] — the request's virtual-time origin; the same
-//!   simulated timeline every §III service (stream, table, metadata,
-//!   tiering) is charged against.
+//!   simulated timeline every §III service (stream, table, metadata) is
+//!   charged against.
 //! * [`IoCtx::deadline`] — the latency budget of the request. Foreground
 //!   produce/fetch and table scans carry SLO-style deadlines; device ops
 //!   that would complete past it fail with
@@ -60,7 +60,7 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 pub enum QosClass {
     /// Latency-sensitive client traffic (produce, fetch, query, commit).
     Foreground,
-    /// Asynchronous data movement (archive, tiering, WAN replication).
+    /// Asynchronous data movement (archive, WAN replication).
     Background,
     /// Housekeeping (compaction, snapshot expiry, repair).
     Maintenance,

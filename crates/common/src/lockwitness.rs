@@ -71,12 +71,10 @@ pub const HIERARCHY: &[LockClass] = &[
     class("stream.object.registry", 30, "StreamObjectStore", "objects"),
     class("stream.object.state", 35, "StreamObject", "state"),
     class("stream.archive.entries", 40, "ArchiveService", "entries"),
-    class("lake.compaction.trigger", 45, "CompactionChore", "trigger"),
     class("lake.meta.pending", 50, "MetadataCache", "pending"),
     class("plog.repl.mapping", 55, "RemoteReplicator", "mapping"),
     class("plog.repl.cursor", 56, "RemoteReplicator", "cursor"),
     class("plog.shard", 60, "PlogStore", "shards"),
-    class("simdisk.tier.extents", 65, "TieringService", "extents"),
     // MVCC coordination state ranks below kv.index: the transaction layer
     // holds its state/journal locks while reading and batch-writing the
     // backing KV store (intents, records, resolutions).

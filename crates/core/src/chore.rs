@@ -1,8 +1,9 @@
 //! The deterministic maintenance runtime.
 //!
-//! Every background service in the deployment — tiering, scrubbing, remote
-//! replication, stream archival, metadata flushing and compaction — runs as
-//! a [`Chore`] scheduled here, instead of each owning an ad-hoc loop. The
+//! Every background service in the deployment — scrubbing, remote
+//! replication, stream archival, metadata flushing, compaction, consumer
+//! offset retention and KV WAL compaction — runs as a [`Chore`] scheduled
+//! here, instead of each owning an ad-hoc loop. The
 //! runtime gives them what the paper's "separation is for better reunion"
 //! design demands from maintenance work sharing a substrate with foreground
 //! traffic:

@@ -8,9 +8,9 @@ use common::size::{GIB, MIB};
 use common::{Result, SimClock};
 use ec::Redundancy;
 use kvstore::{MvccStore, WalCompactionChore};
-use lake::{CompactionChore, IntervalTrigger, MetaFlushChore, TableStore};
+use lake::{CompactionChore, MetaFlushChore, TableStore};
 use plog::{PlogConfig, PlogStore, RemoteReplicator, ScrubService};
-use simdisk::{DeviceHealth, MediaKind, StoragePool, TieringService};
+use simdisk::{DeviceHealth, MediaKind, StoragePool};
 use stream::archive::{ArchiveChore, ArchiveService};
 use stream::group::OffsetRetentionChore;
 use stream::service::{StreamService, StreamServiceOptions};
@@ -38,12 +38,8 @@ pub struct StreamLakeConfig {
     pub workers: usize,
     /// Metadata write-cache flush threshold (pending entries).
     pub meta_flush_threshold: u64,
-    /// Tiering: demote data idle longer than this many virtual seconds.
-    pub tier_demote_after_secs: u64,
     /// Seed for the maintenance runtime's deterministic retry jitter.
     pub maintenance_seed: u64,
-    /// Target output file size for the compaction chore.
-    pub compaction_target_bytes: u64,
 }
 
 impl Default for StreamLakeConfig {
@@ -60,9 +56,7 @@ impl Default for StreamLakeConfig {
             redundancy: Redundancy::ErasureCode { k: 10, m: 2 },
             workers: 3,
             meta_flush_threshold: 64,
-            tier_demote_after_secs: 3600,
             maintenance_seed: 42,
-            compaction_target_bytes: 64 * MIB,
         }
     }
 }
@@ -95,7 +89,7 @@ impl StreamLakeConfig {
 }
 
 /// One StreamLake deployment: pools, PLogs, streaming, lakehouse, archive,
-/// and the maintenance runtime all six background services run under.
+/// and the maintenance runtime every background service runs under.
 #[derive(Debug)]
 pub struct StreamLake {
     clock: SimClock,
@@ -107,10 +101,8 @@ pub struct StreamLake {
     stream: Arc<StreamService>,
     tables: Arc<TableStore>,
     archive: Arc<ArchiveService>,
-    tiering: Arc<TieringService>,
     scrubber: Arc<ScrubService>,
     replicator: Arc<RemoteReplicator>,
-    compaction: Arc<CompactionChore>,
     chores: ChoreRuntime,
 }
 
@@ -174,13 +166,6 @@ impl StreamLake {
             },
         );
         let archive = Arc::new(ArchiveService::new(hdd.clone()));
-        let tiering = Arc::new(TieringService::new(
-            ssd.clone(),
-            hdd.clone(),
-            clock.clone(),
-            common::clock::secs(config.tier_demote_after_secs),
-            true,
-        ));
         // The remote replica site (paper §IV geo-replication): a second
         // PLog store on the cold pool the replicator chore ships into.
         let replica = Arc::new(
@@ -196,22 +181,17 @@ impl StreamLake {
             .expect("valid replica plog config"),
         );
         let replicator = Arc::new(RemoteReplicator::new(plog.clone(), replica));
-        let compaction = Arc::new(CompactionChore::new(
-            tables.clone(),
-            config.compaction_target_bytes,
-            Box::new(IntervalTrigger::every_30s()),
-        ));
 
         // The maintenance runtime owns every background service. Periods
         // are part of the deterministic schedule: registration order
         // breaks same-instant ties, so this order is a contract too.
         let chores = ChoreRuntime::new(metrics.clone(), sink.clone(), config.maintenance_seed);
         chores.register(scrubber.clone(), secs(30));
-        chores.register(tiering.clone(), secs(60));
         chores.register(replicator.clone(), secs(10));
         chores.register(Arc::new(ArchiveChore::new(stream.clone(), archive.clone())), secs(10));
         chores.register(Arc::new(MetaFlushChore::new(tables.clone())), secs(5));
-        chores.register(compaction.clone(), secs(30));
+        // the paper's static "Default-compaction" interval
+        chores.register(Arc::new(CompactionChore::new(tables.clone())), secs(30));
         chores.register(Arc::new(OffsetRetentionChore::new(stream.groups().clone())), secs(60));
         // Appended last: registration order is part of the deterministic
         // schedule, so new chores must not displace existing ones.
@@ -230,10 +210,8 @@ impl StreamLake {
             stream,
             tables,
             archive,
-            tiering,
             scrubber,
             replicator,
-            compaction,
             chores,
         }
     }
@@ -287,11 +265,6 @@ impl StreamLake {
         &self.archive
     }
 
-    /// The SSD↔HDD tiering service.
-    pub fn tiering(&self) -> &TieringService {
-        &self.tiering
-    }
-
     /// The background integrity scrubber over the PLog store.
     pub fn scrubber(&self) -> &ScrubService {
         &self.scrubber
@@ -303,12 +276,7 @@ impl StreamLake {
         &self.replicator
     }
 
-    /// The compaction chore.
-    pub fn compaction(&self) -> &Arc<CompactionChore> {
-        &self.compaction
-    }
-
-    /// The maintenance runtime all six background services run under.
+    /// The maintenance runtime every background service runs under.
     pub fn maintenance(&self) -> &ChoreRuntime {
         &self.chores
     }

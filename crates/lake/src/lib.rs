@@ -18,8 +18,9 @@
 //!   pruning and stats-based data skipping with pushdown (split into
 //!   `table/{stage,publish,scan}.rs` along a commit's life);
 //! * [`conversion`] — stream⇄table conversion (§V-B);
-//! * [`maintenance`] — binpack small-file compaction and snapshot
-//!   expiration, plus the block-utilization metric LakeBrain optimizes.
+//! * [`maintenance`] — binpack small-file compaction, the compaction and
+//!   metadata-flush chores, the snapshot-expiry report, and the
+//!   block-utilization metric LakeBrain optimizes.
 
 pub mod catalog;
 pub mod conversion;
@@ -29,9 +30,7 @@ pub mod metacache;
 pub mod table;
 
 pub use catalog::{Catalog, PartitionSpec, PartitionTransform, TableProfile};
-pub use maintenance::{
-    CompactionChore, CompactionTrigger, Compactor, IntervalTrigger, MetaFlushChore,
-};
+pub use maintenance::{CompactionChore, Compactor, MetaFlushChore};
 pub use meta::{Commit, DataFileMeta, Snapshot};
 pub use metacache::{MetadataCache, MetadataMode};
 pub use table::{CommitInfo, ScanOptions, ScanResult, StagedTableCommit, TableStore};

@@ -3,23 +3,25 @@
 //! §VI-A defines block utilization at state *t* as
 //! `Σ f_i / (K × Σ ⌈f_i / K⌉)` — live bytes over allocated block bytes —
 //! and compacts small files with "the binpack strategy … to efficiently
-//! merge small files to the target file size". The compaction executor here
-//! is policy-agnostic: LakeBrain's RL agent and the static interval
-//! baseline both drive it.
+//! merge small files to the target file size". The deployment runs the
+//! executor from [`CompactionChore`] on the paper's static 30-second
+//! interval; LakeBrain's RL agent is evaluated offline, against its own
+//! environment model (Fig 16).
 
 use crate::meta::DataFileMeta;
 use crate::table::{CommitInfo, TableStore};
 use common::chore::{Chore, TickReport};
-use common::clock::Nanos;
 use common::ctx::{IoCtx, QosClass};
 use common::size::div_ceil;
 use common::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use common::lockwitness::TrackedMutex;
 
 /// Storage block size used for utilization accounting (paper's `K`).
 pub const BLOCK_SIZE: u64 = 4 * 1024 * 1024;
+
+/// Target output file size of the compaction chore.
+pub const COMPACTION_TARGET_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Block utilization of a set of files: `Σ f_i / (K × Σ ⌈f_i/K⌉)`.
 ///
@@ -181,89 +183,42 @@ impl Compactor {
     }
 }
 
-/// A per-partition compaction decision source for the maintenance chore.
-///
-/// The state vector uses the same 9-feature layout as LakeBrain's
-/// `CompactionEnv::state` (index 3 = global block utilization, index 6 =
-/// partition block utilization, index 7 = small-file count / 50), so the
-/// trained DQN agent can drive the chore through a thin adapter while the
-/// interval baseline ignores the features entirely.
-pub trait CompactionTrigger: Send {
-    /// Decide whether to compact one partition of `table` now.
-    fn should_compact(&mut self, table: &str, state: &[f64], now: Nanos) -> bool;
-
-    /// Trigger name for status reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The static baseline: compact every partition once per `interval` of
-/// virtual time (the paper's "Default-compaction" 30-second timer).
+/// The compaction maintenance chore: each tick runs the binpack executor
+/// over every partition of every catalog table. The chore runtime's
+/// period is the paper's "Default-compaction" 30-second interval, so the
+/// tick itself compacts unconditionally; a partition whose commit conflicts
+/// is skipped until the next tick.
 #[derive(Debug)]
-pub struct IntervalTrigger {
-    interval: Nanos,
-    last: Nanos,
-}
-
-impl IntervalTrigger {
-    /// A trigger firing every `interval` nanoseconds.
-    pub fn new(interval: Nanos) -> Self {
-        IntervalTrigger { interval, last: 0 }
-    }
-
-    /// The paper's default 30-second timer.
-    pub fn every_30s() -> Self {
-        IntervalTrigger::new(common::clock::secs(30))
-    }
-}
-
-impl CompactionTrigger for IntervalTrigger {
-    fn should_compact(&mut self, _table: &str, _state: &[f64], now: Nanos) -> bool {
-        if now.saturating_sub(self.last) >= self.interval {
-            self.last = now;
-            true
-        } else {
-            // every partition asked within the firing round compacts, not
-            // just the first one
-            now == self.last
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "interval"
-    }
-}
-
-/// The compaction maintenance chore: sweeps every catalog table, builds
-/// each partition's feature vector from live metadata, asks the trigger,
-/// and compacts where it says so. Conflicts on individual partitions are
-/// tolerated (they are the trigger's risk, exactly as in `compact_all`).
 pub struct CompactionChore {
     store: Arc<TableStore>,
     compactor: Compactor,
-    trigger: TrackedMutex<Box<dyn CompactionTrigger>>,
-}
-
-impl std::fmt::Debug for CompactionChore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompactionChore")
-            .field("trigger", &self.trigger.lock().name())
-            .finish()
-    }
 }
 
 impl CompactionChore {
-    /// A chore compacting toward `target_bytes` files when `trigger` fires.
-    pub fn new(
-        store: Arc<TableStore>,
-        target_bytes: u64,
-        trigger: Box<dyn CompactionTrigger>,
-    ) -> Self {
-        CompactionChore { store, compactor: Compactor::new(target_bytes), trigger: TrackedMutex::new("lake.compaction.trigger", trigger) }
+    /// A chore compacting `store`'s tables toward
+    /// [`COMPACTION_TARGET_BYTES`] files.
+    pub fn new(store: Arc<TableStore>) -> Self {
+        CompactionChore { store, compactor: Compactor::new(COMPACTION_TARGET_BYTES) }
     }
 
-    /// The active trigger's name (for status reports).
-    pub fn trigger_name(&self) -> &'static str {
-        self.trigger.lock().name()
+    /// One tick's work over `tables`, the catalog listing it started from.
+    fn compact_tables(&self, tables: Vec<String>, ctx: &IoCtx) -> Result<TickReport> {
+        let mut report = TickReport::idle(ctx.now);
+        for table in tables {
+            let outcomes = match self.compactor.compact_all(&self.store, &table, ctx) {
+                Ok(o) => o,
+                // table dropped between list() and the scan: skip it
+                Err(Error::NotFound(_)) => continue,
+                Err(e) => return Err(e),
+            };
+            for o in outcomes {
+                report.work_done += o.files_compacted;
+                if let Some(commit) = &o.commit {
+                    report.finished_at = report.finished_at.max(commit.finished_at);
+                }
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -273,58 +228,7 @@ impl Chore for CompactionChore {
     }
 
     fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
-        let mut report = TickReport::idle(ctx.now);
-        let mut trigger = self.trigger.lock();
-        for table in self.store.catalog().list() {
-            let partitions = match self.compactor.partitions(&self.store, &table, ctx) {
-                Ok(p) => p,
-                // table dropped between list() and the scan: skip it
-                Err(Error::NotFound(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            let global_util = {
-                let sizes: Vec<u64> = partitions
-                    .values()
-                    .flat_map(|fs| fs.iter().map(|f| f.bytes))
-                    .collect();
-                block_utilization(&sizes, BLOCK_SIZE)
-            };
-            for (partition, files) in &partitions {
-                let sizes: Vec<u64> = files.iter().map(|f| f.bytes).collect();
-                let util = block_utilization(&sizes, BLOCK_SIZE);
-                let small = files
-                    .iter()
-                    .filter(|f| f.bytes < self.compactor.target_bytes)
-                    .count();
-                // mirror CompactionEnv::state's layout (unknowable
-                // workload features pinned at their 0.5 midpoint)
-                let state = vec![
-                    (self.compactor.target_bytes as f64 / (64.0 * 1024.0 * 1024.0)).min(1.0),
-                    0.5,
-                    0.5,
-                    global_util,
-                    0.5,
-                    0.5,
-                    util,
-                    (small as f64 / 50.0).min(1.0),
-                    0.5,
-                ];
-                if !trigger.should_compact(&table, &state, ctx.now) {
-                    continue;
-                }
-                match self.compactor.compact_partition(&self.store, &table, partition, ctx) {
-                    Ok(o) => {
-                        report.work_done += o.files_compacted;
-                        if let Some(commit) = &o.commit {
-                            report.finished_at = report.finished_at.max(commit.finished_at);
-                        }
-                    }
-                    Err(Error::Conflict(_)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(report)
+        self.compact_tables(self.store.catalog().list(), ctx)
     }
 }
 
@@ -374,23 +278,6 @@ pub struct ExpiryReport {
     /// still completes (metadata no longer references the file); the
     /// orphaned extents are picked up by the scrub service.
     pub reclaim_failures: u64,
-}
-
-/// Expire snapshots older than `retain_after` (virtual time), keeping at
-/// least the current snapshot.
-///
-/// §IV-B: "Snapshots also monitor the expiration of all commits … By
-/// keeping old commits and snapshots, table objects use a timestamp to
-/// look up the corresponding snapshot." Expiration is the other half of
-/// that design: old versions are reachable *until* retention lapses, after
-/// which the files only they referenced are physically reclaimed.
-pub fn expire_snapshots(
-    store: &TableStore,
-    table: &str,
-    retain_after: Nanos,
-    ctx: &IoCtx,
-) -> Result<ExpiryReport> {
-    store.expire_snapshots(table, retain_after, ctx)
 }
 
 #[cfg(test)]
@@ -509,6 +396,45 @@ mod tests {
     }
 
     #[test]
+    fn compaction_chore_tick_merges_every_table_and_skips_dropped_ones() {
+        use common::clock::secs;
+        let store = Arc::new(test_store());
+        for table in ["a", "b", "gone"] {
+            store
+                .create_table(
+                    table,
+                    log_schema(),
+                    Some(crate::catalog::PartitionSpec::hourly("start_time")),
+                    100_000,
+                    &IoCtx::new(0),
+                )
+                .unwrap();
+            for h in 0..3i64 {
+                for _ in 0..4 {
+                    store
+                        .insert(table, &log_rows(10, 1_656_806_400 + h * 3600), &IoCtx::new(0))
+                        .unwrap();
+                }
+            }
+        }
+        let chore = CompactionChore::new(store.clone());
+        // a table dropped between list() and its scan is skipped
+        let listed = store.catalog().list();
+        assert_eq!(listed, ["a", "b", "gone"]);
+        store.drop_table("gone", true, &IoCtx::new(secs(1))).unwrap();
+        let r = chore.compact_tables(listed, &IoCtx::new(secs(30))).unwrap();
+        // one tick merges every small-file partition of both tables
+        assert_eq!(r.work_done, 24, "3 partitions x 4 files in each of a and b");
+        assert!(r.finished_at > secs(30), "compaction I/O charged");
+        for table in ["a", "b"] {
+            assert_eq!(store.live_files(table, &IoCtx::new(secs(40))).unwrap().len(), 3);
+        }
+        // the next tick finds nothing left to merge
+        let r2 = chore.tick(&IoCtx::new(secs(60))).unwrap();
+        assert_eq!(r2.work_done, 0);
+    }
+
+    #[test]
     fn meta_flush_chore_flushes_pending_tables_in_order() {
         let store = Arc::new(test_store());
         store.create_table("b", log_schema(), None, 100_000, &IoCtx::new(0)).unwrap();
@@ -569,7 +495,7 @@ mod tests {
             90
         );
         // expire everything older than the delete commit
-        let report = expire_snapshots(&store, "t", snap2.timestamp, &IoCtx::new(t_now)).unwrap();
+        let report = store.expire_snapshots("t", snap2.timestamp, &IoCtx::new(t_now)).unwrap();
         assert_eq!(report.snapshots_expired, 1);
         assert!(report.files_deleted >= 1, "the rewritten v1 file must go");
         assert!(report.bytes_reclaimed > 0);
@@ -598,7 +524,7 @@ mod tests {
             .get_snapshot("t", v1.snapshot_id, crate::MetadataMode::Accelerated, &IoCtx::new(0))
             .unwrap();
         store.insert("t", &log_rows(10, 100), &IoCtx::new(snap1.timestamp + 1000)).unwrap();
-        let report = expire_snapshots(&store, "t", 0, &IoCtx::new(common::clock::secs(10))).unwrap();
+        let report = store.expire_snapshots("t", 0, &IoCtx::new(common::clock::secs(10))).unwrap();
         assert_eq!(report, ExpiryReport::default());
         // full history still reachable
         assert_eq!(
@@ -634,7 +560,7 @@ mod tests {
         }
         let t_now = stamps[4] + common::clock::secs(10);
         // retain the last two snapshots
-        let report = expire_snapshots(&store, "t", stamps[3], &IoCtx::new(t_now)).unwrap();
+        let report = store.expire_snapshots("t", stamps[3], &IoCtx::new(t_now)).unwrap();
         assert_eq!(report.snapshots_expired, 3);
         store.meta().flush("t", &IoCtx::new(t_now)).unwrap();
         let r = store

@@ -114,8 +114,13 @@ impl TableStore {
     }
 
     /// Expire snapshots whose timestamp is older than `retain_after`,
-    /// keeping at least the current snapshot (see
-    /// [`crate::maintenance::expire_snapshots`]).
+    /// keeping at least the current snapshot.
+    ///
+    /// §IV-B: "Snapshots also monitor the expiration of all commits … By
+    /// keeping old commits and snapshots, table objects use a timestamp to
+    /// look up the corresponding snapshot." Expiration is the other half of
+    /// that design: old versions are reachable *until* retention lapses,
+    /// after which the files only they referenced are physically reclaimed.
     ///
     /// The oldest retained snapshot is *squashed*: its commit prefix is
     /// replaced by one synthetic base commit holding its live file set, so

@@ -1,23 +1,17 @@
-//! Compaction policies and the auto-compactor.
-//!
-//! Three policies, matching the paper's comparison (§VII-E):
+//! Compaction policies for the §VII-E comparison.
 //!
 //! * [`IntervalPolicy`] — "Default-compaction … a static strategy which
 //!   simply compacts data files in a 30-second interval";
-//! * [`GreedyPolicy`] — compact whenever a partition's utilization drops
-//!   below a threshold (a natural middle ground, used in ablations);
 //! * [`DqnPolicy`] — the trained LakeBrain agent.
 //!
-//! [`train_compaction_agent`] trains a DQN in the [`CompactionEnv`];
-//! [`AutoCompactor`] applies any policy to a *real* [`lake::TableStore`]
-//! through the binpack executor.
+//! [`train_compaction_agent`] trains a DQN in the [`CompactionEnv`] and
+//! [`evaluate_policy`] scores any policy there (Fig 16). The agent is an
+//! offline model: the deployment's compaction chore
+//! (`lake::CompactionChore`) compacts on the fixed 30-second interval.
 
 use crate::dqn::{DqnAgent, DqnConfig, Transition};
 use crate::env::{CompactionEnv, EnvConfig};
 use common::clock::Nanos;
-use common::{Error, Result};
-use lake::maintenance::{CompactionOutcome, Compactor};
-use lake::TableStore;
 
 /// A per-partition compaction decision source.
 pub trait CompactionPolicy {
@@ -63,30 +57,6 @@ impl CompactionPolicy for IntervalPolicy {
 
     fn name(&self) -> &'static str {
         "interval"
-    }
-}
-
-/// Compact when partition utilization falls below a threshold.
-#[derive(Debug)]
-pub struct GreedyPolicy {
-    threshold: f64,
-}
-
-impl GreedyPolicy {
-    /// Compact below `threshold` utilization.
-    pub fn new(threshold: f64) -> Self {
-        GreedyPolicy { threshold }
-    }
-}
-
-impl CompactionPolicy for GreedyPolicy {
-    fn decide(&mut self, state: &[f64], _now: Nanos) -> bool {
-        // feature 6 is the partition block utilization
-        state.get(6).copied().unwrap_or(1.0) < self.threshold
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
     }
 }
 
@@ -190,151 +160,9 @@ pub fn evaluate_policy(
     (cost_sum / steps as f64, util_sum / steps as f64, conflicts)
 }
 
-/// Adapts any [`CompactionPolicy`] — including the trained DQN — to the
-/// lake-side [`lake::maintenance::CompactionTrigger`] contract, so the
-/// maintenance chore runtime can swap brains without knowing about RL.
-pub struct PolicyTrigger {
-    policy: Box<dyn CompactionPolicy + Send>,
-}
-
-impl PolicyTrigger {
-    /// Wrap a policy as a chore trigger.
-    pub fn new(policy: Box<dyn CompactionPolicy + Send>) -> Self {
-        PolicyTrigger { policy }
-    }
-}
-
-impl lake::maintenance::CompactionTrigger for PolicyTrigger {
-    fn should_compact(&mut self, _table: &str, state: &[f64], now: Nanos) -> bool {
-        self.policy.decide(state, now)
-    }
-
-    fn name(&self) -> &'static str {
-        self.policy.name()
-    }
-}
-
-/// Drives a policy against a real [`TableStore`].
-pub struct AutoCompactor {
-    compactor: Compactor,
-    policy: Box<dyn CompactionPolicy + Send>,
-}
-
-impl std::fmt::Debug for AutoCompactor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AutoCompactor")
-            .field("policy", &self.policy.name())
-            .finish()
-    }
-}
-
-impl AutoCompactor {
-    /// An auto-compactor with the given target size and policy.
-    pub fn new(target_bytes: u64, policy: Box<dyn CompactionPolicy + Send>) -> Self {
-        AutoCompactor { compactor: Compactor::new(target_bytes), policy }
-    }
-
-    /// One maintenance pass over `table`: build each partition's feature
-    /// vector from live metadata, ask the policy, and compact where it says
-    /// so. Conflict failures are tolerated (they are the policy's risk).
-    pub fn run_once(
-        &mut self,
-        store: &TableStore,
-        table: &str,
-        now: Nanos,
-    ) -> Result<Vec<(String, CompactionOutcome)>> {
-        let ctx = common::ctx::IoCtx::new(now).with_qos(common::ctx::QosClass::Maintenance);
-        let partitions = self.compactor.partitions(store, table, &ctx)?;
-        let global_util = {
-            let sizes: Vec<u64> = partitions
-                .values()
-                .flat_map(|fs| fs.iter().map(|f| f.bytes))
-                .collect();
-            lake::maintenance::block_utilization(&sizes, lake::maintenance::BLOCK_SIZE)
-        };
-        let mut outcomes = Vec::new();
-        for (partition, files) in &partitions {
-            let sizes: Vec<u64> = files.iter().map(|f| f.bytes).collect();
-            let util =
-                lake::maintenance::block_utilization(&sizes, lake::maintenance::BLOCK_SIZE);
-            let small = files
-                .iter()
-                .filter(|f| f.bytes < self.compactor.target_bytes)
-                .count();
-            // mirror CompactionEnv::state's layout
-            let state = vec![
-                (self.compactor.target_bytes as f64 / (64.0 * 1024.0 * 1024.0)).min(1.0),
-                0.5, // ingestion speed unknown at the store level
-                0.5, // query rate unknown at the store level
-                global_util,
-                0.5,
-                0.5,
-                util,
-                (small as f64 / 50.0).min(1.0),
-                0.5, // recent ingest unknown at the store level
-            ];
-            if !self.policy.decide(&state, now) {
-                continue;
-            }
-            match self.compactor.compact_partition(store, table, partition, &ctx) {
-                Ok(o) => outcomes.push((partition.clone(), o)),
-                Err(Error::Conflict(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(outcomes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use format::{DataType, Field, Row, Schema, Value};
-    use std::sync::Arc;
-
-    fn test_store() -> TableStore {
-        let clock = common::SimClock::new();
-        let pool = Arc::new(simdisk::StoragePool::new(
-            "ssd",
-            simdisk::MediaKind::NvmeSsd,
-            6,
-            512 * 1024 * 1024,
-            clock,
-        ));
-        let plog = Arc::new(
-            plog::PlogStore::new(
-                pool,
-                plog::PlogConfig {
-                    shard_count: 32,
-                    redundancy: ec::Redundancy::Replicate { copies: 2 },
-                    shard_capacity: 256 * 1024 * 1024,
-                },
-            )
-            .unwrap(),
-        );
-        TableStore::new(plog, 64)
-    }
-
-    fn log_schema() -> Schema {
-        Schema::new(vec![
-            Field::new("url", DataType::Utf8),
-            Field::new("start_time", DataType::Int64),
-            Field::new("province", DataType::Utf8),
-        ])
-        .unwrap()
-    }
-
-    fn log_rows(n: usize, t0: i64) -> Vec<Row> {
-        (0..n)
-            .map(|i| {
-                vec![
-                    Value::from(format!("http://a/{}", i % 10)),
-                    Value::Int(t0 + i as i64),
-                    Value::from(["beijing", "guangdong", "shanghai"][i % 3]),
-                ]
-            })
-            .collect()
-    }
 
     #[test]
     fn interval_policy_fires_on_schedule() {
@@ -343,17 +171,6 @@ mod tests {
         assert!(!p.decide(&[], common::clock::secs(45)));
         assert!(p.decide(&[], common::clock::secs(60)));
         assert_eq!(p.name(), "interval");
-    }
-
-    #[test]
-    fn greedy_policy_reacts_to_utilization() {
-        let mut p = GreedyPolicy::new(0.5);
-        let mut low = vec![0.5; 8];
-        low[6] = 0.2;
-        let mut high = vec![0.5; 8];
-        high[6] = 0.9;
-        assert!(p.decide(&low, 0));
-        assert!(!p.decide(&high, 0));
     }
 
     #[test]
@@ -418,32 +235,5 @@ mod tests {
             cost_dqn / n,
             cost_int / n
         );
-    }
-
-    #[test]
-    fn autocompactor_compacts_real_table_with_greedy_policy() {
-        let store = test_store();
-        store.create_table("t", log_schema(), None, 100_000, &common::ctx::IoCtx::new(0)).unwrap();
-        for i in 0..15 {
-            store.insert("t", &log_rows(10, i * 10), &common::ctx::IoCtx::new(0)).unwrap();
-        }
-        let mut ac = AutoCompactor::new(64 * 1024 * 1024, Box::new(GreedyPolicy::new(0.99)));
-        let outcomes = ac.run_once(&store, "t", 0).unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(store.live_files("t", &common::ctx::IoCtx::new(0)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn autocompactor_respects_policy_refusal() {
-        let store = test_store();
-        store.create_table("t", log_schema(), None, 100_000, &common::ctx::IoCtx::new(0)).unwrap();
-        for i in 0..5 {
-            store.insert("t", &log_rows(10, i * 10), &common::ctx::IoCtx::new(0)).unwrap();
-        }
-        // threshold 0.0: never below → never compact
-        let mut ac = AutoCompactor::new(64 * 1024 * 1024, Box::new(GreedyPolicy::new(0.0)));
-        let outcomes = ac.run_once(&store, "t", 0).unwrap();
-        assert!(outcomes.is_empty());
-        assert_eq!(store.live_files("t", &common::ctx::IoCtx::new(0)).unwrap().len(), 5);
     }
 }

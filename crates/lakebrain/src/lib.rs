@@ -11,7 +11,8 @@
 //!   success and `-(1 - expected improvement)` on a commit-conflict
 //!   failure. Modules: [`nn`] (a from-scratch MLP), [`dqn`] (replay
 //!   buffer + target network), [`mod@env`] (the ingestion/query
-//!   environment), [`compaction`] (DQN, static interval, greedy).
+//!   environment), [`compaction`] (DQN and static interval policies,
+//!   evaluated offline for Fig 16).
 //!
 //! * **Predicate-aware partitioning** (§VI-B) — a QD-tree built from the
 //!   pushdown-predicate workload, with split gains scored by a sum-product
@@ -28,9 +29,7 @@ pub mod partitioning;
 pub mod qdtree;
 pub mod spn;
 
-pub use compaction::{
-    AutoCompactor, CompactionPolicy, DqnPolicy, GreedyPolicy, IntervalPolicy, PolicyTrigger,
-};
+pub use compaction::{CompactionPolicy, DqnPolicy, IntervalPolicy};
 pub use dqn::DqnAgent;
 pub use env::{CompactionEnv, EnvConfig, PartitionObs};
 pub use qdtree::QdTree;

@@ -45,15 +45,6 @@ impl MediaKind {
         let stream = bytes.saturating_mul(1_000_000_000) / self.bandwidth_bytes_per_sec();
         self.base_latency() + stream
     }
-
-    /// Relative cost per stored byte, used for TCO accounting (HDD = 1.0).
-    pub fn cost_per_byte(self) -> f64 {
-        match self {
-            MediaKind::Scm => 40.0,
-            MediaKind::NvmeSsd => 8.0,
-            MediaKind::SasHdd => 1.0,
-        }
-    }
 }
 
 /// Result of a timed device operation.

@@ -11,12 +11,13 @@
 //! * [`pool::StoragePool`] — a named collection of devices with extent
 //!   allocation, redundancy-aware placement (distinct devices per shard) and
 //!   garbage collection;
-//! * [`tier::TieringService`] — the static/dynamic SSD↔HDD migration policy
-//!   from the data-service layer;
 //! * [`bus::Transport`] — the data exchange and interworking bus's cost
 //!   model, RDMA against TCP;
 //! * [`fault::FaultInjector`] — seeded, virtual-time chaos schedules
 //!   (outages, death, silent bit-rot, torn writes, gray degradation).
+//!
+//! The crate moves no data between pools on its own: aged stream data
+//! reaches the HDD pool through the stream layer's archive chore.
 //!
 //! All latency is charged against a [`common::SimClock`], so experiments are
 //! deterministic and independent of the host machine.
@@ -25,10 +26,8 @@ pub mod bus;
 pub mod device;
 pub mod fault;
 pub mod pool;
-pub mod tier;
 
 pub use bus::Transport;
 pub use device::{Device, DeviceHealth, MediaKind};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, InjectionLog};
 pub use pool::{ExtentHandle, PoolHealthSummary, StoragePool};
-pub use tier::TieringService;

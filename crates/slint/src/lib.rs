@@ -28,7 +28,7 @@
 //!   must not call `SimClock::advance` / `advance_to` directly: every
 //!   layer receives time through `common::ctx::IoCtx` and returns finish
 //!   times; no storage operation moves the shared clock.
-//! * **R8** — background-service entry points (`run_policy`, `run_cycle`,
+//! * **R8** — background-service entry points (`run_cycle`,
 //!   `run_to_convergence`, `maybe_archive`, `compact_all`) may only be
 //!   called from the owning service's own crate; everywhere else the work
 //!   must be driven through the `core::chore` maintenance runtime, so one
@@ -585,8 +585,7 @@ fn check_unsafe_blocks(
 /// R8: `(method-call token, owning crate prefix)`. Calling one of these
 /// outside the owner means bypassing the maintenance runtime's
 /// backpressure and deterministic scheduling.
-const CHORE_ENTRY_POINTS: [(&str, &str); 5] = [
-    (".run_policy(", "crates/simdisk/"),
+const CHORE_ENTRY_POINTS: [(&str, &str); 4] = [
     (".run_cycle(", "crates/plog/"),
     (".run_to_convergence(", "crates/plog/"),
     (".maybe_archive(", "crates/stream/"),

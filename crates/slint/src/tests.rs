@@ -226,11 +226,11 @@ fn r8_flags_service_entry_points_outside_the_owner_crate() {
 fn r8_exempts_each_entry_point_in_its_own_crate_only() {
     let scrub = "pub fn f(s: &ScrubService) { let _r = s.run_cycle(&ctx, 4); }\n";
     assert!(rules_fired("crates/plog/src/scrub.rs", scrub).is_empty());
-    let tier = "pub fn f(t: &TieringService) { let _r = t.run_policy(); }\n";
-    assert!(rules_fired("crates/simdisk/src/tier.rs", tier).is_empty());
-    // the exemption is per token, not blanket: plog calling the tiering
+    let archive = "pub fn f(a: &ArchiveService) { let _r = a.maybe_archive(&o, &c, &ctx); }\n";
+    assert!(rules_fired("crates/stream/src/archive.rs", archive).is_empty());
+    // the exemption is per token, not blanket: plog calling the archive
     // entry point still flags.
-    assert_eq!(rules_fired("crates/plog/src/x.rs", tier), vec![Rule::R8]);
+    assert_eq!(rules_fired("crates/plog/src/x.rs", archive), vec![Rule::R8]);
 }
 
 #[test]

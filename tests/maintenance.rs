@@ -15,7 +15,7 @@ use workloads::packets::PacketGen;
 const T0: i64 = 1_656_806_400;
 
 /// One deterministic workload: a topic with produced records, a table with
-/// small files, and aged tiering extents — something for every chore.
+/// small files — something for every chore.
 fn seeded_deployment() -> StreamLake {
     let sl = StreamLake::new(StreamLakeConfig::small());
     sl.stream()
@@ -35,9 +35,6 @@ fn seeded_deployment() -> StreamLake {
         let rows: Vec<_> = gen.batch(20).iter().map(|p| p.to_row()).collect();
         sl.tables().insert("t", &rows, &IoCtx::new(secs(i))).unwrap();
     }
-    for key in 0..4u64 {
-        sl.tiering().write(key, &[common::Bytes::from_vec(vec![key as u8; 2048])]).unwrap();
-    }
     sl
 }
 
@@ -49,9 +46,22 @@ fn same_seed_runs_replay_tick_journals_byte_identically() {
     let jb = b.run_maintenance_until(secs(120));
     assert!(!ja.is_empty());
     assert_eq!(ja, jb, "same seed + same schedule must replay identically");
-    // every registered chore came due inside two minutes except tiering
-    // (60 s period, nothing eligible yet is still a tick)
-    for name in ["scrub", "tiering", "replication", "archive", "meta-flush", "compaction"] {
+    // the full roster in registration order, and every registered chore
+    // came due inside two minutes
+    let roster: Vec<&str> = a.chore_status().iter().map(|s| s.name).collect();
+    assert_eq!(
+        roster,
+        [
+            "scrub",
+            "replication",
+            "archive",
+            "meta-flush",
+            "compaction",
+            "offset-retention",
+            "kv-wal-compaction",
+        ]
+    );
+    for name in roster {
         assert!(
             ja.iter().any(|e| e.chore == name),
             "chore {name} never appeared in the journal"
@@ -189,9 +199,8 @@ fn maintenance_interference_stays_within_the_acceptance_bound() {
 #[test]
 fn lock_witness_sees_no_inversion_across_all_chores() {
     // Every registered chore ticks at least once inside two minutes (see
-    // the replay test above), so this sweeps the compaction, scrub,
-    // tiering, replication, archive and meta-flush lock paths under the
-    // runtime witness in one pass.
+    // the replay test above), so this sweeps every chore's lock paths
+    // under the runtime witness in one pass.
     use common::lockwitness;
     let before = lockwitness::violation_count();
     lockwitness::enable();

@@ -1,14 +1,13 @@
 //! Operational services end-to-end: retention (snapshot expiry), remote
-//! replication / disaster recovery, tiering and access control.
+//! replication / disaster recovery and access control.
 
 use common::ctx::IoCtx;
-use common::clock::{millis, secs};
+use common::clock::secs;
 use common::size::MIB;
 use common::SimClock;
 use ec::Redundancy;
 use lake::{MetadataMode, ScanOptions};
 use plog::{PlogConfig, PlogStore, RemoteReplicator};
-use simdisk::tier::Tier;
 use simdisk::{MediaKind, StoragePool};
 use std::sync::Arc;
 use streamlake::{AccessController, Permission, StreamLake, StreamLakeConfig};
@@ -42,8 +41,7 @@ fn retention_policy_bounds_history_but_keeps_current_data() {
         "the compaction chore must have come due"
     );
     let before = sl.physical_bytes();
-    let report =
-        lake::maintenance::expire_snapshots(sl.tables(), "t", t, &IoCtx::new(t + secs(1))).unwrap();
+    let report = sl.tables().expire_snapshots("t", t, &IoCtx::new(t + secs(1))).unwrap();
     assert!(report.snapshots_expired >= 5);
     assert!(report.files_deleted >= 1);
     assert!(sl.physical_bytes() < before, "expiry must reclaim physical space");
@@ -110,49 +108,6 @@ fn remote_replication_recovers_from_total_site_loss() {
         let (data, _) = replicator.recover(addr, &IoCtx::new(report.finished_at)).unwrap();
         assert_eq!(data, format!("payload-{i}").into_bytes());
     }
-}
-
-#[test]
-fn tiering_chore_demotes_only_idle_extents_and_reads_still_work() {
-    let sl = StreamLake::new(StreamLakeConfig::small());
-    let tiering = sl.tiering();
-    // stage ten extents hot, age half of them past the demotion threshold
-    for key in 0..10u64 {
-        tiering.write(key, &[common::Bytes::from_vec(vec![key as u8; 4096])]).unwrap();
-    }
-    sl.clock().advance(secs(7200)); // past tier_demote_after (3600 s)
-    for key in 0..5u64 {
-        tiering.read(key).unwrap(); // keep the first half hot
-    }
-    // demotion runs as a maintenance chore on the runtime
-    sl.run_maintenance_until(secs(7200));
-    let status = sl.chore_status();
-    let tiering_status = status.iter().find(|s| s.name == "tiering").unwrap();
-    assert_eq!(tiering_status.work_done, 5, "only untouched extents demote");
-    for key in 0..10u64 {
-        let shards = tiering.read(key).unwrap();
-        assert_eq!(shards[0].as_ref().unwrap()[0], key as u8);
-    }
-}
-
-#[test]
-fn tiering_chore_comes_back_a_period_later_when_an_extent_cannot_demote() {
-    let sl = StreamLake::new(StreamLakeConfig::small());
-    sl.tiering().write(0, &[common::Bytes::from_vec(vec![7u8; 4096])]).unwrap();
-    // the hot copy becomes unreadable, so the extent can never demote
-    for d in 0..sl.ssd_pool().device_count() {
-        sl.ssd_pool().device(d).fail();
-    }
-    // first tick at 60 s finds nothing eligible and names the eligibility
-    // instant (just past 3600 s); that tick finds the extent stuck
-    let journal = sl.run_maintenance_until(secs(3600) + millis(1));
-    let ticks: Vec<u64> =
-        journal.iter().filter(|e| e.chore == "tiering").map(|e| e.at).collect();
-    assert_eq!(ticks.len(), 2, "tiering ticked {} times", ticks.len());
-    assert_eq!(sl.tiering().tier_of(0), Some(Tier::Hot));
-    let status = sl.chore_status();
-    let tiering = status.iter().find(|s| s.name == "tiering").unwrap();
-    assert_eq!(tiering.next_due, ticks[1] + secs(60), "a stuck extent waits one period");
 }
 
 #[test]
