@@ -32,10 +32,6 @@ pub struct TickReport {
     /// means caught up; nonzero means the tick had to leave work behind
     /// (e.g. records a remote site refused).
     pub backlog_hint: u64,
-    /// When the chore next wants to run, if it knows better than the
-    /// scheduler's fixed period (e.g. "nothing demotes before t"). `None`
-    /// defers to the registered period.
-    pub next_due: Option<Nanos>,
     /// Virtual time at which the tick's work completed. Ticks that perform
     /// no timed I/O report their start time.
     pub finished_at: Nanos,
@@ -77,7 +73,6 @@ mod tests {
         let r = TickReport::idle(42);
         assert_eq!(r.work_done, 0);
         assert_eq!(r.backlog_hint, 0);
-        assert_eq!(r.next_due, None);
         assert_eq!(r.finished_at, 42);
     }
 }

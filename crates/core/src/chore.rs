@@ -149,10 +149,10 @@ impl ChoreRuntime {
         }
     }
 
-    /// Register a chore ticking every `period` of virtual time (unless a
-    /// tick names its own `next_due`). Its first tick comes due one period
-    /// after virtual zero; registration order breaks same-instant ties, so
-    /// registration order is part of the deterministic schedule.
+    /// Register a chore ticking every `period` of virtual time. Its first
+    /// tick comes due one period after virtual zero; registration order
+    /// breaks same-instant ties, so registration order is part of the
+    /// deterministic schedule.
     pub fn register(&self, chore: Arc<dyn Chore>, period: Nanos) {
         let period = period.max(1);
         self.inner.lock().chores.push(Registered {
@@ -223,10 +223,7 @@ impl ChoreRuntime {
                     reg.work_done += report.work_done;
                     reg.backlog_hint = report.backlog_hint;
                     reg.consecutive_failures = 0;
-                    // the chore may name its own due time; never schedule
-                    // into the past or the same instant (no livelock)
-                    let due = report.next_due.unwrap_or_else(|| now.saturating_add(reg.period));
-                    reg.next_due = due.max(now + 1);
+                    reg.next_due = now.saturating_add(reg.period).max(now + 1);
                     TickOutcome::Ticked(report)
                 }
                 Err(_) => {
@@ -361,7 +358,6 @@ mod tests {
             Ok(TickReport {
                 work_done: done,
                 backlog_hint: left,
-                next_due: None,
                 finished_at: ctx.now,
             })
         }

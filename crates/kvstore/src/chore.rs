@@ -61,7 +61,6 @@ impl Chore for WalCompactionChore {
         Ok(TickReport {
             work_done: frames.saturating_sub(frames_after),
             backlog_hint: 0,
-            next_due: None,
             finished_at: ctx.now,
         })
     }

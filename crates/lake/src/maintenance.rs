@@ -577,6 +577,25 @@ mod tests {
     }
 
     #[test]
+    fn expiry_below_an_out_of_order_snapshot_expires_everything_older() {
+        // Snapshot timestamps follow the callers' clocks: snapshot 2 is
+        // older than snapshot 1. Once 2 expires, 1 goes with it, so the
+        // retained history stays one contiguous range that still replays.
+        use common::clock::secs;
+        let store = test_store();
+        store.create_table("t", log_schema(), None, 100_000, &IoCtx::new(0)).unwrap();
+        for (i, now) in [secs(2), secs(1), secs(3)].into_iter().enumerate() {
+            store.insert("t", &log_rows(10, i as i64 * 100), &IoCtx::new(now)).unwrap();
+        }
+        let report = store.expire_snapshots("t", secs(2), &IoCtx::new(secs(10))).unwrap();
+        assert_eq!(report.snapshots_expired, 2);
+        store.meta().flush("t", &IoCtx::new(secs(10))).unwrap();
+        let opts = ScanOptions { mode: crate::MetadataMode::FileBased, ..Default::default() };
+        let r = store.select("t", &opts, &IoCtx::new(secs(20))).unwrap();
+        assert_eq!(r.rows.len(), 30, "the retained snapshot replays every live row");
+    }
+
+    #[test]
     fn query_reads_fewer_files_after_compaction() {
         let store = test_store();
         store.create_table("t", log_schema(), None, 100_000, &IoCtx::new(0)).unwrap();

@@ -10,6 +10,7 @@
 use common::varint;
 use common::{Error, Result};
 use format::ColumnStats;
+use std::ops::RangeInclusive;
 
 /// Metadata of one data file, as recorded in a commit.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,78 +125,54 @@ impl Commit {
 }
 
 /// A snapshot: the index of commits valid at a point in time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A table's commit ids are contiguous — commit `n` is the one that
+/// published snapshot `n` — so a snapshot names its commits as the range
+/// `base..=id` and its parent as `id - 1`, and its encoding stays a few
+/// bytes however long the history grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Snapshot id (monotonic per table).
+    /// Snapshot id (monotonic per table), also its newest commit's id.
     pub id: u64,
-    /// Parent snapshot, `None` for the first.
-    pub parent: Option<u64>,
-    /// Ids of all commits included, in application order.
-    pub commit_ids: Vec<u64>,
+    /// Oldest commit of the snapshot's history: 1, or the synthetic base
+    /// commit snapshot expiry squashed the expired prefix into.
+    pub base: u64,
     /// Virtual timestamp (ns) of the snapshot.
     pub timestamp: u64,
-    /// Total live rows after this snapshot (operation-log statistic).
-    pub total_rows: u64,
-    /// Total live files after this snapshot.
-    pub total_files: u64,
 }
 
 impl Snapshot {
+    /// Ids of all commits included, in application order.
+    pub fn commit_ids(&self) -> RangeInclusive<u64> {
+        self.base..=self.id
+    }
+
+    /// The previous snapshot, `None` for the oldest one still kept.
+    pub fn parent(&self) -> Option<u64> {
+        (self.id > self.base).then(|| self.id - 1)
+    }
+
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.commit_ids.len() * 4);
+        let mut out = Vec::with_capacity(16);
         varint::encode_u64(self.id, &mut out);
-        match self.parent {
-            Some(p) => {
-                out.push(1);
-                varint::encode_u64(p, &mut out);
-            }
-            None => out.push(0),
-        }
+        varint::encode_u64(self.base, &mut out);
         varint::encode_u64(self.timestamp, &mut out);
-        varint::encode_u64(self.total_rows, &mut out);
-        varint::encode_u64(self.total_files, &mut out);
-        varint::encode_u64(self.commit_ids.len() as u64, &mut out);
-        for &c in &self.commit_ids {
-            varint::encode_u64(c, &mut out);
-        }
         out
     }
 
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<Snapshot> {
-        let mut off = 0;
-        let (id, n) = varint::decode_u64(buf)?;
-        off += n;
-        let has_parent = *buf
-            .get(off)
-            .ok_or_else(|| Error::Corruption("snapshot truncated".into()))?;
-        off += 1;
-        let parent = if has_parent != 0 {
-            let (p, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            Some(p)
-        } else {
-            None
-        };
-        let (timestamp, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (total_rows, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (total_files, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (count, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let mut commit_ids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let (c, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            commit_ids.push(c);
-        }
-        if off != buf.len() {
+        let (id, a) = varint::decode_u64(buf)?;
+        let (base, b) = varint::decode_u64(&buf[a..])?;
+        let (timestamp, c) = varint::decode_u64(&buf[a + b..])?;
+        if a + b + c != buf.len() {
             return Err(Error::Corruption("trailing bytes after snapshot".into()));
         }
-        Ok(Snapshot { id, parent, commit_ids, timestamp, total_rows, total_files })
+        if base == 0 || base > id {
+            return Err(Error::Corruption(format!("snapshot {id} has base commit {base}")));
+        }
+        Ok(Snapshot { id, base, timestamp })
     }
 }
 
@@ -263,24 +240,37 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_with_and_without_parent() {
-        let s1 = Snapshot {
-            id: 1,
-            parent: None,
-            commit_ids: vec![1],
-            timestamp: 10,
-            total_rows: 100,
-            total_files: 1,
-        };
-        let s2 = Snapshot {
-            id: 2,
-            parent: Some(1),
-            commit_ids: vec![1, 2, 3],
-            timestamp: 20,
-            total_rows: 250,
-            total_files: 3,
-        };
-        assert_eq!(Snapshot::decode(&s1.encode()).unwrap(), s1);
-        assert_eq!(Snapshot::decode(&s2.encode()).unwrap(), s2);
+        let s1 = Snapshot { id: 1, base: 1, timestamp: 10 };
+        let s3 = Snapshot { id: 3, base: 1, timestamp: 20 };
+        let squashed = Snapshot { id: 7, base: 7, timestamp: 30 };
+        for s in [s1, s3, squashed] {
+            assert_eq!(Snapshot::decode(&s.encode()).unwrap(), s);
+        }
+        assert_eq!((s1.parent(), s1.commit_ids()), (None, 1..=1));
+        assert_eq!((s3.parent(), s3.commit_ids()), (Some(2), 1..=3));
+        assert_eq!((squashed.parent(), squashed.commit_ids()), (None, 7..=7));
+    }
+
+    #[test]
+    fn snapshot_size_does_not_grow_with_history() {
+        let s = Snapshot { id: 1_000_000, base: 1, timestamp: u64::MAX };
+        assert_eq!(s.commit_ids().count(), 1_000_000);
+        assert!(s.encode().len() < 32, "{} bytes", s.encode().len());
+    }
+
+    #[test]
+    fn snapshot_with_an_impossible_base_is_corruption() {
+        for (id, base) in [(5, 0), (5, 6), (0, 0)] {
+            let mut enc = Vec::new();
+            for v in [id, base, 1] {
+                varint::encode_u64(v, &mut enc);
+            }
+            let err = Snapshot::decode(&enc);
+            assert!(matches!(err, Err(Error::Corruption(_))), "id={id} base={base}: {err:?}");
+        }
+        let mut trailing = Snapshot { id: 2, base: 1, timestamp: 3 }.encode();
+        trailing.push(0);
+        assert!(matches!(Snapshot::decode(&trailing), Err(Error::Corruption(_))));
     }
 
     #[test]
@@ -294,6 +284,11 @@ mod tests {
         let enc = c.encode();
         for cut in 0..enc.len() {
             assert!(Commit::decode(&enc[..cut]).is_err(), "cut={cut}");
+        }
+        let enc = Snapshot { id: 300, base: 200, timestamp: 1 << 40 }.encode();
+        for cut in 0..enc.len() {
+            let err = Snapshot::decode(&enc[..cut]);
+            assert!(matches!(err, Err(Error::Corruption(_))), "cut={cut}: {err:?}");
         }
     }
 }

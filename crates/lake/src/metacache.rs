@@ -110,12 +110,18 @@ impl MetadataCache {
         Ok(finish)
     }
 
-    /// Record snapshot `id` in the cache from its encoding (`body ==
-    /// Snapshot::encode`). Taking bytes lets the publisher hand over what
-    /// the head intent carried: a snapshot lists every commit id of its
-    /// history, too much to decode just to store it again.
-    pub fn put_snapshot(&self, table: &str, id: u64, body: Vec<u8>, ctx: &IoCtx) -> Result<Nanos> {
-        self.plog.kv().put(snapshot_key(table, id), body);
+    /// Replace the cached body of a published commit (snapshot expiry's
+    /// squash). Unlike [`put_commit`](Self::put_commit) it leaves the
+    /// live-file index alone: the index tracks the current snapshot, which
+    /// rewriting history does not change.
+    pub fn rewrite_commit(&self, table: &str, commit: &Commit) {
+        self.plog.kv().put(commit_key(table, commit.id), commit.encode());
+    }
+
+    /// Record a snapshot in the cache. Returns the virtual completion time
+    /// of the (cache-resident) update.
+    pub fn put_snapshot(&self, table: &str, snapshot: &Snapshot, ctx: &IoCtx) -> Result<Nanos> {
+        self.plog.kv().put(snapshot_key(table, snapshot.id), snapshot.encode());
         ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
         Ok(ctx.now + KV_LOOKUP_COST)
     }
@@ -275,7 +281,7 @@ impl MetadataCache {
     ) -> Result<(Vec<DataFileMeta>, Nanos)> {
         let mut live: BTreeMap<String, DataFileMeta> = BTreeMap::new();
         let mut t = ctx.now;
-        for &cid in &snapshot.commit_ids {
+        for cid in snapshot.commit_ids() {
             let (commit, tc) = self.get_commit(table, cid, mode, &ctx.at(t))?;
             t = tc;
             for f in commit.added {
@@ -481,14 +487,7 @@ mod tests {
             c.put_commit("t", &commit(i, "h=0", &format!("f{i}")), &IoCtx::new(0))
                 .unwrap();
         }
-        let snap = Snapshot {
-            id: 8,
-            parent: None,
-            commit_ids: (1..=8).collect(),
-            timestamp: 0,
-            total_rows: 80,
-            total_files: 8,
-        };
+        let snap = Snapshot { id: 8, base: 1, timestamp: 0 };
         let before = kvstore::scan_copies();
         let (files, _) = c
             .live_files("t", &snap, None, MetadataMode::Accelerated, &IoCtx::new(0))
@@ -516,25 +515,15 @@ mod tests {
     #[test]
     fn live_files_replay_matches_materialized_index() {
         let c = cache(100);
-        let mut snapshot_commits = Vec::new();
         for i in 1..=5u64 {
             c.put_commit("t", &commit(i, &format!("h={}", i % 2), &format!("f{i}")), &IoCtx::new(0))
                 .unwrap();
-            snapshot_commits.push(i);
         }
         // remove f2 in commit 6
         let rm = Commit { id: 6, timestamp: 6, added: vec![], removed: vec!["f2".into()] };
         c.put_commit("t", &rm, &IoCtx::new(0)).unwrap();
-        snapshot_commits.push(6);
         c.flush("t", &IoCtx::new(0)).unwrap();
-        let snap = Snapshot {
-            id: 1,
-            parent: None,
-            commit_ids: snapshot_commits,
-            timestamp: 10,
-            total_rows: 40,
-            total_files: 4,
-        };
+        let snap = Snapshot { id: 6, base: 1, timestamp: 10 };
         let (fast, t_fast) = c
             .live_files("t", &snap, None, MetadataMode::Accelerated, &IoCtx::new(0))
             .unwrap();
@@ -554,14 +543,7 @@ mod tests {
             c.put_commit("t", &commit(i, &format!("h={i}"), &format!("f{i}")), &IoCtx::new(0))
                 .unwrap();
         }
-        let snap = Snapshot {
-            id: 1,
-            parent: None,
-            commit_ids: (1..=10).collect(),
-            timestamp: 0,
-            total_rows: 100,
-            total_files: 10,
-        };
+        let snap = Snapshot { id: 10, base: 1, timestamp: 0 };
         let (one, t_one) = c
             .live_files("t", &snap, Some(&["h=3".to_string()]), MetadataMode::Accelerated, &IoCtx::new(0))
             .unwrap();
@@ -583,15 +565,8 @@ mod tests {
     #[test]
     fn snapshot_cache_roundtrip_and_persisted_read() {
         let c = cache(100);
-        let snap = Snapshot {
-            id: 3,
-            parent: Some(2),
-            commit_ids: vec![1, 2, 3],
-            timestamp: 99,
-            total_rows: 5,
-            total_files: 2,
-        };
-        c.put_snapshot("t", snap.id, snap.encode(), &IoCtx::new(0)).unwrap();
+        let snap = Snapshot { id: 3, base: 1, timestamp: 99 };
+        c.put_snapshot("t", &snap, &IoCtx::new(0)).unwrap();
         let (got, _) = c.get_snapshot("t", 3, MetadataMode::Accelerated, &IoCtx::new(0)).unwrap();
         assert_eq!(got, snap);
         c.flush("t", &IoCtx::new(0)).unwrap();

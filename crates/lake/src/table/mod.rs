@@ -29,7 +29,7 @@ mod scan;
 mod stage;
 
 use crate::catalog::{Catalog, PartitionSpec, TableProfile};
-use crate::meta::{DataFileMeta, Snapshot};
+use crate::meta::DataFileMeta;
 use crate::metacache::{MetadataCache, MetadataMode};
 use common::clock::{millis, Nanos};
 use common::ctx::IoCtx;
@@ -156,17 +156,10 @@ fn commit_mvcc_key(table: &str, id: u64) -> Vec<u8> {
     format!("{COMMIT_KEY_PREFIX}{table}/{id:016}").into_bytes()
 }
 
-/// MVCC key recording a table's current head; see [`head_value`].
+/// MVCC key recording a table's current head; its value is the encoded
+/// head snapshot.
 fn head_key(table: &str) -> Vec<u8> {
     format!("lake/head/{table}").into_bytes()
-}
-
-/// Head value: the snapshot id big-endian, then the encoded snapshot.
-fn head_value(id: u64, snapshot: &Snapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40);
-    out.extend_from_slice(&id.to_be_bytes());
-    out.extend_from_slice(&snapshot.encode());
-    out
 }
 
 /// MVCC key tracking one file's liveness for replace validation.
@@ -713,7 +706,9 @@ pub(crate) mod tests {
         // filters and projects either way. Every combination of metadata
         // mode × pushdown × projection must return the reference rows, and
         // the cost accounting is pinned to the values the forked scan loop
-        // produced before it was removed.
+        // produced before it was removed — less, on the file-based path,
+        // the device time of a snapshot record that no longer lists its
+        // commit ids.
         let s = test_store();
         s.create_table("t", log_schema(), None, 1000, &IoCtx::new(0))?;
         let mut all_rows = Vec::new();
@@ -737,8 +732,8 @@ pub(crate) mod tests {
         let pinned = [
             (MetadataMode::Accelerated, true, (2, 566, 4_000, 160_262)),
             (MetadataMode::Accelerated, false, (5, 1415, 4_000, 400_655)),
-            (MetadataMode::FileBased, true, (2, 566, 480_261, 160_262)),
-            (MetadataMode::FileBased, false, (5, 1415, 480_261, 400_655)),
+            (MetadataMode::FileBased, true, (2, 566, 480_257, 160_262)),
+            (MetadataMode::FileBased, false, (5, 1415, 480_257, 400_655)),
         ];
         let mut instant = common::clock::secs(10);
         for (mode, pushdown, (files, bytes, meta_t, data_t)) in pinned {
@@ -817,28 +812,6 @@ pub(crate) mod tests {
         s.publish(&decided[0].writes, &IoCtx::new(40))?;
         assert_eq!(s.current_snapshot("t")?, before + 1);
         assert!(s.mvcc().decided_writes(txn)?.is_empty(), "resolved: nothing left to roll forward");
-        Ok(())
-    }
-
-    #[test]
-    fn snapshot_statistics_track_rows_and_files() -> Result<()> {
-        let s = test_store();
-        s.create_table("t", log_schema(), None, 1000, &IoCtx::new(0))?;
-        s.insert("t", &log_rows(10, T0), &IoCtx::new(0))?;
-        s.insert("t", &log_rows(20, T0 + 50), &IoCtx::new(0))?;
-        let profile = s.catalog().get("t")?;
-        let (snap, _) =
-            s.meta().get_snapshot("t", profile.current_snapshot, MetadataMode::Accelerated, &IoCtx::new(0))?;
-        assert_eq!(snap.total_rows, 30);
-        assert_eq!(snap.total_files, 2);
-        // delete one province and re-check
-        let pred = Expr::Pred(Predicate::cmp("province", CmpOp::Eq, "beijing"));
-        s.delete("t", &pred, &IoCtx::new(10))?;
-        let profile = s.catalog().get("t")?;
-        let (snap, _) =
-            s.meta().get_snapshot("t", profile.current_snapshot, MetadataMode::Accelerated, &IoCtx::new(0))?;
-        let live_rows = s.select("t", &ScanOptions::default(), &IoCtx::new(20))?.rows.len() as u64;
-        assert_eq!(snap.total_rows, live_rows);
         Ok(())
     }
 }

@@ -8,8 +8,7 @@
 //! published history — lives here too.
 
 use super::{
-    head_key, head_value, CommitInfo, TableStore, COMMIT_KEY_PREFIX, COMMIT_OVERHEAD,
-    LIVE_KEY_PREFIX,
+    head_key, CommitInfo, TableStore, COMMIT_KEY_PREFIX, COMMIT_OVERHEAD, LIVE_KEY_PREFIX,
 };
 use crate::catalog::TableProfile;
 use crate::maintenance::ExpiryReport;
@@ -45,21 +44,21 @@ impl TableStore {
                 .ok()
                 .and_then(|r| r.rsplit_once('/'))
                 .ok_or_else(|| Error::Corruption("malformed lake commit key".into()))?;
-            // The head value is the snapshot id, big-endian, then the
-            // encoded snapshot, which goes to the cache as the intent
-            // carried it.
+            // The table's head intent carries the snapshot the commit
+            // publishes.
             let head = head_key(name);
-            let (id, snapshot) = writes
+            let snapshot = writes
                 .iter()
                 .find(|(k, _)| *k == head)
-                .and_then(|(_, v)| v.as_deref()?.split_first_chunk::<8>())
+                .and_then(|(_, v)| v.as_deref())
                 .ok_or_else(|| {
                     Error::Corruption(format!("commit of {name} decided without its head"))
                 })?;
-            let id = u64::from_be_bytes(*id);
+            let snapshot = Snapshot::decode(snapshot)?;
+            let id = snapshot.id;
             let commit = Commit::decode(body)?;
             let t1 = self.meta.put_commit(name, &commit, ctx)?;
-            let t2 = self.meta.put_snapshot(name, id, snapshot.to_vec(), &ctx.at(t1))?;
+            let t2 = self.meta.put_snapshot(name, &snapshot, &ctx.at(t1))?;
             let mut profile = self.catalog.get_any(name)?;
             if profile.current_snapshot < id {
                 profile.current_snapshot = id;
@@ -145,12 +144,12 @@ impl TableStore {
             self.mvcc.write(txn, &head_key(name), head.as_deref())?;
             let report = self.expire_body(name, retain_after, &profile, ctx)?;
             if report.snapshots_expired > 0 {
-                // The squash rewrote the current snapshot's commit list;
-                // refresh the head intent so MVCC readers see the
-                // post-expiry shape once this transaction resolves.
+                // The squash moved the current snapshot's base; refresh the
+                // head intent so MVCC readers see the post-expiry shape once
+                // this transaction resolves.
                 let id = profile.current_snapshot;
                 let (snap, _) = self.meta.get_snapshot(name, id, MetadataMode::Accelerated, ctx)?;
-                self.mvcc.put(txn, &head_key(name), &head_value(id, &snap))?;
+                self.mvcc.put(txn, &head_key(name), &snap.encode())?;
             }
             Ok(report)
         })?;
@@ -168,13 +167,16 @@ impl TableStore {
         let mut report = ExpiryReport::default();
         let mode = MetadataMode::Accelerated;
         // Walk the chain newest → oldest, splitting retained vs expired.
+        // Everything below the first expired snapshot expires too, so the
+        // retained ids stay one contiguous range — what the rebased
+        // `base..=id` commit ranges below require.
         let mut retained: Vec<Snapshot> = Vec::new();
         let mut expired: Vec<Snapshot> = Vec::new();
         let mut cursor = Some(profile.current_snapshot);
         while let Some(id) = cursor {
             let (snap, _) = self.meta.get_snapshot(name, id, mode, ctx)?;
-            cursor = snap.parent;
-            if retained.is_empty() || snap.timestamp >= retain_after {
+            cursor = snap.parent();
+            if expired.is_empty() && (retained.is_empty() || snap.timestamp >= retain_after) {
                 retained.push(snap);
             } else {
                 expired.push(snap);
@@ -216,10 +218,9 @@ impl TableStore {
         // `retained` is non-empty by construction (the current snapshot is
         // always kept), but corrupt metadata must surface as an error, not
         // a panic.
-        let oldest = retained
+        let oldest = *retained
             .last()
-            .ok_or_else(|| Error::Corruption("expiry retained no snapshot".into()))?
-            .clone();
+            .ok_or_else(|| Error::Corruption("expiry retained no snapshot".into()))?;
         let oldest_live = retained_live
             .last()
             .ok_or_else(|| Error::Corruption("expiry lost the retained live set".into()))?
@@ -231,21 +232,12 @@ impl TableStore {
             removed: Vec::new(),
         };
         self.meta.invalidate_persisted(name, oldest.id);
-        self.meta.put_commit(name, &base_commit, ctx)?;
-        // Rewrite retained snapshots: drop expired commit ids, cut the
-        // parent pointer at the squashed base.
+        self.meta.rewrite_commit(name, &base_commit);
+        // Rebase retained snapshots onto the squashed base commit.
         for snap in &retained {
-            let mut new_snap = snap.clone();
-            new_snap.commit_ids.retain(|&cid| cid >= oldest.id);
-            if new_snap.commit_ids.first() != Some(&oldest.id) {
-                new_snap.commit_ids.insert(0, oldest.id);
-            }
-            if snap.id == oldest.id {
-                new_snap.parent = None;
-            }
-            if new_snap != *snap {
+            if snap.base != oldest.id {
                 self.meta.invalidate_persisted(name, snap.id);
-                self.meta.put_snapshot(name, new_snap.id, new_snap.encode(), ctx)?;
+                self.meta.put_snapshot(name, &Snapshot { base: oldest.id, ..*snap }, ctx)?;
             }
         }
         // Finally drop the expired snapshots and their exclusive commits.

@@ -142,7 +142,7 @@ impl TableStore {
                 .get_snapshot(&profile.name, profile.current_snapshot, mode, ctx)?;
         if let Some(as_of) = as_of {
             while snapshot.timestamp > as_of {
-                match snapshot.parent {
+                match snapshot.parent() {
                     Some(p) => {
                         let (s, ts) =
                             self.meta.get_snapshot(&profile.name, p, mode, &ctx.at(t))?;

@@ -3,10 +3,7 @@
 //! MVCC write intents. `publish.rs` reads them back after the decision.
 
 use super::scan::{file_may_match, partitions_for_predicate};
-use super::{
-    commit_mvcc_key, head_key, head_value, live_mvcc_key, CommitInfo, StagedTableCommit,
-    TableStore,
-};
+use super::{commit_mvcc_key, head_key, live_mvcc_key, CommitInfo, StagedTableCommit, TableStore};
 use crate::catalog::TableProfile;
 use crate::meta::{Commit, DataFileMeta, Snapshot};
 use crate::metacache::MetadataMode;
@@ -257,30 +254,13 @@ impl TableStore {
         self.mvcc.get(txn, &head_key(name))?;
         let parent = profile.current_snapshot;
         let new_id = parent + 1;
-        let (prev_rows, prev_files, mut commit_ids, removed_rows) = if parent == 0 {
-            (0, 0, Vec::new(), 0)
+        let base = if parent == 0 {
+            new_id
         } else {
-            let (prev, _) = self
-                .meta
-                .get_snapshot(name, parent, MetadataMode::Accelerated, ctx)?;
-            // Row counts of the files being removed, from the live index
-            // (consulted before the commit updates it).
-            let removed_rows = if removed.is_empty() {
-                0
-            } else {
-                let (live, _) = self.meta.live_files(
-                    name,
-                    &prev,
-                    None,
-                    MetadataMode::Accelerated,
-                    ctx,
-                )?;
-                live.iter()
-                    .filter(|f| removed.contains(&f.path))
-                    .map(|f| f.record_count)
-                    .sum()
-            };
-            (prev.total_rows, prev.total_files, prev.commit_ids, removed_rows)
+            self.meta
+                .get_snapshot(name, parent, MetadataMode::Accelerated, ctx)?
+                .0
+                .base
         };
         let commit = Commit {
             id: new_id,
@@ -288,20 +268,10 @@ impl TableStore {
             added: added.to_vec(),
             removed: removed.to_vec(),
         };
-        commit_ids.push(new_id);
-        let snapshot = Snapshot {
-            id: new_id,
-            parent: (parent != 0).then_some(parent),
-            commit_ids,
-            timestamp: ctx.now,
-            total_rows: prev_rows + added.iter().map(|f| f.record_count).sum::<u64>()
-                - removed_rows,
-            total_files: prev_files + added.len() as u64 - removed.len() as u64,
-        };
+        let snapshot = Snapshot { id: new_id, base, timestamp: ctx.now };
         self.mvcc
             .put(txn, &commit_mvcc_key(name, new_id), &commit.encode())?;
-        self.mvcc
-            .put(txn, &head_key(name), &head_value(new_id, &snapshot))?;
+        self.mvcc.put(txn, &head_key(name), &snapshot.encode())?;
         for f in added {
             let mut buf = Vec::with_capacity(64);
             f.encode(&mut buf);

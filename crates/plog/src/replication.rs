@@ -230,7 +230,6 @@ impl Chore for RemoteReplicator {
         Ok(TickReport {
             work_done: report.records_copied,
             backlog_hint: self.pending_count() as u64,
-            next_due: None,
             finished_at: report.finished_at,
         })
     }

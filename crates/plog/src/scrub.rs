@@ -126,7 +126,6 @@ impl Chore for ScrubService {
         Ok(TickReport {
             work_done: report.records_scanned,
             backlog_hint: 0,
-            next_due: None,
             finished_at: report.finished_at,
         })
     }

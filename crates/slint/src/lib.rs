@@ -24,10 +24,10 @@
 //!   order varies per process; prefer `BTreeMap` / `BTreeSet`.
 //! * **R6** — every `unsafe` block needs a `// SAFETY:` comment on the
 //!   same line or within the three lines above.
-//! * **R7** — outside `crates/common` and `crates/simdisk`, library code
-//!   must not call `SimClock::advance` / `advance_to` directly: every
-//!   layer receives time through `common::ctx::IoCtx` and returns finish
-//!   times; no storage operation moves the shared clock.
+//! * **R7** — outside `crates/common`, library code (the device model
+//!   included) must not call `SimClock::advance` / `advance_to` directly:
+//!   every layer receives time through `common::ctx::IoCtx` and returns
+//!   finish times; no storage operation moves the shared clock.
 //! * **R8** — background-service entry points (`run_cycle`,
 //!   `run_to_convergence`, `maybe_archive`, `compact_all`) may only be
 //!   called from the owning service's own crate; everywhere else the work
@@ -81,7 +81,7 @@ pub enum Rule {
     R5,
     /// `unsafe` without a `// SAFETY:` comment.
     R6,
-    /// Direct clock advancement above the device layer.
+    /// Direct clock advancement outside the clock owner.
     R7,
     /// Ad-hoc background-service calls outside the chore runtime.
     R8,
@@ -197,13 +197,10 @@ fn rule_applies(rule: Rule, path: &str) -> bool {
         Rule::R3 => in_crate_src(path, &SIM_CRATES) && path != "crates/kvstore/src/wal.rs",
         Rule::R4 => in_crate_src(path, &NO_PANIC_CRATES),
         Rule::R5 => in_crate_src(path, &ORDERED_ITER_CRATES),
-        // The device layer (simdisk) owns clock advancement; common hosts
-        // the clock itself. Everything above threads time via IoCtx.
+        // common hosts the clock itself. Everything else, the device layer
+        // included, threads time via IoCtx.
         Rule::R7 => {
-            path.starts_with("crates/")
-                && path.contains("/src/")
-                && !path.starts_with("crates/common/")
-                && !path.starts_with("crates/simdisk/")
+            path.starts_with("crates/") && path.contains("/src/") && !path.starts_with("crates/common/")
         }
         // The lock graph spans every crate's library code.
         Rule::R9 => path.starts_with("crates/") && path.contains("/src/"),
@@ -295,8 +292,8 @@ const TOKEN_RULES: [TokenRule; 6] = [
     TokenRule {
         rule: Rule::R7,
         tokens: &[
-            (".advance(", "direct clock advance above the device layer; thread time via IoCtx"),
-            (".advance_to(", "direct clock advance above the device layer; thread time via IoCtx"),
+            (".advance(", "direct clock advance outside the clock owner; thread time via IoCtx"),
+            (".advance_to(", "direct clock advance outside the clock owner; thread time via IoCtx"),
         ],
         skip_test_code: true,
     },

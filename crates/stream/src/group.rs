@@ -701,7 +701,6 @@ impl Chore for OffsetRetentionChore {
         Ok(TickReport {
             work_done: work,
             backlog_hint: self.coordinator.empty_group_count(),
-            next_due: None,
             finished_at: ctx.now,
         })
     }

@@ -9,12 +9,18 @@
 //! that exhausts its retries and a replace that loses. One seeded schedule
 //! walks every path and requires the PLog record count and physical bytes
 //! after each failed attempt to equal those before it.
+//!
+//! A given-up stage must not consume a commit id either: a snapshot names
+//! its commits as the range `base..=id`, which is only right while every
+//! commit id of a table from its base up is published. The second test
+//! walks the same paths plus a compaction replace and snapshot expiry and
+//! checks that range against the cached commit entries after every step.
 
 use common::clock::millis;
 use common::ctx::IoCtx;
 use common::Error;
 use format::{DataType, Field, Row, Schema, Value};
-use lake::ScanOptions;
+use lake::{MetadataMode, ScanOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streamlake::{StreamLake, StreamLakeConfig};
@@ -149,8 +155,8 @@ fn give_up(sl: &StreamLake, path: GiveUp, round: usize, rng: &mut StdRng, ctx: &
     }
 }
 
-#[test]
-fn every_given_up_stage_reclaims_its_files() {
+/// A deployment holding the one empty table the schedules write.
+fn deployment() -> StreamLake {
     let sl = StreamLake::new(StreamLakeConfig::small());
     let schema = Schema::new(vec![
         Field::new("k", DataType::Utf8),
@@ -160,16 +166,27 @@ fn every_given_up_stage_reclaims_its_files() {
     sl.tables()
         .create_table(TABLE, schema, None, 1000, &IoCtx::new(0))
         .unwrap();
+    sl
+}
+
+/// Commit one transactional insert at `ctx`; the rows it added.
+fn commit_rows(sl: &StreamLake, rng: &mut StdRng, round: usize, ctx: &IoCtx) -> usize {
+    let batch = rows(rng, round);
+    let mut txn = sl.transaction();
+    txn.insert(TABLE, &batch, ctx).unwrap();
+    txn.commit(ctx).unwrap();
+    batch.len()
+}
+
+#[test]
+fn every_given_up_stage_reclaims_its_files() {
+    let sl = deployment();
     let mut rng = StdRng::seed_from_u64(21);
     let mut committed = 0;
     for round in 0..2 * PATHS.len() {
         let ctx = IoCtx::new(millis(100) * (round as u64 + 1));
         // Commit something first, so every path runs against live history.
-        let batch = rows(&mut rng, round);
-        committed += batch.len();
-        let mut txn = sl.transaction();
-        txn.insert(TABLE, &batch, &ctx).unwrap();
-        txn.commit(&ctx).unwrap();
+        committed += commit_rows(&sl, &mut rng, round, &ctx);
         give_up(&sl, PATHS[round % PATHS.len()], round, &mut rng, &ctx);
     }
     let end = IoCtx::new(millis(100) * 100);
@@ -185,4 +202,93 @@ fn every_given_up_stage_reclaims_its_files() {
         sl.tables().live_files(TABLE, &end).unwrap().len(),
         2 * PATHS.len()
     );
+}
+
+/// Ids of the cache entries under `meta/<TABLE>/<kind>/`, ascending.
+fn cached_ids(sl: &StreamLake, kind: &str) -> Vec<u64> {
+    let prefix = format!("meta/{TABLE}/{kind}/");
+    sl.plog()
+        .kv()
+        .scan_prefix(prefix.as_bytes())
+        .iter()
+        .map(|(key, _)| std::str::from_utf8(&key[prefix.len()..]).unwrap().parse().unwrap())
+        .collect()
+}
+
+/// Every retained snapshot's `commit_ids()` names exactly the cached commit
+/// entries at or below its id, and its parent is the snapshot before it.
+fn assert_history_contiguous(sl: &StreamLake, step: &str) {
+    let snapshots = cached_ids(sl, "snapshot");
+    let commits = cached_ids(sl, "commit");
+    let head = sl.tables().current_snapshot(TABLE).unwrap();
+    assert_eq!(snapshots.last(), Some(&head), "{step}: the head snapshot is cached");
+    let mut parent = None;
+    for &id in &snapshots {
+        let (snap, _) = sl
+            .tables()
+            .meta()
+            .get_snapshot(TABLE, id, MetadataMode::Accelerated, &IoCtx::new(0))
+            .unwrap();
+        let named: Vec<u64> = snap.commit_ids().collect();
+        let cached: Vec<u64> = commits.iter().copied().filter(|&c| c <= id).collect();
+        assert_eq!(named, cached, "{step}: snapshot {id}");
+        assert_eq!(snap.parent(), parent, "{step}: parent of snapshot {id}");
+        parent = Some(id);
+    }
+}
+
+#[test]
+fn commit_ids_stay_contiguous_through_every_history_rewrite() {
+    let sl = deployment();
+    let mut rng = StdRng::seed_from_u64(28);
+    let mut committed = 0;
+    let mut round = 0;
+    let mut at = || {
+        round += 1;
+        (round, IoCtx::new(millis(100) * round as u64))
+    };
+    for _ in 0..3 {
+        let (round, ctx) = at();
+        committed += commit_rows(&sl, &mut rng, round, &ctx);
+        assert_history_contiguous(&sl, &format!("insert {round}"));
+    }
+    // Every way to lose a stage, the head-intent conflicts included.
+    for path in PATHS {
+        let (round, ctx) = at();
+        give_up(&sl, path, round, &mut rng, &ctx);
+        assert_history_contiguous(&sl, &format!("{path:?}"));
+    }
+    // A compaction replace: two live files become one.
+    let (_, ctx) = at();
+    let tables = sl.tables();
+    let inputs: Vec<String> =
+        tables.live_files(TABLE, &ctx).unwrap().into_iter().take(2).map(|f| f.path).collect();
+    let mut merged = Vec::new();
+    for path in &inputs {
+        merged.extend(tables.read_file_rows(path, &ctx).unwrap().0);
+    }
+    let base = tables.current_snapshot(TABLE).unwrap();
+    let info = tables
+        .commit_replace(TABLE, base, inputs, vec![(String::new(), merged)], &ctx)
+        .unwrap();
+    assert_eq!((info.files_removed, info.files_added), (2, 1));
+    assert_history_contiguous(&sl, "compaction replace");
+    // Expire everything older than the last two snapshots, then commit on
+    // top of the squashed base.
+    let head = tables.current_snapshot(TABLE).unwrap();
+    let (keep, _) = tables
+        .meta()
+        .get_snapshot(TABLE, head - 1, MetadataMode::Accelerated, &ctx)
+        .unwrap();
+    let (_, ctx) = at();
+    let report = tables.expire_snapshots(TABLE, keep.timestamp, &ctx).unwrap();
+    assert_eq!(report.snapshots_expired, head - 2);
+    assert_history_contiguous(&sl, "expiry");
+    let (round, ctx) = at();
+    committed += commit_rows(&sl, &mut rng, round, &ctx);
+    assert_history_contiguous(&sl, "insert after expiry");
+    assert_eq!(cached_ids(&sl, "commit"), vec![head - 1, head, head + 1]);
+    // The squash must not re-add the compacted inputs to the live index.
+    let visible = tables.select(TABLE, &ScanOptions::default(), &ctx).unwrap().rows.len();
+    assert_eq!(visible, committed, "only committed rows are visible");
 }
