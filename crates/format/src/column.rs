@@ -1,7 +1,8 @@
 //! Typed column vectors.
 //!
 //! Rows arrive row-oriented from the stream side; the writer pivots them
-//! into [`Column`]s before encoding. Readers decode chunks into
+//! into [`Column`]s before encoding, string columns borrowing the rows'
+//! strings rather than copying them. Readers decode chunks into
 //! [`BatchColumn`](crate::batch::BatchColumn)s instead and build rows only
 //! at the API edge.
 
@@ -9,20 +10,21 @@ use crate::schema::{DataType, Schema};
 use crate::value::{Row, Value};
 use common::{Error, Result};
 
-/// A homogeneous column of values.
+/// A homogeneous column of values; strings are borrowed from the rows
+/// the column was pivoted from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Column {
+pub enum Column<'a> {
     /// Integer column.
     Int(Vec<i64>),
     /// Float column.
     Float(Vec<f64>),
     /// String column.
-    Str(Vec<String>),
+    Str(Vec<&'a str>),
     /// Boolean column.
     Bool(Vec<bool>),
 }
 
-impl Column {
+impl<'a> Column<'a> {
     /// An empty column of the given type.
     pub fn empty(dtype: DataType) -> Self {
         match dtype {
@@ -59,11 +61,11 @@ impl Column {
     }
 
     /// Append a value; errors on type mismatch.
-    pub fn push(&mut self, v: &Value) -> Result<()> {
+    pub fn push(&mut self, v: &'a Value) -> Result<()> {
         match (self, v) {
             (Column::Int(col), Value::Int(x)) => col.push(*x),
             (Column::Float(col), Value::Float(x)) => col.push(*x),
-            (Column::Str(col), Value::Str(x)) => col.push(x.clone()),
+            (Column::Str(col), Value::Str(x)) => col.push(x),
             (Column::Bool(col), Value::Bool(x)) => col.push(*x),
             (col, v) => {
                 return Err(Error::InvalidArgument(format!(
@@ -77,11 +79,12 @@ impl Column {
     }
 
     /// The value at `idx` (cloned into a dynamic [`Value`]).
+    #[cfg(test)]
     pub fn value(&self, idx: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v[idx]),
             Column::Float(v) => Value::Float(v[idx]),
-            Column::Str(v) => Value::Str(v[idx].clone()),
+            Column::Str(v) => Value::from(v[idx]),
             Column::Bool(v) => Value::Bool(v[idx]),
         }
     }
@@ -90,7 +93,7 @@ impl Column {
 /// Pivot rows into one column per schema field.
 ///
 /// Every row must match the schema's width and types.
-pub fn rows_to_columns(schema: &Schema, rows: &[Row]) -> Result<Vec<Column>> {
+pub fn rows_to_columns<'a>(schema: &Schema, rows: &[&'a Row]) -> Result<Vec<Column<'a>>> {
     let mut cols: Vec<Column> = schema
         .fields()
         .iter()
@@ -104,7 +107,7 @@ pub fn rows_to_columns(schema: &Schema, rows: &[Row]) -> Result<Vec<Column>> {
                 schema.width()
             )));
         }
-        for (col, v) in cols.iter_mut().zip(row) {
+        for (col, v) in cols.iter_mut().zip(row.iter()) {
             col.push(v)?;
         }
     }
@@ -131,7 +134,7 @@ mod tests {
             vec![Value::Int(1), Value::from("a")],
             vec![Value::Int(2), Value::from("b")],
         ];
-        let cols = rows_to_columns(&s, &rows).unwrap();
+        let cols = rows_to_columns(&s, &rows.iter().collect::<Vec<_>>()).unwrap();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[0].len(), 2);
         let back: Vec<Row> = (0..2).map(|i| cols.iter().map(|c| c.value(i)).collect()).collect();
@@ -141,15 +144,15 @@ mod tests {
     #[test]
     fn type_mismatch_rejected() {
         let s = schema();
-        let rows: Vec<Row> = vec![vec![Value::from("oops"), Value::from("a")]];
-        assert!(rows_to_columns(&s, &rows).is_err());
+        let row: Row = vec![Value::from("oops"), Value::from("a")];
+        assert!(rows_to_columns(&s, &[&row]).is_err());
     }
 
     #[test]
     fn width_mismatch_rejected() {
         let s = schema();
-        let rows: Vec<Row> = vec![vec![Value::Int(1)]];
-        assert!(rows_to_columns(&s, &rows).is_err());
+        let row: Row = vec![Value::Int(1)];
+        assert!(rows_to_columns(&s, &[&row]).is_err());
     }
 
     #[test]
@@ -161,9 +164,10 @@ mod tests {
 
     #[test]
     fn value_accessor_matches_push_order() {
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
         let mut c = Column::empty(DataType::Bool);
-        c.push(&Value::Bool(true)).unwrap();
-        c.push(&Value::Bool(false)).unwrap();
+        c.push(&t).unwrap();
+        c.push(&f).unwrap();
         assert_eq!(c.value(0), Value::Bool(true));
         assert_eq!(c.value(1), Value::Bool(false));
     }

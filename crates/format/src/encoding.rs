@@ -18,7 +18,6 @@ use crate::column::Column;
 use crate::schema::DataType;
 use common::varint;
 use common::{Error, Result};
-use std::collections::BTreeMap;
 
 /// The encoding applied to one column chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,29 +63,45 @@ impl Encoding {
     }
 }
 
-/// Encode a column, choosing the smallest applicable encoding.
-pub fn encode_column(col: &Column) -> (Encoding, Vec<u8>) {
+/// Append `col`'s encoded chunk to `out` under the smallest applicable
+/// encoding, and return that encoding.
+pub fn encode_column(col: &Column, out: &mut Vec<u8>) -> Encoding {
+    varint::encode_u64(col.len() as u64, out);
     match col {
         Column::Int(vals) => {
-            let plain = encode_plain_int(vals);
-            let delta = encode_delta_int(vals);
-            if delta.len() < plain.len() {
-                (Encoding::DeltaInt, delta)
-            } else {
-                (Encoding::PlainInt, plain)
+            let body = out.len();
+            encode_delta_int(vals, out);
+            if out.len() - body < 8 * vals.len() {
+                return Encoding::DeltaInt;
             }
+            out.truncate(body);
+            for v in vals {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            Encoding::PlainInt
         }
-        Column::Float(vals) => (Encoding::PlainFloat, encode_plain_float(vals)),
+        Column::Float(vals) => {
+            for v in vals {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            Encoding::PlainFloat
+        }
         Column::Str(vals) => {
-            let distinct: BTreeMap<&str, usize> =
-                vals.iter().map(|s| (s.as_str(), 0)).collect();
-            if !vals.is_empty() && distinct.len() * 2 <= vals.len() {
-                (Encoding::DictStr, encode_dict_str(vals))
+            let mut dict = vals.clone();
+            dict.sort_unstable();
+            dict.dedup();
+            if !vals.is_empty() && dict.len() * 2 <= vals.len() {
+                encode_dict_str(vals, &dict, out);
+                Encoding::DictStr
             } else {
-                (Encoding::PlainStr, encode_plain_str(vals))
+                encode_strs(vals, out);
+                Encoding::PlainStr
             }
         }
-        Column::Bool(vals) => (Encoding::PackedBool, encode_packed_bool(vals)),
+        Column::Bool(vals) => {
+            encode_packed_bool(vals, out);
+            Encoding::PackedBool
+        }
     }
 }
 
@@ -167,24 +182,12 @@ fn decode_strs(buf: &[u8], off: &mut usize, n: u64) -> Result<Strs> {
     Strs::new(bytes, ends)
 }
 
-fn encode_plain_int(vals: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * vals.len() + 4);
-    varint::encode_u64(vals.len() as u64, &mut out);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn encode_delta_int(vals: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * vals.len() + 4);
-    varint::encode_u64(vals.len() as u64, &mut out);
+fn encode_delta_int(vals: &[i64], out: &mut Vec<u8>) {
     let mut prev = 0i64;
     for &v in vals {
-        varint::encode_i64(v.wrapping_sub(prev), &mut out);
+        varint::encode_i64(v.wrapping_sub(prev), out);
         prev = v;
     }
-    out
 }
 
 fn decode_delta_int(body: &[u8], rows: usize) -> Result<Vec<i64>> {
@@ -199,47 +202,23 @@ fn decode_delta_int(body: &[u8], rows: usize) -> Result<Vec<i64>> {
     Ok(out)
 }
 
-fn encode_plain_float(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * vals.len() + 4);
-    varint::encode_u64(vals.len() as u64, &mut out);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn encode_plain_str(vals: &[String]) -> Vec<u8> {
-    let total: usize = vals.iter().map(|s| s.len() + 2).sum();
-    let mut out = Vec::with_capacity(total + 4);
-    varint::encode_u64(vals.len() as u64, &mut out);
+/// Length-prefixed strings.
+fn encode_strs(vals: &[&str], out: &mut Vec<u8>) {
+    out.reserve(vals.iter().map(|s| s.len() + 2).sum());
     for s in vals {
-        varint::encode_u64(s.len() as u64, &mut out);
+        varint::encode_u64(s.len() as u64, out);
         out.extend_from_slice(s.as_bytes());
     }
-    out
 }
 
-fn encode_dict_str(vals: &[String]) -> Vec<u8> {
-    let mut dict: Vec<&str> = {
-        let mut uniq: Vec<&str> = vals.iter().map(|s| s.as_str()).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        uniq
-    };
-    dict.sort_unstable();
-    let index: BTreeMap<&str, u64> =
-        dict.iter().enumerate().map(|(i, s)| (*s, i as u64)).collect();
-    let mut out = Vec::new();
-    varint::encode_u64(vals.len() as u64, &mut out);
-    varint::encode_u64(dict.len() as u64, &mut out);
-    for s in &dict {
-        varint::encode_u64(s.len() as u64, &mut out);
-        out.extend_from_slice(s.as_bytes());
-    }
+/// `dict` is `vals` sorted and deduplicated; each row is its index there.
+fn encode_dict_str(vals: &[&str], dict: &[&str], out: &mut Vec<u8>) {
+    varint::encode_u64(dict.len() as u64, out);
+    encode_strs(dict, out);
     for s in vals {
-        varint::encode_u64(index[s.as_str()], &mut out);
+        let code = dict.binary_search(s).unwrap_or_else(|i| i);
+        varint::encode_u64(code as u64, out);
     }
-    out
 }
 
 fn decode_dict_str(body: &[u8], rows: usize) -> Result<BatchColumn> {
@@ -257,52 +236,44 @@ fn decode_dict_str(body: &[u8], rows: usize) -> Result<BatchColumn> {
     Ok(BatchColumn::Dict(dict, codes))
 }
 
-fn encode_packed_bool(vals: &[bool]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() / 8 + 5);
-    varint::encode_u64(vals.len() as u64, &mut out);
-    let mut byte = 0u8;
-    for (i, &b) in vals.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !vals.len().is_multiple_of(8) {
-        out.push(byte);
-    }
-    out
+fn encode_packed_bool(vals: &[bool], out: &mut Vec<u8>) {
+    out.extend(vals.chunks(8).map(|bits| {
+        bits.iter().enumerate().fold(0u8, |byte, (i, &b)| byte | (b as u8) << i)
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
     use proptest::prelude::*;
 
-    fn decode_column(enc: Encoding, dtype: DataType, buf: &[u8], rows: usize) -> Result<Column> {
-        Ok(match decode_chunk(enc, dtype, buf, rows)? {
-            BatchColumn::Int(v) => Column::Int(v),
-            BatchColumn::Float(v) => Column::Float(v),
-            BatchColumn::Bool(v) => Column::Bool(v),
-            c @ (BatchColumn::Str(_) | BatchColumn::Dict(..)) => {
-                Column::Str((0..c.len()).map(|i| c.str_at(i).unwrap().to_string()).collect())
-            }
-        })
+    fn encode(col: &Column) -> (Encoding, Vec<u8>) {
+        let mut buf = Vec::new();
+        let enc = encode_column(col, &mut buf);
+        (enc, buf)
+    }
+
+    fn decode_column(enc: Encoding, dtype: DataType, buf: &[u8], rows: usize) -> Result<Vec<Value>> {
+        let col = decode_chunk(enc, dtype, buf, rows)?;
+        Ok((0..col.len()).map(|i| col.value(i)).collect())
+    }
+
+    fn values(col: &Column) -> Vec<Value> {
+        (0..col.len()).map(|i| col.value(i)).collect()
     }
 
     fn roundtrip(col: Column) {
-        let (enc, buf) = encode_column(&col);
+        let (enc, buf) = encode(&col);
         let back = decode_column(enc, col.dtype(), &buf, col.len()).unwrap();
-        assert_eq!(back, col);
+        assert_eq!(back, values(&col));
     }
 
     #[test]
     fn sorted_ints_choose_delta_and_shrink() {
         let vals: Vec<i64> = (0..10_000).map(|i| 1_656_806_400 + i).collect();
         let col = Column::Int(vals);
-        let (enc, buf) = encode_column(&col);
+        let (enc, buf) = encode(&col);
         assert_eq!(enc, Encoding::DeltaInt);
         assert!(buf.len() < 2 * 10_000, "sorted ints must encode ~1 byte each");
         roundtrip(col);
@@ -320,7 +291,7 @@ mod tests {
             })
             .collect();
         let col = Column::Int(vals);
-        let (enc, _) = encode_column(&col);
+        let (enc, _) = encode(&col);
         assert_eq!(enc, Encoding::PlainInt);
         roundtrip(col);
     }
@@ -328,19 +299,25 @@ mod tests {
     #[test]
     fn low_cardinality_strings_choose_dictionary() {
         let provinces = ["guangdong", "beijing", "shanghai"];
-        let vals: Vec<String> = (0..3000).map(|i| provinces[i % 3].to_string()).collect();
-        let col = Column::Str(vals);
-        let (enc, buf) = encode_column(&col);
+        let col = Column::Str((0..3000).map(|i| provinces[i % 3]).collect());
+        let (enc, buf) = encode(&col);
         assert_eq!(enc, Encoding::DictStr);
         assert!(buf.len() < 3200, "dict coding must be ~1 byte per row");
         roundtrip(col);
     }
 
     #[test]
+    fn a_dictionary_is_sorted_and_rows_are_its_indexes() {
+        let (enc, buf) = encode(&Column::Str(vec!["b", "a", "b", "c", "a", "a"]));
+        assert_eq!(enc, Encoding::DictStr);
+        assert_eq!(buf, [6, 3, 1, b'a', 1, b'b', 1, b'c', 1, 0, 1, 2, 0, 0]);
+    }
+
+    #[test]
     fn unique_strings_choose_plain() {
         let vals: Vec<String> = (0..100).map(|i| format!("user-{i}")).collect();
-        let col = Column::Str(vals);
-        let (enc, _) = encode_column(&col);
+        let col = Column::Str(vals.iter().map(String::as_str).collect());
+        let (enc, _) = encode(&col);
         assert_eq!(enc, Encoding::PlainStr);
         roundtrip(col);
     }
@@ -349,7 +326,7 @@ mod tests {
     fn bools_pack_to_one_bit() {
         let vals: Vec<bool> = (0..8000).map(|i| i % 3 == 0).collect();
         let col = Column::Bool(vals);
-        let (enc, buf) = encode_column(&col);
+        let (enc, buf) = encode(&col);
         assert_eq!(enc, Encoding::PackedBool);
         assert!(buf.len() <= 8000 / 8 + 4);
         roundtrip(col);
@@ -365,7 +342,7 @@ mod tests {
 
     #[test]
     fn incompatible_encoding_dtype_rejected() {
-        let (enc, buf) = encode_column(&Column::Int(vec![1, 2, 3]));
+        let (enc, buf) = encode(&Column::Int(vec![1, 2, 3]));
         assert!(decode_column(enc, DataType::Utf8, &buf, 3).is_err());
     }
 
@@ -380,7 +357,7 @@ mod tests {
             Column::Bool(vec![true, false, true]),
         ];
         for col in cols {
-            let (enc, buf) = encode_column(&col);
+            let (enc, buf) = encode(&col);
             let n = col.len();
             assert!(decode_column(enc, col.dtype(), &buf, n).is_ok());
             for rows in [0, n - 1, n + 1, usize::MAX] {
@@ -430,22 +407,18 @@ mod tests {
 
         #[test]
         fn float_roundtrip(vals in proptest::collection::vec(any::<f64>(), 0..256)) {
-            let col = Column::Float(vals);
-            let (enc, buf) = encode_column(&col);
+            let col = Column::Float(vals.clone());
+            let (enc, buf) = encode(&col);
             let back = decode_column(enc, DataType::Float64, &buf, col.len()).unwrap();
             // NaN-safe comparison via bit patterns
-            if let (Column::Float(a), Column::Float(b)) = (&col, &back) {
-                let a: Vec<u64> = a.iter().map(|f| f.to_bits()).collect();
-                let b: Vec<u64> = b.iter().map(|f| f.to_bits()).collect();
-                prop_assert_eq!(a, b);
-            } else {
-                unreachable!();
-            }
+            let back: Vec<u64> = back.iter().map(|v| v.as_float().unwrap().to_bits()).collect();
+            let want: Vec<u64> = vals.iter().map(|f| f.to_bits()).collect();
+            prop_assert_eq!(back, want);
         }
 
         #[test]
         fn str_roundtrip(vals in proptest::collection::vec("[a-f]{0,8}", 0..128)) {
-            roundtrip(Column::Str(vals));
+            roundtrip(Column::Str(vals.iter().map(String::as_str).collect()));
         }
 
         #[test]

@@ -25,7 +25,7 @@
 
 use crate::batch::{Batch, BatchColumn, Selection};
 use crate::column::rows_to_columns;
-use crate::compress;
+use crate::compress::{self, Compressor};
 use crate::encoding::{decode_chunk, encode_column, Encoding};
 use crate::predicate::Expr;
 use crate::schema::Schema;
@@ -80,24 +80,36 @@ impl LakeFileWriter {
 
     /// Encode `rows` into a complete file image.
     pub fn encode(&self, rows: &[Row]) -> Result<Vec<u8>> {
+        self.encode_rows(&rows.iter().collect::<Vec<_>>())
+    }
+
+    /// Encode borrowed `rows` into a complete file image. Each chunk is
+    /// encoded straight into the image and replaced by its compressed form
+    /// only when that is smaller; one [`Compressor`] serves every chunk.
+    pub fn encode_rows(&self, rows: &[&Row]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(64 + rows.len() * 16);
         out.extend_from_slice(MAGIC);
         let mut groups: Vec<RowGroupMeta> = Vec::new();
+        let mut compressor = Compressor::new();
+        let mut packed = Vec::new();
         for group_rows in rows.chunks(self.rows_per_group) {
             let cols = rows_to_columns(&self.schema, group_rows)?;
             let mut chunks = Vec::with_capacity(cols.len());
             let mut stats = Vec::with_capacity(cols.len());
             for col in &cols {
-                let (enc, encoded) = encode_column(col);
-                let packed = compress::compress(&encoded);
-                let (compressed, payload) =
-                    if packed.len() < encoded.len() { (true, packed) } else { (false, encoded) };
-                let offset = out.len() as u64;
-                out.extend_from_slice(&payload);
+                let offset = out.len();
+                let encoding = encode_column(col, &mut out);
+                packed.clear();
+                compressor.compress_into(&out[offset..], &mut packed);
+                let compressed = packed.len() < out.len() - offset;
+                if compressed {
+                    out.truncate(offset);
+                    out.extend_from_slice(&packed);
+                }
                 chunks.push(ChunkMeta {
-                    offset,
-                    len: payload.len() as u64,
-                    encoding: enc,
+                    offset: offset as u64,
+                    len: (out.len() - offset) as u64,
+                    encoding,
                     compressed,
                 });
                 // Row groups come from `chunks()` and are never empty, but a

@@ -21,22 +21,19 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute stats for a non-empty column; `None` for an empty one.
+    /// Compute stats for a non-empty column; `None` for an empty one. The
+    /// extremes are found over the column's own values, in
+    /// [`Value::partial_cmp_same_type`] order; only the two winners become
+    /// [`Value`]s.
     pub fn from_column(col: &Column) -> Option<ColumnStats> {
-        if col.is_empty() {
-            return None;
-        }
-        let mut min = col.value(0);
-        let mut max = col.value(0);
-        for i in 1..col.len() {
-            let v = col.value(i);
-            if v.partial_cmp_same_type(&min) == Some(Ordering::Less) {
-                min = v.clone();
+        let (min, max) = match col {
+            Column::Int(v) => extremes(v, Ord::cmp).map(|(a, b)| (Value::Int(*a), Value::Int(*b)))?,
+            Column::Float(v) => {
+                extremes(v, f64::total_cmp).map(|(a, b)| (Value::Float(*a), Value::Float(*b)))?
             }
-            if v.partial_cmp_same_type(&max) == Some(Ordering::Greater) {
-                max = v;
-            }
-        }
+            Column::Str(v) => extremes(v, Ord::cmp).map(|(a, b)| (Value::from(*a), Value::from(*b)))?,
+            Column::Bool(v) => extremes(v, Ord::cmp).map(|(a, b)| (Value::Bool(*a), Value::Bool(*b)))?,
+        };
         Some(ColumnStats { min, max, row_count: col.len() as u64 })
     }
 
@@ -85,6 +82,17 @@ impl ColumnStats {
     }
 }
 
+/// The first smallest and first largest of `vals` under `cmp`.
+fn extremes<T>(vals: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Option<(&T, &T)> {
+    let (first, rest) = vals.split_first()?;
+    Some(rest.iter().fold((first, first), |(min, max), v| {
+        (
+            if cmp(v, min) == Ordering::Less { v } else { min },
+            if cmp(v, max) == Ordering::Greater { v } else { max },
+        )
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +112,18 @@ mod tests {
 
     #[test]
     fn string_stats_are_lexicographic() {
-        let s = ColumnStats::from_column(&Column::Str(vec![
-            "beijing".into(),
-            "guangdong".into(),
-            "anhui".into(),
-        ]))
+        let s = ColumnStats::from_column(&Column::Str(vec!["beijing", "guangdong", "anhui"]))
         .unwrap();
         assert_eq!(s.min, Value::from("anhui"));
         assert_eq!(s.max, Value::from("guangdong"));
+    }
+
+    #[test]
+    fn float_extremes_follow_the_value_order() {
+        // `Value`'s total order: -0.0 below 0.0, a positive NaN above all.
+        let s = ColumnStats::from_column(&Column::Float(vec![0.0, -0.0, f64::NAN, 1.0])).unwrap();
+        assert_eq!(s.min.as_float().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(s.max.as_float().unwrap().is_nan());
     }
 
     #[test]

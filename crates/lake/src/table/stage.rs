@@ -9,7 +9,7 @@ use crate::meta::{Commit, DataFileMeta, Snapshot};
 use crate::metacache::MetadataMode;
 use common::clock::Nanos;
 use common::ctx::IoCtx;
-use common::{Error, Result};
+use common::{Bytes, Error, Result};
 use format::{ColumnStats, Expr, LakeFileReader, LakeFileWriter, Row, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -173,7 +173,8 @@ impl TableStore {
                     }
                 }
             }
-            let (added, t) = self.write_files(&profile, added, ctx)?;
+            let groups = added.iter().map(|(p, rows)| (p.clone(), rows.iter().collect()));
+            let (added, t) = self.write_files(&profile, groups, ctx)?;
             written = added;
             self.stage_commit(txn, name, &written, &removed, &ctx.at(t))?;
             Ok(t)
@@ -299,10 +300,10 @@ impl TableStore {
 
     /// Write one data file per `(partition, rows)` group, back to back. A
     /// failure discards the files written before it.
-    fn write_files(
+    fn write_files<'r>(
         &self,
         profile: &TableProfile,
-        groups: impl IntoIterator<Item = (String, Vec<Row>)>,
+        groups: impl IntoIterator<Item = (String, Vec<&'r Row>)>,
         ctx: &IoCtx,
     ) -> Result<(Vec<DataFileMeta>, Nanos)> {
         let mut added = Vec::new();
@@ -317,26 +318,23 @@ impl TableStore {
         Ok((added, t))
     }
 
-    fn partition_rows(
+    /// Group borrowed `rows` by partition value (one unnamed group for an
+    /// unpartitioned table).
+    fn partition_rows<'r>(
         &self,
         profile: &TableProfile,
-        rows: &[Row],
-    ) -> Result<BTreeMap<String, Vec<Row>>> {
-        let mut groups: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-        match &profile.partition {
-            Some(spec) => {
-                let col = profile.schema.index_of(&spec.column)?;
-                for row in rows {
-                    if row.len() != profile.schema.width() {
-                        return Err(Error::InvalidArgument("row width mismatch".into()));
-                    }
-                    let p = spec.partition_value(&row[col])?;
-                    groups.entry(p).or_default().push(row.clone());
-                }
+        rows: &'r [Row],
+    ) -> Result<BTreeMap<String, Vec<&'r Row>>> {
+        let Some(spec) = &profile.partition else {
+            return Ok(BTreeMap::from([(String::new(), rows.iter().collect())]));
+        };
+        let col = profile.schema.index_of(&spec.column)?;
+        let mut groups: BTreeMap<String, Vec<&Row>> = BTreeMap::new();
+        for row in rows {
+            if row.len() != profile.schema.width() {
+                return Err(Error::InvalidArgument("row width mismatch".into()));
             }
-            None => {
-                groups.insert(String::new(), rows.to_vec());
-            }
+            groups.entry(spec.partition_value(&row[col])?).or_default().push(row);
         }
         Ok(groups)
     }
@@ -345,7 +343,7 @@ impl TableStore {
         &self,
         profile: &TableProfile,
         partition: &str,
-        rows: &[Row],
+        rows: &[&Row],
         ctx: &IoCtx,
     ) -> Result<(DataFileMeta, Nanos)> {
         let file_id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
@@ -354,14 +352,16 @@ impl TableStore {
             profile.schema.clone(),
             profile.target_file_rows.clamp(1, 8192) as usize,
         )?;
-        let bytes = writer.encode(rows)?;
-        let reader = LakeFileReader::open(bytes.clone())?; // for exact stats
-        let stats: Vec<ColumnStats> = reader
+        // One image: the reader that re-reads its footer stats and the PLog
+        // append share it.
+        let image = Bytes::from_vec(writer.encode_rows(rows)?);
+        let stats: Vec<ColumnStats> = LakeFileReader::open(image.clone())?
             .file_stats()
             .ok_or_else(|| Error::InvalidArgument("cannot write empty data file".into()))?;
+        let bytes = image.len() as u64;
         let (addr, t) = self
             .plog
-            .append_to_shard_at(self.plog.shard_of(path.as_bytes()), &bytes, ctx)?;
+            .append_to_shard_at(self.plog.shard_of(path.as_bytes()), image, ctx)?;
         // Paths embed unique file ids and start `data/` (cache entries start
         // `meta/`), so `addr/` + path is a safe, collision-free key.
         self.meta.set_address(path.as_bytes(), &addr);
@@ -370,7 +370,7 @@ impl TableStore {
                 path,
                 partition: partition.to_string(),
                 record_count: rows.len() as u64,
-                bytes: bytes.len() as u64,
+                bytes,
                 stats,
             },
             t,
