@@ -9,6 +9,7 @@
 
 use common::clock::Nanos;
 use common::ctx::IoCtx;
+use common::varint::Reader;
 use common::{Error, Result};
 use parking_lot::Mutex;
 use simdisk::pool::{ExtentHandle, StoragePool};
@@ -275,23 +276,18 @@ fn encode_batch(msgs: &[KafkaMessage]) -> Vec<u8> {
 }
 
 fn decode_batch(buf: &[u8]) -> Result<Vec<KafkaMessage>> {
-    let err = || Error::Corruption("truncated kafka segment".into());
-    let count = u32::from_le_bytes(buf.get(..4).ok_or_else(err)?.try_into().unwrap());
-    let mut off = 4usize;
-    let mut out = Vec::with_capacity(count as usize);
+    let mut r = Reader::new(buf, "kafka segment");
+    // A message is at least its two u32 lengths.
+    let count = r.u32_le()?;
+    let mut out = Vec::with_capacity(r.check_count(count.into(), 8)?);
     for _ in 0..count {
-        let klen =
-            u32::from_le_bytes(buf.get(off..off + 4).ok_or_else(err)?.try_into().unwrap()) as usize;
-        off += 4;
-        let key = buf.get(off..off + klen).ok_or_else(err)?.to_vec();
-        off += klen;
-        let vlen =
-            u32::from_le_bytes(buf.get(off..off + 4).ok_or_else(err)?.try_into().unwrap()) as usize;
-        off += 4;
-        let value = buf.get(off..off + vlen).ok_or_else(err)?.to_vec();
-        off += vlen;
+        let klen = r.u32_le()? as usize;
+        let key = r.bytes(klen)?.to_vec();
+        let vlen = r.u32_le()? as usize;
+        let value = r.bytes(vlen)?.to_vec();
         out.push(KafkaMessage { key, value });
     }
+    r.finish()?;
     Ok(out)
 }
 

@@ -19,7 +19,7 @@
 //! table is reused for every chunk it compresses (one per file), never
 //! re-zeroed between them.
 
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 use std::hint;
 
@@ -165,33 +165,26 @@ fn flush_literals(input: &[u8], from: usize, to: usize, out: &mut Vec<u8>) {
 /// expands past [`MAX_MATCH`] bytes, so a header claiming more than that
 /// per input byte is refused up front, and no token may overrun the header.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
-    let (expected_len, mut off) = varint::decode_u64(input)?;
+    let mut r = Reader::new(input, "compressed chunk");
+    let expected_len = r.u64()?;
     let expected = usize::try_from(expected_len)
         .ok()
         .filter(|&n| n <= input.len().saturating_mul(MAX_MATCH))
         .ok_or_else(|| Error::Corruption(format!("implausible decompressed length {expected_len}")))?;
     let mut out: Vec<u8> = Vec::with_capacity(expected);
-    while off < input.len() {
-        let tok = input[off];
-        off += 1;
-        let (a, n) = varint::decode_u64(&input[off..])?;
-        off += n;
-        let a = usize::try_from(a).unwrap_or(usize::MAX);
+    while !r.is_empty() {
+        let tok = r.u8()?;
+        let a = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
         match tok {
             TOK_LITERAL => {
-                let bytes = off
-                    .checked_add(a)
-                    .and_then(|end| input.get(off..end))
-                    .filter(|_| a <= expected - out.len())
-                    .ok_or_else(|| Error::Corruption("truncated literal run".into()))?;
-                out.extend_from_slice(bytes);
-                off += a;
+                if a > expected - out.len() {
+                    return Err(Error::Corruption(format!("literal of {a} overruns the chunk")));
+                }
+                out.extend_from_slice(r.bytes(a)?);
             }
             TOK_MATCH => {
-                let (len, n) = varint::decode_u64(&input[off..])?;
-                off += n;
                 let dist = a;
-                let len = usize::try_from(len).unwrap_or(usize::MAX);
+                let len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
                 if dist == 0 || dist > out.len() {
                     return Err(Error::Corruption(format!(
                         "match distance {dist} out of range (have {})",

@@ -16,7 +16,7 @@
 use crate::batch::{BatchColumn, Strs};
 use crate::column::Column;
 use crate::schema::DataType;
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 
 /// The encoding applied to one column chunk.
@@ -107,76 +107,60 @@ pub fn encode_column(col: &Column, out: &mut Vec<u8>) -> Encoding {
 
 /// Decode a chunk produced by [`encode_column`] that must hold exactly
 /// `rows` values, its row group's row count. A chunk whose own count
-/// disagrees is corruption; no decoder sizes an allocation from a count
-/// before checking that the remaining bytes can hold that many values.
+/// disagrees is corruption, and so are bytes left after its values; no
+/// count sizes an allocation before the remaining bytes are known to hold
+/// that many values.
 pub fn decode_chunk(enc: Encoding, dtype: DataType, buf: &[u8], rows: usize) -> Result<BatchColumn> {
-    let (count, off) = varint::decode_u64(buf)?;
-    if count != rows as u64 {
+    let mut r = Reader::new(buf, "column chunk");
+    // The fewest bytes one value takes under `enc`; a bit-packed boolean
+    // takes none of its own.
+    let min_bytes = match enc {
+        Encoding::PlainInt | Encoding::PlainFloat => 8,
+        Encoding::PackedBool => 0,
+        Encoding::DeltaInt | Encoding::PlainStr | Encoding::DictStr => 1,
+    };
+    let count = r.count(min_bytes)?;
+    if count != rows {
         return Err(Error::Corruption(format!(
             "column chunk holds {count} values, its row group {rows}"
         )));
     }
-    let body = &buf[off..];
-    match (enc, dtype) {
+    let col = match (enc, dtype) {
         (Encoding::PlainInt, DataType::Int64) => {
-            Ok(BatchColumn::Int(fixed8(body, rows)?.map(i64::from_le_bytes).collect()))
+            BatchColumn::Int(fixed8(&mut r, rows)?.map(i64::from_le_bytes).collect())
         }
-        (Encoding::DeltaInt, DataType::Int64) => decode_delta_int(body, rows).map(BatchColumn::Int),
+        (Encoding::DeltaInt, DataType::Int64) => BatchColumn::Int(decode_delta_int(&mut r, rows)?),
         (Encoding::PlainFloat, DataType::Float64) => {
-            Ok(BatchColumn::Float(fixed8(body, rows)?.map(f64::from_le_bytes).collect()))
+            BatchColumn::Float(fixed8(&mut r, rows)?.map(f64::from_le_bytes).collect())
         }
-        (Encoding::PlainStr, DataType::Utf8) => {
-            let mut off = 0;
-            decode_strs(body, &mut off, rows as u64).map(BatchColumn::Str)
-        }
-        (Encoding::DictStr, DataType::Utf8) => decode_dict_str(body, rows),
+        (Encoding::PlainStr, DataType::Utf8) => BatchColumn::Str(decode_strs(&mut r, rows)?),
+        (Encoding::DictStr, DataType::Utf8) => decode_dict_str(&mut r, rows)?,
         (Encoding::PackedBool, DataType::Bool) => {
-            let bytes = take(body, &mut 0, rows.div_ceil(8))?;
-            Ok(BatchColumn::Bool((0..rows).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()))
+            let bytes = r.bytes(rows.div_ceil(8))?;
+            BatchColumn::Bool((0..rows).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
         }
-        (enc, dtype) => Err(Error::Corruption(format!(
-            "encoding {enc:?} incompatible with column type {dtype:?}"
-        ))),
-    }
+        (enc, dtype) => {
+            return Err(Error::Corruption(format!(
+                "encoding {enc:?} incompatible with column type {dtype:?}"
+            )))
+        }
+    };
+    r.finish()?;
+    Ok(col)
 }
 
-/// The next `len` bytes of `buf` at `*off`, advancing `off`.
-fn take<'a>(buf: &'a [u8], off: &mut usize, len: usize) -> Result<&'a [u8]> {
-    let bytes = off
-        .checked_add(len)
-        .and_then(|end| buf.get(*off..end))
-        .ok_or_else(|| Error::Corruption("column chunk truncated".into()))?;
-    *off += len;
-    Ok(bytes)
+/// `rows` little-endian 8-byte words.
+fn fixed8<'a>(r: &mut Reader<'a>, rows: usize) -> Result<impl Iterator<Item = [u8; 8]> + 'a> {
+    Ok(r.bytes(rows.saturating_mul(8))?.as_chunks().0.iter().copied())
 }
 
-/// Fail unless `buf[off..]` has room for `n` values of at least one byte.
-fn room_for(buf: &[u8], off: usize, n: u64) -> Result<usize> {
-    if n > buf.len().saturating_sub(off) as u64 {
-        return Err(Error::Corruption(format!("column chunk too short for {n} values")));
-    }
-    Ok(n as usize)
-}
-
-/// `rows` little-endian 8-byte words from the front of `body`.
-fn fixed8(body: &[u8], rows: usize) -> Result<impl Iterator<Item = [u8; 8]> + '_> {
-    let bytes = take(body, &mut 0, rows.checked_mul(8).unwrap_or(usize::MAX))?;
-    Ok(bytes.chunks_exact(8).map(|c| {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(c);
-        w
-    }))
-}
-
-/// `n` length-prefixed strings from `buf` at `*off`.
-fn decode_strs(buf: &[u8], off: &mut usize, n: u64) -> Result<Strs> {
-    let n = room_for(buf, *off, n)?;
-    let mut bytes = Vec::with_capacity(buf.len() - *off);
+/// `n` length-prefixed strings; the caller has checked that the remaining
+/// bytes can hold `n`.
+fn decode_strs(r: &mut Reader<'_>, n: usize) -> Result<Strs> {
+    let mut bytes = Vec::with_capacity(r.remaining());
     let mut ends = Vec::with_capacity(n);
     for _ in 0..n {
-        let (len, used) = varint::decode_u64(&buf[*off..])?;
-        *off += used;
-        bytes.extend_from_slice(take(buf, off, usize::try_from(len).unwrap_or(usize::MAX))?);
+        bytes.extend_from_slice(r.len_prefixed()?);
         ends.push(bytes.len());
     }
     Strs::new(bytes, ends)
@@ -190,13 +174,11 @@ fn encode_delta_int(vals: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_delta_int(body: &[u8], rows: usize) -> Result<Vec<i64>> {
-    let mut out = Vec::with_capacity(room_for(body, 0, rows as u64)?);
-    let (mut off, mut prev) = (0, 0i64);
+fn decode_delta_int(r: &mut Reader<'_>, rows: usize) -> Result<Vec<i64>> {
+    let mut out = Vec::with_capacity(rows);
+    let mut prev = 0i64;
     for _ in 0..rows {
-        let (d, n) = varint::decode_i64(&body[off..])?;
-        off += n;
-        prev = prev.wrapping_add(d);
+        prev = prev.wrapping_add(r.i64()?);
         out.push(prev);
     }
     Ok(out)
@@ -221,14 +203,13 @@ fn encode_dict_str(vals: &[&str], dict: &[&str], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_dict_str(body: &[u8], rows: usize) -> Result<BatchColumn> {
-    let (dict_len, mut off) = varint::decode_u64(body)?;
-    let dict = decode_strs(body, &mut off, dict_len)?;
-    let mut codes = Vec::with_capacity(room_for(body, off, rows as u64)?);
+fn decode_dict_str(r: &mut Reader<'_>, rows: usize) -> Result<BatchColumn> {
+    let dict_len = r.count(1)?;
+    let dict = decode_strs(r, dict_len)?;
+    let mut codes = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let (code, n) = varint::decode_u64(&body[off..])?;
-        off += n;
-        if code >= dict_len {
+        let code = r.u64()?;
+        if code >= dict_len as u64 {
             return Err(Error::Corruption(format!("dictionary index {code} out of range")));
         }
         codes.push(u32::try_from(code).map_err(|_| Error::Corruption("dictionary too large".into()))?);

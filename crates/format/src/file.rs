@@ -32,7 +32,7 @@ use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::value::Row;
 use common::checksum::crc32;
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Bytes, Error, Result};
 
 const MAGIC: &[u8; 5] = b"SLKF1";
@@ -164,50 +164,37 @@ impl LakeFileReader {
             return Err(Error::Corruption("bad lake file magic".into()));
         }
         let tail = n - MAGIC.len();
-        let footer_crc = read_u32_le(&data, tail - 4)?;
-        let footer_len = read_u32_le(&data, tail - 8)? as usize;
-        if tail < 8 + footer_len {
-            return Err(Error::Corruption("footer length exceeds file".into()));
-        }
-        let footer = &data[tail - 8 - footer_len..tail - 8];
+        let mut trailer = Reader::new(&data[tail - 8..tail], "lake file trailer");
+        let footer_len = trailer.u32_le()? as usize;
+        let footer_crc = trailer.u32_le()?;
+        let footer = tail
+            .checked_sub(8 + footer_len)
+            .map(|start| &data[start..tail - 8])
+            .ok_or_else(|| Error::Corruption("footer length exceeds file".into()))?;
         if crc32(footer) != footer_crc {
             return Err(Error::Corruption("footer crc mismatch".into()));
         }
-        let (schema, mut off) = Schema::decode(footer)?;
-        let (group_count, used) = varint::decode_u64(&footer[off..])?;
-        off += used;
+        let mut r = Reader::new(footer, "lake file footer");
+        let schema = Schema::decode(&mut r)?;
         let width = schema.width();
-        // Every group takes at least one footer byte: cap the allocation.
-        let mut groups = Vec::with_capacity((group_count as usize).min(footer.len()));
+        let group_count = r.count(1)?;
+        let mut groups = Vec::with_capacity(group_count);
         for _ in 0..group_count {
-            let (n_rows, used) = varint::decode_u64(&footer[off..])?;
-            off += used;
+            let n_rows = r.u64()?;
             let mut chunks = Vec::with_capacity(width);
             let mut stats = Vec::with_capacity(width);
             for _ in 0..width {
-                let (offset, a) = varint::decode_u64(&footer[off..])?;
-                off += a;
-                let (len, b) = varint::decode_u64(&footer[off..])?;
-                off += b;
-                let enc_tag = *footer
-                    .get(off)
-                    .ok_or_else(|| Error::Corruption("footer truncated at encoding".into()))?;
-                let comp = *footer
-                    .get(off + 1)
-                    .ok_or_else(|| Error::Corruption("footer truncated at compression".into()))?;
-                off += 2;
-                let (s, c) = ColumnStats::decode(&footer[off..])?;
-                off += c;
                 chunks.push(ChunkMeta {
-                    offset,
-                    len,
-                    encoding: Encoding::from_tag(enc_tag)?,
-                    compressed: comp != 0,
+                    offset: r.u64()?,
+                    len: r.u64()?,
+                    encoding: Encoding::from_tag(r.u8()?)?,
+                    compressed: r.u8()? != 0,
                 });
-                stats.push(s);
+                stats.push(ColumnStats::decode(&mut r)?);
             }
             groups.push(RowGroupMeta { n_rows, chunks, stats });
         }
+        r.finish()?;
         Ok(LakeFileReader { schema, groups, data })
     }
 
@@ -376,15 +363,6 @@ impl GroupColumns<'_> {
         let ci = self.reader.schema.index_of(name)?;
         self.column(ci)
     }
-}
-
-/// Read a little-endian `u32` at `pos`, as a corruption error on truncation.
-fn read_u32_le(data: &[u8], pos: usize) -> Result<u32> {
-    let bytes: [u8; 4] = data
-        .get(pos..pos + 4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| Error::Corruption("file truncated inside footer length".into()))?;
-    Ok(u32::from_le_bytes(bytes))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! paper evaluates have fully-populated records, and the simplification
 //! keeps statistics exact.
 
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 
 /// The primitive column types supported by the format.
@@ -109,28 +109,16 @@ impl Schema {
         }
     }
 
-    /// Decode from footer bytes; returns the schema and bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(Self, usize)> {
-        let mut off = 0;
-        let (count, n) = varint::decode_u64(buf)?;
-        off += n;
-        let mut fields = Vec::with_capacity(count as usize);
+    /// Decode from footer bytes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        // A field takes at least a one-byte name length and a type tag.
+        let count = r.count(2)?;
+        let mut fields = Vec::with_capacity(count);
         for _ in 0..count {
-            let (len, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            let name_bytes = buf
-                .get(off..off + len as usize)
-                .ok_or_else(|| Error::Corruption("schema truncated in field name".into()))?;
-            off += len as usize;
-            let name = String::from_utf8(name_bytes.to_vec())
-                .map_err(|_| Error::Corruption("field name not utf-8".into()))?;
-            let tag = *buf
-                .get(off)
-                .ok_or_else(|| Error::Corruption("schema truncated at dtype".into()))?;
-            off += 1;
-            fields.push(Field { name, dtype: DataType::from_tag(tag)? });
+            let name = r.str()?.to_owned();
+            fields.push(Field { name, dtype: DataType::from_tag(r.u8()?)? });
         }
-        Ok((Schema::new(fields)?, off))
+        Schema::new(fields)
     }
 }
 
@@ -170,9 +158,9 @@ mod tests {
         let s = sample();
         let mut buf = Vec::new();
         s.encode(&mut buf);
-        let (back, used) = Schema::decode(&buf).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(used, buf.len());
+        let mut r = Reader::new(&buf, "schema");
+        assert_eq!(Schema::decode(&mut r).unwrap(), s);
+        assert!(r.finish().is_ok());
     }
 
     #[test]
@@ -181,7 +169,7 @@ mod tests {
         let mut buf = Vec::new();
         s.encode(&mut buf);
         for cut in 1..buf.len() {
-            assert!(Schema::decode(&buf[..cut]).is_err(), "cut={cut}");
+            assert!(Schema::decode(&mut Reader::new(&buf[..cut], "schema")).is_err(), "cut={cut}");
         }
     }
 
@@ -192,6 +180,6 @@ mod tests {
         common::varint::encode_u64(1, &mut buf);
         buf.push(b'x');
         buf.push(42); // bogus tag
-        assert!(Schema::decode(&buf).is_err());
+        assert!(Schema::decode(&mut Reader::new(&buf, "schema")).is_err());
     }
 }

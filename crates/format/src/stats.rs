@@ -6,6 +6,7 @@
 
 use crate::column::Column;
 use crate::value::Value;
+use common::varint::Reader;
 use common::{Error, Result};
 use std::cmp::Ordering;
 
@@ -70,15 +71,13 @@ impl ColumnStats {
         common::varint::encode_u64(self.row_count, out);
     }
 
-    /// Decode from footer bytes; returns stats and bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(ColumnStats, usize)> {
-        let (min, a) = Value::decode(buf)?;
-        let (max, b) = Value::decode(&buf[a..])?;
-        let (row_count, c) = common::varint::decode_u64(&buf[a + b..])?;
+    /// Decode from footer bytes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<ColumnStats> {
+        let (min, max) = (Value::decode(r)?, Value::decode(r)?);
         if min.dtype() != max.dtype() {
             return Err(Error::Corruption("stats min/max types differ".into()));
         }
-        Ok((ColumnStats { min, max, row_count }, a + b + c))
+        Ok(ColumnStats { min, max, row_count: r.u64()? })
     }
 }
 
@@ -152,8 +151,8 @@ mod tests {
         let s = ColumnStats::from_column(&Column::Float(vec![1.5, -0.5])).unwrap();
         let mut buf = Vec::new();
         s.encode(&mut buf);
-        let (back, used) = ColumnStats::decode(&buf).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(used, buf.len());
+        let mut r = Reader::new(&buf, "stats");
+        assert_eq!(ColumnStats::decode(&mut r).unwrap(), s);
+        assert!(r.finish().is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! Dynamically-typed values and rows.
 
 use crate::schema::DataType;
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
@@ -100,48 +100,15 @@ impl Value {
         }
     }
 
-    /// Decode a tagged value; returns the value and bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(Value, usize)> {
-        let tag = *buf
-            .first()
-            .ok_or_else(|| Error::Corruption("empty value buffer".into()))?;
-        let mut off = 1usize;
-        let v = match tag {
-            0 => {
-                let (v, n) = varint::decode_i64(&buf[off..])?;
-                off += n;
-                Value::Int(v)
-            }
-            1 => {
-                let bytes: [u8; 8] = buf
-                    .get(off..off + 8)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or_else(|| Error::Corruption("truncated float value".into()))?;
-                off += 8;
-                Value::Float(f64::from_le_bytes(bytes))
-            }
-            2 => {
-                let (len, n) = varint::decode_u64(&buf[off..])?;
-                off += n;
-                let s = buf
-                    .get(off..off + len as usize)
-                    .ok_or_else(|| Error::Corruption("truncated string value".into()))?;
-                off += len as usize;
-                Value::Str(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|_| Error::Corruption("string value not utf-8".into()))?,
-                )
-            }
-            3 => {
-                let b = *buf
-                    .get(off)
-                    .ok_or_else(|| Error::Corruption("truncated bool value".into()))?;
-                off += 1;
-                Value::Bool(b != 0)
-            }
+    /// Decode a tagged value.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
+        Ok(match r.u8()? {
+            0 => Value::Int(r.i64()?),
+            1 => Value::Float(f64::from_le_bytes(r.array()?)),
+            2 => Value::Str(r.str()?.to_owned()),
+            3 => Value::Bool(r.u8()? != 0),
             other => return Err(Error::Corruption(format!("unknown value tag {other}"))),
-        };
-        Ok((v, off))
+        })
     }
 }
 
@@ -232,8 +199,9 @@ mod tests {
         fn encode_decode_roundtrip(v in arb_value()) {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let (back, used) = Value::decode(&buf).unwrap();
-            prop_assert_eq!(used, buf.len());
+            let mut r = Reader::new(&buf, "value");
+            let back = Value::decode(&mut r).unwrap();
+            prop_assert!(r.finish().is_ok());
             // NaN != NaN under PartialEq; compare via total ordering instead.
             prop_assert_eq!(back.partial_cmp_same_type(&v), Some(Ordering::Equal));
         }

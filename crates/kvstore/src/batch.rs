@@ -5,7 +5,7 @@
 //! either replays all of its operations or none (a torn tail drops the whole
 //! frame).
 
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 
 /// One operation inside a batch.
@@ -93,42 +93,22 @@ impl WriteBatch {
 
     /// Decode a payload produced by [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<WriteBatch> {
-        let mut off = 0usize;
-        let (count, n) = varint::decode_u64(buf)?;
-        off += n;
-        let mut ops = Vec::with_capacity(count as usize);
+        let mut r = Reader::new(buf, "write batch");
+        // The shortest op is a delete of the empty key: a tag and a length.
+        let count = r.count(2)?;
+        let mut ops = Vec::with_capacity(count);
         for _ in 0..count {
-            let tag = *buf
-                .get(off)
-                .ok_or_else(|| Error::Corruption("batch truncated at op tag".into()))?;
-            off += 1;
-            let (klen, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            let key = buf
-                .get(off..off + klen as usize)
-                .ok_or_else(|| Error::Corruption("batch truncated in key".into()))?
-                .to_vec();
-            off += klen as usize;
+            let tag = r.u8()?;
+            let key = r.len_prefixed()?.to_vec();
             match tag {
-                OP_PUT => {
-                    let (vlen, n) = varint::decode_u64(&buf[off..])?;
-                    off += n;
-                    let value = buf
-                        .get(off..off + vlen as usize)
-                        .ok_or_else(|| Error::Corruption("batch truncated in value".into()))?
-                        .to_vec();
-                    off += vlen as usize;
-                    ops.push(Op::Put { key, value });
-                }
+                OP_PUT => ops.push(Op::Put { key, value: r.len_prefixed()?.to_vec() }),
                 OP_DELETE => ops.push(Op::Delete { key }),
                 other => {
                     return Err(Error::Corruption(format!("unknown batch op tag {other}")));
                 }
             }
         }
-        if off != buf.len() {
-            return Err(Error::Corruption("trailing bytes after batch".into()));
-        }
+        r.finish()?;
         Ok(WriteBatch { ops })
     }
 }

@@ -37,6 +37,7 @@
 use crate::batch::WriteBatch;
 use crate::store::SharedKv;
 use common::lockwitness::TrackedMutex;
+use common::varint::Reader;
 use common::{Error, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,29 +189,15 @@ fn encode_record(status: u8, commit_ts: Ts, read_ts: Ts, writes: &BTreeSet<Vec<u
 }
 
 fn decode_record(buf: &[u8]) -> Result<(u8, Ts, Ts, BTreeSet<Vec<u8>>)> {
-    if buf.len() < 17 {
-        return Err(Error::Corruption("mvcc txn record too short".into()));
-    }
-    let status = buf[0];
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&buf[1..9]);
-    let commit_ts = u64::from_be_bytes(w);
-    w.copy_from_slice(&buf[9..17]);
-    let read_ts = u64::from_be_bytes(w);
-    let mut rest = &buf[17..];
-    let (count, n) = common::varint::decode_u64(rest)?;
-    rest = &rest[n..];
+    let mut r = Reader::new(buf, "mvcc txn record");
+    let status = r.u8()?;
+    let commit_ts = u64::from_be_bytes(r.array()?);
+    let read_ts = u64::from_be_bytes(r.array()?);
     let mut writes = BTreeSet::new();
-    for _ in 0..count {
-        let (len, n) = common::varint::decode_u64(rest)?;
-        rest = &rest[n..];
-        let len = len as usize;
-        if rest.len() < len {
-            return Err(Error::Corruption("mvcc txn record truncated".into()));
-        }
-        writes.insert(rest[..len].to_vec());
-        rest = &rest[len..];
+    for _ in 0..r.count(1)? {
+        writes.insert(r.len_prefixed()?.to_vec());
     }
+    r.finish()?;
     Ok((status, commit_ts, read_ts, writes))
 }
 

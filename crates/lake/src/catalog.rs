@@ -11,6 +11,8 @@
 //! of partitions — the property Fig 15(a) measures against a file-based
 //! catalog.
 
+use crate::meta::encode_str;
+use common::varint::Reader;
 use common::{Error, Result, TableId};
 use format::Schema;
 use kvstore::SharedKv;
@@ -91,13 +93,13 @@ impl TableProfile {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         common::varint::encode_u64(self.id.raw(), &mut out);
-        enc_str(&self.name, &mut out);
-        enc_str(&self.path, &mut out);
+        encode_str(&self.name, &mut out);
+        encode_str(&self.path, &mut out);
         self.schema.encode(&mut out);
         match &self.partition {
             Some(p) => {
                 out.push(1);
-                enc_str(&p.column, &mut out);
+                encode_str(&p.column, &mut out);
                 match p.transform {
                     PartitionTransform::Identity => out.push(0),
                     PartitionTransform::TimeBucket(w) => {
@@ -116,51 +118,39 @@ impl TableProfile {
     }
 
     fn decode(buf: &[u8]) -> Result<TableProfile> {
-        let mut off = 0;
-        let (id, n) = common::varint::decode_u64(buf)?;
-        off += n;
-        let (name, n) = dec_str(&buf[off..])?;
-        off += n;
-        let (path, n) = dec_str(&buf[off..])?;
-        off += n;
-        let (schema, n) = Schema::decode(&buf[off..])?;
-        off += n;
-        let has_part = buf[off];
-        off += 1;
-        let partition = if has_part != 0 {
-            let (column, n) = dec_str(&buf[off..])?;
-            off += n;
-            let kind = buf[off];
-            off += 1;
-            let transform = if kind == 0 {
-                PartitionTransform::Identity
-            } else {
-                let (w, n) = common::varint::decode_i64(&buf[off..])?;
-                off += n;
-                PartitionTransform::TimeBucket(w)
-            };
-            Some(PartitionSpec { column, transform })
-        } else {
-            None
+        let mut r = Reader::new(buf, "catalog entry");
+        let id = TableId(r.u64()?);
+        let name = r.str()?.to_owned();
+        let path = r.str()?.to_owned();
+        let schema = Schema::decode(&mut r)?;
+        let partition = match r.u8()? {
+            0 => None,
+            1 => {
+                let column = r.str()?.to_owned();
+                let transform = match r.u8()? {
+                    0 => PartitionTransform::Identity,
+                    1 => PartitionTransform::TimeBucket(r.i64()?),
+                    tag => {
+                        return Err(Error::Corruption(format!("unknown partition transform {tag}")))
+                    }
+                };
+                Some(PartitionSpec { column, transform })
+            }
+            tag => return Err(Error::Corruption(format!("unknown partition presence tag {tag}"))),
         };
-        let (current_snapshot, n) = common::varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (modified_at, n) = common::varint::decode_u64(&buf[off..])?;
-        off += n;
-        let soft_deleted = buf[off] != 0;
-        off += 1;
-        let (target_file_rows, _) = common::varint::decode_u64(&buf[off..])?;
-        Ok(TableProfile {
-            id: TableId(id),
+        let profile = TableProfile {
+            id,
             name,
             path,
             schema,
             partition,
-            current_snapshot,
-            modified_at,
-            soft_deleted,
-            target_file_rows,
-        })
+            current_snapshot: r.u64()?,
+            modified_at: r.u64()?,
+            soft_deleted: r.u8()? != 0,
+            target_file_rows: r.u64()?,
+        };
+        r.finish()?;
+        Ok(profile)
     }
 }
 
@@ -254,23 +244,6 @@ impl Catalog {
     fn key(name: &str) -> String {
         format!("catalog/{name}")
     }
-}
-
-fn enc_str(s: &str, out: &mut Vec<u8>) {
-    common::varint::encode_u64(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn dec_str(buf: &[u8]) -> Result<(String, usize)> {
-    let (len, n) = common::varint::decode_u64(buf)?;
-    let bytes = buf
-        .get(n..n + len as usize)
-        .ok_or_else(|| Error::Corruption("truncated catalog string".into()))?;
-    Ok((
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| Error::Corruption("catalog string not utf-8".into()))?,
-        n + len as usize,
-    ))
 }
 
 #[cfg(test)]

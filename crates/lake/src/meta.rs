@@ -7,7 +7,7 @@
 //! *Snapshots* "are index files that index valid commit files … Along with
 //! commits, snapshots provide snapshot-level isolation" and time travel.
 
-use common::varint;
+use common::varint::{self, Reader};
 use common::{Error, Result};
 use format::ColumnStats;
 use std::ops::RangeInclusive;
@@ -41,26 +41,27 @@ impl DataFileMeta {
         }
     }
 
-    /// Decode; returns the meta and bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(DataFileMeta, usize)> {
-        let mut off = 0;
-        let (path, n) = decode_str(&buf[off..])?;
-        off += n;
-        let (partition, n) = decode_str(&buf[off..])?;
-        off += n;
-        let (record_count, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (bytes, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (stat_count, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let mut stats = Vec::with_capacity(stat_count as usize);
+    /// Decode one meta from `r`.
+    pub fn decode(r: &mut Reader<'_>) -> Result<DataFileMeta> {
+        let path = r.str()?.to_owned();
+        let partition = r.str()?.to_owned();
+        let (record_count, bytes) = (r.u64()?, r.u64()?);
+        // A stats entry is at least two two-byte values and a row count.
+        let stat_count = r.count(5)?;
+        let mut stats = Vec::with_capacity(stat_count);
         for _ in 0..stat_count {
-            let (s, n) = ColumnStats::decode(&buf[off..])?;
-            off += n;
-            stats.push(s);
+            stats.push(ColumnStats::decode(r)?);
         }
-        Ok((DataFileMeta { path, partition, record_count, bytes, stats }, off))
+        Ok(DataFileMeta { path, partition, record_count, bytes, stats })
+    }
+
+    /// Decode a buffer holding exactly one encoded meta (a `lake/live/`
+    /// entry).
+    pub fn decode_entry(buf: &[u8]) -> Result<DataFileMeta> {
+        let mut r = Reader::new(buf, "data file meta");
+        let meta = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(meta)
     }
 }
 
@@ -96,30 +97,20 @@ impl Commit {
 
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<Commit> {
-        let mut off = 0;
-        let (id, n) = varint::decode_u64(buf)?;
-        off += n;
-        let (timestamp, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (added_count, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let mut added = Vec::with_capacity(added_count as usize);
+        let mut r = Reader::new(buf, "commit");
+        let (id, timestamp) = (r.u64()?, r.u64()?);
+        // A file meta is at least two empty strings and three varints.
+        let added_count = r.count(5)?;
+        let mut added = Vec::with_capacity(added_count);
         for _ in 0..added_count {
-            let (f, n) = DataFileMeta::decode(&buf[off..])?;
-            off += n;
-            added.push(f);
+            added.push(DataFileMeta::decode(&mut r)?);
         }
-        let (removed_count, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let mut removed = Vec::with_capacity(removed_count as usize);
+        let removed_count = r.count(1)?;
+        let mut removed = Vec::with_capacity(removed_count);
         for _ in 0..removed_count {
-            let (s, n) = decode_str(&buf[off..])?;
-            off += n;
-            removed.push(s);
+            removed.push(r.str()?.to_owned());
         }
-        if off != buf.len() {
-            return Err(Error::Corruption("trailing bytes after commit".into()));
-        }
+        r.finish()?;
         Ok(Commit { id, timestamp, added, removed })
     }
 }
@@ -163,12 +154,9 @@ impl Snapshot {
 
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<Snapshot> {
-        let (id, a) = varint::decode_u64(buf)?;
-        let (base, b) = varint::decode_u64(&buf[a..])?;
-        let (timestamp, c) = varint::decode_u64(&buf[a + b..])?;
-        if a + b + c != buf.len() {
-            return Err(Error::Corruption("trailing bytes after snapshot".into()));
-        }
+        let mut r = Reader::new(buf, "snapshot");
+        let (id, base, timestamp) = (r.u64()?, r.u64()?, r.u64()?);
+        r.finish()?;
         if base == 0 || base > id {
             return Err(Error::Corruption(format!("snapshot {id} has base commit {base}")));
         }
@@ -176,19 +164,10 @@ impl Snapshot {
     }
 }
 
-fn encode_str(s: &str, out: &mut Vec<u8>) {
+/// Append `s` as a length-prefixed string, the form [`Reader::str`] reads.
+pub(crate) fn encode_str(s: &str, out: &mut Vec<u8>) {
     varint::encode_u64(s.len() as u64, out);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn decode_str(buf: &[u8]) -> Result<(String, usize)> {
-    let (len, n) = varint::decode_u64(buf)?;
-    let bytes = buf
-        .get(n..n + len as usize)
-        .ok_or_else(|| Error::Corruption("truncated string".into()))?;
-    let s = String::from_utf8(bytes.to_vec())
-        .map_err(|_| Error::Corruption("metadata string not utf-8".into()))?;
-    Ok((s, n + len as usize))
 }
 
 #[cfg(test)]
@@ -215,9 +194,8 @@ mod tests {
         let f = sample_file("data/hour=12/00001.lake");
         let mut buf = Vec::new();
         f.encode(&mut buf);
-        let (back, used) = DataFileMeta::decode(&buf).unwrap();
+        let back = DataFileMeta::decode_entry(&buf).unwrap();
         assert_eq!(back, f);
-        assert_eq!(used, buf.len());
         assert_eq!(back.stats[0].min, Value::Int(1));
     }
 

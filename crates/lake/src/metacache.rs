@@ -236,8 +236,8 @@ impl MetadataCache {
                 // straight out of the borrowed scan instead of cloning each
                 // `(key, value)` pair first.
                 let mut decode_err = None;
-                let mut collect = |_: &[u8], v: &[u8]| match DataFileMeta::decode(v) {
-                    Ok((f, _)) => {
+                let mut collect = |_: &[u8], v: &[u8]| match DataFileMeta::decode_entry(v) {
+                    Ok(f) => {
                         out.push(f);
                         true
                     }

@@ -107,7 +107,7 @@ impl TableStore {
         let files: Vec<DataFileMeta> = writes
             .iter()
             .filter(|(key, _)| key.starts_with(LIVE_KEY_PREFIX.as_bytes()))
-            .filter_map(|(_, value)| Some(DataFileMeta::decode(value.as_deref()?).ok()?.0))
+            .filter_map(|(_, value)| DataFileMeta::decode_entry(value.as_deref()?).ok())
             .collect();
         self.discard(&files);
     }

@@ -13,6 +13,7 @@ use common::checksum::crc32;
 use common::clock::Nanos;
 use common::ctx::{IoCtx, Phase, QosClass};
 use common::metrics::Metrics;
+use common::varint::Reader;
 use common::{Bytes, Error, Result};
 use ec::{Redundancy, Stripe};
 use kvstore::SharedKv;
@@ -69,10 +70,12 @@ impl PlogAddress {
 
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(buf: &[u8]) -> Result<PlogAddress> {
-        let (shard, a) = common::varint::decode_u64(buf)?;
-        let (offset, b) = common::varint::decode_u64(&buf[a..])?;
-        let (len, _) = common::varint::decode_u64(&buf[a + b..])?;
-        Ok(PlogAddress { shard: shard as u32, offset, len })
+        let mut r = Reader::new(buf, "plog address");
+        let shard = u32::try_from(r.u64()?)
+            .map_err(|_| Error::Corruption("plog address shard overflows u32".into()))?;
+        let addr = PlogAddress { shard, offset: r.u64()?, len: r.u64()? };
+        r.finish()?;
+        Ok(addr)
     }
 
     pub(crate) fn index_key(&self) -> Vec<u8> {
@@ -726,21 +729,18 @@ fn encode_entry(h: &ExtentHandle, logical_len: u64, crcs: &[u32]) -> Vec<u8> {
 }
 
 fn decode_entry(buf: &[u8]) -> Result<(ExtentHandle, u64, Vec<u32>)> {
-    let (len, n) = common::varint::decode_u64(buf)?;
-    let (handle, consumed) = decode_handle_inner(&buf[n..])?;
-    let rest = &buf[n + consumed..];
-    if rest.len() != handle.shards.len() * 4 {
+    let mut r = Reader::new(buf, "plog index entry");
+    let len = r.u64()?;
+    let handle = decode_handle(&mut r)?;
+    if r.remaining() != handle.shards.len() * 4 {
         return Err(Error::Corruption(format!(
             "index entry checksum block is {} bytes, want {} for {} shards",
-            rest.len(),
+            r.remaining(),
             handle.shards.len() * 4,
             handle.shards.len()
         )));
     }
-    let crcs = rest
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let crcs = r.bytes(r.remaining())?.as_chunks().0.iter().copied().map(u32::from_le_bytes).collect();
     Ok((handle, len, crcs))
 }
 
@@ -755,26 +755,17 @@ fn encode_handle(h: &ExtentHandle) -> Vec<u8> {
     out
 }
 
-#[cfg(test)]
-fn decode_handle(buf: &[u8]) -> Result<ExtentHandle> {
-    Ok(decode_handle_inner(buf)?.0)
-}
-
-fn decode_handle_inner(buf: &[u8]) -> Result<(ExtentHandle, usize)> {
-    let mut off = 0;
-    let (id, n) = common::varint::decode_u64(buf)?;
-    off += n;
-    let (count, n) = common::varint::decode_u64(&buf[off..])?;
-    off += n;
-    let mut shards = Vec::with_capacity(count as usize);
+fn decode_handle(r: &mut Reader<'_>) -> Result<ExtentHandle> {
+    let id = r.u64()?;
+    // A shard is two varints: device and extent.
+    let count = r.count(2)?;
+    let mut shards = Vec::with_capacity(count);
     for _ in 0..count {
-        let (dev, n) = common::varint::decode_u64(&buf[off..])?;
-        off += n;
-        let (ext, n) = common::varint::decode_u64(&buf[off..])?;
-        off += n;
-        shards.push((dev as usize, ext));
+        let dev = usize::try_from(r.u64()?)
+            .map_err(|_| Error::Corruption("device index overflows usize".into()))?;
+        shards.push((dev, r.u64()?));
     }
-    Ok((ExtentHandle { id, shards }, off))
+    Ok(ExtentHandle { id, shards })
 }
 
 #[cfg(test)]
@@ -818,6 +809,16 @@ pub(crate) mod tests {
         for cut in 0..bytes.len() {
             assert!(PlogAddress::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        // A shard past u32 is not truncated onto another, and a byte past
+        // the three varints is not ignored.
+        let mut wide = Vec::new();
+        for v in [(1u64 << 32) + 1, 0, 1] {
+            common::varint::encode_u64(v, &mut wide);
+        }
+        assert!(matches!(PlogAddress::decode(&wide), Err(Error::Corruption(_))));
+        let mut trailing = addr.encode();
+        trailing.push(0);
+        assert!(matches!(PlogAddress::decode(&trailing), Err(Error::Corruption(_))));
     }
 
     #[test]
@@ -1342,6 +1343,9 @@ pub(crate) mod tests {
     #[test]
     fn handle_encoding_roundtrips() {
         let h = ExtentHandle { id: 42, shards: vec![(0, 43008), (3, 43009), (7, 43010)] };
-        assert_eq!(decode_handle(&encode_handle(&h)).unwrap(), h);
+        let enc = encode_handle(&h);
+        let mut r = Reader::new(&enc, "extent handle");
+        assert_eq!(decode_handle(&mut r).unwrap(), h);
+        assert!(r.finish().is_ok());
     }
 }

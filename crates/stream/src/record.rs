@@ -5,8 +5,8 @@
 //! form for PLog persistence; a slice of up to 256 records is the unit the
 //! stream object writes (§IV-A, Fig 4).
 
-use common::varint;
-use common::{Error, Result};
+use common::varint::{self, Reader};
+use common::Result;
 
 /// A key-value message record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,45 +64,15 @@ impl Record {
         out.extend_from_slice(&self.value);
     }
 
-    /// Decode one record; returns it and the bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(Record, usize)> {
-        let flags = *buf
-            .first()
-            .ok_or_else(|| Error::Corruption("empty record buffer".into()))?;
-        let mut off = 1usize;
-        let (timestamp, n) = varint::decode_i64(&buf[off..])?;
-        off += n;
-        let txn = if flags & 1 != 0 {
-            let (t, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            Some(t)
-        } else {
-            None
-        };
-        let producer_seq = if flags & 2 != 0 {
-            let (pid, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            let (seq, n) = varint::decode_u64(&buf[off..])?;
-            off += n;
-            Some((pid, seq))
-        } else {
-            None
-        };
-        let (klen, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let key = buf
-            .get(off..off + klen as usize)
-            .ok_or_else(|| Error::Corruption("record truncated in key".into()))?
-            .to_vec();
-        off += klen as usize;
-        let (vlen, n) = varint::decode_u64(&buf[off..])?;
-        off += n;
-        let value = buf
-            .get(off..off + vlen as usize)
-            .ok_or_else(|| Error::Corruption("record truncated in value".into()))?
-            .to_vec();
-        off += vlen as usize;
-        Ok((Record { key, value, timestamp, txn, producer_seq }, off))
+    /// Decode one record.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Record> {
+        let flags = r.u8()?;
+        let timestamp = r.i64()?;
+        let txn = if flags & 1 != 0 { Some(r.u64()?) } else { None };
+        let producer_seq = if flags & 2 != 0 { Some((r.u64()?, r.u64()?)) } else { None };
+        let key = r.len_prefixed()?.to_vec();
+        let value = r.len_prefixed()?.to_vec();
+        Ok(Record { key, value, timestamp, txn, producer_seq })
     }
 
     /// Serialize a slice of records (the PLog persistence unit).
@@ -117,16 +87,14 @@ impl Record {
 
     /// Decode a slice produced by [`encode_slice`](Self::encode_slice).
     pub fn decode_slice(buf: &[u8]) -> Result<Vec<Record>> {
-        let (count, mut off) = varint::decode_u64(buf)?;
-        let mut out = Vec::with_capacity(count as usize);
+        let mut r = Reader::new(buf, "record slice");
+        // The shortest record is its flags, a timestamp and two lengths.
+        let count = r.count(4)?;
+        let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            let (r, n) = Record::decode(&buf[off..])?;
-            off += n;
-            out.push(r);
+            out.push(Record::decode(&mut r)?);
         }
-        if off != buf.len() {
-            return Err(Error::Corruption("trailing bytes after record slice".into()));
-        }
+        r.finish()?;
         Ok(out)
     }
 }
@@ -141,9 +109,9 @@ mod tests {
         let r = Record::new(b"k1".to_vec(), b"hello world".to_vec(), 1_656_806_400_000);
         let mut buf = Vec::new();
         r.encode(&mut buf);
-        let (back, used) = Record::decode(&buf).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(used, buf.len());
+        let mut rd = Reader::new(&buf, "record");
+        assert_eq!(Record::decode(&mut rd).unwrap(), r);
+        assert!(rd.finish().is_ok());
     }
 
     #[test]
@@ -153,7 +121,7 @@ mod tests {
         r.producer_seq = Some((5, 12345));
         let mut buf = Vec::new();
         r.encode(&mut buf);
-        assert_eq!(Record::decode(&buf).unwrap().0, r);
+        assert_eq!(Record::decode(&mut Reader::new(&buf, "record")).unwrap(), r);
     }
 
     #[test]
@@ -174,7 +142,7 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         for cut in 0..buf.len() {
-            assert!(Record::decode(&buf[..cut]).is_err(), "cut={cut}");
+            assert!(Record::decode(&mut Reader::new(&buf[..cut], "record")).is_err(), "cut={cut}");
         }
     }
 
@@ -190,9 +158,9 @@ mod tests {
             let r = Record { key, value, timestamp: ts, txn, producer_seq: pseq };
             let mut buf = Vec::new();
             r.encode(&mut buf);
-            let (back, used) = Record::decode(&buf).unwrap();
-            prop_assert_eq!(back, r);
-            prop_assert_eq!(used, buf.len());
+            let mut rd = Reader::new(&buf, "record");
+            prop_assert_eq!(Record::decode(&mut rd).unwrap(), r);
+            prop_assert!(rd.finish().is_ok());
         }
 
         #[test]

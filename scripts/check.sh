@@ -17,6 +17,10 @@ status_before="$(git status --porcelain)"
 
 cargo build --release
 cargo test -q
+# Hostile bytes against every binary decoder, again in release: debug
+# builds panic on an overflowing `offset + length`, release builds wrap it
+# silently, so a decoder must pass under both profiles.
+cargo test -q --release --test hostile_bytes
 # Examples are outside tier-1: type-check every target so a stale one fails
 # this gate. Any compiler warning fails it too, so an import or private
 # helper a deletion left behind cannot linger (cargo replays cached
