@@ -14,10 +14,6 @@ use simdisk::pool::{ExtentHandle, StoragePool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Default HDFS block size (128 MiB in production; configurable here so
-/// laptop-scale tests still produce multi-block files).
-pub const DEFAULT_BLOCK_SIZE: u64 = 128 * 1024 * 1024;
-
 #[derive(Debug)]
 struct FileEntry {
     len: u64,
@@ -46,7 +42,7 @@ impl MiniHdfs {
 
     /// Write a file (replacing any existing one). Blocks are written with
     /// `replication` copies each; returns the completion time.
-    pub fn write_file(&self, path: &str, data: &[u8], now: Nanos) -> Result<Nanos> {
+    pub(crate) fn write_file(&self, path: &str, data: &[u8], now: Nanos) -> Result<Nanos> {
         let mut blocks = Vec::new();
         let mut finish = now;
         for chunk in data.chunks(self.block_size as usize).filter(|c| !c.is_empty()) {
@@ -70,7 +66,7 @@ impl MiniHdfs {
     }
 
     /// Read a file back; any surviving replica per block suffices.
-    pub fn read_file(&self, path: &str, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
+    pub(crate) fn read_file(&self, path: &str, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
         let nn = self.namenode.lock();
         let entry = nn
             .get(path)
@@ -91,7 +87,8 @@ impl MiniHdfs {
     }
 
     /// Delete a file (idempotent).
-    pub fn delete_file(&self, path: &str) {
+    #[cfg(test)]
+    pub(crate) fn delete_file(&self, path: &str) {
         if let Some(entry) = self.namenode.lock().remove(path) {
             for b in &entry.blocks {
                 self.pool.delete(b);
@@ -101,7 +98,7 @@ impl MiniHdfs {
 
     /// List paths under `prefix`; cost is linear in the namespace size,
     /// like a real namenode scan.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
+    pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
         self.namenode
             .lock()
             .keys()
@@ -110,19 +107,9 @@ impl MiniHdfs {
             .collect()
     }
 
-    /// Logical bytes across all files.
-    pub fn logical_bytes(&self) -> u64 {
-        self.namenode.lock().values().map(|e| e.len).sum()
-    }
-
     /// Physical bytes including replication.
-    pub fn physical_bytes(&self) -> u64 {
+    pub(crate) fn physical_bytes(&self) -> u64 {
         self.pool.used()
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.namenode.lock().len()
     }
 }
 
@@ -152,7 +139,7 @@ mod tests {
         assert!(t > 0);
         let (back, _) = h.read_file("/data/raw.bin", t).unwrap();
         assert_eq!(back, data);
-        assert_eq!(h.logical_bytes(), 5000);
+        assert_eq!(h.namenode.lock().values().map(|e| e.len).sum::<u64>(), 5000);
     }
 
     #[test]
@@ -190,7 +177,7 @@ mod tests {
         assert_eq!(h.list("/a/").len(), 2);
         h.delete_file("/a/1");
         assert_eq!(h.list("/a/").len(), 1);
-        assert_eq!(h.file_count(), 2);
+        assert_eq!(h.namenode.lock().len(), 2);
         h.delete_file("/a/1"); // idempotent
         assert!(h.read_file("/a/1", 0).is_err());
     }

@@ -16,9 +16,6 @@ use simdisk::pool::{ExtentHandle, StoragePool};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Default segment roll size.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 1024 * 1024;
-
 /// One Kafka message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KafkaMessage {
@@ -190,28 +187,6 @@ impl MiniKafka {
         Ok((out, finish))
     }
 
-    /// Number of partitions of `topic`.
-    pub fn partition_count(&self, topic: &str) -> Result<usize> {
-        Ok(self
-            .topics
-            .lock()
-            .get(topic)
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?
-            .len())
-    }
-
-    /// End offset of a partition.
-    pub fn end_offset(&self, topic: &str, partition: usize) -> Result<u64> {
-        Ok(self
-            .topics
-            .lock()
-            .get(topic)
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?
-            .get(partition)
-            .ok_or_else(|| Error::NotFound(format!("partition {partition}")))?
-            .next_offset)
-    }
-
     /// Grow a topic to `new_count` partitions. Unlike StreamLake's
     /// metadata-only rescale, Kafka reassignment physically copies segment
     /// bytes to rebalance leaders across brokers; this models that cost by
@@ -258,7 +233,7 @@ impl MiniKafka {
     }
 
     /// Physical bytes on the brokers (replication included).
-    pub fn physical_bytes(&self) -> u64 {
+    pub(crate) fn physical_bytes(&self) -> u64 {
         self.pool.used()
     }
 }
@@ -354,7 +329,7 @@ mod tests {
         let payload: u64 = (0..20).map(|i| format!("k{i}").len() as u64 + 100).sum();
         assert!(k.physical_bytes() >= 3 * payload);
         assert!(k.physical_bytes() <= 3 * payload + 1024);
-        assert_eq!(k.end_offset("t", 0).unwrap(), 20);
+        assert_eq!(k.topics.lock()["t"][0].next_offset, 20);
     }
 
     #[test]
@@ -368,7 +343,7 @@ mod tests {
         let (migrated, t) = k.scale_partitions("t", 8, 0).unwrap();
         assert!(migrated > 0, "kafka rescale must move data");
         assert!(t > 0);
-        assert_eq!(k.partition_count("t").unwrap(), 8);
+        assert_eq!(k.topics.lock()["t"].len(), 8);
         assert!(k.scale_partitions("t", 4, 0).is_err());
     }
 

@@ -8,9 +8,9 @@
 //! metadata — and that structure is reproduced exactly, over the same
 //! simulated device substrate StreamLake runs on.
 
-pub mod hdfs;
+pub(crate) mod hdfs;
 pub mod kafka;
-pub mod pipeline;
+pub(crate) mod pipeline;
 
 pub use hdfs::MiniHdfs;
 pub use kafka::MiniKafka;

@@ -16,13 +16,13 @@ use common::Result;
 use workloads::packets::Packet;
 
 /// Packets per HDFS part-file.
-pub const PACKETS_PER_FILE: usize = 5_000;
+pub(crate) const PACKETS_PER_FILE: usize = 5_000;
 
 /// Per-record compute cost of one pipeline job (parse, normalize,
 /// classify, …). The business logic is identical on both stacks — "only
 /// minimal changes are made to the compute engines" (§VII-A) — so the
 /// same constant is charged by `streamlake::pipeline`.
-pub const PER_RECORD_JOB_COMPUTE: common::clock::Nanos = 20_000;
+pub(crate) const PER_RECORD_JOB_COMPUTE: common::clock::Nanos = 20_000;
 
 /// Cost/throughput report of one baseline pipeline run.
 #[derive(Debug, Clone, Copy)]

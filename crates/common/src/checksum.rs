@@ -86,13 +86,13 @@ fn crc32_scalar(data: &[u8]) -> u32 {
 
 /// Incremental CRC32 hasher for multi-part records.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
 impl Crc32 {
     /// Start a fresh checksum.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
@@ -100,7 +100,7 @@ impl Crc32 {
     /// it, short inputs (WAL frames, index entries) measured a few ns per
     /// call slower than the table kernel alone.
     #[inline]
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         HASHED_BYTES.with(|c| c.set(c.get() + data.len() as u64));
         let (mut s, mut rest) = (self.state, data);
         #[cfg(target_arch = "x86_64")]
@@ -113,7 +113,7 @@ impl Crc32 {
     }
 
     /// Finalize and return the checksum value.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
     }
 }

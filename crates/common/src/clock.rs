@@ -55,7 +55,8 @@ impl SimClock {
 
     /// Move the clock forward to `t` if `t` is in the future; the clock never
     /// goes backwards. Returns the resulting time.
-    pub fn advance_to(&self, t: Nanos) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn advance_to(&self, t: Nanos) -> Nanos {
         let mut cur = self.now.load(Ordering::Acquire);
         while cur < t {
             match self
@@ -71,20 +72,22 @@ impl SimClock {
 }
 
 /// A stopwatch over a [`SimClock`], for measuring virtual durations.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct SimStopwatch {
+pub(crate) struct SimStopwatch {
     clock: SimClock,
     start: Nanos,
 }
 
+#[cfg(test)]
 impl SimStopwatch {
     /// Start timing at the clock's current instant.
-    pub fn start(clock: &SimClock) -> Self {
+    pub(crate) fn start(clock: &SimClock) -> Self {
         SimStopwatch { clock: clock.clone(), start: clock.now() }
     }
 
     /// Virtual nanoseconds elapsed since `start`.
-    pub fn elapsed(&self) -> Nanos {
+    pub(crate) fn elapsed(&self) -> Nanos {
         self.clock.now().saturating_sub(self.start)
     }
 }

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use crate::lockwitness::TrackedMutex;
 
 /// Histogram-name prefix under which span phases are recorded.
-pub const PHASE_PREFIX: &str = "phase.";
+pub(crate) const PHASE_PREFIX: &str = "phase.";
 
 /// Histogram-name prefix for the QoS-split phase view: each span is also
 /// recorded under `qos.<class>.<phase>`, so the maintenance runtime can
@@ -50,9 +50,10 @@ pub const QOS_PREFIX: &str = "qos.";
 
 /// How many closed spans the sink retains for trail inspection. Phase
 /// histograms are unaffected by this bound; only the replayable trail is.
-pub const TRAIL_CAPACITY: usize = 4096;
+pub(crate) const TRAIL_CAPACITY: usize = 4096;
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
+#[cfg(test)]
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 /// Service class of a request, used for device queue ordering.
@@ -96,11 +97,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in reporting order.
-    pub const ALL: [Phase; 4] = [Phase::Queue, Phase::Device, Phase::Wan, Phase::Meta];
-
     /// Stable lower-case name; `phase.<name>` is the histogram key.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Queue => "queue",
             Phase::Device => "device",
@@ -110,7 +108,7 @@ impl Phase {
     }
 
     /// The metrics histogram this phase records into.
-    pub fn histogram(self) -> String {
+    pub(crate) fn histogram(self) -> String {
         format!("{PHASE_PREFIX}{}", self.name())
     }
 }
@@ -158,7 +156,7 @@ impl SpanSink {
     }
 
     /// Record one closed span.
-    pub fn record(&self, rec: SpanRecord) {
+    pub(crate) fn record(&self, rec: SpanRecord) {
         self.metrics.observe(&rec.phase.histogram(), rec.duration);
         self.metrics.observe(
             &format!("{QOS_PREFIX}{}.{}", rec.qos.name(), rec.phase.name()),
@@ -254,13 +252,9 @@ impl IoCtx {
     }
 
     /// A child span of this request (fresh span id, same trace/budget).
-    pub fn child(&self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn child(&self) -> Self {
         IoCtx { span: NEXT_SPAN.fetch_add(1, Ordering::Relaxed), ..self.clone() }
-    }
-
-    /// The sink spans are recorded into, if any.
-    pub fn sink(&self) -> Option<&Arc<SpanSink>> {
-        self.sink.as_ref()
     }
 
     /// Err([`Error::DeadlineExceeded`]) when `finish` lies past the
@@ -274,11 +268,6 @@ impl IoCtx {
             ))),
             _ => Ok(()),
         }
-    }
-
-    /// Remaining budget at `t`, if a deadline is set.
-    pub fn remaining(&self, t: Nanos) -> Option<Nanos> {
-        self.deadline.map(|d| d.saturating_sub(t))
     }
 
     /// Close a span: attribute `duration` starting at `start` to `phase`.

@@ -90,11 +90,6 @@ impl IdGen {
         IdGen { next: AtomicU64::new(1) }
     }
 
-    /// Create a generator whose first issued id is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        IdGen { next: AtomicU64::new(start) }
-    }
-
     /// Issue the next id.
     pub fn next(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
@@ -123,8 +118,6 @@ mod tests {
         let g = IdGen::new();
         assert_eq!(g.next(), 1);
         assert_eq!(g.next(), 2);
-        let g = IdGen::starting_at(100);
-        assert_eq!(g.next(), 100);
     }
 
     #[test]

@@ -100,18 +100,14 @@ impl Json {
         self.as_object().and_then(|m| m.get(key))
     }
 
-    /// `true` for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Build an object from `(key, value)` pairs.
     pub fn object<I: IntoIterator<Item = (&'static str, Json)>>(fields: I) -> Json {
         Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Compact serialization (no whitespace).
-    pub fn to_compact(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out
@@ -441,7 +437,7 @@ mod tests {
         assert_eq!(doc.get("c").and_then(Json::as_str), Some("x"));
         let a = doc.get("a").and_then(Json::as_array).expect("array");
         assert_eq!(a.len(), 3);
-        assert!(a[2].get("b").is_some_and(Json::is_null));
+        assert_eq!(a[2].get("b"), Some(&Json::Null));
         Ok(())
     }
 

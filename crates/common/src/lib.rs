@@ -28,7 +28,7 @@ pub mod checksum;
 pub mod chore;
 pub mod ctx;
 pub mod clock;
-pub mod error;
+pub(crate) mod error;
 pub mod id;
 pub mod json;
 pub mod lockwitness;
@@ -37,7 +37,6 @@ pub mod size;
 pub mod varint;
 
 pub use bytes::Bytes;
-pub use chore::{Chore, TickReport};
 pub use clock::SimClock;
 pub use ctx::{IoCtx, Phase, QosClass, SpanRecord, SpanSink};
 pub use error::{Error, Result};

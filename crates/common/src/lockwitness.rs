@@ -140,7 +140,7 @@ pub fn disable() {
 }
 
 /// Whether acquisitions on this thread are currently being witnessed.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     cfg!(debug_assertions) && (env_enabled() || TLS_ENABLED.with(|e| *e.borrow()))
 }
 
@@ -159,7 +159,7 @@ pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
 /// the class from the thread's held stack.
 #[must_use = "the witness guard must live as long as the lock guard it shadows"]
 #[derive(Debug)]
-pub struct Guard {
+pub(crate) struct Guard {
     id: Option<u64>,
 }
 
@@ -182,7 +182,7 @@ impl Drop for Guard {
 /// explicit `drop(lock_guard)`). Panics — after bumping
 /// [`violation_count`] — when the acquisition inverts the declared
 /// hierarchy or re-enters a class this thread already holds.
-pub fn acquire(class: &'static str) -> Guard {
+pub(crate) fn acquire(class: &'static str) -> Guard {
     if !enabled() {
         return Guard { id: None };
     }
@@ -246,11 +246,6 @@ impl<T> TrackedMutex<T> {
         TrackedMutex { class, inner: parking_lot::Mutex::new(value) }
     }
 
-    /// The lock class this mutex is witnessed under.
-    pub fn class(&self) -> &'static str {
-        self.class
-    }
-
     /// Acquire, recording the acquisition on the thread's witness stack.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
         let witness = acquire(self.class);
@@ -299,11 +294,6 @@ impl<T> TrackedRwLock<T> {
     /// An rwlock witnessed under `class`.
     pub const fn new(class: &'static str, value: T) -> Self {
         TrackedRwLock { class, inner: parking_lot::RwLock::new(value) }
-    }
-
-    /// The lock class this rwlock is witnessed under.
-    pub fn class(&self) -> &'static str {
-        self.class
     }
 
     /// Acquire shared, recording the acquisition.

@@ -152,7 +152,8 @@ impl Metrics {
     }
 
     /// Drop all recorded data.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         let mut inner = self.inner.lock();
         inner.counters.clear();
         inner.histograms.clear();

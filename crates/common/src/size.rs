@@ -1,13 +1,13 @@
 //! Byte-size constants and human-readable formatting.
 
 /// One kibibyte.
-pub const KIB: u64 = 1024;
+pub(crate) const KIB: u64 = 1024;
 /// One mebibyte.
 pub const MIB: u64 = 1024 * KIB;
 /// One gibibyte.
 pub const GIB: u64 = 1024 * MIB;
 /// One tebibyte.
-pub const TIB: u64 = 1024 * GIB;
+pub(crate) const TIB: u64 = 1024 * GIB;
 
 /// Format a byte count with a binary-unit suffix (e.g. `1.50 GiB`).
 pub fn human_bytes(bytes: u64) -> String {

@@ -65,7 +65,7 @@ impl AccessController {
     }
 
     /// Resolve a token to its principal.
-    pub fn authenticate(&self, token: &str) -> Result<Principal> {
+    pub(crate) fn authenticate(&self, token: &str) -> Result<Principal> {
         self.inner
             .read()
             .tokens
@@ -75,7 +75,8 @@ impl AccessController {
     }
 
     /// Revoke a token (e.g. credential rotation).
-    pub fn revoke_token(&self, token: &str) {
+    #[cfg(test)]
+    pub(crate) fn revoke_token(&self, token: &str) {
         self.inner.write().tokens.remove(token);
     }
 
@@ -90,7 +91,13 @@ impl AccessController {
     }
 
     /// Remove a previously granted permission.
-    pub fn revoke(&self, principal: &Principal, resource_prefix: &str, permission: Permission) {
+    #[cfg(test)]
+    pub(crate) fn revoke(
+        &self,
+        principal: &Principal,
+        resource_prefix: &str,
+        permission: Permission,
+    ) {
         let mut inner = self.inner.write();
         if let Some(perms) = inner
             .grants
@@ -102,7 +109,12 @@ impl AccessController {
 
     /// Whether `principal` holds `permission` on `resource` (directly or
     /// via a prefix grant; `Admin` implies `Read` and `Write`).
-    pub fn allowed(&self, principal: &Principal, resource: &str, permission: Permission) -> bool {
+    pub(crate) fn allowed(
+        &self,
+        principal: &Principal,
+        resource: &str,
+        permission: Permission,
+    ) -> bool {
         let inner = self.inner.read();
         inner.grants.iter().any(|((p, prefix), perms)| {
             p == principal

@@ -136,7 +136,7 @@ impl std::fmt::Debug for ChoreRuntime {
 impl ChoreRuntime {
     /// A runtime sampling `metrics` for foreground pressure and minting
     /// tick contexts against `sink`.
-    pub fn new(metrics: Metrics, sink: Arc<SpanSink>, seed: u64) -> Self {
+    pub(crate) fn new(metrics: Metrics, sink: Arc<SpanSink>, seed: u64) -> Self {
         ChoreRuntime {
             metrics,
             sink,
@@ -175,7 +175,7 @@ impl ChoreRuntime {
 
     /// Run every due tick up to and including virtual time `until`,
     /// in due-time order. Returns the journal entries this call produced.
-    pub fn run_until(&self, until: Nanos) -> Vec<TickEvent> {
+    pub(crate) fn run_until(&self, until: Nanos) -> Vec<TickEvent> {
         let mut inner = self.inner.lock();
         let journal_start = inner.journal.len();
         loop {
@@ -249,14 +249,9 @@ impl ChoreRuntime {
         inner.journal[journal_start..].to_vec()
     }
 
-    /// The full tick journal since construction.
-    pub fn journal(&self) -> Vec<TickEvent> {
-        self.inner.lock().journal.clone()
-    }
-
     /// Per-chore status: last tick, cumulative work, failure streak,
     /// deferrals and next due time.
-    pub fn status(&self) -> Vec<ChoreStatus> {
+    pub(crate) fn status(&self) -> Vec<ChoreStatus> {
         let inner = self.inner.lock();
         inner
             .chores

@@ -62,7 +62,7 @@ pub enum RequestKind {
 
 impl RequestKind {
     /// The ACL permission stage 1 requires.
-    pub fn permission(self) -> Permission {
+    pub(crate) fn permission(self) -> Permission {
         match self {
             RequestKind::Produce | RequestKind::TableWrite => Permission::Write,
             RequestKind::Consume | RequestKind::TableRead => Permission::Read,
@@ -70,7 +70,7 @@ impl RequestKind {
     }
 
     /// Stable lower-case name (journals, metrics).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RequestKind::Produce => "produce",
             RequestKind::Consume => "consume",
@@ -155,7 +155,7 @@ pub enum BreakerPhase {
 
 impl BreakerPhase {
     /// Stable lower-case name (journals).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BreakerPhase::Closed => "closed",
             BreakerPhase::Open => "open",
@@ -551,23 +551,6 @@ impl FrontDoor {
         }
     }
 
-    /// Admit, run `f` against the engine, and report the outcome — the
-    /// generic route for table and admin operations.
-    pub fn with_lake<T>(
-        &self,
-        token: &str,
-        kind: RequestKind,
-        resource: &str,
-        cost: u64,
-        ctx: &IoCtx,
-        f: impl FnOnce(&StreamLake) -> Result<T>,
-    ) -> Result<T> {
-        let permit = self.admit(token, kind, resource, cost, ctx)?;
-        let out = f(&self.lake);
-        self.report(&permit, out.is_ok(), ctx);
-        out
-    }
-
     /// Produce one record through the pipeline (resource `topic/<topic>`,
     /// cost 1).
     pub fn produce(
@@ -632,11 +615,6 @@ impl FrontDoor {
             consecutive_errors: t.consecutive_errors,
             breaker_phase: t.breaker.phase,
         })
-    }
-
-    /// The pool breaker's current phase.
-    pub fn pool_breaker_phase(&self) -> BreakerPhase {
-        self.state.lock().pool_breaker.phase
     }
 
     /// Every admission decision since construction, in order.
@@ -876,19 +854,19 @@ mod tests {
     fn pool_breaker_opens_on_device_death_and_probe_heals() {
         let fd = door();
         fd.produce("tok-a", "t", "k", "v", &fg(0)).unwrap();
-        assert_eq!(fd.pool_breaker_phase(), BreakerPhase::Closed);
+        assert_eq!(fd.state.lock().pool_breaker.phase, BreakerPhase::Closed);
         fd.lake().ssd_pool().device(0).fail();
         // Death trips the breaker at the next admission.
         let err = fd.produce("tok-a", "t", "k", "v", &fg(millis(1))).unwrap_err();
         let retry = err.retry_after().expect("breaker rejection carries a hint");
-        assert_eq!(fd.pool_breaker_phase(), BreakerPhase::Open);
+        assert_eq!(fd.state.lock().pool_breaker.phase, BreakerPhase::Open);
         // Still open before the probe time.
         assert!(fd.produce("tok-a", "t", "k", "v", &fg(millis(2))).is_err());
         // Heal the device, then probe at the scheduled time: closes.
         fd.lake().ssd_pool().device(0).heal();
         let probe_at = millis(1) + retry;
         fd.produce("tok-a", "t", "k", "v", &fg(probe_at)).unwrap();
-        assert_eq!(fd.pool_breaker_phase(), BreakerPhase::Closed);
+        assert_eq!(fd.state.lock().pool_breaker.phase, BreakerPhase::Closed);
         let phases: Vec<(BreakerPhase, BreakerPhase)> = fd
             .breaker_journal()
             .iter()
@@ -914,7 +892,7 @@ mod tests {
             .unwrap();
         assert!(probe.pool_probe);
         fd.report(&probe, true, &fg(first_retry));
-        assert_eq!(fd.pool_breaker_phase(), BreakerPhase::Open);
+        assert_eq!(fd.state.lock().pool_breaker.phase, BreakerPhase::Open);
         // The second open window is at least double the base.
         let reopened = fd.breaker_journal().last().cloned().unwrap();
         assert_eq!((reopened.from, reopened.to), (BreakerPhase::HalfOpen, BreakerPhase::Open));
@@ -927,15 +905,17 @@ mod tests {
         fd.access().grant(&p, "table/", Permission::Write);
         let trip = FrontDoorConfig::default().breaker.tenant_error_trip;
         for i in 0..trip {
-            let err = fd.with_lake(
-                "tok-t",
-                RequestKind::TableWrite,
-                "table/x",
-                1,
-                &fg(u64::from(i)),
-                |_| -> Result<()> { Err(Error::Io("downstream blew up".into())) },
-            );
-            assert!(err.is_err());
+            let permit = fd
+                .admit(
+                    "tok-t",
+                    RequestKind::TableWrite,
+                    "table/x",
+                    1,
+                    &fg(u64::from(i)),
+                )
+                .unwrap();
+            // The downstream operation fails.
+            fd.report(&permit, false, &fg(u64::from(i)));
         }
         let stats = fd.tenant_stats("tenant-only").unwrap();
         assert_eq!(stats.breaker_phase, BreakerPhase::Open);

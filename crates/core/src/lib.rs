@@ -31,21 +31,21 @@
 //! assert_eq!(records.len(), 1);
 //! ```
 
-pub mod access;
+pub(crate) mod access;
 pub mod chore;
-pub mod frontdoor;
-pub mod pipeline;
-pub mod query;
-pub mod system;
-pub mod txn;
+pub(crate) mod frontdoor;
+pub(crate) mod pipeline;
+pub(crate) mod query;
+pub(crate) mod system;
+pub(crate) mod txn;
 
-pub use access::{AccessController, Permission, Principal};
-pub use chore::{ChoreRuntime, ChoreStatus, TickEvent, TickOutcome};
+pub use access::{AccessController, Permission};
+pub use chore::{ChoreRuntime, TickOutcome};
 pub use frontdoor::{
     AdmissionEvent, BreakerConfig, BreakerPhase, BreakerTransition, Decision, FrontDoor,
-    FrontDoorConfig, Permit, RequestKind, TenantStats,
+    FrontDoorConfig, RequestKind,
 };
-pub use pipeline::{PipelineReport, StreamLakePipeline};
-pub use query::{Aggregate, Query, QueryEngine, QueryOutput};
-pub use system::{PoolHealthReport, StreamLake, StreamLakeConfig};
-pub use txn::{Transaction, TxnRecoveryReport};
+pub use pipeline::StreamLakePipeline;
+pub use query::{Aggregate, Query, QueryEngine};
+pub use system::{StreamLake, StreamLakeConfig};
+pub use txn::Transaction;

@@ -63,7 +63,7 @@ pub struct StreamLakePipeline {
 
 /// Table schema used by the pipeline: the packet fields plus a `label`
 /// column the labeling job fills in.
-pub fn pipeline_schema() -> Schema {
+pub(crate) fn pipeline_schema() -> Schema {
     let mut fields: Vec<Field> = workloads::packets::PacketGen::schema()
         .fields()
         .to_vec();

@@ -102,13 +102,12 @@ pub struct StreamLake {
     tables: Arc<TableStore>,
     archive: Arc<ArchiveService>,
     scrubber: Arc<ScrubService>,
-    replicator: Arc<RemoteReplicator>,
     chores: ChoreRuntime,
 }
 
 /// Device health across a deployment's pools, for operator dashboards and
 /// tests: `(pool name, per-device health)`.
-pub type PoolHealthReport = Vec<(&'static str, Vec<DeviceHealth>)>;
+pub(crate) type PoolHealthReport = Vec<(&'static str, Vec<DeviceHealth>)>;
 
 impl StreamLake {
     /// Bring up a deployment.
@@ -187,7 +186,7 @@ impl StreamLake {
         // breaks same-instant ties, so this order is a contract too.
         let chores = ChoreRuntime::new(metrics.clone(), sink.clone(), config.maintenance_seed);
         chores.register(scrubber.clone(), secs(30));
-        chores.register(replicator.clone(), secs(10));
+        chores.register(replicator, secs(10));
         chores.register(Arc::new(ArchiveChore::new(stream.clone(), archive.clone())), secs(10));
         chores.register(Arc::new(MetaFlushChore::new(tables.clone())), secs(5));
         // the paper's static "Default-compaction" interval
@@ -211,7 +210,6 @@ impl StreamLake {
             tables,
             archive,
             scrubber,
-            replicator,
             chores,
         }
     }
@@ -268,12 +266,6 @@ impl StreamLake {
     /// The background integrity scrubber over the PLog store.
     pub fn scrubber(&self) -> &ScrubService {
         &self.scrubber
-    }
-
-    /// The remote replication service shipping PLog records to the
-    /// replica site.
-    pub fn replicator(&self) -> &Arc<RemoteReplicator> {
-        &self.replicator
     }
 
     /// The maintenance runtime every background service runs under.
@@ -397,7 +389,10 @@ mod tests {
         sl.clock().advance(retention + common::clock::secs(120));
         sl.run_maintenance_until(sl.clock().now());
         assert_eq!(
-            sl.stream().dispatcher().committed_offset("ephemeral", "t", 0),
+            sl.stream()
+                .dispatcher()
+                .committed_offset("ephemeral", "t", 0)
+                .unwrap(),
             None,
             "expired group offsets must be swept"
         );

@@ -49,13 +49,13 @@ fn tables() -> &'static Tables {
 
 /// Add two field elements (XOR).
 #[inline]
-pub fn add(a: u8, b: u8) -> u8 {
+pub(crate) fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
 /// Multiply two field elements.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
@@ -65,7 +65,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Divide `a` by `b`. Panics if `b == 0`.
 #[inline]
-pub fn div(a: u8, b: u8) -> u8 {
+pub(crate) fn div(a: u8, b: u8) -> u8 {
     assert!(b != 0, "division by zero in GF(256)");
     if a == 0 {
         return 0;
@@ -78,12 +78,12 @@ pub fn div(a: u8, b: u8) -> u8 {
 
 /// Multiplicative inverse. Panics if `a == 0`.
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     div(1, a)
 }
 
 /// Raise `a` to the power `n`.
-pub fn pow(a: u8, n: u32) -> u8 {
+pub(crate) fn pow(a: u8, n: u32) -> u8 {
     if n == 0 {
         return 1;
     }

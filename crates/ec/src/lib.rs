@@ -7,15 +7,14 @@
 //!
 //! * [`gf256`] — table-driven field arithmetic;
 //! * [`matrix`] — dense matrices with Gaussian-elimination inversion;
-//! * [`rs`] — the [`ReedSolomon`] encoder/decoder (`k` data + `m` parity
+//! * [`rs`] — the `ReedSolomon` encoder/decoder (`k` data + `m` parity
 //!   shards, any `m` losses recoverable);
 //! * [`stripe`] — byte-level striping of arbitrary-length buffers into
 //!   shards, plus the space-overhead accounting used in Fig 14(d).
 
 pub mod gf256;
-pub mod matrix;
-pub mod rs;
-pub mod stripe;
+pub(crate) mod matrix;
+pub(crate) mod rs;
+pub(crate) mod stripe;
 
-pub use rs::ReedSolomon;
 pub use stripe::{Redundancy, Stripe};

@@ -6,7 +6,7 @@ use common::{Error, Result};
 
 /// A row-major dense matrix over GF(256).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<u8>,
@@ -14,12 +14,12 @@ pub struct Matrix {
 
 impl Matrix {
     /// All-zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix { rows, cols, data: vec![0; rows * cols] }
     }
 
     /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1);
@@ -27,22 +27,10 @@ impl Matrix {
         m
     }
 
-    /// Build a matrix from nested row vectors. Panics on ragged input.
-    pub fn from_rows(rows: &[Vec<u8>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged matrix rows");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows: r, cols: c, data }
-    }
-
     /// Vandermonde matrix: element `(i, j) = (i+1)^j`. Rows built from
     /// distinct evaluation points are linearly independent, which is the
     /// property Reed–Solomon relies on.
-    pub fn vandermonde(rows: usize, cols: usize) -> Self {
+    pub(crate) fn vandermonde(rows: usize, cols: usize) -> Self {
         let mut m = Matrix::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -52,35 +40,25 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> u8 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> u8 {
         self.data[r * self.cols + c]
     }
 
     /// Set element at `(r, c)`.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: u8) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: u8) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Borrow row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[u8] {
+    pub(crate) fn row(&self, r: usize) -> &[u8] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Matrix product `self * rhs`. Panics if the shapes do not line up.
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn mul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matrix shape mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -99,7 +77,7 @@ impl Matrix {
     }
 
     /// Keep only the rows whose indices appear in `indices`, in order.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
+    pub(crate) fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
         for (dst, &src) in indices.iter().enumerate() {
             let row = self.row(src).to_vec();
@@ -113,7 +91,7 @@ impl Matrix {
     /// Returns `Error::Unrecoverable` if the matrix is singular, which in the
     /// erasure-coding context means the surviving shards cannot reconstruct
     /// the data.
-    pub fn inverse(&self) -> Result<Matrix> {
+    pub(crate) fn inverse(&self) -> Result<Matrix> {
         if self.rows != self.cols {
             return Err(Error::InvalidArgument("inverse of non-square matrix".into()));
         }
@@ -182,7 +160,11 @@ mod tests {
 
     #[test]
     fn identity_is_multiplicative_unit() {
-        let m = Matrix::from_rows(&[vec![1, 2, 3], vec![4, 5, 6]]);
+        let m = Matrix {
+            rows: 2,
+            cols: 3,
+            data: vec![1, 2, 3, 4, 5, 6],
+        };
         let i3 = Matrix::identity(3);
         assert_eq!(m.mul(&i3), m);
     }
@@ -207,7 +189,11 @@ mod tests {
 
     #[test]
     fn singular_matrix_reported_as_unrecoverable() {
-        let m = Matrix::from_rows(&[vec![1, 2], vec![1, 2]]);
+        let m = Matrix {
+            rows: 2,
+            cols: 2,
+            data: vec![1, 2, 1, 2],
+        };
         assert!(matches!(m.inverse(), Err(common::Error::Unrecoverable(_))));
     }
 

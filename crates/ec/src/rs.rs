@@ -12,7 +12,7 @@ use common::{Error, Result};
 
 /// A Reed–Solomon code with `k` data shards and `m` parity shards.
 #[derive(Debug, Clone)]
-pub struct ReedSolomon {
+pub(crate) struct ReedSolomon {
     k: usize,
     m: usize,
     /// (k+m) × k encoding matrix; top k rows are the identity.
@@ -24,7 +24,7 @@ impl ReedSolomon {
     ///
     /// `k + m` must not exceed 255 (the number of distinct nonzero
     /// evaluation points in GF(256)); `k` and `m` must be nonzero.
-    pub fn new(k: usize, m: usize) -> Result<Self> {
+    pub(crate) fn new(k: usize, m: usize) -> Result<Self> {
         if k == 0 || m == 0 {
             return Err(Error::InvalidArgument("k and m must be nonzero".into()));
         }
@@ -44,7 +44,7 @@ impl ReedSolomon {
     }
 
     /// Total shards produced by [`encode`](Self::encode).
-    pub fn total_shards(&self) -> usize {
+    pub(crate) fn total_shards(&self) -> usize {
         self.k + self.m
     }
 
@@ -53,7 +53,8 @@ impl ReedSolomon {
     /// The first `k` returned shards are (copies of) the inputs; the final
     /// `m` are parity. Zero-copy callers that already hold the data shards
     /// should call [`parity`](Self::parity) instead and keep their handles.
-    pub fn encode<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
+    #[cfg(test)]
+    pub(crate) fn encode<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
         let parity = self.parity(data)?;
         let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards());
         out.extend(data.iter().map(|s| s.as_ref().to_vec()));
@@ -66,7 +67,7 @@ impl ReedSolomon {
     /// This is the allocation-minimal half of [`encode`](Self::encode): the
     /// data shards pass through untouched at the caller, and only parity is
     /// materialized here.
-    pub fn parity<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
+    pub(crate) fn parity<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
         self.check_shards(data)?;
         let shard_len = data[0].as_ref().len();
         let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.m);
@@ -86,7 +87,7 @@ impl ReedSolomon {
     /// `shards[i]` is `Some` if shard `i` survived (indices `0..k` are data,
     /// `k..k+m` parity). Fails with `Unrecoverable` when fewer than `k`
     /// shards survive.
-    pub fn reconstruct<S: AsRef<[u8]>>(&self, shards: &[Option<S>]) -> Result<Vec<Vec<u8>>> {
+    pub(crate) fn reconstruct<S: AsRef<[u8]>>(&self, shards: &[Option<S>]) -> Result<Vec<Vec<u8>>> {
         if shards.len() != self.total_shards() {
             return Err(Error::InvalidArgument(format!(
                 "expected {} shard slots, got {}",

@@ -40,16 +40,8 @@ impl Redundancy {
         Redundancy::ErasureCode { k, m: ft }
     }
 
-    /// Number of simultaneous shard/replica losses survivable.
-    pub fn fault_tolerance(&self) -> usize {
-        match *self {
-            Redundancy::Replicate { copies } => copies.saturating_sub(1),
-            Redundancy::ErasureCode { m, .. } => m,
-        }
-    }
-
     /// Ratio of stored bytes to logical bytes (the Fig 14(d) Y-axis).
-    pub fn space_multiplier(&self) -> f64 {
+    pub(crate) fn space_multiplier(&self) -> f64 {
         match *self {
             Redundancy::Replicate { copies } => copies as f64,
             Redundancy::ErasureCode { k, m } => (k + m) as f64 / k as f64,
@@ -187,7 +179,7 @@ mod tests {
     #[test]
     fn replication_space_accounting() {
         let r = Redundancy::replication_for_ft(2); // 3 copies
-        assert_eq!(r.fault_tolerance(), 2);
+        assert_eq!(r, Redundancy::Replicate { copies: 3 });
         assert_eq!(r.space_multiplier(), 3.0);
         assert_eq!(r.stored_bytes(1000), 3000);
         assert!((r.utilization() - 1.0 / 3.0).abs() < 1e-12);
@@ -197,7 +189,7 @@ mod tests {
     fn ec_space_accounting_matches_paper_utilization() {
         // Paper: EC lifts disk utilization from 33% to 91%; 22+2 gives 91.7%.
         let r = Redundancy::ec_for_ft(22, 2);
-        assert_eq!(r.fault_tolerance(), 2);
+        assert_eq!(r, Redundancy::ErasureCode { k: 22, m: 2 });
         assert!((r.utilization() - 22.0 / 24.0).abs() < 1e-12);
         assert!(r.utilization() > 0.91);
     }

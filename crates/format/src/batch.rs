@@ -21,7 +21,7 @@ pub struct Selection {
 
 impl Selection {
     /// Every one of `rows` rows selected.
-    pub fn all(rows: usize) -> Self {
+    pub(crate) fn all(rows: usize) -> Self {
         let mut words = vec![!0u64; rows.div_ceil(64)];
         if let Some(last) = words.last_mut() {
             if rows % 64 != 0 {
@@ -129,7 +129,7 @@ impl Strs {
     }
 
     /// Every string, in order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 }
@@ -152,7 +152,7 @@ pub enum BatchColumn {
 
 impl BatchColumn {
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             BatchColumn::Int(v) => v.len(),
             BatchColumn::Float(v) => v.len(),
@@ -163,7 +163,7 @@ impl BatchColumn {
     }
 
     /// The string at row `i` of a string column.
-    pub fn str_at(&self, i: usize) -> Option<&str> {
+    pub(crate) fn str_at(&self, i: usize) -> Option<&str> {
         match self {
             BatchColumn::Str(s) => Some(s.get(i)),
             BatchColumn::Dict(dict, codes) => Some(dict.get(codes[i] as usize)),

@@ -26,7 +26,7 @@ pub enum Column<'a> {
 
 impl<'a> Column<'a> {
     /// An empty column of the given type.
-    pub fn empty(dtype: DataType) -> Self {
+    pub(crate) fn empty(dtype: DataType) -> Self {
         match dtype {
             DataType::Int64 => Column::Int(Vec::new()),
             DataType::Float64 => Column::Float(Vec::new()),
@@ -55,13 +55,8 @@ impl<'a> Column<'a> {
         }
     }
 
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Append a value; errors on type mismatch.
-    pub fn push(&mut self, v: &'a Value) -> Result<()> {
+    pub(crate) fn push(&mut self, v: &'a Value) -> Result<()> {
         match (self, v) {
             (Column::Int(col), Value::Int(x)) => col.push(*x),
             (Column::Float(col), Value::Float(x)) => col.push(*x),
@@ -80,7 +75,7 @@ impl<'a> Column<'a> {
 
     /// The value at `idx` (cloned into a dynamic [`Value`]).
     #[cfg(test)]
-    pub fn value(&self, idx: usize) -> Value {
+    pub(crate) fn value(&self, idx: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v[idx]),
             Column::Float(v) => Value::Float(v[idx]),
@@ -93,7 +88,7 @@ impl<'a> Column<'a> {
 /// Pivot rows into one column per schema field.
 ///
 /// Every row must match the schema's width and types.
-pub fn rows_to_columns<'a>(schema: &Schema, rows: &[&'a Row]) -> Result<Vec<Column<'a>>> {
+pub(crate) fn rows_to_columns<'a>(schema: &Schema, rows: &[&'a Row]) -> Result<Vec<Column<'a>>> {
     let mut cols: Vec<Column> = schema
         .fields()
         .iter()
@@ -159,7 +154,7 @@ mod tests {
     fn empty_rows_give_empty_columns() {
         let s = schema();
         let cols = rows_to_columns(&s, &[]).unwrap();
-        assert!(cols.iter().all(|c| c.is_empty()));
+        assert!(cols.iter().all(|c| c.len() == 0));
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn load64(data: &[u8], at: usize) -> u64 {
 /// out of window (as does an empty entry) and nothing is cleared between
 /// calls.
 #[derive(Debug)]
-pub struct Compressor {
+pub(crate) struct Compressor {
     heads: Vec<usize>,
     base: usize,
 }
@@ -73,13 +73,13 @@ impl Default for Compressor {
 
 impl Compressor {
     /// A compressor with an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append the compressed form of `input` to `out`; it always
     /// decompresses to exactly `input`.
-    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
         lz(&mut self.heads, self.base, input, out);
         self.base += input.len() + WINDOW;
     }

@@ -38,7 +38,7 @@ pub enum Encoding {
 
 impl Encoding {
     /// Wire tag for the chunk header.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Encoding::PlainInt => 0,
             Encoding::DeltaInt => 1,
@@ -50,7 +50,7 @@ impl Encoding {
     }
 
     /// Decode a wire tag.
-    pub fn from_tag(tag: u8) -> Result<Self> {
+    pub(crate) fn from_tag(tag: u8) -> Result<Self> {
         Ok(match tag {
             0 => Encoding::PlainInt,
             1 => Encoding::DeltaInt,

@@ -48,7 +48,7 @@ struct ChunkMeta {
 
 /// Directory entry for one row group.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowGroupMeta {
+pub(crate) struct RowGroupMeta {
     /// Rows in this group.
     pub n_rows: u64,
     chunks: Vec<ChunkMeta>,
@@ -71,11 +71,6 @@ impl LakeFileWriter {
             return Err(Error::InvalidArgument("rows_per_group must be positive".into()));
         }
         Ok(LakeFileWriter { schema, rows_per_group })
-    }
-
-    /// The writer's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// Encode `rows` into a complete file image.
@@ -203,11 +198,6 @@ impl LakeFileReader {
         &self.schema
     }
 
-    /// Row-group directory (for external scan planners).
-    pub fn row_groups(&self) -> &[RowGroupMeta] {
-        &self.groups
-    }
-
     /// Total rows across all row groups.
     pub fn total_rows(&self) -> u64 {
         self.groups.iter().map(|g| g.n_rows).sum()
@@ -225,14 +215,6 @@ impl LakeFileReader {
             }
         }
         Some(acc)
-    }
-
-    /// Number of row groups whose statistics refute `expr` (skippable).
-    pub fn skippable_groups(&self, expr: &Expr) -> usize {
-        self.groups
-            .iter()
-            .filter(|g| !self.group_may_match(g, expr))
-            .count()
     }
 
     /// The columnar scan: for every row group the statistics do not refute
@@ -402,7 +384,7 @@ mod tests {
         let bytes = w.encode(&rows).unwrap();
         let r = LakeFileReader::open(bytes).unwrap();
         assert_eq!(r.total_rows(), 1000);
-        assert_eq!(r.row_groups().len(), 4); // 256*3 + 232
+        assert_eq!(r.groups.len(), 4); // 256*3 + 232
         let back = r.scan(&Expr::True, None).unwrap();
         assert_eq!(back, rows);
     }
@@ -437,7 +419,12 @@ mod tests {
             Predicate::cmp("ts", CmpOp::Ge, 1_656_806_400i64 + 500),
             Predicate::cmp("ts", CmpOp::Lt, 1_656_806_400i64 + 600),
         ]);
-        assert_eq!(r.skippable_groups(&expr), 9, "9 of 10 groups must be skipped");
+        let skippable = r
+            .groups
+            .iter()
+            .filter(|g| !r.group_may_match(g, &expr))
+            .count();
+        assert_eq!(skippable, 9, "9 of 10 groups must be skipped");
         let hits = r.scan(&expr, None).unwrap();
         assert_eq!(hits.len(), 100);
     }
@@ -547,7 +534,7 @@ mod tests {
             Expr::Pred(Predicate::cmp("province", CmpOp::Ne, "nowhere")),
             Expr::Pred(Predicate::cmp("bytes", CmpOp::Ge, 0.0)),
         ];
-        for chunk in &r.row_groups()[0].chunks {
+        for chunk in &r.groups[0].chunks {
             // Every single-byte count (or compressed length) but the true one.
             for b in (0u8..0x80).filter(|&b| b != good[chunk.offset as usize]) {
                 let mut bad = good.clone();
@@ -570,7 +557,7 @@ mod tests {
         let all = r.scan(&Expr::True, None).unwrap();
         let mut rows = all.iter();
         let mut out = Vec::new();
-        for g in r.row_groups() {
+        for g in &r.groups {
             let group: Vec<&Row> = rows.by_ref().take(g.n_rows as usize).collect();
             if !expr.may_match(&|n: &str| r.schema().index_of(n).ok().and_then(|i| g.stats.get(i))) {
                 continue;
@@ -678,13 +665,17 @@ mod tests {
         }
         // Each batch's selection is exactly the group's matching rows.
         let all = r.scan(&Expr::True, None).unwrap();
-        let starts: Vec<usize> = r.row_groups().iter().scan(0, |s, g| {
-            let start = *s;
-            *s += g.n_rows as usize;
-            Some(start)
-        }).collect();
+        let starts: Vec<usize> = r
+            .groups
+            .iter()
+            .scan(0, |s, g| {
+                let start = *s;
+                *s += g.n_rows as usize;
+                Some(start)
+            })
+            .collect();
         let visited = r.scan_batches(&expr, proj.as_deref(), |b| {
-            let g = &r.row_groups()[b.group];
+            let g = &r.groups[b.group];
             for i in 0..g.n_rows as usize {
                 let hit = expr.eval_row(r.schema(), &all[starts[b.group] + i]).unwrap_or(false);
                 assert_eq!(b.selection.contains(i), hit, "{expr:?} group {} row {i}", b.group);

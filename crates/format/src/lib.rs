@@ -21,18 +21,18 @@
 //!   (late materialization of the projection) and stats-based row-group
 //!   skipping.
 
-pub mod batch;
-pub mod column;
+pub(crate) mod batch;
+pub(crate) mod column;
 pub mod compress;
 pub mod encoding;
-pub mod file;
-pub mod predicate;
-pub mod schema;
-pub mod stats;
-pub mod value;
+pub(crate) mod file;
+pub(crate) mod predicate;
+pub(crate) mod schema;
+pub(crate) mod stats;
+pub(crate) mod value;
 
-pub use batch::{Batch, BatchColumn, Selection, Strs};
-pub use column::{rows_to_columns, Column};
+pub use batch::{Batch, BatchColumn};
+pub use column::Column;
 pub use file::{LakeFileReader, LakeFileWriter};
 pub use predicate::{CmpOp, Expr, Predicate};
 pub use schema::{DataType, Field, Schema};

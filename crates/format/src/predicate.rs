@@ -46,7 +46,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// The operator accepting exactly the rows this one rejects.
-    pub fn negated(self) -> CmpOp {
+    pub(crate) fn negated(self) -> CmpOp {
         match self {
             CmpOp::Lt => CmpOp::Ge,
             CmpOp::Le => CmpOp::Gt,
@@ -174,7 +174,7 @@ impl Predicate {
     /// Conservative evaluation against chunk statistics: `true` when the
     /// chunk *may* contain matching rows, `false` only when it provably
     /// cannot (safe to skip).
-    pub fn may_match_stats(&self, stats: &ColumnStats) -> bool {
+    pub(crate) fn may_match_stats(&self, stats: &ColumnStats) -> bool {
         let cmp_min = |lit: &Value| lit.partial_cmp_same_type(&stats.min);
         let cmp_max = |lit: &Value| lit.partial_cmp_same_type(&stats.max);
         match self.op {

@@ -39,7 +39,7 @@ impl ColumnStats {
     }
 
     /// Merge two chunk stats into stats covering both.
-    pub fn merge(&self, other: &ColumnStats) -> ColumnStats {
+    pub(crate) fn merge(&self, other: &ColumnStats) -> ColumnStats {
         let min = if other.min.partial_cmp_same_type(&self.min) == Some(Ordering::Less) {
             other.min.clone()
         } else {
@@ -54,7 +54,7 @@ impl ColumnStats {
     }
 
     /// Whether `v` can possibly appear in the chunk (`min <= v <= max`).
-    pub fn may_contain(&self, v: &Value) -> bool {
+    pub(crate) fn may_contain(&self, v: &Value) -> bool {
         matches!(
             v.partial_cmp_same_type(&self.min),
             Some(Ordering::Greater) | Some(Ordering::Equal)

@@ -57,14 +57,6 @@ impl Value {
         }
     }
 
-    /// Bool payload, or an error for other types.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(v) => Ok(*v),
-            other => Err(Error::InvalidArgument(format!("expected Bool, got {other}"))),
-        }
-    }
-
     /// Total order across values of the *same* type (floats use IEEE total
     /// ordering). Returns `None` for mismatched types.
     pub fn partial_cmp_same_type(&self, other: &Value) -> Option<Ordering> {
@@ -159,7 +151,6 @@ mod tests {
         assert_eq!(Value::Int(5).as_int().unwrap(), 5);
         assert!(Value::Int(5).as_str().is_err());
         assert_eq!(Value::from("x").as_str().unwrap(), "x");
-        assert!(Value::Bool(true).as_bool().unwrap());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use common::{Error, Result};
 
 /// One operation inside a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Insert or overwrite `key` with `value`.
     Put {
         /// The key to write.
@@ -53,17 +53,12 @@ impl WriteBatch {
     }
 
     /// Operations in insertion order.
-    pub fn ops(&self) -> &[Op] {
+    pub(crate) fn ops(&self) -> &[Op] {
         &self.ops
     }
 
-    /// Number of queued operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Whether the batch holds no operations.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 
@@ -122,7 +117,7 @@ mod tests {
     fn builder_preserves_order() {
         let mut b = WriteBatch::new();
         b.put(b"a".to_vec(), b"1".to_vec()).delete(b"b".to_vec()).put(b"c".to_vec(), b"3".to_vec());
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.ops().len(), 3);
         assert!(matches!(&b.ops()[1], Op::Delete { key } if key == b"b"));
     }
 

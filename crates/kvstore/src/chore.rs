@@ -21,7 +21,7 @@ use common::Result;
 pub const DEFAULT_FRAME_TRIGGER: u64 = 256;
 
 /// Compact once the WAL exceeds this many bytes regardless of frame count.
-pub const DEFAULT_BYTE_TRIGGER: u64 = 4 * 1024 * 1024;
+pub(crate) const DEFAULT_BYTE_TRIGGER: u64 = 4 * 1024 * 1024;
 
 /// Maintenance chore compacting a [`SharedKv`]'s WAL.
 ///

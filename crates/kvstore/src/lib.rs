@@ -15,13 +15,13 @@
 //! prefix/range scans, crash recovery that tolerates torn tails, and log
 //! compaction.
 
-pub mod batch;
+pub(crate) mod batch;
 pub mod chore;
-pub mod mvcc;
+pub(crate) mod mvcc;
 pub mod store;
-pub mod wal;
+pub(crate) mod wal;
 
 pub use batch::WriteBatch;
 pub use chore::WalCompactionChore;
-pub use mvcc::{MvccStore, ResolutionJournal, TxnHandle};
+pub use mvcc::MvccStore;
 pub use store::{scan_copies, KvStore, SharedKv};

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An MVCC timestamp (also used as transaction id: a transaction's id is
 /// the timestamp the oracle issued at `begin`).
-pub type Ts = u64;
+pub(crate) type Ts = u64;
 
 const STATUS_PENDING: u8 = 0;
 const STATUS_COMMITTED: u8 = 1;
@@ -52,9 +52,9 @@ const STATUS_COMMITTED: u8 = 1;
 const FLAG_TOMBSTONE: u8 = 1;
 
 /// Journal action: a committed intent was resolved into a version.
-pub const JOURNAL_COMMIT: u8 = 1;
+pub(crate) const JOURNAL_COMMIT: u8 = 1;
 /// Journal action: a pending intent was removed by abort/cleanup.
-pub const JOURNAL_ABORT: u8 = 2;
+pub(crate) const JOURNAL_ABORT: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // key encoding
@@ -267,7 +267,7 @@ impl MvccState {
 
 /// One resolution action: what happened to one intent, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
+pub(crate) struct JournalEntry {
     /// The transaction whose intent was resolved.
     pub txn: Ts,
     /// [`JOURNAL_COMMIT`] or [`JOURNAL_ABORT`].
@@ -282,13 +282,13 @@ pub struct JournalEntry {
 /// byte-identical [`encode`](ResolutionJournal::encode) output — the
 /// determinism contract interleaving tests pin.
 #[derive(Debug, Default)]
-pub struct ResolutionJournal {
+pub(crate) struct ResolutionJournal {
     entries: Vec<JournalEntry>,
 }
 
 impl ResolutionJournal {
     /// Deterministic byte encoding of the whole journal.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.entries.len() * 24);
         for e in &self.entries {
             out.extend_from_slice(&e.txn.to_be_bytes());
@@ -298,21 +298,6 @@ impl ResolutionJournal {
             out.extend_from_slice(&e.key);
         }
         out
-    }
-
-    /// FNV-1a digest of [`encode`](ResolutionJournal::encode).
-    pub fn digest(&self) -> u64 {
-        common::checksum::fnv1a(&self.encode())
-    }
-
-    /// Number of recorded resolutions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been resolved yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -448,15 +433,6 @@ impl MvccStore {
             drop(st);
         }
         TxnHandle { id: ts, read_ts: ts }
-    }
-
-    /// The snapshot timestamp `txn` reads at.
-    pub fn read_ts(&self, txn: Ts) -> Result<Ts> {
-        let st = self.state.lock();
-        st.active
-            .get(&txn)
-            .map(|t| t.read_ts)
-            .ok_or_else(|| Error::NotFound(format!("mvcc txn {txn}")))
     }
 
     /// Number of live (begun, not yet resolved/aborted) transactions.
@@ -608,17 +584,6 @@ impl MvccStore {
     /// Transactional delete (writes a tombstone intent).
     pub fn delete(&self, txn: Ts, key: &[u8]) -> Result<()> {
         self.write(txn, key, None)
-    }
-
-    /// Take an explicit `[lo, hi)` interval latch for `txn` — key-range
-    /// conflict detection for operations that logically cover a range
-    /// (e.g. a table's whole metadata span) without writing every key.
-    pub fn lock_range(&self, txn: Ts, lo: &[u8], hi: &[u8]) -> Result<()> {
-        let mut st = self.state.lock();
-        if !st.active.contains_key(&txn) {
-            return Err(Error::NotFound(format!("mvcc txn {txn}")));
-        }
-        st.latch(txn, lo.to_vec(), hi.to_vec())
     }
 
     /// Phase one of commit: validate and durably decide.
@@ -932,19 +897,9 @@ impl MvccStore {
         n
     }
 
-    /// Deterministic digest of the resolution journal.
-    pub fn journal_digest(&self) -> u64 {
-        self.journal.lock().digest()
-    }
-
     /// Byte encoding of the resolution journal (same-seed replay pinning).
     pub fn journal_bytes(&self) -> Vec<u8> {
         self.journal.lock().encode()
-    }
-
-    /// Entries resolved so far.
-    pub fn journal_len(&self) -> usize {
-        self.journal.lock().len()
     }
 }
 
@@ -1055,11 +1010,16 @@ mod tests {
         let m = MvccStore::new();
         let a = m.begin();
         let b = m.begin();
-        m.lock_range(a.id, b"table/a", b"table/m")?;
-        assert!(matches!(m.lock_range(b.id, b"table/g", b"table/z"), Err(Error::Conflict(_))));
+        let lock_range =
+            |txn: Ts, lo: &[u8], hi: &[u8]| m.state.lock().latch(txn, lo.to_vec(), hi.to_vec());
+        lock_range(a.id, b"table/a", b"table/m")?;
+        assert!(matches!(
+            lock_range(b.id, b"table/g", b"table/z"),
+            Err(Error::Conflict(_))
+        ));
         // Disjoint range is fine; same-txn overlap is fine.
-        m.lock_range(b.id, b"table/m", b"table/z")?;
-        m.lock_range(a.id, b"table/c", b"table/d")?;
+        lock_range(b.id, b"table/m", b"table/z")?;
+        lock_range(a.id, b"table/c", b"table/d")?;
         // Point writes respect the interval too.
         assert!(matches!(m.put(b.id, b"table/h", b"x"), Err(Error::Conflict(_))));
         m.abort(a.id)?;
@@ -1092,10 +1052,10 @@ mod tests {
         assert_eq!(rec.read_at(b"done/b", commit_ts), Some(b"2".to_vec()));
         assert_eq!(rec.read_at(b"orphan/a", u64::MAX), None);
         // Recovery is idempotent: a second sweep does nothing.
-        let digest = rec.journal_digest();
+        let journal = rec.journal_bytes();
         let again = rec.recover()?;
         assert_eq!(again, RecoveryReport::default());
-        assert_eq!(rec.journal_digest(), digest);
+        assert_eq!(rec.journal_bytes(), journal);
         // The oracle resumed above every persisted timestamp.
         let t3 = rec.begin();
         assert!(t3.read_ts > commit_ts);

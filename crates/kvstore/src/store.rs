@@ -72,7 +72,7 @@ impl KvStore {
 
     /// Insert or overwrite many keys atomically: one WAL frame for the
     /// whole batch, so either every put survives recovery or none do.
-    pub fn put_batch(&mut self, pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) {
+    pub(crate) fn put_batch(&mut self, pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) {
         let mut b = WriteBatch::new();
         for (key, value) in pairs {
             b.put(key, value);
@@ -81,7 +81,7 @@ impl KvStore {
     }
 
     /// Apply a batch atomically: logged as one frame, then applied.
-    pub fn apply(&mut self, batch: &WriteBatch) {
+    pub(crate) fn apply(&mut self, batch: &WriteBatch) {
         if batch.is_empty() {
             return;
         }
@@ -92,11 +92,6 @@ impl KvStore {
     /// Fetch the value for `key`.
     pub fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
         self.mem.get(key)
-    }
-
-    /// Whether `key` exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.mem.contains_key(key)
     }
 
     /// All pairs whose key starts with `prefix`, in key order. Clones every
@@ -116,7 +111,7 @@ impl KvStore {
     /// All pairs with `lo <= key < hi`, in key order. Clones every matched
     /// pair (see [`scan_copies`]); hot paths should use
     /// [`for_each_range`](KvStore::for_each_range) instead.
-    pub fn scan_range(&self, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    pub(crate) fn scan_range(&self, lo: &[u8], hi: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let out: Vec<_> = self
             .mem
             .range::<Vec<u8>, _>((Bound::Included(&lo.to_vec()), Bound::Excluded(&hi.to_vec())))
@@ -128,7 +123,7 @@ impl KvStore {
 
     /// Borrowed prefix scan: call `f(key, value)` for each pair in key
     /// order, stopping when `f` returns `false`. No allocation per pair.
-    pub fn for_each_prefix(&self, prefix: &[u8], f: &mut dyn FnMut(&[u8], &[u8]) -> bool) {
+    pub(crate) fn for_each_prefix(&self, prefix: &[u8], f: &mut dyn FnMut(&[u8], &[u8]) -> bool) {
         for (k, v) in self
             .mem
             .range::<Vec<u8>, _>((Bound::Included(&prefix.to_vec()), Bound::Unbounded))
@@ -141,7 +136,12 @@ impl KvStore {
 
     /// Borrowed range scan over `lo <= key < hi`, stopping when `f`
     /// returns `false`. No allocation per pair.
-    pub fn for_each_range(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], &[u8]) -> bool) {
+    pub(crate) fn for_each_range(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) {
         for (k, v) in self
             .mem
             .range::<Vec<u8>, _>((Bound::Included(&lo.to_vec()), Bound::Excluded(&hi.to_vec())))
@@ -157,11 +157,6 @@ impl KvStore {
         self.mem.len()
     }
 
-    /// Whether the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
     /// Size of the WAL in bytes (grows with every batch until compaction).
     pub fn wal_bytes_len(&self) -> u64 {
         self.wal.len_bytes()
@@ -169,7 +164,7 @@ impl KvStore {
 
     /// Number of WAL frames (one per applied batch; group commit's gauge
     /// for "a whole group paid one frame").
-    pub fn wal_frames(&self) -> u64 {
+    pub(crate) fn wal_frames(&self) -> u64 {
         self.wal.record_count()
     }
 
@@ -180,7 +175,7 @@ impl KvStore {
 
     /// Rewrite the WAL as a single batch of the live state, discarding
     /// superseded entries.
-    pub fn compact_wal(&mut self) {
+    pub(crate) fn compact_wal(&mut self) {
         let mut b = WriteBatch::new();
         for (k, v) in &self.mem {
             b.put(k.clone(), v.clone());
@@ -239,7 +234,7 @@ impl SharedKv {
     }
 
     /// Apply a batch atomically.
-    pub fn apply(&self, batch: &WriteBatch) {
+    pub(crate) fn apply(&self, batch: &WriteBatch) {
         self.inner.write().apply(batch);
     }
 
@@ -251,11 +246,6 @@ impl SharedKv {
     /// Fetch a value (cloned out of the lock).
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.inner.read().get(key).cloned()
-    }
-
-    /// Whether a key exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.inner.read().contains(key)
     }
 
     /// Prefix scan (cloned snapshot; counts against [`scan_copies`]).
@@ -279,18 +269,18 @@ impl SharedKv {
 
     /// Borrowed range scan under the read lock over `lo <= key < hi`.
     /// `f` must not call back into this store.
-    pub fn scan_range_with(&self, lo: &[u8], hi: &[u8], f: &mut dyn FnMut(&[u8], &[u8]) -> bool) {
+    pub(crate) fn scan_range_with(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) {
         self.inner.read().for_each_range(lo, hi, f);
     }
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
         self.inner.read().len()
-    }
-
-    /// Whether the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
     }
 
     /// Number of WAL frames appended so far.
@@ -305,7 +295,7 @@ impl SharedKv {
     }
 
     /// Run a closure with exclusive access (for read-modify-write).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut KvStore) -> R) -> R {
+    pub(crate) fn with_mut<R>(&self, f: impl FnOnce(&mut KvStore) -> R) -> R {
         f(&mut self.inner.write())
     }
 }
@@ -322,7 +312,7 @@ mod tests {
         assert_eq!(kv.get(b"k"), Some(&b"v".to_vec()));
         kv.delete(b"k".to_vec());
         assert_eq!(kv.get(b"k"), None);
-        assert!(kv.is_empty());
+        assert_eq!(kv.len(), 0);
     }
 
     #[test]
@@ -335,7 +325,7 @@ mod tests {
         let mut bytes = kv.wal_bytes().to_vec();
         bytes.truncate(bytes.len() - 1);
         let rec = KvStore::recover(bytes).unwrap();
-        assert!(rec.is_empty(), "torn batch must not be half-applied");
+        assert_eq!(rec.len(), 0, "torn batch must not be half-applied");
     }
 
     #[test]

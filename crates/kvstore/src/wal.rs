@@ -14,22 +14,17 @@ use common::{Error, Result};
 /// [`bytes`](Wal::bytes) (e.g. to persist into a PLog) and replayed with
 /// [`replay`](Wal::replay).
 #[derive(Debug, Clone, Default)]
-pub struct Wal {
+pub(crate) struct Wal {
     buf: Vec<u8>,
     records: u64,
 }
 
 impl Wal {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Construct a log whose content is `bytes` (e.g. read back from disk).
     ///
     /// Validates framing eagerly; a torn tail is trimmed, a mid-log CRC
     /// failure is an error.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
         let mut wal = Wal { buf: bytes, records: 0 };
         let (valid_len, records) = wal.scan()?;
         wal.buf.truncate(valid_len);
@@ -38,7 +33,7 @@ impl Wal {
     }
 
     /// Append one payload as a frame.
-    pub fn append(&mut self, payload: &[u8]) {
+    pub(crate) fn append(&mut self, payload: &[u8]) {
         let len = payload.len() as u32;
         self.buf.extend_from_slice(&len.to_le_bytes());
         self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -47,22 +42,22 @@ impl Wal {
     }
 
     /// Raw log bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
     /// Log size in bytes.
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.buf.len() as u64
     }
 
     /// Number of appended (or replayed) records.
-    pub fn record_count(&self) -> u64 {
+    pub(crate) fn record_count(&self) -> u64 {
         self.records
     }
 
     /// Iterate over all payloads in append order.
-    pub fn replay(&self) -> Result<Vec<Vec<u8>>> {
+    pub(crate) fn replay(&self) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::with_capacity(self.records as usize);
         let mut off = 0usize;
         while off < self.buf.len() {
@@ -79,7 +74,7 @@ impl Wal {
 
     /// Replace the log content with a fresh sequence of payloads
     /// (compaction).
-    pub fn reset_with(&mut self, payloads: &[Vec<u8>]) {
+    pub(crate) fn reset_with(&mut self, payloads: &[Vec<u8>]) {
         self.buf.clear();
         self.records = 0;
         for p in payloads {
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn append_and_replay() {
-        let mut w = Wal::new();
+        let mut w = Wal::default();
         w.append(b"one");
         w.append(b"two");
         assert_eq!(w.record_count(), 2);
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_trimmed_on_recovery() {
-        let mut w = Wal::new();
+        let mut w = Wal::default();
         w.append(b"complete");
         w.append(b"will be torn");
         let mut bytes = w.bytes().to_vec();
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn mid_log_bitflip_is_corruption() {
-        let mut w = Wal::new();
+        let mut w = Wal::default();
         w.append(b"aaaaaaaa");
         w.append(b"bbbbbbbb");
         let mut bytes = w.bytes().to_vec();
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn reset_with_compacts() {
-        let mut w = Wal::new();
+        let mut w = Wal::default();
         for i in 0..100u32 {
             w.append(&i.to_le_bytes());
         }
@@ -172,7 +167,7 @@ mod tests {
 
     #[test]
     fn empty_payloads_are_legal() {
-        let mut w = Wal::new();
+        let mut w = Wal::default();
         w.append(b"");
         w.append(b"");
         assert_eq!(w.replay().unwrap(), vec![Vec::<u8>::new(); 2]);
@@ -183,7 +178,7 @@ mod tests {
         fn roundtrip_arbitrary_payloads(
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 0..32)
         ) {
-            let mut w = Wal::new();
+            let mut w = Wal::default();
             for p in &payloads {
                 w.append(p);
             }
@@ -198,7 +193,7 @@ mod tests {
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..16),
             cut_fraction in 0.0f64..1.0,
         ) {
-            let mut w = Wal::new();
+            let mut w = Wal::default();
             for p in &payloads {
                 w.append(p);
             }

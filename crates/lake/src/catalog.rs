@@ -39,28 +39,20 @@ pub struct PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// Identity partitioning by `column`.
-    pub fn identity(column: impl Into<String>) -> Self {
-        PartitionSpec { column: column.into(), transform: PartitionTransform::Identity }
-    }
-
     /// Hourly time-bucket partitioning of an epoch-seconds column.
     pub fn hourly(column: impl Into<String>) -> Self {
         PartitionSpec { column: column.into(), transform: PartitionTransform::TimeBucket(3600) }
     }
 
-    /// Daily time-bucket partitioning of an epoch-seconds column.
-    pub fn daily(column: impl Into<String>) -> Self {
-        PartitionSpec { column: column.into(), transform: PartitionTransform::TimeBucket(86_400) }
-    }
-
     /// Partition value string for a column value.
-    pub fn partition_value(&self, v: &format::Value) -> Result<String> {
+    pub(crate) fn partition_value(&self, v: &format::Value) -> Result<String> {
         match self.transform {
             PartitionTransform::Identity => Ok(format!("{}={}", self.column, v)),
             PartitionTransform::TimeBucket(width) => {
-                let t = v.as_int()?;
-                Ok(format!("{}_bucket={}", self.column, t.div_euclid(width)))
+                let bucket = v.as_int()?.checked_div_euclid(width).ok_or_else(|| {
+                    Error::InvalidArgument(format!("time bucket width {width} of {}", self.column))
+                })?;
+                Ok(format!("{}_bucket={bucket}", self.column))
             }
         }
     }
@@ -129,7 +121,12 @@ impl TableProfile {
                 let column = r.str()?.to_owned();
                 let transform = match r.u8()? {
                     0 => PartitionTransform::Identity,
-                    1 => PartitionTransform::TimeBucket(r.i64()?),
+                    1 => match r.i64()? {
+                        width if width > 0 => PartitionTransform::TimeBucket(width),
+                        width => {
+                            return Err(Error::Corruption(format!("time bucket width {width}")))
+                        }
+                    },
                     tag => {
                         return Err(Error::Corruption(format!("unknown partition transform {tag}")))
                     }
@@ -181,6 +178,11 @@ impl Catalog {
         }
         if let Some(p) = &partition {
             schema.index_of(&p.column)?; // partition column must exist
+            if let PartitionTransform::TimeBucket(width @ ..=0) = p.transform {
+                return Err(Error::InvalidArgument(format!(
+                    "table {name}: time bucket width {width} must be positive"
+                )));
+            }
         }
         let id = TableId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let profile = TableProfile {
@@ -221,12 +223,12 @@ impl Catalog {
     }
 
     /// Overwrite a profile (commit pointer swing, soft-delete flag, …).
-    pub fn update(&self, profile: &TableProfile) {
+    pub(crate) fn update(&self, profile: &TableProfile) {
         self.kv.put(Self::key(&profile.name), profile.encode());
     }
 
     /// Remove the catalog entry entirely (drop table hard).
-    pub fn remove(&self, name: &str) {
+    pub(crate) fn remove(&self, name: &str) {
         self.kv.delete(Self::key(name));
     }
 
@@ -286,9 +288,8 @@ mod tests {
     #[test]
     fn partition_column_must_exist() {
         let c = Catalog::new(SharedKv::new());
-        assert!(c
-            .create("bad", schema(), Some(PartitionSpec::identity("nope")), 1000, 0)
-            .is_err());
+        let part = PartitionSpec { column: "nope".into(), transform: PartitionTransform::Identity };
+        assert!(c.create("bad", schema(), Some(part), 1000, 0).is_err());
     }
 
     #[test]
@@ -316,7 +317,10 @@ mod tests {
 
     #[test]
     fn partition_value_transforms() {
-        let id = PartitionSpec::identity("province");
+        let id = PartitionSpec {
+            column: "province".into(),
+            transform: PartitionTransform::Identity,
+        };
         assert_eq!(
             id.partition_value(&format::Value::from("beijing")).unwrap(),
             "province=\"beijing\""
@@ -344,8 +348,14 @@ mod tests {
         let c = Catalog::new(SharedKv::new());
         for part in [
             None,
-            Some(PartitionSpec::identity("url")),
-            Some(PartitionSpec::daily("start_time")),
+            Some(PartitionSpec {
+                column: "url".into(),
+                transform: PartitionTransform::Identity,
+            }),
+            Some(PartitionSpec {
+                column: "start_time".into(),
+                transform: PartitionTransform::TimeBucket(86_400),
+            }),
         ] {
             let name = format!("t{:?}", part.is_some());
             let _ = c.create(&name, schema(), part.clone(), 5000, 7);

@@ -45,10 +45,10 @@ pub struct ConversionReport {
 }
 
 /// Parses one stream record into a table row.
-pub type RecordParser = dyn Fn(&Record) -> Result<Row> + Send + Sync;
+pub(crate) type RecordParser = dyn Fn(&Record) -> Result<Row> + Send + Sync;
 
 /// Serializes one table row back into a stream record (playback).
-pub type RowSerializer = dyn Fn(&Row) -> Record + Send + Sync;
+pub(crate) type RowSerializer = dyn Fn(&Row) -> Record + Send + Sync;
 
 /// A background conversion task bound to one stream object and one table.
 pub struct ConversionTask {
@@ -87,11 +87,6 @@ impl ConversionTask {
             converted_until: 0,
             last_run: 0,
         }
-    }
-
-    /// Offset up to which records were already converted.
-    pub fn converted_until(&self) -> u64 {
-        self.converted_until
     }
 
     /// Run the task if a trigger fires; `force` bypasses trigger checks.
@@ -251,7 +246,7 @@ mod tests {
         let report = task.run(&store, &IoCtx::new(0), false).unwrap().unwrap();
         assert_eq!(report.trigger, Trigger::Offset);
         assert_eq!(report.records_converted, 150);
-        assert_eq!(task.converted_until(), 150);
+        assert_eq!(task.converted_until, 150);
         let rows = store.select("t", &ScanOptions::default(), &IoCtx::new(0)).unwrap().rows;
         assert_eq!(rows.len(), 150);
         // stream data retained (delete_msg = false)

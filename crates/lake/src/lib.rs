@@ -25,12 +25,12 @@
 pub mod catalog;
 pub mod conversion;
 pub mod maintenance;
-pub mod meta;
+pub(crate) mod meta;
 pub mod metacache;
 pub mod table;
 
-pub use catalog::{Catalog, PartitionSpec, PartitionTransform, TableProfile};
-pub use maintenance::{CompactionChore, Compactor, MetaFlushChore};
+pub use catalog::{Catalog, PartitionSpec, TableProfile};
+pub use maintenance::{CompactionChore, MetaFlushChore};
 pub use meta::{Commit, DataFileMeta, Snapshot};
 pub use metacache::{MetadataCache, MetadataMode};
-pub use table::{CommitInfo, ScanOptions, ScanResult, StagedTableCommit, TableStore};
+pub use table::{CommitInfo, ScanOptions, StagedTableCommit, TableStore};

@@ -17,11 +17,8 @@ use common::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Storage block size used for utilization accounting (paper's `K`).
-pub const BLOCK_SIZE: u64 = 4 * 1024 * 1024;
-
 /// Target output file size of the compaction chore.
-pub const COMPACTION_TARGET_BYTES: u64 = 64 * 1024 * 1024;
+pub(crate) const COMPACTION_TARGET_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Block utilization of a set of files: `Σ f_i / (K × Σ ⌈f_i/K⌉)`.
 ///
@@ -37,15 +34,9 @@ pub fn block_utilization(file_sizes: &[u64], block_size: u64) -> f64 {
 
 /// Outcome of one compaction run on one partition.
 #[derive(Debug, Clone)]
-pub struct CompactionOutcome {
+pub(crate) struct CompactionOutcome {
     /// Files merged away.
     pub files_compacted: u64,
-    /// Files produced.
-    pub files_produced: u64,
-    /// Block utilization of the partition before.
-    pub utilization_before: f64,
-    /// Block utilization of the partition after.
-    pub utilization_after: f64,
     /// The commit, when one was made.
     pub commit: Option<CommitInfo>,
 }
@@ -54,7 +45,7 @@ pub struct CompactionOutcome {
 ///
 /// Files are considered largest-first (classic first-fit-decreasing); bins
 /// holding a single file are not rewritten (no gain).
-pub fn binpack(files: &[DataFileMeta], target_bytes: u64) -> Vec<Vec<DataFileMeta>> {
+pub(crate) fn binpack(files: &[DataFileMeta], target_bytes: u64) -> Vec<Vec<DataFileMeta>> {
     let mut sorted: Vec<&DataFileMeta> = files.iter().collect();
     sorted.sort_by_key(|f| std::cmp::Reverse(f.bytes));
     let mut bins: Vec<(u64, Vec<DataFileMeta>)> = Vec::new();
@@ -78,19 +69,19 @@ pub fn binpack(files: &[DataFileMeta], target_bytes: u64) -> Vec<Vec<DataFileMet
 
 /// The compaction executor.
 #[derive(Debug)]
-pub struct Compactor {
+pub(crate) struct Compactor {
     /// Target output file size in bytes.
     pub target_bytes: u64,
 }
 
 impl Compactor {
     /// A compactor merging toward `target_bytes` output files.
-    pub fn new(target_bytes: u64) -> Self {
+    pub(crate) fn new(target_bytes: u64) -> Self {
         Compactor { target_bytes: target_bytes.max(1) }
     }
 
     /// Live files of `table` grouped by partition.
-    pub fn partitions(
+    pub(crate) fn partitions(
         &self,
         store: &TableStore,
         table: &str,
@@ -107,7 +98,7 @@ impl Compactor {
     /// rewrite optimistically. Returns `Error::Conflict` when a concurrent
     /// commit invalidated the inputs (the failure case the RL reward
     /// penalizes).
-    pub fn compact_partition(
+    pub(crate) fn compact_partition(
         &self,
         store: &TableStore,
         table: &str,
@@ -122,14 +113,10 @@ impl Compactor {
         let files = parts
             .get(partition)
             .ok_or_else(|| Error::NotFound(format!("partition {partition} of {table}")))?;
-        let sizes_before: Vec<u64> = files.iter().map(|f| f.bytes).collect();
         let bins = binpack(files, self.target_bytes);
         if bins.is_empty() {
             return Ok(CompactionOutcome {
                 files_compacted: 0,
-                files_produced: 0,
-                utilization_before: block_utilization(&sizes_before, BLOCK_SIZE),
-                utilization_after: block_utilization(&sizes_before, BLOCK_SIZE),
                 commit: None,
             });
         }
@@ -147,25 +134,16 @@ impl Compactor {
             added.push((partition.to_string(), merged_rows));
         }
         let files_compacted = removed.len() as u64;
-        let files_produced = added.len() as u64;
         let commit = store.commit_replace(table, base, removed, added, &ctx.at(t))?;
-        let parts_after = self.partitions(store, table, &ctx.at(commit.finished_at))?;
-        let sizes_after: Vec<u64> = parts_after
-            .get(partition)
-            .map(|fs| fs.iter().map(|f| f.bytes).collect())
-            .unwrap_or_default();
         Ok(CompactionOutcome {
             files_compacted,
-            files_produced,
-            utilization_before: block_utilization(&sizes_before, BLOCK_SIZE),
-            utilization_after: block_utilization(&sizes_after, BLOCK_SIZE),
             commit: Some(commit),
         })
     }
 
     /// Compact every partition (the static "compact everything on a timer"
     /// baseline); conflicts on individual partitions are skipped.
-    pub fn compact_all(
+    pub(crate) fn compact_all(
         &self,
         store: &TableStore,
         table: &str,
@@ -288,6 +266,9 @@ mod tests {
     use common::ctx::IoCtx;
     use format::ColumnStats;
 
+    /// Storage block size used for utilization accounting (paper's `K`).
+    const BLOCK_SIZE: u64 = 4 * 1024 * 1024;
+
     fn meta(path: &str, bytes: u64) -> DataFileMeta {
         DataFileMeta {
             path: path.into(),
@@ -351,8 +332,6 @@ mod tests {
         let compactor = Compactor::new(64 * 1024 * 1024);
         let outcome = compactor.compact_partition(&store, "t", "", &IoCtx::new(10)).unwrap();
         assert_eq!(outcome.files_compacted, 20);
-        assert_eq!(outcome.files_produced, 1);
-        assert!(outcome.utilization_after > outcome.utilization_before);
         assert_eq!(store.live_files("t", &IoCtx::new(20)).unwrap().len(), 1);
         let after_rows = store.select("t", &ScanOptions::default(), &IoCtx::new(20)).unwrap().rows.len();
         assert_eq!(after_rows, before_rows, "compaction must not lose rows");

@@ -42,7 +42,7 @@ impl DataFileMeta {
     }
 
     /// Decode one meta from `r`.
-    pub fn decode(r: &mut Reader<'_>) -> Result<DataFileMeta> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<DataFileMeta> {
         let path = r.str()?.to_owned();
         let partition = r.str()?.to_owned();
         let (record_count, bytes) = (r.u64()?, r.u64()?);

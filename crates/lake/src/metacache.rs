@@ -38,7 +38,7 @@ pub enum MetadataMode {
 }
 
 /// Per-lookup cost of the SCM/RDMA-optimized KV engine.
-pub const KV_LOOKUP_COST: Nanos = micros(2);
+pub(crate) const KV_LOOKUP_COST: Nanos = micros(2);
 
 /// Approximate in-memory footprint of one file's metadata on the compute
 /// side (path + stats), used by the Fig 15(b) memory model.
@@ -58,7 +58,7 @@ pub struct MetadataCache {
 impl MetadataCache {
     /// A cache flushing to `plog` once a table accumulates
     /// `flush_threshold` unflushed metadata entries.
-    pub fn new(plog: Arc<PlogStore>, flush_threshold: u64) -> Self {
+    pub(crate) fn new(plog: Arc<PlogStore>, flush_threshold: u64) -> Self {
         MetadataCache {
             plog,
             pending: TrackedMutex::new("lake.meta.pending", BTreeMap::new()),
@@ -69,7 +69,7 @@ impl MetadataCache {
     /// Record a commit: cached as KV pairs, live-file index updated, and
     /// flushed by the MetaFresher when the buffer is full. Returns the
     /// virtual completion time of the (cache-resident) update.
-    pub fn put_commit(&self, table: &str, commit: &Commit, ctx: &IoCtx) -> Result<Nanos> {
+    pub(crate) fn put_commit(&self, table: &str, commit: &Commit, ctx: &IoCtx) -> Result<Nanos> {
         self.plog.kv().put(commit_key(table, commit.id), commit.encode());
         // maintain the materialized per-partition live-file index
         for f in &commit.added {
@@ -114,13 +114,18 @@ impl MetadataCache {
     /// squash). Unlike [`put_commit`](Self::put_commit) it leaves the
     /// live-file index alone: the index tracks the current snapshot, which
     /// rewriting history does not change.
-    pub fn rewrite_commit(&self, table: &str, commit: &Commit) {
+    pub(crate) fn rewrite_commit(&self, table: &str, commit: &Commit) {
         self.plog.kv().put(commit_key(table, commit.id), commit.encode());
     }
 
     /// Record a snapshot in the cache. Returns the virtual completion time
     /// of the (cache-resident) update.
-    pub fn put_snapshot(&self, table: &str, snapshot: &Snapshot, ctx: &IoCtx) -> Result<Nanos> {
+    pub(crate) fn put_snapshot(
+        &self,
+        table: &str,
+        snapshot: &Snapshot,
+        ctx: &IoCtx,
+    ) -> Result<Nanos> {
         self.plog.kv().put(snapshot_key(table, snapshot.id), snapshot.encode());
         ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
         Ok(ctx.now + KV_LOOKUP_COST)
@@ -153,7 +158,7 @@ impl MetadataCache {
     /// Tables with unflushed metadata entries and their pending counts, in
     /// name order (the backing map is ordered), so maintenance sweeps are
     /// deterministic.
-    pub fn pending_tables(&self) -> Vec<(String, u64)> {
+    pub(crate) fn pending_tables(&self) -> Vec<(String, u64)> {
         self.pending
             .lock()
             .iter()
@@ -220,7 +225,7 @@ impl MetadataCache {
     /// Accelerated mode serves the materialized index: cost is one KV scan
     /// per *touched* partition. File-based mode reads every commit file of
     /// the snapshot from storage and replays it: cost is linear in commits.
-    pub fn live_files(
+    pub(crate) fn live_files(
         &self,
         table: &str,
         snapshot: &Snapshot,
@@ -271,7 +276,7 @@ impl MetadataCache {
     /// cache for time travel (a *historical* snapshot must not consult the
     /// materialized index, which always reflects the current one). Cost is
     /// linear in commits either way.
-    pub fn replay_commits(
+    pub(crate) fn replay_commits(
         &self,
         table: &str,
         snapshot: &Snapshot,
@@ -301,25 +306,25 @@ impl MetadataCache {
 
     /// Remove a commit entry (cache + any persisted file). Used by snapshot
     /// expiration.
-    pub fn remove_commit(&self, table: &str, id: u64) {
+    pub(crate) fn remove_commit(&self, table: &str, id: u64) {
         self.remove_entry(commit_key(table, id).as_bytes());
     }
 
     /// Remove a snapshot entry (cache + any persisted file).
-    pub fn remove_snapshot(&self, table: &str, id: u64) {
+    pub(crate) fn remove_snapshot(&self, table: &str, id: u64) {
         self.remove_entry(snapshot_key(table, id).as_bytes());
     }
 
     /// Invalidate the persisted copy of a commit/snapshot after rewriting
     /// its cache entry, so the next MetaFresher flush re-persists it.
-    pub fn invalidate_persisted(&self, table: &str, commit_id: u64) {
+    pub(crate) fn invalidate_persisted(&self, table: &str, commit_id: u64) {
         self.forget_persisted(commit_key(table, commit_id).as_bytes());
         self.forget_persisted(snapshot_key(table, commit_id).as_bytes());
     }
 
     /// Every data-file path a cached commit of `table` added, in path order
     /// — what a hard drop must physically reclaim.
-    pub fn data_file_paths(&self, table: &str) -> Result<BTreeSet<String>> {
+    pub(crate) fn data_file_paths(&self, table: &str) -> Result<BTreeSet<String>> {
         let mut paths = BTreeSet::new();
         for (_, body) in self.plog.kv().scan_prefix(commit_prefix(table).as_bytes()) {
             paths.extend(Commit::decode(&body)?.added.into_iter().map(|f| f.path));
@@ -330,7 +335,7 @@ impl MetadataCache {
     /// Drop every trace of `table` — live index, commit and snapshot
     /// entries, pending-flush count — so a re-created table of the same
     /// name cannot inherit the dead one's files (hard drop).
-    pub fn purge_table(&self, table: &str) {
+    pub(crate) fn purge_table(&self, table: &str) {
         for prefix in [live_prefix(table), commit_prefix(table), snapshot_prefix(table)] {
             for (key, _) in self.plog.kv().scan_prefix(prefix.as_bytes()) {
                 self.remove_entry(&key);
@@ -356,19 +361,19 @@ impl MetadataCache {
 
     /// Record that `key` — a cache entry, or a table's data-file path — is
     /// persisted at `addr`.
-    pub fn set_address(&self, key: &[u8], addr: &PlogAddress) {
+    pub(crate) fn set_address(&self, key: &[u8], addr: &PlogAddress) {
         self.plog.kv().put(addr_key_for(key), addr.encode());
     }
 
     /// Where `key` (a cache entry or a data-file path) is persisted, if it is.
-    pub fn address(&self, key: &[u8]) -> Option<PlogAddress> {
+    pub(crate) fn address(&self, key: &[u8]) -> Option<PlogAddress> {
         self.plog.kv().get(&addr_key_for(key)).and_then(|b| PlogAddress::decode(&b).ok())
     }
 
     /// Free `key`'s persisted copy and drop its address entry; a no-op when
     /// it has none. An `Err` means the PLog record could not be freed (the
     /// entry is gone either way; scrub reclaims orphans).
-    pub fn reclaim(&self, key: &[u8]) -> Result<()> {
+    pub(crate) fn reclaim(&self, key: &[u8]) -> Result<()> {
         let akey = addr_key_for(key);
         let Some(bytes) = self.plog.kv().get(&akey) else {
             return Ok(());

@@ -350,6 +350,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn create_table_refuses_a_time_bucket_width_below_one() {
+        let s = test_store();
+        for width in [0, -1, i64::MIN] {
+            let part = PartitionSpec {
+                column: "start_time".into(),
+                transform: crate::catalog::PartitionTransform::TimeBucket(width),
+            };
+            let err = s.create_table("logs", log_schema(), Some(part), 1000, &IoCtx::new(0));
+            assert!(
+                matches!(err, Err(Error::InvalidArgument(_))),
+                "width {width}: {err:?}"
+            );
+        }
+        assert!(
+            s.live_files("logs", &IoCtx::new(0)).is_err(),
+            "no table was registered"
+        );
+    }
+
+    #[test]
     fn select_read_path_pays_no_payload_copies() -> Result<()> {
         // plog read → LakeFileReader::open → scan must stay zero-copy: the
         // reader borrows the Bytes the PLog served instead of re-vectoring

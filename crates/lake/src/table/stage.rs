@@ -10,7 +10,9 @@ use crate::metacache::MetadataMode;
 use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Bytes, Error, Result};
-use format::{ColumnStats, Expr, LakeFileReader, LakeFileWriter, Row, Value};
+use format::{ColumnStats, Expr, LakeFileReader, LakeFileWriter, Row};
+#[cfg(test)]
+use format::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
@@ -52,7 +54,8 @@ impl TableStore {
 
     /// UPDATE: assign `assignments` (column name → new value) on matching
     /// rows.
-    pub fn update(
+    #[cfg(test)]
+    pub(crate) fn update(
         &self,
         name: &str,
         predicate: &Expr,
@@ -242,7 +245,7 @@ impl TableStore {
     /// the table head after this stage forces `commit_decide` into
     /// [`Error::Conflict`]; a concurrently *staging* writer collides on
     /// the head intent immediately.
-    pub fn stage_commit(
+    pub(crate) fn stage_commit(
         &self,
         txn: u64,
         name: &str,

@@ -77,11 +77,6 @@ impl SamplingEstimator {
         let sample: Vec<Row> = rows.iter().step_by(stride).cloned().collect();
         SamplingEstimator { schema, sample, total: rows.len() as f64 }
     }
-
-    /// Number of sampled rows.
-    pub fn sample_size(&self) -> usize {
-        self.sample.len()
-    }
 }
 
 impl CardinalityEstimator for SamplingEstimator {

@@ -35,11 +35,6 @@ impl IntervalPolicy {
     pub fn every_30s() -> Self {
         IntervalPolicy { interval: common::clock::secs(30), last: 0 }
     }
-
-    /// A custom interval.
-    pub fn new(interval: Nanos) -> Self {
-        IntervalPolicy { interval, last: 0 }
-    }
 }
 
 impl CompactionPolicy for IntervalPolicy {
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn interval_policy_fires_on_schedule() {
-        let mut p = IntervalPolicy::new(common::clock::secs(30));
+        let mut p = IntervalPolicy::every_30s();
         assert!(p.decide(&[], common::clock::secs(30)));
         assert!(!p.decide(&[], common::clock::secs(45)));
         assert!(p.decide(&[], common::clock::secs(60)));

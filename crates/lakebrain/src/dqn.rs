@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 /// One transition in the replay buffer.
 #[derive(Debug, Clone)]
-pub struct Transition {
+pub(crate) struct Transition {
     /// State features.
     pub state: Vec<f64>,
     /// Action taken (index).
@@ -23,7 +23,7 @@ pub struct Transition {
 
 /// DQN hyperparameters.
 #[derive(Debug, Clone, Copy)]
-pub struct DqnConfig {
+pub(crate) struct DqnConfig {
     /// Discount factor γ.
     pub gamma: f64,
     /// Learning rate.
@@ -72,7 +72,7 @@ pub struct DqnAgent {
 
 impl DqnAgent {
     /// An agent over `state_dim` features choosing among `actions`.
-    pub fn new(state_dim: usize, actions: usize, config: DqnConfig, seed: u64) -> Self {
+    pub(crate) fn new(state_dim: usize, actions: usize, config: DqnConfig, seed: u64) -> Self {
         let online = Mlp::new(&[state_dim, 32, 32, actions], seed);
         let target = online.clone();
         DqnAgent {
@@ -88,14 +88,14 @@ impl DqnAgent {
     }
 
     /// Current exploration rate.
-    pub fn epsilon(&self) -> f64 {
+    pub(crate) fn epsilon(&self) -> f64 {
         let c = &self.config;
         let frac = (self.steps as f64 / c.epsilon_decay_steps as f64).min(1.0);
         c.epsilon_start + (c.epsilon_end - c.epsilon_start) * frac
     }
 
     /// Choose an action epsilon-greedily (training mode).
-    pub fn act(&mut self, state: &[f64]) -> usize {
+    pub(crate) fn act(&mut self, state: &[f64]) -> usize {
         self.steps += 1;
         if self.rng.gen::<f64>() < self.epsilon() {
             self.rng.gen_range(0..self.online.output_size())
@@ -105,7 +105,7 @@ impl DqnAgent {
     }
 
     /// Choose the greedy action (inference mode).
-    pub fn best_action(&self, state: &[f64]) -> usize {
+    pub(crate) fn best_action(&self, state: &[f64]) -> usize {
         let q = self.online.forward(state);
         q.iter()
             .enumerate()
@@ -114,13 +114,8 @@ impl DqnAgent {
             .unwrap_or(0)
     }
 
-    /// Q-values of a state (inspection).
-    pub fn q_values(&self, state: &[f64]) -> Vec<f64> {
-        self.online.forward(state)
-    }
-
     /// Store one transition.
-    pub fn remember(&mut self, t: Transition) {
+    pub(crate) fn remember(&mut self, t: Transition) {
         if self.buffer.len() < self.config.buffer_capacity {
             self.buffer.push(t);
         } else {
@@ -129,14 +124,9 @@ impl DqnAgent {
         }
     }
 
-    /// Number of stored transitions.
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// One training step on a sampled minibatch; returns the TD loss, or
     /// `None` while the buffer is smaller than a batch.
-    pub fn train_step(&mut self) -> Option<f64> {
+    pub(crate) fn train_step(&mut self) -> Option<f64> {
         if self.buffer.len() < self.config.batch_size {
             return None;
         }
@@ -188,7 +178,7 @@ mod tests {
                 next_state: None,
             });
         }
-        assert_eq!(a.buffer_len(), 4);
+        assert_eq!(a.buffer.len(), 4);
     }
 
     #[test]
@@ -215,7 +205,12 @@ mod tests {
             a.remember(Transition { state: s, action, reward, next_state: None });
             a.train_step();
         }
-        assert_eq!(a.best_action(&[0.5]), 1, "q-values {:?}", a.q_values(&[0.5]));
+        assert_eq!(
+            a.best_action(&[0.5]),
+            1,
+            "q-values {:?}",
+            a.online.forward(&[0.5])
+        );
     }
 
     #[test]

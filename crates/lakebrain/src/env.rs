@@ -55,7 +55,7 @@ impl Default for EnvConfig {
 
 /// Observable state of one partition.
 #[derive(Debug, Clone)]
-pub struct PartitionObs {
+pub(crate) struct PartitionObs {
     /// Live file sizes.
     pub file_sizes: Vec<u64>,
     /// Queries that touched the partition recently (decayed).
@@ -68,19 +68,19 @@ pub struct PartitionObs {
 
 impl PartitionObs {
     /// Block utilization of the partition.
-    pub fn utilization(&self, block: u64) -> f64 {
+    pub(crate) fn utilization(&self, block: u64) -> f64 {
         block_utilization(&self.file_sizes, block)
     }
 
     /// Files below the compaction target.
-    pub fn small_files(&self, target: u64) -> usize {
+    pub(crate) fn small_files(&self, target: u64) -> usize {
         self.file_sizes.iter().filter(|&&s| s < target).count()
     }
 }
 
 /// Result of one environment step.
 #[derive(Debug, Clone)]
-pub struct StepResult {
+pub(crate) struct StepResult {
     /// Per-partition reward for the actions taken.
     pub rewards: Vec<f64>,
     /// Whether each compaction attempt succeeded (`None` = not attempted).
@@ -93,7 +93,7 @@ pub struct StepResult {
 
 /// The simulated storage environment.
 #[derive(Debug)]
-pub struct CompactionEnv {
+pub(crate) struct CompactionEnv {
     config: EnvConfig,
     partitions: Vec<PartitionObs>,
     rng: StdRng,
@@ -104,7 +104,7 @@ pub struct CompactionEnv {
 
 impl CompactionEnv {
     /// A fresh environment.
-    pub fn new(config: EnvConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: EnvConfig, seed: u64) -> Self {
         let partitions = (0..config.partitions)
             .map(|_| PartitionObs {
                 file_sizes: Vec::new(),
@@ -122,17 +122,12 @@ impl CompactionEnv {
         }
     }
 
-    /// The environment configuration.
-    pub fn config(&self) -> &EnvConfig {
-        &self.config
-    }
-
     /// Number of state features per partition (global + partition blocks).
-    pub const STATE_DIM: usize = 9;
+    pub(crate) const STATE_DIM: usize = 9;
 
     /// State vector for one partition: `[global features | partition
     /// features]`, all roughly normalized to `[0, 1]`.
-    pub fn state(&self, partition: usize) -> Vec<f64> {
+    pub(crate) fn state(&self, partition: usize) -> Vec<f64> {
         let c = &self.config;
         let p = &self.partitions[partition];
         let global_util = self.mean_utilization();
@@ -152,7 +147,7 @@ impl CompactionEnv {
     }
 
     /// Current mean partition utilization.
-    pub fn mean_utilization(&self) -> f64 {
+    pub(crate) fn mean_utilization(&self) -> f64 {
         let c = &self.config;
         self.partitions
             .iter()
@@ -162,7 +157,7 @@ impl CompactionEnv {
     }
 
     /// Mean files per accessed partition (the merge-on-read query cost).
-    pub fn query_cost(&self) -> f64 {
+    pub(crate) fn query_cost(&self) -> f64 {
         self.partitions
             .iter()
             .map(|p| p.file_sizes.len() as f64 * (p.access_frequency + 0.1))
@@ -174,13 +169,8 @@ impl CompactionEnv {
                 .sum::<f64>()
     }
 
-    /// Partition observations (inspection).
-    pub fn partition(&self, idx: usize) -> &PartitionObs {
-        &self.partitions[idx]
-    }
-
     /// Advance one step: apply compaction `actions`, then ingest and query.
-    pub fn step(&mut self, actions: &[bool]) -> StepResult {
+    pub(crate) fn step(&mut self, actions: &[bool]) -> StepResult {
         assert_eq!(actions.len(), self.partitions.len());
         self.step += 1;
         let c = self.config;
@@ -300,7 +290,7 @@ mod tests {
         for _ in 0..20 {
             e.step(&[false; 8]);
         }
-        let total_files: usize = (0..8).map(|i| e.partition(i).file_sizes.len()).sum();
+        let total_files: usize = (0..8).map(|i| e.partitions[i].file_sizes.len()).sum();
         assert!(total_files > 50, "got {total_files}");
         assert!(e.mean_utilization() < 0.5, "small files must hurt utilization");
     }

@@ -22,15 +22,10 @@
 
 pub mod cardinality;
 pub mod compaction;
-pub mod dqn;
+pub(crate) mod dqn;
 pub mod env;
-pub mod nn;
+pub(crate) mod nn;
 pub mod partitioning;
 pub mod qdtree;
 pub mod spn;
 
-pub use compaction::{CompactionPolicy, DqnPolicy, IntervalPolicy};
-pub use dqn::DqnAgent;
-pub use env::{CompactionEnv, EnvConfig, PartitionObs};
-pub use qdtree::QdTree;
-pub use spn::Spn;

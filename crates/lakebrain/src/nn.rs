@@ -42,13 +42,13 @@ impl Dense {
 /// A multi-layer perceptron with ReLU hidden activations and a linear
 /// output layer.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Dense>,
 }
 
 impl Mlp {
     /// Build an MLP with the given layer sizes, e.g. `&[8, 32, 32, 2]`.
-    pub fn new(sizes: &[usize], seed: u64) -> Self {
+    pub(crate) fn new(sizes: &[usize], seed: u64) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = sizes
@@ -59,17 +59,17 @@ impl Mlp {
     }
 
     /// Input width.
-    pub fn input_size(&self) -> usize {
+    pub(crate) fn input_size(&self) -> usize {
         self.layers.first().unwrap().n_in
     }
 
     /// Output width.
-    pub fn output_size(&self) -> usize {
+    pub(crate) fn output_size(&self) -> usize {
         self.layers.last().unwrap().n_out
     }
 
     /// Forward pass.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.input_size());
         let mut a = x.to_vec();
         let last = self.layers.len() - 1;
@@ -87,11 +87,7 @@ impl Mlp {
     /// One SGD step on a batch of `(input, target_output_index, target)`
     /// triples: only the selected output unit receives an MSE gradient
     /// (the Q-learning update shape). Returns the mean squared error.
-    pub fn train_selected(
-        &mut self,
-        batch: &[(Vec<f64>, usize, f64)],
-        lr: f64,
-    ) -> f64 {
+    pub(crate) fn train_selected(&mut self, batch: &[(Vec<f64>, usize, f64)], lr: f64) -> f64 {
         if batch.is_empty() {
             return 0.0;
         }
@@ -167,7 +163,7 @@ impl Mlp {
     }
 
     /// Copy the weights of `other` into `self` (target-network sync).
-    pub fn copy_from(&mut self, other: &Mlp) {
+    pub(crate) fn copy_from(&mut self, other: &Mlp) {
         self.layers = other.layers.clone();
     }
 }

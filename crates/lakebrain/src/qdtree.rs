@@ -151,7 +151,7 @@ impl QdTree {
     }
 
     /// Route one row to its leaf partition id.
-    pub fn route(&self, row: &Row) -> usize {
+    pub(crate) fn route(&self, row: &Row) -> usize {
         let mut idx = 0usize;
         loop {
             match &self.nodes[idx] {
@@ -165,16 +165,11 @@ impl QdTree {
             }
         }
     }
-
-    /// Route a batch of rows to leaf ids.
-    pub fn assign(&self, rows: &[Row]) -> Vec<usize> {
-        rows.iter().map(|r| self.route(r)).collect()
-    }
 }
 
 /// Whether two predicates on the same column provably cannot both hold.
 /// Conservative: returns `false` whenever unsure.
-pub fn incompatible(a: &Predicate, b: &Predicate) -> bool {
+pub(crate) fn incompatible(a: &Predicate, b: &Predicate) -> bool {
     if a.column != b.column {
         return false;
     }
@@ -342,7 +337,7 @@ mod tests {
         let est = ExactEstimator::new(&schema, &rows);
         let workload = vec![Expr::Pred(Predicate::cmp("age", CmpOp::Lt, 40i64))];
         let tree = QdTree::build(schema.clone(), &workload, &est, QdTreeConfig::default());
-        let assign = tree.assign(&rows);
+        let assign = rows.iter().map(|r| tree.route(r)).collect::<Vec<_>>();
         assert_eq!(assign.len(), rows.len());
         assert!(assign.iter().all(|&l| l < tree.leaf_count()));
         // same row → same leaf
@@ -374,7 +369,7 @@ mod tests {
         );
         assert!(tree.leaf_count() >= 2);
         // every row matching q lands in a leaf that holds ONLY candidate rows
-        let assign = tree.assign(&rows);
+        let assign = rows.iter().map(|r| tree.route(r)).collect::<Vec<_>>();
         let matching_leaves: std::collections::HashSet<usize> = rows
             .iter()
             .zip(&assign)

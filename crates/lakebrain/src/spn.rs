@@ -63,7 +63,7 @@ impl Spn {
 
     /// Probability a random row satisfies `expr` (conjunctions of
     /// predicates; OR is handled by inclusion bound).
-    pub fn probability(&self, expr: &Expr) -> f64 {
+    pub(crate) fn probability(&self, expr: &Expr) -> f64 {
         let by_col = match conjunctive_by_column(expr, &self.schema) {
             Some(map) => map,
             None => return 1.0, // unsupported shape: no pruning claimed

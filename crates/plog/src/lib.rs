@@ -24,13 +24,12 @@
 //!   device-write work on the hot path.
 
 pub mod placement;
-pub mod replication;
-pub mod scrub;
-pub mod store;
-pub mod workers;
+pub(crate) mod replication;
+pub(crate) mod scrub;
+pub(crate) mod store;
+pub(crate) mod workers;
 
-pub use placement::shard_for;
 pub use replication::RemoteReplicator;
-pub use scrub::{ScrubReport, ScrubService};
-pub use store::{PlogAddress, PlogConfig, PlogStore, RecordHealth};
+pub use scrub::ScrubService;
+pub use store::{PlogAddress, PlogConfig, PlogStore};
 pub use workers::WorkerPool;

@@ -8,10 +8,10 @@
 use common::checksum::fnv1a;
 
 /// Default shard count from the paper.
-pub const DEFAULT_SHARD_COUNT: usize = 4096;
+pub(crate) const DEFAULT_SHARD_COUNT: usize = 4096;
 
 /// The logical shard that owns `routing_key` in a `shard_count`-shard table.
-pub fn shard_for(routing_key: &[u8], shard_count: usize) -> usize {
+pub(crate) fn shard_for(routing_key: &[u8], shard_count: usize) -> usize {
     debug_assert!(shard_count > 0);
     (fnv1a(routing_key) % shard_count as u64) as usize
 }

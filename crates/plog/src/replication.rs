@@ -24,13 +24,13 @@ use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
 
 /// WAN throughput between sites (far below the local fabric).
-pub const WAN_BYTES_PER_SEC: u64 = 100_000_000; // ~800 Mb/s
+pub(crate) const WAN_BYTES_PER_SEC: u64 = 100_000_000; // ~800 Mb/s
 
 /// First retry backoff after a transient remote fault; doubles per attempt.
-pub const RETRY_BASE_BACKOFF: Nanos = millis(1);
+pub(crate) const RETRY_BASE_BACKOFF: Nanos = millis(1);
 
 /// Retry budget per record when the context carries no deadline.
-pub const MAX_RETRY_ATTEMPTS: u32 = 5;
+pub(crate) const MAX_RETRY_ATTEMPTS: u32 = 5;
 
 /// Report of one replication cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,13 +193,8 @@ impl RemoteReplicator {
         }
     }
 
-    /// Number of records currently protected at the remote site.
-    pub fn replicated_count(&self) -> usize {
-        self.mapping.lock().len()
-    }
-
     /// Records owed to the remote site right now (scanned but unshipped).
-    pub fn pending_count(&self) -> usize {
+    pub(crate) fn pending_count(&self) -> usize {
         self.cursor.lock().pending.len()
     }
 
@@ -295,7 +290,7 @@ mod tests {
         put(&primary, b"new", b"fresh record").unwrap();
         let r3 = rep.run(&IoCtx::new(r2.finished_at)).unwrap();
         assert_eq!(r3.records_copied, 1);
-        assert_eq!(rep.replicated_count(), 21);
+        assert_eq!(rep.mapping.lock().len(), 21);
     }
 
     #[test]
@@ -413,7 +408,7 @@ mod tests {
         assert_eq!(report.records_copied, 1);
         assert!(report.retries >= 1, "transient fault must be retried, got {report:?}");
         assert_eq!(report.records_abandoned, 0);
-        assert_eq!(rep.replicated_count(), 1);
+        assert_eq!(rep.mapping.lock().len(), 1);
         assert!(report.finished_at >= millis(3), "success only after the fault window");
         // deterministic: a fresh identical setup produces the same timings
         let primary2 = site("primary", 4);
@@ -441,7 +436,7 @@ mod tests {
         let err = rep.run(&ctx).unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "got {err:?}");
         assert_eq!(err.kind(), "deadline_exceeded");
-        assert_eq!(rep.replicated_count(), 0);
+        assert_eq!(rep.mapping.lock().len(), 0);
         // the span trail survives the failure: WAN shipping plus at least
         // one recorded backoff wait, all under the request's trace id.
         let trail = sink.trail();
@@ -461,7 +456,7 @@ mod tests {
         assert_eq!(report.records_copied, 0);
         assert_eq!(report.records_abandoned, 1);
         assert_eq!(report.retries, u64::from(MAX_RETRY_ATTEMPTS) - 1);
-        assert_eq!(rep.replicated_count(), 0);
+        assert_eq!(rep.mapping.lock().len(), 0);
         // the next cycle, after the fault clears, ships it
         let late = rep.run(&IoCtx::new(secs(61))).unwrap();
         assert_eq!(late.records_copied, 1);
@@ -516,7 +511,7 @@ mod tests {
             "terminal errors must not be backed off: {:?}",
             sink.trail()
         );
-        assert_eq!(rep.replicated_count(), 0);
+        assert_eq!(rep.mapping.lock().len(), 0);
     }
 
     #[test]

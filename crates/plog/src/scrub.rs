@@ -74,7 +74,7 @@ impl ScrubService {
     /// Records appended mid-cycle wait for the next one. QoS is forced to
     /// Maintenance regardless of what the caller's `ctx` carries: scrub
     /// I/O must never contend in a foreground lane.
-    pub fn run_cycle(&self, ctx: &IoCtx) -> Result<ScrubReport> {
+    pub(crate) fn run_cycle(&self, ctx: &IoCtx) -> Result<ScrubReport> {
         let ctx = ctx.clone().with_qos(QosClass::Maintenance).without_deadline();
         let mut report = ScrubReport { finished_at: ctx.now, ..Default::default() };
         for addr in &self.store.addresses() {

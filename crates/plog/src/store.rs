@@ -121,7 +121,7 @@ pub struct RecordHealth {
 
 impl RecordHealth {
     /// Nothing missing, nothing rotten.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.missing == 0 && self.corrupt == 0
     }
 }
@@ -590,7 +590,7 @@ impl PlogStore {
     /// This is the incremental-replication cursor: a caller that remembers
     /// the highest offset it has seen per shard pays one bounded range scan
     /// per cycle instead of decoding the whole index.
-    pub fn addresses_from(&self, shard: u32, from: u64) -> Vec<PlogAddress> {
+    pub(crate) fn addresses_from(&self, shard: u32, from: u64) -> Vec<PlogAddress> {
         let lo = PlogAddress { shard, offset: from, len: 0 }.index_key();
         // One byte past the '/' separator upper-bounds every key of `shard`
         // without touching the next shard's prefix.

@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 /// Worker count used by [`WorkerPool::with_default_size`]: small and fixed,
 /// sized for per-shard fan-out (stripes are a handful of shards wide), not
 /// for saturating the host.
-pub const DEFAULT_WORKERS: usize = 4;
+pub(crate) const DEFAULT_WORKERS: usize = 4;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -47,7 +47,7 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// A pool of `threads` workers (at least 1). `seed` picks the starting
     /// round-robin offset for job assignment.
-    pub fn new(threads: usize, seed: u64) -> Self {
+    pub(crate) fn new(threads: usize, seed: u64) -> Self {
         let threads = threads.max(1);
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -78,7 +78,7 @@ impl WorkerPool {
     }
 
     /// Live worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.senders.len()
     }
 
@@ -86,7 +86,7 @@ impl WorkerPool {
     /// order** (the deterministic join order). Jobs must be pure with
     /// respect to host scheduling: their results may not depend on which
     /// worker runs them or in what wall-clock order.
-    pub fn scatter<T, F>(&self, jobs: Vec<F>) -> Result<Vec<T>>
+    pub(crate) fn scatter<T, F>(&self, jobs: Vec<F>) -> Result<Vec<T>>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,

@@ -19,7 +19,7 @@ pub enum Transport {
 
 impl Transport {
     /// Fixed per-message software overhead.
-    pub fn per_message_overhead(self) -> Nanos {
+    pub(crate) fn per_message_overhead(self) -> Nanos {
         match self {
             Transport::Rdma => micros(2),
             Transport::Tcp => micros(30),
@@ -27,7 +27,7 @@ impl Transport {
     }
 
     /// Achievable goodput on a 10 GbE link, bytes per second.
-    pub fn goodput_bytes_per_sec(self) -> u64 {
+    pub(crate) fn goodput_bytes_per_sec(self) -> u64 {
         match self {
             Transport::Rdma => 1_200_000_000, // ~9.6 Gb/s
             Transport::Tcp => 900_000_000,    // protocol + copy overhead

@@ -23,7 +23,7 @@ pub enum MediaKind {
 
 impl MediaKind {
     /// Fixed per-operation latency (positioning / protocol overhead).
-    pub fn base_latency(self) -> Nanos {
+    pub(crate) fn base_latency(self) -> Nanos {
         match self {
             MediaKind::Scm => micros(1),
             MediaKind::NvmeSsd => micros(80),
@@ -32,7 +32,7 @@ impl MediaKind {
     }
 
     /// Sustained transfer bandwidth in bytes per second.
-    pub fn bandwidth_bytes_per_sec(self) -> u64 {
+    pub(crate) fn bandwidth_bytes_per_sec(self) -> u64 {
         match self {
             MediaKind::Scm => 10 * 1024 * 1024 * 1024,
             MediaKind::NvmeSsd => 2 * 1024 * 1024 * 1024,
@@ -41,7 +41,7 @@ impl MediaKind {
     }
 
     /// Service time for transferring `bytes` (base latency + streaming time).
-    pub fn service_time(self, bytes: u64) -> Nanos {
+    pub(crate) fn service_time(self, bytes: u64) -> Nanos {
         let stream = bytes.saturating_mul(1_000_000_000) / self.bandwidth_bytes_per_sec();
         self.base_latency() + stream
     }
@@ -56,19 +56,12 @@ pub struct OpTiming {
     pub finish: Nanos,
 }
 
-impl OpTiming {
-    /// Service latency of the operation (queueing included).
-    pub fn latency(&self) -> Nanos {
-        self.finish - self.start
-    }
-}
-
 /// Error/corruption count past which placement treats a device as suspect.
 pub const SUSPECT_FAULT_THRESHOLD: u64 = 3;
 
 /// Slow-I/O count past which placement treats a device as suspect (gray
 /// failure: the device answers, but consistently late).
-pub const SUSPECT_SLOW_IO_THRESHOLD: u64 = 32;
+pub(crate) const SUSPECT_SLOW_IO_THRESHOLD: u64 = 32;
 
 /// Point-in-time health snapshot of one device.
 ///
@@ -96,7 +89,7 @@ pub struct DeviceHealth {
 
 impl DeviceHealth {
     /// Whether placement should avoid this device when it has the choice.
-    pub fn is_suspect(&self) -> bool {
+    pub(crate) fn is_suspect(&self) -> bool {
         self.failed
             || self.io_errors + self.corruptions >= SUSPECT_FAULT_THRESHOLD
             || self.slow_ios >= SUSPECT_SLOW_IO_THRESHOLD
@@ -160,28 +153,13 @@ impl Device {
         Device { id, kind, capacity, state: TrackedMutex::new("simdisk.device.state", DeviceState::default()) }
     }
 
-    /// Device identifier (unique within its pool).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Media kind of this device.
-    pub fn kind(&self) -> MediaKind {
-        self.kind
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently stored.
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.state.lock().used
     }
 
     /// Bytes still allocatable.
-    pub fn free(&self) -> u64 {
+    pub(crate) fn free(&self) -> u64 {
         self.capacity - self.used()
     }
 
@@ -205,7 +183,7 @@ impl Device {
     /// Inject a gray failure: ops starting before `until` take `factor`×
     /// their normal service time and count as slow I/Os. An integer
     /// multiplier, so degraded timings stay exact in virtual time.
-    pub fn degrade_until(&self, until: Nanos, factor: u64) {
+    pub(crate) fn degrade_until(&self, until: Nanos, factor: u64) {
         let mut st = self.state.lock();
         st.degraded_until = until;
         st.degrade_factor = factor.max(1);
@@ -215,7 +193,7 @@ impl Device {
     /// complete but stores only a prefix of the payload (power-loss-style
     /// partial write). The device stays silent about it — detection is the
     /// integrity layer's job.
-    pub fn tear_writes_until(&self, until: Nanos) {
+    pub(crate) fn tear_writes_until(&self, until: Nanos) {
         self.state.lock().torn_until = until;
     }
 
@@ -253,7 +231,7 @@ impl Device {
     }
 
     /// Point-in-time health snapshot.
-    pub fn health(&self) -> DeviceHealth {
+    pub(crate) fn health(&self) -> DeviceHealth {
         let st = self.state.lock();
         DeviceHealth {
             device: self.id,
@@ -266,7 +244,7 @@ impl Device {
     }
 
     /// Whether placement should avoid this device when it has the choice.
-    pub fn is_suspect(&self) -> bool {
+    pub(crate) fn is_suspect(&self) -> bool {
         self.health().is_suspect()
     }
 
@@ -287,7 +265,7 @@ impl Device {
     }
 
     /// Whether the device is currently failed.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.state.lock().failed
     }
 
@@ -305,11 +283,6 @@ impl Device {
         };
         st.used -= freed;
         Ok(freed)
-    }
-
-    /// Whether the device currently stores `extent_id`.
-    pub fn has_extent(&self, extent_id: u64) -> bool {
-        self.state.lock().extents.contains_key(&extent_id)
     }
 
     /// (reads, writes) op counters.
@@ -468,7 +441,7 @@ mod tests {
         assert!(w.finish > 0, "write must consume virtual time");
         let (data, timing) = d.read_extent_ctx(1, &at(w.finish)).unwrap();
         assert_eq!(data, b"hello");
-        assert!(timing.latency() >= MediaKind::NvmeSsd.base_latency());
+        assert!(timing.finish - timing.start >= MediaKind::NvmeSsd.base_latency());
     }
 
     #[test]
@@ -568,7 +541,7 @@ mod tests {
         let err = d.write_extent_ctx(2, b"tiny", &IoCtx::new(0).with_deadline(millis(1)));
         assert!(matches!(err, Err(Error::DeadlineExceeded(_))), "{err:?}");
         // … and must not have been stored or have moved the queue.
-        assert!(!d.has_extent(2));
+        assert!(!d.state.lock().extents.contains_key(&2));
         let t2 = d.write_extent_ctx(2, b"tiny", &IoCtx::new(0)).unwrap();
         assert_eq!(t2.start, t1.finish, "rejected op must leave the queue untouched");
     }

@@ -21,7 +21,7 @@ use common::lockwitness::TrackedMutex;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Transient outage: I/O on the device fails with `Error::Io` until
     /// `until`; stored bytes survive.
     Transient {
@@ -59,7 +59,7 @@ pub enum FaultKind {
 
 /// One scheduled fault: at virtual time `at`, apply `kind` to `device`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// Virtual time the fault takes effect.
     pub at: Nanos,
     /// Target device index within the pool.
@@ -109,7 +109,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with explicit events (sorted into application order).
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| (e.at, e.device, kind_order(&e.kind)));
         FaultPlan { events }
     }
@@ -159,11 +159,6 @@ impl FaultPlan {
             events.push(FaultEvent { at, device, kind: FaultKind::Gray { until, factor } });
         }
         Self::from_events(events)
-    }
-
-    /// The scheduled events, in application order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
     }
 }
 
@@ -299,16 +294,16 @@ mod tests {
         let cfg = FaultPlanConfig::default();
         let a = FaultPlan::generate(7, 8, &cfg);
         let b = FaultPlan::generate(7, 8, &cfg);
-        assert_eq!(a.events(), b.events());
+        assert_eq!(a.events, b.events);
         let c = FaultPlan::generate(8, 8, &cfg);
-        assert_ne!(a.events(), c.events(), "different seeds must differ");
+        assert_ne!(a.events, c.events, "different seeds must differ");
     }
 
     #[test]
     fn events_are_time_ordered_and_within_horizon() {
         let cfg = FaultPlanConfig::default();
         let plan = FaultPlan::generate(42, 6, &cfg);
-        let evs = plan.events();
+        let evs = &plan.events;
         assert_eq!(evs.len(), cfg.bit_rot + cfg.transient + cfg.deaths + cfg.torn + cfg.gray);
         assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
         assert!(evs.iter().all(|e| e.at < cfg.horizon && e.device < 6));

@@ -22,12 +22,12 @@
 //! All latency is charged against a [`common::SimClock`], so experiments are
 //! deterministic and independent of the host machine.
 
-pub mod bus;
+pub(crate) mod bus;
 pub mod device;
-pub mod fault;
+pub(crate) mod fault;
 pub mod pool;
 
 pub use bus::Transport;
 pub use device::{Device, DeviceHealth, MediaKind};
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, InjectionLog};
-pub use pool::{ExtentHandle, PoolHealthSummary, StoragePool};
+pub use fault::{FaultInjector, FaultPlan, FaultPlanConfig, InjectionLog};
+pub use pool::{ExtentHandle, StoragePool};

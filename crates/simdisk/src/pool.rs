@@ -24,13 +24,6 @@ pub struct ExtentHandle {
     pub shards: Vec<(usize, u64)>,
 }
 
-impl ExtentHandle {
-    /// Number of shards in this extent.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
 /// A reserved placement for one stripe: the extent id and per-shard device
 /// targets, chosen up front so the per-device writes can be issued
 /// independently (e.g. fanned across worker threads) without racing the
@@ -68,7 +61,6 @@ pub struct PoolHealthSummary {
 #[derive(Debug)]
 pub struct StoragePool {
     name: String,
-    kind: MediaKind,
     devices: Vec<Arc<Device>>,
     next_extent: AtomicU64,
     clock: SimClock,
@@ -87,7 +79,12 @@ impl StoragePool {
         let devices = (0..device_count)
             .map(|i| Arc::new(Device::new(i as u64, kind, device_capacity)))
             .collect();
-        StoragePool { name: name.into(), kind, devices, next_extent: AtomicU64::new(1), clock }
+        StoragePool {
+            name: name.into(),
+            devices,
+            next_extent: AtomicU64::new(1),
+            clock,
+        }
     }
 
     /// The deployment's shared clock. No pool or device operation reads or
@@ -96,16 +93,6 @@ impl StoragePool {
     /// and `advance_to`s the returned finish itself.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// Pool name (e.g. `"ssd-pool"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Media kind shared by every device in the pool.
-    pub fn kind(&self) -> MediaKind {
-        self.kind
     }
 
     /// Number of devices.
@@ -119,8 +106,9 @@ impl StoragePool {
     }
 
     /// Total pool capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.devices.iter().map(|d| d.capacity()).sum()
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> u64 {
+        self.devices.iter().map(|d| d.used() + d.free()).sum()
     }
 
     /// Bytes currently stored across all devices.
@@ -129,7 +117,8 @@ impl StoragePool {
     }
 
     /// Fraction of capacity in use.
-    pub fn utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self) -> f64 {
         let cap = self.capacity();
         if cap == 0 {
             0.0
@@ -343,17 +332,6 @@ impl StoragePool {
         }
         freed
     }
-
-    /// Standard deviation of per-device utilization — the load-balance metric.
-    pub fn utilization_stddev(&self) -> f64 {
-        let utils: Vec<f64> = self
-            .devices
-            .iter()
-            .map(|d| d.used() as f64 / d.capacity() as f64)
-            .collect();
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        (utils.iter().map(|u| (u - mean).powi(2)).sum::<f64>() / utils.len() as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -413,10 +391,17 @@ mod tests {
         for _ in 0..40 {
             write_one(&p, &[0u8; 1024]);
         }
+        let utils: Vec<f64> = p
+            .devices
+            .iter()
+            .map(|d| d.used() as f64 / (d.used() + d.free()) as f64)
+            .collect();
+        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
+        let stddev =
+            (utils.iter().map(|u| (u - mean).powi(2)).sum::<f64>() / utils.len() as f64).sqrt();
         assert!(
-            p.utilization_stddev() < 0.01,
-            "most-free-first placement must balance, stddev={}",
-            p.utilization_stddev()
+            stddev < 0.01,
+            "most-free-first placement must balance, stddev={stddev}"
         );
     }
 

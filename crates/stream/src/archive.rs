@@ -67,7 +67,7 @@ impl ArchiveService {
     /// Archived slices are truncated from the stream object. Row payloads
     /// must be UTF-8 when `row_2_col` is set (the columnar format stores
     /// text columns).
-    pub fn maybe_archive(
+    pub(crate) fn maybe_archive(
         &self,
         object: &Arc<StreamObject>,
         config: &ArchiveConfig,
@@ -150,11 +150,6 @@ impl ArchiveService {
     /// All archive entries so far.
     pub fn entries(&self) -> Vec<ArchiveEntry> {
         self.entries.lock().clone()
-    }
-
-    /// Total physical bytes in the archive pool.
-    pub fn stored_bytes(&self) -> u64 {
-        self.entries.lock().iter().map(|e| e.stored_bytes).sum()
     }
 }
 
@@ -329,7 +324,7 @@ mod tests {
         fill(&obj, 128);
         arch.maybe_archive(&obj, &small_cfg(false), &IoCtx::new(0)).unwrap().unwrap();
         assert_eq!(arch.entries().len(), 1);
-        assert!(arch.stored_bytes() > 0);
+        assert!(arch.entries().iter().map(|e| e.stored_bytes).sum::<u64>() > 0);
     }
 
     #[test]

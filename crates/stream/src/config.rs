@@ -3,12 +3,10 @@
 //! The dispatcher "sets configurations for the messaging service in the
 //! unit of the topic" (§V-A); Fig 8 shows the JSON document. This module
 //! mirrors that document exactly, including the `convert_2_table` and
-//! `archive` sub-objects, and parses the paper's own example verbatim.
-//! Parsing is field-by-field over [`common::json::Json`]; absent fields
-//! take the paper's defaults, present fields must have the right type.
+//! `archive` sub-objects; `TopicConfig::to_json` writes it, and the
+//! dispatcher persists it next to the topic's topology.
 
 use common::json::Json;
-use common::{Error, Result};
 
 /// Configuration of the automatic stream→table conversion (Fig 8,
 /// `convert_2_table`).
@@ -43,18 +41,6 @@ impl Default for ConvertToTable {
 }
 
 impl ConvertToTable {
-    fn from_json(doc: &Json) -> Result<Self> {
-        let d = ConvertToTable::default();
-        Ok(ConvertToTable {
-            table_schema: string_list_field(doc, "table_schema", d.table_schema)?,
-            table_path: string_field(doc, "table_path", d.table_path)?,
-            split_offset: u64_field(doc, "split_offset", d.split_offset)?,
-            split_time: u64_field(doc, "split_time", d.split_time)?,
-            delete_msg: bool_field(doc, "delete_msg", d.delete_msg)?,
-            enabled: bool_field(doc, "enabled", d.enabled)?,
-        })
-    }
-
     fn to_json(&self) -> Json {
         Json::object([
             (
@@ -95,25 +81,6 @@ impl Default for ArchiveConfig {
 }
 
 impl ArchiveConfig {
-    fn from_json(doc: &Json) -> Result<Self> {
-        let d = ArchiveConfig::default();
-        let external_archive_url = match doc.get("external_archive_url") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => {
-                return Err(Error::InvalidArgument(
-                    "bad topic config: external_archive_url must be a string or null".into(),
-                ))
-            }
-        };
-        Ok(ArchiveConfig {
-            external_archive_url,
-            archive_size: u64_field(doc, "archive_size", d.archive_size)?,
-            row_2_col: bool_field(doc, "row_2_col", d.row_2_col)?,
-            enabled: bool_field(doc, "enabled", d.enabled)?,
-        })
-    }
-
     fn to_json(&self) -> Json {
         let url = match &self.external_archive_url {
             Some(u) => Json::Str(u.clone()),
@@ -166,51 +133,8 @@ impl TopicConfig {
         TopicConfig { stream_num: partitions, ..Default::default() }
     }
 
-    /// Number of partitions (the Fig 8 `stream_num`).
-    pub fn partitions(&self) -> u32 {
-        self.stream_num
-    }
-
-    /// Parse a Fig 8-style JSON document.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let doc = Json::parse(json)
-            .map_err(|e| Error::InvalidArgument(format!("bad topic config: {e}")))?;
-        if doc.as_object().is_none() {
-            return Err(Error::InvalidArgument(
-                "bad topic config: top level must be an object".into(),
-            ));
-        }
-        let stream_num = doc
-            .get("stream_num")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| {
-                Error::InvalidArgument(
-                    "bad topic config: missing or non-integer stream_num".into(),
-                )
-            })?;
-        let stream_num = u32::try_from(stream_num).map_err(|_| {
-            Error::InvalidArgument("bad topic config: stream_num out of range".into())
-        })?;
-        let d = TopicConfig::default();
-        let convert_2_table = match doc.get("convert_2_table") {
-            None => d.convert_2_table,
-            Some(sub) => ConvertToTable::from_json(sub)?,
-        };
-        let archive = match doc.get("archive") {
-            None => d.archive,
-            Some(sub) => ArchiveConfig::from_json(sub)?,
-        };
-        Ok(TopicConfig {
-            stream_num,
-            quota: u64_field(&doc, "quota", d.quota)?,
-            scm_cache: bool_field(&doc, "scm_cache", d.scm_cache)?,
-            convert_2_table,
-            archive,
-        })
-    }
-
     /// Serialize to JSON (pretty, for operator inspection).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         Json::object([
             ("stream_num", Json::Num(self.stream_num as f64)),
             ("quota", Json::Num(self.quota as f64)),
@@ -219,51 +143,6 @@ impl TopicConfig {
             ("archive", self.archive.to_json()),
         ])
         .to_pretty()
-    }
-}
-
-fn u64_field(doc: &Json, key: &str, default: u64) -> Result<u64> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            Error::InvalidArgument(format!("bad topic config: {key} must be a non-negative integer"))
-        }),
-    }
-}
-
-fn bool_field(doc: &Json, key: &str, default: bool) -> Result<bool> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| {
-            Error::InvalidArgument(format!("bad topic config: {key} must be a boolean"))
-        }),
-    }
-}
-
-fn string_field(doc: &Json, key: &str, default: String) -> Result<String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::InvalidArgument(format!("bad topic config: {key} must be a string"))),
-    }
-}
-
-fn string_list_field(doc: &Json, key: &str, default: Vec<String>) -> Result<Vec<String>> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_array()
-            .and_then(|items| {
-                items
-                    .iter()
-                    .map(|i| i.as_str().map(str::to_string))
-                    .collect::<Option<Vec<_>>>()
-            })
-            .ok_or_else(|| {
-                Error::InvalidArgument(format!("bad topic config: {key} must be a string array"))
-            }),
     }
 }
 
@@ -294,18 +173,24 @@ mod tests {
                 "enabled": true
             }
         }"#;
-        let c = TopicConfig::from_json(json).unwrap();
-        assert_eq!(c.stream_num, 3);
-        assert_eq!(c.quota, 1_000_000);
-        assert!(c.scm_cache);
-        assert!(c.convert_2_table.enabled);
-        assert_eq!(c.convert_2_table.split_offset, 10_000_000);
-        assert_eq!(c.convert_2_table.split_time, 36_000);
-        assert!(!c.convert_2_table.delete_msg);
-        assert!(c.archive.enabled);
-        assert!(c.archive.row_2_col);
-        assert_eq!(c.archive.archive_size, 262_144);
-        assert!(c.archive.external_archive_url.is_none());
+        let mut c = TopicConfig::with_partitions(3);
+        c.scm_cache = true;
+        c.convert_2_table = ConvertToTable {
+            table_schema: vec![
+                "url:utf8".into(),
+                "start_time:int64".into(),
+                "province:utf8".into(),
+            ],
+            table_path: "/tables/tb_dpi_log_hours".into(),
+            enabled: true,
+            ..ConvertToTable::default()
+        };
+        c.archive.row_2_col = true;
+        c.archive.enabled = true;
+        assert_eq!(
+            Json::parse(&c.to_json()).unwrap(),
+            Json::parse(json).unwrap()
+        );
     }
 
     #[test]
@@ -325,37 +210,14 @@ mod tests {
         c.scm_cache = true;
         c.archive.enabled = true;
         c.archive.external_archive_url = Some("s3://bucket/archive".into());
-        let back = TopicConfig::from_json(&c.to_json()).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn minimal_document_uses_defaults() {
-        let c = TopicConfig::from_json(r#"{"stream_num": 2}"#).unwrap();
-        assert_eq!(c.stream_num, 2);
-        assert_eq!(c.quota, 1_000_000);
-    }
-
-    #[test]
-    fn malformed_json_is_invalid_argument() {
-        assert!(matches!(
-            TopicConfig::from_json("{not json"),
-            Err(common::Error::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn wrong_field_types_are_invalid_argument() {
-        for bad in [
-            r#"{"stream_num": "three"}"#,
-            r#"{"stream_num": 2, "quota": true}"#,
-            r#"{"stream_num": 2, "archive": {"external_archive_url": 5}}"#,
-            r#"{"stream_num": 2, "convert_2_table": {"table_schema": [1]}}"#,
-        ] {
-            assert!(
-                matches!(TopicConfig::from_json(bad), Err(common::Error::InvalidArgument(_))),
-                "should reject {bad}"
-            );
-        }
+        let doc = Json::parse(&c.to_json()).unwrap();
+        assert_eq!(doc.get("stream_num").and_then(Json::as_u64), Some(8));
+        assert_eq!(doc.get("scm_cache"), Some(&Json::Bool(true)));
+        let archive = doc.get("archive").unwrap();
+        assert_eq!(archive.get("enabled"), Some(&Json::Bool(true)));
+        assert_eq!(
+            archive.get("external_archive_url").and_then(Json::as_str),
+            Some("s3://bucket/archive")
+        );
     }
 }

@@ -57,11 +57,6 @@ impl Consumer {
         }
     }
 
-    /// The consumer's group name.
-    pub fn group(&self) -> &str {
-        &self.group
-    }
-
     /// Subscribe to `topic`: joins (or updates) this member's group
     /// registration, triggering a cooperative rebalance. Partitions are
     /// owned only after the group settles — the next `poll` plays this
@@ -109,7 +104,7 @@ impl Consumer {
         self.positions.retain(|p, _| assigned.contains(p));
         for p in &assigned {
             if !self.positions.contains_key(p) {
-                let start = groups.committed(&self.group, p).unwrap_or(0);
+                let start = groups.committed(&self.group, p)?.unwrap_or(0);
                 self.positions.insert(p.clone(), start);
             }
         }
@@ -140,17 +135,6 @@ impl Consumer {
             self.svc.groups().commit(&self.group, &self.member, partition, pos)?;
         }
         Ok(())
-    }
-
-    /// The local position of `partition_idx` in `topic` (next offset to
-    /// read), if this member owns it.
-    pub fn position(&self, topic: &str, partition_idx: u32) -> Option<u64> {
-        self.positions.get(&Partition::new(topic, partition_idx)).copied()
-    }
-
-    /// The partitions this member currently owns (after its last poll).
-    pub fn assignment(&self) -> Vec<Partition> {
-        self.positions.keys().cloned().collect()
     }
 
     /// Leave the group without the graceful drop-leave — simulates a
@@ -211,7 +195,7 @@ mod tests {
             last.insert(r.partition_idx, r.offset);
         }
         // the sole member owns every partition
-        assert_eq!(c.assignment().len(), 3);
+        assert_eq!(c.positions.len(), 3);
         // polling again finds nothing new
         assert!(c.poll(100, &IoCtx::new(0)).unwrap().is_empty());
     }
@@ -260,8 +244,8 @@ mod tests {
         }
         assert_eq!(total, 40, "every record delivered");
         assert!(seen.values().all(|&c| c == 1), "no double delivery");
-        assert_eq!(c1.assignment().len(), 2);
-        assert_eq!(c2.assignment().len(), 2);
+        assert_eq!(c1.positions.len(), 2);
+        assert_eq!(c2.positions.len(), 2);
     }
 
     #[test]

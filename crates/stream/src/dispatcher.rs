@@ -16,15 +16,15 @@ use crate::object::{CreateOptions, StreamObject, StreamObjectStore};
 use crate::partition::partition_for_key;
 use common::clock::{micros, Nanos};
 use common::ctx::{IoCtx, Phase};
-use common::metrics::Metrics;
+use common::lockwitness::TrackedMutex;
+use common::varint::Reader;
 use common::{Error, ObjectId, Result, WorkerId};
 use kvstore::SharedKv;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use common::lockwitness::TrackedMutex;
 
 /// Virtual cost of one metadata update (KV write + topology refresh push).
-pub const METADATA_OP_COST: Nanos = micros(500);
+pub(crate) const METADATA_OP_COST: Nanos = micros(500);
 
 /// One partition's routing entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,27 +66,20 @@ struct Topology {
 pub struct StreamDispatcher {
     objects: Arc<StreamObjectStore>,
     topo: TrackedMutex<Topology>,
-    metrics: Metrics,
 }
 
 impl StreamDispatcher {
     /// Create a dispatcher over the given object store.
-    pub fn new(objects: Arc<StreamObjectStore>) -> Self {
-        Self::with_metrics(objects, Metrics::new())
-    }
-
-    /// Create a dispatcher reporting into an existing metrics registry.
-    pub fn with_metrics(objects: Arc<StreamObjectStore>, metrics: Metrics) -> Self {
+    pub(crate) fn new(objects: Arc<StreamObjectStore>) -> Self {
         StreamDispatcher {
             objects,
             topo: TrackedMutex::new("stream.dispatcher.topo", Topology::default()),
-            metrics,
         }
     }
 
     /// Register a new stream worker under the next id (monotonic from 0);
     /// newly created partitions may be assigned to it.
-    pub fn register_worker(&self) -> WorkerId {
+    pub(crate) fn register_worker(&self) -> WorkerId {
         let mut topo = self.topo.lock();
         let id = WorkerId(topo.next_worker_id);
         topo.next_worker_id += 1;
@@ -97,7 +90,7 @@ impl StreamDispatcher {
 
     /// Deregister a worker, reassigning its partitions to the survivors.
     /// Returns the rescale report (metadata-only, no data moves).
-    pub fn deregister_worker(&self, id: WorkerId, ctx: &IoCtx) -> Result<RescaleReport> {
+    pub(crate) fn deregister_worker(&self, id: WorkerId, ctx: &IoCtx) -> Result<RescaleReport> {
         let mut topo = self.topo.lock();
         if topo.workers.len() <= 1 {
             return Err(Error::InvalidArgument("cannot remove the last worker".into()));
@@ -138,7 +131,12 @@ impl StreamDispatcher {
     /// a round-robin manner"). Each partition is backed by a fresh stream
     /// object pinned to the shard `shard_for_partition` names, so the
     /// partition→shard mapping is a pure function both layers agree on.
-    pub fn create_topic(&self, name: &str, config: TopicConfig, ctx: &IoCtx) -> Result<RescaleReport> {
+    pub(crate) fn create_topic(
+        &self,
+        name: &str,
+        config: TopicConfig,
+        ctx: &IoCtx,
+    ) -> Result<RescaleReport> {
         let mut topo = self.topo.lock();
         if topo.topics.contains_key(name) {
             return Err(Error::AlreadyExists(format!("topic {name}")));
@@ -172,42 +170,15 @@ impl StreamDispatcher {
         })
     }
 
-    /// Drop a topic and destroy its stream objects.
-    ///
-    /// Destroys are best-effort — the route tombstone is what removes the
-    /// mapping — but failures are no longer silent: every partition whose
-    /// backing object could not be (fully) reclaimed bumps the
-    /// `stream.topic_destroy_failures` counter, so leaked extents show up in
-    /// the service's metrics instead of vanishing.
-    pub fn delete_topic(&self, name: &str) -> Result<()> {
-        let mut topo = self.topo.lock();
-        let routes = topo
-            .topics
-            .remove(name)
-            .ok_or_else(|| Error::NotFound(format!("topic {name}")))?;
-        topo.configs.remove(name);
-        let mut destroy_failures = 0u64;
-        for r in &routes {
-            match self.objects.destroy(r.object_id) {
-                Ok(outcome) => destroy_failures += outcome.failed_deletes,
-                // A racing destroy already removed the object; the
-                // tombstone below is authoritative.
-                Err(Error::NotFound(_)) => {}
-                Err(_) => destroy_failures += 1,
-            }
-            self.metadata().delete(route_key(name, r.partition_idx));
-        }
-        if destroy_failures > 0 {
-            self.metrics.incr("stream.topic_destroy_failures", destroy_failures);
-        }
-        self.metadata().delete(format!("topic/{name}/config"));
-        Ok(())
-    }
-
     /// Grow (shrinking is unsupported) a topic to `new_partition_num`
     /// partitions. Existing partitions and their data are untouched —
     /// Fig 14(c)'s migration-free elasticity.
-    pub fn scale_topic(&self, name: &str, new_partition_num: u32, ctx: &IoCtx) -> Result<RescaleReport> {
+    pub(crate) fn scale_topic(
+        &self,
+        name: &str,
+        new_partition_num: u32,
+        ctx: &IoCtx,
+    ) -> Result<RescaleReport> {
         let mut topo = self.topo.lock();
         let current = topo
             .topics
@@ -279,7 +250,7 @@ impl StreamDispatcher {
     }
 
     /// Number of partitions of `topic`.
-    pub fn partition_count(&self, topic: &str) -> Result<u32> {
+    pub(crate) fn partition_count(&self, topic: &str) -> Result<u32> {
         self.topo
             .lock()
             .topics
@@ -300,12 +271,12 @@ impl StreamDispatcher {
 
     /// All topic names, sorted (deterministic enumeration for maintenance
     /// sweeps).
-    pub fn topics(&self) -> Vec<String> {
+    pub(crate) fn topics(&self) -> Vec<String> {
         self.topo.lock().topics.keys().cloned().collect()
     }
 
     /// The configuration of `topic`.
-    pub fn topic_config(&self, topic: &str) -> Result<TopicConfig> {
+    pub(crate) fn topic_config(&self, topic: &str) -> Result<TopicConfig> {
         self.topo
             .lock()
             .configs
@@ -322,18 +293,30 @@ impl StreamDispatcher {
     /// Commit a consumer-group offset for `topic`'s partition
     /// `partition_idx`. Unfenced low-level write — group-aware callers go
     /// through `GroupCoordinator::commit`, which checks ownership first.
-    pub fn commit_offset(&self, group: &str, topic: &str, partition_idx: u32, offset: u64) {
+    pub(crate) fn commit_offset(&self, group: &str, topic: &str, partition_idx: u32, offset: u64) {
         self.metadata().put(
             format!("group/{group}/{topic}/{partition_idx}"),
             offset.to_be_bytes().to_vec(),
         );
     }
 
-    /// Fetch the committed offset for the partition in `group`.
-    pub fn committed_offset(&self, group: &str, topic: &str, partition_idx: u32) -> Option<u64> {
-        self.metadata()
-            .get(format!("group/{group}/{topic}/{partition_idx}").as_bytes())
-            .map(|b| u64::from_be_bytes(b.as_slice().try_into().unwrap_or([0; 8])))
+    /// Fetch the committed offset for the partition in `group`. A stored
+    /// value that is not one big-endian `u64` is `Error::Corruption`: a
+    /// damaged entry must not rewind the group to offset 0.
+    pub fn committed_offset(
+        &self,
+        group: &str,
+        topic: &str,
+        partition_idx: u32,
+    ) -> Result<Option<u64>> {
+        let key = format!("group/{group}/{topic}/{partition_idx}");
+        let Some(value) = self.metadata().get(key.as_bytes()) else {
+            return Ok(None);
+        };
+        let mut r = Reader::new(&value, "group offset");
+        let offset = u64::from_be_bytes(r.array()?);
+        r.finish()?;
+        Ok(Some(offset))
     }
 
     /// The metadata KV store: the PLog's, where the topology and group
@@ -517,51 +500,9 @@ mod tests {
     #[test]
     fn consumer_group_offsets_roundtrip() {
         let d = dispatcher(1);
-        assert_eq!(d.committed_offset("g", "t", 0), None);
+        assert_eq!(d.committed_offset("g", "t", 0).unwrap(), None);
         d.commit_offset("g", "t", 0, 41);
         d.commit_offset("g", "t", 0, 42);
-        assert_eq!(d.committed_offset("g", "t", 0), Some(42));
-    }
-
-    #[test]
-    fn delete_topic_destroys_objects() {
-        let d = dispatcher(1);
-        d.create_topic("t", TopicConfig::with_partitions(3), &IoCtx::new(0)).unwrap();
-        assert_eq!(d.objects.len(), 3);
-        d.delete_topic("t").unwrap();
-        assert_eq!(d.objects.len(), 0);
-        assert!(d.route("t", b"k").is_err());
-    }
-
-    #[test]
-    fn delete_topic_counts_failed_destroys() {
-        let d = dispatcher(1);
-        d.create_topic("t", TopicConfig::with_partitions(2), &IoCtx::new(0)).unwrap();
-        // Persist a slice per partition so each object owns PLog records.
-        for route in d.topic_partitions("t").unwrap() {
-            let obj = d.object_of(&route).unwrap();
-            obj.append_at(
-                &[crate::record::Record::new(b"k".to_vec(), b"v".to_vec(), 0)],
-                &IoCtx::new(0),
-            )
-            .unwrap();
-            obj.flush_at(&IoCtx::new(0)).unwrap();
-        }
-        // Corrupt every PLog index entry: destroys now hit
-        // `Error::Corruption` when freeing slices.
-        let plog = d.objects.plog();
-        for (key, _) in plog.kv().scan_prefix(b"plog/") {
-            plog.kv().put(key, vec![0xFF]);
-        }
-        assert_eq!(d.metrics.counter("stream.topic_destroy_failures"), 0);
-        d.delete_topic("t").unwrap();
-        assert_eq!(
-            d.metrics.counter("stream.topic_destroy_failures"),
-            2,
-            "one failed slice reclamation per partition must be counted"
-        );
-        // The topology mapping is gone regardless — tombstones are
-        // authoritative.
-        assert!(d.route("t", b"k").is_err());
+        assert_eq!(d.committed_offset("g", "t", 0).unwrap(), Some(42));
     }
 }

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A member's identity within its group (unique per service instance).
-pub type MemberId = String;
+pub(crate) type MemberId = String;
 
 /// Partition-assignment strategy for a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ impl Default for GroupConfig {
 
 /// Where a group is in its rebalance cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum GroupPhase {
+pub(crate) enum GroupPhase {
     /// Every live member owns exactly its target partitions.
     #[default]
     Stable,
@@ -87,7 +87,7 @@ pub enum GroupPhase {
 
 /// One entry of the deterministic rebalance journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RebalanceEvent {
+pub(crate) enum RebalanceEvent {
     /// `member` joined (or updated its subscriptions), starting `generation`.
     MemberJoined { at: Nanos, group: String, member: MemberId, generation: u64 },
     /// `member` left gracefully or was expired by the session timeout.
@@ -190,7 +190,11 @@ pub struct GroupCoordinator {
 
 impl GroupCoordinator {
     /// A coordinator persisting group metadata through `dispatcher`'s KV.
-    pub fn new(dispatcher: Arc<StreamDispatcher>, metrics: Metrics, config: GroupConfig) -> Self {
+    pub(crate) fn new(
+        dispatcher: Arc<StreamDispatcher>,
+        metrics: Metrics,
+        config: GroupConfig,
+    ) -> Self {
         GroupCoordinator {
             dispatcher,
             metrics,
@@ -265,7 +269,7 @@ impl GroupCoordinator {
 
     /// Record a heartbeat for `member` and expire any member of the group
     /// whose session timed out (each expiry triggers a rebalance).
-    pub fn heartbeat(&self, group: &str, member: &str, ctx: &IoCtx) -> Result<()> {
+    pub(crate) fn heartbeat(&self, group: &str, member: &str, ctx: &IoCtx) -> Result<()> {
         let mut state = self.state.lock();
         let g = state
             .get_mut(group)
@@ -281,7 +285,7 @@ impl GroupCoordinator {
 
     /// Expire timed-out members across *all* groups (crash detection for
     /// groups nobody is polling). Returns the number of expired members.
-    pub fn expire_members(&self, ctx: &IoCtx) -> u64 {
+    pub(crate) fn expire_members(&self, ctx: &IoCtx) -> u64 {
         let mut state = self.state.lock();
         let mut expired = 0u64;
         for (name, g) in state.iter_mut() {
@@ -293,14 +297,14 @@ impl GroupCoordinator {
 
     /// The partitions `member` must commit and release before it can ack
     /// the current generation. Empty when the member is fully synced.
-    pub fn revoked(&self, group: &str, member: &str) -> Result<Vec<Partition>> {
+    pub(crate) fn revoked(&self, group: &str, member: &str) -> Result<Vec<Partition>> {
         let state = self.state.lock();
         let m = member_of(&state, group, member)?;
         Ok(m.revoking.iter().cloned().collect())
     }
 
     /// Whether `member` has acknowledged the group's current generation.
-    pub fn is_synced(&self, group: &str, member: &str) -> Result<bool> {
+    pub(crate) fn is_synced(&self, group: &str, member: &str) -> Result<bool> {
         let state = self.state.lock();
         let g = state
             .get(group)
@@ -333,7 +337,7 @@ impl GroupCoordinator {
     }
 
     /// The partitions `member` currently owns.
-    pub fn assigned(&self, group: &str, member: &str) -> Result<BTreeSet<Partition>> {
+    pub(crate) fn assigned(&self, group: &str, member: &str) -> Result<BTreeSet<Partition>> {
         let state = self.state.lock();
         Ok(member_of(&state, group, member)?.assigned.clone())
     }
@@ -345,7 +349,13 @@ impl GroupCoordinator {
     /// during a cooperative handoff. Anything else (a zombie from an older
     /// generation, a partition already moved on) is rejected, which is what
     /// keeps redelivery out of the protocol.
-    pub fn commit(&self, group: &str, member: &str, partition: &Partition, offset: u64) -> Result<()> {
+    pub(crate) fn commit(
+        &self,
+        group: &str,
+        member: &str,
+        partition: &Partition,
+        offset: u64,
+    ) -> Result<()> {
         {
             let state = self.state.lock();
             let m = member_of(&state, group, member)?;
@@ -361,7 +371,7 @@ impl GroupCoordinator {
     }
 
     /// The committed offset of `partition` in `group`, if any.
-    pub fn committed(&self, group: &str, partition: &Partition) -> Option<u64> {
+    pub(crate) fn committed(&self, group: &str, partition: &Partition) -> Result<Option<u64>> {
         self.dispatcher.committed_offset(group, &partition.topic, partition.idx)
     }
 
@@ -373,20 +383,6 @@ impl GroupCoordinator {
             .get(group)
             .map(|g| g.phase == GroupPhase::Stable)
             .unwrap_or(true)
-    }
-
-    /// The group's current generation (0 before the first join).
-    pub fn generation(&self, group: &str) -> u64 {
-        self.state.lock().get(group).map(|g| g.generation).unwrap_or(0)
-    }
-
-    /// Live members of `group`, in id order.
-    pub fn members(&self, group: &str) -> Vec<MemberId> {
-        self.state
-            .lock()
-            .get(group)
-            .map(|g| g.members.keys().cloned().collect())
-            .unwrap_or_default()
     }
 
     /// The full current ownership map of `group`.
@@ -431,16 +427,6 @@ impl GroupCoordinator {
         all.into_iter().collect()
     }
 
-    /// Number of journal entries so far.
-    pub fn journal_len(&self) -> usize {
-        self.journal.lock().len()
-    }
-
-    /// The full journal, cloned.
-    pub fn journal(&self) -> Vec<RebalanceEvent> {
-        self.journal.lock().clone()
-    }
-
     /// Byte-stable serialization of the journal: same seed ⇒ identical
     /// bytes, the property the scale test pins.
     pub fn journal_bytes(&self) -> Vec<u8> {
@@ -454,7 +440,7 @@ impl GroupCoordinator {
 
     /// Drop committed offsets of groups that have been empty longer than
     /// [`GroupConfig::offset_retention`]. Returns offsets dropped.
-    pub fn retention_sweep(&self, ctx: &IoCtx) -> u64 {
+    pub(crate) fn retention_sweep(&self, ctx: &IoCtx) -> u64 {
         let mut state = self.state.lock();
         let mut dropped = 0u64;
         let expired: Vec<String> = state
@@ -712,6 +698,18 @@ mod tests {
     use crate::config::TopicConfig;
     use crate::service::tests::test_service;
 
+    fn generation(c: &GroupCoordinator, group: &str) -> u64 {
+        c.state.lock().get(group).map(|g| g.generation).unwrap_or(0)
+    }
+
+    fn members(c: &GroupCoordinator, group: &str) -> Vec<MemberId> {
+        c.state
+            .lock()
+            .get(group)
+            .map(|g| g.members.keys().cloned().collect())
+            .unwrap_or_default()
+    }
+
     fn coordinator_with_topic(partitions: u32) -> Arc<GroupCoordinator> {
         let svc = test_service(2, false);
         svc.create_topic("t", TopicConfig::with_partitions(partitions)).unwrap();
@@ -775,12 +773,12 @@ mod tests {
         let c = coordinator_with_topic(4);
         join_and_settle(&c, "g", &["a"]);
         assert_eq!(c.assigned("g", "a").unwrap().len(), 4);
-        let gen_before = c.generation("g");
+        let gen_before = generation(&c, "g");
 
         // b joins: a must first revoke the moved half...
         c.join("g", "b", &["t".to_string()], &IoCtx::new(0)).unwrap();
         assert!(!c.is_stable("g"));
-        assert_eq!(c.generation("g"), gen_before + 1);
+        assert_eq!(generation(&c, "g"), gen_before + 1);
         let revoked = c.revoked("g", "a").unwrap();
         assert_eq!(revoked.len(), 2, "half the partitions move");
         // ...and until a acks, b owns nothing (the handoff gap).
@@ -813,7 +811,7 @@ mod tests {
         // b stops heartbeating; a heartbeats 31 virtual seconds later.
         let late = IoCtx::new(secs(31));
         c.heartbeat("g", "a", &late).unwrap();
-        assert_eq!(c.members("g"), vec!["a".to_string()]);
+        assert_eq!(members(&c, "g"), vec!["a".to_string()]);
         c.ack("g", "a", &late).unwrap();
         assert!(c.is_stable("g"));
         assert_eq!(c.assigned("g", "a").unwrap().len(), 4);
@@ -828,7 +826,7 @@ mod tests {
         join_and_settle(&c, "g", &["a"]);
         let p0 = Partition::new("t", 0);
         c.commit("g", "a", &p0, 5).unwrap();
-        assert_eq!(c.committed("g", &p0), Some(5));
+        assert_eq!(c.committed("g", &p0).unwrap(), Some(5));
         // A member that never owned the partition is fenced.
         c.join("g", "b", &["t".to_string()], &IoCtx::new(0)).unwrap();
         let b_owns = c.assigned("g", "b").unwrap();
@@ -873,11 +871,11 @@ mod tests {
         // Before retention elapses: nothing dropped.
         let early = chore.tick(&IoCtx::new(secs(3600))).unwrap();
         assert_eq!(early.work_done, 0);
-        assert_eq!(c.committed("g", &Partition::new("t", 0)), Some(3));
+        assert_eq!(c.committed("g", &Partition::new("t", 0)).unwrap(), Some(3));
         // After 24h of emptiness: offsets and group state are gone.
         let late = chore.tick(&IoCtx::new(secs(24 * 3600))).unwrap();
         assert_eq!(late.work_done, 1);
-        assert_eq!(c.committed("g", &Partition::new("t", 0)), None);
-        assert_eq!(c.generation("g"), 0, "group record dropped");
+        assert_eq!(c.committed("g", &Partition::new("t", 0)).unwrap(), None);
+        assert_eq!(generation(&c, "g"), 0, "group record dropped");
     }
 }

@@ -32,29 +32,21 @@
 
 pub mod archive;
 pub mod config;
-pub mod consumer;
-pub mod dispatcher;
+pub(crate) mod consumer;
+pub(crate) mod dispatcher;
 pub mod group;
 pub mod object;
-pub mod partition;
+pub(crate) mod partition;
 pub mod producer;
-pub mod quota;
+pub(crate) mod quota;
 pub mod record;
 pub mod service;
-pub mod txn;
+pub(crate) mod txn;
 
-pub use archive::{ArchiveChore, ArchiveEntry, ArchiveService};
 pub use config::TopicConfig;
 pub use consumer::{ConsumedRecord, Consumer};
-pub use dispatcher::{PartitionRoute, StreamDispatcher};
-pub use group::{
-    AssignmentStrategy, GroupConfig, GroupCoordinator, OffsetRetentionChore, RebalanceEvent,
-};
 pub use object::{ReadCtrl, StreamObject, StreamObjectStore};
-pub use partition::{
-    partition_for_key, stable_key_hash, KeyHashPartitioner, Partition, Partitioner,
-    RoundRobinPartitioner,
-};
+pub use partition::{partition_for_key, Partition};
 pub use producer::Producer;
 pub use record::Record;
 pub use service::{StreamService, StreamServiceOptions};

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
 
 /// Maximum records per slice (paper: 256).
-pub const SLICE_CAPACITY: usize = 256;
+pub(crate) const SLICE_CAPACITY: usize = 256;
 
 /// Options for [`StreamObjectStore::create`] (the paper's
 /// `CREATE_OPTIONS_S`).
@@ -135,7 +135,8 @@ impl StreamObject {
     }
 
     /// The PLog shard holding this object's slices.
-    pub fn shard(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn shard(&self) -> u32 {
         self.shard
     }
 
@@ -145,7 +146,7 @@ impl StreamObject {
     }
 
     /// Logical bytes persisted to the PLog so far.
-    pub fn persisted_bytes(&self) -> u64 {
+    pub(crate) fn persisted_bytes(&self) -> u64 {
         self.state.lock().persisted_bytes
     }
 
@@ -412,7 +413,7 @@ impl StreamObject {
     }
 
     /// Mark a transaction committed: its records become visible.
-    pub fn commit_txn(&self, txn: u64) {
+    pub(crate) fn commit_txn(&self, txn: u64) {
         self.state.lock().open_txns.remove(&txn);
     }
 
@@ -424,7 +425,7 @@ impl StreamObject {
     }
 
     /// Whether this participant can prepare `txn` (2PC phase one).
-    pub fn prepared(&self, txn: u64) -> bool {
+    pub(crate) fn prepared(&self, txn: u64) -> bool {
         let st = self.state.lock();
         !st.destroyed && st.open_txns.contains(&txn)
     }
@@ -478,7 +479,7 @@ impl StreamObjectStore {
     }
 
     /// Look up an object by id.
-    pub fn get(&self, id: ObjectId) -> Result<Arc<StreamObject>> {
+    pub(crate) fn get(&self, id: ObjectId) -> Result<Arc<StreamObject>> {
         self.objects
             .lock()
             .get(&id)
@@ -490,9 +491,8 @@ impl StreamObjectStore {
     ///
     /// Freeing slices stays best-effort (the object is already unpublished
     /// from the registry), but the outcome is reported instead of
-    /// swallowed: callers like `StreamDispatcher::delete_topic` surface
-    /// [`DestroyOutcome::failed_deletes`] as a metric so leaked extents are
-    /// observable.
+    /// swallowed: [`DestroyOutcome::failed_deletes`] counts the slices that
+    /// could not be freed, so leaked extents are observable.
     pub fn destroy(&self, id: ObjectId) -> Result<DestroyOutcome> {
         let obj = self
             .objects
@@ -514,18 +514,8 @@ impl StreamObjectStore {
         Ok(outcome)
     }
 
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.objects.lock().len()
-    }
-
-    /// Whether the store holds no objects.
-    pub fn is_empty(&self) -> bool {
-        self.objects.lock().is_empty()
-    }
-
     /// The backing PLog store.
-    pub fn plog(&self) -> &Arc<PlogStore> {
+    pub(crate) fn plog(&self) -> &Arc<PlogStore> {
         &self.plog
     }
 }
@@ -679,7 +669,7 @@ mod tests {
         assert_eq!(s.plog().physical_bytes(), 0);
         assert!(obj.append_at(&recs(1, 0), &at(0)).is_err());
         assert!(s.get(obj.id()).is_err());
-        assert!(s.is_empty());
+        assert!(s.objects.lock().is_empty());
     }
 
     #[test]
@@ -736,7 +726,7 @@ mod tests {
         for slice in records.chunks(8) {
             let (addr, finish) = twin
                 .plog()
-                .append_to_shard_at(obj.shard(), Record::encode_slice(slice), &at(0))
+                .append_to_shard_at(obj.shard, Record::encode_slice(slice), &at(0))
                 .unwrap();
             expected_addrs.push(addr);
             expected_ack = finish.max(expected_ack);

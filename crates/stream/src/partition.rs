@@ -8,7 +8,6 @@
 //! by [`Partition`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fully-qualified partition: `(topic, partition_idx)`.
 ///
@@ -25,7 +24,7 @@ pub struct Partition {
 
 impl Partition {
     /// The partition `idx` of `topic`.
-    pub fn new(topic: impl Into<String>, idx: u32) -> Self {
+    pub(crate) fn new(topic: impl Into<String>, idx: u32) -> Self {
         Partition { topic: topic.into(), idx }
     }
 }
@@ -39,7 +38,7 @@ impl fmt::Display for Partition {
 /// The stable 64-bit key hash every built-in placement decision uses
 /// (FNV-1a, shared with PLog shard placement so one hash function governs
 /// the whole path from record key to shard).
-pub fn stable_key_hash(key: &[u8]) -> u64 {
+pub(crate) fn stable_key_hash(key: &[u8]) -> u64 {
     common::checksum::fnv1a(key)
 }
 
@@ -59,7 +58,7 @@ pub fn partition_for_key(key: &[u8], partition_count: u32) -> u32 {
 /// ordering guarantees only hold for partitioners that are pure functions
 /// of the key (like [`KeyHashPartitioner`]); stateful spreaders such as
 /// [`RoundRobinPartitioner`] trade that for balance.
-pub trait Partitioner: fmt::Debug + Send + Sync {
+pub(crate) trait Partitioner: fmt::Debug + Send + Sync {
     /// The partition of `topic` that should receive a record with `key`.
     fn partition(&self, topic: &str, key: &[u8], partition_count: u32) -> u32;
 }
@@ -67,7 +66,7 @@ pub trait Partitioner: fmt::Debug + Send + Sync {
 /// The default policy: stable FNV-1a key hashing, so one key always maps
 /// to one partition and per-key order is preserved end to end.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct KeyHashPartitioner;
+pub(crate) struct KeyHashPartitioner;
 
 impl Partitioner for KeyHashPartitioner {
     fn partition(&self, _topic: &str, key: &[u8], partition_count: u32) -> u32 {
@@ -78,14 +77,16 @@ impl Partitioner for KeyHashPartitioner {
 /// A key-oblivious spreader: successive sends from one producer walk the
 /// partitions round-robin. Deterministic per handle (a plain counter), but
 /// per-key ordering is intentionally given up for perfect balance.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct RoundRobinPartitioner {
-    next: AtomicU64,
+pub(crate) struct RoundRobinPartitioner {
+    next: std::sync::atomic::AtomicU64,
 }
 
+#[cfg(test)]
 impl Partitioner for RoundRobinPartitioner {
     fn partition(&self, _topic: &str, _key: &[u8], partition_count: u32) -> u32 {
-        let n = self.next.fetch_add(1, Ordering::Relaxed);
+        let n = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         (n % partition_count as u64) as u32
     }
 }

@@ -43,21 +43,9 @@ impl Producer {
         }
     }
 
-    /// This producer's idempotence id.
-    pub fn id(&self) -> u64 {
-        self.pid
-    }
-
     /// Set the per-partition batch size (1 = unbatched).
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch_size = n.max(1);
-    }
-
-    /// Replace the record→partition policy (default:
-    /// [`KeyHashPartitioner`]). Per-key ordering only survives for
-    /// partitioners that are pure functions of the key.
-    pub fn set_partitioner(&mut self, partitioner: Arc<dyn Partitioner>) {
-        self.partitioner = partitioner;
     }
 
     /// Send one message. Returns the append ack when this send flushed a
@@ -137,11 +125,6 @@ impl Producer {
         }
         Ok(acks)
     }
-
-    /// Buffered (unflushed) record count.
-    pub fn pending(&self) -> usize {
-        self.batches.values().map(|b| b.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -150,6 +133,10 @@ mod tests {
     use crate::object::ReadCtrl;
     use crate::service::tests::test_service;
     use common::ctx::IoCtx;
+
+    fn pending(p: &super::Producer) -> usize {
+        p.batches.values().map(|b| b.len()).sum()
+    }
 
     #[test]
     fn batching_flushes_at_threshold() {
@@ -160,10 +147,10 @@ mod tests {
         for i in 0..3 {
             assert!(p.send("t", b"k".to_vec(), format!("m{i}").into_bytes(), &IoCtx::new(0)).unwrap().is_none());
         }
-        assert_eq!(p.pending(), 3);
+        assert_eq!(pending(&p), 3);
         let ack = p.send("t", b"k".to_vec(), b"m3".to_vec(), &IoCtx::new(0)).unwrap();
         assert!(ack.is_some(), "4th message must flush the batch");
-        assert_eq!(p.pending(), 0);
+        assert_eq!(pending(&p), 0);
     }
 
     #[test]
@@ -177,7 +164,7 @@ mod tests {
         }
         let acks = p.flush(&IoCtx::new(0)).unwrap();
         assert!(!acks.is_empty());
-        assert_eq!(p.pending(), 0);
+        assert_eq!(pending(&p), 0);
         // Every message is readable afterwards.
         let mut total = 0;
         for route in svc.dispatcher().topic_partitions("t").unwrap() {
@@ -196,7 +183,7 @@ mod tests {
         svc.create_topic("t", TopicConfig::with_partitions(4)).unwrap();
         let mut p = svc.producer();
         p.set_batch_size(1);
-        p.set_partitioner(Arc::new(RoundRobinPartitioner::default()));
+        p.partitioner = Arc::new(RoundRobinPartitioner::default());
         // Same key every time, yet records walk all four partitions.
         for _ in 0..4 {
             p.send("t", b"same".to_vec(), b"v".to_vec(), &IoCtx::new(0)).unwrap();
@@ -216,7 +203,7 @@ mod tests {
         let svc = test_service(1, false);
         let a = svc.producer();
         let b = svc.producer();
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.pid, b.pid);
     }
 
     #[test]

@@ -14,24 +14,19 @@ use common::{Error, Result};
 /// Token-bucket limiter: at most `rate` messages per virtual second, with a
 /// burst of one second's allowance.
 #[derive(Debug)]
-pub struct QuotaLimiter {
+pub(crate) struct QuotaLimiter {
     bucket: NanoBucket,
 }
 
 impl QuotaLimiter {
     /// A limiter admitting `rate_per_sec` messages per second.
-    pub fn new(rate_per_sec: u64) -> Self {
+    pub(crate) fn new(rate_per_sec: u64) -> Self {
         QuotaLimiter { bucket: NanoBucket::new(rate_per_sec, secs(1)) }
-    }
-
-    /// Configured rate.
-    pub fn rate(&self) -> u64 {
-        self.bucket.rate()
     }
 
     /// Try to admit `n` messages at `ctx`'s virtual time; returns
     /// `QuotaExceeded` when the bucket is empty.
-    pub fn try_acquire(&mut self, n: u64, ctx: &IoCtx) -> Result<()> {
+    pub(crate) fn try_acquire(&mut self, n: u64, ctx: &IoCtx) -> Result<()> {
         self.bucket.try_acquire(n, ctx.now).map_err(|_wait| {
             Error::QuotaExceeded(format!(
                 "requested {n}, {} tokens available at rate {}/s",

@@ -36,7 +36,7 @@ impl Record {
     }
 
     /// Approximate in-memory size, used for quota and batch accounting.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.key.len() + self.value.len() + 24
     }
 

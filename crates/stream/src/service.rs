@@ -91,10 +91,7 @@ impl StreamService {
         let metrics = plog.metrics().clone();
         let mvcc = opts.txn_mvcc.unwrap_or_else(|| Arc::new(MvccStore::over(plog.kv().clone())));
         let objects = Arc::new(StreamObjectStore::new(plog, opts.scm_capacity));
-        let dispatcher = Arc::new(StreamDispatcher::with_metrics(
-            objects.clone(),
-            metrics.clone(),
-        ));
+        let dispatcher = Arc::new(StreamDispatcher::new(objects.clone()));
         let groups = Arc::new(GroupCoordinator::new(
             dispatcher.clone(),
             metrics.clone(),
@@ -156,11 +153,6 @@ impl StreamService {
     /// Remove a worker, reassigning its partitions.
     pub fn remove_worker(&self, id: WorkerId, ctx: &IoCtx) -> Result<RescaleReport> {
         self.dispatcher.deregister_worker(id, ctx)
-    }
-
-    /// Number of live workers.
-    pub fn worker_count(&self) -> usize {
-        self.dispatcher.workers().len()
     }
 
     /// Create a topic; every partition gets its own quota bucket.
@@ -307,13 +299,13 @@ pub(crate) mod tests {
     #[test]
     fn topic_creation_and_worker_scaling() {
         let svc = test_service(2, false);
-        assert_eq!(svc.worker_count(), 2);
+        assert_eq!(svc.dispatcher().workers().len(), 2);
         svc.create_topic("t", TopicConfig::with_partitions(4)).unwrap();
         let id = svc.add_worker();
-        assert_eq!(svc.worker_count(), 3);
+        assert_eq!(svc.dispatcher().workers().len(), 3);
         let report = svc.remove_worker(id, &IoCtx::new(0)).unwrap();
         assert_eq!(report.bytes_migrated, 0);
-        assert_eq!(svc.worker_count(), 2);
+        assert_eq!(svc.dispatcher().workers().len(), 2);
     }
 
     #[test]

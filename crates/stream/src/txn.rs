@@ -57,17 +57,12 @@ impl TxnManager {
     /// A coordinator for transactions over `objects`, keeping its records
     /// and intents in `mvcc` (share the store so stream transactions can
     /// atomically span other subsystems writing it).
-    pub fn new(objects: Arc<StreamObjectStore>, mvcc: Arc<MvccStore>) -> Self {
+    pub(crate) fn new(objects: Arc<StreamObjectStore>, mvcc: Arc<MvccStore>) -> Self {
         TxnManager {
             objects,
             mvcc,
             active: TrackedMutex::new("stream.txn.active", BTreeMap::new()),
         }
-    }
-
-    /// The MVCC store backing transaction records and intents.
-    pub fn mvcc(&self) -> &Arc<MvccStore> {
-        &self.mvcc
     }
 
     /// Begin a transaction: a durable PENDING record in the MVCC store.
@@ -80,7 +75,7 @@ impl TxnManager {
     /// Record that `txn` produced into `object` (idempotent per object).
     /// Writes a provisional intent so the membership survives a
     /// coordinator crash.
-    pub fn register_participant(&self, txn: TxnId, object: Arc<StreamObject>) -> Result<()> {
+    pub(crate) fn register_participant(&self, txn: TxnId, object: Arc<StreamObject>) -> Result<()> {
         let mut active = self.active.lock();
         let participants = active
             .get_mut(&txn.raw())
@@ -255,8 +250,8 @@ mod tests {
         assert_eq!(b.read_at(0, ctrl, &IoCtx::new(0)).unwrap().0.len(), 1);
         assert_eq!(mgr.active_count(), 0);
         // Resolution also cleaned the MVCC side: no intents, no records.
-        assert_eq!(mgr.mvcc().pending_intents(), 0);
-        assert_eq!(mgr.mvcc().active_count(), 0);
+        assert_eq!(mgr.mvcc.pending_intents(), 0);
+        assert_eq!(mgr.mvcc.active_count(), 0);
     }
 
     #[test]
@@ -274,7 +269,7 @@ mod tests {
         let ctrl = ReadCtrl::default();
         assert!(a.read_at(0, ctrl, &IoCtx::new(0)).unwrap().0.is_empty());
         assert!(b.read_at(0, ctrl, &IoCtx::new(0)).unwrap().0.is_empty());
-        assert_eq!(mgr.mvcc().pending_intents(), 0);
+        assert_eq!(mgr.mvcc.pending_intents(), 0);
     }
 
     #[test]
@@ -294,8 +289,8 @@ mod tests {
         // Survivor's records are aborted, never visible.
         assert!(a.read_at(0, ReadCtrl::default(), &IoCtx::new(0)).unwrap().0.is_empty());
         // And the MVCC record + intents are gone.
-        assert_eq!(mgr.mvcc().pending_intents(), 0);
-        assert_eq!(mgr.mvcc().active_count(), 0);
+        assert_eq!(mgr.mvcc.pending_intents(), 0);
+        assert_eq!(mgr.mvcc.active_count(), 0);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
         mgr.prepare_decide(txn).unwrap();
         // Not yet visible: resolution has not run.
         assert!(a.read_at(0, ReadCtrl::default(), &IoCtx::new(0)).unwrap().0.is_empty());
-        let decided = mgr.mvcc().decided().unwrap();
+        let decided = mgr.mvcc.decided().unwrap();
         assert_eq!(decided.len(), 1);
         assert_eq!(decided[0].txn, txn.raw());
         let (key, value) = &decided[0].writes[0];
@@ -342,6 +337,6 @@ mod tests {
         mgr.forget(txn);
         mgr.resolve(txn, &decided[0].writes).unwrap();
         assert_eq!(a.read_at(0, ReadCtrl::default(), &IoCtx::new(0)).unwrap().0.len(), 1);
-        assert_eq!(mgr.mvcc().pending_intents(), 0);
+        assert_eq!(mgr.mvcc.pending_intents(), 0);
     }
 }

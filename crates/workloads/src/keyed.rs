@@ -22,18 +22,13 @@ impl KeyedWorkload {
     /// A workload over `keys` distinct entities with skew `theta`
     /// (0 = uniform, 1 ≈ classic web skew), payloads of `value_bytes`,
     /// reproducible from `seed`.
-    pub fn new(seed: u64, keys: usize, theta: f64, value_bytes: usize) -> Self {
+    pub(crate) fn new(seed: u64, keys: usize, theta: f64, value_bytes: usize) -> Self {
         KeyedWorkload {
             zipf: Zipf::new(keys, theta),
             rng: StdRng::seed_from_u64(seed),
             value_bytes,
             sent: 0,
         }
-    }
-
-    /// Messages drawn so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
     }
 
     /// Draw the next message: the key names the sampled entity rank
@@ -48,11 +43,6 @@ impl KeyedWorkload {
             value.push(b'x');
         }
         (key, value)
-    }
-
-    /// Draw `n` messages.
-    pub fn batch(&mut self, n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        (0..n).map(|_| self.next_message()).collect()
     }
 }
 
@@ -83,10 +73,14 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    fn batch(w: &mut KeyedWorkload, n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..n).map(|_| w.next_message()).collect()
+    }
+
     #[test]
     fn same_seed_same_messages() {
-        let a: Vec<_> = KeyedWorkload::new(7, 100, 1.0, 64).batch(500);
-        let b: Vec<_> = KeyedWorkload::new(7, 100, 1.0, 64).batch(500);
+        let a: Vec<_> = batch(&mut KeyedWorkload::new(7, 100, 1.0, 64), 500);
+        let b: Vec<_> = batch(&mut KeyedWorkload::new(7, 100, 1.0, 64), 500);
         assert_eq!(a, b, "workload must be a pure function of its seed");
     }
 
@@ -94,7 +88,7 @@ mod tests {
     fn skew_makes_a_hot_head() {
         let mut w = KeyedWorkload::new(3, 1000, 1.2, 16);
         let mut counts: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
-        for (k, _) in w.batch(10_000) {
+        for (k, _) in batch(&mut w, 10_000) {
             *counts.entry(k).or_insert(0) += 1;
         }
         let hottest = counts.values().max().copied().unwrap_or(0);

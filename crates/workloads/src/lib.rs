@@ -17,18 +17,14 @@
 //!   tenant skew (the front door's million-client harness);
 //! * [`zipf`] — the Zipf sampler behind the skewed choices.
 
-pub mod keyed;
-pub mod openloop;
+pub(crate) mod keyed;
+pub(crate) mod openloop;
 pub mod openmessaging;
 pub mod packets;
 pub mod queries;
 pub mod tpch;
-pub mod zipf;
+pub(crate) mod zipf;
 
-pub use keyed::{producer_fleet, KeyedWorkload};
-pub use openloop::{Arrival, OpenLoopSpec};
+pub use keyed::producer_fleet;
+pub use openloop::OpenLoopSpec;
 pub use openmessaging::{LatencyRecorder, LoadSpec};
-pub use packets::{Packet, PacketGen};
-pub use queries::QueryGen;
-pub use tpch::LineitemGen;
-pub use zipf::Zipf;

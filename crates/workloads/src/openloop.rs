@@ -54,11 +54,6 @@ impl OpenLoopSpec {
             })
             .collect()
     }
-
-    /// Duration of the full schedule at the target rate.
-    pub fn duration(&self) -> Nanos {
-        self.total * 1_000_000_000 / self.rate_per_sec.max(1)
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use common::clock::Nanos;
 
 /// Fixed OpenMessaging message size.
-pub const MESSAGE_BYTES: usize = 1024;
+pub(crate) const MESSAGE_BYTES: usize = 1024;
 
 /// An open-loop constant-rate load.
 #[derive(Debug, Clone, Copy)]
@@ -37,11 +37,6 @@ impl LoadSpec {
     pub fn duration(&self) -> Nanos {
         self.arrival(self.total_messages)
     }
-
-    /// Iterator over all arrival times.
-    pub fn arrivals(&self) -> impl Iterator<Item = Nanos> + '_ {
-        (0..self.total_messages).map(|i| self.arrival(i))
-    }
 }
 
 /// Collects latency samples and reports percentiles.
@@ -59,16 +54,6 @@ impl LatencyRecorder {
     /// Record one latency sample.
     pub fn record(&mut self, latency: Nanos) {
         self.samples.push(latency);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Nearest-rank percentile (`q` in 0..=1). `None` when empty.
@@ -101,7 +86,6 @@ mod tests {
         assert_eq!(spec.arrival(0), 0);
         assert_eq!(spec.arrival(1), 1_000_000); // 1 ms apart at 1k/s
         assert_eq!(spec.duration(), 10_000_000);
-        assert_eq!(spec.arrivals().count(), 10);
     }
 
     #[test]
@@ -121,7 +105,7 @@ mod tests {
         assert_eq!(r.percentile(1.0), Some(9));
         assert_eq!(r.percentile(0.01), Some(1));
         assert_eq!(r.mean(), Some(5.0));
-        assert_eq!(r.len(), 5);
+        assert_eq!(r.samples.len(), 5);
     }
 
     #[test]
@@ -129,6 +113,6 @@ mod tests {
         let r = LatencyRecorder::new();
         assert!(r.percentile(0.5).is_none());
         assert!(r.mean().is_none());
-        assert!(r.is_empty());
+        assert!(r.samples.is_empty());
     }
 }

@@ -13,13 +13,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The 31 provinces data flows from in the paper's use case (a subset).
-pub const PROVINCES: [&str; 12] = [
+pub(crate) const PROVINCES: [&str; 12] = [
     "guangdong", "beijing", "shanghai", "sichuan", "jiangsu", "zhejiang", "shandong", "henan",
     "hubei", "hunan", "fujian", "anhui",
 ];
-
-/// Target average packet size (paper: 1.2 KB).
-pub const AVG_PACKET_BYTES: usize = 1200;
 
 /// One synthetic DPI log packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,7 +153,7 @@ impl PacketGen {
     }
 
     /// Generate the next packet.
-    pub fn next_packet(&mut self) -> Packet {
+    pub(crate) fn next_packet(&mut self) -> Packet {
         let url = self.urls[self.url_zipf.sample(&mut self.rng)].clone();
         let province = PROVINCES[self.province_zipf.sample(&mut self.rng)].to_string();
         let start_time = self.t0 + (self.generated / self.packets_per_sec) as i64;

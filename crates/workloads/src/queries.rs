@@ -78,13 +78,8 @@ impl QueryGen {
         QueryGen { rng: StdRng::seed_from_u64(seed), schema, domains, candidate_cols }
     }
 
-    /// The schema the generator targets.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// Generate one conjunctive query with `1..=max_predicates` predicates.
-    pub fn next_query(&mut self, max_predicates: usize) -> Expr {
+    pub(crate) fn next_query(&mut self, max_predicates: usize) -> Expr {
         let n = self.rng.gen_range(1..=max_predicates.max(1));
         let mut preds = Vec::with_capacity(n);
         for _ in 0..n {

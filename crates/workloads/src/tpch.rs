@@ -12,9 +12,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Epoch-day of 1992-01-02 (start of the TPC-H shipdate window).
-pub const SHIPDATE_MIN: i64 = 8036;
+pub(crate) const SHIPDATE_MIN: i64 = 8036;
 /// Epoch-day of 1998-12-01 (end of the TPC-H shipdate window).
-pub const SHIPDATE_MAX: i64 = 10_561;
+pub(crate) const SHIPDATE_MAX: i64 = 10_561;
 
 const RETURN_FLAGS: [&str; 3] = ["A", "N", "R"];
 const LINE_STATUS: [&str; 2] = ["O", "F"];
@@ -25,7 +25,7 @@ const SHIP_INSTRUCT: [&str; 4] =
 /// Rows per scale factor unit. The real dbgen emits ~6M rows/SF; the
 /// default here is scaled down 1000× so laptop-scale experiments keep the
 /// same *relative* sizes across scale factors.
-pub const ROWS_PER_SF: u64 = 6_000;
+pub(crate) const ROWS_PER_SF: u64 = 6_000;
 
 /// Deterministic `lineitem` generator.
 #[derive(Debug)]
@@ -108,7 +108,8 @@ impl LineitemGen {
 
     /// A uniform random sample of `fraction` of `rows` (the 3% training
     /// sample of §VII-E), deterministic in the generator's RNG.
-    pub fn sample<'a>(&mut self, rows: &'a [Row], fraction: f64) -> Vec<&'a Row> {
+    #[cfg(test)]
+    pub(crate) fn sample<'a>(&mut self, rows: &'a [Row], fraction: f64) -> Vec<&'a Row> {
         rows.iter().filter(|_| self.rng.gen_bool(fraction)).collect()
     }
 }

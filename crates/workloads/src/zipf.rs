@@ -5,14 +5,14 @@ use rand::Rng;
 /// A Zipf(θ) sampler over `{0, …, n-1}` using the inverse-CDF method with a
 /// precomputed cumulative table.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// A sampler over `n` items with exponent `theta` (0 = uniform; 1 ≈
     /// classic web skew). Panics if `n == 0`.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf over empty domain");
         let mut weights: Vec<f64> = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).collect();
         let total: f64 = weights.iter().sum();
@@ -26,19 +26,9 @@ impl Zipf {
     }
 
     /// Draw one index.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Domain size.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the domain is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 }
 

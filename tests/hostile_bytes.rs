@@ -27,7 +27,7 @@ use proptest::test_runner::TestRunner;
 use simdisk::pool::StoragePool;
 use simdisk::MediaKind;
 use std::sync::Arc;
-use stream::Record;
+use stream::{Record, StreamService, StreamServiceOptions};
 
 /// Decode all of `buf` with a decoder of a nested record; bytes left over
 /// are an error.
@@ -321,6 +321,23 @@ fn crafted_counts_lengths_tags_and_tails_are_refused() {
     get("unknown partition presence", presence);
     get("catalog entry cut before its partition", valid[..part].to_vec());
     get("catalog entry with a trailing byte", [&valid[..], &[0]].concat());
+    // The hourly width 3600 follows the transform tag; a width below one
+    // would divide by zero (or overflow) on the first insert.
+    let mut width = Vec::new();
+    varint::encode_i64(3600, &mut width);
+    let at = part + 5;
+    assert_eq!(valid[at..at + width.len()], width[..]);
+    for (name, w) in [
+        ("time bucket of width 0", 0),
+        ("time bucket of width -1", -1),
+    ] {
+        let mut bad = Vec::new();
+        varint::encode_i64(w, &mut bad);
+        get(
+            name,
+            [&valid[..at], &bad[..], &valid[at + width.len()..]].concat(),
+        );
+    }
 
     // Trailing bytes after an address, and in a lake file footer whose CRC
     // covers them.
@@ -340,6 +357,19 @@ fn crafted_counts_lengths_tags_and_tails_are_refused() {
     let (key, _) = store.kv().scan_prefix(b"plog/").pop().unwrap();
     store.kv().put(key, varints(&[1, 9, huge, 0, 0]));
     cases.push(("plog entry of 2^40 shards", store.read_at(&addr, &IoCtx::new(0)).map(drop)));
+
+    // A committed group offset is one big-endian u64; a short or long
+    // value must not resume the group at offset 0.
+    let opts = StreamServiceOptions::default();
+    let svc = StreamService::new(Arc::new(plog_store()), SimClock::new(), opts);
+    let dispatcher = svc.dispatcher();
+    for (name, len) in [
+        ("group offset of 4 bytes", 4),
+        ("group offset of 9 bytes", 9),
+    ] {
+        dispatcher.metadata().put("group/g/t/0", vec![0; len]);
+        cases.push((name, dispatcher.committed_offset("g", "t", 0).map(drop)));
+    }
 
     for (name, out) in cases {
         assert!(out.is_err(), "{name} decoded");

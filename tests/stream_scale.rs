@@ -160,6 +160,7 @@ fn run(seed: u64) -> RunResult {
             .stream()
             .dispatcher()
             .committed_offset(GROUP, TOPIC, idx)
+            .unwrap()
             .unwrap_or(0);
         committed_total += off;
         offsets.insert(idx, off);
