@@ -95,51 +95,57 @@ pub(crate) fn pow(a: u8, n: u32) -> u8 {
     t.exp[l as usize]
 }
 
-/// Buffers shorter than this skip the per-call product table: for a handful
-/// of bytes the 256-entry table build costs more than it saves.
-const PRODUCT_TABLE_MIN: usize = 64;
+/// Coefficient `c` with its row of the GF(256) multiplication table:
+/// `products[s] = c · s` for every byte `s`. Building one costs 255
+/// exp/log lookups; after that a multiply-accumulate is one indexed load
+/// and one XOR per byte, with no zero test and no log lookup. The kernel
+/// never reads the table of `c = 0` or `c = 1`, so those skip the build.
+#[derive(Debug)]
+pub(crate) struct ProductRow {
+    c: u8,
+    products: [u8; 256],
+}
+
+impl ProductRow {
+    /// The product row of `c`.
+    pub(crate) fn new(c: u8) -> Self {
+        let mut products = [0u8; 256];
+        if c > 1 {
+            let t = tables();
+            let log_c = t.log[c as usize] as usize;
+            for (s, p) in products.iter_mut().enumerate().skip(1) {
+                *p = t.exp[log_c + t.log[s] as usize];
+            }
+        }
+        ProductRow { c, products }
+    }
+
+    /// `dst[i] ^= c · src[i]`: the hot loop of Reed–Solomon encoding and
+    /// reconstruction. `c == 0` does nothing and `c == 1` is a plain XOR
+    /// eight bytes at a time; every other coefficient goes through the
+    /// table.
+    pub(crate) fn mul_acc(&self, dst: &mut [u8], src: &[u8]) {
+        debug_assert_eq!(dst.len(), src.len());
+        match self.c {
+            0 => {}
+            1 => xor_slice(dst, src),
+            _ => {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d ^= self.products[*s as usize];
+                }
+            }
+        }
+    }
+}
 
 /// In-place fused multiply-add over byte slices: `dst[i] ^= c * src[i]`.
 ///
-/// This is the hot loop of Reed–Solomon encoding and reconstruction, so it
-/// avoids per-byte table-walk work:
-///
-/// * `c == 1` degenerates to pure XOR, done a `u64` word at a time;
-/// * otherwise a 256-entry product table for `c` is built once per call
-///   (256 exp/log lookups) and the main loop is a single indexed load + XOR
-///   per byte — no zero-branch, no double log lookup;
-/// * tiny buffers fall back to the classic log/exp walk, where the table
-///   build would dominate.
-///
-/// The `mul_acc_slice_matches_scalar` proptest pins every path against the
-/// scalar [`mul`] reference.
+/// Builds the [`ProductRow`] of `c` and runs its kernel. Callers that
+/// multiply by the same coefficient again (Reed–Solomon parity) keep the
+/// row instead. The `mul_acc_slice_matches_scalar` proptest pins the
+/// kernel against the scalar [`mul`] reference.
 pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(dst, src);
-        return;
-    }
-    let t = tables();
-    let log_c = t.log[c as usize] as usize;
-    if dst.len() < PRODUCT_TABLE_MIN {
-        for (d, s) in dst.iter_mut().zip(src) {
-            if *s != 0 {
-                *d ^= t.exp[log_c + t.log[*s as usize] as usize];
-            }
-        }
-        return;
-    }
-    // One row of the GF(256) multiplication table, specialized to `c`.
-    let mut product = [0u8; 256];
-    for (s, p) in product.iter_mut().enumerate().skip(1) {
-        *p = t.exp[log_c + t.log[s] as usize];
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= product[*s as usize];
-    }
+    ProductRow::new(c).mul_acc(dst, src);
 }
 
 /// `dst[i] ^= src[i]`, eight bytes per step. GF(256) addition is XOR, so

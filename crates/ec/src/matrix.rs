@@ -80,8 +80,7 @@ impl Matrix {
     pub(crate) fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
         for (dst, &src) in indices.iter().enumerate() {
-            let row = self.row(src).to_vec();
-            out.data[dst * self.cols..(dst + 1) * self.cols].copy_from_slice(&row);
+            out.data[dst * self.cols..(dst + 1) * self.cols].copy_from_slice(self.row(src));
         }
         out
     }

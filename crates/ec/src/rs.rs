@@ -5,42 +5,77 @@
 //! itself (systematic), and the remaining `m` shards are parity. Any `k` of
 //! the `k+m` shards reconstruct the original data by inverting the
 //! corresponding rows.
+//!
+//! A code depends only on `(k, m)`, so [`ReedSolomon::shared`] builds each
+//! one once per process and hands out the same instance afterwards.
 
-use crate::gf256;
+use crate::gf256::{self, ProductRow};
 use crate::matrix::Matrix;
 use common::{Error, Result};
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
+/// Reject shapes no code exists for: `k` and `m` must be nonzero and
+/// `k + m` must not exceed 255 (the number of distinct nonzero evaluation
+/// points in GF(256)).
+pub(crate) fn check_params(k: usize, m: usize) -> Result<()> {
+    if k == 0 || m == 0 {
+        return Err(Error::InvalidArgument("k and m must be nonzero".into()));
+    }
+    if k + m > 255 {
+        return Err(Error::InvalidArgument(format!(
+            "k+m = {} exceeds GF(256) limit of 255",
+            k + m
+        )));
+    }
+    Ok(())
+}
 
 /// A Reed–Solomon code with `k` data shards and `m` parity shards.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReedSolomon {
     k: usize,
     m: usize,
     /// (k+m) × k encoding matrix; top k rows are the identity.
     encode_matrix: Matrix,
+    /// The parity rows' coefficients with their product tables, `m × k`
+    /// row-major: entry `p * k + j` multiplies data shard `j` into parity
+    /// shard `p`.
+    parity_rows: Vec<ProductRow>,
 }
 
 impl ReedSolomon {
-    /// Create a code with `k` data and `m` parity shards.
-    ///
-    /// `k + m` must not exceed 255 (the number of distinct nonzero
-    /// evaluation points in GF(256)); `k` and `m` must be nonzero.
-    pub(crate) fn new(k: usize, m: usize) -> Result<Self> {
-        if k == 0 || m == 0 {
-            return Err(Error::InvalidArgument("k and m must be nonzero".into()));
-        }
-        if k + m > 255 {
-            return Err(Error::InvalidArgument(format!(
-                "k+m = {} exceeds GF(256) limit of 255",
-                k + m
-            )));
-        }
+    /// Create a code with `k` data and `m` parity shards (see
+    /// [`check_params`] for the shapes that exist). Production code takes
+    /// the memoised instance from [`shared`](Self::shared).
+    fn new(k: usize, m: usize) -> Result<Self> {
+        check_params(k, m)?;
         // Build a (k+m) x k Vandermonde matrix, then normalize its top k x k
         // block to the identity by multiplying with that block's inverse.
         let vand = Matrix::vandermonde(k + m, k);
         let top: Vec<usize> = (0..k).collect();
         let top_inv = vand.select_rows(&top).inverse()?;
         let encode_matrix = vand.mul(&top_inv);
-        Ok(ReedSolomon { k, m, encode_matrix })
+        let parity_rows = (k..k + m)
+            .flat_map(|r| encode_matrix.row(r).iter().map(|&c| ProductRow::new(c)))
+            .collect();
+        Ok(ReedSolomon { k, m, encode_matrix, parity_rows })
+    }
+
+    /// The process-wide code for `(k, m)`, built on first use. A code is a
+    /// pure function of its shape, so every stripe of one shape shares it.
+    pub(crate) fn shared(k: usize, m: usize) -> Result<Arc<ReedSolomon>> {
+        type Codes = BTreeMap<(usize, usize), Arc<ReedSolomon>>;
+        static CODES: OnceLock<RwLock<Codes>> = OnceLock::new();
+        let codes = CODES.get_or_init(Default::default);
+        // A code enters the map only once fully built, so a guard poisoned
+        // by a panicking reader or writer still guards a valid map.
+        if let Some(rs) = codes.read().unwrap_or_else(PoisonError::into_inner).get(&(k, m)) {
+            return Ok(rs.clone());
+        }
+        let rs = Arc::new(ReedSolomon::new(k, m)?);
+        let mut codes = codes.write().unwrap_or_else(PoisonError::into_inner);
+        Ok(codes.entry((k, m)).or_insert(rs).clone())
     }
 
     /// Total shards produced by [`encode`](Self::encode).
@@ -70,16 +105,18 @@ impl ReedSolomon {
     pub(crate) fn parity<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
         self.check_shards(data)?;
         let shard_len = data[0].as_ref().len();
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.m);
-        for p in 0..self.m {
-            let row = self.encode_matrix.row(self.k + p);
-            let mut parity = vec![0u8; shard_len];
-            for (j, &coeff) in row.iter().enumerate() {
-                gf256::mul_acc_slice(&mut parity, data[j].as_ref(), coeff);
-            }
-            out.push(parity);
-        }
-        Ok(out)
+        let parity = self
+            .parity_rows
+            .chunks_exact(self.k)
+            .map(|row| {
+                let mut parity = vec![0u8; shard_len];
+                for (product, shard) in row.iter().zip(data) {
+                    product.mul_acc(&mut parity, shard.as_ref());
+                }
+                parity
+            })
+            .collect();
+        Ok(parity)
     }
 
     /// Reconstruct the original `k` data shards from any `k` survivors.
@@ -116,14 +153,6 @@ impl ReedSolomon {
             if shards[i].as_ref().map(|s| s.as_ref().len()) != Some(shard_len) {
                 return Err(Error::InvalidArgument("surviving shards differ in length".into()));
             }
-        }
-        // Fast path: all data shards intact.
-        if (0..self.k).all(|i| shards[i].is_some()) {
-            return Ok(shards[..self.k]
-                .iter()
-                .flatten()
-                .map(|s| s.as_ref().to_vec())
-                .collect());
         }
         // Pick the first k survivors and invert their encoding rows.
         let use_rows: Vec<usize> = present.iter().copied().take(self.k).collect();
@@ -259,6 +288,30 @@ mod tests {
             }
             let rec = rs.reconstruct(&survivors).unwrap();
             prop_assert_eq!(rec, data);
+        }
+
+        #[test]
+        fn table_parity_matches_scalar_reference(
+            k in 1usize..=16,
+            m in 1usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let rs = ReedSolomon::shared(k, m).unwrap();
+            for len in [63, 64, 104, 1000] {
+                let data = sample_data(k, len, seed);
+                let expected: Vec<Vec<u8>> = (k..k + m)
+                    .map(|r| {
+                        (0..len)
+                            .map(|i| {
+                                (0..k).fold(0u8, |acc, j| {
+                                    gf256::add(acc, gf256::mul(rs.encode_matrix.get(r, j), data[j][i]))
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                prop_assert_eq!(rs.parity(&data).unwrap(), expected, "k={} m={} len={}", k, m, len);
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! shards plus the original length (needed to strip padding on decode), and
 //! `Redundancy::stored_bytes` implements the Fig 14(d) space accounting.
 
-use crate::rs::ReedSolomon;
+use crate::rs::{check_params, ReedSolomon};
 use common::size::div_ceil;
 use common::{Bytes, Error, Result};
 
@@ -97,7 +97,7 @@ impl Stripe {
                 vec![data.clone(); copies]
             }
             Redundancy::ErasureCode { k, m } => {
-                let rs = ReedSolomon::new(k, m)?;
+                let rs = ReedSolomon::shared(k, m)?;
                 let shard_len = div_ceil(data.len().max(1) as u64, k as u64) as usize;
                 let mut shards: Vec<Bytes> = Vec::with_capacity(k + m);
                 for i in 0..k {
@@ -144,18 +144,16 @@ impl Stripe {
                     .ok_or_else(|| Error::Unrecoverable("all replicas lost".into()))
             }
             Redundancy::ErasureCode { k, m } => {
-                let rs = ReedSolomon::new(k, m)?;
+                check_params(k, m)?;
                 let mut out = Vec::with_capacity(original_len);
-                if (0..k.min(survivors.len())).all(|i| survivors[i].is_some())
-                    && survivors.len() == k + m
-                {
-                    // All data shards intact: concatenate them directly,
-                    // skipping the reconstruction shard buffers entirely.
+                if survivors.len() == k + m && survivors[..k].iter().all(Option::is_some) {
+                    // All data shards intact: concatenate them directly;
+                    // the code itself is never needed.
                     for shard in survivors[..k].iter().flatten() {
                         out.extend_from_slice(shard);
                     }
                 } else {
-                    for shard in rs.reconstruct(survivors)? {
+                    for shard in ReedSolomon::shared(k, m)?.reconstruct(survivors)? {
                         out.extend_from_slice(&shard);
                     }
                 }
@@ -175,6 +173,11 @@ impl Stripe {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    const GOLDEN_RS_10_2_CRCS: [u32; 12] = [
+        0xa0d0_4048, 0xa795_3845, 0xc842_f065, 0x10b6_4f7a, 0x1369_2c84, 0xf9af_1f5c,
+        0x6791_61c1, 0xe730_bd88, 0xeffa_246d, 0xf3ee_a88c, 0x2f18_488f, 0x5235_3008,
+    ];
 
     #[test]
     fn replication_space_accounting() {
@@ -263,6 +266,38 @@ mod tests {
             let ratio = rep.space_multiplier() / ec.space_multiplier();
             assert!(ratio > 1.5, "ft={ft}: EC must beat replication");
         }
+    }
+
+    #[test]
+    fn invalid_code_shapes_are_rejected_with_every_shard_present() {
+        // The healthy decode never builds a code, so it must check the
+        // shape itself: every slot is `Some` here, which is the path that
+        // concatenates data shards without touching the code.
+        for (k, m) in [(0, 2), (10, 0), (250, 10)] {
+            let red = Redundancy::ErasureCode { k, m };
+            let survivors = vec![Some(Bytes::from_vec(vec![7u8; 4])); k + m];
+            assert!(
+                matches!(Stripe::decode(red, 4 * k, &survivors), Err(Error::InvalidArgument(_))),
+                "decode accepted k={k} m={m}"
+            );
+            assert!(
+                matches!(Stripe::encode(vec![7u8; 40], red), Err(Error::InvalidArgument(_))),
+                "encode accepted k={k} m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn ec_shards_are_byte_identical_to_the_recorded_code() {
+        // CRC32 of each of the 12 shards of a fixed 1 041-byte payload
+        // under RS 10+2, recorded before the code was memoised with
+        // product rows. Any change to the encoding matrix or the kernel
+        // that moves a parity byte fails here.
+        let data: Vec<u8> =
+            (0..1041u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let s = Stripe::encode(data, Redundancy::ErasureCode { k: 10, m: 2 }).unwrap();
+        let crcs: Vec<u32> = s.shards.iter().map(|sh| common::checksum::crc32(sh)).collect();
+        assert_eq!(crcs, GOLDEN_RS_10_2_CRCS);
     }
 
     proptest! {

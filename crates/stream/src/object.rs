@@ -317,26 +317,23 @@ impl StreamObject {
     /// Read up to `ctrl.max_records` records starting at `offset`.
     ///
     /// Returns `(offset, record)` pairs in offset order and the virtual
-    /// completion time of the underlying PLog reads.
+    /// completion time of the underlying PLog reads. The read borrows the
+    /// object's state under its lock for the whole scan, PLog reads
+    /// included — the same state → PLog order `append_at` takes — so it
+    /// copies neither the slice index nor the transaction sets. The first
+    /// slice to fetch is found by binary search on the slice ends; every
+    /// slice from there on is read whole (all its shards fetched and
+    /// verified) until the limit or an open transaction stops the scan.
     pub fn read_at(
         &self,
         offset: u64,
         ctrl: ReadCtrl,
         ctx: &IoCtx,
     ) -> Result<(Vec<(u64, Record)>, Nanos)> {
-        let (slices, buffer, buffer_base, open, aborted) = {
-            let st = self.state.lock();
-            if st.destroyed {
-                return Err(Error::NotFound(format!("stream object {} destroyed", self.id)));
-            }
-            (
-                st.slices.clone(),
-                st.buffer.clone(),
-                st.buffer_base,
-                st.open_txns.clone(),
-                st.aborted_txns.clone(),
-            )
-        };
+        let st = self.state.lock();
+        if st.destroyed {
+            return Err(Error::NotFound(format!("stream object {} destroyed", self.id)));
+        }
         // Visibility follows last-stable-offset semantics: the scan STOPS at
         // the first record of a still-open transaction (so a later commit is
         // not skipped over by consumers that already advanced), and records
@@ -348,19 +345,17 @@ impl StreamObject {
         }
         let classify = |r: &Record| -> Vis {
             match r.txn {
-                Some(t) if open.contains(&t) => Vis::Stop,
-                Some(t) if aborted.contains(&t) => Vis::Skip,
+                Some(t) if st.open_txns.contains(&t) => Vis::Stop,
+                Some(t) if st.aborted_txns.contains(&t) => Vis::Skip,
                 _ => Vis::Deliver,
             }
         };
         let mut out = Vec::new();
         let mut finish = ctx.now;
-        for meta in &slices {
+        let first = st.slices.partition_point(|s| s.base_offset + s.count <= offset);
+        for meta in &st.slices[first..] {
             if out.len() >= ctrl.max_records {
                 return Ok((out, finish));
-            }
-            if meta.base_offset + meta.count <= offset {
-                continue;
             }
             let (bytes, t) = self.plog.read_at(&meta.addr, ctx)?;
             finish = finish.max(t);
@@ -376,11 +371,12 @@ impl StreamObject {
                 }
             }
         }
-        for (i, r) in buffer.iter().enumerate() {
-            let off = buffer_base + i as u64;
-            if off < offset || out.len() >= ctrl.max_records {
-                continue;
+        let from = usize::try_from(offset.saturating_sub(st.buffer_base)).unwrap_or(usize::MAX);
+        for (i, r) in st.buffer.iter().enumerate().skip(from) {
+            if out.len() >= ctrl.max_records {
+                break;
             }
+            let off = st.buffer_base + i as u64;
             match classify(r) {
                 Vis::Deliver => out.push((off, r.clone())),
                 Vis::Skip => {}
@@ -854,6 +850,68 @@ mod tests {
         obj.flush_at(&at(0)).unwrap();
         assert_eq!(obj.slice_count(), 3);
         assert_reads_back_in_order(&obj, 12);
+    }
+
+    /// The read path as a plain walk over every record ever appended:
+    /// offsets below `first_kept` are truncated, an open transaction stops
+    /// the scan and an aborted one is skipped.
+    fn linear_read(
+        all: &[Record],
+        first_kept: u64,
+        open: &BTreeSet<u64>,
+        aborted: &BTreeSet<u64>,
+        offset: u64,
+        max_records: usize,
+    ) -> Vec<(u64, Record)> {
+        let mut out = Vec::new();
+        for (off, r) in (0u64..).zip(all).skip_while(|(off, _)| *off < offset.max(first_kept)) {
+            if out.len() >= max_records {
+                break;
+            }
+            match r.txn {
+                Some(t) if open.contains(&t) => break,
+                Some(t) if aborted.contains(&t) => {}
+                _ => out.push((off, r.clone())),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn read_at_matches_a_linear_walk_over_every_offset() {
+        let s = store(false);
+        let obj = s.create(CreateOptions::default()).unwrap();
+        // Txn 7 (aborted) spans the truncation point and ten slices, txn 8
+        // commits, txn 9 stays open from a persisted slice into the tail.
+        let txn_of = |off: u64| match off {
+            20..=45 if off.is_multiple_of(5) => Some(7),
+            60..=62 => Some(8),
+            250 | 260 | 310 => Some(9),
+            _ => None,
+        };
+        let mut all = recs(340, 0);
+        for (off, r) in (0u64..).zip(all.iter_mut()) {
+            r.txn = txn_of(off);
+        }
+        // 300 one-record slices, then a 40-record tail left in the buffer.
+        for r in &all[..300] {
+            obj.append_at(std::slice::from_ref(r), &at(0)).unwrap();
+            obj.flush_at(&at(0)).unwrap();
+        }
+        obj.append_at(&all[300..], &at(0)).unwrap();
+        assert_eq!((obj.slice_count(), obj.end_offset()), (300, 340));
+        obj.commit_txn(8);
+        obj.abort_txn(7);
+        assert_eq!(obj.truncate_before(30), 30);
+        let open = BTreeSet::from([9]);
+        let aborted = BTreeSet::from([7]);
+        for offset in 0..obj.end_offset() + 3 {
+            for max_records in [0, 1, 3, 64, usize::MAX] {
+                let (got, _) = obj.read_at(offset, ReadCtrl { max_records }, &at(0)).unwrap();
+                let want = linear_read(&all, 30, &open, &aborted, offset, max_records);
+                assert_eq!(got, want, "offset {offset}, max_records {max_records}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,11 @@ cargo test -q
 # builds panic on an overflowing `offset + length`, release builds wrap it
 # silently, so a decoder must pass under both profiles.
 cargo test -q --release --test hostile_bytes
+# The EC kernel (product rows, memoised codes) and the stream object's
+# borrowed, binary-searched read, again in release: tier-1 runs their
+# proptests and the linear-reference read test only in debug, where
+# arithmetic overflow panics and the optimiser has not reordered anything.
+cargo test -q --release -p ec -p stream
 # Examples are outside tier-1: type-check every target so a stale one fails
 # this gate. Any compiler warning fails it too, so an import or private
 # helper a deletion left behind cannot linger (cargo replays cached
