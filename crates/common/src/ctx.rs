@@ -23,9 +23,8 @@
 //!   [`QosClass::Maintenance`] for compaction / snapshot expiry. Devices
 //!   let foreground ops bypass the background queue (Fig 14's tail-latency
 //!   behaviour depends on this separation).
-//! * [`IoCtx::trace`] / [`IoCtx::span`] — a deterministic identity for the
-//!   request and the layer currently serving it, so a span sink can stitch
-//!   the per-layer trail back together.
+//! * [`IoCtx::trace`] — a deterministic identity for the request, so a
+//!   span sink can stitch the per-layer trail back together.
 //! * span sink — the observability channel: each layer closes its work
 //!   with a named [`Phase`] (`queue`, `device`, `wan`, `meta`) recorded
 //!   into shared [`Metrics`] histograms (`phase.queue`, …) that `bench`
@@ -53,8 +52,6 @@ pub const QOS_PREFIX: &str = "qos.";
 pub(crate) const TRAIL_CAPACITY: usize = 4096;
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-#[cfg(test)]
-static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 /// Service class of a request, used for device queue ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -118,8 +115,6 @@ impl Phase {
 pub struct SpanRecord {
     /// Trace id of the owning request.
     pub trace: u64,
-    /// Span id within the trace.
-    pub span: u64,
     /// Phase the time is attributed to.
     pub phase: Phase,
     /// Service class of the owning request.
@@ -192,8 +187,6 @@ pub struct IoCtx {
     pub qos: QosClass,
     /// Deterministic trace id of the request.
     pub trace: u64,
-    /// Span id of the layer currently serving the request.
-    pub span: u64,
     sink: Option<Arc<SpanSink>>,
 }
 
@@ -205,7 +198,6 @@ impl IoCtx {
             deadline: None,
             qos: QosClass::Foreground,
             trace: NEXT_TRACE.fetch_add(1, Ordering::Relaxed),
-            span: 0,
             sink: None,
         }
     }
@@ -251,12 +243,6 @@ impl IoCtx {
         self
     }
 
-    /// A child span of this request (fresh span id, same trace/budget).
-    #[cfg(test)]
-    pub(crate) fn child(&self) -> Self {
-        IoCtx { span: NEXT_SPAN.fetch_add(1, Ordering::Relaxed), ..self.clone() }
-    }
-
     /// Err([`Error::DeadlineExceeded`]) when `finish` lies past the
     /// deadline. Layers call this *before* charging queue state so a
     /// rejected op leaves the device untouched.
@@ -277,7 +263,6 @@ impl IoCtx {
         if let Some(sink) = &self.sink {
             sink.record(SpanRecord {
                 trace: self.trace,
-                span: self.span,
                 phase,
                 qos: self.qos,
                 start,
@@ -310,14 +295,6 @@ mod tests {
         assert_eq!(later.deadline, Some(500));
         assert_eq!(later.qos, QosClass::Background);
         assert_eq!(later.now, 400);
-    }
-
-    #[test]
-    fn child_spans_share_the_trace() {
-        let ctx = IoCtx::new(0);
-        let child = ctx.child();
-        assert_eq!(child.trace, ctx.trace);
-        assert_ne!(child.span, ctx.span);
     }
 
     #[test]
@@ -361,7 +338,6 @@ mod tests {
         for i in 0..(TRAIL_CAPACITY as u64 + 10) {
             sink.record(SpanRecord {
                 trace: 1,
-                span: 0,
                 phase: Phase::Meta,
                 qos: QosClass::Foreground,
                 start: i,

@@ -20,6 +20,12 @@ pub fn encode_u64(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// Append `s` as a length-prefixed string, the form [`Reader::str`] reads.
+pub fn encode_str(s: &str, out: &mut Vec<u8>) {
+    encode_u64(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Zig-zag map a signed integer onto an unsigned one.
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -104,6 +110,16 @@ impl<'a> Reader<'a> {
     pub fn u8(&mut self) -> Result<u8> {
         let [b] = self.array()?;
         Ok(b)
+    }
+
+    /// One byte holding 0 or 1.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(self.corrupt(format_args!("flag byte {b}"))),
+        }
     }
 
     /// A little-endian `u32`.

@@ -17,6 +17,7 @@
 
 pub(crate) mod batch;
 pub mod chore;
+pub mod keys;
 pub(crate) mod mvcc;
 pub mod store;
 pub(crate) mod wal;

@@ -35,6 +35,7 @@
 //! [`ResolutionJournal`].
 
 use crate::batch::WriteBatch;
+use crate::keys;
 use crate::store::SharedKv;
 use common::lockwitness::TrackedMutex;
 use common::varint::Reader;
@@ -57,100 +58,25 @@ pub(crate) const JOURNAL_COMMIT: u8 = 1;
 pub(crate) const JOURNAL_ABORT: u8 = 2;
 
 // ---------------------------------------------------------------------------
-// key encoding
-
-/// Escape a user key for use inside a composite key: `0x00` becomes
-/// `0x00 0xFF`, and the escaped key is terminated by `0x00 0x00`, which
-/// sorts below every escape sequence — so composite keys preserve the
-/// user-key order and a key is never a prefix of a sibling.
-fn escape_into(user: &[u8], out: &mut Vec<u8>) {
-    for &b in user {
-        out.push(b);
-        if b == 0 {
-            out.push(0xFF);
-        }
-    }
-    out.push(0);
-    out.push(0);
-}
-
-#[cfg(test)]
-fn unescape(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
-    let mut out = Vec::with_capacity(buf.len());
-    let mut i = 0;
-    while i + 1 < buf.len() {
-        if buf[i] == 0 {
-            if buf[i + 1] == 0 {
-                return Some((out, i + 2));
-            }
-            out.push(0);
-            i += 2;
-        } else {
-            out.push(buf[i]);
-            i += 1;
-        }
-    }
-    None
-}
-
-/// `m/<esc(key)><!ts BE>` — committed version; `!ts` so newer versions
-/// sort first within a key.
-fn version_key(user: &[u8], ts: Ts) -> Vec<u8> {
-    let mut k = Vec::with_capacity(user.len() + 12);
-    k.extend_from_slice(b"m/");
-    escape_into(user, &mut k);
-    k.extend_from_slice(&(!ts).to_be_bytes());
-    k
-}
-
-/// Prefix of all versions of `user` (everything below the timestamp).
-fn version_prefix(user: &[u8]) -> Vec<u8> {
-    let mut k = Vec::with_capacity(user.len() + 4);
-    k.extend_from_slice(b"m/");
-    escape_into(user, &mut k);
-    k
-}
-
-/// `i/<esc(key)>` — the (single) write intent on a user key.
-fn intent_key(user: &[u8]) -> Vec<u8> {
-    let mut k = Vec::with_capacity(user.len() + 4);
-    k.extend_from_slice(b"i/");
-    escape_into(user, &mut k);
-    k
-}
-
-/// `t/<txn BE>` — the durable transaction record.
-fn record_key(txn: Ts) -> Vec<u8> {
-    let mut k = Vec::with_capacity(10);
-    k.extend_from_slice(b"t/");
-    k.extend_from_slice(&txn.to_be_bytes());
-    k
-}
-
-// ---------------------------------------------------------------------------
 // value encoding
 
-/// Version value: `[flags][payload]`.
+/// Version value: `[tombstone flag][payload]`.
 fn encode_version(value: Option<&[u8]>) -> Vec<u8> {
     match value {
-        Some(v) => {
-            let mut out = Vec::with_capacity(1 + v.len());
-            out.push(0);
-            out.extend_from_slice(v);
-            out
-        }
+        Some(v) => [&[0][..], v].concat(),
         None => vec![FLAG_TOMBSTONE],
     }
 }
 
-fn decode_version(buf: &[u8]) -> Option<Vec<u8>> {
-    match buf.first() {
-        Some(&f) if f & FLAG_TOMBSTONE == 0 => Some(buf[1..].to_vec()),
-        _ => None,
+/// A version value from `r` to its end: a tombstone carries no payload.
+fn read_version(mut r: Reader<'_>) -> Result<Option<Vec<u8>>> {
+    if r.bool()? {
+        return r.finish().map(|()| None);
     }
+    Ok(Some(r.bytes(r.remaining())?.to_vec()))
 }
 
-/// Intent value: `[txn BE][flags][payload]` — the pointer back to the
+/// Intent value: `[txn BE][version value]` — the pointer back to the
 /// transaction record plus the provisional value.
 fn encode_intent(txn: Ts, value: Option<&[u8]>) -> Vec<u8> {
     let mut out = Vec::with_capacity(9 + value.map_or(0, <[u8]>::len));
@@ -166,12 +92,9 @@ fn encode_intent(txn: Ts, value: Option<&[u8]>) -> Vec<u8> {
 }
 
 fn decode_intent(buf: &[u8]) -> Result<(Ts, Option<Vec<u8>>)> {
-    if buf.len() < 9 {
-        return Err(Error::Corruption("mvcc intent value too short".into()));
-    }
-    let mut ts = [0u8; 8];
-    ts.copy_from_slice(&buf[..8]);
-    Ok((u64::from_be_bytes(ts), decode_version(&buf[8..])))
+    let mut r = Reader::new(buf, "mvcc intent");
+    let txn = u64::from_be_bytes(r.array()?);
+    Ok((txn, read_version(r)?))
 }
 
 /// Record value: `[status][commit_ts BE][read_ts BE][count][len key]*`.
@@ -386,22 +309,18 @@ impl MvccStore {
     /// The timestamp oracle resumes above every timestamp persisted in it.
     pub fn over(kv: SharedKv) -> Self {
         let mut max_ts: Ts = 0;
-        kv.scan_prefix_with(b"t/", &mut |k, v| {
-            if k.len() == 10 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&k[2..10]);
-                max_ts = max_ts.max(u64::from_be_bytes(w));
+        kv.scan_prefix_with(keys::MVCC_RECORD.as_bytes(), &mut |k, v| {
+            if let Some(txn) = keys::parse_mvcc_record(k) {
+                max_ts = max_ts.max(txn);
             }
             if let Ok((_, commit_ts, read_ts, _)) = decode_record(v) {
                 max_ts = max_ts.max(commit_ts).max(read_ts);
             }
             true
         });
-        kv.scan_prefix_with(b"m/", &mut |k, _| {
-            if k.len() >= 8 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&k[k.len() - 8..]);
-                max_ts = max_ts.max(!u64::from_be_bytes(w));
+        kv.scan_prefix_with(keys::MVCC_VERSION.as_bytes(), &mut |k, _| {
+            if let Some(ts) = keys::parse_mvcc_version(k) {
+                max_ts = max_ts.max(ts);
             }
             true
         });
@@ -429,7 +348,8 @@ impl MvccStore {
                 ts,
                 ActiveTxn { read_ts: ts, provisional_ts: ts, ..ActiveTxn::default() },
             );
-            self.kv.put(record_key(ts), encode_record(STATUS_PENDING, 0, ts, &BTreeSet::new()));
+            let record = encode_record(STATUS_PENDING, 0, ts, &BTreeSet::new());
+            self.kv.put(keys::mvcc_record(ts), record);
             drop(st);
         }
         TxnHandle { id: ts, read_ts: ts }
@@ -461,7 +381,7 @@ impl MvccStore {
                     .get(&txn)
                     .ok_or_else(|| Error::NotFound(format!("mvcc txn {txn}")))?;
                 let read_ts = me.read_ts;
-                match self.kv.get(&intent_key(key)) {
+                match self.kv.get(&keys::mvcc_intent(key)) {
                     Some(raw) => {
                         let (owner, value) = decode_intent(&raw)?;
                         if owner == txn {
@@ -474,10 +394,10 @@ impl MvccStore {
                                 w.provisional_ts = read_ts + 1;
                             }
                             Self::note_read(&mut st, txn, key, read_ts);
-                            Next::Done(self.read_version_at(key, read_ts))
+                            Next::Done(self.read_version_at(key, read_ts)?)
                         } else {
                             // Orphaned intent: its record decides its fate.
-                            match self.kv.get(&record_key(owner)) {
+                            match self.kv.get(&keys::mvcc_record(owner)) {
                                 Some(rec) if rec.first() == Some(&STATUS_COMMITTED) => {
                                     Next::Resolve(owner)
                                 }
@@ -487,7 +407,7 @@ impl MvccStore {
                     }
                     None => {
                         Self::note_read(&mut st, txn, key, read_ts);
-                        Next::Done(self.read_version_at(key, read_ts))
+                        Next::Done(self.read_version_at(key, read_ts)?)
                     }
                 }
             };
@@ -507,22 +427,22 @@ impl MvccStore {
     /// pending intents — only committed versions are visible — and leaves
     /// no trace in the timestamp cache: commit timestamps issued by the
     /// oracle are always above every previously issued timestamp, so a
-    /// historical snapshot is immutable without it.
-    pub fn read_at(&self, key: &[u8], ts: Ts) -> Option<Vec<u8>> {
+    /// historical snapshot is immutable without it. A damaged version
+    /// value is `Error::Corruption`.
+    pub fn read_at(&self, key: &[u8], ts: Ts) -> Result<Option<Vec<u8>>> {
         self.read_version_at(key, ts)
     }
 
     /// The newest committed version of `key` at or below `ts`.
-    fn read_version_at(&self, key: &[u8], ts: Ts) -> Option<Vec<u8>> {
-        let prefix = version_prefix(key);
-        let mut lo = prefix.clone();
-        lo.extend_from_slice(&(!ts).to_be_bytes());
+    fn read_version_at(&self, key: &[u8], ts: Ts) -> Result<Option<Vec<u8>>> {
+        let prefix = keys::mvcc_versions(key);
+        let lo = keys::mvcc_version(key, ts);
         let mut hi = prefix.clone();
         hi.extend_from_slice(&[0xFF; 9]);
-        let mut found: Option<Vec<u8>> = None;
+        let mut found = Ok(None);
         self.kv.scan_range_with(&lo, &hi, &mut |k, v| {
             if k.starts_with(&prefix) {
-                found = decode_version(v);
+                found = read_version(Reader::new(v, "mvcc version"));
             }
             false // first hit is the newest version ≤ ts
         });
@@ -547,7 +467,7 @@ impl MvccStore {
         if !st.active.contains_key(&txn) {
             return Err(Error::NotFound(format!("mvcc txn {txn}")));
         }
-        if let Some(raw) = self.kv.get(&intent_key(key)) {
+        if let Some(raw) = self.kv.get(&keys::mvcc_intent(key)) {
             let (owner, _) = decode_intent(&raw)?;
             if owner != txn {
                 return Err(Error::Conflict(format!(
@@ -569,8 +489,8 @@ impl MvccStore {
         me.writes.insert(key.to_vec());
         let record = encode_record(STATUS_PENDING, 0, me.read_ts, &me.writes);
         let mut batch = WriteBatch::new();
-        batch.put(intent_key(key), encode_intent(txn, value));
-        batch.put(record_key(txn), record);
+        batch.put(keys::mvcc_intent(key), encode_intent(txn, value));
+        batch.put(keys::mvcc_record(txn), record);
         self.kv.apply(&batch);
         drop(st);
         Ok(())
@@ -641,7 +561,7 @@ impl MvccStore {
                         .ok_or_else(|| Error::NotFound(format!("mvcc txn {txn}")))?;
                     me.decided_at = Some(commit_ts);
                     let rec = encode_record(STATUS_COMMITTED, commit_ts, me.read_ts, &me.writes);
-                    self.kv.put(record_key(txn), rec);
+                    self.kv.put(keys::mvcc_record(txn), rec);
                     Ok(commit_ts)
                 }
             }
@@ -660,17 +580,10 @@ impl MvccStore {
     }
 
     fn newest_version_ts(&self, key: &[u8]) -> Option<Ts> {
-        let prefix = version_prefix(key);
-        let mut hi = prefix.clone();
-        hi.extend_from_slice(&[0xFF; 9]);
         let mut found = None;
-        self.kv.scan_range_with(&prefix, &hi, &mut |k, _| {
-            if k.starts_with(&prefix) && k.len() >= 8 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&k[k.len() - 8..]);
-                found = Some(!u64::from_be_bytes(w));
-            }
-            false
+        self.kv.scan_prefix_with(&keys::mvcc_versions(key), &mut |k, _| {
+            found = keys::parse_mvcc_version(k);
+            false // the first version is the newest
         });
         found
     }
@@ -684,7 +597,7 @@ impl MvccStore {
     /// resolving, from [`decided_writes`](Self::decided_writes).
     pub fn resolve_committed(&self, txn: Ts) -> Result<u64> {
         let mut st = self.state.lock();
-        let rec = match self.kv.get(&record_key(txn)) {
+        let rec = match self.kv.get(&keys::mvcc_record(txn)) {
             Some(r) => r,
             None => return Ok(0), // already resolved
         };
@@ -697,11 +610,11 @@ impl MvccStore {
         let mut batch = WriteBatch::new();
         let mut entries = Vec::with_capacity(writes.len());
         for key in &writes {
-            let ik = intent_key(key);
+            let ik = keys::mvcc_intent(key);
             if let Some(raw) = self.kv.get(&ik) {
                 let (owner, value) = decode_intent(&raw)?;
                 if owner == txn {
-                    batch.put(version_key(key, commit_ts), encode_version(value.as_deref()));
+                    batch.put(keys::mvcc_version(key, commit_ts), encode_version(value.as_deref()));
                     batch.delete(ik);
                     entries.push(JournalEntry {
                         txn,
@@ -712,7 +625,7 @@ impl MvccStore {
                 }
             }
         }
-        batch.delete(record_key(txn));
+        batch.delete(keys::mvcc_record(txn));
         self.kv.apply(&batch);
         st.active.remove(&txn);
         st.release_latches(txn);
@@ -727,7 +640,7 @@ impl MvccStore {
     /// coordinator crash.
     pub fn abort(&self, txn: Ts) -> Result<()> {
         let mut st = self.state.lock();
-        if let Some(rec) = self.kv.get(&record_key(txn)) {
+        if let Some(rec) = self.kv.get(&keys::mvcc_record(txn)) {
             if rec.first() == Some(&STATUS_COMMITTED) {
                 return Err(Error::InvalidArgument(format!(
                     "mvcc txn {txn} already decided committed; resolve it instead of aborting"
@@ -736,7 +649,7 @@ impl MvccStore {
         }
         let writes: BTreeSet<Vec<u8>> = match st.active.get(&txn) {
             Some(me) => me.writes.clone(),
-            None => match self.kv.get(&record_key(txn)) {
+            None => match self.kv.get(&keys::mvcc_record(txn)) {
                 Some(rec) => decode_record(&rec)?.3,
                 None => return Err(Error::NotFound(format!("mvcc txn {txn}"))),
             },
@@ -744,7 +657,7 @@ impl MvccStore {
         let mut batch = WriteBatch::new();
         let mut entries = Vec::with_capacity(writes.len());
         for key in &writes {
-            let ik = intent_key(key);
+            let ik = keys::mvcc_intent(key);
             if let Some(raw) = self.kv.get(&ik) {
                 if let Ok((owner, _)) = decode_intent(&raw) {
                     if owner == txn {
@@ -759,7 +672,7 @@ impl MvccStore {
                 }
             }
         }
-        batch.delete(record_key(txn));
+        batch.delete(keys::mvcc_record(txn));
         self.kv.apply(&batch);
         st.active.remove(&txn);
         st.release_latches(txn);
@@ -787,7 +700,7 @@ impl MvccStore {
     /// scan over every record. Empty once the transaction is resolved; an
     /// undecided transaction is an error.
     pub fn decided_writes(&self, txn: Ts) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
-        let Some(rec) = self.kv.get(&record_key(txn)) else {
+        let Some(rec) = self.kv.get(&keys::mvcc_record(txn)) else {
             return Ok(Vec::new()); // already resolved
         };
         let (status, _commit_ts, _read_ts, writes) = decode_record(&rec)?;
@@ -806,7 +719,7 @@ impl MvccStore {
     ) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
         let mut pairs = Vec::with_capacity(writes.len());
         for key in writes {
-            if let Some(raw) = self.kv.get(&intent_key(&key)) {
+            if let Some(raw) = self.kv.get(&keys::mvcc_intent(&key)) {
                 let (owner, value) = decode_intent(&raw)?;
                 if owner == txn {
                     pairs.push((key, value));
@@ -833,13 +746,10 @@ impl MvccStore {
     fn records(&self) -> Result<Vec<(Ts, u8, Ts, BTreeSet<Vec<u8>>)>> {
         let mut out = Vec::new();
         let mut err = None;
-        self.kv.scan_prefix_with(b"t/", &mut |k, v| {
-            if k.len() != 10 {
+        self.kv.scan_prefix_with(keys::MVCC_RECORD.as_bytes(), &mut |k, v| {
+            let Some(txn) = keys::parse_mvcc_record(k) else {
                 return true;
-            }
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&k[2..10]);
-            let txn = u64::from_be_bytes(w);
+            };
             match decode_record(v) {
                 Ok((status, commit_ts, _read_ts, writes)) => {
                     out.push((txn, status, commit_ts, writes));
@@ -890,7 +800,7 @@ impl MvccStore {
     /// Number of write intents currently persisted (any transaction).
     pub fn pending_intents(&self) -> usize {
         let mut n = 0;
-        self.kv.scan_prefix_with(b"i/", &mut |_, _| {
+        self.kv.scan_prefix_with(keys::MVCC_INTENT.as_bytes(), &mut |_, _| {
             n += 1;
             true
         });
@@ -920,9 +830,9 @@ mod tests {
         let ts2 = m.commit_decide(t2.id)?;
         m.resolve_committed(t2.id)?;
         assert!(ts2 > ts1);
-        assert_eq!(m.read_at(b"k", ts1), Some(b"v1".to_vec()));
-        assert_eq!(m.read_at(b"k", ts2), Some(b"v2".to_vec()));
-        assert_eq!(m.read_at(b"k", ts1.saturating_sub(1)), None);
+        assert_eq!(m.read_at(b"k", ts1)?, Some(b"v1".to_vec()));
+        assert_eq!(m.read_at(b"k", ts2)?, Some(b"v2".to_vec()));
+        assert_eq!(m.read_at(b"k", ts1.saturating_sub(1))?, None);
         assert_eq!(m.pending_intents(), 0);
         Ok(())
     }
@@ -973,8 +883,8 @@ mod tests {
         );
         m.resolve_committed(w.id)?;
         // The reader's snapshot is unperturbed even after resolution.
-        assert_eq!(m.read_at(b"k", r.read_ts), None);
-        assert_eq!(m.read_at(b"k", commit_ts), Some(b"new".to_vec()));
+        assert_eq!(m.read_at(b"k", r.read_ts)?, None);
+        assert_eq!(m.read_at(b"k", commit_ts)?, Some(b"new".to_vec()));
         m.abort(r.id)?;
         Ok(())
     }
@@ -1048,9 +958,9 @@ mod tests {
         assert_eq!(report.committed_resolved, 1);
         assert_eq!(report.aborted_cleaned, 1);
         assert_eq!(rec.pending_intents(), 0, "zero orphaned intents after recovery");
-        assert_eq!(rec.read_at(b"done/a", commit_ts), Some(b"1".to_vec()));
-        assert_eq!(rec.read_at(b"done/b", commit_ts), Some(b"2".to_vec()));
-        assert_eq!(rec.read_at(b"orphan/a", u64::MAX), None);
+        assert_eq!(rec.read_at(b"done/a", commit_ts)?, Some(b"1".to_vec()));
+        assert_eq!(rec.read_at(b"done/b", commit_ts)?, Some(b"2".to_vec()));
+        assert_eq!(rec.read_at(b"orphan/a", u64::MAX)?, None);
         // Recovery is idempotent: a second sweep does nothing.
         let journal = rec.journal_bytes();
         let again = rec.recover()?;
@@ -1096,8 +1006,8 @@ mod tests {
         m.delete(t2.id, b"k")?;
         let ts2 = m.commit_decide(t2.id)?;
         m.resolve_committed(t2.id)?;
-        assert_eq!(m.read_at(b"k", ts2), None);
-        assert!(m.read_at(b"k", ts2 - 1).is_some());
+        assert_eq!(m.read_at(b"k", ts2)?, None);
+        assert!(m.read_at(b"k", ts2 - 1)?.is_some());
         Ok(())
     }
 
@@ -1160,9 +1070,29 @@ mod tests {
         Ok(())
     }
 
+    /// The user key an escaped composite-key segment holds, and the bytes
+    /// it took.
+    fn unescape(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
+        let mut out = Vec::with_capacity(buf.len());
+        let mut i = 0;
+        while i + 1 < buf.len() {
+            if buf[i] == 0 {
+                if buf[i + 1] == 0 {
+                    return Some((out, i + 2));
+                }
+                out.push(0);
+                i += 2;
+            } else {
+                out.push(buf[i]);
+                i += 1;
+            }
+        }
+        None
+    }
+
     #[test]
     fn escape_roundtrips_and_preserves_order() {
-        let keys: Vec<Vec<u8>> = vec![
+        let users: Vec<Vec<u8>> = vec![
             b"".to_vec(),
             b"\x00".to_vec(),
             b"\x00\x00".to_vec(),
@@ -1170,13 +1100,9 @@ mod tests {
             b"a\x00b".to_vec(),
             b"ab".to_vec(),
         ];
-        let mut escaped: Vec<(Vec<u8>, Vec<u8>)> = keys
+        let mut escaped: Vec<(Vec<u8>, Vec<u8>)> = users
             .iter()
-            .map(|k| {
-                let mut e = Vec::new();
-                escape_into(k, &mut e);
-                (e, k.clone())
-            })
+            .map(|k| (keys::mvcc_intent(k)[keys::MVCC_INTENT.len()..].to_vec(), k.clone()))
             .collect();
         for (e, k) in &escaped {
             let (back, used) = unescape(e).unwrap();

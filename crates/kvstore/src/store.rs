@@ -375,13 +375,13 @@ mod tests {
     #[test]
     fn prefix_scan_returns_sorted_matches() {
         let mut kv = KvStore::new();
-        kv.put(b"topic/b".to_vec(), b"2".to_vec());
-        kv.put(b"topic/a".to_vec(), b"1".to_vec());
+        kv.put(b"fam/b".to_vec(), b"2".to_vec());
+        kv.put(b"fam/a".to_vec(), b"1".to_vec());
         kv.put(b"table/z".to_vec(), b"9".to_vec());
-        let hits = kv.scan_prefix(b"topic/");
+        let hits = kv.scan_prefix(b"fam/");
         assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].0, b"topic/a");
-        assert_eq!(hits[1].0, b"topic/b");
+        assert_eq!(hits[0].0, b"fam/a");
+        assert_eq!(hits[1].0, b"fam/b");
     }
 
     #[test]

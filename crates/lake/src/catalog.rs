@@ -11,11 +11,10 @@
 //! of partitions — the property Fig 15(a) measures against a file-based
 //! catalog.
 
-use crate::meta::encode_str;
-use common::varint::Reader;
+use common::varint::{encode_str, Reader};
 use common::{Error, Result, TableId};
 use format::Schema;
-use kvstore::SharedKv;
+use kvstore::{keys, SharedKv};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a partition value is derived from the partition column.
@@ -173,6 +172,7 @@ impl Catalog {
         target_file_rows: u64,
         now: u64,
     ) -> Result<TableProfile> {
+        keys::check_name("table", name)?;
         if self.get(name).is_ok() {
             return Err(Error::AlreadyExists(format!("table {name}")));
         }
@@ -196,17 +196,13 @@ impl Catalog {
             soft_deleted: false,
             target_file_rows,
         };
-        self.kv.put(Self::key(name), profile.encode());
+        self.kv.put(keys::catalog(name), profile.encode());
         Ok(profile)
     }
 
     /// Fetch a live table's profile by name.
     pub fn get(&self, name: &str) -> Result<TableProfile> {
-        let bytes = self
-            .kv
-            .get(Self::key(name).as_bytes())
-            .ok_or_else(|| Error::NotFound(format!("table {name}")))?;
-        let p = TableProfile::decode(&bytes)?;
+        let p = self.get_any(name)?;
         if p.soft_deleted {
             return Err(Error::NotFound(format!("table {name} (soft-deleted)")));
         }
@@ -217,34 +213,30 @@ impl Catalog {
     pub fn get_any(&self, name: &str) -> Result<TableProfile> {
         let bytes = self
             .kv
-            .get(Self::key(name).as_bytes())
+            .get(keys::catalog(name).as_bytes())
             .ok_or_else(|| Error::NotFound(format!("table {name}")))?;
         TableProfile::decode(&bytes)
     }
 
     /// Overwrite a profile (commit pointer swing, soft-delete flag, …).
     pub(crate) fn update(&self, profile: &TableProfile) {
-        self.kv.put(Self::key(&profile.name), profile.encode());
+        self.kv.put(keys::catalog(&profile.name), profile.encode());
     }
 
     /// Remove the catalog entry entirely (drop table hard).
     pub(crate) fn remove(&self, name: &str) {
-        self.kv.delete(Self::key(name));
+        self.kv.delete(keys::catalog(name));
     }
 
     /// Names of all live tables.
     pub fn list(&self) -> Vec<String> {
         self.kv
-            .scan_prefix(b"catalog/")
+            .scan_prefix(keys::CATALOG.as_bytes())
             .into_iter()
             .filter_map(|(_, v)| TableProfile::decode(&v).ok())
             .filter(|p| !p.soft_deleted)
             .map(|p| p.name)
             .collect()
-    }
-
-    fn key(name: &str) -> String {
-        format!("catalog/{name}")
     }
 }
 

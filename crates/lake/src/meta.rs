@@ -7,7 +7,7 @@
 //! *Snapshots* "are index files that index valid commit files … Along with
 //! commits, snapshots provide snapshot-level isolation" and time travel.
 
-use common::varint::{self, Reader};
+use common::varint::{self, encode_str, Reader};
 use common::{Error, Result};
 use format::ColumnStats;
 use std::ops::RangeInclusive;
@@ -162,12 +162,6 @@ impl Snapshot {
         }
         Ok(Snapshot { id, base, timestamp })
     }
-}
-
-/// Append `s` as a length-prefixed string, the form [`Reader::str`] reads.
-pub(crate) fn encode_str(s: &str, out: &mut Vec<u8>) {
-    varint::encode_u64(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
 }
 
 #[cfg(test)]

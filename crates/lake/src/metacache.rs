@@ -23,6 +23,7 @@ use crate::meta::{Commit, DataFileMeta, Snapshot};
 use common::clock::{micros, Nanos};
 use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
+use kvstore::keys;
 use plog::{PlogAddress, PlogStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -70,10 +71,10 @@ impl MetadataCache {
     /// flushed by the MetaFresher when the buffer is full. Returns the
     /// virtual completion time of the (cache-resident) update.
     pub(crate) fn put_commit(&self, table: &str, commit: &Commit, ctx: &IoCtx) -> Result<Nanos> {
-        self.plog.kv().put(commit_key(table, commit.id), commit.encode());
+        self.plog.kv().put(keys::meta_commit(table, commit.id), commit.encode());
         // maintain the materialized per-partition live-file index
         for f in &commit.added {
-            self.plog.kv().put(live_key(table, &f.partition, &f.path), {
+            self.plog.kv().put(keys::live_file(table, &f.partition, &f.path), {
                 let mut buf = Vec::new();
                 f.encode(&mut buf);
                 buf
@@ -87,7 +88,7 @@ impl MetadataCache {
             let mut doomed = Vec::new();
             self.plog
                 .kv()
-                .scan_prefix_with(live_prefix(table).as_bytes(), &mut |k, _| {
+                .scan_prefix_with(keys::live_table(table).as_bytes(), &mut |k, _| {
                     if k.ends_with(suffix.as_bytes()) {
                         doomed.push(k.to_vec());
                     }
@@ -115,7 +116,7 @@ impl MetadataCache {
     /// live-file index alone: the index tracks the current snapshot, which
     /// rewriting history does not change.
     pub(crate) fn rewrite_commit(&self, table: &str, commit: &Commit) {
-        self.plog.kv().put(commit_key(table, commit.id), commit.encode());
+        self.plog.kv().put(keys::meta_commit(table, commit.id), commit.encode());
     }
 
     /// Record a snapshot in the cache. Returns the virtual completion time
@@ -126,7 +127,7 @@ impl MetadataCache {
         snapshot: &Snapshot,
         ctx: &IoCtx,
     ) -> Result<Nanos> {
-        self.plog.kv().put(snapshot_key(table, snapshot.id), snapshot.encode());
+        self.plog.kv().put(keys::meta_snapshot(table, snapshot.id), snapshot.encode());
         ctx.record(Phase::Meta, ctx.now, KV_LOOKUP_COST);
         Ok(ctx.now + KV_LOOKUP_COST)
     }
@@ -140,7 +141,7 @@ impl MetadataCache {
         // Maintenance-path scans stay on the cloning API: the loop bodies
         // call back into the store (get/put), which a borrowed scan's read
         // lock would forbid.
-        for prefix in [commit_prefix(table), snapshot_prefix(table)] {
+        for prefix in [keys::meta_commits(table), keys::meta_snapshots(table)] {
             for (k, v) in self.plog.kv().scan_prefix(prefix.as_bytes()) {
                 if self.address(&k).is_some() {
                     continue; // already persisted
@@ -176,7 +177,7 @@ impl MetadataCache {
         mode: MetadataMode,
         ctx: &IoCtx,
     ) -> Result<(Snapshot, Nanos)> {
-        self.get_entry(&snapshot_key(table, id), mode, ctx, Snapshot::decode)
+        self.get_entry(&keys::meta_snapshot(table, id), mode, ctx, Snapshot::decode)
     }
 
     /// Fetch a commit under the given mode.
@@ -187,7 +188,7 @@ impl MetadataCache {
         mode: MetadataMode,
         ctx: &IoCtx,
     ) -> Result<(Commit, Nanos)> {
-        self.get_entry(&commit_key(table, id), mode, ctx, Commit::decode)
+        self.get_entry(&keys::meta_commit(table, id), mode, ctx, Commit::decode)
     }
 
     /// One decoded metadata entry: from the KV cache at SCM-class latency,
@@ -253,8 +254,8 @@ impl MetadataCache {
                 };
                 // One KV scan per touched partition, or one over the table.
                 let prefixes = match partitions {
-                    Some(parts) => parts.iter().map(|p| live_key(table, p, "")).collect(),
-                    None => vec![live_prefix(table)],
+                    Some(parts) => parts.iter().map(|p| keys::live_file(table, p, "")).collect(),
+                    None => vec![keys::live_table(table)],
                 };
                 for prefix in prefixes {
                     finish += KV_LOOKUP_COST;
@@ -307,26 +308,26 @@ impl MetadataCache {
     /// Remove a commit entry (cache + any persisted file). Used by snapshot
     /// expiration.
     pub(crate) fn remove_commit(&self, table: &str, id: u64) {
-        self.remove_entry(commit_key(table, id).as_bytes());
+        self.remove_entry(keys::meta_commit(table, id).as_bytes());
     }
 
     /// Remove a snapshot entry (cache + any persisted file).
     pub(crate) fn remove_snapshot(&self, table: &str, id: u64) {
-        self.remove_entry(snapshot_key(table, id).as_bytes());
+        self.remove_entry(keys::meta_snapshot(table, id).as_bytes());
     }
 
     /// Invalidate the persisted copy of a commit/snapshot after rewriting
     /// its cache entry, so the next MetaFresher flush re-persists it.
     pub(crate) fn invalidate_persisted(&self, table: &str, commit_id: u64) {
-        self.forget_persisted(commit_key(table, commit_id).as_bytes());
-        self.forget_persisted(snapshot_key(table, commit_id).as_bytes());
+        self.forget_persisted(keys::meta_commit(table, commit_id).as_bytes());
+        self.forget_persisted(keys::meta_snapshot(table, commit_id).as_bytes());
     }
 
     /// Every data-file path a cached commit of `table` added, in path order
     /// — what a hard drop must physically reclaim.
     pub(crate) fn data_file_paths(&self, table: &str) -> Result<BTreeSet<String>> {
         let mut paths = BTreeSet::new();
-        for (_, body) in self.plog.kv().scan_prefix(commit_prefix(table).as_bytes()) {
+        for (_, body) in self.plog.kv().scan_prefix(keys::meta_commits(table).as_bytes()) {
             paths.extend(Commit::decode(&body)?.added.into_iter().map(|f| f.path));
         }
         Ok(paths)
@@ -336,7 +337,9 @@ impl MetadataCache {
     /// entries, pending-flush count — so a re-created table of the same
     /// name cannot inherit the dead one's files (hard drop).
     pub(crate) fn purge_table(&self, table: &str) {
-        for prefix in [live_prefix(table), commit_prefix(table), snapshot_prefix(table)] {
+        let prefixes =
+            [keys::live_table(table), keys::meta_commits(table), keys::meta_snapshots(table)];
+        for prefix in prefixes {
             for (key, _) in self.plog.kv().scan_prefix(prefix.as_bytes()) {
                 self.remove_entry(&key);
             }
@@ -362,19 +365,19 @@ impl MetadataCache {
     /// Record that `key` — a cache entry, or a table's data-file path — is
     /// persisted at `addr`.
     pub(crate) fn set_address(&self, key: &[u8], addr: &PlogAddress) {
-        self.plog.kv().put(addr_key_for(key), addr.encode());
+        self.plog.kv().put(keys::addr(key), addr.encode());
     }
 
     /// Where `key` (a cache entry or a data-file path) is persisted, if it is.
     pub(crate) fn address(&self, key: &[u8]) -> Option<PlogAddress> {
-        self.plog.kv().get(&addr_key_for(key)).and_then(|b| PlogAddress::decode(&b).ok())
+        self.plog.kv().get(&keys::addr(key)).and_then(|b| PlogAddress::decode(&b).ok())
     }
 
     /// Free `key`'s persisted copy and drop its address entry; a no-op when
     /// it has none. An `Err` means the PLog record could not be freed (the
     /// entry is gone either way; scrub reclaims orphans).
     pub(crate) fn reclaim(&self, key: &[u8]) -> Result<()> {
-        let akey = addr_key_for(key);
+        let akey = keys::addr(key);
         let Some(bytes) = self.plog.kv().get(&akey) else {
             return Ok(());
         };
@@ -388,30 +391,6 @@ impl MetadataCache {
     pub fn metadata_footprint_bytes(file_count: u64) -> u64 {
         file_count * PER_FILE_META_BYTES
     }
-}
-
-fn commit_key(table: &str, id: u64) -> String {
-    format!("meta/{table}/commit/{id:016}")
-}
-fn commit_prefix(table: &str) -> String {
-    format!("meta/{table}/commit/")
-}
-fn snapshot_key(table: &str, id: u64) -> String {
-    format!("meta/{table}/snapshot/{id:016}")
-}
-fn snapshot_prefix(table: &str) -> String {
-    format!("meta/{table}/snapshot/")
-}
-fn live_prefix(table: &str) -> String {
-    format!("live/{table}/")
-}
-fn live_key(table: &str, partition: &str, path: &str) -> String {
-    format!("live/{table}/{partition}/{path}")
-}
-fn addr_key_for(key: &[u8]) -> Vec<u8> {
-    let mut k = b"addr/".to_vec();
-    k.extend_from_slice(key);
-    k
 }
 
 #[cfg(test)]

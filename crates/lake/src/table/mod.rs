@@ -35,7 +35,7 @@ use common::clock::{millis, Nanos};
 use common::ctx::IoCtx;
 use common::{Error, Result};
 use format::{Expr, Row, Schema};
-use kvstore::MvccStore;
+use kvstore::{keys, MvccStore};
 use plog::PlogStore;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -146,27 +146,6 @@ pub struct StagedTableCommit {
     pub files: Vec<DataFileMeta>,
 }
 
-/// Prefix of MVCC keys holding encoded commit bodies.
-const COMMIT_KEY_PREFIX: &str = "lake/commit/";
-
-/// Prefix of MVCC keys tracking file liveness; see [`live_mvcc_key`].
-const LIVE_KEY_PREFIX: &str = "lake/live/";
-
-fn commit_mvcc_key(table: &str, id: u64) -> Vec<u8> {
-    format!("{COMMIT_KEY_PREFIX}{table}/{id:016}").into_bytes()
-}
-
-/// MVCC key recording a table's current head; its value is the encoded
-/// head snapshot.
-fn head_key(table: &str) -> Vec<u8> {
-    format!("lake/head/{table}").into_bytes()
-}
-
-/// MVCC key tracking one file's liveness for replace validation.
-fn live_mvcc_key(table: &str, path: &str) -> Vec<u8> {
-    format!("{LIVE_KEY_PREFIX}{table}/{path}").into_bytes()
-}
-
 /// The lakehouse table store.
 #[derive(Debug)]
 pub struct TableStore {
@@ -248,9 +227,9 @@ impl TableStore {
             // liveness checks they should not).
             let (txn, ()) = self.with_txn(|txn| {
                 for f in &files {
-                    self.mvcc.delete(txn, &live_mvcc_key(name, &f.path))?;
+                    self.mvcc.delete(txn, &keys::lake_live(name, &f.path))?;
                 }
-                self.mvcc.delete(txn, &head_key(name))
+                self.mvcc.delete(txn, &keys::lake_head(name))
             })?;
             self.roll_forward(txn, ctx)?;
             // Data files next: everything a retained commit added, not just
@@ -631,10 +610,17 @@ pub(crate) mod tests {
         s.meta().flush("t", &IoCtx::new(45))?;
         s.drop_table("t", true, &IoCtx::new(50))?;
         assert!(s.catalog().get_any("t").is_err());
-        let mut doomed = vec!["meta/t/".to_string(), "live/t/".into(), "addr/meta/t/".into()];
-        doomed.extend(paths.iter().map(|p| format!("addr/{p}")));
+        let mut doomed = vec![
+            keys::meta_commits("t").into_bytes(),
+            keys::meta_snapshots("t").into_bytes(),
+            keys::live_table("t").into_bytes(),
+            keys::addr(keys::meta_commits("t").as_bytes()),
+            keys::addr(keys::meta_snapshots("t").as_bytes()),
+        ];
+        doomed.extend(paths.iter().map(|p| keys::addr(p.as_bytes())));
         for prefix in &doomed {
-            let left = s.plog.kv().scan_prefix(prefix.as_bytes());
+            let left = s.plog.kv().scan_prefix(prefix);
+            let prefix = String::from_utf8_lossy(prefix);
             assert!(left.is_empty(), "hard drop left {prefix}* keys: {left:?}");
         }
         // the name is reusable afterwards, and the new table inherits

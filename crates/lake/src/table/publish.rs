@@ -7,9 +7,7 @@
 //! never be published. Snapshot expiry — the one operation that rewrites
 //! published history — lives here too.
 
-use super::{
-    head_key, CommitInfo, TableStore, COMMIT_KEY_PREFIX, COMMIT_OVERHEAD, LIVE_KEY_PREFIX,
-};
+use super::{CommitInfo, TableStore, COMMIT_OVERHEAD};
 use crate::catalog::TableProfile;
 use crate::maintenance::ExpiryReport;
 use crate::meta::{Commit, DataFileMeta, Snapshot};
@@ -17,6 +15,7 @@ use crate::metacache::MetadataMode;
 use common::clock::Nanos;
 use common::ctx::{IoCtx, Phase};
 use common::{Error, Result};
+use kvstore::keys;
 use std::collections::BTreeMap;
 
 impl TableStore {
@@ -36,17 +35,15 @@ impl TableStore {
     ) -> Result<Vec<CommitInfo>> {
         let mut infos = Vec::new();
         for (key, value) in writes {
-            let (Some(rest), Some(body)) = (key.strip_prefix(COMMIT_KEY_PREFIX.as_bytes()), value)
-            else {
+            let is_commit = key.starts_with(keys::LAKE_COMMIT.as_bytes());
+            let Some(body) = value.as_ref().filter(|_| is_commit) else {
                 continue;
             };
-            let (name, _) = std::str::from_utf8(rest)
-                .ok()
-                .and_then(|r| r.rsplit_once('/'))
+            let name = keys::parse_lake_commit(key)
                 .ok_or_else(|| Error::Corruption("malformed lake commit key".into()))?;
             // The table's head intent carries the snapshot the commit
             // publishes.
-            let head = head_key(name);
+            let head = keys::lake_head(name);
             let snapshot = writes
                 .iter()
                 .find(|(k, _)| *k == head)
@@ -106,7 +103,7 @@ impl TableStore {
     pub fn discard_intents(&self, writes: &[(Vec<u8>, Option<Vec<u8>>)]) {
         let files: Vec<DataFileMeta> = writes
             .iter()
-            .filter(|(key, _)| key.starts_with(LIVE_KEY_PREFIX.as_bytes()))
+            .filter(|(key, _)| key.starts_with(keys::LAKE_LIVE.as_bytes()))
             .filter_map(|(_, value)| DataFileMeta::decode_entry(value.as_deref()?).ok())
             .collect();
         self.discard(&files);
@@ -140,8 +137,8 @@ impl TableStore {
         // surfaces `Error::Conflict` instead of interleaving metadata
         // rewrites with a commit.
         let (txn, report) = self.with_txn(|txn| {
-            let head = self.mvcc.get(txn, &head_key(name))?;
-            self.mvcc.write(txn, &head_key(name), head.as_deref())?;
+            let head = self.mvcc.get(txn, &keys::lake_head(name))?;
+            self.mvcc.write(txn, &keys::lake_head(name), head.as_deref())?;
             let report = self.expire_body(name, retain_after, &profile, ctx)?;
             if report.snapshots_expired > 0 {
                 // The squash moved the current snapshot's base; refresh the
@@ -149,7 +146,7 @@ impl TableStore {
                 // this transaction resolves.
                 let id = profile.current_snapshot;
                 let (snap, _) = self.meta.get_snapshot(name, id, MetadataMode::Accelerated, ctx)?;
-                self.mvcc.put(txn, &head_key(name), &snap.encode())?;
+                self.mvcc.put(txn, &keys::lake_head(name), &snap.encode())?;
             }
             Ok(report)
         })?;

@@ -3,7 +3,7 @@
 //! MVCC write intents. `publish.rs` reads them back after the decision.
 
 use super::scan::{file_may_match, partitions_for_predicate};
-use super::{commit_mvcc_key, head_key, live_mvcc_key, CommitInfo, StagedTableCommit, TableStore};
+use super::{CommitInfo, StagedTableCommit, TableStore};
 use crate::catalog::TableProfile;
 use crate::meta::{Commit, DataFileMeta, Snapshot};
 use crate::metacache::MetadataMode;
@@ -11,6 +11,7 @@ use common::clock::Nanos;
 use common::ctx::IoCtx;
 use common::{Bytes, Error, Result};
 use format::{ColumnStats, Expr, LakeFileReader, LakeFileWriter, Row};
+use kvstore::keys;
 #[cfg(test)]
 use format::Value;
 use std::collections::BTreeMap;
@@ -168,7 +169,7 @@ impl TableStore {
                 // "still live?" and registers the dependency for OCC
                 // validation at decide time.
                 for path in &removed {
-                    if self.mvcc.get(txn, &live_mvcc_key(name, path))?.is_none() {
+                    if self.mvcc.get(txn, &keys::lake_live(name, path))?.is_none() {
                         return Err(Error::Conflict(format!(
                             "compaction base snapshot {base_snapshot} is stale: a concurrent \
                              commit removed one of the input files"
@@ -255,7 +256,7 @@ impl TableStore {
     ) -> Result<StagedTableCommit> {
         let profile = self.catalog.get(name)?;
         // Register the read-write dependency on the table head.
-        self.mvcc.get(txn, &head_key(name))?;
+        self.mvcc.get(txn, &keys::lake_head(name))?;
         let parent = profile.current_snapshot;
         let new_id = parent + 1;
         let base = if parent == 0 {
@@ -274,15 +275,15 @@ impl TableStore {
         };
         let snapshot = Snapshot { id: new_id, base, timestamp: ctx.now };
         self.mvcc
-            .put(txn, &commit_mvcc_key(name, new_id), &commit.encode())?;
-        self.mvcc.put(txn, &head_key(name), &snapshot.encode())?;
+            .put(txn, &keys::lake_commit(name, new_id), &commit.encode())?;
+        self.mvcc.put(txn, &keys::lake_head(name), &snapshot.encode())?;
         for f in added {
             let mut buf = Vec::with_capacity(64);
             f.encode(&mut buf);
-            self.mvcc.put(txn, &live_mvcc_key(name, &f.path), &buf)?;
+            self.mvcc.put(txn, &keys::lake_live(name, &f.path), &buf)?;
         }
         for path in removed {
-            self.mvcc.delete(txn, &live_mvcc_key(name, path))?;
+            self.mvcc.delete(txn, &keys::lake_live(name, path))?;
         }
         Ok(StagedTableCommit { txn, table: name.to_string(), snapshot_id: new_id, files: Vec::new() })
     }

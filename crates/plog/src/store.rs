@@ -16,7 +16,7 @@ use common::metrics::Metrics;
 use common::varint::Reader;
 use common::{Bytes, Error, Result};
 use ec::{Redundancy, Stripe};
-use kvstore::SharedKv;
+use kvstore::{keys, SharedKv};
 use simdisk::pool::{ExtentHandle, StoragePool};
 use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
@@ -79,12 +79,7 @@ impl PlogAddress {
     }
 
     pub(crate) fn index_key(&self) -> Vec<u8> {
-        let mut k = Vec::with_capacity(16);
-        k.extend_from_slice(b"plog/");
-        k.extend_from_slice(&self.shard.to_be_bytes());
-        k.push(b'/');
-        k.extend_from_slice(&self.offset.to_be_bytes());
-        k
+        keys::plog_index(self.shard, self.offset)
     }
 }
 
@@ -572,7 +567,7 @@ impl PlogStore {
     /// Number of indexed records (the `plog/` keys of the store).
     pub fn record_count(&self) -> usize {
         let mut n = 0;
-        self.index.scan_prefix_with(b"plog/", &mut |_, _| {
+        self.index.scan_prefix_with(keys::PLOG.as_bytes(), &mut |_, _| {
             n += 1;
             true
         });
@@ -582,7 +577,7 @@ impl PlogStore {
     /// All indexed addresses, in (shard, offset) order. Used by the
     /// replication service to enumerate what needs copying.
     pub fn addresses(&self) -> Vec<PlogAddress> {
-        Self::parse_index_entries(self.index.scan_prefix(b"plog/"))
+        Self::parse_index_entries(self.index.scan_prefix(keys::PLOG.as_bytes()))
     }
 
     /// Indexed addresses of `shard` with `offset >= from`, in offset order.
@@ -591,29 +586,17 @@ impl PlogStore {
     /// the highest offset it has seen per shard pays one bounded range scan
     /// per cycle instead of decoding the whole index.
     pub(crate) fn addresses_from(&self, shard: u32, from: u64) -> Vec<PlogAddress> {
-        let lo = PlogAddress { shard, offset: from, len: 0 }.index_key();
-        // One byte past the '/' separator upper-bounds every key of `shard`
-        // without touching the next shard's prefix.
-        let mut hi = Vec::with_capacity(10);
-        hi.extend_from_slice(b"plog/");
-        hi.extend_from_slice(&shard.to_be_bytes());
-        hi.push(b'/' + 1);
-        Self::parse_index_entries(self.index.scan_range(&lo, &hi))
+        let lo = keys::plog_index(shard, from);
+        Self::parse_index_entries(self.index.scan_range(&lo, &keys::plog_shard_end(shard)))
     }
 
     fn parse_index_entries(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<PlogAddress> {
         entries
             .into_iter()
             .filter_map(|(k, v)| {
-                // key layout: "plog/" + shard be-bytes + '/' + offset be-bytes
-                let shard_bytes: [u8; 4] = k.get(5..9)?.try_into().ok()?;
-                let offset_bytes: [u8; 8] = k.get(10..18)?.try_into().ok()?;
+                let (shard, offset) = keys::parse_plog_index(&k)?;
                 let (_handle, len, _crcs) = decode_entry(&v).ok()?;
-                Some(PlogAddress {
-                    shard: u32::from_be_bytes(shard_bytes),
-                    offset: u64::from_be_bytes(offset_bytes),
-                    len,
-                })
+                Some(PlogAddress { shard, offset, len })
             })
             .collect()
     }

@@ -2,11 +2,13 @@
 //!
 //! The dispatcher "sets configurations for the messaging service in the
 //! unit of the topic" (§V-A); Fig 8 shows the JSON document. This module
-//! mirrors that document exactly, including the `convert_2_table` and
-//! `archive` sub-objects; `TopicConfig::to_json` writes it, and the
-//! dispatcher persists it next to the topic's topology.
+//! mirrors its fields exactly, including the `convert_2_table` and
+//! `archive` sub-objects. The dispatcher keeps a topic's config in the
+//! metadata store next to its routes, as the binary value
+//! [`TopicConfig::encode`] writes, and reads it back from there.
 
-use common::json::Json;
+use common::varint::{encode_str, encode_u64, Reader};
+use common::{Error, Result};
 
 /// Configuration of the automatic stream→table conversion (Fig 8,
 /// `convert_2_table`).
@@ -40,22 +42,6 @@ impl Default for ConvertToTable {
     }
 }
 
-impl ConvertToTable {
-    fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "table_schema",
-                Json::Array(self.table_schema.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("table_path", Json::Str(self.table_path.clone())),
-            ("split_offset", Json::Num(self.split_offset as f64)),
-            ("split_time", Json::Num(self.split_time as f64)),
-            ("delete_msg", Json::Bool(self.delete_msg)),
-            ("enabled", Json::Bool(self.enabled)),
-        ])
-    }
-}
-
 /// Configuration of historical-data archiving (Fig 8, `archive`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveConfig {
@@ -77,21 +63,6 @@ impl Default for ArchiveConfig {
             row_2_col: false,
             enabled: false,
         }
-    }
-}
-
-impl ArchiveConfig {
-    fn to_json(&self) -> Json {
-        let url = match &self.external_archive_url {
-            Some(u) => Json::Str(u.clone()),
-            None => Json::Null,
-        };
-        Json::object([
-            ("external_archive_url", url),
-            ("archive_size", Json::Num(self.archive_size as f64)),
-            ("row_2_col", Json::Bool(self.row_2_col)),
-            ("enabled", Json::Bool(self.enabled)),
-        ])
     }
 }
 
@@ -133,16 +104,56 @@ impl TopicConfig {
         TopicConfig { stream_num: partitions, ..Default::default() }
     }
 
-    /// Serialize to JSON (pretty, for operator inspection).
-    pub(crate) fn to_json(&self) -> String {
-        Json::object([
-            ("stream_num", Json::Num(self.stream_num as f64)),
-            ("quota", Json::Num(self.quota as f64)),
-            ("scm_cache", Json::Bool(self.scm_cache)),
-            ("convert_2_table", self.convert_2_table.to_json()),
-            ("archive", self.archive.to_json()),
-        ])
-        .to_pretty()
+    /// The `topic/<name>/config` value: every Fig 8 field, in document
+    /// order.
+    pub fn encode(&self) -> Vec<u8> {
+        let (c, a) = (&self.convert_2_table, &self.archive);
+        let mut out = Vec::new();
+        encode_u64(self.stream_num.into(), &mut out);
+        encode_u64(self.quota, &mut out);
+        out.push(self.scm_cache.into());
+        encode_u64(c.table_schema.len() as u64, &mut out);
+        for column in &c.table_schema {
+            encode_str(column, &mut out);
+        }
+        encode_str(&c.table_path, &mut out);
+        encode_u64(c.split_offset, &mut out);
+        encode_u64(c.split_time, &mut out);
+        out.extend([u8::from(c.delete_msg), c.enabled.into()]);
+        out.push(a.external_archive_url.is_some().into());
+        if let Some(url) = &a.external_archive_url {
+            encode_str(url, &mut out);
+        }
+        encode_u64(a.archive_size, &mut out);
+        out.extend([u8::from(a.row_2_col), a.enabled.into()]);
+        out
+    }
+
+    /// Decode a value written by [`encode`](Self::encode).
+    pub fn decode(buf: &[u8]) -> Result<TopicConfig> {
+        let mut r = Reader::new(buf, "topic config");
+        let stream_num = u32::try_from(r.u64()?)
+            .map_err(|_| Error::Corruption("topic config stream_num overflows u32".into()))?;
+        let (quota, scm_cache) = (r.u64()?, r.bool()?);
+        let table_schema = (0..r.count(1)?)
+            .map(|_| Ok(r.str()?.to_owned()))
+            .collect::<Result<_>>()?;
+        let convert_2_table = ConvertToTable {
+            table_schema,
+            table_path: r.str()?.to_owned(),
+            split_offset: r.u64()?,
+            split_time: r.u64()?,
+            delete_msg: r.bool()?,
+            enabled: r.bool()?,
+        };
+        let archive = ArchiveConfig {
+            external_archive_url: if r.bool()? { Some(r.str()?.to_owned()) } else { None },
+            archive_size: r.u64()?,
+            row_2_col: r.bool()?,
+            enabled: r.bool()?,
+        };
+        r.finish()?;
+        Ok(TopicConfig { stream_num, quota, scm_cache, convert_2_table, archive })
     }
 }
 
@@ -152,27 +163,8 @@ mod tests {
 
     #[test]
     fn parses_the_papers_fig8_example() {
-        // The example from Fig 8, with table_schema flattened to name:type
+        // The values of Fig 8, with table_schema flattened to name:type
         // pairs (the paper elides the object body with "...").
-        let json = r#"{
-            "stream_num": 3,
-            "quota": 1000000,
-            "scm_cache": true,
-            "convert_2_table": {
-                "table_schema": ["url:utf8", "start_time:int64", "province:utf8"],
-                "table_path": "/tables/tb_dpi_log_hours",
-                "split_offset": 10000000,
-                "split_time": 36000,
-                "delete_msg": false,
-                "enabled": true
-            },
-            "archive": {
-                "external_archive_url": null,
-                "archive_size": 262144,
-                "row_2_col": true,
-                "enabled": true
-            }
-        }"#;
         let mut c = TopicConfig::with_partitions(3);
         c.scm_cache = true;
         c.convert_2_table = ConvertToTable {
@@ -187,10 +179,14 @@ mod tests {
         };
         c.archive.row_2_col = true;
         c.archive.enabled = true;
-        assert_eq!(
-            Json::parse(&c.to_json()).unwrap(),
-            Json::parse(json).unwrap()
-        );
+        let decoded = TopicConfig::decode(&c.encode()).unwrap();
+        assert_eq!(decoded, c);
+        assert_eq!(decoded.quota, 1_000_000);
+        assert_eq!(decoded.convert_2_table.split_offset, 10_000_000);
+        assert_eq!(decoded.convert_2_table.split_time, 36_000);
+        assert!(!decoded.convert_2_table.delete_msg);
+        assert_eq!(decoded.archive.external_archive_url, None);
+        assert_eq!(decoded.archive.archive_size, 262_144);
     }
 
     #[test]
@@ -205,19 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn codec_roundtrip_keeps_an_external_archive() {
         let mut c = TopicConfig::with_partitions(8);
         c.scm_cache = true;
         c.archive.enabled = true;
         c.archive.external_archive_url = Some("s3://bucket/archive".into());
-        let doc = Json::parse(&c.to_json()).unwrap();
-        assert_eq!(doc.get("stream_num").and_then(Json::as_u64), Some(8));
-        assert_eq!(doc.get("scm_cache"), Some(&Json::Bool(true)));
-        let archive = doc.get("archive").unwrap();
-        assert_eq!(archive.get("enabled"), Some(&Json::Bool(true)));
-        assert_eq!(
-            archive.get("external_archive_url").and_then(Json::as_str),
-            Some("s3://bucket/archive")
-        );
+        let bytes = c.encode();
+        assert_eq!(TopicConfig::decode(&bytes).unwrap(), c);
+        let mut flag = bytes.clone();
+        flag[4] = 2; // scm_cache, after stream_num (1 byte) and quota (3)
+        assert!(matches!(TopicConfig::decode(&flag), Err(Error::Corruption(_))));
+        assert!(TopicConfig::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(TopicConfig::decode(&[&bytes[..], &[0]].concat()).is_err());
     }
 }

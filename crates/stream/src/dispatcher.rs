@@ -2,7 +2,9 @@
 //!
 //! The dispatcher owns the messaging-service metadata: "the relationships
 //! among topics, streams, stream workers, and stream objects are stored as
-//! key-value pairs in a fault-tolerant key-value store". Topics are sets of
+//! key-value pairs in a fault-tolerant key-value store". Each topic's routes
+//! and config live in the metadata store under `topic/`, and every reader
+//! outside the produce path reads them from there. Topics are sets of
 //! **partitions** — each an ordered log backed by a stream object pinned to
 //! one PLog shard (`plog::placement::shard_for_partition`). The dispatcher
 //! creates topics, assigns partitions to workers round-robin, routes
@@ -17,9 +19,9 @@ use crate::partition::partition_for_key;
 use common::clock::{micros, Nanos};
 use common::ctx::{IoCtx, Phase};
 use common::lockwitness::TrackedMutex;
-use common::varint::Reader;
+use common::varint::{encode_u64, Reader};
 use common::{Error, ObjectId, Result, WorkerId};
-use kvstore::SharedKv;
+use kvstore::{keys, SharedKv};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,6 +39,28 @@ pub struct PartitionRoute {
     pub worker: WorkerId,
 }
 
+impl PartitionRoute {
+    /// The `topic/<name>/partition/<idx>` value: partition, object and
+    /// worker ids as varints.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(12);
+        for id in [self.partition_idx.into(), self.object_id.raw(), self.worker.raw()] {
+            encode_u64(id, &mut out);
+        }
+        out
+    }
+
+    /// Decode a value written by [`encode`](Self::encode).
+    pub fn decode(buf: &[u8]) -> Result<PartitionRoute> {
+        let mut r = Reader::new(buf, "partition route");
+        let partition_idx = u32::try_from(r.u64()?)
+            .map_err(|_| Error::Corruption("partition route index overflows u32".into()))?;
+        let (object_id, worker) = (ObjectId(r.u64()?), WorkerId(r.u64()?));
+        r.finish()?;
+        Ok(PartitionRoute { partition_idx, object_id, worker })
+    }
+}
+
 /// Report of a rescaling operation (Fig 14(c)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RescaleReport {
@@ -48,17 +72,30 @@ pub struct RescaleReport {
     pub elapsed: Nanos,
 }
 
+impl RescaleReport {
+    /// `updates` metadata updates and no data moved, charged to `ctx`.
+    fn metadata_only(updates: u64, ctx: &IoCtx) -> Self {
+        let elapsed = updates * METADATA_OP_COST;
+        ctx.record(Phase::Meta, ctx.now, elapsed);
+        RescaleReport { metadata_updates: updates, bytes_migrated: 0, elapsed }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Topology {
-    /// topic → per-partition routes.
+    /// topic → per-partition routes: the produce path's copy of `topic/`.
     topics: BTreeMap<String, Vec<PartitionRoute>>,
-    /// topic → config.
-    configs: BTreeMap<String, TopicConfig>,
     /// Live stream workers. A worker is nothing but this id and the routes
     /// naming it: requests go straight from the service to the stream object.
     workers: Vec<WorkerId>,
     next_worker_id: u64,
     next_worker_rr: usize,
+}
+
+impl Topology {
+    fn routes(&self, topic: &str) -> Result<&Vec<PartitionRoute>> {
+        self.topics.get(topic).ok_or_else(|| Error::NotFound(format!("topic {topic}")))
+    }
 }
 
 /// The dispatcher service.
@@ -84,7 +121,6 @@ impl StreamDispatcher {
         let id = WorkerId(topo.next_worker_id);
         topo.next_worker_id += 1;
         topo.workers.push(id);
-        self.metadata().put(format!("worker/{}", id.raw()), b"up".to_vec());
         id
     }
 
@@ -96,29 +132,19 @@ impl StreamDispatcher {
             return Err(Error::InvalidArgument("cannot remove the last worker".into()));
         }
         topo.workers.retain(|w| *w != id);
-        self.metadata().delete(format!("worker/{}", id.raw()));
         let workers = topo.workers.clone();
-        let mut updates = 1u64;
-        let mut rr = 0usize;
+        let mut updates = 0u64;
         for (topic, routes) in topo.topics.iter_mut() {
             for route in routes.iter_mut() {
                 if route.worker == id {
-                    route.worker = workers[rr % workers.len()];
-                    rr += 1;
+                    route.worker = workers[updates as usize % workers.len()];
                     updates += 1;
-                    self.metadata().put(
-                        route_key(topic, route.partition_idx),
-                        encode_route(route),
-                    );
+                    let key = keys::topic_route(topic, route.partition_idx);
+                    self.metadata().put(key, route.encode());
                 }
             }
         }
-        ctx.record(Phase::Meta, ctx.now, updates * METADATA_OP_COST);
-        Ok(RescaleReport {
-            metadata_updates: updates,
-            bytes_migrated: 0,
-            elapsed: updates * METADATA_OP_COST,
-        })
+        Ok(RescaleReport::metadata_only(updates, ctx))
     }
 
     /// Currently registered workers.
@@ -137,6 +163,7 @@ impl StreamDispatcher {
         config: TopicConfig,
         ctx: &IoCtx,
     ) -> Result<RescaleReport> {
+        keys::check_name("topic", name)?;
         let mut topo = self.topo.lock();
         if topo.topics.contains_key(name) {
             return Err(Error::AlreadyExists(format!("topic {name}")));
@@ -148,26 +175,13 @@ impl StreamDispatcher {
             return Err(Error::InvalidArgument("stream_num must be positive".into()));
         }
         let mut routes = Vec::with_capacity(config.stream_num as usize);
-        let workers = topo.workers.clone();
         for idx in 0..config.stream_num {
-            let obj = self.create_partition_object(name, idx, &config)?;
-            let worker = workers[topo.next_worker_rr % workers.len()];
-            topo.next_worker_rr += 1;
-            let route = PartitionRoute { partition_idx: idx, object_id: obj.id(), worker };
-            self.metadata().put(route_key(name, idx), encode_route(&route));
-            routes.push(route);
+            routes.push(self.new_partition(&mut topo, name, idx, &config)?);
         }
         let updates = routes.len() as u64 + 1;
-        self.metadata()
-            .put(format!("topic/{name}/config"), config.to_json().into_bytes());
+        self.metadata().put(keys::topic_config(name), config.encode());
         topo.topics.insert(name.to_string(), routes);
-        topo.configs.insert(name.to_string(), config);
-        ctx.record(Phase::Meta, ctx.now, updates * METADATA_OP_COST);
-        Ok(RescaleReport {
-            metadata_updates: updates,
-            bytes_migrated: 0,
-            elapsed: updates * METADATA_OP_COST,
-        })
+        Ok(RescaleReport::metadata_only(updates, ctx))
     }
 
     /// Grow (shrinking is unsupported) a topic to `new_partition_num`
@@ -179,54 +193,36 @@ impl StreamDispatcher {
         new_partition_num: u32,
         ctx: &IoCtx,
     ) -> Result<RescaleReport> {
+        // Nothing but this call rewrites a config, and only its
+        // `stream_num`, so it may be read before the topology lock.
+        let mut config = self.topic_config(name)?;
         let mut topo = self.topo.lock();
-        let current = topo
-            .topics
-            .get(name)
-            .ok_or_else(|| Error::NotFound(format!("topic {name}")))?
-            .len() as u32;
+        let current = topo.routes(name)?.len() as u32;
         if new_partition_num < current {
             return Err(Error::Unsupported(
                 "shrinking a topic would reorder keys; not supported".into(),
             ));
         }
-        let config = topo.configs.get(name).cloned().unwrap_or_default();
-        let workers = topo.workers.clone();
         let mut updates = 0u64;
         for idx in current..new_partition_num {
-            let obj = self.create_partition_object(name, idx, &config)?;
-            let worker = workers[topo.next_worker_rr % workers.len()];
-            topo.next_worker_rr += 1;
-            let route = PartitionRoute { partition_idx: idx, object_id: obj.id(), worker };
-            self.metadata().put(route_key(name, idx), encode_route(&route));
+            let route = self.new_partition(&mut topo, name, idx, &config)?;
             topo.topics
                 .get_mut(name)
                 .ok_or_else(|| Error::NotFound(format!("topic {name}")))?
                 .push(route);
             updates += 1;
         }
-        if let Some(c) = topo.configs.get_mut(name) {
-            c.stream_num = new_partition_num;
-            self.metadata()
-                .put(format!("topic/{name}/config"), c.to_json().into_bytes());
-            updates += 1;
-        }
-        ctx.record(Phase::Meta, ctx.now, updates * METADATA_OP_COST);
-        Ok(RescaleReport {
-            metadata_updates: updates,
-            bytes_migrated: 0,
-            elapsed: updates * METADATA_OP_COST,
-        })
+        config.stream_num = new_partition_num;
+        self.metadata().put(keys::topic_config(name), config.encode());
+        updates += 1;
+        Ok(RescaleReport::metadata_only(updates, ctx))
     }
 
     /// The partition (and its object) that owns `key` within `topic` under
     /// the default key-hash policy.
     pub fn route(&self, topic: &str, key: &[u8]) -> Result<PartitionRoute> {
         let topo = self.topo.lock();
-        let routes = topo
-            .topics
-            .get(topic)
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?;
+        let routes = topo.routes(topic)?;
         let idx = partition_for_key(key, routes.len() as u32);
         Ok(routes[idx as usize].clone())
     }
@@ -234,10 +230,7 @@ impl StreamDispatcher {
     /// The route of one specific partition.
     pub fn route_partition(&self, topic: &str, partition_idx: u32) -> Result<PartitionRoute> {
         let topo = self.topo.lock();
-        let routes = topo
-            .topics
-            .get(topic)
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?;
+        let routes = topo.routes(topic)?;
         routes
             .get(partition_idx as usize)
             .cloned()
@@ -251,22 +244,36 @@ impl StreamDispatcher {
 
     /// Number of partitions of `topic`.
     pub(crate) fn partition_count(&self, topic: &str) -> Result<u32> {
-        self.topo
-            .lock()
-            .topics
-            .get(topic)
-            .map(|r| r.len() as u32)
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))
+        Ok(self.topo.lock().routes(topic)?.len() as u32)
     }
 
-    /// All partition routes of `topic`, in partition order.
+    /// All partition routes of `topic`, in partition order, read from the
+    /// metadata store. A route that is undecodable, out of place or missing
+    /// is `Error::Corruption`.
     pub fn topic_partitions(&self, topic: &str) -> Result<Vec<PartitionRoute>> {
-        self.topo
-            .lock()
-            .topics
-            .get(topic)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))
+        // Topology before the store (lock order 25 → 70): a concurrent
+        // create or scale writes both under the topology lock. A topic the
+        // produce path does not know has no routes, whatever a failed
+        // create left in the store.
+        let topo = self.topo.lock();
+        let known = topo.routes(topic)?.len();
+        let mut stored = Vec::with_capacity(known);
+        self.metadata().scan_prefix_with(keys::topic_routes(topic).as_bytes(), &mut |_, v| {
+            stored.push(PartitionRoute::decode(v));
+            true
+        });
+        if stored.len() != known {
+            let n = stored.len();
+            return Err(Error::Corruption(format!("topic {topic}: {n} of {known} routes stored")));
+        }
+        let in_place = |(idx, route): (usize, Result<PartitionRoute>)| match route? {
+            r if r.partition_idx as usize == idx => Ok(r),
+            r => Err(Error::Corruption(format!(
+                "topic {topic}: route {} stored at {idx}",
+                r.partition_idx
+            ))),
+        };
+        stored.into_iter().enumerate().map(in_place).collect()
     }
 
     /// All topic names, sorted (deterministic enumeration for maintenance
@@ -275,14 +282,14 @@ impl StreamDispatcher {
         self.topo.lock().topics.keys().cloned().collect()
     }
 
-    /// The configuration of `topic`.
+    /// The configuration of `topic`, read from the metadata store.
     pub(crate) fn topic_config(&self, topic: &str) -> Result<TopicConfig> {
-        self.topo
-            .lock()
-            .configs
-            .get(topic)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))
+        let _topo = self.topo.lock();
+        let value = self
+            .metadata()
+            .get(keys::topic_config(topic).as_bytes())
+            .ok_or_else(|| Error::NotFound(format!("topic {topic}")))?;
+        TopicConfig::decode(&value)
     }
 
     /// Resolve a route to its stream object.
@@ -294,10 +301,8 @@ impl StreamDispatcher {
     /// `partition_idx`. Unfenced low-level write — group-aware callers go
     /// through `GroupCoordinator::commit`, which checks ownership first.
     pub(crate) fn commit_offset(&self, group: &str, topic: &str, partition_idx: u32, offset: u64) {
-        self.metadata().put(
-            format!("group/{group}/{topic}/{partition_idx}"),
-            offset.to_be_bytes().to_vec(),
-        );
+        self.metadata()
+            .put(keys::group_offset(group, topic, partition_idx), offset.to_be_bytes().to_vec());
     }
 
     /// Fetch the committed offset for the partition in `group`. A stored
@@ -309,7 +314,7 @@ impl StreamDispatcher {
         topic: &str,
         partition_idx: u32,
     ) -> Result<Option<u64>> {
-        let key = format!("group/{group}/{topic}/{partition_idx}");
+        let key = keys::group_offset(group, topic, partition_idx);
         let Some(value) = self.metadata().get(key.as_bytes()) else {
             return Ok(None);
         };
@@ -325,29 +330,29 @@ impl StreamDispatcher {
         self.objects.plog().kv()
     }
 
-    fn create_partition_object(
+    /// Partition `idx` of `topic`: a fresh stream object pinned to the
+    /// shard `shard_for_partition` names, served by the next worker
+    /// round-robin. Stores its route and returns it.
+    fn new_partition(
         &self,
+        topo: &mut Topology,
         topic: &str,
-        partition_idx: u32,
+        idx: u32,
         config: &TopicConfig,
-    ) -> Result<Arc<StreamObject>> {
+    ) -> Result<PartitionRoute> {
         let shard_count = self.objects.plog().config().shard_count;
-        let shard =
-            plog::placement::shard_for_partition(topic, partition_idx, shard_count) as u32;
-        self.objects.create(CreateOptions {
+        let shard = plog::placement::shard_for_partition(topic, idx, shard_count) as u32;
+        let object = self.objects.create(CreateOptions {
             scm_cache: config.scm_cache,
             shard_hint: Some(shard),
             ..Default::default()
-        })
+        })?;
+        let worker = topo.workers[topo.next_worker_rr % topo.workers.len()];
+        topo.next_worker_rr += 1;
+        let route = PartitionRoute { partition_idx: idx, object_id: object.id(), worker };
+        self.metadata().put(keys::topic_route(topic, idx), route.encode());
+        Ok(route)
     }
-}
-
-fn route_key(topic: &str, idx: u32) -> String {
-    format!("topic/{topic}/partition/{idx:08}")
-}
-
-fn encode_route(r: &PartitionRoute) -> Vec<u8> {
-    format!("{}:{}:{}", r.partition_idx, r.object_id.raw(), r.worker.raw()).into_bytes()
 }
 
 #[cfg(test)]
@@ -489,6 +494,24 @@ mod tests {
         // Stream objects unchanged: data stayed put.
         let after_ids: Vec<ObjectId> = after.iter().map(|r| r.object_id).collect();
         assert_eq!(before, after_ids);
+    }
+
+    #[test]
+    fn stored_routes_match_the_produce_path_after_create_scale_and_deregister() {
+        let d = dispatcher(3);
+        d.create_topic("t", TopicConfig::with_partitions(5), &IoCtx::new(0)).unwrap();
+        d.scale_topic("t", 9, &IoCtx::new(0)).unwrap();
+        let owned = (0..9).filter(|&i| d.route_partition("t", i).unwrap().worker == WorkerId(1));
+        let owned = owned.count() as u64;
+        let report = d.deregister_worker(WorkerId(1), &IoCtx::new(0)).unwrap();
+        assert_eq!(report.metadata_updates, owned, "one route update per moved partition");
+        let stored = d.topic_partitions("t").unwrap();
+        assert_eq!(stored.len(), 9);
+        for (idx, route) in stored.iter().enumerate() {
+            assert_eq!(route, &d.route_partition("t", idx as u32).unwrap());
+            assert_ne!(route.worker, WorkerId(1));
+        }
+        assert_eq!(d.topic_config("t").unwrap().stream_num, 9);
     }
 
     #[test]

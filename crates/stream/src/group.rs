@@ -23,9 +23,8 @@
 //! caller's [`IoCtx`], and every transition appends to a journal whose byte
 //! serialization ([`GroupCoordinator::journal_bytes`]) is identical across
 //! same-seed runs — the rebalance counterpart of the PR-5 tick journal.
-//! Group metadata is mirrored into the dispatcher's KV store under `cg/`,
-//! next to the `group/` offset keys, so the fault-tolerant KV remains the
-//! source of truth the paper describes.
+//! Membership, generations and assignments live only here; the committed
+//! offsets live in the metadata store under `group/`.
 
 use crate::dispatcher::StreamDispatcher;
 use crate::partition::Partition;
@@ -35,6 +34,7 @@ use common::ctx::IoCtx;
 use common::lockwitness::TrackedMutex;
 use common::metrics::Metrics;
 use common::{Error, Result};
+use kvstore::keys;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -189,7 +189,7 @@ pub struct GroupCoordinator {
 }
 
 impl GroupCoordinator {
-    /// A coordinator persisting group metadata through `dispatcher`'s KV.
+    /// A coordinator committing offsets through `dispatcher`.
     pub(crate) fn new(
         dispatcher: Arc<StreamDispatcher>,
         metrics: Metrics,
@@ -212,6 +212,7 @@ impl GroupCoordinator {
     /// Join `group` as `member` subscribing to `topics` (or update the
     /// subscriptions of an existing member). Triggers a rebalance.
     pub fn join(&self, group: &str, member: &str, topics: &[String], ctx: &IoCtx) -> Result<()> {
+        keys::check_name("consumer group", group)?;
         for t in topics {
             // Validate against live topology before mutating group state.
             self.dispatcher.partition_count(t)?;
@@ -228,7 +229,6 @@ impl GroupCoordinator {
         if unchanged {
             return Ok(());
         }
-        self.kv_put_member(group, member, &g.members[member].subscriptions);
         let generation = g.generation + 1;
         self.journal.lock().push(RebalanceEvent::MemberJoined {
             at: ctx.now,
@@ -251,7 +251,6 @@ impl GroupCoordinator {
         if g.members.remove(member).is_none() {
             return Err(Error::NotFound(format!("member {member} of group {group}")));
         }
-        self.kv_delete_member(group, member);
         self.journal.lock().push(RebalanceEvent::MemberLeft {
             at: ctx.now,
             group: group.to_string(),
@@ -455,15 +454,11 @@ impl GroupCoordinator {
             .collect();
         for group in expired {
             let kv = self.dispatcher.metadata();
-            let prefix = format!("group/{group}/");
-            let offsets = kv.scan_prefix(prefix.as_bytes());
+            let offsets = kv.scan_prefix(keys::group_offsets(&group).as_bytes());
             for (key, _) in &offsets {
                 kv.delete(key.clone());
             }
             dropped += offsets.len() as u64;
-            for (key, _) in kv.scan_prefix(format!("cg/{group}/").as_bytes()) {
-                kv.delete(key);
-            }
             state.remove(&group);
             self.journal.lock().push(RebalanceEvent::OffsetsExpired {
                 at: ctx.now,
@@ -496,7 +491,6 @@ impl GroupCoordinator {
         }
         for id in &dead {
             g.members.remove(id);
-            self.kv_delete_member(group, id);
             self.journal.lock().push(RebalanceEvent::MemberLeft {
                 at: now,
                 group: group.to_string(),
@@ -564,12 +558,6 @@ impl GroupCoordinator {
             .iter()
             .map(|(id, m)| (id.clone(), m.assigned.iter().cloned().collect()))
             .collect();
-        let kv = self.dispatcher.metadata();
-        kv.put(format!("cg/{group}/generation"), generation.to_string().into_bytes());
-        for (id, ps) in &assignment {
-            let encoded: Vec<String> = ps.iter().map(|p| p.to_string()).collect();
-            kv.put(format!("cg/{group}/assign/{id}"), encoded.join(",").into_bytes());
-        }
         self.journal.lock().push(RebalanceEvent::RebalanceCompleted {
             at: now,
             group: group.to_string(),
@@ -626,19 +614,6 @@ impl GroupCoordinator {
             }
         }
         target
-    }
-
-    fn kv_put_member(&self, group: &str, member: &str, subs: &BTreeSet<String>) {
-        let encoded: Vec<&str> = subs.iter().map(|s| s.as_str()).collect();
-        self.dispatcher
-            .metadata()
-            .put(format!("cg/{group}/member/{member}"), encoded.join(",").into_bytes());
-    }
-
-    fn kv_delete_member(&self, group: &str, member: &str) {
-        let kv = self.dispatcher.metadata();
-        kv.delete(format!("cg/{group}/member/{member}"));
-        kv.delete(format!("cg/{group}/assign/{member}"));
     }
 }
 

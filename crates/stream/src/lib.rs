@@ -45,6 +45,7 @@ pub(crate) mod txn;
 
 pub use config::TopicConfig;
 pub use consumer::{ConsumedRecord, Consumer};
+pub use dispatcher::PartitionRoute;
 pub use object::{ReadCtrl, StreamObject, StreamObjectStore};
 pub use partition::{partition_for_key, Partition};
 pub use producer::Producer;

@@ -19,24 +19,10 @@
 
 use crate::object::{StreamObject, StreamObjectStore};
 use common::{Error, ObjectId, Result, TxnId};
-use kvstore::MvccStore;
+use kvstore::{keys, MvccStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use common::lockwitness::TrackedMutex;
-
-/// Key prefix for stream-participant intents in the MVCC keyspace.
-const PARTICIPANT_PREFIX: &[u8] = b"s/";
-
-/// The MVCC user key recording that `txn` produced into `object`; the
-/// intent's value repeats the object id.
-fn participant_key(txn: u64, object: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(PARTICIPANT_PREFIX.len() + 17);
-    k.extend_from_slice(PARTICIPANT_PREFIX);
-    k.extend_from_slice(&txn.to_be_bytes());
-    k.push(b'/');
-    k.extend_from_slice(&object.to_be_bytes());
-    k
-}
 
 /// The object a participant intent names: the id in its value, which is
 /// also the last eight bytes of its key.
@@ -81,7 +67,7 @@ impl TxnManager {
             .get_mut(&txn.raw())
             .ok_or_else(|| Error::NotFound(format!("transaction {txn}")))?;
         if !participants.iter().any(|p| p.id() == object.id()) {
-            let key = participant_key(txn.raw(), object.id().raw());
+            let key = keys::stream_participant(txn.raw(), object.id().raw());
             self.mvcc
                 .put(txn.raw(), &key, &object.id().raw().to_be_bytes())?;
             participants.push(object);
@@ -138,7 +124,7 @@ impl TxnManager {
     /// The live stream object an `s/` intent (`key`, and the id bytes it
     /// carries) names; `None` for other keys and destroyed objects.
     fn participant(&self, key: &[u8], id: Option<&[u8]>) -> Option<Arc<StreamObject>> {
-        if !key.starts_with(PARTICIPANT_PREFIX) {
+        if !key.starts_with(keys::STREAM_PARTICIPANT.as_bytes()) {
             return None;
         }
         self.objects.get(participant_object(id?)?).ok()
@@ -330,7 +316,7 @@ mod tests {
         assert_eq!(decided.len(), 1);
         assert_eq!(decided[0].txn, txn.raw());
         let (key, value) = &decided[0].writes[0];
-        assert!(key.starts_with(PARTICIPANT_PREFIX));
+        assert!(key.starts_with(keys::STREAM_PARTICIPANT.as_bytes()));
         assert_eq!(participant_object(value.as_deref().unwrap()), Some(a.id()));
         // A coordinator with no memory of the transaction still rolls it
         // forward: the flip comes from the surviving intent.

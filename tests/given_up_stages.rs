@@ -20,6 +20,7 @@ use common::clock::millis;
 use common::ctx::IoCtx;
 use common::Error;
 use format::{DataType, Field, Row, Schema, Value};
+use kvstore::keys;
 use lake::{MetadataMode, ScanOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,9 +205,8 @@ fn every_given_up_stage_reclaims_its_files() {
     );
 }
 
-/// Ids of the cache entries under `meta/<TABLE>/<kind>/`, ascending.
-fn cached_ids(sl: &StreamLake, kind: &str) -> Vec<u64> {
-    let prefix = format!("meta/{TABLE}/{kind}/");
+/// Ids of the cache entries under `prefix`, ascending.
+fn cached_ids(sl: &StreamLake, prefix: &str) -> Vec<u64> {
     sl.plog()
         .kv()
         .scan_prefix(prefix.as_bytes())
@@ -218,8 +218,8 @@ fn cached_ids(sl: &StreamLake, kind: &str) -> Vec<u64> {
 /// Every retained snapshot's `commit_ids()` names exactly the cached commit
 /// entries at or below its id, and its parent is the snapshot before it.
 fn assert_history_contiguous(sl: &StreamLake, step: &str) {
-    let snapshots = cached_ids(sl, "snapshot");
-    let commits = cached_ids(sl, "commit");
+    let snapshots = cached_ids(sl, &keys::meta_snapshots(TABLE));
+    let commits = cached_ids(sl, &keys::meta_commits(TABLE));
     let head = sl.tables().current_snapshot(TABLE).unwrap();
     assert_eq!(snapshots.last(), Some(&head), "{step}: the head snapshot is cached");
     let mut parent = None;
@@ -287,7 +287,7 @@ fn commit_ids_stay_contiguous_through_every_history_rewrite() {
     let (round, ctx) = at();
     committed += commit_rows(&sl, &mut rng, round, &ctx);
     assert_history_contiguous(&sl, "insert after expiry");
-    assert_eq!(cached_ids(&sl, "commit"), vec![head - 1, head, head + 1]);
+    assert_eq!(cached_ids(&sl, &keys::meta_commits(TABLE)), vec![head - 1, head, head + 1]);
     // The squash must not re-add the compacted inputs to the live index.
     let visible = tables.select(TABLE, &ScanOptions::default(), &ctx).unwrap().rows.len();
     assert_eq!(visible, committed, "only committed rows are visible");

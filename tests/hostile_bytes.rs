@@ -13,13 +13,13 @@ use baselines::kafka::{KafkaMessage, MiniKafka};
 use common::checksum::crc32;
 use common::size::MIB;
 use common::varint::{self, Reader};
-use common::{IoCtx, Result, SimClock};
+use common::{IoCtx, ObjectId, Result, SimClock, WorkerId};
 use format::encoding::{decode_chunk, encode_column};
 use format::{
     compress, Column, ColumnStats, DataType, Expr, Field, LakeFileReader, LakeFileWriter, Schema,
     Value,
 };
-use kvstore::{SharedKv, WriteBatch};
+use kvstore::{keys, MvccStore, SharedKv, WriteBatch};
 use lake::{Catalog, Commit, DataFileMeta, PartitionSpec, Snapshot};
 use plog::{PlogAddress, PlogConfig, PlogStore};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ use proptest::test_runner::TestRunner;
 use simdisk::pool::StoragePool;
 use simdisk::MediaKind;
 use std::sync::Arc;
-use stream::{Record, StreamService, StreamServiceOptions};
+use stream::{PartitionRoute, Record, StreamService, StreamServiceOptions, TopicConfig};
 
 /// Decode all of `buf` with a decoder of a nested record; bytes left over
 /// are an error.
@@ -85,6 +85,9 @@ struct Target {
     name: &'static str,
     valid: Vec<u8>,
     decode: Decode,
+    /// Whether the encoding delimits itself; a value whose payload runs to
+    /// its end decodes cut or extended, as a shorter or longer payload.
+    framed: bool,
 }
 
 impl Target {
@@ -93,7 +96,15 @@ impl Target {
         valid: Vec<u8>,
         decode: impl Fn(&[u8]) -> Result<T> + 'static,
     ) -> Self {
-        Target { name, valid, decode: Box::new(move |b| decode(b).map(drop)) }
+        Target { name, valid, decode: Box::new(move |b| decode(b).map(drop)), framed: true }
+    }
+
+    fn unframed<T>(
+        name: &'static str,
+        valid: Vec<u8>,
+        decode: impl Fn(&[u8]) -> Result<T> + 'static,
+    ) -> Self {
+        Target { framed: false, ..Target::new(name, valid, decode) }
     }
 }
 
@@ -214,10 +225,10 @@ fn targets() -> Vec<Target> {
     let catalog = Catalog::new(kv.clone());
     for (name, part) in [("plain", None), ("hourly", Some(PartitionSpec::hourly("ts")))] {
         catalog.create(name, schema(), part, 5000, 7).unwrap();
-        let entry = kv.get(format!("catalog/{name}").as_bytes()).unwrap();
+        let entry = kv.get(keys::catalog(name).as_bytes()).unwrap();
         let (kv, catalog) = (kv.clone(), Catalog::new(kv.clone()));
         t.push(Target::new("TableProfile::decode", entry, move |b| {
-            kv.put("catalog/t", b.to_vec());
+            kv.put(keys::catalog("t"), b.to_vec());
             catalog.get_any("t")
         }));
     }
@@ -225,13 +236,64 @@ fn targets() -> Vec<Target> {
     // A PLog index entry is decoded by every read and address listing.
     let store = plog_store();
     let (addr, _) = store.append_to_shard_at(1, b"hostile bytes".to_vec(), &IoCtx::new(0)).unwrap();
-    let (key, entry) = store.kv().scan_prefix(b"plog/").pop().unwrap();
+    let (key, entry) = store.kv().scan_prefix(keys::PLOG.as_bytes()).pop().unwrap();
     t.push(Target::new("plog index entry", entry, move |b| {
         store.kv().put(key.clone(), b.to_vec());
         store.addresses();
         store.read_at(&addr, &IoCtx::new(0))
     }));
+
+    // The dispatcher reads a topic's routes and config from the store.
+    let route =
+        PartitionRoute { partition_idx: 0, object_id: ObjectId(1 << 40), worker: WorkerId(3) };
+    t.push(Target::new("PartitionRoute::decode", route.encode(), PartitionRoute::decode));
+    let svc = service();
+    svc.create_topic("t", TopicConfig::with_partitions(1)).unwrap();
+    let d = svc.dispatcher().clone();
+    let valid = d.metadata().get(keys::topic_route("t", 0).as_bytes()).unwrap();
+    t.push(Target::new("stored route", valid, move |b| {
+        d.metadata().put(keys::topic_route("t", 0), b.to_vec());
+        d.topic_partitions("t")
+    }));
+    t.push(Target::new("TopicConfig::decode", fig8_config().encode(), TopicConfig::decode));
+
+    // MVCC version and intent values: a flag byte, then a payload that
+    // runs to the end of the value.
+    let mvcc = Arc::new(MvccStore::new());
+    let h = mvcc.begin();
+    mvcc.put(h.id, b"k", b"committed").unwrap();
+    mvcc.commit_decide(h.id).unwrap();
+    mvcc.resolve_committed(h.id).unwrap();
+    let (version, valid) = mvcc.kv().scan_prefix(keys::MVCC_VERSION.as_bytes()).pop().unwrap();
+    let m = mvcc.clone();
+    t.push(Target::unframed("mvcc version", valid, move |b| {
+        m.kv().put(version.clone(), b.to_vec());
+        m.read_at(b"k", u64::MAX)
+    }));
+    let w = mvcc.begin();
+    mvcc.put(w.id, b"k", b"provisional").unwrap();
+    let (intent, valid) = mvcc.kv().scan_prefix(keys::MVCC_INTENT.as_bytes()).pop().unwrap();
+    t.push(Target::unframed("mvcc intent", valid, move |b| {
+        mvcc.kv().put(intent.clone(), b.to_vec());
+        mvcc.get(w.id, b"k")
+    }));
     t
+}
+
+fn service() -> Arc<StreamService> {
+    StreamService::new(Arc::new(plog_store()), SimClock::new(), StreamServiceOptions::default())
+}
+
+/// The values of Fig 8's topic config.
+fn fig8_config() -> TopicConfig {
+    let mut c = TopicConfig::with_partitions(3);
+    c.scm_cache = true;
+    c.convert_2_table.table_schema = vec!["url:utf8".into(), "province:utf8".into()];
+    c.convert_2_table.table_path = "/tables/tb_dpi_log_hours".into();
+    c.convert_2_table.enabled = true;
+    c.archive.external_archive_url = Some("s3://archive".into());
+    c.archive.enabled = true;
+    c
 }
 
 #[test]
@@ -251,7 +313,7 @@ fn mutated_encodings_are_refused_or_decoded_never_panic() {
                 let out = (t.decode)(&m.apply(&t.valid));
                 // A cut or a tail never leaves a valid encoding of these
                 // self-delimiting records; a flip may.
-                let may_decode = matches!(m, Mutation::Flip { .. });
+                let may_decode = matches!(m, Mutation::Flip { .. }) || !t.framed;
                 prop_assert!(may_decode || out.is_err(), "{} decoded {m:?}", t.name);
             }
             Ok(())
@@ -305,9 +367,9 @@ fn crafted_counts_lengths_tags_and_tails_are_refused() {
     let kv = SharedKv::new();
     let catalog = Catalog::new(kv.clone());
     catalog.create("t", schema(), Some(PartitionSpec::hourly("ts")), 5000, 7).unwrap();
-    let valid = kv.get(b"catalog/t").unwrap();
+    let valid = kv.get(keys::catalog("t").as_bytes()).unwrap();
     let mut get = |name, bytes: Vec<u8>| {
-        kv.put("catalog/t", bytes);
+        kv.put(keys::catalog("t"), bytes);
         cases.push((name, catalog.get_any("t").map(drop)));
     };
     get("catalog name of u64::MAX", varints(&[1, max, 0]));
@@ -354,21 +416,63 @@ fn crafted_counts_lengths_tags_and_tails_are_refused() {
     // A PLog index entry naming 2^40 shards.
     let store = plog_store();
     let (addr, _) = store.append_to_shard_at(1, b"x".to_vec(), &IoCtx::new(0)).unwrap();
-    let (key, _) = store.kv().scan_prefix(b"plog/").pop().unwrap();
+    let (key, _) = store.kv().scan_prefix(keys::PLOG.as_bytes()).pop().unwrap();
     store.kv().put(key, varints(&[1, 9, huge, 0, 0]));
     cases.push(("plog entry of 2^40 shards", store.read_at(&addr, &IoCtx::new(0)).map(drop)));
 
     // A committed group offset is one big-endian u64; a short or long
     // value must not resume the group at offset 0.
-    let opts = StreamServiceOptions::default();
-    let svc = StreamService::new(Arc::new(plog_store()), SimClock::new(), opts);
+    let svc = service();
     let dispatcher = svc.dispatcher();
     for (name, len) in [
         ("group offset of 4 bytes", 4),
         ("group offset of 9 bytes", 9),
     ] {
-        dispatcher.metadata().put("group/g/t/0", vec![0; len]);
+        dispatcher.metadata().put(keys::group_offset("g", "t", 0), vec![0; len]);
         cases.push((name, dispatcher.committed_offset("g", "t", 0).map(drop)));
+    }
+
+    // Stored routes: an index past u32, a route out of its place, a
+    // missing route, and a config flag that is neither 0 nor 1.
+    svc.create_topic("t", TopicConfig::with_partitions(2)).unwrap();
+    let route = |idx| keys::topic_route("t", idx);
+    let valid = dispatcher.metadata().get(route(1).as_bytes()).unwrap();
+    dispatcher.metadata().put(route(1), varints(&[1 << 32, 1, 0]));
+    cases.push(("route index past u32", dispatcher.topic_partitions("t").map(drop)));
+    dispatcher.metadata().put(route(1), dispatcher.metadata().get(route(0).as_bytes()).unwrap());
+    cases.push(("route 0 stored as route 1", dispatcher.topic_partitions("t").map(drop)));
+    dispatcher.metadata().delete(route(1));
+    cases.push(("route 1 missing", dispatcher.topic_partitions("t").map(drop)));
+    dispatcher.metadata().put(route(1), valid);
+    let mut config = TopicConfig::default().encode();
+    config[4] = 2; // scm_cache, after stream_num (1 byte) and quota (3)
+    cases.push(("config flag of 2", TopicConfig::decode(&config).map(drop)));
+
+    // MVCC values: an intent cut inside its transaction id or with a flag
+    // that is neither value nor tombstone, an empty version, a tombstone
+    // with a payload.
+    let mvcc = MvccStore::new();
+    let h = mvcc.begin();
+    mvcc.put(h.id, b"k", b"v").unwrap();
+    mvcc.commit_decide(h.id).unwrap();
+    let (intent, _) = mvcc.kv().scan_prefix(keys::MVCC_INTENT.as_bytes()).pop().unwrap();
+    mvcc.kv().put(intent.clone(), vec![0; 7]);
+    cases.push(("intent of 7 bytes", mvcc.decided_writes(h.id).map(drop)));
+    mvcc.kv().put(intent, [&h.id.to_be_bytes()[..], &[2]].concat());
+    cases.push(("intent flag of 2", mvcc.decided_writes(h.id).map(drop)));
+    let mvcc = MvccStore::new();
+    let h = mvcc.begin();
+    mvcc.put(h.id, b"k", b"v").unwrap();
+    mvcc.commit_decide(h.id).unwrap();
+    mvcc.resolve_committed(h.id).unwrap();
+    let (version, _) = mvcc.kv().scan_prefix(keys::MVCC_VERSION.as_bytes()).pop().unwrap();
+    for (name, bytes) in [
+        ("empty version", vec![]),
+        ("version flag of 2", vec![2, b'v']),
+        ("tombstone with a payload", vec![1, b'v']),
+    ] {
+        mvcc.kv().put(version.clone(), bytes);
+        cases.push((name, mvcc.read_at(b"k", u64::MAX).map(drop)));
     }
 
     for (name, out) in cases {

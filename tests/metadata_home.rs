@@ -1,23 +1,28 @@
 //! The one-metadata-home contract: every metadata key of a deployment lives
-//! in the primary PLog's KV index, under the prefix of the service that
-//! owns it (DESIGN.md, "One metadata home"), and one WAL recovers all of it.
+//! in the primary PLog's KV index, under the prefix of the family that
+//! owns it (`kvstore::keys`, DESIGN.md "One metadata home"), and one WAL
+//! recovers all of it.
 
 use common::clock::{millis, secs};
 use common::ctx::IoCtx;
+use common::json::Json;
+use common::Error;
 use format::{DataType, Field, Row, Schema, Value};
-use kvstore::KvStore;
+use kvstore::{keys, KvStore};
 use streamlake::{StreamLake, StreamLakeConfig, Transaction};
-
-/// The owner prefixes of DESIGN.md's "One metadata home" table.
-const PREFIXES: [&str; 12] = [
-    "plog/", "m/", "i/", "t/", "topic/", "worker/", "group/", "cg/", "catalog/", "meta/", "live/",
-    "addr/",
-];
 
 fn rows(round: u64) -> Vec<Row> {
     (0..4)
         .map(|i| vec![Value::from(format!("r{round}")), Value::Int(i)])
         .collect()
+}
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        Field::new("k", DataType::Utf8),
+        Field::new("n", DataType::Int64),
+    ])
+    .unwrap()
 }
 
 /// A mixed schedule touching every owner: topics, produce, a consumer
@@ -28,13 +33,8 @@ fn mixed_schedule(sl: &StreamLake) -> Transaction<'_> {
     sl.stream()
         .create_topic("events", stream::TopicConfig::with_partitions(2))
         .unwrap();
-    let schema = Schema::new(vec![
-        Field::new("k", DataType::Utf8),
-        Field::new("n", DataType::Int64),
-    ])
-    .unwrap();
     sl.tables()
-        .create_table("facts", schema, None, 1000, &IoCtx::new(0))
+        .create_table("facts", schema(), None, 1000, &IoCtx::new(0))
         .unwrap();
     let mut producer = sl.producer();
     producer.set_batch_size(1);
@@ -80,24 +80,22 @@ fn every_service_shares_the_plog_index() {
     let open = mixed_schedule(&sl);
     // (i) One store, not copies: a key put through the PLog's handle is
     // read back through the MVCC store's and the dispatcher's.
-    sl.plog()
-        .kv()
-        .put(b"topic/probe".to_vec(), b"one home".to_vec());
+    let probe = keys::topic_config("probe");
+    let probe = probe.as_bytes();
+    sl.plog().kv().put(probe, b"one home".to_vec());
+    assert_eq!(sl.mvcc().kv().get(probe), Some(b"one home".to_vec()));
     assert_eq!(
-        sl.mvcc().kv().get(b"topic/probe"),
+        sl.stream().dispatcher().metadata().get(probe),
         Some(b"one home".to_vec())
     );
-    assert_eq!(
-        sl.stream().dispatcher().metadata().get(b"topic/probe"),
-        Some(b"one home".to_vec())
-    );
-    sl.plog().kv().delete(b"topic/probe".to_vec());
-    assert_eq!(sl.mvcc().kv().get(b"topic/probe"), None);
+    sl.plog().kv().delete(probe);
+    assert_eq!(sl.mvcc().kv().get(probe), None);
 
-    // (ii) Every key belongs to exactly one owner, and every owner is here.
+    // (ii) Every key belongs to exactly one family, and every family is
+    // here, the MVCC user families among the versions and intents.
     let live = sl.plog().kv().with_read(pairs);
     for (key, _) in &live {
-        let owners = PREFIXES
+        let owners = keys::STORE_FAMILIES
             .iter()
             .filter(|p| key.starts_with(p.as_bytes()))
             .count();
@@ -108,10 +106,33 @@ fn every_service_shares_the_plog_index() {
             String::from_utf8_lossy(key)
         );
     }
-    for prefix in PREFIXES {
+    for prefix in keys::STORE_FAMILIES {
         assert!(
             live.iter().any(|(k, _)| k.starts_with(prefix.as_bytes())),
             "no {prefix} key after a schedule that writes them"
+        );
+    }
+    for family in keys::MVCC_FAMILIES {
+        let user = |k: &[u8]| {
+            [keys::MVCC_VERSION, keys::MVCC_INTENT].iter().any(|p| {
+                k.strip_prefix(p.as_bytes()).is_some_and(|u| u.starts_with(family.as_bytes()))
+            })
+        };
+        assert!(
+            live.iter().any(|(k, _)| user(k)),
+            "no {family} user key after a schedule that writes them"
+        );
+    }
+
+    // The write-only `worker/` and `cg/` families are gone, and no value
+    // is JSON.
+    for (key, value) in &live {
+        assert!(!key.starts_with(b"worker/") && !key.starts_with(b"cg/"), "{key:?}");
+        let json = std::str::from_utf8(value).ok().and_then(|t| Json::parse(t).ok());
+        assert!(
+            !matches!(json, Some(Json::Object(_))),
+            "{} holds JSON",
+            String::from_utf8_lossy(key)
         );
     }
 
@@ -143,4 +164,42 @@ fn one_wal_recovers_everything_before_and_after_compaction() {
     assert!(chore.work_done > 0, "{chore:?}");
     assert_eq!(sl.plog().kv().wal_frames(), 1);
     assert_eq!(recovered(&sl), sl.plog().kv().with_read(pairs));
+}
+
+/// A topic, group or table name is one segment of its keys. Were `/`
+/// allowed, group `a` on topic `b/c` and group `a/b` on topic `c` would
+/// share the offset key `group/a/b/c/0`, and the second group would resume
+/// at the first one's offset. Such names are refused where they enter.
+#[test]
+fn two_names_never_share_a_key() {
+    let sl = StreamLake::new(StreamLakeConfig::small());
+    let ctx = IoCtx::new(0);
+    let one = || stream::TopicConfig::with_partitions(1);
+    let mut producer = sl.producer();
+    producer.set_batch_size(1);
+    sl.stream().create_topic("c", one()).unwrap();
+    for i in 0..3 {
+        producer.send("c", format!("k{i}"), "v", &ctx).unwrap();
+    }
+    if sl.stream().create_topic("b/c", one()).is_ok() {
+        for i in 0..10 {
+            producer.send("b/c", format!("k{i}"), "v", &ctx).unwrap();
+        }
+        let mut a = sl.consumer("a");
+        a.subscribe("b/c").unwrap();
+        assert_eq!(a.poll(100, &ctx).unwrap().len(), 10);
+        a.commit().unwrap();
+    }
+    let mut ab = sl.consumer("a/b");
+    if ab.subscribe("c").is_ok() {
+        let got = ab.poll(100, &ctx).unwrap().len();
+        assert_eq!(got, 3, "group a/b got {got} of 3: it shares group a's offset key");
+    }
+    for bad in ["b/c", "a/b", "", "x/"] {
+        let refused = |r: common::Result<()>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(refused(sl.stream().create_topic(bad, one()).map(drop)), "topic {bad:?}");
+        assert!(refused(sl.consumer(bad).subscribe("c")), "group {bad:?}");
+        let table = sl.tables().create_table(bad, schema(), None, 1000, &ctx);
+        assert!(refused(table.map(drop)), "table {bad:?}");
+    }
 }

@@ -22,7 +22,7 @@ fn visible_state(mvcc: &MvccStore, pool: u32, ts: u64) -> Vec<(Vec<u8>, Option<V
     (0..pool)
         .map(|i| {
             let k = format!("k{i:02}").into_bytes();
-            let v = mvcc.read_at(&k, ts);
+            let v = mvcc.read_at(&k, ts).unwrap();
             (k, v)
         })
         .collect()
@@ -52,7 +52,7 @@ fn run_write_write_collisions(seed: u64) -> Vec<u8> {
         mvcc.resolve_committed(first.id).unwrap();
         assert!(cts >= first.id, "commit ts can never precede the begin ts");
         assert_eq!(
-            mvcc.read_at(&k, u64::MAX),
+            mvcc.read_at(&k, u64::MAX).unwrap(),
             Some(format!("w{round}").into_bytes()),
             "winner's write must be the visible version"
         );
@@ -81,7 +81,7 @@ fn run_read_push(seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     for round in 0..16u32 {
         let k = key(&mut rng, 3);
-        let before = mvcc.read_at(&k, u64::MAX);
+        let before = mvcc.read_at(&k, u64::MAX).unwrap();
 
         let writer = mvcc.begin();
         mvcc.put(writer.id, &k, format!("v{round}").as_bytes()).unwrap();
@@ -103,8 +103,8 @@ fn run_read_push(seed: u64) -> Vec<u8> {
 
         // Snapshot stability: even after resolution the reader's timestamp
         // still excludes the pushed commit.
-        assert_eq!(mvcc.read_at(&k, reader.read_ts), before);
-        assert_eq!(mvcc.read_at(&k, cts), Some(format!("v{round}").into_bytes()));
+        assert_eq!(mvcc.read_at(&k, reader.read_ts).unwrap(), before);
+        assert_eq!(mvcc.read_at(&k, cts).unwrap(), Some(format!("v{round}").into_bytes()));
         mvcc.abort(reader.id).unwrap();
     }
     assert_eq!(mvcc.pending_intents(), 0);
