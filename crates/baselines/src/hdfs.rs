@@ -86,16 +86,6 @@ impl MiniHdfs {
         Ok((out, finish))
     }
 
-    /// Delete a file (idempotent).
-    #[cfg(test)]
-    pub(crate) fn delete_file(&self, path: &str) {
-        if let Some(entry) = self.namenode.lock().remove(path) {
-            for b in &entry.blocks {
-                self.pool.delete(b);
-            }
-        }
-    }
-
     /// List paths under `prefix`; cost is linear in the namespace size,
     /// like a real namenode scan.
     pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
@@ -169,16 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_list() {
+    fn list_filters_by_prefix() {
         let h = hdfs(1024);
         h.write_file("/a/1", b"x", 0).unwrap();
         h.write_file("/a/2", b"y", 0).unwrap();
         h.write_file("/b/3", b"z", 0).unwrap();
-        assert_eq!(h.list("/a/").len(), 2);
-        h.delete_file("/a/1");
-        assert_eq!(h.list("/a/").len(), 1);
-        assert_eq!(h.namenode.lock().len(), 2);
-        h.delete_file("/a/1"); // idempotent
-        assert!(h.read_file("/a/1", 0).is_err());
+        assert_eq!(h.list("/a/"), vec!["/a/1", "/a/2"]);
+        assert_eq!(h.list("/b/"), vec!["/b/3"]);
+        assert!(h.read_file("/c/4", 0).is_err());
     }
 }

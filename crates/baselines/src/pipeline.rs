@@ -32,9 +32,9 @@ pub struct BaselineReport {
     /// Messages per virtual second achieved on the stream side.
     pub stream_msgs_per_sec: f64,
     /// Physical bytes on HDFS (3× replicated).
-    pub hdfs_bytes: u64,
+    pub(crate) hdfs_bytes: u64,
     /// Physical bytes on Kafka brokers (3× replicated).
-    pub kafka_bytes: u64,
+    pub(crate) kafka_bytes: u64,
     /// Rows the final query returned.
     pub query_rows: usize,
 }
@@ -50,9 +50,9 @@ impl BaselineReport {
 #[derive(Debug)]
 pub struct BaselinePipeline {
     /// Batch storage.
-    pub hdfs: MiniHdfs,
+    pub(crate) hdfs: MiniHdfs,
     /// Stream storage.
-    pub kafka: MiniKafka,
+    pub(crate) kafka: MiniKafka,
 }
 
 impl BaselinePipeline {

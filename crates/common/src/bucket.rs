@@ -98,4 +98,60 @@ mod tests {
         // Rate 0 holds nothing and never will.
         assert_eq!(NanoBucket::new(0, secs(1)).try_acquire(1, secs(9)), Err(Nanos::MAX));
     }
+
+    #[test]
+    fn time_going_backwards_is_harmless() {
+        let mut b = NanoBucket::new(10, secs(1));
+        b.try_acquire(5, secs(1)).unwrap();
+        // an earlier timestamp neither refills nor panics
+        assert!(b.try_acquire(5, millis(500)).is_ok());
+        assert!(b.try_acquire(1, millis(500)).is_err());
+    }
+
+    #[test]
+    fn sub_token_refills_are_exact_not_rounded() {
+        // 3 tokens/s: one token takes 333,333,333.3 ns. Integer nano-token
+        // math accumulates the fractional thirds exactly: after draining
+        // the burst, 333 ms is one ns short of a token, 334 ms is over.
+        let mut b = NanoBucket::new(3, secs(1));
+        b.try_acquire(3, 0).unwrap();
+        assert!(b.try_acquire(1, millis(333)).is_err());
+        assert!(b.try_acquire(1, millis(334)).is_ok());
+    }
+
+    #[test]
+    fn admission_decisions_are_pinned_for_a_fixed_schedule() {
+        // The determinism contract: this exact (time, n) schedule admits
+        // exactly this decision string, byte for byte, on every run and
+        // every platform. f64 token math could drift per target; integer
+        // nano-tokens cannot.
+        let schedule: &[(Nanos, u64)] = &[
+            (0, 7),
+            (0, 4),
+            (millis(50), 1),
+            (millis(300), 2),
+            (millis(300), 1),
+            (millis(999), 4),
+            (secs(1), 1),
+            (secs(1) + millis(100), 1),
+            (secs(1) + millis(100), 1),
+            (secs(2), 9),
+            (secs(2), 1),
+            (millis(1500), 1), // time going backwards: no refill
+            (secs(3), 10),
+            (secs(3), 1),
+        ];
+        let decide = || {
+            let mut b = NanoBucket::new(10, secs(1));
+            let mut out = String::new();
+            for &(t, n) in schedule {
+                out.push(if b.try_acquire(n, t).is_ok() { 'A' } else { 'R' });
+            }
+            out
+        };
+        let got = decide();
+        assert_eq!(got, "ARAAAAAAAAARAR", "admission schedule drifted");
+        // And byte-identical across bucket instances.
+        assert_eq!(got, decide());
+    }
 }

@@ -7,8 +7,7 @@
 //! durations independent of the host machine.
 //!
 //! The clock is shared (`Arc` internally via atomics) and safe to advance from
-//! many worker threads; `advance` models elapsed work, `advance_to` models
-//! waiting until a device becomes free.
+//! many worker threads; `advance` models elapsed work.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,44 +51,6 @@ impl SimClock {
     pub fn advance(&self, delta: Nanos) -> Nanos {
         self.now.fetch_add(delta, Ordering::AcqRel) + delta
     }
-
-    /// Move the clock forward to `t` if `t` is in the future; the clock never
-    /// goes backwards. Returns the resulting time.
-    #[cfg(test)]
-    pub(crate) fn advance_to(&self, t: Nanos) -> Nanos {
-        let mut cur = self.now.load(Ordering::Acquire);
-        while cur < t {
-            match self
-                .now
-                .compare_exchange_weak(cur, t, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return t,
-                Err(observed) => cur = observed,
-            }
-        }
-        cur
-    }
-}
-
-/// A stopwatch over a [`SimClock`], for measuring virtual durations.
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct SimStopwatch {
-    clock: SimClock,
-    start: Nanos,
-}
-
-#[cfg(test)]
-impl SimStopwatch {
-    /// Start timing at the clock's current instant.
-    pub(crate) fn start(clock: &SimClock) -> Self {
-        SimStopwatch { clock: clock.clone(), start: clock.now() }
-    }
-
-    /// Virtual nanoseconds elapsed since `start`.
-    pub(crate) fn elapsed(&self) -> Nanos {
-        self.clock.now().saturating_sub(self.start)
-    }
 }
 
 #[cfg(test)]
@@ -113,45 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_never_goes_backwards() {
-        let c = SimClock::new();
-        c.advance(100);
-        assert_eq!(c.advance_to(50), 100);
-        assert_eq!(c.advance_to(200), 200);
-        assert_eq!(c.now(), 200);
-    }
-
-    #[test]
     fn clones_share_time() {
         let a = SimClock::new();
         let b = a.clone();
         a.advance(42);
         assert_eq!(b.now(), 42);
-    }
-
-    #[test]
-    fn stopwatch_measures_virtual_time() {
-        let c = SimClock::new();
-        let sw = SimStopwatch::start(&c);
-        c.advance(micros(7));
-        assert_eq!(sw.elapsed(), 7_000);
-    }
-
-    #[test]
-    fn concurrent_advance_to_is_monotonic() {
-        let c = SimClock::new();
-        let mut handles = Vec::new();
-        for i in 0..8u64 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for j in 0..1000 {
-                    c.advance_to(i * 1000 + j);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(c.now() >= 7999);
     }
 }

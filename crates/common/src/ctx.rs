@@ -118,7 +118,7 @@ pub struct SpanRecord {
     /// Phase the time is attributed to.
     pub phase: Phase,
     /// Service class of the owning request.
-    pub qos: QosClass,
+    pub(crate) qos: QosClass,
     /// Virtual start of the phase.
     pub start: Nanos,
     /// Virtual duration of the phase.

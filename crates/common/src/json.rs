@@ -105,42 +105,29 @@ impl Json {
         Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Compact serialization (no whitespace).
-    #[cfg(test)]
-    pub(crate) fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty serialization: two-space indent, one field per line.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, 0);
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut String, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i, ind, d| {
-                    items[i].write(out, ind, d);
-                });
+                write_seq(out, depth, '[', ']', items.len(), |out, i, d| items[i].write(out, d));
             }
             Json::Object(fields) => {
                 let entries: Vec<(&String, &Json)> = fields.iter().collect();
-                write_seq(out, indent, depth, '{', '}', entries.len(), |out, i, ind, d| {
+                write_seq(out, depth, '{', '}', entries.len(), |out, i, d| {
                     let (k, v) = entries[i];
                     write_escaped(out, k);
-                    out.push(':');
-                    if ind.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, ind, d);
+                    out.push_str(": ");
+                    v.write(out, d);
                 });
             }
         }
@@ -173,14 +160,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Spaces per nesting level of [`Json::to_pretty`].
+const INDENT: usize = 2;
+
 fn write_seq(
     out: &mut String,
-    indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>, usize),
+    mut item: impl FnMut(&mut String, usize, usize),
 ) {
     out.push(open);
     if len == 0 {
@@ -191,16 +180,12 @@ fn write_seq(
         if i > 0 {
             out.push(',');
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        item(out, i, indent, depth + 1);
-    }
-    if let Some(width) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
+        out.push_str(&" ".repeat(INDENT * (depth + 1)));
+        item(out, i, depth + 1);
     }
+    out.push('\n');
+    out.push_str(&" ".repeat(INDENT * depth));
     out.push(close);
 }
 
@@ -444,7 +429,7 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() -> Result<()> {
         let original = Json::Str("tab\t quote\" slash\\ newline\n unicode\u{263A}".into());
-        let parsed = Json::parse(&original.to_compact())?;
+        let parsed = Json::parse(&original.to_pretty())?;
         assert_eq!(parsed, original);
         // And explicit \u escapes decode, including surrogate pairs.
         assert_eq!(Json::parse(r#""☺""#)?, Json::Str("\u{263A}".into()));
@@ -485,11 +470,5 @@ mod tests {
         assert!(alpha < zeta);
         assert_eq!(Json::parse(&pretty)?, doc);
         Ok(())
-    }
-
-    #[test]
-    fn compact_has_no_whitespace() {
-        let doc = Json::object([("k", Json::Array(vec![Json::Null]))]);
-        assert_eq!(doc.to_compact(), r#"{"k":[null]}"#);
     }
 }

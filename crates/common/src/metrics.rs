@@ -150,14 +150,6 @@ impl Metrics {
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
-
-    /// Drop all recorded data.
-    #[cfg(test)]
-    pub(crate) fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.histograms.clear();
-    }
 }
 
 #[cfg(test)]
@@ -211,17 +203,6 @@ mod tests {
     #[test]
     fn missing_histogram_is_none() {
         assert!(Metrics::new().histogram("nope").is_none());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let m = Metrics::new();
-        m.incr("c", 1);
-        m.observe("h", 1);
-        m.reset();
-        assert_eq!(m.counter("c"), 0);
-        assert!(m.histogram("h").is_none());
-        assert!(m.counters().is_empty());
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl AccessController {
             .ok_or_else(|| Error::InvalidArgument("authentication failed: unknown token".into()))
     }
 
-    /// Revoke a token (e.g. credential rotation).
-    #[cfg(test)]
-    pub(crate) fn revoke_token(&self, token: &str) {
-        self.inner.write().tokens.remove(token);
-    }
-
     /// Grant `permission` on every resource under `resource_prefix`.
     pub fn grant(&self, principal: &Principal, resource_prefix: &str, permission: Permission) {
         self.inner
@@ -88,23 +82,6 @@ impl AccessController {
             .entry((principal.clone(), resource_prefix.to_string()))
             .or_default()
             .insert(permission);
-    }
-
-    /// Remove a previously granted permission.
-    #[cfg(test)]
-    pub(crate) fn revoke(
-        &self,
-        principal: &Principal,
-        resource_prefix: &str,
-        permission: Permission,
-    ) {
-        let mut inner = self.inner.write();
-        if let Some(perms) = inner
-            .grants
-            .get_mut(&(principal.clone(), resource_prefix.to_string()))
-        {
-            perms.remove(&permission);
-        }
     }
 
     /// Whether `principal` holds `permission` on `resource` (directly or
@@ -179,18 +156,6 @@ mod tests {
         ac.grant(&p, "table/dpi", Permission::Admin);
         assert!(ac.allowed(&p, "table/dpi", Permission::Read));
         assert!(ac.allowed(&p, "table/dpi", Permission::Write));
-    }
-
-    #[test]
-    fn revocation_takes_effect() {
-        let (ac, p) = controller();
-        ac.grant(&p, "table/dpi", Permission::Read);
-        ac.revoke(&p, "table/dpi", Permission::Read);
-        assert!(!ac.allowed(&p, "table/dpi", Permission::Read));
-        // token revocation blocks even valid grants
-        ac.grant(&p, "table/dpi", Permission::Read);
-        ac.revoke_token("token-123");
-        assert!(ac.check("token-123", "table/dpi", Permission::Read).is_err());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct TickEvent {
     /// Which chore.
     pub chore: &'static str,
     /// Virtual time the tick fired.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Outcome.
     pub outcome: TickOutcome,
 }
@@ -73,14 +73,10 @@ pub struct TickEvent {
 pub struct ChoreStatus {
     /// Chore name.
     pub name: &'static str,
-    /// Virtual time of the last executed tick, if any.
-    pub last_tick: Option<Nanos>,
     /// Ticks executed (not counting deferrals).
     pub ticks: u64,
     /// Total work units reported.
     pub work_done: u64,
-    /// Backlog hint from the most recent tick.
-    pub backlog_hint: u64,
     /// Consecutive failures (0 after any success).
     pub consecutive_failures: u32,
     /// Ticks deferred by backpressure so far.
@@ -93,10 +89,8 @@ struct Registered {
     chore: Arc<dyn Chore>,
     period: Nanos,
     next_due: Nanos,
-    last_tick: Option<Nanos>,
     ticks: u64,
     work_done: u64,
-    backlog_hint: u64,
     consecutive_failures: u32,
     deferred: u64,
 }
@@ -159,10 +153,8 @@ impl ChoreRuntime {
             chore,
             period,
             next_due: period,
-            last_tick: None,
             ticks: 0,
             work_done: 0,
-            backlog_hint: 0,
             consecutive_failures: 0,
             deferred: 0,
         });
@@ -218,16 +210,13 @@ impl ChoreRuntime {
             let chore = reg.chore.clone();
             let outcome = match chore.tick(&ctx) {
                 Ok(report) => {
-                    reg.last_tick = Some(now);
                     reg.ticks += 1;
                     reg.work_done += report.work_done;
-                    reg.backlog_hint = report.backlog_hint;
                     reg.consecutive_failures = 0;
                     reg.next_due = now.saturating_add(reg.period).max(now + 1);
                     TickOutcome::Ticked(report)
                 }
                 Err(_) => {
-                    reg.last_tick = Some(now);
                     reg.ticks += 1;
                     reg.consecutive_failures += 1;
                     let exp = (reg.consecutive_failures - 1).min(BACKOFF_MAX_EXP);
@@ -249,7 +238,7 @@ impl ChoreRuntime {
         inner.journal[journal_start..].to_vec()
     }
 
-    /// Per-chore status: last tick, cumulative work, failure streak,
+    /// Per-chore status: ticks, cumulative work, failure streak,
     /// deferrals and next due time.
     pub(crate) fn status(&self) -> Vec<ChoreStatus> {
         let inner = self.inner.lock();
@@ -258,10 +247,8 @@ impl ChoreRuntime {
             .iter()
             .map(|reg| ChoreStatus {
                 name: reg.chore.name(),
-                last_tick: reg.last_tick,
                 ticks: reg.ticks,
                 work_done: reg.work_done,
-                backlog_hint: reg.backlog_hint,
                 consecutive_failures: reg.consecutive_failures,
                 deferred: reg.deferred,
                 next_due: reg.next_due,
@@ -493,8 +480,6 @@ mod tests {
         assert_eq!(s.name, "worker");
         assert_eq!(s.ticks, 2);
         assert_eq!(s.work_done, 8);
-        assert_eq!(s.backlog_hint, 2);
-        assert_eq!(s.last_tick, Some(secs(2)));
         assert_eq!(s.next_due, secs(3));
         assert_eq!(s.consecutive_failures, 0);
     }

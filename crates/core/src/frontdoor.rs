@@ -11,8 +11,9 @@
 //!    target resource ACL-checked on [`AccessController`]; only valid user
 //!    requests become internal requests.
 //! 2. **Per-tenant rate limiting** — an integer nano-token bucket per
-//!    tenant (the `stream::quota` design), rejecting with a retryable
-//!    [`Error::RateLimited`] carrying an *exact* refill hint.
+//!    tenant (`common::bucket`, the one behind the stream quotas too),
+//!    rejecting with a retryable [`Error::RateLimited`] carrying an *exact*
+//!    refill hint.
 //! 3. **Admission control** — under foreground tail-latency pressure
 //!    (windowed p99 over the same `qos.foreground.*` histograms the chore
 //!    runtime samples), Background/Maintenance-QoS requests are shed with
@@ -83,16 +84,30 @@ impl RequestKind {
 /// Retry-after hint attached to requests shed by admission control.
 const SHED_RETRY_AFTER: Nanos = millis(1);
 
-/// Circuit-breaker (stage 4) policy.
+/// Token-bucket rate (requests/virtual second) for tenants admitted
+/// without an explicit rate.
+const DEFAULT_RATE: u64 = 1000;
+
+/// Token-bucket depth, as a span of virtual time at the tenant's rate
+/// (never below one whole token). A small window keeps an idle-then-
+/// bursting tenant from dumping seconds of banked tokens onto the devices
+/// at one instant — the burst a tenant can ever land is
+/// `rate × BURST_WINDOW`.
+const BURST_WINDOW: Nanos = millis(50);
+
+/// Consecutive downstream errors that open a tenant's breaker.
+const TENANT_ERROR_TRIP: u32 = 5;
+
+/// The pool breaker trips when more than this many devices are
+/// hard-failed …
+const MAX_FAILED_DEVICES: usize = 0;
+
+/// … or when more than this many devices are suspect (gray failures).
+const MAX_SUSPECT_DEVICES: usize = 3;
+
+/// Circuit-breaker (stage 4) timing.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
-    /// Consecutive downstream errors that open a tenant's breaker.
-    pub tenant_error_trip: u32,
-    /// The pool breaker trips when more than this many devices are
-    /// hard-failed.
-    pub max_failed_devices: usize,
-    /// … or when more than this many devices are suspect (gray failures).
-    pub max_suspect_devices: usize,
     /// Base open duration before the first half-open probe; doubles per
     /// consecutive trip (capped).
     pub open_base: Nanos,
@@ -104,9 +119,6 @@ pub struct BreakerConfig {
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            tenant_error_trip: 5,
-            max_failed_devices: 0,
-            max_suspect_devices: 3,
             open_base: millis(100),
             probe_jitter: millis(20),
         }
@@ -118,16 +130,7 @@ impl Default for BreakerConfig {
 pub struct FrontDoorConfig {
     /// Seed for the deterministic breaker probe jitter.
     pub seed: u64,
-    /// Token-bucket rate (requests/virtual second) for tenants admitted
-    /// without an explicit rate.
-    pub default_rate: u64,
-    /// Token-bucket depth, as a span of virtual time at the tenant's rate
-    /// (never below one whole token). A small window keeps an idle-then-
-    /// bursting tenant from dumping seconds of banked tokens onto the
-    /// devices at one instant — the burst a tenant can ever land is
-    /// `rate × burst_window`.
-    pub burst_window: Nanos,
-    /// Stage-4 breaker policy.
+    /// Stage-4 breaker timing.
     pub breaker: BreakerConfig,
 }
 
@@ -135,8 +138,6 @@ impl Default for FrontDoorConfig {
     fn default() -> Self {
         FrontDoorConfig {
             seed: 42,
-            default_rate: 1000,
-            burst_window: millis(50),
             breaker: BreakerConfig::default(),
         }
     }
@@ -197,11 +198,11 @@ pub enum Decision {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionEvent {
     /// Virtual time of the decision.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Tenant name (`None` when authentication itself failed).
-    pub tenant: Option<String>,
+    pub(crate) tenant: Option<String>,
     /// Request kind.
-    pub kind: RequestKind,
+    pub(crate) kind: RequestKind,
     /// The verdict.
     pub decision: Decision,
 }
@@ -210,7 +211,7 @@ pub struct AdmissionEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerTransition {
     /// Virtual time of the transition.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Breaker key (`pool/ssd` or `tenant/<name>`).
     pub breaker: String,
     /// Phase before.
@@ -224,11 +225,11 @@ pub struct BreakerTransition {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permit {
     /// The admitted tenant.
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// This request is the pool breaker's half-open probe.
-    pub pool_probe: bool,
+    pub(crate) pool_probe: bool,
     /// This request is the tenant breaker's half-open probe.
-    pub tenant_probe: bool,
+    pub(crate) tenant_probe: bool,
 }
 
 /// Point-in-time per-tenant counters.
@@ -243,9 +244,9 @@ pub struct TenantStats {
     /// Requests rejected by an open breaker (pool or tenant).
     pub breaker_rejected: u64,
     /// Downstream errors observed since the last success.
-    pub consecutive_errors: u32,
+    pub(crate) consecutive_errors: u32,
     /// The tenant breaker's current phase.
-    pub breaker_phase: BreakerPhase,
+    pub(crate) breaker_phase: BreakerPhase,
 }
 
 #[derive(Debug)]
@@ -275,6 +276,24 @@ struct TenantState {
     breaker_rejected: u64,
     producer: Producer,
     consumers: BTreeMap<String, Consumer>,
+}
+
+impl TenantState {
+    /// A tenant with a `rate`-per-second bucket, a closed breaker keyed
+    /// `idx`, and no traffic yet.
+    fn new(name: &str, idx: u64, rate: u64, producer: Producer) -> Self {
+        TenantState {
+            bucket: NanoBucket::new(rate, BURST_WINDOW),
+            breaker: Breaker::new(format!("tenant/{name}"), idx),
+            consecutive_errors: 0,
+            admitted: 0,
+            rate_limited: 0,
+            shed: 0,
+            breaker_rejected: 0,
+            producer,
+            consumers: BTreeMap::new(),
+        }
+    }
 }
 
 struct DoorState {
@@ -346,17 +365,9 @@ impl FrontDoor {
         let idx = st.next_tenant_idx;
         st.next_tenant_idx += 1;
         let producer = self.new_producer();
-        st.tenants.entry(name.to_string()).or_insert_with(|| TenantState {
-            bucket: NanoBucket::new(rate_per_sec, self.config.burst_window),
-            breaker: Breaker::new(format!("tenant/{name}"), idx),
-            consecutive_errors: 0,
-            admitted: 0,
-            rate_limited: 0,
-            shed: 0,
-            breaker_rejected: 0,
-            producer,
-            consumers: BTreeMap::new(),
-        });
+        st.tenants
+            .entry(name.to_string())
+            .or_insert_with(|| TenantState::new(name, idx, rate_per_sec, producer));
         principal
     }
 
@@ -420,17 +431,8 @@ impl FrontDoor {
             let idx = st.next_tenant_idx;
             st.next_tenant_idx += 1;
             let producer = self.new_producer();
-            st.tenants.insert(tenant_name.clone(), TenantState {
-                bucket: NanoBucket::new(self.config.default_rate, self.config.burst_window),
-                breaker: Breaker::new(format!("tenant/{tenant_name}"), idx),
-                consecutive_errors: 0,
-                admitted: 0,
-                rate_limited: 0,
-                shed: 0,
-                breaker_rejected: 0,
-                producer,
-                consumers: BTreeMap::new(),
-            });
+            let tenant = TenantState::new(&tenant_name, idx, DEFAULT_RATE, producer);
+            st.tenants.insert(tenant_name.clone(), tenant);
         }
 
         // Stage 2: per-tenant token bucket.
@@ -542,7 +544,7 @@ impl FrontDoor {
             tenant.consecutive_errors = 0;
         } else {
             tenant.consecutive_errors += 1;
-            if tenant.consecutive_errors >= self.config.breaker.tenant_error_trip
+            if tenant.consecutive_errors >= TENANT_ERROR_TRIP
                 && tenant.breaker.phase == BreakerPhase::Closed
             {
                 self.trip(&mut tenant.breaker, now);
@@ -658,8 +660,7 @@ impl FrontDoor {
     /// Whether the hot pool's device health is past the breaker thresholds.
     fn pool_unhealthy(&self) -> bool {
         let summary = self.lake.ssd_pool().health_summary();
-        summary.failed > self.config.breaker.max_failed_devices
-            || summary.suspect > self.config.breaker.max_suspect_devices
+        summary.failed > MAX_FAILED_DEVICES || summary.suspect > MAX_SUSPECT_DEVICES
     }
 
     /// One breaker's admission gate. `Ok(probe)` admits; `Err((key,
@@ -903,8 +904,7 @@ mod tests {
         let fd = door();
         let p = fd.access().register("tenant-only", "tok-t");
         fd.access().grant(&p, "table/", Permission::Write);
-        let trip = FrontDoorConfig::default().breaker.tenant_error_trip;
-        for i in 0..trip {
+        for i in 0..TENANT_ERROR_TRIP {
             let permit = fd
                 .admit(
                     "tok-t",

@@ -50,15 +50,13 @@ pub struct PipelineReport {
     pub physical_bytes: u64,
     /// Provinces in the DAU answer.
     pub query_rows: usize,
-    /// Virtual time of the final query alone.
-    pub query_time: Nanos,
 }
 
 /// The pipeline runner.
 #[derive(Debug)]
 pub struct StreamLakePipeline {
     /// The deployment the pipeline runs on.
-    pub sl: StreamLake,
+    pub(crate) sl: StreamLake,
 }
 
 /// Table schema used by the pipeline: the packet fields plus a `label`
@@ -196,7 +194,6 @@ impl StreamLakePipeline {
             stream_msgs_per_sec,
             physical_bytes: sl.physical_bytes(),
             query_rows: out.groups.len(),
-            query_time: out.elapsed,
         })
     }
 }

@@ -77,7 +77,7 @@ pub struct QueryOutput {
 pub struct QueryEngine {
     transport: Transport,
     /// Whether filters/aggregates are pushed down to storage.
-    pub pushdown: bool,
+    pub(crate) pushdown: bool,
     /// Metadata path used for planning.
     pub metadata_mode: MetadataMode,
 }
@@ -125,8 +125,6 @@ impl QueryEngine {
             as_of: None,
             mode: self.metadata_mode,
             pushdown: self.pushdown,
-            // conventional engines prune partitions too (Hive-style layouts)
-            partition_pruning: true,
         };
         // Aggregate (at storage when pushed down, at compute otherwise).
         let mut groups = Groups::new(&query.aggregate);

@@ -34,8 +34,6 @@ pub struct StreamLakeConfig {
     pub shard_count: usize,
     /// Redundancy for PLog writes.
     pub redundancy: Redundancy,
-    /// Stream workers.
-    pub workers: usize,
     /// Metadata write-cache flush threshold (pending entries).
     pub meta_flush_threshold: u64,
     /// Seed for the maintenance runtime's deterministic retry jitter.
@@ -54,7 +52,6 @@ impl Default for StreamLakeConfig {
             scm_capacity: 0,
             shard_count: 64,
             redundancy: Redundancy::ErasureCode { k: 10, m: 2 },
-            workers: 3,
             meta_flush_threshold: 64,
             maintenance_seed: 42,
         }
@@ -158,7 +155,6 @@ impl StreamLake {
             plog.clone(),
             clock.clone(),
             StreamServiceOptions {
-                workers: config.workers,
                 scm_capacity: config.scm_capacity,
                 txn_mvcc: Some(tables.mvcc().clone()),
                 ..Default::default()
@@ -385,8 +381,7 @@ mod tests {
         } // graceful leave: the group is now empty
         // Past the retention window the maintenance runtime sweeps the
         // group's offsets out of the dispatcher KV.
-        let retention = sl.stream().groups().config().offset_retention;
-        sl.clock().advance(retention + common::clock::secs(120));
+        sl.clock().advance(stream::group::OFFSET_RETENTION + common::clock::secs(120));
         sl.run_maintenance_until(sl.clock().now());
         assert_eq!(
             sl.stream()

@@ -78,30 +78,15 @@ impl ReedSolomon {
         Ok(codes.entry((k, m)).or_insert(rs).clone())
     }
 
-    /// Total shards produced by [`encode`](Self::encode).
+    /// Total shards of a stripe: `k` data then `m` parity.
     pub(crate) fn total_shards(&self) -> usize {
         self.k + self.m
     }
 
-    /// Encode `k` equal-length data shards into `k + m` shards.
-    ///
-    /// The first `k` returned shards are (copies of) the inputs; the final
-    /// `m` are parity. Zero-copy callers that already hold the data shards
-    /// should call [`parity`](Self::parity) instead and keep their handles.
-    #[cfg(test)]
-    pub(crate) fn encode<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
-        let parity = self.parity(data)?;
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards());
-        out.extend(data.iter().map(|s| s.as_ref().to_vec()));
-        out.extend(parity);
-        Ok(out)
-    }
-
-    /// Compute only the `m` parity shards for `k` equal-length data shards.
-    ///
-    /// This is the allocation-minimal half of [`encode`](Self::encode): the
-    /// data shards pass through untouched at the caller, and only parity is
-    /// materialized here.
+    /// Compute the `m` parity shards for `k` equal-length data shards. The
+    /// code is systematic: the data shards are stripe shards `0..k` as they
+    /// are, so the caller keeps its handles and only parity is materialized
+    /// here.
     pub(crate) fn parity<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<Vec<Vec<u8>>> {
         self.check_shards(data)?;
         let shard_len = data[0].as_ref().len();
@@ -193,6 +178,11 @@ mod tests {
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// The `k + m` shards of a stripe: the data, then its parity.
+    fn stripe(rs: &ReedSolomon, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        data.iter().cloned().chain(rs.parity(data).unwrap()).collect()
+    }
+
     fn sample_data(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..k)
@@ -201,19 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_systematic() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 64, 1);
-        let shards = rs.encode(&data).unwrap();
-        assert_eq!(shards.len(), 6);
-        assert_eq!(&shards[..4], &data[..]);
-    }
-
-    #[test]
     fn survives_any_m_erasures() {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let data = sample_data(4, 128, 2);
-        let shards = rs.encode(&data).unwrap();
+        let shards = stripe(&rs, &data);
         // try every pair of losses
         for a in 0..6 {
             for b in (a + 1)..6 {
@@ -231,7 +212,7 @@ mod tests {
     fn too_many_losses_is_unrecoverable() {
         let rs = ReedSolomon::new(3, 2).unwrap();
         let data = sample_data(3, 32, 3);
-        let shards = rs.encode(&data).unwrap();
+        let shards = stripe(&rs, &data);
         let mut survivors: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         survivors[0] = None;
         survivors[1] = None;
@@ -254,7 +235,7 @@ mod tests {
     fn mismatched_shard_lengths_rejected() {
         let rs = ReedSolomon::new(2, 1).unwrap();
         let data = vec![vec![1, 2, 3], vec![4, 5]];
-        assert!(rs.encode(&data).is_err());
+        assert!(rs.parity(&data).is_err());
     }
 
     #[test]
@@ -262,7 +243,7 @@ mod tests {
         // The paper's high-utilization configuration: 22 data + 2 parity.
         let rs = ReedSolomon::new(22, 2).unwrap();
         let data = sample_data(22, 256, 4);
-        let shards = rs.encode(&data).unwrap();
+        let shards = stripe(&rs, &data);
         let mut survivors: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         survivors[0] = None;
         survivors[23] = None;
@@ -281,7 +262,7 @@ mod tests {
         ) {
             let rs = ReedSolomon::new(k, m).unwrap();
             let data = sample_data(k, len, seed);
-            let shards = rs.encode(&data).unwrap();
+            let shards = stripe(&rs, &data);
             let mut survivors: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
             for &l in losses.iter().take(m) {
                 survivors[l % (k + m)] = None;

@@ -67,13 +67,9 @@ impl Redundancy {
     }
 }
 
-/// Encoded shards of one buffer together with the metadata needed to decode.
+/// Encoded shards of one buffer.
 #[derive(Debug, Clone)]
 pub struct Stripe {
-    /// The redundancy strategy that produced the shards.
-    pub redundancy: Redundancy,
-    /// Length of the original buffer (shards are padded to equal length).
-    pub original_len: usize,
     /// Shard payloads; index order is data shards then parity (EC), or the
     /// replicas (replication). Replication shards are `copies` handles over
     /// ONE buffer; EC data shards are zero-copy slices of the input (only
@@ -118,7 +114,7 @@ impl Stripe {
                 shards
             }
         };
-        Ok(Stripe { redundancy, original_len: data.len(), shards })
+        Ok(Stripe { shards })
     }
 
     /// Decode the original buffer from surviving shards.

@@ -72,17 +72,6 @@ impl<'a> Column<'a> {
         }
         Ok(())
     }
-
-    /// The value at `idx` (cloned into a dynamic [`Value`]).
-    #[cfg(test)]
-    pub(crate) fn value(&self, idx: usize) -> Value {
-        match self {
-            Column::Int(v) => Value::Int(v[idx]),
-            Column::Float(v) => Value::Float(v[idx]),
-            Column::Str(v) => Value::from(v[idx]),
-            Column::Bool(v) => Value::Bool(v[idx]),
-        }
-    }
 }
 
 /// Pivot rows into one column per schema field.
@@ -130,10 +119,8 @@ mod tests {
             vec![Value::Int(2), Value::from("b")],
         ];
         let cols = rows_to_columns(&s, &rows.iter().collect::<Vec<_>>()).unwrap();
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols[0].len(), 2);
-        let back: Vec<Row> = (0..2).map(|i| cols.iter().map(|c| c.value(i)).collect()).collect();
-        assert_eq!(back, rows);
+        assert!(matches!(&cols[..], [Column::Int(ids), Column::Str(names)]
+            if ids == &[1, 2] && names == &["a", "b"]));
     }
 
     #[test]
@@ -155,15 +142,5 @@ mod tests {
         let s = schema();
         let cols = rows_to_columns(&s, &[]).unwrap();
         assert!(cols.iter().all(|c| c.len() == 0));
-    }
-
-    #[test]
-    fn value_accessor_matches_push_order() {
-        let (t, f) = (Value::Bool(true), Value::Bool(false));
-        let mut c = Column::empty(DataType::Bool);
-        c.push(&t).unwrap();
-        c.push(&f).unwrap();
-        assert_eq!(c.value(0), Value::Bool(true));
-        assert_eq!(c.value(1), Value::Bool(false));
     }
 }

@@ -241,7 +241,12 @@ mod tests {
     }
 
     fn values(col: &Column) -> Vec<Value> {
-        (0..col.len()).map(|i| col.value(i)).collect()
+        match col {
+            Column::Int(v) => v.iter().map(|&x| Value::Int(x)).collect(),
+            Column::Float(v) => v.iter().map(|&x| Value::Float(x)).collect(),
+            Column::Str(v) => v.iter().map(|&x| Value::from(x)).collect(),
+            Column::Bool(v) => v.iter().map(|&x| Value::Bool(x)).collect(),
+        }
     }
 
     fn roundtrip(col: Column) {

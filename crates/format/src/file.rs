@@ -50,10 +50,10 @@ struct ChunkMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RowGroupMeta {
     /// Rows in this group.
-    pub n_rows: u64,
+    pub(crate) n_rows: u64,
     chunks: Vec<ChunkMeta>,
     /// Per-column statistics, in schema order.
-    pub stats: Vec<ColumnStats>,
+    pub(crate) stats: Vec<ColumnStats>,
 }
 
 /// Writes rows into the lake file format.

@@ -16,9 +16,9 @@ pub struct ColumnStats {
     /// Smallest value in the chunk.
     pub min: Value,
     /// Largest value in the chunk.
-    pub max: Value,
+    pub(crate) max: Value,
     /// Number of rows in the chunk.
-    pub row_count: u64,
+    pub(crate) row_count: u64,
 }
 
 impl ColumnStats {

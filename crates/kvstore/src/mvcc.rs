@@ -192,13 +192,13 @@ impl MvccState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct JournalEntry {
     /// The transaction whose intent was resolved.
-    pub txn: Ts,
+    pub(crate) txn: Ts,
     /// [`JOURNAL_COMMIT`] or [`JOURNAL_ABORT`].
-    pub action: u8,
+    pub(crate) action: u8,
     /// Commit timestamp (0 for aborts).
-    pub ts: Ts,
+    pub(crate) ts: Ts,
     /// The user key whose intent was resolved.
-    pub key: Vec<u8>,
+    pub(crate) key: Vec<u8>,
 }
 
 /// Append-only log of intent resolutions. Same seed ⇒ same schedule ⇒
@@ -242,8 +242,6 @@ pub struct TxnHandle {
 pub struct DecidedTxn {
     /// Transaction id.
     pub txn: Ts,
-    /// Durable commit timestamp.
-    pub commit_ts: Ts,
     /// `(user_key, value)` pairs; `None` is a delete.
     pub writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
@@ -266,7 +264,7 @@ pub struct RecoveryReport {
     /// Pending records aborted and cleaned.
     pub aborted_cleaned: u64,
     /// Intents removed or rewritten while doing so.
-    pub intents_resolved: u64,
+    pub(crate) intents_resolved: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -686,9 +684,9 @@ impl MvccStore {
     /// from this before resolving.
     pub fn decided(&self) -> Result<Vec<DecidedTxn>> {
         let mut out = Vec::new();
-        for (txn, status, commit_ts, writes) in self.records()? {
+        for (txn, status, writes) in self.records()? {
             if status == STATUS_COMMITTED {
-                out.push(DecidedTxn { txn, commit_ts, writes: self.surviving_intents(txn, writes)? });
+                out.push(DecidedTxn { txn, writes: self.surviving_intents(txn, writes)? });
             }
         }
         Ok(out)
@@ -734,7 +732,7 @@ impl MvccStore {
     pub fn orphan_pending(&self) -> Result<Vec<PendingTxn>> {
         let st = self.state.lock();
         let mut out = Vec::new();
-        for (txn, status, _commit_ts, writes) in self.records()? {
+        for (txn, status, writes) in self.records()? {
             if status == STATUS_PENDING && !st.active.contains_key(&txn) {
                 out.push(PendingTxn { txn, writes: self.surviving_intents(txn, writes)? });
             }
@@ -743,7 +741,7 @@ impl MvccStore {
         Ok(out)
     }
 
-    fn records(&self) -> Result<Vec<(Ts, u8, Ts, BTreeSet<Vec<u8>>)>> {
+    fn records(&self) -> Result<Vec<(Ts, u8, BTreeSet<Vec<u8>>)>> {
         let mut out = Vec::new();
         let mut err = None;
         self.kv.scan_prefix_with(keys::MVCC_RECORD.as_bytes(), &mut |k, v| {
@@ -751,8 +749,8 @@ impl MvccStore {
                 return true;
             };
             match decode_record(v) {
-                Ok((status, commit_ts, _read_ts, writes)) => {
-                    out.push((txn, status, commit_ts, writes));
+                Ok((status, _commit_ts, _read_ts, writes)) => {
+                    out.push((txn, status, writes));
                     true
                 }
                 Err(e) => {

@@ -32,9 +32,9 @@ pub enum PartitionTransform {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Partition column name.
-    pub column: String,
+    pub(crate) column: String,
     /// Value transform.
-    pub transform: PartitionTransform,
+    pub(crate) transform: PartitionTransform,
 }
 
 impl PartitionSpec {
@@ -61,23 +61,23 @@ impl PartitionSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableProfile {
     /// Table id.
-    pub id: TableId,
+    pub(crate) id: TableId,
     /// Table name (unique among live tables).
-    pub name: String,
+    pub(crate) name: String,
     /// Root path of the table directory.
-    pub path: String,
+    pub(crate) path: String,
     /// Table schema.
     pub schema: Schema,
     /// Optional partition spec.
-    pub partition: Option<PartitionSpec>,
+    pub(crate) partition: Option<PartitionSpec>,
     /// Current snapshot id (0 = empty table).
     pub current_snapshot: u64,
     /// Virtual timestamp of the last modification.
-    pub modified_at: u64,
+    pub(crate) modified_at: u64,
     /// Whether the table is soft-deleted (unregistered but restorable).
-    pub soft_deleted: bool,
+    pub(crate) soft_deleted: bool,
     /// Target data-file size in rows (compaction target).
-    pub target_file_rows: u64,
+    pub(crate) target_file_rows: u64,
 }
 
 impl TableProfile {

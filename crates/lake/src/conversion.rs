@@ -20,28 +20,13 @@ use stream::config::ConvertToTable;
 use stream::object::{ReadCtrl, StreamObject};
 use stream::record::Record;
 
-/// Why a conversion run fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trigger {
-    /// Accumulated messages reached `split_offset`.
-    Offset,
-    /// `split_time` seconds elapsed since the last conversion.
-    Time,
-    /// Explicitly forced (tests, shutdown).
-    Forced,
-}
-
 /// Outcome of one conversion run.
 #[derive(Debug, Clone)]
 pub struct ConversionReport {
-    /// What fired the run.
-    pub trigger: Trigger,
     /// Records converted to table rows.
     pub records_converted: u64,
     /// The table commit.
     pub commit: CommitInfo,
-    /// Stream records freed (`delete_msg = true`).
-    pub records_truncated: u64,
 }
 
 /// Parses one stream record into a table row.
@@ -89,7 +74,9 @@ impl ConversionTask {
         }
     }
 
-    /// Run the task if a trigger fires; `force` bypasses trigger checks.
+    /// Run the task if a trigger fires: `split_offset` records are
+    /// pending, or `split_time` seconds passed since the last run with any
+    /// pending. `force` bypasses both checks.
     pub fn run(
         &mut self,
         store: &TableStore,
@@ -100,17 +87,13 @@ impl ConversionTask {
             return Ok(None);
         }
         let pending = self.object.end_offset().saturating_sub(self.converted_until);
-        let trigger = if force {
-            Trigger::Forced
-        } else if pending >= self.config.split_offset {
-            Trigger::Offset
-        } else if ctx.now.saturating_sub(self.last_run) >= secs(self.config.split_time)
-            && pending > 0
-        {
-            Trigger::Time
-        } else {
+        let fires = force
+            || pending >= self.config.split_offset
+            || (ctx.now.saturating_sub(self.last_run) >= secs(self.config.split_time)
+                && pending > 0);
+        if !fires {
             return Ok(None);
-        };
+        }
         self.last_run = ctx.now;
         if pending == 0 {
             return Ok(None);
@@ -129,17 +112,10 @@ impl ConversionTask {
         let new_until = last_offset + 1;
         let converted = new_until - self.converted_until;
         self.converted_until = new_until;
-        let records_truncated = if self.config.delete_msg {
-            self.object.truncate_before(new_until)
-        } else {
-            0
-        };
-        Ok(Some(ConversionReport {
-            trigger,
-            records_converted: converted,
-            commit,
-            records_truncated,
-        }))
+        if self.config.delete_msg {
+            self.object.truncate_before(new_until);
+        }
+        Ok(Some(ConversionReport { records_converted: converted, commit }))
     }
 }
 
@@ -244,7 +220,6 @@ mod tests {
         fill(&obj, 150, 1000);
         let mut task = ConversionTask::new(obj.clone(), "t", cfg(100, 999_999, false), parser());
         let report = task.run(&store, &IoCtx::new(0), false).unwrap().unwrap();
-        assert_eq!(report.trigger, Trigger::Offset);
         assert_eq!(report.records_converted, 150);
         assert_eq!(task.converted_until, 150);
         let rows = store.select("t", &ScanOptions::default(), &IoCtx::new(0)).unwrap().rows;
@@ -276,7 +251,6 @@ mod tests {
         let mut task = ConversionTask::new(obj, "t", cfg(1_000_000, 60, false), parser());
         assert!(task.run(&store, &IoCtx::new(secs(30)), false).unwrap().is_none());
         let report = task.run(&store, &IoCtx::new(secs(61)), false).unwrap().unwrap();
-        assert_eq!(report.trigger, Trigger::Time);
         assert_eq!(report.records_converted, 10);
     }
 
@@ -290,7 +264,6 @@ mod tests {
         let mut task = ConversionTask::new(obj.clone(), "t", cfg(10, 36_000, true), parser());
         let report = task.run(&store, &IoCtx::new(0), false).unwrap().unwrap();
         assert_eq!(report.records_converted, 64);
-        assert_eq!(report.records_truncated, 64);
         assert_eq!(obj.slice_count(), 0, "converted slices freed");
     }
 
@@ -361,7 +334,6 @@ mod tests {
         let mut task = ConversionTask::new(obj, "t", c, parser());
         assert!(task.run(&store, &IoCtx::new(secs(100)), false).unwrap().is_none());
         let forced = task.run(&store, &IoCtx::new(secs(100)), true).unwrap().unwrap();
-        assert_eq!(forced.trigger, Trigger::Forced);
         assert_eq!(forced.records_converted, 10);
     }
 }

@@ -36,9 +36,9 @@ pub fn block_utilization(file_sizes: &[u64], block_size: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub(crate) struct CompactionOutcome {
     /// Files merged away.
-    pub files_compacted: u64,
+    pub(crate) files_compacted: u64,
     /// The commit, when one was made.
-    pub commit: Option<CommitInfo>,
+    pub(crate) commit: Option<CommitInfo>,
 }
 
 /// Group a partition's files into binpack bins of up to `target_bytes`.
@@ -71,7 +71,7 @@ pub(crate) fn binpack(files: &[DataFileMeta], target_bytes: u64) -> Vec<Vec<Data
 #[derive(Debug)]
 pub(crate) struct Compactor {
     /// Target output file size in bytes.
-    pub target_bytes: u64,
+    pub(crate) target_bytes: u64,
 }
 
 impl Compactor {
@@ -251,11 +251,11 @@ pub struct ExpiryReport {
     /// Data files physically deleted (unreferenced by retained snapshots).
     pub files_deleted: u64,
     /// Logical bytes reclaimed.
-    pub bytes_reclaimed: u64,
+    pub(crate) bytes_reclaimed: u64,
     /// PLog deletes that failed during reclamation. The logical expiry
     /// still completes (metadata no longer references the file); the
     /// orphaned extents are picked up by the scrub service.
-    pub reclaim_failures: u64,
+    pub(crate) reclaim_failures: u64,
 }
 
 #[cfg(test)]

@@ -60,13 +60,11 @@ pub struct ScanOptions {
     pub mode: MetadataMode,
     /// Apply storage-side filtering and data skipping. When `false`, every
     /// candidate file is shipped to the "compute engine" and filtered there
-    /// (the no-pushdown baseline).
+    /// (the no-pushdown baseline). Partitions are pruned from the predicate
+    /// either way: conventional engines (Spark over Hive layouts) prune
+    /// partitions too; only StreamLake additionally skips files/row-groups
+    /// and filters at the storage side.
     pub pushdown: bool,
-    /// Prune partitions from the predicate before touching files. Kept
-    /// separate from `pushdown` because conventional engines (Spark over
-    /// Hive layouts) prune partitions too; only StreamLake additionally
-    /// skips files/row-groups and filters at the storage side.
-    pub partition_pruning: bool,
 }
 
 impl Default for ScanOptions {
@@ -77,7 +75,6 @@ impl Default for ScanOptions {
             as_of: None,
             mode: MetadataMode::Accelerated,
             pushdown: true,
-            partition_pruning: true,
         }
     }
 }
@@ -101,7 +98,7 @@ pub struct ScanStats {
     /// Bytes read from storage.
     pub bytes_scanned: u64,
     /// Bytes proven irrelevant without reading.
-    pub bytes_skipped: u64,
+    pub(crate) bytes_skipped: u64,
     /// Virtual time spent on metadata operations.
     pub metadata_time: Nanos,
     /// Virtual time spent reading data.
@@ -135,12 +132,8 @@ pub struct CommitInfo {
 /// in the intents; the transaction's roll-forward reads them back.
 #[derive(Debug, Clone)]
 pub struct StagedTableCommit {
-    /// The MVCC transaction holding the staged intents.
-    pub txn: u64,
     /// The table this commit targets.
     pub table: String,
-    /// The snapshot id the commit will publish.
-    pub snapshot_id: u64,
     /// The data files the stage wrote ([`TableStore::stage_insert`]): what
     /// [`TableStore::discard`] reclaims if the transaction is given up.
     pub files: Vec<DataFileMeta>,
@@ -569,7 +562,12 @@ pub(crate) mod tests {
         s.create_table("logs", log_schema(), None, 1000, &IoCtx::new(0))?;
         s.insert("logs", &log_rows(30, T0), &IoCtx::new(0))?;
         let pred = Expr::Pred(Predicate::cmp("province", CmpOp::Eq, "shanghai"));
-        s.update("logs", &pred, &[("province".to_string(), Value::from("hainan"))], &IoCtx::new(10))?;
+        let to_hainan = |row: &Row| {
+            let mut out = row.clone();
+            out[2] = Value::from("hainan");
+            Some(out)
+        };
+        s.transform("logs", &pred, &to_hainan, &IoCtx::new(10))?;
         let r = s.select("logs", &ScanOptions::default(), &IoCtx::new(20))?;
         assert_eq!(r.rows.len(), 30, "update must not change row count");
         assert!(!r.rows.iter().any(|row| row[2] == Value::from("shanghai")));
@@ -777,9 +775,10 @@ pub(crate) mod tests {
         let s = test_store();
         s.create_table("t", log_schema(), None, 1000, &IoCtx::new(0))?;
         s.insert("t", &log_rows(10, T0), &IoCtx::new(0))?;
+        let before = s.current_snapshot("t")?;
         let a = s.mvcc().begin().id;
         let b = s.mvcc().begin().id;
-        let staged = s.stage_commit(a, "t", &[], &[], &IoCtx::new(10))?;
+        s.stage_commit(a, "t", &[], &[], &IoCtx::new(10))?;
         // The second writer hits the first's head intent — the bespoke
         // commit lock's job, now expressed as a write-write conflict.
         let err = s.stage_commit(b, "t", &[], &[], &IoCtx::new(10));
@@ -787,7 +786,7 @@ pub(crate) mod tests {
         s.mvcc().abort(b)?;
         s.mvcc().commit_decide(a)?;
         s.roll_forward(a, &IoCtx::new(10))?;
-        assert_eq!(s.current_snapshot("t")?, staged.snapshot_id);
+        assert_eq!(s.current_snapshot("t")?, before + 1);
         assert_eq!(s.mvcc().pending_intents(), 0);
         Ok(())
     }
@@ -801,7 +800,7 @@ pub(crate) mod tests {
         s.insert("t", &log_rows(10, T0), &IoCtx::new(0))?;
         let before = s.current_snapshot("t")?;
         let txn = s.mvcc().begin().id;
-        let staged = s.stage_commit(txn, "t", &[], &[], &IoCtx::new(10))?;
+        s.stage_commit(txn, "t", &[], &[], &IoCtx::new(10))?;
         s.mvcc().commit_decide(txn)?;
         s.mvcc().forget(txn);
         // Recovery path: publish the decided writes, then resolve.
@@ -809,7 +808,7 @@ pub(crate) mod tests {
         assert_eq!(decided.len(), 1);
         let infos = s.publish(&decided[0].writes, &IoCtx::new(20))?;
         assert_eq!(infos.len(), 1);
-        assert_eq!(infos[0].snapshot_id, staged.snapshot_id);
+        assert_eq!(infos[0].snapshot_id, before + 1);
         s.mvcc().resolve_committed(txn)?;
         assert_eq!(s.current_snapshot("t")?, before + 1);
         assert_eq!(s.select("t", &ScanOptions::default(), &IoCtx::new(30))?.rows.len(), 10);

@@ -42,11 +42,7 @@ impl TableStore {
         // Resolve the snapshot (time travel walks the parent chain).
         let (snapshot, t_snap) = self.resolve_snapshot(&profile, opts.as_of, opts.mode, ctx)?;
         // Partition pruning from the predicate.
-        let partitions = if opts.partition_pruning {
-            partitions_for_predicate(&profile, &opts.predicate)
-        } else {
-            None
-        };
+        let partitions = partitions_for_predicate(&profile, &opts.predicate);
         // Historical snapshots cannot use the materialized live index (it
         // reflects the current snapshot only) — replay their commits.
         let (parts, at) = (partitions.as_deref(), ctx.at(t_snap));

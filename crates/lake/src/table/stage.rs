@@ -12,8 +12,6 @@ use common::ctx::IoCtx;
 use common::{Bytes, Error, Result};
 use format::{ColumnStats, Expr, LakeFileReader, LakeFileWriter, Row};
 use kvstore::keys;
-#[cfg(test)]
-use format::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
@@ -51,35 +49,6 @@ impl TableStore {
     /// by metadata only; partially-matching files are rewritten.
     pub fn delete(&self, name: &str, predicate: &Expr, ctx: &IoCtx) -> Result<CommitInfo> {
         self.transform(name, predicate, &|_row: &Row| None, ctx)
-    }
-
-    /// UPDATE: assign `assignments` (column name → new value) on matching
-    /// rows.
-    #[cfg(test)]
-    pub(crate) fn update(
-        &self,
-        name: &str,
-        predicate: &Expr,
-        assignments: &[(String, Value)],
-        ctx: &IoCtx,
-    ) -> Result<CommitInfo> {
-        let profile = self.catalog.get(name)?;
-        let idx: Vec<(usize, Value)> = assignments
-            .iter()
-            .map(|(n, v)| Ok((profile.schema.index_of(n)?, v.clone())))
-            .collect::<Result<Vec<_>>>()?;
-        self.transform(
-            name,
-            predicate,
-            &|row: &Row| {
-                let mut out = row.clone();
-                for (i, v) in &idx {
-                    out[*i] = v.clone();
-                }
-                Some(out)
-            },
-            ctx,
-        )
     }
 
     /// UPDATE with a computed transform: rewrite every row matching
@@ -285,7 +254,7 @@ impl TableStore {
         for path in removed {
             self.mvcc.delete(txn, &keys::lake_live(name, path))?;
         }
-        Ok(StagedTableCommit { txn, table: name.to_string(), snapshot_id: new_id, files: Vec::new() })
+        Ok(StagedTableCommit { table: name.to_string(), files: Vec::new() })
     }
 
     /// The file-writing body shared by `insert` and `stage_insert`.

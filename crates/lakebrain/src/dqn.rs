@@ -12,34 +12,34 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub(crate) struct Transition {
     /// State features.
-    pub state: Vec<f64>,
+    pub(crate) state: Vec<f64>,
     /// Action taken (index).
-    pub action: usize,
+    pub(crate) action: usize,
     /// Observed reward.
-    pub reward: f64,
+    pub(crate) reward: f64,
     /// Next state (`None` for terminal).
-    pub next_state: Option<Vec<f64>>,
+    pub(crate) next_state: Option<Vec<f64>>,
 }
 
 /// DQN hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DqnConfig {
     /// Discount factor γ.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// Learning rate.
-    pub lr: f64,
+    pub(crate) lr: f64,
     /// Initial exploration rate.
-    pub epsilon_start: f64,
+    pub(crate) epsilon_start: f64,
     /// Final exploration rate.
-    pub epsilon_end: f64,
+    pub(crate) epsilon_end: f64,
     /// Steps over which epsilon decays linearly.
-    pub epsilon_decay_steps: u64,
+    pub(crate) epsilon_decay_steps: u64,
     /// Replay buffer capacity.
-    pub buffer_capacity: usize,
+    pub(crate) buffer_capacity: usize,
     /// Minibatch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Target-network sync interval (train steps).
-    pub target_sync: u64,
+    pub(crate) target_sync: u64,
 }
 
 impl Default for DqnConfig {

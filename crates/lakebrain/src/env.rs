@@ -57,13 +57,13 @@ impl Default for EnvConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionObs {
     /// Live file sizes.
-    pub file_sizes: Vec<u64>,
+    pub(crate) file_sizes: Vec<u64>,
     /// Queries that touched the partition recently (decayed).
-    pub access_frequency: f64,
+    pub(crate) access_frequency: f64,
     /// Steps since the last access (the "access ordering" feature).
-    pub steps_since_access: u64,
+    pub(crate) steps_since_access: u64,
     /// Files ingested into this partition last step.
-    pub recent_ingest: f64,
+    pub(crate) recent_ingest: f64,
 }
 
 impl PartitionObs {
@@ -82,13 +82,13 @@ impl PartitionObs {
 #[derive(Debug, Clone)]
 pub(crate) struct StepResult {
     /// Per-partition reward for the actions taken.
-    pub rewards: Vec<f64>,
+    pub(crate) rewards: Vec<f64>,
     /// Whether each compaction attempt succeeded (`None` = not attempted).
-    pub outcomes: Vec<Option<bool>>,
+    pub(crate) outcomes: Vec<Option<bool>>,
     /// Mean files touched per query this step (query cost proxy).
-    pub query_cost: f64,
+    pub(crate) query_cost: f64,
     /// Mean partition block utilization after the step.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 /// The simulated storage environment.

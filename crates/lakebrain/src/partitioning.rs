@@ -23,17 +23,17 @@ pub struct LayoutReport {
     /// Partitions materialized.
     pub partitions: usize,
     /// Total stored bytes.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// Bytes read across the whole workload.
     pub scanned_bytes: u64,
     /// Bytes skipped via statistics across the whole workload.
-    pub skipped_bytes: u64,
+    pub(crate) skipped_bytes: u64,
     /// Rows actually scanned across the whole workload.
     pub scanned_rows: u64,
     /// Files opened across the whole workload (per-query, per-file).
     pub scanned_files: u64,
     /// Matching rows returned (identical across correct layouts).
-    pub result_rows: u64,
+    pub(crate) result_rows: u64,
 }
 
 impl LayoutReport {

@@ -38,15 +38,15 @@ pub struct ReplicationReport {
     /// Records copied this cycle.
     pub records_copied: u64,
     /// Logical bytes shipped over the WAN.
-    pub bytes_shipped: u64,
+    pub(crate) bytes_shipped: u64,
     /// Remote appends retried after transient faults.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Records abandoned this cycle after exhausting the attempt budget.
-    pub records_abandoned: u64,
+    pub(crate) records_abandoned: u64,
     /// Index records scanned (decoded) this cycle. With the per-shard
     /// cursor a quiet cycle scans only what was appended since the last
     /// one — this is the observable for no-full-rescan assertions.
-    pub records_scanned: u64,
+    pub(crate) records_scanned: u64,
     /// Virtual completion time of the cycle.
     pub finished_at: Nanos,
 }

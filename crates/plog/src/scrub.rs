@@ -20,17 +20,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Records examined this cycle.
-    pub records_scanned: u64,
+    pub(crate) records_scanned: u64,
     /// Shards read and checksum-verified.
-    pub shards_verified: u64,
+    pub(crate) shards_verified: u64,
     /// Shards whose stored bytes failed verification.
     pub corruptions_detected: u64,
     /// Corrupt shards rewritten in place on their live device.
-    pub shards_healed: u64,
+    pub(crate) shards_healed: u64,
     /// Records fully re-encoded onto healthy devices (missing shards).
-    pub records_reencoded: u64,
+    pub(crate) records_reencoded: u64,
     /// Records that could not be read at all (beyond fault tolerance).
-    pub records_unreadable: u64,
+    pub(crate) records_unreadable: u64,
     /// Virtual completion time of the cycle.
     pub finished_at: Nanos,
 }

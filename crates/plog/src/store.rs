@@ -101,17 +101,17 @@ struct IndexEntry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordHealth {
     /// Total shard slots of the record.
-    pub shards: u64,
+    pub(crate) shards: u64,
     /// Shards unreadable (failed/unreachable device).
-    pub missing: u64,
+    pub(crate) missing: u64,
     /// Shards read but checksum-failed.
-    pub corrupt: u64,
+    pub(crate) corrupt: u64,
     /// Corrupt shards rewritten in place on their live device.
-    pub healed_in_place: u64,
+    pub(crate) healed_in_place: u64,
     /// Whether the whole record was re-encoded onto healthy devices.
     pub reencoded: bool,
     /// Virtual completion time of the pass.
-    pub finish: Nanos,
+    pub(crate) finish: Nanos,
 }
 
 impl RecordHealth {

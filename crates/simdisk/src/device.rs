@@ -72,19 +72,19 @@ pub(crate) const SUSPECT_SLOW_IO_THRESHOLD: u64 = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceHealth {
     /// Device id within its pool.
-    pub device: u64,
+    pub(crate) device: u64,
     /// Permanently failed (data lost) until healed.
     pub failed: bool,
     /// I/O attempts rejected by a fault window or permanent failure.
-    pub io_errors: u64,
+    pub(crate) io_errors: u64,
     /// Ops served at degraded (gray-failure) speed.
-    pub slow_ios: u64,
+    pub(crate) slow_ios: u64,
     /// Checksum failures attributed to this device by the integrity layer.
     pub corruptions: u64,
     /// Writes silently truncated by an injected torn-write window. The
     /// device never reports these to callers — the counter exists so chaos
     /// harnesses can correlate injected faults with detected ones.
-    pub torn_writes: u64,
+    pub(crate) torn_writes: u64,
 }
 
 impl DeviceHealth {

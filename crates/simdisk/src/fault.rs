@@ -61,11 +61,11 @@ pub(crate) enum FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FaultEvent {
     /// Virtual time the fault takes effect.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Target device index within the pool.
-    pub device: usize,
+    pub(crate) device: usize,
     /// What happens.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 /// How many events of each class a generated plan contains.
@@ -177,19 +177,19 @@ fn kind_order(kind: &FaultKind) -> u8 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionLog {
     /// Events applied so far (all kinds).
-    pub events_applied: u64,
+    pub(crate) events_applied: u64,
     /// Bit-rot events that corrupted a stored byte.
     pub bit_rot_applied: u64,
     /// Bit-rot events that found no extent to damage.
-    pub bit_rot_skipped: u64,
+    pub(crate) bit_rot_skipped: u64,
     /// Transient outage windows opened.
-    pub transients: u64,
+    pub(crate) transients: u64,
     /// Devices killed.
-    pub deaths: u64,
+    pub(crate) deaths: u64,
     /// Torn-write windows opened.
-    pub torn_windows: u64,
+    pub(crate) torn_windows: u64,
     /// Gray-degradation windows opened.
-    pub gray_windows: u64,
+    pub(crate) gray_windows: u64,
 }
 
 #[derive(Debug)]

@@ -31,9 +31,9 @@ pub struct ExtentHandle {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementPlan {
     /// Logical extent id, unique within the pool.
-    pub extent_id: u64,
+    pub(crate) extent_id: u64,
     /// `(device_index, device_extent_id)` per shard, in shard order.
-    pub targets: Vec<(usize, u64)>,
+    pub(crate) targets: Vec<(usize, u64)>,
 }
 
 impl PlacementPlan {
@@ -50,7 +50,7 @@ impl PlacementPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolHealthSummary {
     /// Devices in the pool.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Devices with the hard-failure flag set.
     pub failed: usize,
     /// Devices the placement heuristics consider suspect (includes failed).
@@ -105,26 +105,9 @@ impl StoragePool {
         &self.devices[idx]
     }
 
-    /// Total pool capacity in bytes.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> u64 {
-        self.devices.iter().map(|d| d.used() + d.free()).sum()
-    }
-
     /// Bytes currently stored across all devices.
     pub fn used(&self) -> u64 {
         self.devices.iter().map(|d| d.used()).sum()
-    }
-
-    /// Fraction of capacity in use.
-    #[cfg(test)]
-    pub(crate) fn utilization(&self) -> f64 {
-        let cap = self.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            self.used() as f64 / cap as f64
-        }
     }
 
     /// Placement candidates for a `take`-shard write: every non-failed
@@ -458,13 +441,5 @@ mod tests {
         let h = write_one(&p, b"payload");
         let (back, _) = p.read_shards_ctx(&h, &IoCtx::new(0)).unwrap();
         assert_eq!(back[0].as_deref(), Some(b"payload".as_ref()));
-    }
-
-    #[test]
-    fn utilization_reports_fraction() {
-        let p = pool(1);
-        assert_eq!(p.utilization(), 0.0);
-        write_one(&p, &vec![0u8; (4 * MIB) as usize]);
-        assert!((p.utilization() - 0.25).abs() < 1e-9);
     }
 }

@@ -18,7 +18,7 @@ use crate::record::Record;
 use crate::service::StreamService;
 use common::chore::{Chore, TickReport};
 use common::ctx::IoCtx;
-use common::{Error, ObjectId, Result};
+use common::{Error, Result};
 use format::{DataType, Field, LakeFileReader, LakeFileWriter, Schema, Value};
 use simdisk::pool::{ExtentHandle, StoragePool};
 use std::sync::Arc;
@@ -27,16 +27,10 @@ use common::lockwitness::TrackedMutex;
 /// One archived batch.
 #[derive(Debug, Clone)]
 pub struct ArchiveEntry {
-    /// Source stream object.
-    pub object: ObjectId,
-    /// First archived offset.
-    pub base_offset: u64,
     /// Number of archived records.
     pub count: u64,
     /// Whether the batch is stored columnar (`row_2_col`).
-    pub columnar: bool,
-    /// Physical bytes in the archive pool.
-    pub stored_bytes: u64,
+    pub(crate) columnar: bool,
     handle: ExtentHandle,
 }
 
@@ -106,14 +100,10 @@ impl ArchiveService {
         } else {
             format::compress::compress(&Record::encode_slice(&payload))
         };
-        let stored_bytes = encoded.len() as u64;
         let (handle, _) = self.pool.write_shards_ctx(&[encoded.into()], ctx)?;
         let entry = ArchiveEntry {
-            object: object.id(),
-            base_offset,
             count: end_offset - base_offset,
             columnar: config.row_2_col,
-            stored_bytes,
             handle,
         };
         object.truncate_before(end_offset);
@@ -306,7 +296,7 @@ mod tests {
         let col_obj = store.create(CreateOptions { slice_capacity: 64, ..Default::default() }).unwrap();
         fill(&row_obj, 2048);
         fill(&col_obj, 2048);
-        let row = arch.maybe_archive(&row_obj, &small_cfg(false), &IoCtx::new(0)).unwrap().unwrap();
+        arch.maybe_archive(&row_obj, &small_cfg(false), &IoCtx::new(0)).unwrap().unwrap();
         let col = arch.maybe_archive(&col_obj, &small_cfg(true), &IoCtx::new(0)).unwrap().unwrap();
         // Columnar re-encoding (dictionaries on keys/values, delta
         // timestamps) must not lose data and should compete with the row
@@ -314,7 +304,6 @@ mod tests {
         let back = arch.read_entry(&col, &IoCtx::new(0)).unwrap();
         assert_eq!(back.len(), 2048);
         assert_eq!(back[7].timestamp, 7);
-        assert!(col.stored_bytes > 0 && row.stored_bytes > 0);
     }
 
     #[test]
@@ -324,7 +313,7 @@ mod tests {
         fill(&obj, 128);
         arch.maybe_archive(&obj, &small_cfg(false), &IoCtx::new(0)).unwrap().unwrap();
         assert_eq!(arch.entries().len(), 1);
-        assert!(arch.entries().iter().map(|e| e.stored_bytes).sum::<u64>() > 0);
+        assert!(arch.pool.used() > 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsumedRecord {
     /// Topic the record came from.
-    pub topic: String,
+    pub(crate) topic: String,
     /// Partition index within the topic.
     pub partition_idx: u32,
     /// Offset within the partition.

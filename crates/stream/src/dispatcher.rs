@@ -65,7 +65,7 @@ impl PartitionRoute {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RescaleReport {
     /// Metadata entries created or updated.
-    pub metadata_updates: u64,
+    pub(crate) metadata_updates: u64,
     /// Bytes of message data moved between nodes (always 0 by design).
     pub bytes_migrated: u64,
     /// Virtual time the rescale took.
@@ -358,6 +358,7 @@ impl StreamDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
     use common::size::MIB;
     use common::SimClock;
     use ec::Redundancy;
@@ -432,11 +433,19 @@ mod tests {
     fn partitions_map_to_their_declared_shards() {
         let d = dispatcher(2);
         d.create_topic("t", TopicConfig::with_partitions(8), &IoCtx::new(0)).unwrap();
+        let store = d.objects.plog();
         for route in d.topic_partitions("t").unwrap() {
             let obj = d.object_of(&route).unwrap();
-            let want =
-                plog::placement::shard_for_partition("t", route.partition_idx, 32) as u32;
-            assert_eq!(obj.shard(), want, "partition {} pinned wrong", route.partition_idx);
+            let want = plog::placement::shard_for_partition("t", route.partition_idx, 32);
+            // The slice a persisted record lands in is written to the
+            // object's shard and to no other.
+            let before = store.shard_usage();
+            obj.append_at(&[Record::new(b"k".to_vec(), b"v".to_vec(), 0)], &IoCtx::new(0))
+                .unwrap();
+            obj.flush_at(&IoCtx::new(0)).unwrap();
+            let after = store.shard_usage();
+            let grew: Vec<usize> = (0..after.len()).filter(|&s| after[s] > before[s]).collect();
+            assert_eq!(grew, vec![want], "partition {} pinned wrong", route.partition_idx);
         }
     }
 

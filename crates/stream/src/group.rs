@@ -41,39 +41,12 @@ use std::sync::Arc;
 /// A member's identity within its group (unique per service instance).
 pub(crate) type MemberId = String;
 
-/// Partition-assignment strategy for a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AssignmentStrategy {
-    /// Contiguous ranges per topic: with `n` partitions and `m` members the
-    /// first `n % m` members (in member-id order) take `ceil(n/m)`, the
-    /// rest `floor(n/m)` — adjacent partitions stay together.
-    Range,
-    /// Partition `i` of each topic goes to member `i % m` (in member-id
-    /// order) — maximally spread.
-    RoundRobin,
-}
+/// A member whose last heartbeat is older than this is expired.
+const SESSION_TIMEOUT: Nanos = secs(30);
 
-/// Coordinator tuning knobs.
-#[derive(Debug, Clone)]
-pub struct GroupConfig {
-    /// A member whose last heartbeat is older than this is expired.
-    pub session_timeout: Nanos,
-    /// How partitions are divided among members.
-    pub strategy: AssignmentStrategy,
-    /// Committed offsets of a group that has been empty this long are
-    /// dropped by the offset-retention chore.
-    pub offset_retention: Nanos,
-}
-
-impl Default for GroupConfig {
-    fn default() -> Self {
-        GroupConfig {
-            session_timeout: secs(30),
-            strategy: AssignmentStrategy::Range,
-            offset_retention: secs(24 * 3600),
-        }
-    }
-}
+/// Committed offsets of a group that has been empty this long are dropped
+/// by the offset-retention chore.
+pub const OFFSET_RETENTION: Nanos = secs(24 * 3600);
 
 /// Where a group is in its rebalance cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,30 +156,19 @@ struct GroupState {
 pub struct GroupCoordinator {
     dispatcher: Arc<StreamDispatcher>,
     metrics: Metrics,
-    config: GroupConfig,
     state: TrackedMutex<BTreeMap<String, GroupState>>,
     journal: TrackedMutex<Vec<RebalanceEvent>>,
 }
 
 impl GroupCoordinator {
     /// A coordinator committing offsets through `dispatcher`.
-    pub(crate) fn new(
-        dispatcher: Arc<StreamDispatcher>,
-        metrics: Metrics,
-        config: GroupConfig,
-    ) -> Self {
+    pub(crate) fn new(dispatcher: Arc<StreamDispatcher>, metrics: Metrics) -> Self {
         GroupCoordinator {
             dispatcher,
             metrics,
-            config,
             state: TrackedMutex::new("stream.group.state", BTreeMap::new()),
             journal: TrackedMutex::new("stream.group.journal", Vec::new()),
         }
-    }
-
-    /// Coordinator configuration.
-    pub fn config(&self) -> &GroupConfig {
-        &self.config
     }
 
     /// Join `group` as `member` subscribing to `topics` (or update the
@@ -438,7 +400,7 @@ impl GroupCoordinator {
     }
 
     /// Drop committed offsets of groups that have been empty longer than
-    /// [`GroupConfig::offset_retention`]. Returns offsets dropped.
+    /// [`OFFSET_RETENTION`]. Returns offsets dropped.
     pub(crate) fn retention_sweep(&self, ctx: &IoCtx) -> u64 {
         let mut state = self.state.lock();
         let mut dropped = 0u64;
@@ -447,7 +409,7 @@ impl GroupCoordinator {
             .filter(|(_, g)| {
                 g.members.is_empty()
                     && g.empty_since
-                        .map(|t| ctx.now.saturating_sub(t) >= self.config.offset_retention)
+                        .map(|t| ctx.now.saturating_sub(t) >= OFFSET_RETENTION)
                         .unwrap_or(false)
             })
             .map(|(name, _)| name.clone())
@@ -479,11 +441,10 @@ impl GroupCoordinator {
     }
 
     fn expire_locked(&self, group: &str, g: &mut GroupState, now: Nanos) -> u64 {
-        let timeout = self.config.session_timeout;
         let dead: Vec<MemberId> = g
             .members
             .iter()
-            .filter(|(_, m)| now.saturating_sub(m.last_heartbeat) >= timeout)
+            .filter(|(_, m)| now.saturating_sub(m.last_heartbeat) >= SESSION_TIMEOUT)
             .map(|(id, _)| id.clone())
             .collect();
         if dead.is_empty() {
@@ -566,8 +527,11 @@ impl GroupCoordinator {
         });
     }
 
-    /// The target assignment for the group's live members, per strategy.
-    /// Deterministic: members in id order, topics in name order.
+    /// The target assignment for the group's live members: contiguous
+    /// ranges per topic. With `n` partitions and `m` members the first
+    /// `n % m` members (in member-id order) take `ceil(n/m)`, the rest
+    /// `floor(n/m)` — adjacent partitions stay together. Deterministic:
+    /// members in id order, topics in name order.
     fn compute_target(&self, g: &GroupState) -> BTreeMap<MemberId, BTreeSet<Partition>> {
         let mut target: BTreeMap<MemberId, BTreeSet<Partition>> =
             g.members.keys().map(|id| (id.clone(), BTreeSet::new())).collect();
@@ -586,31 +550,18 @@ impl GroupCoordinator {
             if m == 0 {
                 continue;
             }
-            match self.config.strategy {
-                AssignmentStrategy::Range => {
-                    let base = n / m;
-                    let extra = n % m;
-                    let mut next = 0u32;
-                    for (k, member) in subscribers.iter().enumerate() {
-                        let take = base + if (k as u32) < extra { 1 } else { 0 };
-                        for idx in next..next + take {
-                            target
-                                .entry((*member).clone())
-                                .or_default()
-                                .insert(Partition::new(topic.clone(), idx));
-                        }
-                        next += take;
-                    }
+            let base = n / m;
+            let extra = n % m;
+            let mut next = 0u32;
+            for (k, member) in subscribers.iter().enumerate() {
+                let take = base + if (k as u32) < extra { 1 } else { 0 };
+                for idx in next..next + take {
+                    target
+                        .entry((*member).clone())
+                        .or_default()
+                        .insert(Partition::new(topic.clone(), idx));
                 }
-                AssignmentStrategy::RoundRobin => {
-                    for idx in 0..n {
-                        let member = subscribers[(idx % m) as usize];
-                        target
-                            .entry(member.clone())
-                            .or_default()
-                            .insert(Partition::new(topic.clone(), idx));
-                    }
-                }
+                next += take;
             }
         }
         target
@@ -725,22 +676,6 @@ mod tests {
         let a: Vec<u32> = assign["a"].iter().map(|p| p.idx).collect();
         assert_eq!(a, vec![0, 1, 2]);
         assert!(c.unassigned("g").is_empty());
-    }
-
-    #[test]
-    fn round_robin_spreads_alternating() {
-        let svc = test_service(2, false);
-        svc.create_topic("t", TopicConfig::with_partitions(6)).unwrap();
-        let c = Arc::new(GroupCoordinator::new(
-            svc.dispatcher().clone(),
-            Metrics::new(),
-            GroupConfig { strategy: AssignmentStrategy::RoundRobin, ..Default::default() },
-        ));
-        join_and_settle(&c, "g", &["a", "b"]);
-        let a: Vec<u32> = c.assigned("g", "a").unwrap().iter().map(|p| p.idx).collect();
-        let b: Vec<u32> = c.assigned("g", "b").unwrap().iter().map(|p| p.idx).collect();
-        assert_eq!(a, vec![0, 2, 4]);
-        assert_eq!(b, vec![1, 3, 5]);
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //! one member of each consumer group:
 //!
 //! * [`record`] — key-value message records and their wire encoding;
-//! * [`partition`] — the [`Partition`] identity, the stable key hash, and
-//!   pluggable [`Partitioner`] policies;
+//! * [`partition`] — the [`Partition`] identity and the stable key hash
+//!   that routes a record to its partition ([`partition_for_key`]);
 //! * [`config`] — per-topic configuration mirroring the paper's Fig 8 JSON
 //!   (`stream_num`, `quota`, `scm_cache`, `convert_2_table`, `archive`);
-//! * [`quota`] — per-partition token-bucket rate limiting in exact integer
-//!   nano-tokens;
 //! * [`object`] — the stream object: slices of ≤256 records appended to
 //!   PLog shards, offset-addressed reads, transactional visibility;
 //! * [`dispatcher`] — KV-backed topology (topics → partitions → workers),
@@ -38,7 +36,6 @@ pub mod group;
 pub mod object;
 pub(crate) mod partition;
 pub mod producer;
-pub(crate) mod quota;
 pub mod record;
 pub mod service;
 pub(crate) mod txn;

@@ -60,10 +60,10 @@ pub struct CreateOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DestroyOutcome {
     /// Slices whose PLog records were reclaimed (or already absent).
-    pub freed_slices: u64,
+    pub(crate) freed_slices: u64,
     /// Slices whose PLog delete failed (e.g. a corrupt index entry); their
     /// extents may leak until scrub reclaims them.
-    pub failed_deletes: u64,
+    pub(crate) failed_deletes: u64,
 }
 
 impl Default for CreateOptions {
@@ -76,7 +76,7 @@ impl Default for CreateOptions {
 #[derive(Debug, Clone, Copy)]
 pub struct ReadCtrl {
     /// Maximum records returned.
-    pub max_records: usize,
+    pub(crate) max_records: usize,
 }
 
 impl Default for ReadCtrl {
@@ -123,7 +123,7 @@ pub struct StreamObject {
 pub struct AppendAck {
     /// Offset of the first appended record, or `None` if every record was
     /// an idempotent duplicate.
-    pub base_offset: Option<u64>,
+    pub(crate) base_offset: Option<u64>,
     /// Virtual time at which the append is acknowledged durable.
     pub ack_time: Nanos,
 }
@@ -132,12 +132,6 @@ impl StreamObject {
     /// The object's id.
     pub fn id(&self) -> ObjectId {
         self.id
-    }
-
-    /// The PLog shard holding this object's slices.
-    #[cfg(test)]
-    pub(crate) fn shard(&self) -> u32 {
-        self.shard
     }
 
     /// Next offset to be assigned (== record count including buffered).

@@ -1,19 +1,18 @@
 //! The producer client API (Fig 7).
 //!
 //! `Producer::send` is compatible in shape with "the open-source de facto
-//! standard": messages are keyed, routed to a partition by a pluggable
-//! [`Partitioner`] (stable key hash by default), batched per partition, and
-//! flushed when the batch fills (or explicitly). Producers
+//! standard": messages are keyed, routed to a partition by the stable key
+//! hash ([`partition_for_key`](crate::partition_for_key)), batched per
+//! partition, and flushed when the batch fills (or explicitly). Producers
 //! are idempotent — every record carries a `(producer_id, sequence)` pair
 //! that the stream object uses to drop duplicate retries — and can send
 //! within a transaction for exactly-once pipelines.
 
 use crate::object::AppendAck;
-use crate::partition::{KeyHashPartitioner, Partitioner};
 use crate::record::Record;
 use crate::service::StreamService;
 use common::ctx::IoCtx;
-use common::{Error, Result, TxnId};
+use common::{Result, TxnId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -26,7 +25,6 @@ pub struct Producer {
     svc: Arc<StreamService>,
     pid: u64,
     batch_size: usize,
-    partitioner: Arc<dyn Partitioner>,
     batches: BTreeMap<(String, u32), Vec<Record>>,
     seqs: BTreeMap<(String, u32), u64>,
 }
@@ -37,7 +35,6 @@ impl Producer {
             svc,
             pid,
             batch_size: DEFAULT_BATCH_SIZE,
-            partitioner: Arc::new(KeyHashPartitioner),
             batches: BTreeMap::new(),
             seqs: BTreeMap::new(),
         }
@@ -81,14 +78,7 @@ impl Producer {
         txn: Option<TxnId>,
         ctx: &IoCtx,
     ) -> Result<Option<AppendAck>> {
-        let partition_count = self.svc.dispatcher().partition_count(topic)?;
-        let idx = self.partitioner.partition(topic, &key, partition_count);
-        if idx >= partition_count {
-            return Err(Error::InvalidArgument(format!(
-                "partitioner returned {idx} for a {partition_count}-partition topic"
-            )));
-        }
-        let route = self.svc.dispatcher().route_partition(topic, idx)?;
+        let route = self.svc.dispatcher().route(topic, &key)?;
         let slot = (topic.to_string(), route.partition_idx);
         let seq = self.seqs.entry(slot.clone()).or_insert(0);
         *seq += 1;
@@ -173,29 +163,6 @@ mod tests {
             total += got.len();
         }
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn custom_partitioner_overrides_key_hash() {
-        use crate::partition::RoundRobinPartitioner;
-        use std::sync::Arc;
-        let svc = test_service(1, false);
-        svc.create_topic("t", TopicConfig::with_partitions(4)).unwrap();
-        let mut p = svc.producer();
-        p.set_batch_size(1);
-        p.partitioner = Arc::new(RoundRobinPartitioner::default());
-        // Same key every time, yet records walk all four partitions.
-        for _ in 0..4 {
-            p.send("t", b"same".to_vec(), b"v".to_vec(), &IoCtx::new(0)).unwrap();
-        }
-        let mut non_empty = 0;
-        for route in svc.dispatcher().topic_partitions("t").unwrap() {
-            let obj = svc.dispatcher().object_of(&route).unwrap();
-            obj.flush_at(&IoCtx::new(0)).unwrap();
-            let (got, _) = svc.fetch_from(&route, 0, ReadCtrl::default(), &IoCtx::new(0)).unwrap();
-            non_empty += usize::from(!got.is_empty());
-        }
-        assert_eq!(non_empty, 4, "round-robin must touch every partition");
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct Record {
     /// Message payload.
     pub value: Vec<u8>,
     /// Producer-assigned timestamp (epoch milliseconds).
-    pub timestamp: i64,
+    pub(crate) timestamp: i64,
     /// Transaction id, when produced transactionally.
     pub txn: Option<u64>,
     /// `(producer_id, sequence)` for idempotent dedup, when present.

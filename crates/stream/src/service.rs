@@ -18,18 +18,18 @@
 use crate::config::TopicConfig;
 use crate::consumer::Consumer;
 use crate::dispatcher::{PartitionRoute, RescaleReport, StreamDispatcher};
-use crate::group::{GroupConfig, GroupCoordinator};
+use crate::group::GroupCoordinator;
 use crate::object::{AppendAck, ReadCtrl, StreamObjectStore};
 use crate::partition::Partition;
 use crate::producer::Producer;
-use crate::quota::QuotaLimiter;
 use crate::record::Record;
 use crate::txn::TxnManager;
-use common::clock::Nanos;
+use common::bucket::NanoBucket;
+use common::clock::{secs, Nanos};
 use common::ctx::{IoCtx, Phase};
 use common::id::IdGen;
 use common::metrics::Metrics;
-use common::{Result, SimClock, WorkerId};
+use common::{Error, Result, SimClock, WorkerId};
 use kvstore::MvccStore;
 use plog::PlogStore;
 use simdisk::Transport;
@@ -48,9 +48,6 @@ pub struct StreamServiceOptions {
     pub workers: usize,
     /// SCM staging capacity shared by scm-enabled topics (0 disables).
     pub scm_capacity: u64,
-    /// Consumer-group coordination (session timeout, assignment strategy,
-    /// offset retention).
-    pub group: GroupConfig,
     /// MVCC store backing transaction records. `None` builds one over the
     /// PLog's KV index; pass the deployment's to let stream transactions
     /// commit atomically with other subsystems (e.g. lake table commits) —
@@ -63,7 +60,6 @@ impl Default for StreamServiceOptions {
         StreamServiceOptions {
             workers: 3,
             scm_capacity: 0,
-            group: GroupConfig::default(),
             txn_mvcc: None,
         }
     }
@@ -76,7 +72,7 @@ pub struct StreamService {
     objects: Arc<StreamObjectStore>,
     dispatcher: Arc<StreamDispatcher>,
     groups: Arc<GroupCoordinator>,
-    quotas: TrackedMutex<BTreeMap<Partition, QuotaLimiter>>,
+    quotas: TrackedMutex<BTreeMap<Partition, NanoBucket>>,
     txns: TxnManager,
     producer_ids: IdGen,
     consumer_ids: IdGen,
@@ -92,11 +88,7 @@ impl StreamService {
         let mvcc = opts.txn_mvcc.unwrap_or_else(|| Arc::new(MvccStore::over(plog.kv().clone())));
         let objects = Arc::new(StreamObjectStore::new(plog, opts.scm_capacity));
         let dispatcher = Arc::new(StreamDispatcher::new(objects.clone()));
-        let groups = Arc::new(GroupCoordinator::new(
-            dispatcher.clone(),
-            metrics.clone(),
-            opts.group,
-        ));
+        let groups = Arc::new(GroupCoordinator::new(dispatcher.clone(), metrics.clone()));
         let txns = TxnManager::new(objects.clone(), mvcc);
         let svc = Arc::new(StreamService {
             clock,
@@ -163,7 +155,7 @@ impl StreamService {
         for route in self.dispatcher.topic_partitions(name)? {
             quotas.insert(
                 Partition::new(name, route.partition_idx),
-                QuotaLimiter::new(quota),
+                NanoBucket::new(quota, secs(1)),
             );
         }
         Ok(report)
@@ -178,7 +170,7 @@ impl StreamService {
         for route in self.dispatcher.topic_partitions(name)? {
             quotas
                 .entry(Partition::new(name, route.partition_idx))
-                .or_insert_with(|| QuotaLimiter::new(quota));
+                .or_insert_with(|| NanoBucket::new(quota, secs(1)));
         }
         Ok(report)
     }
@@ -210,8 +202,18 @@ impl StreamService {
     ) -> Result<AppendAck> {
         {
             let mut quotas = self.quotas.lock();
+            // At most `quota` records per virtual second, with a burst of
+            // one second's allowance (§V-A: "the quota configuration sets
+            // the maximum processing rate for each stream").
             if let Some(q) = quotas.get_mut(&Partition::new(topic, route.partition_idx)) {
-                q.try_acquire(records.len() as u64, ctx)?;
+                let n = records.len() as u64;
+                q.try_acquire(n, ctx.now).map_err(|_wait| {
+                    Error::QuotaExceeded(format!(
+                        "requested {n}, {} tokens available at rate {}/s",
+                        q.available(),
+                        q.rate()
+                    ))
+                })?;
             }
         }
         let object = self.dispatcher.object_of(route)?;

@@ -15,7 +15,7 @@ pub(crate) const MESSAGE_BYTES: usize = 1024;
 #[derive(Debug, Clone, Copy)]
 pub struct LoadSpec {
     /// Target messages per second.
-    pub rate_per_sec: u64,
+    pub(crate) rate_per_sec: u64,
     /// Total messages to send.
     pub total_messages: u64,
     /// Message payload bytes (default [`MESSAGE_BYTES`]).

@@ -30,13 +30,13 @@ pub struct Packet {
     /// Subscriber id.
     pub user_id: u64,
     /// Uplink bytes.
-    pub bytes_up: i64,
+    pub(crate) bytes_up: i64,
     /// Downlink bytes.
     pub bytes_down: i64,
     /// Whether the flow was TLS.
-    pub is_https: bool,
+    pub(crate) is_https: bool,
     /// Opaque payload bringing the packet to its wire size.
-    pub payload: String,
+    pub(crate) payload: String,
 }
 
 impl Packet {
@@ -109,9 +109,9 @@ pub struct PacketGen {
     province_zipf: Zipf,
     urls: Vec<String>,
     /// Epoch seconds of the first packet.
-    pub t0: i64,
+    pub(crate) t0: i64,
     /// Packets generated per simulated second.
-    pub packets_per_sec: u64,
+    pub(crate) packets_per_sec: u64,
     generated: u64,
 }
 

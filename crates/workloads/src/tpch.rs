@@ -105,13 +105,6 @@ impl LineitemGen {
             Value::from(SHIP_MODES[self.rng.gen_range(0..SHIP_MODES.len())]),
         ]
     }
-
-    /// A uniform random sample of `fraction` of `rows` (the 3% training
-    /// sample of §VII-E), deterministic in the generator's RNG.
-    #[cfg(test)]
-    pub(crate) fn sample<'a>(&mut self, rows: &'a [Row], fraction: f64) -> Vec<&'a Row> {
-        rows.iter().filter(|_| self.rng.gen_bool(fraction)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -162,14 +155,5 @@ mod tests {
             rows.iter().map(|r| r[ok].as_int().unwrap()).collect();
         assert!(distinct_orders.len() < 200, "orders should group lines");
         assert!(distinct_orders.len() > 20);
-    }
-
-    #[test]
-    fn sampling_fraction_is_respected() {
-        let mut g = LineitemGen::new(4);
-        let rows = g.generate_rows(5000);
-        let sample = g.sample(&rows, 0.03);
-        let frac = sample.len() as f64 / rows.len() as f64;
-        assert!((0.015..0.05).contains(&frac), "3% sample got {frac}");
     }
 }
