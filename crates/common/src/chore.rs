@@ -12,8 +12,7 @@
 //! The contract:
 //!
 //! * a tick is **honest** — [`TickReport::work_done`] is the work actually
-//!   performed and [`TickReport::backlog_hint`] is the service's estimate of
-//!   what it had to leave for a later tick;
+//!   performed;
 //! * a tick is **deterministic** — the same `(ctx.now, service state)`
 //!   produces the same report, byte for byte, which is what lets the
 //!   runtime replay whole maintenance schedules from a seed.
@@ -28,10 +27,6 @@ pub struct TickReport {
     /// Units of work performed (chore-defined: records, extents, objects,
     /// tables, partitions). Zero means the tick found nothing to do.
     pub work_done: u64,
-    /// The chore's estimate of work still pending after this tick. Zero
-    /// means caught up; nonzero means the tick had to leave work behind
-    /// (e.g. records a remote site refused).
-    pub backlog_hint: u64,
     /// Virtual time at which the tick's work completed. Ticks that perform
     /// no timed I/O report their start time.
     pub finished_at: Nanos,
@@ -72,7 +67,6 @@ mod tests {
     fn idle_report_carries_the_clock() {
         let r = TickReport::idle(42);
         assert_eq!(r.work_done, 0);
-        assert_eq!(r.backlog_hint, 0);
         assert_eq!(r.finished_at, 42);
     }
 }

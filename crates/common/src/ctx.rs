@@ -1,22 +1,17 @@
-//! Per-request I/O context: deadlines, QoS, trace spans (§III).
+//! Per-request I/O context: QoS, trace spans (§III).
 //!
 //! The paper's data-service layer multiplexes stream appends, table
 //! commits, metadata operations and background jobs (archive, compaction,
 //! WAN replication) over shared SSD/HDD pools. Every request entering that
 //! stack carries an [`IoCtx`] instead of a bare `now: Nanos`, so each layer
-//! can enforce a latency budget, classify the request for device queueing,
-//! and attribute its virtual time to the right phase.
+//! can classify the request for device queueing and attribute its virtual
+//! time to the right phase.
 //!
 //! Field ↔ paper mapping:
 //!
 //! * [`IoCtx::now`] — the request's virtual-time origin; the same
 //!   simulated timeline every §III service (stream, table, metadata) is
 //!   charged against.
-//! * [`IoCtx::deadline`] — the latency budget of the request. Foreground
-//!   produce/fetch and table scans carry SLO-style deadlines; device ops
-//!   that would complete past it fail with
-//!   [`Error::DeadlineExceeded`](crate::error::Error::DeadlineExceeded)
-//!   instead of silently charging time.
 //! * [`IoCtx::qos`] — which §III service class issued the request:
 //!   [`QosClass::Foreground`] for producer/consumer/query traffic,
 //!   [`QosClass::Background`] for archive + WAN replication shipping, and
@@ -31,7 +26,6 @@
 //!   renders as a per-figure latency breakdown table.
 
 use crate::clock::Nanos;
-use crate::error::{Error, Result};
 use crate::metrics::Metrics;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,8 +175,6 @@ impl SpanSink {
 pub struct IoCtx {
     /// Virtual-time origin of this (stage of the) request.
     pub now: Nanos,
-    /// Absolute virtual-time deadline, if the request carries a budget.
-    pub deadline: Option<Nanos>,
     /// Service class for device queueing.
     pub qos: QosClass,
     /// Deterministic trace id of the request.
@@ -191,11 +183,10 @@ pub struct IoCtx {
 }
 
 impl IoCtx {
-    /// A fresh foreground context at `now`: no deadline, no sink.
+    /// A fresh foreground context at `now`, with no sink.
     pub fn new(now: Nanos) -> Self {
         IoCtx {
             now,
-            deadline: None,
             qos: QosClass::Foreground,
             trace: NEXT_TRACE.fetch_add(1, Ordering::Relaxed),
             sink: None,
@@ -208,23 +199,9 @@ impl IoCtx {
         IoCtx { now, ..self.clone() }
     }
 
-    /// Same request, with an absolute deadline attached.
-    pub fn with_deadline(mut self, deadline: Nanos) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Same request, reclassified.
     pub fn with_qos(mut self, qos: QosClass) -> Self {
         self.qos = qos;
-        self
-    }
-
-    /// Same request, with any deadline cleared. Used when a layer spawns
-    /// best-effort follow-up work (e.g. writing back a healed shard) that
-    /// must not inherit the caller's latency budget.
-    pub fn without_deadline(mut self) -> Self {
-        self.deadline = None;
         self
     }
 
@@ -241,19 +218,6 @@ impl IoCtx {
     pub fn without_sink(mut self) -> Self {
         self.sink = None;
         self
-    }
-
-    /// Err([`Error::DeadlineExceeded`]) when `finish` lies past the
-    /// deadline. Layers call this *before* charging queue state so a
-    /// rejected op leaves the device untouched.
-    pub fn check_deadline(&self, finish: Nanos) -> Result<()> {
-        match self.deadline {
-            Some(d) if finish > d => Err(Error::DeadlineExceeded(format!(
-                "op finishing at {finish} exceeds deadline {d} (trace {})",
-                self.trace
-            ))),
-            _ => Ok(()),
-        }
     }
 
     /// Close a span: attribute `duration` starting at `start` to `phase`.
@@ -277,22 +241,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deadline_check_accepts_and_rejects() {
-        let ctx = IoCtx::new(100).with_deadline(1_000);
-        assert!(ctx.check_deadline(1_000).is_ok());
-        assert!(matches!(
-            ctx.check_deadline(1_001),
-            Err(Error::DeadlineExceeded(_))
-        ));
-        assert!(IoCtx::new(0).check_deadline(u64::MAX).is_ok());
-    }
-
-    #[test]
     fn rebasing_preserves_identity_and_budget() {
-        let ctx = IoCtx::new(0).with_deadline(500).with_qos(QosClass::Background);
+        let ctx = IoCtx::new(0).with_qos(QosClass::Background);
         let later = ctx.at(400);
         assert_eq!(later.trace, ctx.trace);
-        assert_eq!(later.deadline, Some(500));
         assert_eq!(later.qos, QosClass::Background);
         assert_eq!(later.now, 400);
     }

@@ -9,7 +9,7 @@
 //!   carry an explicit `retry_after` hint in virtual nanoseconds.
 //! * **terminal** — retrying the identical operation can never succeed
 //!   (missing namespace entries, corrupt data past redundancy, exhausted
-//!   capacity, blown deadlines). Retry loops must give up immediately
+//!   capacity). Retry loops must give up immediately
 //!   instead of backing off against them.
 //!
 //! [`Error::is_retryable`] is the single source of truth for the split;
@@ -58,11 +58,6 @@ pub enum Error {
     Io(String),
     /// A transaction was aborted by the coordinator or a participant.
     TxnAborted(String),
-    /// The operation could not complete within its [`IoCtx`] deadline
-    /// (virtual-time budget), including retry budgets that ran out.
-    ///
-    /// [`IoCtx`]: crate::ctx::IoCtx
-    DeadlineExceeded(String),
     /// A tenant's front-door token bucket is empty; the request may be
     /// retried once `retry_after` virtual nanoseconds have passed.
     RateLimited {
@@ -98,7 +93,6 @@ impl Error {
             Error::Unsupported(_) => "unsupported",
             Error::Io(_) => "io",
             Error::TxnAborted(_) => "txn_aborted",
-            Error::DeadlineExceeded(_) => "deadline_exceeded",
             Error::RateLimited { .. } => "rate_limited",
             Error::Overloaded { .. } => "overloaded",
         }
@@ -108,8 +102,8 @@ impl Error {
     ///
     /// Conflicts, quota/rate rejections, admission sheds and transient I/O
     /// faults are retryable by construction; everything else is terminal —
-    /// it requires a namespace change, operator action, or a fresh deadline
-    /// budget, so backing off against it is wasted work.
+    /// it requires a namespace change or operator action, so backing off
+    /// against it is wasted work.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -150,7 +144,6 @@ impl fmt::Display for Error {
             Error::Unsupported(m) => ("unsupported", m),
             Error::Io(m) => ("i/o error", m),
             Error::TxnAborted(m) => ("transaction aborted", m),
-            Error::DeadlineExceeded(m) => ("deadline exceeded", m),
             Error::RateLimited { message, retry_after } => {
                 return write!(f, "rate limited (retry after {retry_after} ns): {message}")
             }
@@ -196,9 +189,6 @@ mod tests {
         assert!(!Error::CapacityExhausted(String::new()).is_retryable());
         assert!(!Error::Unrecoverable(String::new()).is_retryable());
         assert!(!Error::InvalidArgument(String::new()).is_retryable());
-        // A blown deadline means the budget is gone: retrying the same op
-        // with the same context cannot succeed.
-        assert!(!Error::DeadlineExceeded(String::new()).is_retryable());
     }
 
     #[test]
@@ -219,7 +209,6 @@ mod tests {
     fn kind_is_stable() {
         assert_eq!(Error::Io("x".into()).kind(), "io");
         assert_eq!(Error::Unrecoverable("x".into()).kind(), "unrecoverable");
-        assert_eq!(Error::DeadlineExceeded("x".into()).kind(), "deadline_exceeded");
         assert_eq!(
             Error::RateLimited { message: "x".into(), retry_after: 0 }.kind(),
             "rate_limited"

@@ -15,7 +15,7 @@
 //! * a tiny [`metrics`] registry used by the benchmark harness;
 //! * [`bucket::NanoBucket`] — the exact integer token bucket behind stream
 //!   quotas and tenant admission;
-//! * [`IoCtx`] — the per-request context (deadline, QoS class, trace span)
+//! * [`IoCtx`] — the per-request context (QoS class, trace span)
 //!   threaded through every layer of the storage stack;
 //! * [`Chore`] — the tick contract every background service
 //!   implements so `core::chore` can schedule them deterministically;

@@ -337,11 +337,7 @@ mod tests {
             let done = backlog.min(self.per_tick);
             let left = backlog - done;
             self.backlog.store(left, Ordering::Relaxed);
-            Ok(TickReport {
-                work_done: done,
-                backlog_hint: left,
-                finished_at: ctx.now,
-            })
+            Ok(TickReport { work_done: done, finished_at: ctx.now })
         }
     }
 

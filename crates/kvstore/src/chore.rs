@@ -58,11 +58,7 @@ impl Chore for WalCompactionChore {
             self.kv.with_read(|kv| (kv.wal_frames(), kv.wal_bytes_len()));
         self.metrics.observe("kvstore.wal.frames", frames_after);
         self.metrics.observe("kvstore.wal.bytes", bytes_after);
-        Ok(TickReport {
-            work_done: frames.saturating_sub(frames_after),
-            backlog_hint: 0,
-            finished_at: ctx.now,
-        })
+        Ok(TickReport { work_done: frames.saturating_sub(frames_after), finished_at: ctx.now })
     }
 }
 

@@ -236,23 +236,16 @@ pub struct TxnHandle {
     pub read_ts: Ts,
 }
 
-/// A committed-but-unresolved transaction surfaced for coordinators
-/// (recovery replays side effects from its intents before resolving).
+/// A transaction whose intents are still unresolved, surfaced for
+/// coordinators: a committed one (recovery replays side effects from its
+/// intents before resolving) or a pending one with no live coordinator
+/// (its intents are what an abort throws away).
 #[derive(Debug, Clone)]
-pub struct DecidedTxn {
+pub struct UnresolvedTxn {
     /// Transaction id.
     pub txn: Ts,
-    /// `(user_key, value)` pairs; `None` is a delete.
-    pub writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-}
-
-/// A pending (never decided) transaction with no live coordinator.
-#[derive(Debug, Clone)]
-pub struct PendingTxn {
-    /// Transaction id.
-    pub txn: Ts,
-    /// Its orphaned intents as `(user_key, value)` pairs, as in
-    /// [`DecidedTxn::writes`] — what an abort throws away.
+    /// Its surviving intents as `(user_key, value)` pairs; `None` is a
+    /// delete.
     pub writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
 
@@ -682,14 +675,8 @@ impl MvccStore {
     /// Committed-but-unresolved transactions, in id order, with the values
     /// their intents will make visible. Coordinators replay side effects
     /// from this before resolving.
-    pub fn decided(&self) -> Result<Vec<DecidedTxn>> {
-        let mut out = Vec::new();
-        for (txn, status, writes) in self.records()? {
-            if status == STATUS_COMMITTED {
-                out.push(DecidedTxn { txn, writes: self.surviving_intents(txn, writes)? });
-            }
-        }
-        Ok(out)
+    pub fn decided(&self) -> Result<Vec<UnresolvedTxn>> {
+        self.unresolved(STATUS_COMMITTED, |_| true)
     }
 
     /// The surviving intents of one decided transaction, as `(user_key,
@@ -729,15 +716,20 @@ impl MvccStore {
 
     /// Pending records with no live coordinator (not in the active map), in
     /// id order — the orphans a crash leaves behind.
-    pub fn orphan_pending(&self) -> Result<Vec<PendingTxn>> {
+    pub fn orphan_pending(&self) -> Result<Vec<UnresolvedTxn>> {
         let st = self.state.lock();
+        self.unresolved(STATUS_PENDING, |txn| !st.active.contains_key(&txn))
+    }
+
+    /// The records of `status` that `keep` admits, in id order, each with
+    /// its surviving intents.
+    fn unresolved(&self, status: u8, keep: impl Fn(Ts) -> bool) -> Result<Vec<UnresolvedTxn>> {
         let mut out = Vec::new();
-        for (txn, status, writes) in self.records()? {
-            if status == STATUS_PENDING && !st.active.contains_key(&txn) {
-                out.push(PendingTxn { txn, writes: self.surviving_intents(txn, writes)? });
+        for (txn, s, writes) in self.records()? {
+            if s == status && keep(txn) {
+                out.push(UnresolvedTxn { txn, writes: self.surviving_intents(txn, writes)? });
             }
         }
-        drop(st);
         Ok(out)
     }
 

@@ -431,7 +431,6 @@ mod tests {
         // one tick flushes every pending table, "a" first
         let r = chore.tick(&IoCtx::new(common::clock::secs(1))).unwrap();
         assert_eq!(r.work_done, 3, "a's two pending entries and b's one flushed");
-        assert_eq!(r.backlog_hint, 0);
         assert!(r.finished_at > common::clock::secs(1), "flush I/O charged");
         assert!(store.meta().pending_tables().is_empty());
         // a further tick is a no-op

@@ -263,12 +263,17 @@ pub(crate) mod tests {
     use simdisk::{MediaKind, StoragePool};
 
     pub(crate) fn test_store() -> TableStore {
+        store_on(6, 512 * MIB)
+    }
+
+    /// A store over `devices` NVMe devices of `device_capacity` bytes each.
+    fn store_on(devices: usize, device_capacity: u64) -> TableStore {
         let clock = SimClock::new();
         let pool = Arc::new(StoragePool::new(
             "ssd",
             MediaKind::NvmeSsd,
-            6,
-            512 * MIB,
+            devices,
+            device_capacity,
             clock,
         ));
         let plog = Arc::new(
@@ -632,30 +637,30 @@ pub(crate) mod tests {
 
     #[test]
     fn failed_multi_file_write_discards_the_files_before_it() -> Result<()> {
-        // Three hourly partitions are written back to back under one
-        // deadline. Sweep it upwards: the attempts that fail part-way have
-        // written earlier files, and none of them may survive.
-        let s = test_store();
-        s.create_table("logs", log_schema(), Some(PartitionSpec::hourly("start_time")), 1000, &IoCtx::new(0))?;
+        // Three hourly partitions are written back to back as three files,
+        // each replicated onto both of two devices. The devices have room
+        // for the first two files and not the third, so the insert fails
+        // after writing two files, and neither may survive.
         let rows: Vec<Row> = (0..3).flat_map(|h| log_rows(10, T0 + h * 3600)).collect();
-        let empty = (s.plog.record_count(), s.plog.physical_bytes());
-        let mut failures = 0;
-        for step in 1..1_000 {
-            // A quiet instant per attempt: device queues have drained.
-            let now = step * common::clock::secs(1);
-            let ctx = IoCtx::new(now).with_deadline(now + step * 5_000);
-            match s.insert("logs", &rows, &ctx) {
-                Ok(info) => {
-                    assert_eq!(info.files_added, 3);
-                    break;
-                }
-                Err(Error::DeadlineExceeded(_)) => failures += 1,
-                Err(e) => return Err(e),
-            }
-            assert_eq!((s.plog.record_count(), s.plog.physical_bytes()), empty, "step {step}");
+        let logs = |s: &TableStore| {
+            s.create_table("logs", log_schema(), Some(PartitionSpec::hourly("start_time")), 1000, &IoCtx::new(0))
+        };
+        // What the first two partitions (20 rows) take on each device.
+        let roomy = store_on(2, 512 * MIB);
+        logs(&roomy)?;
+        roomy.insert("logs", &rows[..20], &IoCtx::new(0))?;
+        let two_files = roomy.plog.physical_bytes() / 2;
+
+        let s = store_on(2, two_files + 1);
+        logs(&s)?;
+        let err = s.insert("logs", &rows, &IoCtx::new(0)).unwrap_err();
+        assert!(matches!(err, Error::CapacityExhausted(_)), "{err:?}");
+        let pool = s.plog.pool_for_tests();
+        for d in 0..2 {
+            assert_eq!(pool.device(d).op_counts().1, 2, "two files reached device {d}");
         }
-        assert!(failures > 2, "the sweep must fail part-way, not only at the first file");
-        assert_eq!(s.live_files("logs", &IoCtx::new(0))?.len(), 3, "the sweep must end in success");
+        assert_eq!((s.plog.record_count(), s.plog.physical_bytes()), (0, 0));
+        assert!(s.live_files("logs", &IoCtx::new(0))?.is_empty());
         Ok(())
     }
 

@@ -9,10 +9,8 @@
 //!
 //! Remote appends that hit a transient device fault are retried with a
 //! deterministic virtual-time backoff (doubling from
-//! [`RETRY_BASE_BACKOFF`]). With a deadline on the driving [`IoCtx`] the
-//! retry loop gives up with [`Error::DeadlineExceeded`] as soon as the next
-//! wake-up would land past the budget; without one it abandons the record
-//! after [`MAX_RETRY_ATTEMPTS`] tries and lets a later cycle pick it up.
+//! [`RETRY_BASE_BACKOFF`]). After [`MAX_RETRY_ATTEMPTS`] tries the loop
+//! abandons the record and lets a later cycle pick it up.
 
 use crate::store::{PlogAddress, PlogStore};
 use common::chore::{Chore, TickReport};
@@ -29,7 +27,7 @@ pub(crate) const WAN_BYTES_PER_SEC: u64 = 100_000_000; // ~800 Mb/s
 /// First retry backoff after a transient remote fault; doubles per attempt.
 pub(crate) const RETRY_BASE_BACKOFF: Nanos = millis(1);
 
-/// Retry budget per record when the context carries no deadline.
+/// Attempts per record and cycle before the record is left to the next cycle.
 pub(crate) const MAX_RETRY_ATTEMPTS: u32 = 5;
 
 /// Report of one replication cycle.
@@ -59,7 +57,8 @@ struct ReplicationCursor {
     watermarks: BTreeMap<u32, u64>,
     /// Already-scanned addresses that still need shipping: abandoned after
     /// retry exhaustion, locally unreadable last cycle, or unprocessed when
-    /// a cycle aborted on a deadline. Revisited every cycle until shipped.
+    /// a cycle aborted on a terminal error. Revisited every cycle until
+    /// shipped.
     pending: BTreeSet<PlogAddress>,
 }
 
@@ -98,7 +97,7 @@ impl RemoteReplicator {
         // Scan only past each shard's watermark; everything discovered (plus
         // the carried-over pending set) becomes this cycle's work list. Work
         // enters `pending` up front and leaves only when shipped, so a cycle
-        // aborted by a deadline forfeits nothing.
+        // aborted by a terminal error forfeits nothing.
         for shard in 0..self.primary.config().shard_count as u32 {
             let from = cursor.watermarks.get(&shard).copied().unwrap_or(0);
             let fresh = self.primary.addresses_from(shard, from);
@@ -117,10 +116,8 @@ impl RemoteReplicator {
                 cursor.pending.remove(&addr);
                 continue;
             }
-            let (data, t_read) = match self.primary.read_at(&addr, &ctx.at(t)) {
-                Ok(v) => v,
-                Err(e @ Error::DeadlineExceeded(_)) => return Err(e),
-                Err(_) => continue, // unreadable locally; not this service's job
+            let Ok((data, t_read)) = self.primary.read_at(&addr, &ctx.at(t)) else {
+                continue; // unreadable locally; not this service's job
             };
             let wan = data.len() as u64 * 1_000_000_000 / WAN_BYTES_PER_SEC;
             ctx.record(Phase::Wan, t_read, wan);
@@ -140,13 +137,12 @@ impl RemoteReplicator {
     }
 
     /// Append `data` at the remote site, retrying **retryable** errors
-    /// ([`Error::is_retryable`]: transient I/O faults, throttling) with
-    /// doubling backoff, honouring any explicit retry-after hint the error
-    /// carries. Terminal errors — capacity exhaustion, corruption, missing
+    /// ([`Error::is_retryable`]: transient I/O faults) with doubling
+    /// backoff. Terminal errors — capacity exhaustion, corruption, missing
     /// namespaces — return immediately: backing off against a fault that
     /// can never recover is wasted virtual time. `Ok(None)` means the
-    /// attempt budget ran out without a deadline; the record stays unmapped
-    /// for the next cycle.
+    /// attempt budget ran out; the record stays unmapped for the next
+    /// cycle.
     fn ship_with_retry(
         &self,
         addr: &PlogAddress,
@@ -162,28 +158,14 @@ impl RemoteReplicator {
         loop {
             match self.remote.append_to_shard_at(shard, data.clone(), &ctx.at(t)) {
                 Ok(placed) => return Ok(Some(placed)),
-                Err(e @ Error::DeadlineExceeded(_)) => return Err(e),
                 Err(e) if e.is_retryable() => {
                     attempts += 1;
-                    // An explicit hint (RateLimited/Overloaded) overrides a
-                    // shorter backoff; the schedule stays deterministic.
-                    let wait = e.retry_after().map_or(backoff, |hint| hint.max(backoff));
-                    let wake = t + wait;
-                    if let Some(d) = ctx.deadline {
-                        if wake > d {
-                            return Err(Error::DeadlineExceeded(format!(
-                                "replication of {addr:?} still failing at attempt \
-                                 {attempts}; next retry at {wake} exceeds deadline {d} \
-                                 (trace {})",
-                                ctx.trace
-                            )));
-                        }
-                    } else if attempts >= MAX_RETRY_ATTEMPTS {
+                    if attempts >= MAX_RETRY_ATTEMPTS {
                         return Ok(None);
                     }
-                    ctx.record(Phase::Queue, t, wait);
+                    ctx.record(Phase::Queue, t, backoff);
                     report.retries += 1;
-                    t = wake;
+                    t += backoff;
                     backoff = backoff.saturating_mul(2);
                 }
                 // Terminal class: retrying the identical append can never
@@ -191,11 +173,6 @@ impl RemoteReplicator {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Records owed to the remote site right now (scanned but unshipped).
-    pub(crate) fn pending_count(&self) -> usize {
-        self.cursor.lock().pending.len()
     }
 
     /// Recover the record at `addr` from the remote site (disaster
@@ -217,16 +194,10 @@ impl Chore for RemoteReplicator {
         "replication"
     }
 
-    /// One shipping cycle. `work_done` counts records copied;
-    /// `backlog_hint` is the pending set left for the next cycle (records
-    /// abandoned after retry exhaustion or unreadable locally).
+    /// One shipping cycle. `work_done` counts records copied.
     fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let report = self.run(ctx)?;
-        Ok(TickReport {
-            work_done: report.records_copied,
-            backlog_hint: self.pending_count() as u64,
-            finished_at: report.finished_at,
-        })
+        Ok(TickReport { work_done: report.records_copied, finished_at: report.finished_at })
     }
 }
 
@@ -422,41 +393,28 @@ mod tests {
     }
 
     #[test]
-    fn retry_exhaustion_respects_the_deadline_and_keeps_the_trail() {
-        let primary = site("primary", 4);
-        let remote = site("remote", 4);
-        put(&primary, b"k", &vec![1u8; 1000]).unwrap();
-        fail_remote_until(&remote, secs(60)); // far past any budget
-        let sink = Arc::new(SpanSink::new(Metrics::new()));
-        let rep = RemoteReplicator::new(primary, remote);
-        let ctx = IoCtx::new(0)
-            .with_deadline(millis(4))
-            .with_qos(QosClass::Background)
-            .with_sink(sink.clone());
-        let err = rep.run(&ctx).unwrap_err();
-        assert!(matches!(err, Error::DeadlineExceeded(_)), "got {err:?}");
-        assert_eq!(err.kind(), "deadline_exceeded");
-        assert_eq!(rep.mapping.lock().len(), 0);
-        // the span trail survives the failure: WAN shipping plus at least
-        // one recorded backoff wait, all under the request's trace id.
-        let trail = sink.trail();
-        assert!(trail.iter().any(|r| r.phase == Phase::Wan), "trail: {trail:?}");
-        assert!(trail.iter().any(|r| r.phase == Phase::Queue), "trail: {trail:?}");
-        assert!(trail.iter().all(|r| r.trace == ctx.trace));
-    }
-
-    #[test]
-    fn without_a_deadline_a_dead_remote_is_abandoned_not_fatal() {
+    fn a_dead_remote_is_abandoned_not_fatal_and_keeps_the_trail() {
         let primary = site("primary", 4);
         let remote = site("remote", 4);
         put(&primary, b"k", &vec![1u8; 1000]).unwrap();
         fail_remote_until(&remote, secs(60));
+        let sink = Arc::new(SpanSink::new(Metrics::new()));
         let rep = RemoteReplicator::new(primary, remote);
-        let report = rep.run(&IoCtx::new(0)).unwrap();
+        let ctx = IoCtx::new(0).with_qos(QosClass::Background).with_sink(sink.clone());
+        let report = rep.run(&ctx).unwrap();
         assert_eq!(report.records_copied, 0);
         assert_eq!(report.records_abandoned, 1);
         assert_eq!(report.retries, u64::from(MAX_RETRY_ATTEMPTS) - 1);
         assert_eq!(rep.mapping.lock().len(), 0);
+        // the span trail shows the abandoned attempt: WAN shipping plus the
+        // recorded backoff waits, all under the request's trace id.
+        let trail = sink.trail();
+        assert!(trail.iter().any(|r| r.phase == Phase::Wan), "trail: {trail:?}");
+        assert!(
+            trail.iter().any(|r| r.phase == Phase::Queue && r.duration == RETRY_BASE_BACKOFF),
+            "trail: {trail:?}"
+        );
+        assert!(trail.iter().all(|r| r.trace == ctx.trace));
         // the next cycle, after the fault clears, ships it
         let late = rep.run(&IoCtx::new(secs(61))).unwrap();
         assert_eq!(late.records_copied, 1);
@@ -512,16 +470,5 @@ mod tests {
             sink.trail()
         );
         assert_eq!(rep.mapping.lock().len(), 0);
-    }
-
-    #[test]
-    fn retry_after_hints_stretch_the_backoff_schedule() {
-        // Synthetic check of the hint rule the loop applies: an explicit
-        // retry-after that exceeds the current doubling backoff wins, a
-        // shorter one is ignored.
-        let hint = Error::RateLimited { message: "t".into(), retry_after: millis(8) };
-        assert_eq!(hint.retry_after().map(|h| h.max(millis(1))), Some(millis(8)));
-        let short = Error::Overloaded { message: "t".into(), retry_after: millis(1) };
-        assert_eq!(short.retry_after().map(|h| h.max(millis(4))), Some(millis(4)));
     }
 }

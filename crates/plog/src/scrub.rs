@@ -75,7 +75,7 @@ impl ScrubService {
     /// Maintenance regardless of what the caller's `ctx` carries: scrub
     /// I/O must never contend in a foreground lane.
     pub(crate) fn run_cycle(&self, ctx: &IoCtx) -> Result<ScrubReport> {
-        let ctx = ctx.clone().with_qos(QosClass::Maintenance).without_deadline();
+        let ctx = ctx.clone().with_qos(QosClass::Maintenance);
         let mut report = ScrubReport { finished_at: ctx.now, ..Default::default() };
         for addr in &self.store.addresses() {
             report.records_scanned += 1;
@@ -123,11 +123,7 @@ impl Chore for ScrubService {
     /// One full scrub cycle; `work_done` counts the records scanned.
     fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let report = self.run_cycle(ctx)?;
-        Ok(TickReport {
-            work_done: report.records_scanned,
-            backlog_hint: 0,
-            finished_at: report.finished_at,
-        })
+        Ok(TickReport { work_done: report.records_scanned, finished_at: report.finished_at })
     }
 }
 

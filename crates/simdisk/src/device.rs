@@ -293,10 +293,10 @@ impl Device {
 
     /// Write `data` as extent `extent_id`, replacing any previous content.
     ///
-    /// The context supplies the issue time, the QoS class used for queue
-    /// placement, and the optional deadline: an op whose completion would
-    /// lie past the deadline returns `Error::DeadlineExceeded` and leaves
-    /// the device (queue and contents) untouched.
+    /// The context supplies the issue time and the QoS class used for queue
+    /// placement. A failed device or an open fault window returns
+    /// retryable `Error::Io` and leaves the device (queue and contents)
+    /// untouched.
     pub fn write_extent_ctx(
         &self,
         extent_id: u64,
@@ -316,7 +316,7 @@ impl Device {
                 self.capacity
             )));
         }
-        let timing = self.charge_ctx(&mut st, data.len() as u64, ctx)?;
+        let timing = self.charge_ctx(&mut st, data.len() as u64, ctx);
         let data = self.maybe_tear(&mut st, data, ctx.now);
         st.used = st.used - old + data.len() as u64;
         st.extents.insert(extent_id, data);
@@ -324,7 +324,7 @@ impl Device {
         Ok(timing)
     }
 
-    /// Read back extent `extent_id`. Deadline/QoS semantics as
+    /// Read back extent `extent_id`. Fault/QoS semantics as
     /// [`write_extent_ctx`](Self::write_extent_ctx).
     pub fn read_extent_ctx(&self, extent_id: u64, ctx: &IoCtx) -> Result<(Bytes, OpTiming)> {
         let mut st = self.state.lock();
@@ -334,7 +334,7 @@ impl Device {
             .get(&extent_id)
             .cloned()
             .ok_or_else(|| Error::NotFound(format!("extent {extent_id} on device {}", self.id)))?;
-        let timing = self.charge_ctx(&mut st, data.len() as u64, ctx)?;
+        let timing = self.charge_ctx(&mut st, data.len() as u64, ctx);
         st.reads += 1;
         Ok((data, timing))
     }
@@ -342,11 +342,9 @@ impl Device {
     /// Queue admission: pick the start slot for `ctx.qos` (foreground ops
     /// wait only for the foreground lane; background/maintenance ops wait
     /// for everything already accepted), stretch the media service time by
-    /// the gray-failure factor while that window is open, reject with
-    /// `Error::DeadlineExceeded` *before* mutating queue state when the op
-    /// cannot finish inside the deadline, then charge the queue and close
-    /// the `queue`/`device` spans.
-    fn charge_ctx(&self, st: &mut DeviceState, bytes: u64, ctx: &IoCtx) -> Result<OpTiming> {
+    /// the gray-failure factor while that window is open, then charge the
+    /// queue and close the `queue`/`device` spans.
+    fn charge_ctx(&self, st: &mut DeviceState, bytes: u64, ctx: &IoCtx) -> OpTiming {
         let foreground = ctx.qos.is_foreground();
         let start = ctx.now.max(if foreground { st.fg_busy_until } else { st.busy_until });
         let degraded = start < st.degraded_until;
@@ -355,7 +353,6 @@ impl Device {
             service = service.saturating_mul(st.degrade_factor.max(1));
         }
         let finish = start + service;
-        ctx.check_deadline(finish)?;
         if degraded {
             st.slow_ios += 1;
         }
@@ -365,7 +362,7 @@ impl Device {
         st.busy_until = st.busy_until.max(finish);
         ctx.record(Phase::Queue, ctx.now, start - ctx.now);
         ctx.record(Phase::Device, start, service);
-        Ok(OpTiming { start, finish })
+        OpTiming { start, finish }
     }
 
     /// Apply the torn-write window: a write issued inside it is acknowledged
@@ -381,23 +378,10 @@ impl Device {
         Bytes::from_vec(data.as_slice()[..keep].to_vec())
     }
 
-    /// Fault/deadline precedence, kept consistent across every op: a budget
-    /// already exhausted at issue time (`ctx.now` past the deadline) beats
-    /// fault state and returns `Error::DeadlineExceeded`; otherwise an
-    /// active fault beats deadline math and returns retryable `Error::Io` —
-    /// even when the deadline also lands inside the fault window — so
-    /// redundancy fallback and virtual-time retry loops see the fault, and
-    /// the retry loop converts it to `DeadlineExceeded` exactly when the
-    /// budget runs out.
+    /// A failed device, or one issued an op inside its fault window,
+    /// returns retryable `Error::Io`, so redundancy fallback and
+    /// virtual-time retry loops see the fault.
     fn check_live(&self, st: &mut DeviceState, ctx: &IoCtx) -> Result<()> {
-        if let Some(d) = ctx.deadline {
-            if ctx.now > d {
-                return Err(Error::DeadlineExceeded(format!(
-                    "op issued at {} on device {} past deadline {d} (trace {})",
-                    ctx.now, self.id, ctx.trace
-                )));
-            }
-        }
         if st.failed {
             st.io_errors += 1;
             return Err(Error::Io(format!("device {} failed", self.id)));
@@ -533,20 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_rejects_without_charging_queue() {
-        let d = dev(MediaKind::SasHdd);
-        // Saturate the foreground lane.
-        let t1 = d.write_extent_ctx(1, &[0u8; MIB as usize], &IoCtx::new(0)).unwrap();
-        // A queued op that cannot finish by its deadline is rejected …
-        let err = d.write_extent_ctx(2, b"tiny", &IoCtx::new(0).with_deadline(millis(1)));
-        assert!(matches!(err, Err(Error::DeadlineExceeded(_))), "{err:?}");
-        // … and must not have been stored or have moved the queue.
-        assert!(!d.state.lock().extents.contains_key(&2));
-        let t2 = d.write_extent_ctx(2, b"tiny", &IoCtx::new(0)).unwrap();
-        assert_eq!(t2.start, t1.finish, "rejected op must leave the queue untouched");
-    }
-
-    #[test]
     fn transient_fault_window_preserves_data() {
         let d = dev(MediaKind::NvmeSsd);
         d.write_extent_ctx(1, b"keep", &IoCtx::new(0)).unwrap();
@@ -559,42 +529,6 @@ mod tests {
         d.fail_until(millis(20));
         d.heal();
         d.read_extent_ctx(1, &IoCtx::new(millis(15))).unwrap();
-    }
-
-    #[test]
-    fn open_budget_inside_fault_window_is_io_not_deadline() {
-        // Precedence contract: the budget is still open at issue time, so
-        // the active fault wins and surfaces as retryable Io — even though
-        // the deadline lands inside the fault window. Pool fallback and
-        // replication retry loops depend on seeing the fault, not a
-        // premature DeadlineExceeded.
-        let d = dev(MediaKind::NvmeSsd);
-        d.write_extent_ctx(1, b"x", &IoCtx::new(0)).unwrap();
-        d.fail_until(millis(10));
-        let ctx = IoCtx::new(millis(2)).with_deadline(millis(5));
-        let err = d.read_extent_ctx(1, &ctx);
-        assert!(matches!(err, Err(Error::Io(_))), "{err:?}");
-        let werr = d.write_extent_ctx(2, b"y", &ctx);
-        assert!(matches!(werr, Err(Error::Io(_))), "{werr:?}");
-    }
-
-    #[test]
-    fn exhausted_budget_wins_over_an_active_fault() {
-        // The other half of the contract: issued past the deadline, the op
-        // is DeadlineExceeded regardless of the device's fault state.
-        let d = dev(MediaKind::NvmeSsd);
-        d.write_extent_ctx(1, b"x", &IoCtx::new(0)).unwrap();
-        d.fail_until(millis(10));
-        let ctx = IoCtx::new(millis(6)).with_deadline(millis(5));
-        let err = d.read_extent_ctx(1, &ctx);
-        assert!(matches!(err, Err(Error::DeadlineExceeded(_))), "{err:?}");
-        // And once the fault window closes, the same late ctx still loses.
-        let late = IoCtx::new(millis(12)).with_deadline(millis(5));
-        let err2 = d.read_extent_ctx(1, &late);
-        assert!(matches!(err2, Err(Error::DeadlineExceeded(_))), "{err2:?}");
-        // A fresh budget after the window succeeds.
-        let ok = d.read_extent_ctx(1, &IoCtx::new(millis(12)).with_deadline(millis(30)));
-        assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl StoragePool {
     /// The deployment's shared clock. No pool or device operation reads or
     /// advances it — virtual time travels in each op's [`IoCtx`] — so a
     /// caller that works on the shared timeline mints `IoCtx::new(now())`
-    /// and `advance_to`s the returned finish itself.
+    /// and `advance`s the clock past the returned finish itself.
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
@@ -211,8 +211,8 @@ impl StoragePool {
     /// Shards are issued concurrently at `ctx.now` (one per device) and
     /// queued per the context's QoS class; the returned completion time is
     /// the latest shard finish. When any shard fails — e.g. with
-    /// `Error::DeadlineExceeded` because it cannot finish inside the
-    /// deadline — the shards already placed are rolled back.
+    /// `Error::Io` because its device is inside a fault window — the
+    /// shards already placed are rolled back.
     pub fn write_shards_ctx(&self, shards: &[Bytes], ctx: &IoCtx) -> Result<(ExtentHandle, Nanos)> {
         let plan = self.plan_shards(shards.len())?;
         let mut finish = ctx.now;
@@ -276,8 +276,7 @@ impl StoragePool {
     /// Read every shard of an extent, issued concurrently at `ctx.now`;
     /// returns the shards plus the latest finish time across the per-device
     /// reads. Failed or missing shards come back as `None` for the
-    /// redundancy layer to reconstruct, but a blown deadline is not
-    /// survivable degradation — it propagates as `Error::DeadlineExceeded`.
+    /// redundancy layer to reconstruct.
     pub fn read_shards_ctx(
         &self,
         handle: &ExtentHandle,
@@ -286,18 +285,12 @@ impl StoragePool {
         let mut finish = ctx.now;
         let mut shards = Vec::with_capacity(handle.shards.len());
         for &(dev_idx, dev_extent) in &handle.shards {
-            match self.devices.get(dev_idx) {
-                Some(d) => match d.read_extent_ctx(dev_extent, ctx) {
-                    Ok((data, t)) => {
-                        finish = finish.max(t.finish);
-                        shards.push(Some(data));
-                    }
-                    Err(Error::DeadlineExceeded(m)) => {
-                        return Err(Error::DeadlineExceeded(m))
-                    }
-                    Err(_) => shards.push(None),
-                },
-                None => shards.push(None),
+            match self.devices.get(dev_idx).map(|d| d.read_extent_ctx(dev_extent, ctx)) {
+                Some(Ok((data, t))) => {
+                    finish = finish.max(t.finish);
+                    shards.push(Some(data));
+                }
+                _ => shards.push(None),
             }
         }
         Ok((shards, finish))

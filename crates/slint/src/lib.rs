@@ -25,9 +25,9 @@
 //! * **R6** — every `unsafe` block needs a `// SAFETY:` comment on the
 //!   same line or within the three lines above.
 //! * **R7** — outside `crates/common`, library code (the device model
-//!   included) must not call `SimClock::advance` / `advance_to` directly:
-//!   every layer receives time through `common::ctx::IoCtx` and returns
-//!   finish times; no storage operation moves the shared clock.
+//!   included) must not call `SimClock::advance` directly: every layer
+//!   receives time through `common::ctx::IoCtx` and returns finish times;
+//!   no storage operation moves the shared clock.
 //! * **R8** — background-service entry points (`run_cycle`,
 //!   `run_to_convergence`, `maybe_archive`, `compact_all`) may only be
 //!   called from the owning service's own crate; everywhere else the work
@@ -45,8 +45,8 @@
 //! * **R10** — functions in the data-path crates that can reach a timed
 //!   device operation must receive `&IoCtx` from their caller: minting a
 //!   fresh root with `IoCtx::new(` deep in the stack (outside
-//!   [`model::ROOT_CTX_FILES`]) silently drops deadlines and tracing, and
-//!   `.without_deadline(` is only allowed in the healing/scrub services.
+//!   [`model::ROOT_CTX_FILES`]) silently drops the caller's QoS class and
+//!   trace.
 //! * **R11** — swallowed `Result`s (`let _ = ..;` and trailing-statement
 //!   `.ok();`) in library code of the layered crates; failures must
 //!   propagate or carry a reasoned waiver.
@@ -88,8 +88,7 @@ pub enum Rule {
     /// Lock-order violations: cycles, hierarchy inversions, same-class
     /// nesting in the inter-procedural lock graph.
     R9,
-    /// `IoCtx` not propagated: fresh roots or `without_deadline` on the
-    /// timed data path.
+    /// `IoCtx` not propagated: fresh roots on the timed data path.
     R10,
     /// Swallowed `Result` in library code.
     R11,
@@ -177,12 +176,6 @@ const ORDERED_ITER_CRATES: [&str; 6] = ["simdisk", "plog", "stream", "lake", "la
 /// layers plus the storage substrate and the KV index.
 const NO_SWALLOW_CRATES: [&str; 7] =
     ["lake", "stream", "format", "plog", "core", "simdisk", "kvstore"];
-
-/// Files allowed to strip deadlines with `.without_deadline(`: the
-/// self-healing read-repair path and the scrub service deliberately
-/// outlive the failed request that triggered them.
-const WITHOUT_DEADLINE_ALLOWLIST: [&str; 2] =
-    ["crates/plog/src/store.rs", "crates/plog/src/scrub.rs"];
 
 fn in_crate_src(path: &str, names: &[&str]) -> bool {
     names.iter().any(|c| path.starts_with(&format!("crates/{c}/src/")))
@@ -293,7 +286,6 @@ const TOKEN_RULES: [TokenRule; 6] = [
         rule: Rule::R7,
         tokens: &[
             (".advance(", "direct clock advance outside the clock owner; thread time via IoCtx"),
-            (".advance_to(", "direct clock advance outside the clock owner; thread time via IoCtx"),
         ],
         skip_test_code: true,
     },
@@ -362,48 +354,11 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         findings.extend(check_chore_entry_points(rel_path, &cleaned, &waivers));
     }
 
-    if rule_applies(Rule::R10, rel_path)
-        && !WITHOUT_DEADLINE_ALLOWLIST.contains(&rel_path)
-    {
-        findings.extend(check_without_deadline(rel_path, &cleaned, &waivers));
-    }
-
     if rule_applies(Rule::R11, rel_path) {
         findings.extend(check_swallowed_results(rel_path, &cleaned, &waivers));
     }
 
     findings.sort();
-    findings
-}
-
-/// R10 (token half): `.without_deadline(` strips the caller's deadline;
-/// outside the allowlisted healing/scrub services that silently turns a
-/// timed request into an unbounded one.
-fn check_without_deadline(
-    rel_path: &str,
-    cleaned: &CleanedSource,
-    waivers: &Waivers,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (idx, line) in cleaned.lines.iter().enumerate() {
-        let lineno = idx + 1;
-        if line.in_test_code {
-            continue;
-        }
-        for _ in find_token(&line.code, ".without_deadline(") {
-            if waivers.allows(lineno, Rule::R10) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel_path.to_string(),
-                line: lineno,
-                rule: Rule::R10,
-                message: "`.without_deadline(`: strips the caller's deadline on the data \
-                          path; only the healing/scrub services may outlive their trigger"
-                    .to_string(),
-            });
-        }
-    }
     findings
 }
 

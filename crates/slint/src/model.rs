@@ -1630,7 +1630,7 @@ pub fn analyze(files: &[(String, String)]) -> (Vec<ModelFinding>, LockGraph) {
                 line,
                 message: format!(
                     "`IoCtx::new(` in `{}`, which reaches a timed device operation: \
-                     accept `&IoCtx` from the caller so deadlines and tracing propagate",
+                     accept `&IoCtx` from the caller so its QoS class and trace propagate",
                     f.name
                 ),
             });

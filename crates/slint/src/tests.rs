@@ -185,15 +185,18 @@ fn r6_safety_comment_too_far_away_does_not_count() {
 
 #[test]
 fn r7_flags_clock_advance_in_upper_layers() {
-    let src = "pub fn f(c: &common::SimClock) { c.advance(10); c.advance_to(50); }\n";
+    let src = "pub fn f(c: &common::SimClock) { c.advance(10); c.advance(50); }\n";
     let fired = rules_fired("crates/lake/src/x.rs", src);
     assert_eq!(fired, vec![Rule::R7, Rule::R7]);
     assert_eq!(rules_fired("crates/stream/src/x.rs", src), vec![Rule::R7, Rule::R7]);
+    // A fault schedule's `advance_to` applies due faults; it moves no clock.
+    let inj = "pub fn f(i: &FaultInjector) { i.advance_to(50); }\n";
+    assert!(rules_fired("crates/simdisk/src/x.rs", inj).is_empty());
 }
 
 #[test]
 fn r7_exempts_only_the_clock_owner() {
-    let src = "pub fn f(c: &SimClock) { c.advance_to(t); }\n";
+    let src = "pub fn f(c: &SimClock) { c.advance(t); }\n";
     assert!(rules_fired("crates/common/src/clock.rs", src).is_empty());
     assert_eq!(rules_fired("crates/simdisk/src/device.rs", src), vec![Rule::R7]);
     // Root integration tests and examples drive scenarios; out of scope.

@@ -434,12 +434,6 @@ impl GroupCoordinator {
         dropped
     }
 
-    /// Groups whose offsets are still retained but whose member set is
-    /// empty — the retention chore's backlog.
-    fn empty_group_count(&self) -> u64 {
-        self.state.lock().values().filter(|g| g.members.is_empty()).count() as u64
-    }
-
     fn expire_locked(&self, group: &str, g: &mut GroupState, now: Nanos) -> u64 {
         let dead: Vec<MemberId> = g
             .members
@@ -604,17 +598,7 @@ impl Chore for OffsetRetentionChore {
     fn tick(&self, ctx: &IoCtx) -> Result<TickReport> {
         let expired = self.coordinator.expire_members(ctx);
         let dropped = self.coordinator.retention_sweep(ctx);
-        let work = expired + dropped;
-        if work == 0 {
-            let mut report = TickReport::idle(ctx.now);
-            report.backlog_hint = self.coordinator.empty_group_count();
-            return Ok(report);
-        }
-        Ok(TickReport {
-            work_done: work,
-            backlog_hint: self.coordinator.empty_group_count(),
-            finished_at: ctx.now,
-        })
+        Ok(TickReport { work_done: expired + dropped, finished_at: ctx.now })
     }
 }
 

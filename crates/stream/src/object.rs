@@ -149,7 +149,7 @@ impl StreamObject {
         self.state.lock().slices.len()
     }
 
-    /// Append records under `ctx` (arrival time, deadline, QoS).
+    /// Append records under `ctx` (arrival time, QoS).
     ///
     /// Duplicate `(producer_id, sequence)` pairs are dropped (idempotence);
     /// a sequence gap is an error, as the broker cannot know what was lost.
@@ -239,13 +239,9 @@ impl StreamObject {
                 None => None,
             };
             // The drain is background work: it keeps the request's trace
-            // and sink but must not inherit its deadline or foreground
-            // device lane.
-            let drain_ctx = staged_at.map(|t| {
-                let drain = ctx.at(t.max(st.drain_backlog_until)).with_qos(QosClass::Background);
-                // slint:allow(R10): the SCM→PLog drain outlives the request SCM already acked
-                drain.without_deadline()
-            });
+            // and sink but must not inherit its foreground device lane.
+            let drain_ctx = staged_at
+                .map(|t| ctx.at(t.max(st.drain_backlog_until)).with_qos(QosClass::Background));
             let group_ctx = drain_ctx.as_ref().unwrap_or(ctx);
             let appends: Vec<_> =
                 group.iter().map(|(_, bytes)| (self.shard, bytes.clone(), group_ctx)).collect();

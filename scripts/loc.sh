@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Size of the non-test Rust, per crate, and the `pub` struct fields of the
-# library crates.
+# Size of the non-test Rust, per crate, the `pub` struct fields of the
+# library crates, and their `pub`/`pub(crate)` functions that no program
+# calls.
 #
 # A file counts up to the `#[cfg(test)]` that opens its test module (a
 # `mod` item), not up to the first test-only item, so deleting a
@@ -56,3 +57,31 @@ for c in $LIBS; do
     fields=$((fields + n))
 done
 printf '%-12s %7d\n' "total" "$fields"
+
+# A function counts as named when its name occurs, outside a `//` comment
+# or a one-line string literal and not right after `fn `, in the non-test code (same cut as above) of
+# crates/*/src, src, examples or benchmark/src. The match is by name only,
+# so a function that shares its name with another item (`recover`, `new`)
+# counts as named and is missed here.
+echo
+echo "pub fns of the library crates that no non-test code names"
+code="$(mktemp)"
+trap 'rm -f "$code"' EXIT
+while IFS= read -r f; do
+    [ "$(basename "$f")" = tests.rs ] && continue
+    head -n "$(count_file "$f")" "$f" | sed -E 's/"([^"\\]|\\.)*"/""/g; s://.*$::'
+done < <(find crates/*/src src examples benchmark/src -name '*.rs' 2>/dev/null | sort) >"$code"
+unnamed="$(
+    for c in $LIBS; do
+        while IFS= read -r f; do
+            [ "$(basename "$f")" = tests.rs ] && continue
+            head -n "$(count_file "$f")" "$f" |
+                grep -oE '^[[:space:]]*pub(\(crate\))? +(const +)?fn +[a-z_][a-zA-Z0-9_]*' |
+                sed -E "s|.*fn +|$f |"
+        done < <(find "crates/$c/src" -name '*.rs' | sort)
+    done | while read -r f name; do
+        grep -qP "(?<!fn )\\b$name\\b" "$code" || printf '%-40s %s\n' "$f" "$name"
+    done
+)"
+[ -n "$unnamed" ] && echo "$unnamed"
+printf '%-12s %7d\n' "total" "$(grep -c . <<<"$unnamed" || true)"
