@@ -8,8 +8,8 @@
 
 use common::clock::Nanos;
 use common::ctx::IoCtx;
+use common::lockwitness::TrackedMutex;
 use common::{Error, Result};
-use parking_lot::Mutex;
 use simdisk::pool::{ExtentHandle, StoragePool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ struct FileEntry {
 #[derive(Debug)]
 pub struct MiniHdfs {
     pool: Arc<StoragePool>,
-    namenode: Mutex<BTreeMap<String, FileEntry>>,
+    namenode: TrackedMutex<BTreeMap<String, FileEntry>>,
     block_size: u64,
     replication: usize,
 }
@@ -34,7 +34,7 @@ impl MiniHdfs {
     pub fn new(pool: Arc<StoragePool>, block_size: u64, replication: usize) -> Self {
         MiniHdfs {
             pool,
-            namenode: Mutex::new(BTreeMap::new()),
+            namenode: TrackedMutex::new("baselines.hdfs.namenode", BTreeMap::new()),
             block_size: block_size.max(1),
             replication: replication.max(1),
         }

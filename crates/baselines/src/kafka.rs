@@ -9,9 +9,9 @@
 
 use common::clock::Nanos;
 use common::ctx::IoCtx;
+use common::lockwitness::TrackedMutex;
 use common::varint::Reader;
 use common::{Error, Result};
-use parking_lot::Mutex;
 use simdisk::pool::{ExtentHandle, StoragePool};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ struct Partition {
 #[derive(Debug)]
 pub struct MiniKafka {
     pool: Arc<StoragePool>,
-    topics: Mutex<HashMap<String, Vec<Partition>>>,
+    topics: TrackedMutex<HashMap<String, Vec<Partition>>>,
     replication: usize,
     segment_bytes: u64,
 }
@@ -63,7 +63,7 @@ impl MiniKafka {
     pub fn new(pool: Arc<StoragePool>, replication: usize, segment_bytes: u64) -> Self {
         MiniKafka {
             pool,
-            topics: Mutex::new(HashMap::new()),
+            topics: TrackedMutex::new("baselines.kafka.topics", HashMap::new()),
             replication: replication.max(1),
             segment_bytes: segment_bytes.max(1),
         }

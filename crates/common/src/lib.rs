@@ -19,8 +19,8 @@
 //!   threaded through every layer of the storage stack;
 //! * [`Chore`] — the tick contract every background service
 //!   implements so `core::chore` can schedule them deterministically;
-//! * [`lockwitness`] — the debug-only runtime lock-order sanitizer that
-//!   corroborates the canonical hierarchy slint R9 checks statically.
+//! * [`lockwitness`] — the canonical lock hierarchy and the lock-order
+//!   witness that checks every acquisition against it in debug builds.
 
 pub mod bucket;
 pub mod bytes;

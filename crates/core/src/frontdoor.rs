@@ -955,6 +955,22 @@ mod tests {
     }
 
     #[test]
+    fn traced_produce_records_spans_under_the_door_state() {
+        // The door holds its state while the producer appends, so a traced
+        // request records its spans with `core.frontdoor.state` held: the
+        // witness must see that edge, and it must rise in rank.
+        use common::ctx::SpanSink;
+        use common::lockwitness;
+        let fd = door();
+        let sink = Arc::new(SpanSink::default());
+        fd.produce("tok-a", "t", "k", "v", &fg(0).with_sink(sink.clone())).unwrap();
+        assert!(!sink.trail().is_empty(), "the traced produce recorded no span");
+        let edge = ("core.frontdoor.state", "common.span.trail");
+        assert!(lockwitness::observed_edges().contains(&edge), "witness missed {edge:?}");
+        assert!(lockwitness::rank(edge.0) < lockwitness::rank(edge.1));
+    }
+
+    #[test]
     fn same_seed_replays_identical_journals() {
         let run = |seed: u64| {
             let lake = Arc::new(StreamLake::new(StreamLakeConfig::small()));

@@ -21,12 +21,15 @@
 //!   intent the transaction wrote, across stream and lake alike.
 //!   Resolution (intent → version) afterwards is pure, idempotent cleanup
 //!   that recovery can replay.
-//! * **Latches + timestamp cache + pushes** — a latch/interval manager
-//!   detects key-range write conflicts between live transactions; reads
-//!   leave their timestamp in a read-timestamp cache, and writers have
-//!   their provisional commit timestamp *pushed* above every read they
-//!   would otherwise invalidate. A reader meeting a live writer's intent
-//!   pushes the writer instead of blocking.
+//! * **Intent conflicts + timestamp cache + pushes** — a writer meeting
+//!   another transaction's intent on its key conflicts; the check and the
+//!   new intent happen under one `kv.mvcc.state` section, and resolve and
+//!   abort drop a transaction's intents under one too, so no second
+//!   writer can slip in between. Reads leave their timestamp in a
+//!   read-timestamp cache, and writers have their provisional commit
+//!   timestamp *pushed* above every read they would otherwise invalidate.
+//!   A reader meeting a live writer's intent pushes the writer instead of
+//!   blocking.
 //!
 //! Every mutation of durable state is one atomic batch, so a crash leaves
 //! only (a) pending records with intents — aborted by [`MvccStore::recover`] —
@@ -127,21 +130,6 @@ fn decode_record(buf: &[u8]) -> Result<(u8, Ts, Ts, BTreeSet<Vec<u8>>)> {
 // ---------------------------------------------------------------------------
 // in-memory state
 
-/// A write latch held by a live transaction over `[lo, hi)`.
-#[derive(Debug, Clone)]
-struct Latch {
-    lo: Vec<u8>,
-    hi: Vec<u8>,
-    txn: Ts,
-}
-
-fn point_range(key: &[u8]) -> (Vec<u8>, Vec<u8>) {
-    let lo = key.to_vec();
-    let mut hi = key.to_vec();
-    hi.push(0);
-    (lo, hi)
-}
-
 #[derive(Debug, Default)]
 struct ActiveTxn {
     read_ts: Ts,
@@ -158,31 +146,9 @@ struct ActiveTxn {
 #[derive(Debug, Default)]
 struct MvccState {
     active: BTreeMap<Ts, ActiveTxn>,
-    latches: Vec<Latch>,
     /// Highest timestamp at which each key was read (the timestamp cache):
     /// writers must commit above it.
     read_cache: BTreeMap<Vec<u8>, Ts>,
-}
-
-impl MvccState {
-    /// Acquire a `[lo, hi)` latch for `txn`; conflicts with any overlapping
-    /// latch held by another transaction.
-    fn latch(&mut self, txn: Ts, lo: Vec<u8>, hi: Vec<u8>) -> Result<()> {
-        for l in &self.latches {
-            if l.txn != txn && l.lo < hi && lo < l.hi {
-                return Err(Error::Conflict(format!(
-                    "mvcc latch conflict: txn {txn} vs txn {} over overlapping key range",
-                    l.txn
-                )));
-            }
-        }
-        self.latches.push(Latch { lo, hi, txn });
-        Ok(())
-    }
-
-    fn release_latches(&mut self, txn: Ts) {
-        self.latches.retain(|l| l.txn != txn);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +418,7 @@ impl MvccStore {
 
     /// Transactional write (`None` deletes). Lays down a write intent and
     /// updates the transaction record in one atomic WAL frame. A foreign
-    /// intent or overlapping latch on the key is a write-write conflict.
+    /// intent on the key is a write-write conflict.
     pub fn write(&self, txn: Ts, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         let mut st = self.state.lock();
         if !st.active.contains_key(&txn) {
@@ -466,8 +432,6 @@ impl MvccStore {
                 )));
             }
         }
-        let (lo, hi) = point_range(key);
-        st.latch(txn, lo, hi)?;
         // Push the provisional commit timestamp above every read of the key.
         let read_high = st.read_cache.get(key).copied().unwrap_or(0);
         let me = st
@@ -619,7 +583,6 @@ impl MvccStore {
         batch.delete(keys::mvcc_record(txn));
         self.kv.apply(&batch);
         st.active.remove(&txn);
-        st.release_latches(txn);
         drop(st);
         let resolved = entries.len() as u64;
         self.journal.lock().entries.extend(entries);
@@ -666,7 +629,6 @@ impl MvccStore {
         batch.delete(keys::mvcc_record(txn));
         self.kv.apply(&batch);
         st.active.remove(&txn);
-        st.release_latches(txn);
         drop(st);
         self.journal.lock().entries.extend(entries);
         Ok(())
@@ -775,16 +737,14 @@ impl MvccStore {
         Ok(report)
     }
 
-    /// Drop the in-memory coordinator state of `txn` (active entry and
-    /// latches) without touching durable state — the crash-injection seam.
+    /// Drop the in-memory coordinator state of `txn` (its active entry)
+    /// without touching durable state — the crash-injection seam.
     /// The record and intents survive exactly as a process death would
     /// leave them, so [`decided`](Self::decided),
     /// [`orphan_pending`](Self::orphan_pending) and
     /// [`recover`](Self::recover) can be exercised in-process.
     pub fn forget(&self, txn: Ts) {
-        let mut st = self.state.lock();
-        st.active.remove(&txn);
-        st.release_latches(txn);
+        self.state.lock().active.remove(&txn);
     }
 
     /// Number of write intents currently persisted (any transaction).
@@ -902,29 +862,6 @@ mod tests {
         assert!(matches!(err, Err(Error::Conflict(_))), "{err:?}");
         assert_eq!(m.active_count(), 0);
         assert_eq!(m.pending_intents(), 0);
-        Ok(())
-    }
-
-    #[test]
-    fn range_latches_detect_overlap() -> Result<()> {
-        let m = MvccStore::new();
-        let a = m.begin();
-        let b = m.begin();
-        let lock_range =
-            |txn: Ts, lo: &[u8], hi: &[u8]| m.state.lock().latch(txn, lo.to_vec(), hi.to_vec());
-        lock_range(a.id, b"table/a", b"table/m")?;
-        assert!(matches!(
-            lock_range(b.id, b"table/g", b"table/z"),
-            Err(Error::Conflict(_))
-        ));
-        // Disjoint range is fine; same-txn overlap is fine.
-        lock_range(b.id, b"table/m", b"table/z")?;
-        lock_range(a.id, b"table/c", b"table/d")?;
-        // Point writes respect the interval too.
-        assert!(matches!(m.put(b.id, b"table/h", b"x"), Err(Error::Conflict(_))));
-        m.abort(a.id)?;
-        m.put(b.id, b"table/h", b"x")?;
-        m.abort(b.id)?;
         Ok(())
     }
 

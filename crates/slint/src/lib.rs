@@ -33,35 +33,27 @@
 //!   called from the owning service's own crate; everywhere else the work
 //!   must be driven through the `core::chore` maintenance runtime, so one
 //!   scheduler owns backpressure and deterministic retry.
-//!
-//! On top of the token rules, the [`model`] module builds workspace-wide
-//! facts (function definitions, call edges, lock-field acquisition sites,
-//! `IoCtx` parameter flow) and checks three semantic rules:
-//!
-//! * **R9** — the inter-procedural lock-acquisition graph must be acyclic
-//!   and every `held → acquired` edge must respect the canonical lock
-//!   hierarchy (`common::lockwitness::HIERARCHY`); direct same-class nesting is
-//!   flagged as a self-deadlock.
-//! * **R10** — functions in the data-path crates that can reach a timed
-//!   device operation must receive `&IoCtx` from their caller: minting a
-//!   fresh root with `IoCtx::new(` deep in the stack (outside
-//!   [`model::ROOT_CTX_FILES`]) silently drops the caller's QoS class and
-//!   trace.
+//! * **R10** — no `IoCtx::new(` in non-test code of the data-path crates
+//!   outside `core::system` and `core::chore`, the rim where requests and
+//!   chore ticks start: a fresh root minted anywhere else silently
+//!   drops the caller's QoS class and trace, so every other function takes
+//!   `&IoCtx` from its caller.
 //! * **R11** — swallowed `Result`s (`let _ = ..;` and trailing-statement
 //!   `.ok();`) in library code of the layered crates; failures must
 //!   propagate or carry a reasoned waiver.
 //!
-//! Findings can be waived inline with `// slint:allow(R4): reason` (the
-//! reason is mandatory; a reasonless waiver is itself a finding, rule W1)
-//! and existing debt is held in a checked-in baseline that may only
-//! shrink: the gate fails when a (rule, file) pair exceeds its baselined
-//! count, and `--baseline-update` rewrites the file to current reality.
+//! Lock order is not a lint rule: `common::lockwitness` checks every
+//! acquisition against the canonical hierarchy where it happens, in every
+//! debug build.
+//!
+//! Findings can be waived inline with `// slint:allow(R4): reason`; the
+//! reason is mandatory, and a reasonless waiver is itself a finding (rule
+//! W1). Any other finding fails the gate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
-pub mod model;
 pub mod scanner;
 
 use scanner::CleanedSource;
@@ -85,10 +77,7 @@ pub enum Rule {
     R7,
     /// Ad-hoc background-service calls outside the chore runtime.
     R8,
-    /// Lock-order violations: cycles, hierarchy inversions, same-class
-    /// nesting in the inter-procedural lock graph.
-    R9,
-    /// `IoCtx` not propagated: fresh roots on the timed data path.
+    /// A fresh root `IoCtx` minted below the rim of the data path.
     R10,
     /// Swallowed `Result` in library code.
     R11,
@@ -98,7 +87,7 @@ pub enum Rule {
 
 impl Rule {
     /// All enforceable rules, in order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::R1,
         Rule::R2,
         Rule::R3,
@@ -107,13 +96,12 @@ impl Rule {
         Rule::R6,
         Rule::R7,
         Rule::R8,
-        Rule::R9,
         Rule::R10,
         Rule::R11,
         Rule::W1,
     ];
 
-    /// Code as written in waivers and the baseline file.
+    /// Code as written in waivers.
     pub fn code(self) -> &'static str {
         match self {
             Rule::R1 => "R1",
@@ -124,7 +112,6 @@ impl Rule {
             Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::R8 => "R8",
-            Rule::R9 => "R9",
             Rule::R10 => "R10",
             Rule::R11 => "R11",
             Rule::W1 => "W1",
@@ -177,6 +164,14 @@ const ORDERED_ITER_CRATES: [&str; 6] = ["simdisk", "plog", "stream", "lake", "la
 const NO_SWALLOW_CRATES: [&str; 7] =
     ["lake", "stream", "format", "plog", "core", "simdisk", "kvstore"];
 
+/// Crates whose functions form the timed data path for R10.
+const DATA_PATH_CRATES: [&str; 5] = ["simdisk", "plog", "stream", "lake", "core"];
+
+/// Files allowed to mint fresh root `IoCtx` values on the data path: the
+/// system facade (request entry points) and the chore runtime (background
+/// tick roots). Everything else receives the context from its caller.
+const ROOT_CTX_FILES: [&str; 2] = ["crates/core/src/system.rs", "crates/core/src/chore.rs"];
+
 fn in_crate_src(path: &str, names: &[&str]) -> bool {
     names.iter().any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
@@ -195,9 +190,7 @@ fn rule_applies(rule: Rule, path: &str) -> bool {
         Rule::R7 => {
             path.starts_with("crates/") && path.contains("/src/") && !path.starts_with("crates/common/")
         }
-        // The lock graph spans every crate's library code.
-        Rule::R9 => path.starts_with("crates/") && path.contains("/src/"),
-        Rule::R10 => in_crate_src(path, &model::DATA_PATH_CRATES),
+        Rule::R10 => in_crate_src(path, &DATA_PATH_CRATES) && !ROOT_CTX_FILES.contains(&path),
         Rule::R11 => in_crate_src(path, &NO_SWALLOW_CRATES),
         // R8's per-token owner-crate exemptions live in
         // `check_chore_entry_points`; the rule itself applies everywhere.
@@ -227,7 +220,7 @@ struct TokenRule {
     skip_test_code: bool,
 }
 
-const TOKEN_RULES: [TokenRule; 6] = [
+const TOKEN_RULES: [TokenRule; 7] = [
     TokenRule {
         rule: Rule::R1,
         tokens: &[
@@ -287,6 +280,15 @@ const TOKEN_RULES: [TokenRule; 6] = [
         tokens: &[
             (".advance(", "direct clock advance outside the clock owner; thread time via IoCtx"),
         ],
+        skip_test_code: true,
+    },
+    TokenRule {
+        rule: Rule::R10,
+        tokens: &[(
+            "IoCtx::new(",
+            "fresh root context below the rim; accept `&IoCtx` from the caller so its \
+             QoS class and trace propagate",
+        )],
         skip_test_code: true,
     },
 ];
@@ -578,71 +580,19 @@ fn check_chore_entry_points(
     findings
 }
 
-/// Scan a set of `(workspace-relative path, source)` pairs as one unit:
-/// the per-file token rules plus the cross-file model rules (R9/R10),
-/// with model findings filtered through each file's inline waivers.
-pub fn scan_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (rel, source) in files {
-        findings.extend(scan_source(rel, source));
-    }
-    let (model_findings, _) = model::analyze(files);
-    let sources: BTreeMap<&str, &str> =
-        files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    let mut waiver_cache: BTreeMap<String, Waivers> = BTreeMap::new();
-    for mf in model_findings {
-        if !rule_applies(mf.rule, &mf.file) {
-            continue;
-        }
-        let waivers = waiver_cache.entry(mf.file.clone()).or_insert_with(|| {
-            sources
-                .get(mf.file.as_str())
-                .map(|src| collect_waivers(&scanner::clean(src)))
-                .unwrap_or_else(|| Waivers { allowed: BTreeMap::new(), malformed: Vec::new() })
-        });
-        if waivers.allows(mf.line, mf.rule) {
-            continue;
-        }
-        findings.push(Finding {
-            file: mf.file,
-            line: mf.line,
-            rule: mf.rule,
-            message: mf.message,
-        });
-    }
-    findings.sort();
-    findings
-}
-
-/// Read every workspace `.rs` file under `root` as `(relative path,
-/// source)` pairs, in stable order.
-pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// Walk every workspace `.rs` file under `root` and scan it, in stable
+/// order. `target/`, `.git/` and `shims/` are skipped: the shims are
+/// offline stand-ins for third-party crates.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
-    let mut out = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for rel in files {
         let source = std::fs::read_to_string(root.join(&rel))?;
-        out.push((rel, source));
+        findings.extend(scan_source(&rel, &source));
     }
-    Ok(out)
-}
-
-/// Walk every workspace `.rs` file under `root` and scan it.
-///
-/// `target/`, `.git/`, `shims/` and `fixtures/` are skipped: the shims
-/// are offline stand-ins for third-party crates, and fixtures are
-/// deliberately-broken inputs for slint's own tests.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    Ok(scan_sources(&collect_workspace_sources(root)?))
-}
-
-/// Build the inter-procedural lock graph for the workspace under `root`
-/// (the `--graph` / `--json` views).
-pub fn lock_graph(root: &Path) -> std::io::Result<model::LockGraph> {
-    let files = collect_workspace_sources(root)?;
-    let (_, graph) = model::analyze(&files);
-    Ok(graph)
+    Ok(findings)
 }
 
 fn collect_rs_files(
@@ -656,7 +606,7 @@ fn collect_rs_files(
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | ".git" | "shims" | "node_modules" | "fixtures") {
+            if matches!(name.as_ref(), "target" | ".git" | "shims" | "node_modules") {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -672,98 +622,6 @@ fn collect_rs_files(
         }
     }
     Ok(())
-}
-
-/// Baseline: accepted debt as `(rule, file) -> count`. The gate only
-/// fails when a pair exceeds its baselined count, so the file ratchets —
-/// it can shrink but never silently grow.
-pub type Baseline = BTreeMap<(String, String), usize>;
-
-/// Group findings into baseline form.
-pub fn tally(findings: &[Finding]) -> Baseline {
-    let mut counts = Baseline::new();
-    for f in findings {
-        *counts.entry((f.rule.code().to_string(), f.file.clone())).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Parse a baseline file. Lines are `<rule> <count> <path>`; `#` starts
-/// a comment.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut baseline = Baseline::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, char::is_whitespace);
-        let (rule, count, path) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(r), Some(c), Some(p)) => (r, c, p.trim()),
-            _ => return Err(format!("baseline line {}: expected `<rule> <count> <path>`", idx + 1)),
-        };
-        if Rule::parse(rule).is_none() {
-            return Err(format!("baseline line {}: unknown rule `{rule}`", idx + 1));
-        }
-        let count: usize = count
-            .parse()
-            .map_err(|_| format!("baseline line {}: bad count `{count}`", idx + 1))?;
-        baseline.insert((rule.to_string(), path.to_string()), count);
-    }
-    Ok(baseline)
-}
-
-/// Render a baseline file, stable order, zero entries omitted.
-pub fn format_baseline(baseline: &Baseline) -> String {
-    let mut out = String::from(
-        "# slint baseline: accepted (rule, file) violation counts.\n\
-         # Ratchet-only: counts may shrink but the gate fails if any grows.\n\
-         # Regenerate with: cargo run -p slint -- --baseline-update\n",
-    );
-    for ((rule, path), count) in baseline {
-        if *count > 0 {
-            out.push_str(&format!("{rule} {count} {path}\n"));
-        }
-    }
-    out
-}
-
-/// Result of judging findings against a baseline.
-#[derive(Debug, Default)]
-pub struct GateReport {
-    /// (rule, file, actual, allowed) where actual > allowed.
-    pub regressions: Vec<(String, String, usize, usize)>,
-    /// (rule, file, actual, allowed) where actual < allowed — the
-    /// baseline should be ratcheted down.
-    pub improvements: Vec<(String, String, usize, usize)>,
-    /// Total findings seen.
-    pub total_findings: usize,
-}
-
-impl GateReport {
-    /// Whether the gate passes (no counts above baseline).
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compare current findings to the accepted baseline.
-pub fn judge(findings: &[Finding], baseline: &Baseline) -> GateReport {
-    let actual = tally(findings);
-    let mut report = GateReport { total_findings: findings.len(), ..Default::default() };
-    for (key, &count) in &actual {
-        let allowed = baseline.get(key).copied().unwrap_or(0);
-        if count > allowed {
-            report.regressions.push((key.0.clone(), key.1.clone(), count, allowed));
-        }
-    }
-    for (key, &allowed) in baseline {
-        let count = actual.get(key).copied().unwrap_or(0);
-        if count < allowed {
-            report.improvements.push((key.0.clone(), key.1.clone(), count, allowed));
-        }
-    }
-    report
 }
 
 #[cfg(test)]

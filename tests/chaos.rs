@@ -254,16 +254,14 @@ fn full_stack_deployment_detects_heals_and_reports() {
 
 #[test]
 fn lock_witness_sees_no_inversion_under_a_seeded_storm() {
-    // Runtime half of the slint R9 contract: drive a full chaos schedule
-    // (appends, faults, scrub to convergence) with the lock witness armed
-    // and require that every nested acquisition respected the canonical
-    // hierarchy. The witness panics at the offending site on violation, so
-    // this also pins WHERE an inversion happens, not just that one did.
+    // Drive a full chaos schedule (appends, faults, scrub to convergence)
+    // under the lock witness, armed in every debug build, and require that
+    // every nested acquisition respected the canonical hierarchy. The
+    // witness panics at the offending site on violation, so this also pins
+    // WHERE an inversion happens, not just that one did.
     use common::lockwitness;
     let before = lockwitness::violation_count();
-    lockwitness::enable();
     let out = run_chaos(5, Redundancy::ErasureCode { k: 3, m: 2 }, 8, 64, &chaos_cfg());
-    lockwitness::disable();
     assert!(out.scrub_converged);
     assert_eq!(
         lockwitness::violation_count(),
@@ -277,9 +275,10 @@ fn lock_witness_sees_no_inversion_under_a_seeded_storm() {
             "witness saw no nested acquisitions — Tracked instrumentation regressed"
         );
         for (held, acquired) in edges {
-            if let (Some(h), Some(a)) = (lockwitness::rank(held), lockwitness::rank(acquired)) {
-                assert!(h < a, "observed edge {held} -> {acquired} inverts declared ranks");
-            }
+            assert!(
+                lockwitness::rank(held) < lockwitness::rank(acquired),
+                "observed edge {held} -> {acquired} inverts declared ranks"
+            );
         }
     }
 }
@@ -395,13 +394,11 @@ fn frontdoor_half_open_probe_heals_after_recovery() {
 #[test]
 fn frontdoor_same_seed_replays_identical_breaker_journal() {
     // Determinism contract: same seed, same fault plan, same arrival
-    // schedule — byte-identical journals, with the lock witness armed to
-    // corroborate the front door's declared ranks under chaos.
+    // schedule — byte-identical journals, with the lock witness checking
+    // the front door's declared ranks under chaos.
     use common::lockwitness;
     let before = lockwitness::violation_count();
-    lockwitness::enable();
     let (t1, a1, d1) = run_frontdoor_chaos(3, millis(1500), secs(4));
-    lockwitness::disable();
     assert_eq!(
         lockwitness::violation_count(),
         before,

@@ -203,10 +203,8 @@ fn lock_witness_sees_no_inversion_across_all_chores() {
     // under the runtime witness in one pass.
     use common::lockwitness;
     let before = lockwitness::violation_count();
-    lockwitness::enable();
     let sl = seeded_deployment();
     let journal = sl.run_maintenance_until(secs(120));
-    lockwitness::disable();
     assert!(!journal.is_empty());
     assert_eq!(
         lockwitness::violation_count(),
@@ -220,9 +218,10 @@ fn lock_witness_sees_no_inversion_across_all_chores() {
             "witness saw no nested acquisitions — Tracked instrumentation regressed"
         );
         for (held, acquired) in edges {
-            if let (Some(h), Some(a)) = (lockwitness::rank(held), lockwitness::rank(acquired)) {
-                assert!(h < a, "observed edge {held} -> {acquired} inverts declared ranks");
-            }
+            assert!(
+                lockwitness::rank(held) < lockwitness::rank(acquired),
+                "observed edge {held} -> {acquired} inverts declared ranks"
+            );
         }
     }
 }
