@@ -13,7 +13,7 @@ use common::lockwitness::TrackedMutex;
 use common::varint::Reader;
 use common::{Error, Result};
 use simdisk::pool::{ExtentHandle, StoragePool};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One Kafka message.
@@ -52,7 +52,7 @@ struct Partition {
 #[derive(Debug)]
 pub struct MiniKafka {
     pool: Arc<StoragePool>,
-    topics: TrackedMutex<HashMap<String, Vec<Partition>>>,
+    topics: TrackedMutex<BTreeMap<String, Vec<Partition>>>,
     replication: usize,
     segment_bytes: u64,
 }
@@ -63,7 +63,7 @@ impl MiniKafka {
     pub fn new(pool: Arc<StoragePool>, replication: usize, segment_bytes: u64) -> Self {
         MiniKafka {
             pool,
-            topics: TrackedMutex::new("baselines.kafka.topics", HashMap::new()),
+            topics: TrackedMutex::new("baselines.kafka.topics", BTreeMap::new()),
             replication: replication.max(1),
             segment_bytes: segment_bytes.max(1),
         }

@@ -66,7 +66,7 @@ fn main() {
     let mut seen: BTreeMap<(u32, u64), u32> = BTreeMap::new();
     let mut active: Vec<stream::Consumer> = Vec::new();
     let mut seq = 0u64;
-    // slint:allow(R7): this bin is the test driver and sole clock owner
+    #[expect(clippy::disallowed_methods, reason = "R7: this bin is the test driver and sole clock owner")]
     svc.clock().advance(secs(1));
 
     for wave in 0..WAVES {
@@ -89,7 +89,7 @@ fn main() {
         // Drain in sub-session-timeout steps so crashed members from the
         // previous wave expire while polling members stay alive.
         for _ in 0..4 {
-            // slint:allow(R7): the driver steps virtual time between poll rounds
+            #[expect(clippy::disallowed_methods, reason = "R7: the driver steps virtual time between poll rounds")]
             let t = svc.clock().advance(secs(20));
             for c in active.iter_mut() {
                 for r in c.poll(usize::MAX, &IoCtx::new(t)).expect("smoke poll") {
@@ -109,7 +109,7 @@ fn main() {
     let mut dry = 0;
     let mut sweeps = 0;
     while !(dry >= 2 && svc.groups().is_stable("g")) {
-        // slint:allow(R7): the driver steps virtual time between poll rounds
+        #[expect(clippy::disallowed_methods, reason = "R7: the driver steps virtual time between poll rounds")]
         let t = svc.clock().advance(secs(20));
         let mut got_any = false;
         for c in active.iter_mut() {

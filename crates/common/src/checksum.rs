@@ -22,6 +22,8 @@
 //! audit how many bytes were actually digested on the current thread via
 //! [`crc_hashed_bytes`].
 
+#![expect(unsafe_code, reason = "R6: the workspace's only unsafe code, the PCLMULQDQ kernel and its feature-checked calls")]
+
 use std::cell::Cell;
 use std::sync::OnceLock;
 

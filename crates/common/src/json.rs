@@ -9,7 +9,7 @@
 //!   any config value in the paper);
 //! * objects are [`BTreeMap`]s, so serialization order is the sorted key
 //!   order — deterministic across runs, in line with the workspace's
-//!   determinism invariants (see `crates/slint`).
+//!   determinism invariants (DESIGN.md).
 
 use crate::{Error, Result};
 use std::collections::BTreeMap;

@@ -147,8 +147,8 @@ impl Drop for Guard {
 /// Count a violation and panic with `msg`.
 fn violation(msg: String) -> ! {
     VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-    // slint:allow(R4): the witness is a sanitizer; detecting a latent
-    // deadlock must abort the test loudly, not return an Error.
+    // The witness is a sanitizer: detecting a latent deadlock must abort
+    // the test loudly, not return an Error.
     panic!("{msg}");
 }
 

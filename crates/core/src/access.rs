@@ -10,6 +10,7 @@
 //! prefix (`table/`) covers everything under it.
 
 use common::{Error, Result};
+#[expect(clippy::disallowed_types, reason = "R5: lookup-only maps; `allowed` asks `any`, which no order changes")]
 use std::collections::{HashMap, HashSet};
 use common::lockwitness::TrackedRwLock;
 
@@ -41,6 +42,7 @@ impl Default for AccessController {
 }
 
 #[derive(Debug, Default)]
+#[expect(clippy::disallowed_types, reason = "R5: lookup-only maps; `allowed` asks `any`, which no order changes")]
 struct Inner {
     /// token → principal
     tokens: HashMap<String, Principal>,

@@ -204,6 +204,7 @@ impl ChoreRuntime {
                 continue;
             }
 
+            #[expect(clippy::disallowed_methods, reason = "R10: the runtime is the rim of every chore tick")]
             let ctx = IoCtx::new(now)
                 .with_qos(QosClass::Maintenance)
                 .with_sink(self.sink.clone());

@@ -31,6 +31,11 @@
 //! assert_eq!(records.len(), 1);
 //! ```
 
+// R4 (no panics) and R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub(crate) mod access;
 pub mod chore;
 pub(crate) mod frontdoor;

@@ -61,12 +61,12 @@ pub struct StreamLakePipeline {
 
 /// Table schema used by the pipeline: the packet fields plus a `label`
 /// column the labeling job fills in.
+#[expect(clippy::expect_used, reason = "R4: static schema, field set fixed at compile time and covered by tests")]
 pub(crate) fn pipeline_schema() -> Schema {
     let mut fields: Vec<Field> = workloads::packets::PacketGen::schema()
         .fields()
         .to_vec();
     fields.push(Field::new("label", DataType::Utf8));
-    // slint:allow(R4): static schema, field set fixed at compile time and covered by tests
     Schema::new(fields).expect("static schema is valid")
 }
 

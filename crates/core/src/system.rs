@@ -126,6 +126,7 @@ impl StreamLake {
             config.hdd_capacity,
             clock.clone(),
         ));
+        #[expect(clippy::expect_used, reason = "R4: config is validated by SystemConfig construction before this point")]
         let plog = Arc::new(
             PlogStore::new(
                 ssd.clone(),
@@ -135,7 +136,6 @@ impl StreamLake {
                     shard_capacity: config.ssd_capacity, // generous per-shard space
                 },
             )
-            // slint:allow(R4): config is validated by SystemConfig construction before this point
             .expect("valid plog config")
             .with_metrics(metrics.clone())
             // Host-side parallelism only: per-shard encode/CRC/device work
@@ -163,6 +163,7 @@ impl StreamLake {
         let archive = Arc::new(ArchiveService::new(hdd.clone()));
         // The remote replica site (paper §IV geo-replication): a second
         // PLog store on the cold pool the replicator chore ships into.
+        #[expect(clippy::expect_used, reason = "R4: same validated shape as the primary config")]
         let replica = Arc::new(
             PlogStore::new(
                 hdd.clone(),
@@ -172,7 +173,6 @@ impl StreamLake {
                     shard_capacity: config.hdd_capacity,
                 },
             )
-            // slint:allow(R4): same validated shape as the primary config
             .expect("valid replica plog config"),
         );
         let replicator = Arc::new(RemoteReplicator::new(plog.clone(), replica));
@@ -227,6 +227,7 @@ impl StreamLake {
 
     /// Mint a root request context at the current virtual time, wired to
     /// this deployment's span sink.
+    #[expect(clippy::disallowed_methods, reason = "R10: the system facade is the rim of every request")]
     pub fn root_ctx(&self, qos: QosClass) -> IoCtx {
         IoCtx::new(self.clock.now())
             .with_qos(qos)

@@ -20,7 +20,7 @@ fn tables() -> &'static Tables {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
-        #[allow(clippy::needless_range_loop)] // i is also the log value being recorded
+        #[expect(clippy::needless_range_loop, reason = "i is also the log value being recorded")]
         for i in 0..255 {
             exp[i] = x as u8;
             log[x as usize] = i as u8;

@@ -21,6 +21,11 @@
 //!   (late materialization of the projection) and stats-based row-group
 //!   skipping.
 
+// R4 (no panics) and R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub(crate) mod batch;
 pub(crate) mod column;
 pub mod compress;

@@ -15,6 +15,9 @@
 //! prefix/range scans, crash recovery that tolerates torn tails, and log
 //! compaction.
 
+// R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub(crate) mod batch;
 pub mod chore;
 pub mod keys;

@@ -233,8 +233,8 @@ impl SharedKv {
         self.inner.write().delete(key);
     }
 
-    /// Apply a batch atomically.
-    pub(crate) fn apply(&self, batch: &WriteBatch) {
+    /// Apply a batch atomically: one write lock and one WAL frame.
+    pub fn apply(&self, batch: &WriteBatch) {
         self.inner.write().apply(batch);
     }
 

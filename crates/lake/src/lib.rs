@@ -22,6 +22,11 @@
 //!   metadata-flush chores, the snapshot-expiry report, and the
 //!   block-utilization metric LakeBrain optimizes.
 
+// R4 (no panics) and R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub mod catalog;
 pub mod conversion;
 pub mod maintenance;

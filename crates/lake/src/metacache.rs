@@ -358,7 +358,7 @@ impl MetadataCache {
     fn forget_persisted(&self, key: &[u8]) {
         // Best-effort invalidation: the KV tombstone is authoritative; an
         // orphaned PLog extent is scrub-reclaimed.
-        // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
+        #[expect(clippy::let_underscore_must_use, reason = "R11: best-effort delete, orphan is scrub-reclaimed")]
         let _ = self.reclaim(key);
     }
 

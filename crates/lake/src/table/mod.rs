@@ -228,7 +228,7 @@ impl TableStore {
             // Data files next: everything a retained commit added, not just
             // what the current snapshot still lists.
             for path in self.meta.data_file_paths(name)? {
-                // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
+                #[expect(clippy::let_underscore_must_use, reason = "R11: best-effort delete, orphan is scrub-reclaimed")]
                 let _ = self.meta.reclaim(path.as_bytes());
             }
         }

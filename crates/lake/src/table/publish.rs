@@ -92,7 +92,7 @@ impl TableStore {
     /// scrub.
     pub fn discard(&self, files: &[DataFileMeta]) {
         for f in files {
-            // slint:allow(R11): best-effort delete, orphan is scrub-reclaimed
+            #[expect(clippy::let_underscore_must_use, reason = "R11: best-effort delete, orphan is scrub-reclaimed")]
             let _ = self.meta.reclaim(f.path.as_bytes());
         }
     }

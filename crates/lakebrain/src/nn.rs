@@ -5,7 +5,7 @@
 //! and SGD with gradient clipping. Everything is `f64` and deterministic
 //! given the seed.
 
-#![allow(clippy::needless_range_loop)] // output indices address several parallel buffers
+#![expect(clippy::needless_range_loop, reason = "output indices address several parallel buffers")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -23,6 +23,11 @@
 //!   deterministic scatter/join that fans per-shard encode, CRC and
 //!   device-write work on the hot path.
 
+// R4 (no panics) and R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub mod placement;
 pub(crate) mod replication;
 pub(crate) mod scrub;

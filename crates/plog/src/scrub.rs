@@ -36,13 +36,6 @@ pub struct ScrubReport {
 }
 
 impl ScrubReport {
-    /// A cycle that found nothing to fix and nothing it couldn't read.
-    pub fn is_clean(&self) -> bool {
-        self.corruptions_detected == 0
-            && self.records_reencoded == 0
-            && self.records_unreadable == 0
-    }
-
     fn absorb(&mut self, h: &RecordHealth) {
         self.shards_verified += h.shards - h.missing;
         self.corruptions_detected += h.corrupt;
@@ -93,26 +86,6 @@ impl ScrubService {
             .incr("scrub.repairs", report.shards_healed + report.records_reencoded);
         Ok(report)
     }
-
-    /// Run cycles back to back (each starting at the previous one's finish
-    /// time) until a full index pass comes back clean or `max_cycles` is
-    /// spent. Returns the reports in order; convergence holds iff the last
-    /// report is clean and covered every record.
-    pub fn run_to_convergence(&self, ctx: &IoCtx, max_cycles: usize) -> Result<Vec<ScrubReport>> {
-        let mut reports = Vec::new();
-        let mut t = ctx.now;
-        for _ in 0..max_cycles {
-            let report = self.run_cycle(&ctx.at(t))?;
-            t = report.finished_at.max(t);
-            let done = report.is_clean()
-                && report.records_scanned >= self.store.record_count() as u64;
-            reports.push(report);
-            if done {
-                break;
-            }
-        }
-        Ok(reports)
-    }
 }
 
 impl Chore for ScrubService {
@@ -136,6 +109,35 @@ mod tests {
     use common::SimClock;
     use ec::Redundancy;
     use simdisk::{MediaKind, StoragePool};
+
+    impl ScrubReport {
+        /// A cycle that found nothing to fix and nothing it couldn't read.
+        fn is_clean(&self) -> bool {
+            self.corruptions_detected == 0
+                && self.records_reencoded == 0
+                && self.records_unreadable == 0
+        }
+    }
+
+    /// Run cycles back to back (each starting at the previous one's finish
+    /// time) until a full index pass comes back clean or `max_cycles` is
+    /// spent. Returns the reports in order; convergence holds iff the last
+    /// report is clean and covered every record.
+    fn run_to_convergence(scrub: &ScrubService, ctx: &IoCtx, max_cycles: usize) -> Vec<ScrubReport> {
+        let mut reports = Vec::new();
+        let mut t = ctx.now;
+        for _ in 0..max_cycles {
+            let report = scrub.run_cycle(&ctx.at(t)).unwrap();
+            t = report.finished_at.max(t);
+            let done = report.is_clean()
+                && report.records_scanned >= scrub.store.record_count() as u64;
+            reports.push(report);
+            if done {
+                break;
+            }
+        }
+        reports
+    }
 
     fn store(redundancy: Redundancy, devices: usize) -> Arc<PlogStore> {
         let pool = Arc::new(StoragePool::new(
@@ -179,7 +181,7 @@ mod tests {
         s.pool_for_tests().device(0).corrupt_stored_byte(0, 3, 0x10).unwrap();
         s.pool_for_tests().device(2).corrupt_stored_byte(1, 4, 0x20).unwrap();
         let scrub = ScrubService::new(Arc::clone(&s));
-        let reports = scrub.run_to_convergence(&IoCtx::new(0), 8).unwrap();
+        let reports = run_to_convergence(&scrub, &IoCtx::new(0), 8);
         let total_corrupt: u64 = reports.iter().map(|r| r.corruptions_detected).sum();
         let total_healed: u64 = reports.iter().map(|r| r.shards_healed).sum();
         assert_eq!(total_corrupt, 2);
@@ -200,7 +202,7 @@ mod tests {
         }
         s.pool_for_tests().device(1).fail();
         let scrub = ScrubService::new(Arc::clone(&s));
-        let reports = scrub.run_to_convergence(&IoCtx::new(0), 8).unwrap();
+        let reports = run_to_convergence(&scrub, &IoCtx::new(0), 8);
         let reencoded: u64 = reports.iter().map(|r| r.records_reencoded).sum();
         assert!(reencoded >= 1, "records on the dead device must be re-placed");
         assert!(reports.last().unwrap().is_clean());

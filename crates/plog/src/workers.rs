@@ -27,7 +27,7 @@ type Job = Box<dyn FnOnce() + Send>;
 /// the collector dropped its receiver after an earlier failure and the
 /// result is unwanted.
 fn deliver<T>(slot: &Sender<T>, value: T) {
-    // slint:allow(R11): dropped receiver — the collector already bailed
+    #[expect(clippy::let_underscore_must_use, reason = "R11: dropped receiver — the collector already bailed")]
     let _ = slot.send(value);
 }
 
@@ -119,7 +119,7 @@ impl Drop for WorkerPool {
         // Closing every sender ends the workers' recv loops.
         self.senders.clear();
         for h in self.handles.drain(..) {
-            // slint:allow(R11): panicked worker already surfaced as a lost job result
+            #[expect(clippy::let_underscore_must_use, reason = "R11: panicked worker already surfaced as a lost job result")]
             let _ = h.join();
         }
     }

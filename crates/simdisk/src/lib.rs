@@ -22,6 +22,9 @@
 //! All latency is charged against a [`common::SimClock`], so experiments are
 //! deterministic and independent of the host machine.
 
+// R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub(crate) mod bus;
 pub mod device;
 pub(crate) mod fault;

@@ -67,7 +67,7 @@ impl Consumer {
         }
         let mut topics = self.topics.clone();
         topics.push(topic.to_string());
-        // slint:allow(R10): a public signature without a ctx that slbench calls; the join is a metadata-only KV update at current virtual time
+        #[expect(clippy::disallowed_methods, reason = "R10: a public signature without a ctx that slbench calls; the join is a metadata-only KV update at current virtual time")]
         let ctx = IoCtx::new(self.svc.clock().now());
         self.svc.groups().join(&self.group, &self.member, &topics, &ctx)?;
         self.topics = topics;
@@ -150,11 +150,11 @@ impl Drop for Consumer {
         if self.left || self.topics.is_empty() {
             return;
         }
-        // slint:allow(R10): Drop has no caller ctx; leave is a metadata-only KV update at current virtual time
+        #[expect(clippy::disallowed_methods, reason = "R10: Drop has no caller ctx; leave is a metadata-only KV update at current virtual time")]
         let ctx = IoCtx::new(self.svc.clock().now());
         // Graceful leave on drop; a failure here (e.g. the group was
         // already retired) leaves expiry to the session timeout.
-        // slint:allow(R11): drop cannot propagate; timeout is the backstop
+        #[expect(clippy::let_underscore_must_use, reason = "R11: drop cannot propagate; timeout is the backstop")]
         let _ = self.svc.groups().leave(&self.group, &self.member, &ctx);
     }
 }

@@ -34,7 +34,7 @@ use common::ctx::IoCtx;
 use common::lockwitness::TrackedMutex;
 use common::metrics::Metrics;
 use common::{Error, Result};
-use kvstore::keys;
+use kvstore::{keys, WriteBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -417,9 +417,12 @@ impl GroupCoordinator {
         for group in expired {
             let kv = self.dispatcher.metadata();
             let offsets = kv.scan_prefix(keys::group_offsets(&group).as_bytes());
+            // One batch: one WAL frame, and a crash drops all or none.
+            let mut batch = WriteBatch::new();
             for (key, _) in &offsets {
-                kv.delete(key.clone());
+                batch.delete(key.clone());
             }
+            kv.apply(&batch);
             dropped += offsets.len() as u64;
             state.remove(&group);
             self.journal.lock().push(RebalanceEvent::OffsetsExpired {
@@ -771,5 +774,26 @@ mod tests {
         assert_eq!(late.work_done, 1);
         assert_eq!(c.committed("g", &Partition::new("t", 0)).unwrap(), None);
         assert_eq!(generation(&c, "g"), 0, "group record dropped");
+    }
+
+    #[test]
+    fn an_expired_groups_offsets_go_in_one_wal_frame() {
+        let svc = test_service(1, false);
+        svc.create_topic("t", TopicConfig::with_partitions(3)).unwrap();
+        let c = svc.groups().clone();
+        join_and_settle(&c, "g", &["a"]);
+        for idx in 0..3 {
+            c.commit("g", "a", &Partition::new("t", idx), 7).unwrap();
+        }
+        c.leave("g", "a", &IoCtx::new(0)).unwrap();
+        let kv = svc.dispatcher().metadata();
+        let frames = kv.wal_frames();
+        let late = secs(24 * 3600);
+        let tick = OffsetRetentionChore::new(c.clone()).tick(&IoCtx::new(late)).unwrap();
+        assert_eq!(tick.work_done, 3, "three offsets dropped");
+        assert_eq!(kv.wal_frames() - frames, 1, "three offsets, one batch");
+        assert!(kv.scan_prefix(keys::group_offsets("g").as_bytes()).is_empty());
+        let journal = String::from_utf8(c.journal_bytes()).unwrap();
+        assert!(journal.ends_with(&format!("offsets-expired t={late} g=g n=3\n")), "{journal}");
     }
 }

@@ -28,6 +28,11 @@
 //! * [`service`] — the [`StreamService`] facade wiring it all together and
 //!   charging the RDMA bus hop of each produce and fetch.
 
+// R4 (no panics) and R11 (no swallowed `Result`s) outside tests (DESIGN.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub mod archive;
 pub mod config;
 pub(crate) mod consumer;

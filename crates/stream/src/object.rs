@@ -259,7 +259,7 @@ impl StreamObject {
                         // An earlier slice failed: keep the slice sequence
                         // gap-free by rolling this one back; its records
                         // stay buffered behind the failed slice's.
-                        // slint:allow(R11): best-effort rollback, orphan is scrub-reclaimed
+                        #[expect(clippy::let_underscore_must_use, reason = "R11: best-effort rollback, orphan is scrub-reclaimed")]
                         let _ = self.plog.delete(&addr);
                     }
                     Err(e) => {
@@ -295,7 +295,7 @@ impl StreamObject {
         st.drain_backlog_until = plog_finish;
         // The slice is durable in the PLog by now; a failed SCM delete only
         // delays persistent-memory reuse.
-        // slint:allow(R11): slice already durable in PLog
+        #[expect(clippy::let_underscore_must_use, reason = "R11: slice already durable in PLog")]
         let _ = scm.delete_extent(scm_ext); // drained
         if plog_finish.saturating_sub(staged_at) > millis(5) {
             plog_finish
@@ -387,7 +387,7 @@ impl StreamObject {
             if s.base_offset + s.count <= offset {
                 // Truncation is logical — offsets are never reused, so a
                 // leaked extent is unreachable and scrub-reclaimed.
-                // slint:allow(R11): leaked extent is scrub-reclaimed
+                #[expect(clippy::let_underscore_must_use, reason = "R11: leaked extent is scrub-reclaimed")]
                 let _ = self.plog.delete(&s.addr);
                 freed += s.count;
                 false

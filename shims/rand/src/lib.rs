@@ -6,11 +6,11 @@
 //! methods `gen`, `gen_range`, `gen_bool`.
 //!
 //! Two deliberate differences from the real crate, both in service of the
-//! determinism invariants this workspace enforces (see `crates/slint`):
+//! determinism invariants this workspace enforces (DESIGN.md):
 //!
 //! * **No `thread_rng`, no `random`, no `from_entropy`, no `OsRng`.** Every
 //!   generator must be explicitly seeded, so unseeded entropy is a
-//!   *compile* error in addition to a lint finding (rule R2).
+//!   *compile* error (rule R2).
 //! * `StdRng` is a fixed xoshiro256++ — its stream never changes under
 //!   rebuilds, so seeded workloads reproduce bit-for-bit forever.
 
